@@ -33,7 +33,6 @@ from .exact import (
     v11_spectrum,
 )
 from .generators import (
-    GeneratorConfig,
     KammNagyConfig,
     gaussian_kernel_column,
     generate_ab_alpha,

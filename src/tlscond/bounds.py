@@ -22,7 +22,8 @@ Evaluation detail: sigma_hat_n^2 - sigma_{n+1}^2 equals the smallest
 eigenvalue of P = A^T A - sigma_{n+1}^2 I = V11 Lambda V11^T, so
 1/sqrt(sigma_hat_n^2 - sigma_{n+1}^2) = ||V11^{-T} T|| with T =
 Lambda^{-1/2}. The kappa2 family and the sharp sandwich are computed through
-the SVD of V11 in exactly this form. For well-separated spectra the two
+the SVD of V11 in exactly this form, read from ExactFormulaWork: no bound
+factors anything itself. For well-separated spectra the two
 readings agree to machine precision, but once sigma_hat_n - sigma_{n+1}
 approaches the rounding floor the explicit difference of two independently
 computed singular values carries an O(1) relative error, while the V11 route
@@ -38,7 +39,7 @@ import numpy as np
 
 from .core import SvdBundle, TlsSolution
 from .errors import NotApplicable
-from .exact import ExactFormulaWork, aug_frobenius, svd_condition
+from .exact import ExactFormulaWork, svd_condition
 from .problem import TlsProblem
 
 VERDICT_SLACK = 1e-9  # floating-point slack; the inequalities are strict
@@ -176,19 +177,11 @@ def kappa2_dominance(bundle: SvdBundle) -> tuple[bool, bool]:
     return bool(sig_hat_prev >= sig_last + root), bool(sig_hat_prev >= 2.0 * sig_hat_n)
 
 
-def _p_inv_sqrt_norm(bundle: SvdBundle) -> float:
-    """1/sqrt(sigma_hat_n^2 - sigma_{n+1}^2), read as ||V11^{-T} Lambda^{-1/2}||."""
-    n = bundle.n
-    sig_last = float(bundle.sigma[-1])
-    head = bundle.sigma[:-1]
-    t_diag = 1.0 / np.sqrt((head - sig_last) * (head + sig_last))
-    _, sv, vh = np.linalg.svd(bundle.v_aug[:n, :n].copy())
-    return float(np.linalg.norm((vh * t_diag) / sv[:, None], 2))
-
-
-def lower_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
+def lower_kappa2(
+    bundle: SvdBundle, solution: TlsSolution, work: ExactFormulaWork
+) -> BoundPair:
     """sqrt(1+||x||^2) / sqrt(sigma_hat_n^2 - sigma_{n+1}^2) as a lower bound."""
-    value = float(np.hypot(1.0, solution.norm_x) * _p_inv_sqrt_norm(bundle))
+    value = float(np.hypot(1.0, solution.norm_x) * work.v11_inv_t_lambda_norm)
     general, simple = kappa2_dominance(bundle)
     note = "dominates kappa1 lower" if general else ""
     if simple:
@@ -196,7 +189,9 @@ def lower_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     return BoundPair(value, None, "kappa2_lower", note)
 
 
-def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
+def upper_kappa2(
+    bundle: SvdBundle, solution: TlsSolution, work: ExactFormulaWork
+) -> BoundPair:
     """Amplifies the kappa2 lower bound by sqrt((1+31 rho^2)/(1-rho^2)).
 
     Only certified for alpha <= 1/2; raises NotApplicable otherwise.
@@ -206,7 +201,7 @@ def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
         raise NotApplicable(f"alpha={alpha:.4f} > 1/2: upper bound not certified")
     rho = float(bundle.sigma[-1] / bundle.sigma[-2])
     amp = float(np.sqrt((1.0 + 31.0 * rho**2) / ((1.0 - rho) * (1.0 + rho))))
-    base = lower_kappa2(bundle, solution)
+    base = lower_kappa2(bundle, solution, work)
     return BoundPair(base.lower, base.lower * amp, "kappa2_upper", f"rho={rho:.4f}")
 
 
@@ -228,10 +223,10 @@ def bounds_report(
         "simple_sandwich": simple_sandwich(solution, work),
         "sharp_sandwich": sharp_sandwich(solution, bundle, work),
         "kappa1": sv_bounds_kappa1(bundle, solution),
-        "kappa2_lower": lower_kappa2(bundle, solution),
+        "kappa2_lower": lower_kappa2(bundle, solution, work),
     }
     try:
-        pairs["kappa2_upper"] = upper_kappa2(bundle, solution)
+        pairs["kappa2_upper"] = upper_kappa2(bundle, solution, work)
     except NotApplicable as exc:
         pairs["kappa2_upper"] = BoundPair(None, None, "kappa2_upper", str(exc))
     pairs["bhm"] = bhm_approx(bundle)
@@ -256,7 +251,7 @@ def bounds_report(
         beta=beta,
         alpha=solution.alpha,
         rho=float(bundle.sigma[-1] / bundle.sigma[-2]),
-        rel_scale=aug_frobenius(bundle) / norm_x if norm_x > 0 else None,
+        rel_scale=work.aug_frobenius / norm_x if norm_x > 0 else None,
         sandwich_verdicts=verdicts,
         sharpness_ratios=ratios,
     )

@@ -16,18 +16,23 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
   formula that also needs the SVD of A.
 
 The svd route is the reference: it stays accurate when sigma_hat_n and
-sigma_{n+1} nearly coincide, where the P-based routes break down. Those are
-gated at relative gap 1e-6 (hard IllConditionedGap) and 1e-3 (warning).
+sigma_{n+1} nearly coincide, where the P-based routes break down. Those
+(kronecker, cholesky and baboulin) are gated at relative gap 1e-6 (hard
+IllConditionedGap) and 1e-3 (warning).
+
+Each problem is factored once: the SVD of V11 in ExactFormulaWork feeds the
+svd formula and the bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, check_uniqueness
+from .core import GapDiagnostics, SvdBundle, TlsSolution, check_uniqueness
 from .errors import (
     FactorizationError,
     IllConditionedGap,
@@ -42,26 +47,23 @@ WARN_GAP_LIMIT = 1e-3
 
 @dataclass(frozen=True)
 class ExactFormulaWork:
-    """Shared working matrices for the condition formulas.
+    """Shared spectral parts for the condition formulas.
 
-    k_matrix and g_of_x are None when only the spectral parts were assembled
-    (build_spectral_work); build_k_matrix fills them in. v11_svd carries the
-    SVD of the v11 block; the reference formula and the gap-sensitive bounds
-    all apply V11^{-T} through it so that their rounding errors cancel in
-    enclosure comparisons.
+    v11_svd is the one factorization: the SVD of the leading n x n block
+    V11 of the right singular factor of [A b]. The reference formula and
+    the gap-sensitive bounds all apply V11^{-T} through it, so that their
+    rounding errors cancel in enclosure comparisons. k_matrix is None until
+    build_k_matrix fills it in.
     """
 
     k_matrix: np.ndarray | None   # (n, m(n+1)) first-order map
-    g_of_x: np.ndarray | None     # (m, m(n+1)) block [x^T -1] (x) I_m
-    p_matrix: np.ndarray          # (n, n) A^T A - sigma_{n+1}^2 I
-    c_matrix: np.ndarray          # (n, n) Cholesky target, positive definite
-    l_factor: np.ndarray | None   # lower-triangular L with C = L L^T
-    v11: np.ndarray               # (n, n) leading block of V
     v11_svd: tuple                # (u_bar, sv, vh): v11 = u_bar @ diag(sv) @ vh
     s_diag: np.ndarray            # (n,) ascending weights s_i
     d_hat: np.ndarray             # (n,) 1 / (sigma_hat_i^2 - sigma_{n+1}^2)
     d_b: np.ndarray               # (n,) sqrt(sigma_i^2 + sigma_{n+1}^2)
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
+    gap: GapDiagnostics           # check_uniqueness of the bundle
+    aug_frobenius: float          # ||[A b]||_F
 
     def apply_v11_inv_t(self, diag: np.ndarray) -> np.ndarray:
         """V11^{-T} diag(d) up to an orthogonal left factor.
@@ -72,6 +74,17 @@ class ExactFormulaWork:
         """
         _, sv, vh = self.v11_svd
         return (vh * diag) / sv[:, None]
+
+    @cached_property
+    def v11_inv_t_s_norm(self) -> float:
+        """||V11^{-T} S||, the spectral factor of the reference kappa."""
+        return float(np.linalg.norm(self.apply_v11_inv_t(self.s_diag), 2))
+
+    @cached_property
+    def v11_inv_t_lambda_norm(self) -> float:
+        """||V11^{-T} Lambda^{-1/2}|| = sqrt(||P^{-1}||), as P = V11 Lambda V11^T."""
+        t_diag = 1.0 / np.sqrt(self.lambda_diag)
+        return float(np.linalg.norm(self.apply_v11_inv_t(t_diag), 2))
 
 
 @dataclass(frozen=True)
@@ -94,30 +107,32 @@ def aug_frobenius(bundle: SvdBundle) -> float:
     return float(np.linalg.norm(bundle.sigma))
 
 
-def _relative(kappa_abs: float, bundle: SvdBundle, solution: TlsSolution) -> float | None:
+def _relative(kappa_abs: float, work: ExactFormulaWork, solution: TlsSolution) -> float | None:
     norm_x = solution.norm_x
     if norm_x == 0.0:
         return None
-    return kappa_abs * aug_frobenius(bundle) / norm_x
+    return kappa_abs * work.aug_frobenius / norm_x
+
+
+def _gap_gate(work: ExactFormulaWork, what: str) -> tuple[str, ...]:
+    """Gate of the P-based routes: raise below HARD_GAP_LIMIT, warn below WARN_GAP_LIMIT."""
+    rel_gap = work.gap.rel_gap
+    if rel_gap < HARD_GAP_LIMIT:
+        raise IllConditionedGap(
+            f"rel_gap={rel_gap:.3e} < {HARD_GAP_LIMIT}: {what} is numerically singular"
+        )
+    if rel_gap < WARN_GAP_LIMIT:
+        return (f"rel_gap={rel_gap:.3e} < {WARN_GAP_LIMIT}: {what} nearly singular",)
+    return ()
 
 
 def build_spectral_work(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ExactFormulaWork:
-    """Assemble every working matrix except the explicit K (cheap for large m)."""
+    """Assemble the spectral parts every formula and bound reads (cheap for large m)."""
     n = problem.n
-    a = problem.a_matrix
-    x = solution.x
     sig_last = float(bundle.sigma[-1])
     sig2 = sig_last**2
-
-    ata = a.T @ a
-    p = ata - sig2 * np.eye(n)
-    c = ata + sig2 * np.eye(n) - (2.0 * sig2 / (1.0 + x @ x)) * np.outer(x, x)
-    try:
-        l_factor = scipy.linalg.cholesky(c, lower=True)
-    except scipy.linalg.LinAlgError:
-        l_factor = None
 
     # Differences of squares in factored form: sigma_i - sigma_{n+1} > 0 is
     # guaranteed by the gap check, while sigma_i**2 - sig2 can round to zero.
@@ -127,19 +142,15 @@ def build_spectral_work(
     d_hat = 1.0 / ((bundle.sigma_hat - sig_last) * (bundle.sigma_hat + sig_last))
     d_b = np.sqrt(head**2 + sig2)
 
-    v11 = bundle.v_aug[:n, :n].copy()
     return ExactFormulaWork(
         k_matrix=None,
-        g_of_x=None,
-        p_matrix=p,
-        c_matrix=c,
-        l_factor=l_factor,
-        v11=v11,
-        v11_svd=np.linalg.svd(v11),
+        v11_svd=np.linalg.svd(bundle.v_aug[:n, :n]),
         s_diag=s_diag,
         d_hat=d_hat,
         d_b=d_b,
         lambda_diag=lam,
+        gap=check_uniqueness(bundle),
+        aug_frobenius=aug_frobenius(bundle),
     )
 
 
@@ -149,7 +160,8 @@ def build_k_matrix(
     """Assemble the explicit first-order map K on top of the spectral parts.
 
     Column layout: the first m*n columns act on vec(dA) with columns stacked
-    first, the trailing m columns act on db.
+    first, the trailing m columns act on db. K solves against P explicitly
+    (not through V11), so it stays an independent oracle for the svd route.
     """
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
@@ -159,6 +171,7 @@ def build_k_matrix(
     r = solution.r
     x = solution.x
 
+    p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(n)
     g_of_x = np.kron(np.concatenate([x, [-1.0]]), np.eye(m))
     r_unit = r / np.linalg.norm(r)
     rhs = (
@@ -166,22 +179,21 @@ def build_k_matrix(
         - a.T @ g_of_x
         - np.hstack([np.kron(np.eye(n), r), np.zeros((n, m))])
     )
-    k_matrix = np.linalg.solve(work.p_matrix, rhs)
-    return replace(work, k_matrix=k_matrix, g_of_x=g_of_x)
+    return replace(work, k_matrix=np.linalg.solve(p, rhs))
 
 
 def kron_condition(
     work: ExactFormulaWork, problem: TlsProblem, solution: TlsSolution
 ) -> ConditionEstimate:
-    """kappa = ||K|| via the explicit Kronecker-form map."""
+    """kappa = ||K|| via the explicit Kronecker-form map.
+
+    K solves against P, so the route is gated like the cholesky route.
+    """
     if work.k_matrix is None:
         raise ValueError("K not assembled; use build_k_matrix")
+    warnings = _gap_gate(work, "P")
     kappa = float(np.linalg.norm(work.k_matrix, 2))
-    norm_x = solution.norm_x
-    aug_f = float(np.sqrt(np.linalg.norm(problem.a_matrix) ** 2
-                          + np.linalg.norm(problem.b_vector) ** 2))
-    kappa_rel = kappa * aug_f / norm_x if norm_x > 0 else None
-    return ConditionEstimate(kappa, kappa_rel, "kronecker")
+    return ConditionEstimate(kappa, _relative(kappa, work, solution), "kronecker", warnings)
 
 
 def cholesky_condition(
@@ -193,26 +205,29 @@ def cholesky_condition(
     """kappa = sqrt(1+||x||^2) ||P^{-1} L|| via triangular solves against P.
 
     Raises IllConditionedGap below relative gap 1e-6, where P is numerically
-    singular and the result would be meaningless.
+    singular and the result would be meaningless. P, C and their Cholesky
+    factors are formed only once the gate has passed.
     """
-    diag = check_uniqueness(bundle)
-    if diag.rel_gap < HARD_GAP_LIMIT:
-        raise IllConditionedGap(
-            f"rel_gap={diag.rel_gap:.3e} < {HARD_GAP_LIMIT}: P is numerically singular"
-        )
-    if work.l_factor is None:
-        raise FactorizationError("C lost positive definiteness numerically")
+    warnings = _gap_gate(work, "P")
+    n = problem.n
+    a = problem.a_matrix
+    x = solution.x
+    sig2 = float(bundle.sigma[-1]) ** 2
+    ata = a.T @ a
+    p = ata - sig2 * np.eye(n)
+    c = ata + sig2 * np.eye(n) - (2.0 * sig2 / (1.0 + x @ x)) * np.outer(x, x)
     try:
-        p_factor = scipy.linalg.cholesky(work.p_matrix, lower=True)
+        l_factor = scipy.linalg.cholesky(c, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise FactorizationError("C lost positive definiteness numerically") from exc
+    try:
+        p_factor = scipy.linalg.cholesky(p, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise FactorizationError(f"P lost positive definiteness: {exc}") from exc
-    y = scipy.linalg.solve_triangular(p_factor, work.l_factor, lower=True)
+    y = scipy.linalg.solve_triangular(p_factor, l_factor, lower=True)
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(y, 2))
-    warnings = ()
-    if diag.rel_gap < WARN_GAP_LIMIT:
-        warnings = (f"rel_gap={diag.rel_gap:.3e} < {WARN_GAP_LIMIT}: P nearly singular",)
-    return ConditionEstimate(kappa, _relative(kappa, bundle, solution), "cholesky", warnings)
+    return ConditionEstimate(kappa, _relative(kappa, work, solution), "cholesky", warnings)
 
 
 def svd_condition(
@@ -228,9 +243,8 @@ def svd_condition(
     sv = work.v11_svd[1]
     if sv[-1] <= 0.0 or not np.isfinite(sv[-1]):
         raise SingularBlock("V11 numerically singular: smallest singular value is 0")
-    y = work.apply_v11_inv_t(work.s_diag)
-    kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(y, 2))
-    return ConditionEstimate(kappa, _relative(kappa, bundle, solution), "svd")
+    kappa = float(np.hypot(1.0, solution.norm_x) * work.v11_inv_t_s_norm)
+    return ConditionEstimate(kappa, _relative(kappa, work, solution), "svd")
 
 
 def baboulin_condition(
@@ -242,27 +256,19 @@ def baboulin_condition(
     blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
     the cholesky route.
     """
-    diag = check_uniqueness(bundle)
-    if diag.rel_gap < HARD_GAP_LIMIT:
-        raise IllConditionedGap(
-            f"rel_gap={diag.rel_gap:.3e} < {HARD_GAP_LIMIT}: Dhat entries unreliable"
-        )
+    warnings = _gap_gate(work, "Dhat")
     n = bundle.n
     zeros = np.zeros((n, 1))
     left = np.hstack([bundle.v_hat.T, zeros])
     right = np.hstack([np.diag(work.d_b), zeros]).T
     core = work.d_hat[:, None] * (left @ bundle.v_aug @ right)
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(core, 2))
-    warnings = ()
-    if diag.rel_gap < WARN_GAP_LIMIT:
-        warnings = (f"rel_gap={diag.rel_gap:.3e} < {WARN_GAP_LIMIT}: Dhat nearly singular",)
-    return ConditionEstimate(kappa, _relative(kappa, bundle, solution), "baboulin", warnings)
+    return ConditionEstimate(kappa, _relative(kappa, work, solution), "baboulin", warnings)
 
 
-def v11_spectrum(bundle: SvdBundle, solution: TlsSolution) -> V11Analysis:
+def v11_spectrum(work: ExactFormulaWork) -> V11Analysis:
     """Singular values of the leading n x n block of V: (1, ..., 1, alpha)."""
-    n = bundle.n
-    sv = np.linalg.svd(bundle.v_aug[:n, :n], compute_uv=False)
+    sv = work.v11_svd[1].copy()
     return V11Analysis(
         singular_values=sv,
         kappa_v11=float(sv[0] / sv[-1]),

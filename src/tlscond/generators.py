@@ -30,23 +30,6 @@ RETRY_CAP = 10
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    """Parameters of an alpha-controlled random instance."""
-
-    m: int
-    n: int
-    alpha_target: float
-    seed: int
-    kind: str = "alpha_controlled"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_target < 1.0:
-            raise InvalidAlpha(f"alpha_target={self.alpha_target} outside (0, 1)")
-        if not self.m > self.n >= 1:
-            raise ShapeError(f"need m > n >= 1, got m={self.m}, n={self.n}")
-
-
-@dataclass(frozen=True)
 class KammNagyConfig:
     """Parameters of the deblurring instance.
 

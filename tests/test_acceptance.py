@@ -58,8 +58,8 @@ def test_criterion_1_cross_formula_agreement():
 def test_criterion_2_v11_spectrum():
     worst_lead = worst_tail = 0.0
     for problem in criterion1_problems():
-        bundle, solution, _ = pipeline(problem)
-        analysis = tc.v11_spectrum(bundle, solution)
+        _, solution, work = pipeline(problem)
+        analysis = tc.v11_spectrum(work)
         lead = float(np.max(np.abs(analysis.singular_values[:-1] - 1.0), initial=0.0))
         tail = abs(analysis.alpha_from_v11 - solution.alpha)
         worst_lead, worst_tail = max(worst_lead, lead), max(worst_tail, tail)
@@ -67,8 +67,8 @@ def test_criterion_2_v11_spectrum():
     worst_kv = 0.0
     for seed in range(3):
         problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=seed)
-        bundle, solution, _ = pipeline(problem)
-        kv = tc.v11_spectrum(bundle, solution).kappa_v11
+        _, _, work = pipeline(problem)
+        kv = tc.v11_spectrum(work).kappa_v11
         worst_kv = max(worst_kv, abs(kv - 1e8) / 1e8)
         assert kv == pytest.approx(1e8, rel=1e-6)
     print(f"\ncriterion 2 PASS: spectrum defects lead {worst_lead:.2e} / tail "

@@ -87,12 +87,12 @@ def test_kappa1_tight_for_clustered_trailing_values():
 
 
 def test_kappa2_lower_fixtures(fix_a, fix_b):
-    bundle, solution, _ = pipeline(fix_a)
-    assert tc.lower_kappa2(bundle, solution).lower == pytest.approx(
+    bundle, solution, work = pipeline(fix_a)
+    assert tc.lower_kappa2(bundle, solution, work).lower == pytest.approx(
         1 / np.sqrt(3), rel=1e-12
     )
-    bundle, solution, _ = pipeline(fix_b)
-    assert tc.lower_kappa2(bundle, solution).lower == pytest.approx(
+    bundle, solution, work = pipeline(fix_b)
+    assert tc.lower_kappa2(bundle, solution, work).lower == pytest.approx(
         FB.kappa2_lower, rel=1e-10
     )
 
@@ -100,11 +100,11 @@ def test_kappa2_lower_fixtures(fix_a, fix_b):
 def test_kappa2_dominance_condition():
     # sigma_hat_{n-1} >= 2 sigma_hat_n forces kappa1's lower below kappa2's
     problem = tailored_problem([8.0, 1.0], seed=2)
-    bundle, solution, _ = pipeline(problem)
+    bundle, solution, work = pipeline(problem)
     general, simple = kappa2_dominance(bundle)
     assert general and simple
     k1 = tc.sv_bounds_kappa1(bundle, solution)
-    k2 = tc.lower_kappa2(bundle, solution)
+    k2 = tc.lower_kappa2(bundle, solution, work)
     assert k1.lower <= k2.lower
     assert "dominates" in k2.applicability_note
 
@@ -113,9 +113,9 @@ def test_kappa1_upper_meets_kappa2_lower_as_residual_vanishes():
     # ratio = sqrt((1+q)/(1-q)), q = sigma_{n+1}^2/sigma_hat_n^2 -> 1 as q -> 0
     for residual, tol in [(1e-2, 1e-3), (1e-5, 1e-9)]:
         problem = tailored_problem([4.0, 2.0, 1.0], seed=3, residual=residual)
-        bundle, solution, _ = pipeline(problem)
+        bundle, solution, work = pipeline(problem)
         upper1 = tc.sv_bounds_kappa1(bundle, solution).upper
-        lower2 = tc.lower_kappa2(bundle, solution).lower
+        lower2 = tc.lower_kappa2(bundle, solution, work).lower
         q = (bundle.sigma[-1] / bundle.sigma_hat[-1]) ** 2
         assert upper1 / lower2 == pytest.approx(np.sqrt((1 + q) / (1 - q)), rel=1e-8)
         assert upper1 / lower2 == pytest.approx(1.0, abs=tol)
@@ -123,10 +123,10 @@ def test_kappa1_upper_meets_kappa2_lower_as_residual_vanishes():
 
 
 def test_upper_kappa2_rejects_large_alpha(fix_b):
-    bundle, solution, _ = pipeline(fix_b)
+    bundle, solution, work = pipeline(fix_b)
     assert solution.alpha > 0.5
     with pytest.raises(NotApplicable):
-        tc.upper_kappa2(bundle, solution)
+        tc.upper_kappa2(bundle, solution, work)
 
 
 def test_upper_kappa2_encloses_at_small_alpha():
@@ -135,7 +135,7 @@ def test_upper_kappa2_encloses_at_small_alpha():
         bundle, solution, work = pipeline(problem)
         rho = bundle.sigma[-1] / bundle.sigma[-2]
         assert rho <= 0.99
-        pair = tc.upper_kappa2(bundle, solution)
+        pair = tc.upper_kappa2(bundle, solution, work)
         kappa = tc.svd_condition(work, bundle, solution).kappa_abs
         assert pair.lower <= kappa * (1 + 1e-9)
         assert kappa <= pair.upper * (1 + 1e-9)

@@ -172,3 +172,14 @@ def test_failed_verdict_aborts_table(monkeypatch, capsys):
     code, _, err = run(["table", "--example", "1", "--m-list", "40"], capsys)
     assert code == 5
     assert "kappa1" in err
+
+
+def test_cond_all_reports_gated_kron(tmp_path, capsys):
+    # deblur m=100, seed 1: rel_gap 1.6e-8, below the gate of every P-based route
+    path = tmp_path / "blur.csv"
+    tc.save_problem(tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), path)
+    code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
+    assert code == 4
+    lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    assert lines["kronecker"] == "failed:"
+    assert lines["svd"].startswith("kappa_abs=")

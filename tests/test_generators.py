@@ -76,8 +76,8 @@ def test_generate_ab_alpha_recovers_alpha():
 
 def test_generate_ab_alpha_tiny_alpha_v11_condition():
     problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=0)
-    bundle, solution, _ = pipeline(problem)
-    analysis = tc.v11_spectrum(bundle, solution)
+    bundle, solution, work = pipeline(problem)
+    analysis = tc.v11_spectrum(work)
     assert analysis.kappa_v11 == pytest.approx(1e8, rel=1e-6)
     assert np.hypot(1.0, solution.norm_x) == pytest.approx(1e8, rel=1e-6)
     diag = tc.check_uniqueness(bundle)
@@ -93,8 +93,12 @@ def test_generate_ab_alpha_deterministic():
 def test_generate_ab_alpha_validation():
     with pytest.raises(ShapeError):
         tc.generate_ab_alpha(5, 5, 0.5, seed=0)
+    with pytest.raises(ShapeError):
+        tc.generate_ab_alpha(3, 3, 0.5, seed=0)
     with pytest.raises(InvalidAlpha):
         tc.generate_ab_alpha(10, 3, 0.0, seed=0)
+    with pytest.raises(InvalidAlpha):
+        tc.generate_ab_alpha(10, 3, 2.0, seed=0)
 
 
 def test_gap_shrinks_with_alpha():
@@ -171,7 +175,3 @@ def test_config_validation():
         tc.KammNagyConfig(m=40, omega=8, spread=-1.0)
     with pytest.raises(ShapeError):
         tc.KammNagyConfig(m=40, omega=8, gamma=-0.1)
-    with pytest.raises(InvalidAlpha):
-        tc.GeneratorConfig(m=10, n=3, alpha_target=2.0, seed=0)
-    with pytest.raises(ShapeError):
-        tc.GeneratorConfig(m=3, n=3, alpha_target=0.5, seed=0)
