@@ -76,7 +76,7 @@ def _bound_row(problem) -> dict:
             f"{problem.label}: families {failed} fail to enclose kappa="
             f"{report.kappa_reference:.6e}"
         )
-    diag = check_uniqueness(bundle)
+    diag = work.gap
     rel = report.relative_pairs()
     kappa_rel = (
         None if report.rel_scale is None else report.kappa_reference * report.rel_scale
@@ -218,12 +218,11 @@ def _cmd_cond(args) -> int:
         if args.method == "all"
         else [_METHOD_ALIASES.get(args.method, args.method)]
     )
-    if "kronecker" in methods:
-        work = exact.build_k_matrix(problem, bundle, solution)
-    else:
-        work = exact.build_spectral_work(problem, bundle, solution)
+    work = exact.build_spectral_work(problem, bundle, solution)
     runners = {
-        "kronecker": lambda: exact.kron_condition(work, problem, solution),
+        "kronecker": lambda: exact.kron_condition(
+            exact.build_k_matrix(problem, bundle, solution), problem, solution
+        ),
         "cholesky": lambda: exact.cholesky_condition(work, problem, bundle, solution),
         "svd": lambda: exact.svd_condition(work, bundle, solution),
         "baboulin": lambda: exact.baboulin_condition(work, bundle, solution),

@@ -45,7 +45,7 @@ class SingularBlock(TlsCondError):
 
 
 class NotApplicable(TlsCondError):
-    """A bound's precondition does not hold for this problem."""
+    """A bound's or route's precondition (certified alpha, size cap) does not hold."""
 
 
 class InvalidAlpha(TlsCondError):

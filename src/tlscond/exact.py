@@ -21,7 +21,7 @@ sigma_{n+1} nearly coincide, where the P-based routes break down. Those
 IllConditionedGap) and 1e-3 (warning).
 
 Each problem is factored once: the SVD of V11 in ExactFormulaWork feeds the
-svd formula and the bounds.
+svd formula, the bounds and the perturbation lab's matrix-free map K z.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import GapDiagnostics, SvdBundle, TlsSolution, check_uniqueness
 from .errors import (
     FactorizationError,
     IllConditionedGap,
+    NotApplicable,
     SingularBlock,
     TrivialProblem,
 )
@@ -43,6 +44,7 @@ from .problem import TlsProblem
 
 HARD_GAP_LIMIT = 1e-6
 WARN_GAP_LIMIT = 1e-3
+K_MAX_ENTRIES = 2**24  # cap on g_of_x (m x m(n+1)), build_k_matrix's largest temporary
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,11 @@ class ExactFormulaWork:
         """
         _, sv, vh = self.v11_svd
         return (vh * diag) / sv[:, None]
+
+    def apply_p_inv(self, v: np.ndarray) -> np.ndarray:
+        """P^{-1} v = u_bar sv^-1 vh Lambda^-1 vh^T sv^-1 u_bar^T v; P is never formed or gated."""
+        u_bar, sv, vh = self.v11_svd
+        return u_bar @ (vh @ (vh.T @ (u_bar.T @ v / sv) / self.lambda_diag) / sv)
 
     @cached_property
     def v11_inv_t_s_norm(self) -> float:
@@ -162,11 +169,15 @@ def build_k_matrix(
     Column layout: the first m*n columns act on vec(dA) with columns stacked
     first, the trailing m columns act on db. K solves against P explicitly
     (not through V11), so it stays an independent oracle for the svd route.
+    It is capped at K_MAX_ENTRIES and gap-gated before any dense temporary.
     """
+    m, n = problem.m, problem.n
+    if m * m * (n + 1) > K_MAX_ENTRIES:
+        raise NotApplicable(f"K: g_of_x needs {m * m * (n + 1)} > {K_MAX_ENTRIES} entries")
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
     work = build_spectral_work(problem, bundle, solution)
-    m, n = problem.m, problem.n
+    _gap_gate(work, "P")
     a = problem.a_matrix
     r = solution.r
     x = solution.x

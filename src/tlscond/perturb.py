@@ -5,8 +5,9 @@ observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. As t -> 0 the ratio
 approaches ||K z|| for the stacked direction z, is maximized over unit z by
-the condition number, and attains it along the top right singular vector
-of K.
+the condition number, and attains it along K^T u for K's top left singular
+vector u. K is never formed: K z and K^T u cost O(mn) through the SVD of V11
+in ExactFormulaWork, and u comes from the n x n SVD of V11^{-T} S.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import check_uniqueness, solve_tls, svd_bundle
 from .errors import PerturbationTooLarge
-from .exact import ExactFormulaWork, build_k_matrix, svd_condition
+from .exact import ExactFormulaWork, build_spectral_work, svd_condition
 from .problem import TlsProblem
 
 # Perturbed relative gap must keep this fraction of the base gap.
@@ -116,21 +117,29 @@ def random_direction(m: int, n: int, rng) -> PerturbationDirection:
     )
 
 
+def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, direction) -> np.ndarray:
+    """K [vec(dA); db] = P^{-1}(2 (A^T r^)(r^ . g) - A^T g - dA^T r) with g = dA x - db."""
+    a, r, da = problem.a_matrix, solution.r, direction.delta_a
+    r_unit = r / np.linalg.norm(r)
+    g = da @ solution.x - direction.delta_b
+    return work.apply_p_inv(2.0 * (a.T @ r_unit) * (r_unit @ g) - a.T @ g - da.T @ r)
+
+
 def first_order_prediction(
     work: ExactFormulaWork,
+    problem: TlsProblem,
     solution,
     direction: PerturbationDirection,
     t: float,
 ) -> np.ndarray:
     """x + t K [vec(dA); db], the linearized solution at step t."""
-    if work.k_matrix is None:
-        raise ValueError("K not assembled; use build_k_matrix")
-    return solution.x + t * (work.k_matrix @ direction.stacked())
+    return solution.x + t * _k_apply(work, problem, solution, direction)
 
 
 def _solve(problem: TlsProblem):
     bundle = svd_bundle(problem)
-    return bundle, check_uniqueness(bundle), solve_tls(problem, bundle)
+    solution = solve_tls(problem, bundle)
+    return bundle, solution, build_spectral_work(problem, bundle, solution)
 
 
 def _perturbed_ratio(problem, base_diag, base_x, direction, t):
@@ -155,20 +164,23 @@ def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
     if t <= 0:
         raise ValueError("step t must be positive")
-    _, base_diag, base_solution = _solve(problem)
-    return _perturbed_ratio(problem, base_diag, base_solution.x, direction, t)
+    _, base_solution, work = _solve(problem)
+    return _perturbed_ratio(problem, work.gap, base_solution.x, direction, t)
 
 
-def worst_direction(work: ExactFormulaWork) -> PerturbationDirection:
-    """Unit direction attaining ||K||: the top right singular vector of K."""
-    if work.k_matrix is None:
-        raise ValueError("K not assembled; use build_k_matrix")
-    n = work.k_matrix.shape[0]
-    m = work.k_matrix.shape[1] // (n + 1)
-    top = np.linalg.svd(work.k_matrix)[2][0]
-    return PerturbationDirection.normalized(
-        top[: m * n].reshape((m, n), order="F"), top[m * n:]
-    )
+def worst_direction(
+    work: ExactFormulaWork, problem: TlsProblem, solution
+) -> PerturbationDirection:
+    """Unit direction attaining ||K||: K^T u / kappa for K's top left singular vector u.
+
+    With w = P^{-1} u and y = 2 (r^ . A w) r^ - A w, K^T u = (y x^T - r w^T, -y).
+    """
+    u = work.v11_svd[0] @ np.linalg.svd(work.apply_v11_inv_t(work.s_diag))[0][:, 0]
+    w = work.apply_p_inv(u)
+    a_w, r = problem.a_matrix @ w, solution.r
+    r_unit = r / np.linalg.norm(r)
+    y = 2.0 * (r_unit @ a_w) * r_unit - a_w
+    return PerturbationDirection.normalized(np.outer(y, solution.x) - np.outer(r, w), -y)
 
 
 def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_list):
@@ -178,13 +190,12 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
     rounding dominates; points with t below the floor are flagged not-clean
     and left out of slope fits.
     """
-    bundle, base_diag, base_solution = _solve(problem)
-    work = build_k_matrix(problem, bundle, base_solution)
-    predicted = float(np.linalg.norm(work.k_matrix @ direction.stacked()))
+    bundle, base_solution, work = _solve(problem)
+    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
     floor = CLEAN_STEP_FLOOR * float(np.linalg.norm(bundle.sigma))
     points = []
     for t in t_list:
-        ratio = _perturbed_ratio(problem, base_diag, base_solution.x, direction, t)
+        ratio = _perturbed_ratio(problem, work.gap, base_solution.x, direction, t)
         points.append(
             ConvergencePoint(
                 t=float(t),
@@ -218,8 +229,7 @@ def monte_carlo_validate(
     summary does not depend on execution order. The default step is
     1e-8 ||[A b]||_F, balancing the Taylor remainder against rounding.
     """
-    bundle, base_diag, base_solution = _solve(problem)
-    work = build_k_matrix(problem, bundle, base_solution)
+    bundle, base_solution, work = _solve(problem)
     if t is None:
         t = 1e-8 * float(np.linalg.norm(bundle.sigma))
 
@@ -227,16 +237,16 @@ def monte_carlo_validate(
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         direction = random_direction(problem.m, problem.n, rng)
-        ratios.append(_perturbed_ratio(problem, base_diag, base_solution.x, direction, t))
+        ratios.append(_perturbed_ratio(problem, work.gap, base_solution.x, direction, t))
 
-    worst = worst_direction(work)
-    worst_ratio = _perturbed_ratio(problem, base_diag, base_solution.x, worst, t)
+    worst = worst_direction(work, problem, base_solution)
+    worst_ratio = _perturbed_ratio(problem, work.gap, base_solution.x, worst, t)
 
-    predicted = float(np.linalg.norm(work.k_matrix @ worst.stacked()))
+    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, worst)))
     slopes = []
     for factor in (1e3, 1e2, 1e1):
         try:
-            ratio = _perturbed_ratio(problem, base_diag, base_solution.x, worst, factor * t)
+            ratio = _perturbed_ratio(problem, work.gap, base_solution.x, worst, factor * t)
         except PerturbationTooLarge:
             continue
         slopes.append((factor * t, abs(ratio - predicted)))

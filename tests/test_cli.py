@@ -183,3 +183,15 @@ def test_cond_all_reports_gated_kron(tmp_path, capsys):
     lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
     assert lines["kronecker"] == "failed:"
     assert lines["svd"].startswith("kappa_abs=")
+
+
+def test_cond_all_reports_oversized_kron(tmp_path, capsys):
+    # 600x50: the explicit K is over its size cap; the other routes still run
+    path = tmp_path / "big.csv"
+    tc.save_problem(tc.generate_ab_alpha(600, 50, 0.5, seed=0), path)
+    code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
+    assert code == 4
+    lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    assert lines["kronecker"] == "failed:"
+    for method in ("cholesky", "svd", "baboulin"):
+        assert lines[method].startswith("kappa_abs=")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import pipeline
-from tlscond.errors import IllConditionedGap, TrivialProblem
+from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
 
 def fd_jacobian(problem, step=1e-7):
@@ -143,10 +144,24 @@ def test_gap_warning_band():
 def test_kron_gated_on_deblur_gap():
     # rel_gap 1.6e-8: P is numerically singular, so K is off by 3.5e-3
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
-    bundle, solution, work = pipeline(problem, with_k=True)
+    bundle, solution, work = pipeline(problem)
     assert work.gap.rel_gap < 1e-6
     with pytest.raises(IllConditionedGap):
-        tc.kron_condition(work, problem, solution)
+        tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
+
+
+def test_build_k_refuses_oversized_before_allocating():
+    # g_of_x would be 600 x 30600: 18.4M entries, above K_MAX_ENTRIES
+    problem = tc.generate_ab_alpha(600, 50, 0.5, seed=0)
+    bundle, solution, _ = pipeline(problem)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotApplicable):
+            tc.build_k_matrix(problem, bundle, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_formulas_and_bounds_reuse_the_v11_svd(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,17 +34,41 @@ def test_stacked_uses_column_order():
     )
 
 
-def test_prediction_fix_a(fix_a):
-    _, solution, work = pipeline(fix_a, with_k=True)
+@pytest.fixture(
+    params=["fix_a", "fix_b", (6, 5, 0.4, 3), (50, 10, 0.3, 1)],
+    ids=["fix_a", "fix_b", "alpha_6x5", "alpha_50x10"],
+)
+def problem(request):
+    """Problems small enough for the explicit K oracle."""
+    if isinstance(request.param, str):
+        return request.getfixturevalue(request.param)
+    m, n, alpha, seed = request.param
+    return tc.generate_ab_alpha(m, n, alpha, seed=seed)
+
+
+def test_prediction_fix_a(problem):
+    bundle, solution, work = pipeline(problem)
+    k = tc.build_k_matrix(problem, bundle, solution).k_matrix
+    direction = tc.random_direction(problem.m, problem.n, np.random.default_rng(4))
+    for t in (1e-4, 1.0):
+        pred = tc.first_order_prediction(work, problem, solution, direction, t)
+        expected = solution.x + t * (k @ direction.stacked())
+        assert np.linalg.norm(pred - expected) <= 1e-12 * np.linalg.norm(expected)
+    # zero step returns x exactly
+    pred = tc.first_order_prediction(work, problem, solution, direction, 0.0)
+    np.testing.assert_array_equal(pred, solution.x)
+    if problem.label != "fix_a":
+        return
     # pure b-perturbation along e2: the matching K column is zero
-    pred = tc.first_order_prediction(work, solution, unit_direction(2, 1, b_entry=1), 1e-6)
+    pred = tc.first_order_prediction(
+        work, problem, solution, unit_direction(2, 1, b_entry=1), 1e-6
+    )
     np.testing.assert_allclose(pred, [0.0], atol=1e-20)
     # unit bump of A's (2,1) entry moves x by t/3
-    pred = tc.first_order_prediction(work, solution, unit_direction(2, 1, entry=(1, 0)), 1e-4)
+    pred = tc.first_order_prediction(
+        work, problem, solution, unit_direction(2, 1, entry=(1, 0)), 1e-4
+    )
     np.testing.assert_allclose(pred, [1e-4 / 3.0], rtol=1e-12)
-    # zero step returns x exactly
-    pred = tc.first_order_prediction(work, solution, unit_direction(2, 1, entry=(0, 0)), 0.0)
-    np.testing.assert_array_equal(pred, solution.x)
 
 
 def test_perturbation_ratio_fix_a(fix_a):
@@ -65,9 +91,15 @@ def test_ratio_tends_to_directional_derivative():
     )
 
 
-def test_worst_direction_fix_a(fix_a):
-    _, _, work = pipeline(fix_a, with_k=True)
-    direction = tc.worst_direction(work)
+def test_worst_direction_fix_a(problem):
+    bundle, solution, work = pipeline(problem)
+    k = tc.build_k_matrix(problem, bundle, solution).k_matrix
+    direction = tc.worst_direction(work, problem, solution)
+    assert direction.frobenius() == pytest.approx(1.0, abs=1e-14)
+    attained = np.linalg.norm(k @ direction.stacked())
+    assert attained == pytest.approx(np.linalg.norm(k, 2), rel=1e-10)
+    if problem.label != "fix_a":
+        return
     # top right singular vector of (1/3)[0 1 2 0], sign-insensitive
     np.testing.assert_allclose(
         np.abs(direction.delta_a), [[0.0], [1 / np.sqrt(5)]], atol=1e-14
@@ -75,11 +107,33 @@ def test_worst_direction_fix_a(fix_a):
     np.testing.assert_allclose(
         np.abs(direction.delta_b), [2 / np.sqrt(5), 0.0], atol=1e-14
     )
-    assert direction.frobenius() == pytest.approx(1.0, abs=1e-14)
-    attained = np.linalg.norm(work.k_matrix @ direction.stacked())
-    assert attained == pytest.approx(np.linalg.norm(work.k_matrix, 2), rel=1e-10)
-    ratio = tc.perturbation_ratio(fix_a, direction, 1e-8)
+    ratio = tc.perturbation_ratio(problem, direction, 1e-8)
     assert ratio == pytest.approx(np.sqrt(5) / 3, rel=1e-3)
+
+
+def test_worst_direction_on_deblur():
+    # deblur m=300 (n=284): K would have 24M entries and P is gated, yet the
+    # map through V11 attains the svd reference along the worst direction
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=300, seed=1))
+    bundle, solution, work = pipeline(problem)
+    direction = tc.worst_direction(work, problem, solution)
+    pred = tc.first_order_prediction(work, problem, solution, direction, 1.0)
+    kappa = tc.svd_condition(work, bundle, solution).kappa_abs
+    assert np.linalg.norm(pred - solution.x) == pytest.approx(kappa, rel=1e-8)
+
+
+def test_monte_carlo_never_forms_k():
+    # the explicit K of this problem has 1.24M entries and its SVD's right
+    # factor 38M; the map through V11 needs O(mn)
+    problem = tc.generate_ab_alpha(200, 30, 0.3, seed=0)
+    tracemalloc.start()
+    try:
+        summary = tc.monte_carlo_validate(problem, trials=5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.sound and summary.attained
+    assert peak < 16 * 2**20
 
 
 def test_perturbation_too_large(fix_a):
