@@ -1,5 +1,9 @@
 """Thin SVDs, solvability diagnostics, and the TLS solver.
 
+Both SVDs are of one row block: [A b], or once m >= 2(n+1) (LAPACK's QR-first
+crossover) the (n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n]
+(Chan's R-SVD). Q is never formed: the left factors are in that block's row basis.
+
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
 solution off it. The normal-equations form (A^T A - sigma_{n+1}^2 I)^{-1} A^T b
@@ -29,16 +33,13 @@ CROSS_CHECK_MIN_REL_GAP = 1e-6
 class SvdBundle:
     """Thin SVDs of A (hatted quantities) and of [A b] (plain quantities)."""
 
+    rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1)
     sigma_hat: np.ndarray  # (n,) singular values of A, descending
-    u_hat: np.ndarray      # (m, n)
+    u_hat: np.ndarray      # (k, n), left factor of A in the row basis of rows
     v_hat: np.ndarray      # (n, n)
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
-    u_aug: np.ndarray      # (m, n+1)
+    u_aug: np.ndarray      # (k, n+1), left factor of [A b] in the row basis of rows
     v_aug: np.ndarray      # (n+1, n+1)
-
-    @property
-    def m(self) -> int:
-        return self.u_hat.shape[0]
 
     @property
     def n(self) -> int:
@@ -52,10 +53,15 @@ class SvdBundle:
         )
 
     def reconstruction_defect(self, problem: TlsProblem) -> float:
-        """Relative Frobenius residual of both factorizations."""
-        a_res = np.linalg.norm(self.u_hat * self.sigma_hat @ self.v_hat.T - problem.a_matrix)
+        """Relative Frobenius residual of both factorizations (rebuilds Q when rows is R)."""
         aug = problem.augmented()
-        aug_res = np.linalg.norm(self.u_aug * self.sigma @ self.v_aug.T - aug)
+        a_fit = self.u_hat * self.sigma_hat @ self.v_hat.T
+        aug_fit = self.u_aug * self.sigma @ self.v_aug.T
+        if self.rows.shape[0] < aug.shape[0]:
+            q = np.linalg.qr(aug)[0]
+            a_fit, aug_fit = q @ a_fit, q @ aug_fit
+        a_res = np.linalg.norm(a_fit - problem.a_matrix)
+        aug_res = np.linalg.norm(aug_fit - aug)
         return max(
             a_res / max(np.linalg.norm(problem.a_matrix), 1e-300),
             aug_res / max(np.linalg.norm(aug), 1e-300),
@@ -121,13 +127,16 @@ class ResidualReport:
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
-    """Compute the thin SVDs of A and [A b] with descending singular values."""
+    """Thin SVDs of A and [A b], descending, via the R of [A b] when m >= 2(n+1)."""
+    rows = problem.augmented()
     try:
-        u_hat, sigma_hat, vt_hat = np.linalg.svd(problem.a_matrix, full_matrices=False)
-        u_aug, sigma, vt_aug = np.linalg.svd(problem.augmented(), full_matrices=False)
+        if problem.m >= 2 * (problem.n + 1):
+            rows = np.linalg.qr(rows, mode="r")
+        u_hat, sigma_hat, vt_hat = np.linalg.svd(rows[:, : problem.n], full_matrices=False)
+        u_aug, sigma, vt_aug = np.linalg.svd(rows, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed: {exc}") from exc
-    return SvdBundle(sigma_hat, u_hat, vt_hat.T, sigma, u_aug, vt_aug.T)
+    return SvdBundle(rows, sigma_hat, u_hat, vt_hat.T, sigma, u_aug, vt_aug.T)
 
 
 def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
@@ -211,7 +220,8 @@ def residual_diagnostics(
     norm_x = solution.norm_x
     if norm_x == 0.0:
         return ResidualReport(identities, None, None, None, None)
-    lower = abs(bundle.u_hat[:, -1] @ problem.b_vector) / (2.0 * norm_x)
+    # rows[:, -1] is b, or Q^T b on the QR route: either way u_hat_n . b
+    lower = abs(bundle.u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
     mid = float(bundle.sigma_hat[-1] - bundle.sigma[-1])
     upper = float(np.linalg.norm(problem.b_vector)) / norm_x
     slack = 1e-12

@@ -195,3 +195,10 @@ def test_cond_all_reports_oversized_kron(tmp_path, capsys):
     assert lines["kronecker"] == "failed:"
     for method in ("cholesky", "svd", "baboulin"):
         assert lines[method].startswith("kappa_abs=")
+
+
+def test_solve_tall_gap_chain_ok(tmp_path, capsys):
+    path = gen_problem_file(tmp_path, capsys, alpha="0.01", m="2000", n="100", seed="11")
+    code, out, _ = run(["solve", "--input", str(path)], capsys)
+    assert code == 0
+    assert "gap enclosure chain:" in out and out.rstrip().endswith("-> ok")

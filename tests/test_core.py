@@ -143,3 +143,75 @@ def test_gap_chain_on_generated_problems():
         report = tc.residual_diagnostics(problem, bundle, solution)
         assert solution.norm_x > 0
         assert report.gap_chain_holds
+
+
+def direct_svds(problem):
+    """The two LAPACK SVDs of the data itself, with no QR reduction."""
+    return (np.linalg.svd(problem.a_matrix, full_matrices=False),
+            np.linalg.svd(problem.augmented(), full_matrices=False))
+
+
+@pytest.mark.parametrize("shape", [(21, 10), (22, 10), (200, 30), (2000, 100), (3, 1), (60, 1)])
+def test_bundle_agrees_with_direct_svds(shape):
+    m, n = shape
+    problem = tc.generate_ab_alpha(m, n, 0.3, seed=5)
+    bundle = tc.svd_bundle(problem)
+    (_, sigma_hat, _), (_, sigma, vt_aug) = direct_svds(problem)
+    assert bundle.u_aug.shape[0] == bundle.u_hat.shape[0] == (n + 1 if m >= 2 * (n + 1) else m)
+    np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
+    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
+    x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
+    x = tc.solve_tls(problem, bundle).x
+    assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
+
+
+def test_deblur_bundle_is_the_direct_svds():
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    bundle = tc.svd_bundle(problem)
+    (u_hat, sigma_hat, vt_hat), (u_aug, sigma, vt_aug) = direct_svds(problem)
+    assert bundle.rows.shape == (problem.m, problem.n + 1)
+    for got, want in [(bundle.u_hat, u_hat), (bundle.sigma_hat, sigma_hat),
+                      (bundle.v_hat, vt_hat.T), (bundle.u_aug, u_aug),
+                      (bundle.sigma, sigma), (bundle.v_aug, vt_aug.T)]:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(50, 10), (200, 30), (2000, 100), (4000, 40)])
+def test_gap_chain_lower_in_reduced_basis(shape):
+    problem = tc.generate_ab_alpha(*shape, 0.3, seed=2)
+    bundle, solution, _ = pipeline(problem)
+    report = tc.residual_diagnostics(problem, bundle, solution)
+    u_hat = np.linalg.svd(problem.a_matrix, full_matrices=False)[0]
+    expected = abs(u_hat[:, -1] @ problem.b_vector) / (2.0 * solution.norm_x)
+    assert report.gap_chain_lower == pytest.approx(expected, rel=1e-10)
+    assert report.gap_chain_holds
+
+
+def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
+    tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
+    blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    calls = {"svd": 0, "qr": 0}
+    svd, qr = np.linalg.svd, np.linalg.qr
+
+    def counting(name, kernel):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
+    for problem, qr_calls in [(tall, 1), (blur, 0)]:
+        calls.update(svd=0, qr=0)
+        bundle = tc.svd_bundle(problem)
+        assert calls == {"svd": 2, "qr": qr_calls}
+        solution = tc.solve_tls(problem, bundle)
+        work = tc.build_spectral_work(problem, bundle, solution)
+        tc.svd_condition(work, bundle, solution)
+        tc.bounds_report(problem, bundle, solution, work)
+        tc.residual_diagnostics(problem, bundle, solution)
+        bundle.orthonormality_defect()
+        bundle.interlacing_defect()
+        assert calls["qr"] == qr_calls
+        bundle.reconstruction_defect(problem)
+        assert calls["qr"] == 2 * qr_calls
