@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact
-from .core import check_uniqueness, residual_diagnostics, solve_tls, svd_bundle
+from .core import residual_diagnostics, solve_tls, svd_bundle
 from .errors import (
     IllConditionedGap,
     InvalidAlpha,
@@ -76,7 +76,7 @@ def _bound_row(problem) -> dict:
             f"{problem.label}: families {failed} fail to enclose kappa="
             f"{report.kappa_reference:.6e}"
         )
-    diag = work.gap
+    diag = solution.gap
     rel = report.relative_pairs()
     kappa_rel = (
         None if report.rel_scale is None else report.kappa_reference * report.rel_scale
@@ -186,12 +186,12 @@ def _cmd_solve(args) -> int:
     bundle = svd_bundle(problem)
     solution = solve_tls(problem, bundle)
     report = residual_diagnostics(problem, bundle, solution)
-    diag = check_uniqueness(bundle)
+    diag = solution.gap
     print(f"m={problem.m} n={problem.n} label={problem.label}")
     print(f"alpha={solution.alpha:.6e}  ||x||={solution.norm_x:.6e}  rel_gap={diag.rel_gap:.3e}")
     if problem.n <= 10:
         print("x =", " ".join(f"{v:.12e}" for v in solution.x))
-    ids = report.identities
+    ids = solution.identity_residuals
     print(
         f"identity residuals: optimal={ids.optimal_value:.2e} "
         f"gradient={ids.gradient:.2e} singular_vector={ids.singular_vector:.2e}"

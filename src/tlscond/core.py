@@ -6,9 +6,11 @@ crossover) the (n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n]
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
-solution off it. The normal-equations form (A^T A - sigma_{n+1}^2 I)^{-1} A^T b
-is kept as a cross-check only: it degrades as the gap sigma_hat_n - sigma_{n+1}
-closes, so the check is skipped (and flagged) below a relative gap of 1e-6.
+solution off it. The gap sigma_hat_n - sigma_{n+1} is classified once, kept as
+TlsSolution.gap, and judged by the one policy here: below a relative gap of
+HARD_GAP_LIMIT, P = A^T A - sigma_{n+1}^2 I is numerically singular, so the
+normal-equations cross-check P^{-1} A^T b is skipped and GapDiagnostics.gate
+refuses the P-based routes; below WARN_GAP_LIMIT the gate warns.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DegenerateVector,
+    IllConditionedGap,
     NoUniqueSolution,
     TrivialProblem,
 )
 from .problem import TlsProblem
 
-# Below this relative gap the normal-equations matrix is numerically singular.
-CROSS_CHECK_MIN_REL_GAP = 1e-6
+HARD_GAP_LIMIT = 1e-6
+WARN_GAP_LIMIT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,16 @@ class GapDiagnostics:
     def solvable(self) -> bool:
         return self.gap_ok and self.nontrivial
 
+    def gate(self, what: str) -> tuple[str, ...]:
+        """Gate of the P-based routes: raise below HARD_GAP_LIMIT, warn below WARN_GAP_LIMIT."""
+        if self.rel_gap < HARD_GAP_LIMIT:
+            raise IllConditionedGap(
+                f"rel_gap={self.rel_gap:.3e} < {HARD_GAP_LIMIT}: {what} is numerically singular"
+            )
+        if self.rel_gap < WARN_GAP_LIMIT:
+            return (f"rel_gap={self.rel_gap:.3e} < {WARN_GAP_LIMIT}: {what} nearly singular",)
+        return ()
+
 
 @dataclass(frozen=True)
 class IdentityResiduals:
@@ -110,7 +123,8 @@ class TlsSolution:
     alpha: float                  # 1/sqrt(1 + ||x||^2), in (0, 1]
     last_right_vector: np.ndarray  # v_{n+1}, sign-normalized so last entry = -alpha
     identity_residuals: IdentityResiduals
-    normal_eq_rel_diff: float | None  # None when the cross-check was skipped
+    normal_eq_rel_diff: float | None  # None below HARD_GAP_LIMIT, where P is singular
+    gap: GapDiagnostics           # check_uniqueness of the bundle, decided once
 
     @property
     def norm_x(self) -> float:
@@ -119,7 +133,6 @@ class TlsSolution:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    identities: IdentityResiduals
     gap_chain_lower: float | None  # |u_hat_n . b| / (2 ||x||)
     gap_chain_mid: float | None    # sigma_hat_n - sigma_{n+1}
     gap_chain_upper: float | None  # ||b|| / ||x||
@@ -188,7 +201,7 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     r = problem.a_matrix @ x - problem.b_vector
 
     normal_eq_rel_diff = None
-    if diag.rel_gap >= CROSS_CHECK_MIN_REL_GAP:
+    if diag.rel_gap >= HARD_GAP_LIMIT:
         a = problem.a_matrix
         p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
         x_ne = np.linalg.solve(p, a.T @ problem.b_vector)
@@ -203,27 +216,25 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
         last_right_vector=v_last,
         identity_residuals=_identity_residuals(problem, bundle, x, r, alpha, v_last),
         normal_eq_rel_diff=normal_eq_rel_diff,
+        gap=diag,
     )
 
 
 def residual_diagnostics(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ResidualReport:
-    """Recheck the solution identities and the gap-enclosure chain.
+    """Check the gap-enclosure chain (the identity residuals are on the solution).
 
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
     is only defined for x != 0; for x = 0 the verdict is None.
     """
-    identities = _identity_residuals(
-        problem, bundle, solution.x, solution.r, solution.alpha, solution.last_right_vector
-    )
     norm_x = solution.norm_x
     if norm_x == 0.0:
-        return ResidualReport(identities, None, None, None, None)
+        return ResidualReport(None, None, None, None)
     # rows[:, -1] is b, or Q^T b on the QR route: either way u_hat_n . b
     lower = abs(bundle.u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
     mid = float(bundle.sigma_hat[-1] - bundle.sigma[-1])
     upper = float(np.linalg.norm(problem.b_vector)) / norm_x
     slack = 1e-12
     holds = lower <= mid * (1 + slack) + 1e-300 and mid <= upper * (1 + slack)
-    return ResidualReport(identities, float(lower), mid, upper, bool(holds))
+    return ResidualReport(float(lower), mid, upper, bool(holds))

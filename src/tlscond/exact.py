@@ -4,8 +4,9 @@ All formulas target the absolute condition number of the map from the
 stacked data (vec A, b) to the solution x; the relative number rescales by
 ||[A b]||_F / ||x||. The four routes:
 
-* kronecker: spectral norm of the explicit first-order map K, an
-  n x m(n+1) matrix acting on [vec(dA); db] with column-stacked vec.
+* kronecker: spectral norm of the explicit first-order map K, the plain
+  n x m(n+1) array from build_k_matrix acting on [vec(dA); db] with
+  column-stacked vec.
 * cholesky: sqrt(1+||x||^2) * ||P^{-1} L|| with P = A^T A - sigma_{n+1}^2 I
   and L L^T the Cholesky factorization of
   C = A^T A + sigma_{n+1}^2 I - 2 sigma_{n+1}^2 x x^T / (1+||x||^2).
@@ -17,8 +18,9 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
 
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
-(kronecker, cholesky and baboulin) are gated at relative gap 1e-6 (hard
-IllConditionedGap) and 1e-3 (warning).
+(kronecker, cholesky and baboulin) and build_k_matrix pass through
+solution.gap.gate, the one gap policy of core: IllConditionedGap below
+relative gap 1e-6, a warning below 1e-3.
 
 Each problem is factored once: the SVD of V11 in ExactFormulaWork feeds the
 svd formula, the bounds and the perturbation lab's matrix-free map K z.
@@ -26,24 +28,16 @@ svd formula, the bounds and the perturbation lab's matrix-free map K z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .core import GapDiagnostics, SvdBundle, TlsSolution, check_uniqueness
-from .errors import (
-    FactorizationError,
-    IllConditionedGap,
-    NotApplicable,
-    SingularBlock,
-    TrivialProblem,
-)
+from .core import SvdBundle, TlsSolution
+from .errors import FactorizationError, NotApplicable, SingularBlock, TrivialProblem
 from .problem import TlsProblem
 
-HARD_GAP_LIMIT = 1e-6
-WARN_GAP_LIMIT = 1e-3
 K_MAX_ENTRIES = 2**24  # cap on g_of_x (m x m(n+1)), build_k_matrix's largest temporary
 
 
@@ -54,17 +48,12 @@ class ExactFormulaWork:
     v11_svd is the one factorization: the SVD of the leading n x n block
     V11 of the right singular factor of [A b]. The reference formula and
     the gap-sensitive bounds all apply V11^{-T} through it, so that their
-    rounding errors cancel in enclosure comparisons. k_matrix is None until
-    build_k_matrix fills it in.
+    rounding errors cancel in enclosure comparisons.
     """
 
-    k_matrix: np.ndarray | None   # (n, m(n+1)) first-order map
     v11_svd: tuple                # (u_bar, sv, vh): v11 = u_bar @ diag(sv) @ vh
     s_diag: np.ndarray            # (n,) ascending weights s_i
-    d_hat: np.ndarray             # (n,) 1 / (sigma_hat_i^2 - sigma_{n+1}^2)
-    d_b: np.ndarray               # (n,) sqrt(sigma_i^2 + sigma_{n+1}^2)
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
-    gap: GapDiagnostics           # check_uniqueness of the bundle
     aug_frobenius: float          # ||[A b]||_F
 
     def apply_v11_inv_t(self, diag: np.ndarray) -> np.ndarray:
@@ -109,28 +98,11 @@ class V11Analysis:
     alpha_from_v11: float         # smallest singular value
 
 
-def aug_frobenius(bundle: SvdBundle) -> float:
-    """||[A b]||_F from the singular values."""
-    return float(np.linalg.norm(bundle.sigma))
-
-
-def _relative(kappa_abs: float, work: ExactFormulaWork, solution: TlsSolution) -> float | None:
+def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float | None:
     norm_x = solution.norm_x
     if norm_x == 0.0:
         return None
-    return kappa_abs * work.aug_frobenius / norm_x
-
-
-def _gap_gate(work: ExactFormulaWork, what: str) -> tuple[str, ...]:
-    """Gate of the P-based routes: raise below HARD_GAP_LIMIT, warn below WARN_GAP_LIMIT."""
-    rel_gap = work.gap.rel_gap
-    if rel_gap < HARD_GAP_LIMIT:
-        raise IllConditionedGap(
-            f"rel_gap={rel_gap:.3e} < {HARD_GAP_LIMIT}: {what} is numerically singular"
-        )
-    if rel_gap < WARN_GAP_LIMIT:
-        return (f"rel_gap={rel_gap:.3e} < {WARN_GAP_LIMIT}: {what} nearly singular",)
-    return ()
+    return kappa_abs * aug_norm / norm_x
 
 
 def build_spectral_work(
@@ -145,26 +117,18 @@ def build_spectral_work(
     # guaranteed by the gap check, while sigma_i**2 - sig2 can round to zero.
     head = bundle.sigma[:-1]
     lam = (head - sig_last) * (head + sig_last)
-    s_diag = np.sqrt(head**2 + sig2) / lam
-    d_hat = 1.0 / ((bundle.sigma_hat - sig_last) * (bundle.sigma_hat + sig_last))
-    d_b = np.sqrt(head**2 + sig2)
-
     return ExactFormulaWork(
-        k_matrix=None,
         v11_svd=np.linalg.svd(bundle.v_aug[:n, :n]),
-        s_diag=s_diag,
-        d_hat=d_hat,
-        d_b=d_b,
+        s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
-        gap=check_uniqueness(bundle),
-        aug_frobenius=aug_frobenius(bundle),
+        aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
     )
 
 
 def build_k_matrix(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
-) -> ExactFormulaWork:
-    """Assemble the explicit first-order map K on top of the spectral parts.
+) -> np.ndarray:
+    """The explicit first-order map K, an n x m(n+1) array.
 
     Column layout: the first m*n columns act on vec(dA) with columns stacked
     first, the trailing m columns act on db. K solves against P explicitly
@@ -176,8 +140,7 @@ def build_k_matrix(
         raise NotApplicable(f"K: g_of_x needs {m * m * (n + 1)} > {K_MAX_ENTRIES} entries")
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
-    work = build_spectral_work(problem, bundle, solution)
-    _gap_gate(work, "P")
+    solution.gap.gate("P")
     a = problem.a_matrix
     r = solution.r
     x = solution.x
@@ -190,21 +153,21 @@ def build_k_matrix(
         - a.T @ g_of_x
         - np.hstack([np.kron(np.eye(n), r), np.zeros((n, m))])
     )
-    return replace(work, k_matrix=np.linalg.solve(p, rhs))
+    return np.linalg.solve(p, rhs)
 
 
 def kron_condition(
-    work: ExactFormulaWork, problem: TlsProblem, solution: TlsSolution
+    k_matrix: np.ndarray, problem: TlsProblem, solution: TlsSolution
 ) -> ConditionEstimate:
-    """kappa = ||K|| via the explicit Kronecker-form map.
+    """kappa = ||K|| for the K of build_k_matrix.
 
-    K solves against P, so the route is gated like the cholesky route.
+    K solves against P, so the route is gated like the cholesky route. The
+    relative scale ||[A b]||_F is taken from the data.
     """
-    if work.k_matrix is None:
-        raise ValueError("K not assembled; use build_k_matrix")
-    warnings = _gap_gate(work, "P")
-    kappa = float(np.linalg.norm(work.k_matrix, 2))
-    return ConditionEstimate(kappa, _relative(kappa, work, solution), "kronecker", warnings)
+    warnings = solution.gap.gate("P")
+    kappa = float(np.linalg.norm(k_matrix, 2))
+    aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
+    return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), "kronecker", warnings)
 
 
 def cholesky_condition(
@@ -219,7 +182,7 @@ def cholesky_condition(
     singular and the result would be meaningless. P, C and their Cholesky
     factors are formed only once the gate has passed.
     """
-    warnings = _gap_gate(work, "P")
+    warnings = solution.gap.gate("P")
     n = problem.n
     a = problem.a_matrix
     x = solution.x
@@ -238,7 +201,8 @@ def cholesky_condition(
     y = scipy.linalg.solve_triangular(p_factor, l_factor, lower=True)
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(y, 2))
-    return ConditionEstimate(kappa, _relative(kappa, work, solution), "cholesky", warnings)
+    rel = _relative(kappa, work.aug_frobenius, solution)
+    return ConditionEstimate(kappa, rel, "cholesky", warnings)
 
 
 def svd_condition(
@@ -255,7 +219,7 @@ def svd_condition(
     if sv[-1] <= 0.0 or not np.isfinite(sv[-1]):
         raise SingularBlock("V11 numerically singular: smallest singular value is 0")
     kappa = float(np.hypot(1.0, solution.norm_x) * work.v11_inv_t_s_norm)
-    return ConditionEstimate(kappa, _relative(kappa, work, solution), "svd")
+    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "svd")
 
 
 def baboulin_condition(
@@ -267,14 +231,18 @@ def baboulin_condition(
     blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
     the cholesky route.
     """
-    warnings = _gap_gate(work, "Dhat")
+    warnings = solution.gap.gate("Dhat")
     n = bundle.n
+    sig_last = float(bundle.sigma[-1])
+    d_hat = 1.0 / ((bundle.sigma_hat - sig_last) * (bundle.sigma_hat + sig_last))
+    d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig_last**2)
     zeros = np.zeros((n, 1))
     left = np.hstack([bundle.v_hat.T, zeros])
-    right = np.hstack([np.diag(work.d_b), zeros]).T
-    core = work.d_hat[:, None] * (left @ bundle.v_aug @ right)
+    right = np.hstack([np.diag(d_b), zeros]).T
+    core = d_hat[:, None] * (left @ bundle.v_aug @ right)
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(core, 2))
-    return ConditionEstimate(kappa, _relative(kappa, work, solution), "baboulin", warnings)
+    rel = _relative(kappa, work.aug_frobenius, solution)
+    return ConditionEstimate(kappa, rel, "baboulin", warnings)
 
 
 def v11_spectrum(work: ExactFormulaWork) -> V11Analysis:

@@ -93,8 +93,7 @@ def generate_v(n: int, v_tilde: np.ndarray, alpha: float, seed) -> np.ndarray:
 
 
 def _gap_ok(problem: TlsProblem) -> bool:
-    diag = check_uniqueness(svd_bundle(problem))
-    return diag.gap_ok and diag.nontrivial
+    return check_uniqueness(svd_bundle(problem)).solvable
 
 
 def generate_ab_alpha(m: int, n: int, alpha: float, seed) -> TlsProblem:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_uniqueness, solve_tls, svd_bundle
-from .errors import PerturbationTooLarge
+from .core import solve_tls, svd_bundle
+from .errors import NoUniqueSolution, PerturbationTooLarge, TrivialProblem
 from .exact import ExactFormulaWork, build_spectral_work, svd_condition
 from .problem import TlsProblem
 
@@ -142,30 +142,27 @@ def _solve(problem: TlsProblem):
     return bundle, solution, build_spectral_work(problem, bundle, solution)
 
 
-def _perturbed_ratio(problem, base_diag, base_x, direction, t):
+def _perturbed_ratio(problem, base_solution, direction, t):
     perturbed = TlsProblem(
         problem.a_matrix + t * direction.delta_a,
         problem.b_vector + t * direction.delta_b,
         label=problem.label + "+perturbation",
     )
-    pert_bundle = svd_bundle(perturbed)
-    pert_diag = check_uniqueness(pert_bundle)
-    if not (pert_diag.gap_ok and pert_diag.nontrivial):
-        raise PerturbationTooLarge(f"gap lost at t={t:.3e}")
-    if pert_diag.rel_gap < GAP_PERSISTENCE * base_diag.rel_gap:
-        raise PerturbationTooLarge(
-            f"rel_gap collapsed from {base_diag.rel_gap:.3e} to {pert_diag.rel_gap:.3e}"
-        )
-    pert_solution = solve_tls(perturbed, pert_bundle)
-    return float(np.linalg.norm(pert_solution.x - base_x) / t)
+    try:
+        pert_solution = solve_tls(perturbed, svd_bundle(perturbed))
+    except (NoUniqueSolution, TrivialProblem) as exc:
+        raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from exc
+    base_gap, pert_gap = base_solution.gap.rel_gap, pert_solution.gap.rel_gap
+    if pert_gap < GAP_PERSISTENCE * base_gap:
+        raise PerturbationTooLarge(f"rel_gap collapsed from {base_gap:.3e} to {pert_gap:.3e}")
+    return float(np.linalg.norm(pert_solution.x - base_solution.x) / t)
 
 
 def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t: float) -> float:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
     if t <= 0:
         raise ValueError("step t must be positive")
-    _, base_solution, work = _solve(problem)
-    return _perturbed_ratio(problem, work.gap, base_solution.x, direction, t)
+    return _perturbed_ratio(problem, solve_tls(problem, svd_bundle(problem)), direction, t)
 
 
 def worst_direction(
@@ -190,12 +187,12 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
     rounding dominates; points with t below the floor are flagged not-clean
     and left out of slope fits.
     """
-    bundle, base_solution, work = _solve(problem)
+    _, base_solution, work = _solve(problem)
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
-    floor = CLEAN_STEP_FLOOR * float(np.linalg.norm(bundle.sigma))
+    floor = CLEAN_STEP_FLOOR * work.aug_frobenius
     points = []
     for t in t_list:
-        ratio = _perturbed_ratio(problem, work.gap, base_solution.x, direction, t)
+        ratio = _perturbed_ratio(problem, base_solution, direction, t)
         points.append(
             ConvergencePoint(
                 t=float(t),
@@ -231,22 +228,22 @@ def monte_carlo_validate(
     """
     bundle, base_solution, work = _solve(problem)
     if t is None:
-        t = 1e-8 * float(np.linalg.norm(bundle.sigma))
+        t = 1e-8 * work.aug_frobenius
 
     ratios = []
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         direction = random_direction(problem.m, problem.n, rng)
-        ratios.append(_perturbed_ratio(problem, work.gap, base_solution.x, direction, t))
+        ratios.append(_perturbed_ratio(problem, base_solution, direction, t))
 
     worst = worst_direction(work, problem, base_solution)
-    worst_ratio = _perturbed_ratio(problem, work.gap, base_solution.x, worst, t)
+    worst_ratio = _perturbed_ratio(problem, base_solution, worst, t)
 
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, worst)))
     slopes = []
     for factor in (1e3, 1e2, 1e1):
         try:
-            ratio = _perturbed_ratio(problem, work.gap, base_solution.x, worst, factor * t)
+            ratio = _perturbed_ratio(problem, base_solution, worst, factor * t)
         except PerturbationTooLarge:
             continue
         slopes.append((factor * t, abs(ratio - predicted)))

@@ -92,20 +92,20 @@ class ReportDocument:
 
 
 def _problem_from_array(data: np.ndarray, label: str) -> TlsProblem:
+    # TlsProblem checks the shape; this guard only keeps data[:, -1] in bounds
     if data.ndim != 2 or data.size == 0:
         raise ShapeError("stored array must be a nonempty 2-D [A b] block")
-    m, cols = data.shape
-    if cols < 2:
-        raise ShapeError("need at least one A column plus the b column")
-    if m <= cols - 1:
-        raise ShapeError(f"need m > n, got m={m}, n={cols - 1}")
     return TlsProblem(data[:, :-1], data[:, -1], label=label)
 
 
-def _infer_problem_format(path: Path) -> str:
-    if path.suffix.lower() in (".mtx", ".mm"):
-        return "matrixmarket-dense"
-    return "csv"
+def _problem_format(path: Path, format: str | None) -> str:
+    """Resolve a format name or alias, or the suffix when omitted, to "mm" or "csv"."""
+    fmt = format or ("mm" if path.suffix.lower() in (".mtx", ".mm") else "csv")
+    if fmt in ("mm", "matrixmarket", "matrixmarket-dense"):
+        return "mm"
+    if fmt != "csv":
+        raise ValueError(f"unknown problem format {fmt!r}")
+    return fmt
 
 
 def _read_csv_array(path: Path) -> np.ndarray:
@@ -142,6 +142,8 @@ def _read_mm_array(path: Path) -> np.ndarray:
         m, k = int(dims[0]), int(dims[1])
     except ValueError as exc:
         raise ParseError(f"{path}: bad size line {body[0]!r}") from exc
+    if m < 0 or k < 0:
+        raise ParseError(f"{path}: negative size in {body[0]!r}")
     values = []
     for token in " ".join(body[1:]).split():
         try:
@@ -161,29 +163,20 @@ def load_problem(path, format: str | None = None) -> TlsProblem:
     is inferred from the suffix (.mtx/.mm vs anything else).
     """
     path = Path(path)
-    fmt = format or _infer_problem_format(path)
-    if fmt in ("mm", "matrixmarket", "matrixmarket-dense"):
-        data = _read_mm_array(path)
-    elif fmt == "csv":
-        data = _read_csv_array(path)
-    else:
-        raise ValueError(f"unknown problem format {fmt!r}")
-    return _problem_from_array(data, label=path.stem)
+    read = _read_mm_array if _problem_format(path, format) == "mm" else _read_csv_array
+    return _problem_from_array(read(path), label=path.stem)
 
 
 def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
     """Write the [A b] array of ``problem`` in CSV or MatrixMarket dense form."""
     path = Path(path)
-    fmt = format or _infer_problem_format(path)
     aug = problem.augmented()
-    if fmt in ("mm", "matrixmarket", "matrixmarket-dense"):
+    if _problem_format(path, format) == "mm":
         lines = [_MM_HEADER, f"{aug.shape[0]} {aug.shape[1]}"]
         lines += [_fmt(v) for v in aug.T.ravel()]  # column-major per the format
         path.write_text("\n".join(lines) + "\n")
-    elif fmt == "csv":
-        path.write_text("\n".join(",".join(_fmt(v) for v in row) for row in aug) + "\n")
     else:
-        raise ValueError(f"unknown problem format {fmt!r}")
+        path.write_text("\n".join(",".join(_fmt(v) for v in row) for row in aug) + "\n")
 
 
 def _infer_report_format(path: Path) -> str:

@@ -16,12 +16,17 @@ def fix_b():
     return tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0], label="fix_b")
 
 
-def pipeline(problem, with_k=False):
+def pipeline(problem):
     """(bundle, solution, work) for a solvable problem."""
     bundle = tc.svd_bundle(problem)
     solution = tc.solve_tls(problem, bundle)
-    build = tc.build_k_matrix if with_k else tc.build_spectral_work
-    return bundle, solution, build(problem, bundle, solution)
+    return bundle, solution, tc.build_spectral_work(problem, bundle, solution)
+
+
+def k_of(problem):
+    """The explicit first-order map K of a solvable problem."""
+    bundle, solution, _ = pipeline(problem)
+    return tc.build_k_matrix(problem, bundle, solution)
 
 
 class FixBClosedForms:

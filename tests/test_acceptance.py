@@ -39,9 +39,10 @@ def test_criterion_1_cross_formula_agreement():
     start = time.time()
     worst = 0.0
     for problem in criterion1_problems():
-        bundle, solution, work = pipeline(problem, with_k=True)
+        bundle, solution, work = pipeline(problem)
+        k_matrix = tc.build_k_matrix(problem, bundle, solution)
         values = [
-            tc.kron_condition(work, problem, solution).kappa_abs,
+            tc.kron_condition(k_matrix, problem, solution).kappa_abs,
             tc.cholesky_condition(work, problem, bundle, solution).kappa_abs,
             tc.svd_condition(work, bundle, solution).kappa_abs,
             tc.baboulin_condition(work, bundle, solution).kappa_abs,
@@ -174,14 +175,15 @@ def test_criterion_5_perturbation_validation():
 
 
 def test_criterion_6_hand_fixtures(fix_a, fix_b):
-    bundle, solution, work = pipeline(fix_a, with_k=True)
+    bundle, solution, work = pipeline(fix_a)
     np.testing.assert_allclose(
-        work.k_matrix, [[0.0, 1 / 3, 2 / 3, 0.0]], rtol=0, atol=1e-14
+        tc.build_k_matrix(fix_a, bundle, solution), [[0.0, 1 / 3, 2 / 3, 0.0]],
+        rtol=0, atol=1e-14,
     )
     kappa_a = tc.svd_condition(work, bundle, solution).kappa_abs
     assert kappa_a == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
 
-    bundle, solution, work = pipeline(fix_b, with_k=True)
+    bundle, solution, work = pipeline(fix_b)
     report = tc.bounds_report(fix_b, bundle, solution, work)
     checks = {
         "x": (solution.x[0], FB.x),

@@ -81,6 +81,11 @@ def test_exit_code_parse_and_shape(tmp_path, capsys):
     code, _, _ = run(["solve", "--input", str(tmp_path / "missing.csv")], capsys)
     assert code == 2
 
+    negative = tmp_path / "negative.mtx"
+    negative.write_text("%%MatrixMarket matrix array real general\n-2 -3\n" + "1\n" * 6)
+    code, _, err = run(["solve", "--input", str(negative)], capsys)
+    assert code == 2 and "negative size" in err
+
 
 def test_exit_code_invalid_alpha(tmp_path, capsys):
     code, _, _ = run(

@@ -107,6 +107,7 @@ def test_solution_formulas_agree():
         if tc.check_uniqueness(bundle).rel_gap < 1e-3:
             continue
         solution = tc.solve_tls(problem, bundle)
+        assert solution.gap == tc.check_uniqueness(bundle)
         assert solution.normal_eq_rel_diff is not None
         assert solution.normal_eq_rel_diff <= 1e-8
         checked += 1

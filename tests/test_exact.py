@@ -6,7 +6,7 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline
+from conftest import k_of, pipeline
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
 
@@ -33,34 +33,31 @@ def fd_jacobian(problem, step=1e-7):
 
 
 def test_fix_a_k_matrix_exact(fix_a):
-    _, _, work = pipeline(fix_a, with_k=True)
+    k_matrix = k_of(fix_a)
     np.testing.assert_allclose(
-        work.k_matrix, [[0.0, 1.0 / 3.0, 2.0 / 3.0, 0.0]], rtol=0, atol=1e-14
+        k_matrix, [[0.0, 1.0 / 3.0, 2.0 / 3.0, 0.0]], rtol=0, atol=1e-14
     )
-    assert np.linalg.norm(work.k_matrix, 2) == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
+    assert np.linalg.norm(k_matrix, 2) == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
 
 
 def test_k_matrix_shape():
     problem = tc.generate_ab_alpha(5, 3, 0.5, seed=2)
-    _, _, work = pipeline(problem, with_k=True)
-    assert work.k_matrix.shape == (3, 20)
+    assert k_of(problem).shape == (3, 20)
 
 
 def test_k_matrix_against_finite_differences(fix_b):
-    _, _, work = pipeline(fix_b, with_k=True)
-    np.testing.assert_allclose(work.k_matrix, fd_jacobian(fix_b), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(k_of(fix_b), fd_jacobian(fix_b), rtol=0, atol=1e-6)
 
     problem = tc.generate_ab_alpha(8, 3, 0.4, seed=5)
-    _, _, work = pipeline(problem, with_k=True)
     fd = fd_jacobian(problem)
-    assert np.linalg.norm(work.k_matrix - fd) <= 1e-5 * np.linalg.norm(fd)
+    assert np.linalg.norm(k_of(problem) - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
 def test_fix_a_all_formulas(fix_a):
-    bundle, solution, work = pipeline(fix_a, with_k=True)
+    bundle, solution, work = pipeline(fix_a)
     expected = np.sqrt(5) / 3
     for estimate in (
-        tc.kron_condition(work, fix_a, solution),
+        tc.kron_condition(tc.build_k_matrix(fix_a, bundle, solution), fix_a, solution),
         tc.cholesky_condition(work, fix_a, bundle, solution),
         tc.svd_condition(work, bundle, solution),
         tc.baboulin_condition(work, bundle, solution),
@@ -70,9 +67,11 @@ def test_fix_a_all_formulas(fix_a):
 
 
 def test_fix_b_formulas_closed_form(fix_b):
-    bundle, solution, work = pipeline(fix_b, with_k=True)
+    bundle, solution, work = pipeline(fix_b)
     estimates = {
-        "kronecker": tc.kron_condition(work, fix_b, solution),
+        "kronecker": tc.kron_condition(
+            tc.build_k_matrix(fix_b, bundle, solution), fix_b, solution
+        ),
         "cholesky": tc.cholesky_condition(work, fix_b, bundle, solution),
         "svd": tc.svd_condition(work, bundle, solution),
         "baboulin": tc.baboulin_condition(work, bundle, solution),
@@ -96,9 +95,10 @@ def test_cross_formula_agreement_seeded():
     for seed in range(9):
         m, n = [(20, 5), (50, 10), (100, 20)][seed % 3]
         problem = tc.generate_ab_alpha(m, n, [0.9, 0.5, 0.1][seed % 3], seed=seed)
-        bundle, solution, work = pipeline(problem, with_k=True)
+        bundle, solution, work = pipeline(problem)
+        k_matrix = tc.build_k_matrix(problem, bundle, solution)
         values = [
-            tc.kron_condition(work, problem, solution).kappa_abs,
+            tc.kron_condition(k_matrix, problem, solution).kappa_abs,
             tc.cholesky_condition(work, problem, bundle, solution).kappa_abs,
             tc.svd_condition(work, bundle, solution).kappa_abs,
             tc.baboulin_condition(work, bundle, solution).kappa_abs,
@@ -135,17 +135,35 @@ def test_gap_warning_band():
     # 1e-3 warning threshold
     problem = tc.generate_ab_alpha(50, 10, 1e-2, seed=3)
     bundle, solution, work = pipeline(problem)
-    rel_gap = tc.check_uniqueness(bundle).rel_gap
-    assert 1e-6 <= rel_gap < 1e-3
+    assert 1e-6 <= solution.gap.rel_gap < 1e-3
     assert tc.cholesky_condition(work, problem, bundle, solution).warnings
     assert tc.baboulin_condition(work, bundle, solution).warnings
+
+
+@pytest.mark.parametrize(
+    "problem, gated",
+    [
+        (tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), True),
+        (tc.generate_ab_alpha(50, 10, 1e-2, seed=3), False),
+    ],
+    ids=["deblur_m100", "alpha_1e-2"],
+)
+def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
+    # one HARD_GAP_LIMIT decides both the solver's normal-equations check and the P gate
+    bundle, solution, work = pipeline(problem)
+    assert (solution.normal_eq_rel_diff is None) == gated
+    if gated:
+        with pytest.raises(IllConditionedGap):
+            tc.cholesky_condition(work, problem, bundle, solution)
+    else:
+        tc.cholesky_condition(work, problem, bundle, solution)
 
 
 def test_kron_gated_on_deblur_gap():
     # rel_gap 1.6e-8: P is numerically singular, so K is off by 3.5e-3
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
-    bundle, solution, work = pipeline(problem)
-    assert work.gap.rel_gap < 1e-6
+    bundle, solution, _ = pipeline(problem)
+    assert solution.gap.rel_gap < 1e-6
     with pytest.raises(IllConditionedGap):
         tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
 
@@ -175,6 +193,8 @@ def test_formulas_and_bounds_reuse_the_v11_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    k_matrix = tc.build_k_matrix(problem, bundle, solution)
+    tc.kron_condition(k_matrix, problem, solution)
     kappa = tc.svd_condition(work, bundle, solution)
     report = tc.bounds_report(problem, bundle, solution, work)
     tc.lower_kappa2(bundle, solution, work)
@@ -191,13 +211,6 @@ def test_build_k_rejects_trivial(fix_a):
     zeroed = dataclasses.replace(bundle, sigma=np.array([2.0, 0.0]))
     with pytest.raises(TrivialProblem):
         tc.build_k_matrix(fix_a, zeroed, solution)
-
-
-def test_kron_requires_k(fix_a):
-    bundle, solution, work = pipeline(fix_a)
-    assert work.k_matrix is None
-    with pytest.raises(ValueError):
-        tc.kron_condition(work, fix_a, solution)
 
 
 def test_v11_spectrum_fix_b(fix_b):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import pipeline
+from conftest import k_of, pipeline
 from tlscond.errors import PerturbationTooLarge
 
 
@@ -48,7 +48,7 @@ def problem(request):
 
 def test_prediction_fix_a(problem):
     bundle, solution, work = pipeline(problem)
-    k = tc.build_k_matrix(problem, bundle, solution).k_matrix
+    k = tc.build_k_matrix(problem, bundle, solution)
     direction = tc.random_direction(problem.m, problem.n, np.random.default_rng(4))
     for t in (1e-4, 1.0):
         pred = tc.first_order_prediction(work, problem, solution, direction, t)
@@ -78,10 +78,9 @@ def test_perturbation_ratio_fix_a(fix_a):
 
 def test_ratio_tends_to_directional_derivative():
     problem = tc.generate_ab_alpha(20, 5, 0.5, seed=21)
-    _, _, work = pipeline(problem, with_k=True)
     rng = np.random.default_rng(2)
     direction = tc.random_direction(20, 5, rng)
-    predicted = np.linalg.norm(work.k_matrix @ direction.stacked())
+    predicted = np.linalg.norm(k_of(problem) @ direction.stacked())
     # t balances the Taylor remainder O(t) against rounding O(eps/t)
     ratio = tc.perturbation_ratio(problem, direction, 1e-7)
     assert ratio == pytest.approx(predicted, rel=1e-4)
@@ -93,7 +92,7 @@ def test_ratio_tends_to_directional_derivative():
 
 def test_worst_direction_fix_a(problem):
     bundle, solution, work = pipeline(problem)
-    k = tc.build_k_matrix(problem, bundle, solution).k_matrix
+    k = tc.build_k_matrix(problem, bundle, solution)
     direction = tc.worst_direction(work, problem, solution)
     assert direction.frobenius() == pytest.approx(1.0, abs=1e-14)
     attained = np.linalg.norm(k @ direction.stacked())
@@ -136,11 +135,15 @@ def test_monte_carlo_never_forms_k():
     assert peak < 16 * 2**20
 
 
-def test_perturbation_too_large(fix_a):
+def test_perturbation_too_large(fix_a, fix_b):
     # driving A's first column toward zero erases the gap
     direction = tc.PerturbationDirection.normalized([[-1.0], [0.0]], [0.0, 0.0])
     with pytest.raises(PerturbationTooLarge):
         tc.perturbation_ratio(fix_a, direction, 1.0)
+    # b + t db = (1, 0) lies in range(A): sigma_{n+1} = 0 exactly
+    direction = tc.PerturbationDirection.normalized([[0.0], [0.0]], [0.0, -1.0])
+    with pytest.raises(PerturbationTooLarge):
+        tc.perturbation_ratio(fix_b, direction, 1.0)
 
 
 def test_convergence_first_order():

@@ -41,6 +41,14 @@ def test_matrixmarket_wrong_entry_count(tmp_path):
         tc.load_problem(path, "matrixmarket-dense")
 
 
+def test_matrixmarket_negative_size(tmp_path):
+    # (-2) x (-3) matches the 6 entries, but no array has a negative size
+    path = tmp_path / "p.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n-2 -3\n1\n2\n3\n4\n5\n6\n")
+    with pytest.raises(ParseError):
+        tc.load_problem(path)
+
+
 def test_matrixmarket_bad_banner(tmp_path):
     path = tmp_path / "p.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 6\n")
