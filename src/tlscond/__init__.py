@@ -23,14 +23,12 @@ from .core import (
 from .exact import (
     ConditionEstimate,
     ExactFormulaWork,
-    V11Analysis,
     baboulin_condition,
     build_k_matrix,
     build_spectral_work,
     cholesky_condition,
     kron_condition,
     svd_condition,
-    v11_spectrum,
 )
 from .generators import (
     KammNagyConfig,

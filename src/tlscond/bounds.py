@@ -21,14 +21,14 @@ is excluded from the sandwich verdicts.
 Evaluation detail: sigma_hat_n^2 - sigma_{n+1}^2 equals the smallest
 eigenvalue of P = A^T A - sigma_{n+1}^2 I = V11 Lambda V11^T, so
 1/sqrt(sigma_hat_n^2 - sigma_{n+1}^2) = ||V11^{-T} T|| with T =
-Lambda^{-1/2}. The kappa2 family and the sharp sandwich are computed through
-the SVD of V11 in exactly this form, read from ExactFormulaWork: no bound
-factors anything itself. For well-separated spectra the two
-readings agree to machine precision, but once sigma_hat_n - sigma_{n+1}
-approaches the rounding floor the explicit difference of two independently
-computed singular values carries an O(1) relative error, while the V11 route
-keeps every certified inequality consistent with the reference kappa, which
-is computed from the same decomposition.
+Lambda^{-1/2}. The kappa2 family reads this norm as the top secular root of
+ExactFormulaWork, the same root equation, from the same last row of V, as
+the reference kappa; the sharp sandwich reads that row directly. No bound
+factors anything itself. For well-separated spectra the two readings agree
+to machine precision, but once sigma_hat_n - sigma_{n+1} approaches the
+rounding floor the explicit difference of two independently computed
+singular values carries an O(1) relative error, while the secular route
+keeps every certified inequality consistent with the reference kappa.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ class BoundsReport:
         return out
 
 
-def last_row_beta(bundle: SvdBundle) -> tuple[np.ndarray, float]:
-    """Last row of V flipped so its final entry is -alpha; returns (beta, alpha)."""
-    row = bundle.v_aug[-1, :].copy()
-    if row[-1] > 0:
-        row = -row
-    return row[:-1], float(-row[-1])
-
-
 def simple_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     """s_n/alpha <= kappa <= s_n/alpha^2; collapses to equality at alpha = 1."""
     s_n = float(work.s_diag[-1])
@@ -122,9 +114,9 @@ def sharp_sandwich(
                        + a^{-1} s_n sqrt(1-a^2-beta_n^2) / sqrt(1-a^2))
         upper = a^{-2} ||beta o s|| / sqrt(1-a^2) + a^{-1} s_n.
 
-    beta / sqrt(1-alpha^2) is the right singular vector of V11 for its
-    smallest singular value alpha, so the expressions are evaluated in that
-    form from work.v11_svd (see the module docstring).
+    beta / ||beta|| (= beta / sqrt(1-alpha^2)) is the right singular vector
+    of V11 for its smallest singular value alpha; both are read from the
+    work.
 
     At x = 0 the general expressions are 0/0 (beta vanishes identically); all
     singular values of V11 are then 1 and kappa equals s_n exactly, so the
@@ -135,9 +127,8 @@ def sharp_sandwich(
     if solution.norm_x == 0.0:
         return BoundPair(s_n, s_n, "sharp_sandwich", "x = 0: exact value s_n")
 
-    _, sv, vh = work.v11_svd
-    v_bar_n = vh[-1, :]  # right singular vector of V11 for its smallest value
-    a1_norm = float(np.linalg.norm(v_bar_n * s)) / float(sv[-1])
+    v_bar_n = work.beta / np.linalg.norm(work.beta)
+    a1_norm = float(np.linalg.norm(v_bar_n * s)) / work.alpha
     tail = np.sqrt(max(1.0 - v_bar_n[-1] ** 2, 0.0))
     scale = np.hypot(1.0, solution.norm_x)
     lower = 0.5 * scale * (a1_norm + tail * s_n)
@@ -243,12 +234,11 @@ def bounds_report(
         else:
             ratios[family] = None
 
-    beta, _ = last_row_beta(bundle)
     norm_x = solution.norm_x
     return BoundsReport(
         kappa_reference=float(kappa_ref),
         pairs=pairs,
-        beta=beta,
+        beta=work.beta,
         alpha=solution.alpha,
         rho=float(bundle.sigma[-1] / bundle.sigma[-2]),
         rel_scale=work.aug_frobenius / norm_x if norm_x > 0 else None,

@@ -191,7 +191,7 @@ def _cmd_solve(args) -> int:
     print(f"alpha={solution.alpha:.6e}  ||x||={solution.norm_x:.6e}  rel_gap={diag.rel_gap:.3e}")
     if problem.n <= 10:
         print("x =", " ".join(f"{v:.12e}" for v in solution.x))
-    ids = solution.identity_residuals
+    ids = report.identities
     print(
         f"identity residuals: optimal={ids.optimal_value:.2e} "
         f"gradient={ids.gradient:.2e} singular_vector={ids.singular_vector:.2e}"

@@ -6,11 +6,12 @@ crossover) the (n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n]
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
-solution off it. The gap sigma_hat_n - sigma_{n+1} is classified once, kept as
-TlsSolution.gap, and judged by the one policy here: below a relative gap of
-HARD_GAP_LIMIT, P = A^T A - sigma_{n+1}^2 I is numerically singular, so the
-normal-equations cross-check P^{-1} A^T b is skipped and GapDiagnostics.gate
-refuses the P-based routes; below WARN_GAP_LIMIT the gate warns.
+solution off it; its checks are residual_diagnostics' work. The gap
+sigma_hat_n - sigma_{n+1} is classified once, kept as TlsSolution.gap, and
+judged by the one policy here: below a relative gap of HARD_GAP_LIMIT,
+P = A^T A - sigma_{n+1}^2 I is numerically singular, so the normal-equations
+cross-check P^{-1} A^T b is skipped and GapDiagnostics.gate refuses the
+P-based routes; below WARN_GAP_LIMIT the gate warns.
 """
 
 from __future__ import annotations
@@ -122,8 +123,6 @@ class TlsSolution:
     r: np.ndarray                 # (m,), r = A x - b
     alpha: float                  # 1/sqrt(1 + ||x||^2), in (0, 1]
     last_right_vector: np.ndarray  # v_{n+1}, sign-normalized so last entry = -alpha
-    identity_residuals: IdentityResiduals
-    normal_eq_rel_diff: float | None  # None below HARD_GAP_LIMIT, where P is singular
     gap: GapDiagnostics           # check_uniqueness of the bundle, decided once
 
     @property
@@ -133,6 +132,8 @@ class TlsSolution:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    identities: IdentityResiduals
+    normal_eq_rel_diff: float | None  # None below HARD_GAP_LIMIT, where P is singular
     gap_chain_lower: float | None  # |u_hat_n . b| / (2 ||x||)
     gap_chain_mid: float | None    # sigma_hat_n - sigma_{n+1}
     gap_chain_upper: float | None  # ||b|| / ||x||
@@ -166,15 +167,6 @@ def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
     )
 
 
-def _identity_residuals(problem, bundle, x, r, alpha, v_last):
-    sig2 = float(bundle.sigma[-1]) ** 2
-    norm_x = np.linalg.norm(x)
-    res_opt = abs(r @ r / (1.0 + norm_x**2) - sig2) / sig2
-    res_grad = np.linalg.norm(problem.a_matrix.T @ r - sig2 * x) / (sig2 * max(1.0, norm_x))
-    res_vec = np.linalg.norm(v_last - alpha * np.concatenate([x, [-1.0]]))
-    return IdentityResiduals(float(res_opt), float(res_grad), float(res_vec))
-
-
 def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     """Solve the TLS problem from its trailing right singular vector.
 
@@ -199,42 +191,39 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     x = -v_last[:-1] / v_last[-1]
     alpha = 1.0 / np.hypot(1.0, np.linalg.norm(x))
     r = problem.a_matrix @ x - problem.b_vector
-
-    normal_eq_rel_diff = None
-    if diag.rel_gap >= HARD_GAP_LIMIT:
-        a = problem.a_matrix
-        p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
-        x_ne = np.linalg.solve(p, a.T @ problem.b_vector)
-        normal_eq_rel_diff = float(
-            np.linalg.norm(x_ne - x) / max(1.0, np.linalg.norm(x))
-        )
-
-    return TlsSolution(
-        x=x,
-        r=r,
-        alpha=float(alpha),
-        last_right_vector=v_last,
-        identity_residuals=_identity_residuals(problem, bundle, x, r, alpha, v_last),
-        normal_eq_rel_diff=normal_eq_rel_diff,
-        gap=diag,
-    )
+    return TlsSolution(x=x, r=r, alpha=float(alpha), last_right_vector=v_last, gap=diag)
 
 
 def residual_diagnostics(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ResidualReport:
-    """Check the gap-enclosure chain (the identity residuals are on the solution).
+    """Identity residuals, the normal-equations cross-check and the gap chain.
 
+    The cross-check P^{-1} A^T b runs only at relative gap >= HARD_GAP_LIMIT.
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
-    is only defined for x != 0; for x = 0 the verdict is None.
+    is only defined for x != 0; for x = 0 its entries are None.
     """
+    a, x, r, alpha = problem.a_matrix, solution.x, solution.r, solution.alpha
+    sig2 = float(bundle.sigma[-1]) ** 2
     norm_x = solution.norm_x
+    identities = IdentityResiduals(
+        optimal_value=float(abs(r @ r / (1.0 + norm_x**2) - sig2) / sig2),
+        gradient=float(np.linalg.norm(a.T @ r - sig2 * x) / (sig2 * max(1.0, norm_x))),
+        singular_vector=float(np.linalg.norm(
+            solution.last_right_vector - alpha * np.concatenate([x, [-1.0]])
+        )),
+    )
+    normal_eq_rel_diff = None
+    if solution.gap.rel_gap >= HARD_GAP_LIMIT:
+        p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
+        x_ne = np.linalg.solve(p, a.T @ problem.b_vector)
+        normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
     if norm_x == 0.0:
-        return ResidualReport(None, None, None, None)
+        return ResidualReport(identities, normal_eq_rel_diff, None, None, None, None)
     # rows[:, -1] is b, or Q^T b on the QR route: either way u_hat_n . b
     lower = abs(bundle.u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
     mid = float(bundle.sigma_hat[-1] - bundle.sigma[-1])
     upper = float(np.linalg.norm(problem.b_vector)) / norm_x
     slack = 1e-12
     holds = lower <= mid * (1 + slack) + 1e-300 and mid <= upper * (1 + slack)
-    return ResidualReport(float(lower), mid, upper, bool(holds))
+    return ResidualReport(identities, normal_eq_rel_diff, float(lower), mid, upper, bool(holds))

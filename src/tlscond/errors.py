@@ -40,10 +40,6 @@ class FactorizationError(TlsCondError):
     """A matrix that must be positive definite lost definiteness numerically."""
 
 
-class SingularBlock(TlsCondError):
-    """The leading block of the right singular factor is numerically singular."""
-
-
 class NotApplicable(TlsCondError):
     """A bound's or route's precondition (certified alpha, size cap) does not hold."""
 

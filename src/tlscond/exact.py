@@ -22,8 +22,10 @@ sigma_{n+1} nearly coincide, where the P-based routes break down. Those
 solution.gap.gate, the one gap policy of core: IllConditionedGap below
 relative gap 1e-6, a warning below 1e-3.
 
-Each problem is factored once: the SVD of V11 in ExactFormulaWork feeds the
-svd formula, the bounds and the perturbation lab's matrix-free map K z.
+Each problem is factored once, by the bundle's two SVDs: ExactFormulaWork
+reads V11 through closed forms in the last row and column of V, and
+||V11^{-T} D|| is the top root of a secular equation (LAPACK dlasd4, O(n)).
+It feeds the svd formula, the bounds and the perturbation lab's map K z.
 """
 
 from __future__ import annotations
@@ -33,54 +35,90 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dlasd4
 
 from .core import SvdBundle, TlsSolution
-from .errors import FactorizationError, NotApplicable, SingularBlock, TrivialProblem
+from .errors import ConvergenceError, FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
 K_MAX_ENTRIES = 2**24  # cap on g_of_x (m x m(n+1)), build_k_matrix's largest temporary
 
 
+def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """(||V11^{-T} D||, q) for D = diag(diag): the top root of the secular
+    equation of D^2 + (D beta)(D beta)^T / alpha^2, and its unit eigenvector.
+
+    dlasd4 runs in alpha-scaled form (poles alpha d, weights D beta), which
+    stays in range for tiny alpha. It needs strictly ascending poles and
+    nonzero weights, so negligible weights are dropped (beta = 0 at x = 0,
+    where the value is max d exactly) and tied poles are merged into one;
+    a weightless pole above the root is then the top eigenvalue itself.
+    """
+    order = np.argsort(diag, kind="stable")
+    poles, weights = alpha * diag[order], (diag * beta)[order]
+    tol = 8.0 * np.finfo(float).eps * max(poles[-1], np.linalg.norm(weights))
+    z = np.where(np.abs(weights) > tol, weights, 0.0)
+    rep = np.arange(len(z))  # the pole each weight is merged into
+    live = np.flatnonzero(z)
+    for t in np.flatnonzero(np.diff(poles[live]) <= tol):
+        prev, k = live[t], live[t + 1]
+        z[k], z[prev] = np.hypot(z[k], z[prev]), 0.0
+        rep[rep == prev] = k
+    live = np.flatnonzero(z)
+    root, q = 0.0, None
+    if len(live):
+        rho = float(np.linalg.norm(z[live]))
+        delta, root, work, info = dlasd4(len(live) - 1, poles[live], z[live] / rho, rho**2)
+        if info != 0:
+            raise ConvergenceError(f"dlasd4 failed (info={info})")
+        dist = np.full(len(z), np.inf)  # dropped weights get q_j = 0
+        dist[live] = delta * work  # pole^2 - root^2 without cancellation
+        q = weights / dist[rep]
+    if poles[-1] > root:
+        root, q = poles[-1], np.eye(len(z))[-1]
+    return float(root / alpha), (q / np.linalg.norm(q))[np.argsort(order)]
+
+
 @dataclass(frozen=True)
 class ExactFormulaWork:
-    """Shared spectral parts for the condition formulas.
+    """Shared spectral parts for the condition formulas; no factorization.
 
-    v11_svd is the one factorization: the SVD of the leading n x n block
-    V11 of the right singular factor of [A b]. The reference formula and
-    the gap-sensitive bounds all apply V11^{-T} through it, so that their
-    rounding errors cancel in enclosure comparisons.
+    With V's last row flipped so its corner is -alpha, V = [[V11, y],
+    [beta^T, -alpha]] is orthogonal, so V11 beta = alpha y, V11^T V11 =
+    I - beta beta^T and V11^{-1} = V11^T + beta y^T / alpha. Hence
+    ||V11^{-T} D||^2 = lambda_max(D^2 + (D beta)(D beta)^T / alpha^2) for
+    diagonal D: the reference kappa (D = S) and the kappa2 bounds
+    (D = Lambda^{-1/2}) read the same secular equation from the same data.
     """
 
-    v11_svd: tuple                # (u_bar, sv, vh): v11 = u_bar @ diag(sv) @ vh
+    v11: np.ndarray               # (n, n) view of V's leading block
+    y: np.ndarray                 # (n,) V[:n, n]
+    beta: np.ndarray              # (n,) first n entries of the flipped last row
+    alpha: float                  # -V[n, n] after the flip, > 0
     s_diag: np.ndarray            # (n,) ascending weights s_i
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
     aug_frobenius: float          # ||[A b]||_F
 
-    def apply_v11_inv_t(self, diag: np.ndarray) -> np.ndarray:
-        """V11^{-T} diag(d) up to an orthogonal left factor.
-
-        V11^{-T} = u_bar diag(1/sv) vh, so dropping u_bar leaves the n x n
-        matrix (vh * d) / sv[:, None] with the same singular values as the
-        target.
-        """
-        _, sv, vh = self.v11_svd
-        return (vh * diag) / sv[:, None]
+    def _v11_inv_t(self, v: np.ndarray) -> np.ndarray:
+        return self.v11 @ v + self.y * (self.beta @ v / self.alpha)
 
     def apply_p_inv(self, v: np.ndarray) -> np.ndarray:
-        """P^{-1} v = u_bar sv^-1 vh Lambda^-1 vh^T sv^-1 u_bar^T v; P is never formed or gated."""
-        u_bar, sv, vh = self.v11_svd
-        return u_bar @ (vh @ (vh.T @ (u_bar.T @ v / sv) / self.lambda_diag) / sv)
+        """P^{-1} v = V11^{-T} Lambda^{-1} V11^{-1} v in O(n^2); P is never formed or gated."""
+        w = self.v11.T @ v + self.beta * (self.y @ v / self.alpha)
+        return self._v11_inv_t(w / self.lambda_diag)
 
     @cached_property
-    def v11_inv_t_s_norm(self) -> float:
-        """||V11^{-T} S||, the spectral factor of the reference kappa."""
-        return float(np.linalg.norm(self.apply_v11_inv_t(self.s_diag), 2))
+    def top_left(self) -> tuple[float, np.ndarray]:
+        """||V11^{-T} S||, the spectral factor of the reference kappa, and the
+        unit top left singular vector V11^{-T} S q of V11^{-T} S."""
+        norm, q = _secular_top(self.s_diag, self.beta, self.alpha)
+        u = self._v11_inv_t(self.s_diag * q)
+        return norm, u / np.linalg.norm(u)
 
     @cached_property
     def v11_inv_t_lambda_norm(self) -> float:
         """||V11^{-T} Lambda^{-1/2}|| = sqrt(||P^{-1}||), as P = V11 Lambda V11^T."""
-        t_diag = 1.0 / np.sqrt(self.lambda_diag)
-        return float(np.linalg.norm(self.apply_v11_inv_t(t_diag), 2))
+        return _secular_top(1.0 / np.sqrt(self.lambda_diag), self.beta, self.alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -89,13 +127,6 @@ class ConditionEstimate:
     kappa_rel: float | None       # None when x = 0
     method: str                   # kronecker | cholesky | svd | baboulin
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class V11Analysis:
-    singular_values: np.ndarray   # descending; expected (1, ..., 1, alpha)
-    kappa_v11: float              # expected sqrt(1 + ||x||^2)
-    alpha_from_v11: float         # smallest singular value
 
 
 def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float | None:
@@ -110,6 +141,8 @@ def build_spectral_work(
 ) -> ExactFormulaWork:
     """Assemble the spectral parts every formula and bound reads (cheap for large m)."""
     n = problem.n
+    v = bundle.v_aug
+    sign = -1.0 if v[n, n] > 0 else 1.0  # flip the last row so its corner is -alpha
     sig_last = float(bundle.sigma[-1])
     sig2 = sig_last**2
 
@@ -118,7 +151,10 @@ def build_spectral_work(
     head = bundle.sigma[:-1]
     lam = (head - sig_last) * (head + sig_last)
     return ExactFormulaWork(
-        v11_svd=np.linalg.svd(bundle.v_aug[:n, :n]),
+        v11=v[:n, :n],
+        y=v[:n, n],
+        beta=sign * v[n, :n],
+        alpha=float(-sign * v[n, n]),
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
         aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
@@ -210,15 +246,12 @@ def svd_condition(
 ) -> ConditionEstimate:
     """kappa = sqrt(1+||x||^2) ||V11^{-T} S||, the reference formula.
 
-    V11^{-T} is applied through the SVD of the n x n block (P is never
-    formed or inverted), so the result stays reliable for arbitrarily small
-    gaps and shares its rounding profile with the sandwich bounds, which are
-    built from the same decomposition.
+    ||V11^{-T} S|| is the top secular root of the work (P is never formed or
+    inverted), so the result stays reliable for arbitrarily small gaps and
+    shares its rounding profile with the kappa2 bounds, which read the same
+    root equation with another diagonal.
     """
-    sv = work.v11_svd[1]
-    if sv[-1] <= 0.0 or not np.isfinite(sv[-1]):
-        raise SingularBlock("V11 numerically singular: smallest singular value is 0")
-    kappa = float(np.hypot(1.0, solution.norm_x) * work.v11_inv_t_s_norm)
+    kappa = float(np.hypot(1.0, solution.norm_x) * work.top_left[0])
     return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "svd")
 
 
@@ -244,12 +277,3 @@ def baboulin_condition(
     rel = _relative(kappa, work.aug_frobenius, solution)
     return ConditionEstimate(kappa, rel, "baboulin", warnings)
 
-
-def v11_spectrum(work: ExactFormulaWork) -> V11Analysis:
-    """Singular values of the leading n x n block of V: (1, ..., 1, alpha)."""
-    sv = work.v11_svd[1].copy()
-    return V11Analysis(
-        singular_values=sv,
-        kappa_v11=float(sv[0] / sv[-1]),
-        alpha_from_v11=float(sv[-1]),
-    )

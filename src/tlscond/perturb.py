@@ -6,8 +6,9 @@ perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. As t -> 0 the ratio
 approaches ||K z|| for the stacked direction z, is maximized over unit z by
 the condition number, and attains it along K^T u for K's top left singular
-vector u. K is never formed: K z and K^T u cost O(mn) through the SVD of V11
-in ExactFormulaWork, and u comes from the n x n SVD of V11^{-T} S.
+vector u. K is never formed: K z and K^T u cost O(mn) through the closed-form
+V11^{-1} of ExactFormulaWork, and u is V11^{-T} S q for the eigenvector q
+that the work's secular equation gives in closed form.
 """
 
 from __future__ import annotations
@@ -172,8 +173,7 @@ def worst_direction(
 
     With w = P^{-1} u and y = 2 (r^ . A w) r^ - A w, K^T u = (y x^T - r w^T, -y).
     """
-    u = work.v11_svd[0] @ np.linalg.svd(work.apply_v11_inv_t(work.s_diag))[0][:, 0]
-    w = work.apply_p_inv(u)
+    w = work.apply_p_inv(work.top_left[1])
     a_w, r = problem.a_matrix @ w, solution.r
     r_unit = r / np.linalg.norm(r)
     y = 2.0 * (r_unit @ a_w) * r_unit - a_w

@@ -23,6 +23,11 @@ def pipeline(problem):
     return bundle, solution, tc.build_spectral_work(problem, bundle, solution)
 
 
+def tie_problem(b=(0.0, 0.0, 1.0, 1.0, 0.0)):
+    """A = 3 [I_3; 0]: s_2 = s_3 tie; at the default b also beta_2 = beta_3 = 0."""
+    return tc.TlsProblem(3.0 * np.vstack([np.eye(3), np.zeros((2, 3))]), np.array(b))
+
+
 def k_of(problem):
     """The explicit first-order map K of a solvable problem."""
     bundle, solution, _ = pipeline(problem)

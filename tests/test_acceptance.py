@@ -59,17 +59,18 @@ def test_criterion_1_cross_formula_agreement():
 def test_criterion_2_v11_spectrum():
     worst_lead = worst_tail = 0.0
     for problem in criterion1_problems():
-        _, solution, work = pipeline(problem)
-        analysis = tc.v11_spectrum(work)
-        lead = float(np.max(np.abs(analysis.singular_values[:-1] - 1.0), initial=0.0))
-        tail = abs(analysis.alpha_from_v11 - solution.alpha)
+        bundle, solution, _ = pipeline(problem)
+        sv = np.linalg.svd(bundle.v_aug[:-1, :-1], compute_uv=False)
+        lead = float(np.max(np.abs(sv[:-1] - 1.0), initial=0.0))
+        tail = abs(sv[-1] - solution.alpha)
         worst_lead, worst_tail = max(worst_lead, lead), max(worst_tail, tail)
         assert lead <= 1e-10 and tail <= 1e-10
     worst_kv = 0.0
     for seed in range(3):
         problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=seed)
-        _, _, work = pipeline(problem)
-        kv = tc.v11_spectrum(work).kappa_v11
+        bundle, _, _ = pipeline(problem)
+        sv = np.linalg.svd(bundle.v_aug[:-1, :-1], compute_uv=False)
+        kv = sv[0] / sv[-1]
         worst_kv = max(worst_kv, abs(kv - 1e8) / 1e8)
         assert kv == pytest.approx(1e8, rel=1e-6)
     print(f"\ncriterion 2 PASS: spectrum defects lead {worst_lead:.2e} / tail "

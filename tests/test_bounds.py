@@ -4,7 +4,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import pipeline
-from tlscond.bounds import kappa2_dominance, last_row_beta
+from tlscond.bounds import kappa2_dominance
 from tlscond.errors import NotApplicable
 
 
@@ -188,8 +188,8 @@ def test_beta_vector_consistency():
         bundle, solution, work = pipeline(problem)
         report = tc.bounds_report(problem, bundle, solution, work)
         assert abs(report.beta @ report.beta + report.alpha**2 - 1.0) <= 1e-12
-        beta, alpha = last_row_beta(bundle)
-        assert alpha == pytest.approx(solution.alpha, abs=1e-13)
+        np.testing.assert_array_equal(report.beta, work.beta)
+        assert work.alpha == pytest.approx(solution.alpha, abs=1e-13)
 
 
 def test_upper_bound_dominance_chain():

@@ -207,3 +207,20 @@ def test_solve_tall_gap_chain_ok(tmp_path, capsys):
     code, out, _ = run(["solve", "--input", str(path)], capsys)
     assert code == 0
     assert "gap enclosure chain:" in out and out.rstrip().endswith("-> ok")
+
+
+def test_cond_kron_runs_only_the_bundle_svds(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    path = gen_problem_file(tmp_path, capsys, m="60", n="8", seed="5")
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)
+    assert code == 0 and "kronecker" in out
+    assert calls == [(9, 8), (9, 9)]  # A and [A b] through the R of one QR

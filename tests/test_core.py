@@ -86,8 +86,8 @@ def test_solve_error_paths():
 
 def test_identities_hold_on_seeded_problems():
     for problem in seeded_problems():
-        _, solution, _ = pipeline(problem)
-        ids = solution.identity_residuals
+        bundle, solution, _ = pipeline(problem)
+        ids = tc.residual_diagnostics(problem, bundle, solution).identities
         assert ids.optimal_value <= 1e-10
         assert ids.gradient <= 1e-10
         assert ids.singular_vector <= 1e-10
@@ -108,8 +108,8 @@ def test_solution_formulas_agree():
             continue
         solution = tc.solve_tls(problem, bundle)
         assert solution.gap == tc.check_uniqueness(bundle)
-        assert solution.normal_eq_rel_diff is not None
-        assert solution.normal_eq_rel_diff <= 1e-8
+        diff = tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff
+        assert diff is not None and diff <= 1e-8
         checked += 1
     assert checked >= 80  # the sweep must not be vacuous
 
@@ -119,7 +119,7 @@ def test_cross_check_skipped_below_gap_floor():
     bundle = tc.svd_bundle(problem)
     assert tc.check_uniqueness(bundle).rel_gap < 1e-6
     solution = tc.solve_tls(problem, bundle)
-    assert solution.normal_eq_rel_diff is None
+    assert tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff is None
 
 
 def test_gap_chain_fix_b(fix_b):

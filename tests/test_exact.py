@@ -6,7 +6,7 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import k_of, pipeline
+from conftest import k_of, pipeline, tie_problem
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
 
@@ -151,7 +151,8 @@ def test_gap_warning_band():
 def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
     # one HARD_GAP_LIMIT decides both the solver's normal-equations check and the P gate
     bundle, solution, work = pipeline(problem)
-    assert (solution.normal_eq_rel_diff is None) == gated
+    report = tc.residual_diagnostics(problem, bundle, solution)
+    assert (report.normal_eq_rel_diff is None) == gated
     if gated:
         with pytest.raises(IllConditionedGap):
             tc.cholesky_condition(work, problem, bundle, solution)
@@ -182,9 +183,10 @@ def test_build_k_refuses_oversized_before_allocating():
     assert peak < 2**20
 
 
-def test_formulas_and_bounds_reuse_the_v11_svd(monkeypatch):
+def test_no_svd_runs_after_the_bundle(monkeypatch):
     problem = tc.generate_ab_alpha(30, 8, 0.3, seed=4)
-    bundle, solution, work = pipeline(problem)
+    bundle = tc.svd_bundle(problem)
+    solution = tc.solve_tls(problem, bundle)
     calls = []
     svd = np.linalg.svd
 
@@ -193,6 +195,7 @@ def test_formulas_and_bounds_reuse_the_v11_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    work = tc.build_spectral_work(problem, bundle, solution)
     k_matrix = tc.build_k_matrix(problem, bundle, solution)
     tc.kron_condition(k_matrix, problem, solution)
     kappa = tc.svd_condition(work, bundle, solution)
@@ -201,9 +204,29 @@ def test_formulas_and_bounds_reuse_the_v11_svd(monkeypatch):
     tc.upper_kappa2(bundle, solution, work)
     tc.cholesky_condition(work, problem, bundle, solution)
     tc.baboulin_condition(work, bundle, solution)
-    tc.v11_spectrum(work)
+    direction = tc.worst_direction(work, problem, solution)
+    tc.first_order_prediction(work, problem, solution, direction, 1e-6)
     assert calls == []
     assert report.kappa_reference == kappa.kappa_abs
+
+
+@pytest.mark.parametrize(
+    "b, kappa",
+    [((0.0, 0.0, 1.0, 1.0, 0.0), 0.4134708463138713), ((0.3, 0.2, 1.0, 1.0, 0.5), 0.4332949876768149)],
+    ids=["weightless_top_pole", "weighted"],
+)
+def test_tied_poles_and_zero_weights(b, kappa):
+    # sigma = (3.18, 3, 3, 0.94): the secular equation must deflate before
+    # dlasd4, and at the first b the weightless top pole is the answer
+    problem = tie_problem(b)
+    bundle, solution, work = pipeline(problem)
+    estimate = tc.svd_condition(work, bundle, solution)
+    k_matrix = tc.build_k_matrix(problem, bundle, solution)
+    assert estimate.kappa_abs == pytest.approx(
+        tc.kron_condition(k_matrix, problem, solution).kappa_abs, rel=1e-14
+    )
+    assert estimate.kappa_abs == pytest.approx(kappa, rel=1e-14)
+    assert all(tc.bounds_report(problem, bundle, solution, work).sandwich_verdicts.values())
 
 
 def test_build_k_rejects_trivial(fix_a):
@@ -213,25 +236,36 @@ def test_build_k_rejects_trivial(fix_a):
         tc.build_k_matrix(fix_a, zeroed, solution)
 
 
+def v11_singular_values(bundle):
+    n = bundle.n
+    return np.linalg.svd(bundle.v_aug[:n, :n], compute_uv=False)
+
+
 def test_v11_spectrum_fix_b(fix_b):
-    _, _, work = pipeline(fix_b)
-    analysis = tc.v11_spectrum(work)
+    bundle, _, work = pipeline(fix_b)
+    sv = v11_singular_values(bundle)
     # n = 1: the single singular value is alpha, so the block's condition
     # number collapses to 1
-    assert analysis.singular_values.shape == (1,)
-    assert analysis.alpha_from_v11 == pytest.approx(FB.alpha, rel=1e-12)
-    assert analysis.kappa_v11 == 1.0
+    assert sv.shape == (1,)
+    assert sv[-1] == pytest.approx(FB.alpha, rel=1e-12)
+    assert work.alpha == pytest.approx(FB.alpha, rel=1e-12)
 
 
 def test_v11_spectrum_structure_seeded():
     for seed in range(5):
         problem = tc.generate_ab_alpha(30, 6, [0.8, 0.4, 0.1, 0.03, 0.6][seed], seed=seed)
-        _, solution, work = pipeline(problem)
-        analysis = tc.v11_spectrum(work)
-        np.testing.assert_allclose(analysis.singular_values[:-1], 1.0, atol=1e-10)
-        assert analysis.alpha_from_v11 == pytest.approx(solution.alpha, abs=1e-10)
+        bundle, solution, work = pipeline(problem)
+        sv = v11_singular_values(bundle)
+        np.testing.assert_allclose(sv[:-1], 1.0, atol=1e-10)
+        assert sv[-1] == pytest.approx(solution.alpha, abs=1e-10)
+        assert work.alpha == pytest.approx(solution.alpha, abs=1e-13)
         expected = np.hypot(1.0, solution.norm_x)
-        assert analysis.kappa_v11 == pytest.approx(expected, rel=1e-8)
+        assert sv[0] / sv[-1] == pytest.approx(expected, rel=1e-8)
+        # beta / ||beta|| is V11's right singular vector for alpha
+        v11 = bundle.v_aug[:-1, :-1]
+        v_bar = work.beta / np.linalg.norm(work.beta)
+        assert np.linalg.norm(v11 @ v_bar) == pytest.approx(sv[-1], rel=1e-10)
+        np.testing.assert_allclose(v11 @ work.beta, work.alpha * work.y, atol=1e-14)
 
 
 def test_scale_invariance():
