@@ -1,8 +1,12 @@
 """Thin SVDs, solvability diagnostics, and the TLS solver.
 
-Both SVDs are of one row block: [A b], or once m >= 2(n+1) (LAPACK's QR-first
-crossover) the (n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n]
-(Chan's R-SVD). Q is never formed: the left factors are in that block's row basis.
+The bundle holds the singular values of A and the thin SVD of [A b], both of
+one row block: [A b], or once m >= 2(n+1) (LAPACK's QR-first crossover) the
+(n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's
+R-SVD). Q is never formed: the left factors are in that block's row basis.
+A's singular vectors are not in the bundle; their two readers, the baboulin
+comparison route and the gap chain of residual_diagnostics, compute them from
+rows[:, :n] when called.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -35,12 +39,10 @@ WARN_GAP_LIMIT = 1e-3
 
 @dataclass(frozen=True)
 class SvdBundle:
-    """Thin SVDs of A (hatted quantities) and of [A b] (plain quantities)."""
+    """Singular values of A (hatted) and the thin SVD of [A b] (plain quantities)."""
 
     rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1)
     sigma_hat: np.ndarray  # (n,) singular values of A, descending
-    u_hat: np.ndarray      # (k, n), left factor of A in the row basis of rows
-    v_hat: np.ndarray      # (n, n)
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
     u_aug: np.ndarray      # (k, n+1), left factor of [A b] in the row basis of rows
     v_aug: np.ndarray      # (n+1, n+1)
@@ -50,26 +52,18 @@ class SvdBundle:
         return self.sigma_hat.shape[0]
 
     def orthonormality_defect(self) -> float:
-        """Max Frobenius deviation of the four factors from orthonormal columns."""
+        """Max Frobenius deviation of the two factors of [A b] from orthonormal columns."""
         return max(
-            np.linalg.norm(f.T @ f - np.eye(f.shape[1]))
-            for f in (self.u_hat, self.v_hat, self.u_aug, self.v_aug)
+            np.linalg.norm(f.T @ f - np.eye(f.shape[1])) for f in (self.u_aug, self.v_aug)
         )
 
     def reconstruction_defect(self, problem: TlsProblem) -> float:
-        """Relative Frobenius residual of both factorizations (rebuilds Q when rows is R)."""
+        """Relative Frobenius residual of the SVD of [A b] (rebuilds Q when rows is R)."""
         aug = problem.augmented()
-        a_fit = self.u_hat * self.sigma_hat @ self.v_hat.T
         aug_fit = self.u_aug * self.sigma @ self.v_aug.T
         if self.rows.shape[0] < aug.shape[0]:
-            q = np.linalg.qr(aug)[0]
-            a_fit, aug_fit = q @ a_fit, q @ aug_fit
-        a_res = np.linalg.norm(a_fit - problem.a_matrix)
-        aug_res = np.linalg.norm(aug_fit - aug)
-        return max(
-            a_res / max(np.linalg.norm(problem.a_matrix), 1e-300),
-            aug_res / max(np.linalg.norm(aug), 1e-300),
-        )
+            aug_fit = np.linalg.qr(aug)[0] @ aug_fit
+        return float(np.linalg.norm(aug_fit - aug) / max(np.linalg.norm(aug), 1e-300))
 
     def interlacing_defect(self) -> float:
         """Worst violation of sigma_i >= sigma_hat_i >= sigma_{i+1}, scaled by sigma_1."""
@@ -141,16 +135,16 @@ class ResidualReport:
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
-    """Thin SVDs of A and [A b], descending, via the R of [A b] when m >= 2(n+1)."""
+    """sigma_hat and the thin SVD of [A b], descending, via the R of [A b] when m >= 2(n+1)."""
     rows = problem.augmented()
     try:
         if problem.m >= 2 * (problem.n + 1):
             rows = np.linalg.qr(rows, mode="r")
-        u_hat, sigma_hat, vt_hat = np.linalg.svd(rows[:, : problem.n], full_matrices=False)
+        sigma_hat = np.linalg.svd(rows[:, : problem.n], compute_uv=False)
         u_aug, sigma, vt_aug = np.linalg.svd(rows, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed: {exc}") from exc
-    return SvdBundle(rows, sigma_hat, u_hat, vt_hat.T, sigma, u_aug, vt_aug.T)
+    return SvdBundle(rows, sigma_hat, sigma, u_aug, vt_aug.T)
 
 
 def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
@@ -201,7 +195,8 @@ def residual_diagnostics(
 
     The cross-check P^{-1} A^T b runs only at relative gap >= HARD_GAP_LIMIT.
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
-    is only defined for x != 0; for x = 0 its entries are None.
+    is only defined for x != 0; for x = 0 its entries are None. Its u_hat_n
+    comes from an SVD of A run here, as the bundle holds A's singular values only.
     """
     a, x, r, alpha = problem.a_matrix, solution.x, solution.r, solution.alpha
     sig2 = float(bundle.sigma[-1]) ** 2
@@ -221,7 +216,8 @@ def residual_diagnostics(
     if norm_x == 0.0:
         return ResidualReport(identities, normal_eq_rel_diff, None, None, None, None)
     # rows[:, -1] is b, or Q^T b on the QR route: either way u_hat_n . b
-    lower = abs(bundle.u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
+    u_hat = np.linalg.svd(bundle.rows[:, : problem.n], full_matrices=False)[0]
+    lower = abs(u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
     mid = float(bundle.sigma_hat[-1] - bundle.sigma[-1])
     upper = float(np.linalg.norm(problem.b_vector)) / norm_x
     slack = 1e-12

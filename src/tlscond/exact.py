@@ -14,7 +14,8 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
   the right singular factor of [A b] and S diagonal with entries
   s_i = sqrt(sigma_i^2 + sigma_{n+1}^2) / (sigma_i^2 - sigma_{n+1}^2).
 * baboulin: sqrt(1+||x|^2) * ||Dhat [Vhat^T 0] V [D 0]^T||, a comparison
-  formula that also needs the SVD of A.
+  formula that also needs the SVD of A; it runs that SVD itself, once its
+  gate has passed, as the bundle holds A's singular values only.
 
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
@@ -22,7 +23,7 @@ sigma_{n+1} nearly coincide, where the P-based routes break down. Those
 solution.gap.gate, the one gap policy of core: IllConditionedGap below
 relative gap 1e-6, a warning below 1e-3.
 
-Each problem is factored once, by the bundle's two SVDs: ExactFormulaWork
+Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in the last row and column of V, and
 ||V11^{-T} D|| is the top root of a secular equation (LAPACK dlasd4, O(n)).
 It feeds the svd formula, the bounds and the perturbation lab's map K z.
@@ -262,15 +263,17 @@ def baboulin_condition(
 
     kappa = sqrt(1+||x||^2) ||Dhat [Vhat^T 0] V [D 0]^T||. The Dhat entries
     blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
-    the cholesky route.
+    the cholesky route. sigma_hat and Vhat come from one SVD of A, run only
+    once the gate has passed.
     """
     warnings = solution.gap.gate("Dhat")
     n = bundle.n
+    _, sigma_hat, vt_hat = np.linalg.svd(bundle.rows[:, :n], full_matrices=False)
     sig_last = float(bundle.sigma[-1])
-    d_hat = 1.0 / ((bundle.sigma_hat - sig_last) * (bundle.sigma_hat + sig_last))
+    d_hat = 1.0 / ((sigma_hat - sig_last) * (sigma_hat + sig_last))
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig_last**2)
     zeros = np.zeros((n, 1))
-    left = np.hstack([bundle.v_hat.T, zeros])
+    left = np.hstack([vt_hat, zeros])
     right = np.hstack([np.diag(d_b), zeros]).T
     core = d_hat[:, None] * (left @ bundle.v_aug @ right)
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(core, 2))

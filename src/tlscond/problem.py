@@ -126,34 +126,44 @@ def _read_csv_array(path: Path) -> np.ndarray:
 
 
 def _read_mm_array(path: Path) -> np.ndarray:
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
-        raise ParseError(f"{path}: missing MatrixMarket banner")
-    banner = lines[0].lower().split()
-    if not {"matrix", "array", "real", "general"} <= set(banner):
-        raise ParseError(f"{path}: unsupported MatrixMarket flavor {lines[0]!r}")
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
+    with path.open() as fh:
+        banner = fh.readline().rstrip("\n")
+        if not banner.lower().startswith("%%matrixmarket"):
+            raise ParseError(f"{path}: missing MatrixMarket banner")
+        if not {"matrix", "array", "real", "general"} <= set(banner.lower().split()):
+            raise ParseError(f"{path}: unsupported MatrixMarket flavor {banner!r}")
+        size = next((ln for ln in fh if ln.strip() and not ln.lstrip().startswith("%")), None)
+        body = fh.read()
+    if size is None:
         raise ParseError(f"{path}: missing size line")
-    dims = body[0].split()
+    size = size.rstrip("\n")
+    dims = size.split()
     if len(dims) != 2:
-        raise ParseError(f"{path}: bad size line {body[0]!r}")
+        raise ParseError(f"{path}: bad size line {size!r}")
     try:
         m, k = int(dims[0]), int(dims[1])
     except ValueError as exc:
-        raise ParseError(f"{path}: bad size line {body[0]!r}") from exc
+        raise ParseError(f"{path}: bad size line {size!r}") from exc
     if m < 0 or k < 0:
-        raise ParseError(f"{path}: negative size in {body[0]!r}")
-    values = []
-    for token in " ".join(body[1:]).split():
-        try:
-            values.append(float(token))
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad entry {token!r}") from exc
-    if len(values) != m * k:
-        raise ParseError(f"{path}: expected {m * k} entries, found {len(values)}")
+        raise ParseError(f"{path}: negative size in {size!r}")
+    try:
+        values = np.array(body.split(), dtype=float)
+    except ValueError:
+        # comment lines among the entries, or a bad entry to name
+        values = []
+        for line in body.splitlines():
+            if line.lstrip().startswith("%"):
+                continue
+            for token in line.split():
+                try:
+                    values.append(float(token))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: bad entry {token!r}") from exc
+        values = np.array(values, dtype=float)
+    if values.size != m * k:
+        raise ParseError(f"{path}: expected {m * k} entries, found {values.size}")
     # MatrixMarket array data is stored column-major.
-    return np.array(values, dtype=float).reshape((k, m)).T
+    return values.reshape((k, m)).T
 
 
 def load_problem(path, format: str | None = None) -> TlsProblem:
@@ -171,12 +181,14 @@ def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
     """Write the [A b] array of ``problem`` in CSV or MatrixMarket dense form."""
     path = Path(path)
     aug = problem.augmented()
+    m, k = aug.shape
+    cell = f"%{_FMT}"  # one %-format for the whole file; prints as format(v, _FMT)
     if _problem_format(path, format) == "mm":
-        lines = [_MM_HEADER, f"{aug.shape[0]} {aug.shape[1]}"]
-        lines += [_fmt(v) for v in aug.T.ravel()]  # column-major per the format
-        path.write_text("\n".join(lines) + "\n")
+        values = aug.T.ravel().tolist()  # column-major per the format
+        text = f"{_MM_HEADER}\n{m} {k}\n" + "\n".join([cell] * (m * k)) % tuple(values)
     else:
-        path.write_text("\n".join(",".join(_fmt(v) for v in row) for row in aug) + "\n")
+        text = "\n".join([",".join([cell] * k)] * m) % tuple(aug.ravel().tolist())
+    path.write_text(text + "\n")
 
 
 def _infer_report_format(path: Path) -> str:

@@ -4,19 +4,30 @@ kappa is recomputed at 50 significant digits with mpmath from the exact
 binary data of [A b]: the SVD of [A b] by mp.svd_r, x from the trailing
 right singular vector, and kappa = sqrt(1+||x||^2) ||V11^{-T} S||. It shares
 no code and no rounding with the double-precision routes, so it can judge
-them where the explicit K is gated (relative gap below 1e-6). Callers guard
-it with pytest.importorskip("mpmath").
+them where the explicit K is gated (relative gap below 1e-6). The relative
+gap (sigma_hat_n - sigma_{n+1}) / sigma_hat_n is recomputed the same way, from
+mp.svd_r of A and of [A b]. Callers guard both with pytest.importorskip("mpmath").
 """
 
 import mpmath
+
+_AUG_SVDS = {}  # (shape, data, dps) -> mp.svd_r of [A b], shared by both oracles
+
+
+def _aug_svd(problem, dps):
+    aug = problem.augmented()
+    key = (aug.shape, aug.tobytes(), dps)
+    if key not in _AUG_SVDS:
+        with mpmath.workdps(dps):  # float entries convert exactly
+            _AUG_SVDS[key] = mpmath.svd_r(mpmath.matrix(aug.tolist()), full_matrices=False)
+    return _AUG_SVDS[key]
 
 
 def oracle_kappa(problem, dps: int = 50) -> float:
     """The absolute TLS condition number of problem, evaluated at dps digits."""
     with mpmath.workdps(dps):
-        aug = mpmath.matrix(problem.augmented().tolist())  # float entries convert exactly
         n = problem.n
-        _, sigma, vt = mpmath.svd_r(aug, full_matrices=False)
+        _, sigma, vt = _aug_svd(problem, dps)
         corner = vt[n, n]
         x = [-vt[n, i] / corner for i in range(n)]
         sig2 = sigma[n] ** 2
@@ -26,3 +37,12 @@ def oracle_kappa(problem, dps: int = 50) -> float:
         scaled = v11_inv_t * mpmath.diag(s)
         norm = max(mpmath.svd_r(scaled, compute_uv=False))
         return float(mpmath.sqrt(1 + sum(xi**2 for xi in x)) * norm)
+
+
+def oracle_rel_gap(problem, dps: int = 50) -> float:
+    """(sigma_hat_n - sigma_{n+1}) / sigma_hat_n of problem, evaluated at dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(problem.a_matrix.tolist())
+        sigma_hat_n = min(mpmath.svd_r(a, compute_uv=False))
+        sigma_last = _aug_svd(problem, dps)[1][problem.n]
+        return float((sigma_hat_n - sigma_last) / sigma_hat_n)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import k_of, pipeline, tie_problem
+from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
 
@@ -183,18 +185,24 @@ def test_build_k_refuses_oversized_before_allocating():
     assert peak < 2**20
 
 
+def recording_svd(monkeypatch):
+    """Patch np.linalg.svd to log (calling function, matrix shape, vectors wanted)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
 def test_no_svd_runs_after_the_bundle(monkeypatch):
     problem = tc.generate_ab_alpha(30, 8, 0.3, seed=4)
     bundle = tc.svd_bundle(problem)
     solution = tc.solve_tls(problem, bundle)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = recording_svd(monkeypatch)
     work = tc.build_spectral_work(problem, bundle, solution)
     k_matrix = tc.build_k_matrix(problem, bundle, solution)
     tc.kron_condition(k_matrix, problem, solution)
@@ -203,11 +211,32 @@ def test_no_svd_runs_after_the_bundle(monkeypatch):
     tc.lower_kappa2(bundle, solution, work)
     tc.upper_kappa2(bundle, solution, work)
     tc.cholesky_condition(work, problem, bundle, solution)
-    tc.baboulin_condition(work, bundle, solution)
     direction = tc.worst_direction(work, problem, solution)
     tc.first_order_prediction(work, problem, solution, direction, 1e-6)
     assert calls == []
+    tc.baboulin_condition(work, bundle, solution)
+    # the comparison route alone takes A's vectors: one SVD of R[:, :n] (QR route, k = 9)
+    assert calls == [("baboulin_condition", (9, 8), True)]
     assert report.kappa_reference == kappa.kappa_abs
+
+
+def test_only_two_callers_compute_a_singular_vectors(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    tc.save_problem(tc.generate_ab_alpha(20, 5, 0.3, seed=4), path)
+    problem = tc.load_problem(path)
+    calls = recording_svd(monkeypatch)
+    bundle, solution, work = pipeline(problem)
+    tc.residual_diagnostics(problem, bundle, solution)
+    tc.baboulin_condition(work, bundle, solution)
+    tc.monte_carlo_validate(problem, trials=5, seed=1)
+    for command in (["solve"], ["cond", "--method", "all"], ["bounds"],
+                    ["validate", "--trials", "5", "--seed", "1"]):
+        assert main([*command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    of_a = [(name, vectors) for name, shape, vectors in calls if shape[1] == problem.n]
+    assert {name for name, vectors in of_a if vectors} == {"baboulin_condition",
+                                                           "residual_diagnostics"}
+    assert {vectors for name, vectors in of_a if name == "svd_bundle"} == {False}
 
 
 @pytest.mark.parametrize(

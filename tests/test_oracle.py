@@ -1,8 +1,10 @@
-"""The svd reference kappa against a 50-digit recomputation (tests/oracle.py).
+"""The svd reference kappa and the gap against a 50-digit recomputation (tests/oracle.py).
 
 Each problem must meet |kappa - kappa_50| / kappa_50 <= 4 eps / min(rel_gap, 1):
 the rounding of the data alone moves kappa by about eps / rel_gap, and the
 explicit K, the only other independent check, is gated below rel_gap 1e-6.
+The relative gap must meet |rel_gap - rel_gap_50| <= 4 eps sigma_1 / sigma_hat_n,
+the backward-stable SVD's eps sigma_1 error in both singular values over sigma_hat_n.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import tlscond as tc
 from conftest import pipeline, tie_problem
 
 pytest.importorskip("mpmath")
-from oracle import oracle_kappa  # noqa: E402
+from oracle import oracle_kappa, oracle_rel_gap  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -45,3 +47,12 @@ def test_svd_kappa_matches_the_50_digit_oracle(name):
     reference = oracle_kappa(problem)
     bound = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
     assert abs(kappa - reference) / reference <= bound
+
+
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_rel_gap_matches_the_50_digit_oracle(name):
+    problem = ORACLE_PROBLEMS[name]()
+    bundle = tc.svd_bundle(problem)
+    rel_gap = tc.check_uniqueness(bundle).rel_gap
+    bound = 4.0 * EPS * bundle.sigma[0] / bundle.sigma_hat[-1]
+    assert abs(rel_gap - oracle_rel_gap(problem)) <= bound

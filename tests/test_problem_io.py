@@ -67,6 +67,27 @@ def test_matrixmarket_column_major_order(tmp_path):
     np.testing.assert_array_equal(problem.b_vector, [4.0, 5.0, 6.0])
 
 
+def test_matrixmarket_bad_token_deep_in_a_large_file(tmp_path):
+    path = tmp_path / "p.mtx"
+    rng = np.random.default_rng(1)
+    tc.save_problem(tc.TlsProblem(rng.standard_normal((1000, 50)), rng.standard_normal(1000)), path)
+    lines = path.read_text().splitlines()
+    lines[40_000] = "0.5e+-3"  # entry 39_999 of 51_000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"bad entry '0\.5e\+-3'"):
+        tc.load_problem(path)
+
+
+def test_matrixmarket_comment_lines_among_entries(tmp_path):
+    path = tmp_path / "p.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array real general\n3 2\n1\n% note\n2 3\n\n4\n  %\n5\n6\n"
+    )
+    problem = tc.load_problem(path)
+    np.testing.assert_array_equal(problem.a_matrix, [[1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(problem.b_vector, [4.0, 5.0, 6.0])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "matrixmarket-dense"])
 def test_problem_round_trip_exact(tmp_path, fmt):
     rng = np.random.default_rng(3)
