@@ -24,11 +24,14 @@ eigenvalue of P = A^T A - sigma_{n+1}^2 I = V11 Lambda V11^T, so
 Lambda^{-1/2}. The kappa2 family reads this norm as the top secular root of
 ExactFormulaWork, the same root equation, from the same last row of V, as
 the reference kappa; the sharp sandwich reads that row directly. No bound
-factors anything itself. For well-separated spectra the two readings agree
-to machine precision, but once sigma_hat_n - sigma_{n+1} approaches the
-rounding floor the explicit difference of two independently computed
-singular values carries an O(1) relative error, while the secular route
-keeps every certified inequality consistent with the reference kappa.
+factors anything itself. kappa1, the dominance test and BHM read
+sigma_hat_n^2 - sigma_{n+1}^2 as the bundle's delta, the distance of a root
+of the bundle's downdating secular equation to its sigma_{n+1} pole, and
+sigma_hat_{n-1}^2 - sigma_{n+1}^2 the same way; neither is ever a difference
+of two computed singular values, so both keep their relative accuracy when
+the gap approaches the rounding floor. The two readings of the gap (delta and
+the kappa2 secular root) agree to machine precision for well-separated
+spectra and stay within the data's rounding of each other below.
 """
 
 from __future__ import annotations
@@ -142,13 +145,12 @@ def sv_bounds_kappa1(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     sig_last = float(bundle.sigma[-1])
     scale = np.hypot(1.0, solution.norm_x)
 
-    def bound(sig_hat_j: float) -> float:
-        gap = (sig_hat_j - sig_last) * (sig_hat_j + sig_last)
+    def bound(sig_hat_j: float, gap: float) -> float:
         return float(scale * np.sqrt(sig_hat_j**2 + sig_last**2) / gap)
 
-    upper = bound(float(bundle.sigma_hat[-1]))
+    upper = bound(bundle.sigma_hat_n, bundle.delta)
     if bundle.n >= 2:
-        return BoundPair(bound(float(bundle.sigma_hat[-2])), upper, "kappa1")
+        return BoundPair(bound(*bundle.roots.at(-2)), upper, "kappa1")
     return BoundPair(None, upper, "kappa1", "n = 1: no sigma_hat_{n-1} for the lower bound")
 
 
@@ -162,10 +164,9 @@ def kappa2_dominance(bundle: SvdBundle) -> tuple[bool, bool]:
     if bundle.n < 2:
         return False, False
     sig_last = float(bundle.sigma[-1])
-    sig_hat_n = float(bundle.sigma_hat[-1])
-    sig_hat_prev = float(bundle.sigma_hat[-2])
-    root = np.sqrt(max((sig_hat_n - sig_last) * (sig_hat_n + sig_last), 0.0))
-    return bool(sig_hat_prev >= sig_last + root), bool(sig_hat_prev >= 2.0 * sig_hat_n)
+    sig_hat_prev = bundle.roots.at(-2)[0]
+    root = np.sqrt(max(bundle.delta, 0.0))
+    return bool(sig_hat_prev >= sig_last + root), bool(sig_hat_prev >= 2.0 * bundle.sigma_hat_n)
 
 
 def lower_kappa2(
@@ -197,8 +198,12 @@ def upper_kappa2(
 
 
 def bhm_approx(bundle: SvdBundle) -> BoundPair:
-    """sigma_hat_1 / (sigma_hat_n - sigma_{n+1}), a heuristic point estimate."""
-    value = float(bundle.sigma_hat[0] / (bundle.sigma_hat[-1] - bundle.sigma[-1]))
+    """sigma_hat_1 / (sigma_hat_n - sigma_{n+1}), a heuristic point estimate.
+
+    The denominator is read from delta as delta / (sigma_hat_n + sigma_{n+1}).
+    """
+    gap = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
+    value = float(bundle.roots.at(0)[0] / gap)
     return BoundPair(None, value, "bhm", "heuristic, no bound guarantee")
 
 

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlasd4
 
-from .core import SvdBundle, TlsSolution
+from .core import SvdBundle, TlsSolution, deflate
 from .errors import ConvergenceError, FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
@@ -50,21 +50,14 @@ def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[floa
     equation of D^2 + (D beta)(D beta)^T / alpha^2, and its unit eigenvector.
 
     dlasd4 runs in alpha-scaled form (poles alpha d, weights D beta), which
-    stays in range for tiny alpha. It needs strictly ascending poles and
-    nonzero weights, so negligible weights are dropped (beta = 0 at x = 0,
-    where the value is max d exactly) and tied poles are merged into one;
-    a weightless pole above the root is then the top eigenvalue itself.
+    stays in range for tiny alpha. core.deflate, shared with the bundle's
+    secular roots, drops negligible weights (beta = 0 at x = 0, where the
+    value is max d exactly) and merges tied poles; a weightless pole above
+    the root is then the top eigenvalue itself.
     """
     order = np.argsort(diag, kind="stable")
     poles, weights = alpha * diag[order], (diag * beta)[order]
-    tol = 8.0 * np.finfo(float).eps * max(poles[-1], np.linalg.norm(weights))
-    z = np.where(np.abs(weights) > tol, weights, 0.0)
-    rep = np.arange(len(z))  # the pole each weight is merged into
-    live = np.flatnonzero(z)
-    for t in np.flatnonzero(np.diff(poles[live]) <= tol):
-        prev, k = live[t], live[t + 1]
-        z[k], z[prev] = np.hypot(z[k], z[prev]), 0.0
-        rep[rep == prev] = k
+    z, rep = deflate(poles, weights)
     live = np.flatnonzero(z)
     root, q = 0.0, None
     if len(live):

@@ -93,6 +93,7 @@ def generate_v(n: int, v_tilde: np.ndarray, alpha: float, seed) -> np.ndarray:
 
 
 def _gap_ok(problem: TlsProblem) -> bool:
+    """The solver's own test: the generators and solve_tls read the same delta."""
     return check_uniqueness(svd_bundle(problem)).solvable
 
 
@@ -149,6 +150,8 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
     first_row[0] = kernel[0]
     t_bar = scipy.linalg.toeplitz(kernel, first_row)
     g_bar = np.ones(config.m)
+    # gamma ||Tbar||, one dense 2-norm for every draw (none at gamma = 0)
+    e_scale = config.gamma * np.linalg.norm(t_bar, 2) if config.gamma != 0.0 else 0.0
 
     for _ in range(RETRY_CAP):
         if config.gamma == 0.0:
@@ -161,7 +164,7 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
             noise_row = np.zeros(config.n)
             noise_row[0] = noise_col[0]
             e_mat = scipy.linalg.toeplitz(noise_col, noise_row)
-            e_mat *= config.gamma * np.linalg.norm(t_bar, 2) / np.linalg.norm(e_mat, 2)
+            e_mat *= e_scale / np.linalg.norm(e_mat, 2)
             e_vec = rng.standard_normal(config.m)
             e_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(e_vec)
             a = t_bar + e_mat

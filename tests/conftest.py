@@ -28,6 +28,14 @@ def tie_problem(b=(0.0, 0.0, 1.0, 1.0, 0.0)):
     return tc.TlsProblem(3.0 * np.vstack([np.eye(3), np.zeros((2, 3))]), np.array(b))
 
 
+def tied_weighted_problem(seed=2):
+    """[A b] = U diag(3, 3, 1, 0.5) W^T (6x4): s_1 = s_2 tied, both beta_1, beta_2 nonzero."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+    aug = (u * [3.0, 3.0, 1.0, 0.5]) @ tc.haar_orthogonal(4, rng).T
+    return tc.TlsProblem(aug[:, :3], aug[:, 3])
+
+
 def k_of(problem):
     """The explicit first-order map K of a solvable problem."""
     bundle, solution, _ = pipeline(problem)

@@ -223,4 +223,4 @@ def test_cond_kron_runs_only_the_bundle_svds(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)
     assert code == 0 and "kronecker" in out
-    assert calls == [(9, 8), (9, 9)]  # A and [A b] through the R of one QR
+    assert calls == [(9, 9)]  # [A b] through the R of one QR; A is not factored

@@ -3,8 +3,9 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline
-from tlscond.errors import NoUniqueSolution, TrivialProblem
+from conftest import pipeline, tie_problem, tied_weighted_problem
+from tlscond import core, perturb
+from tlscond.errors import DegenerateVector, NoUniqueSolution, TrivialProblem
 
 
 def seeded_problems():
@@ -172,9 +173,10 @@ def test_deblur_bundle_is_the_direct_svds():
     _, (u_aug, sigma, vt_aug) = direct_svds(problem)
     sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
     assert bundle.rows.shape == (problem.m, problem.n + 1)
-    for got, want in [(bundle.sigma_hat, sigma_hat), (bundle.u_aug, u_aug),
-                      (bundle.sigma, sigma), (bundle.v_aug, vt_aug.T)]:
+    for got, want in [(bundle.u_aug, u_aug), (bundle.sigma, sigma), (bundle.v_aug, vt_aug.T)]:
         np.testing.assert_array_equal(got, want)
+    # sigma_hat are secular roots, not an SVD of A: equal to rounding
+    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
 
 
 @pytest.mark.parametrize("shape", [(50, 10), (200, 30), (2000, 100), (4000, 40)])
@@ -205,7 +207,7 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
     for problem, qr_calls in [(tall, 1), (blur, 0)]:
         calls.update(svd=0, qr=0)
         bundle = tc.svd_bundle(problem)
-        assert calls == {"svd": 2, "qr": qr_calls}
+        assert calls == {"svd": 1, "qr": qr_calls}
         solution = tc.solve_tls(problem, bundle)
         work = tc.build_spectral_work(problem, bundle, solution)
         tc.svd_condition(work, bundle, solution)
@@ -216,3 +218,134 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
         assert calls["qr"] == qr_calls
         bundle.reconstruction_defect(problem)
         assert calls["qr"] == 2 * qr_calls
+
+
+EPS = np.finfo(float).eps
+
+
+def counting_roots(monkeypatch):
+    """Patch core._dlaed4 to log the index of every secular root it solves."""
+    roots = []
+    dlaed4 = core._dlaed4
+
+    def counting(k, i, *args):
+        roots.append(i)
+        return dlaed4(k, i, *args)
+
+    monkeypatch.setattr(core, "_dlaed4", counting)
+    return roots
+
+
+def test_secular_roots_are_solved_only_where_read(monkeypatch):
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    roots = counting_roots(monkeypatch)
+    bundle = tc.svd_bundle(problem)
+    solution = tc.solve_tls(problem, bundle)
+    assert roots == [9]  # sigma_hat_n and delta, nothing else
+    # each perturbed re-solve of the lab takes one root as well
+    direction = tc.random_direction(50, 10, np.random.default_rng(3))
+    for t in (1e-3, 1e-5, 1e-7):
+        before = len(roots)
+        perturb._perturbed_ratio(problem, solution, direction, t)
+        assert len(roots) == before + 1
+    # svd kappa and every bound: sigma_hat_{n-1} (kappa1, dominance) and sigma_hat_1 (BHM)
+    roots.clear()
+    bundle, solution, work = pipeline(problem)
+    tc.svd_condition(work, bundle, solution)
+    tc.bounds_report(problem, bundle, solution, work)
+    assert sorted(roots) == [0, 8, 9]
+    # the full sweep only through sigma_hat, reusing the cached roots
+    np.testing.assert_allclose(bundle.sigma_hat, np.linalg.svd(problem.a_matrix, compute_uv=False),
+                               rtol=0, atol=1e-14 * bundle.sigma[0])
+    assert sorted(roots) == list(range(10))
+
+
+def x_zero_problem():
+    """A^T b = 0: x = 0, so v = e_{n+1}, every other weight is zero and sigma_hat = sigma[:n]."""
+    return tc.TlsProblem(np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0], [0.0, 0.0]]),
+                         np.array([0.0, 0.0, 1.0, 0.0]))
+
+
+DEFLATION_CASES = {
+    # name: (problem, error solve_tls raises or None)
+    "tie_5x3": (tie_problem, None),
+    "tie_5x3_weighted": (lambda: tie_problem((0.3, 0.2, 1.0, 1.0, 0.5)), None),
+    "tie_weighted_6x3": (tied_weighted_problem, None),
+    "x_zero": (x_zero_problem, None),
+    "n1_fix_b": (lambda: tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]), None),
+    "n1_60x1": (lambda: tc.generate_ab_alpha(60, 1, 0.3, seed=2), None),
+    "m_n_plus_1": (lambda: tc.generate_ab_alpha(6, 5, 0.3, seed=2), None),
+    "orthogonal_2x1": (lambda: tc.TlsProblem([[1.0], [0.0]], [0.0, 1.0]), NoUniqueSolution),
+    "orthogonal_5x3": (lambda: tc.TlsProblem(2.0 * np.eye(5)[:, :3], 2.0 * np.eye(5)[:, 3]),
+                       NoUniqueSolution),
+    "b_in_range_2x1": (lambda: tc.TlsProblem([[1.0], [0.0]], [2.0, 0.0]), TrivialProblem),
+    "b_in_range_4x2": (lambda: tc.TlsProblem(np.eye(4)[:, :2] * [3.0, 2.0], [1.0, 2.0, 0.0, 0.0]),
+                       TrivialProblem),
+}
+
+
+@pytest.mark.parametrize("name", DEFLATION_CASES)
+def test_deflated_secular_spectrum(name):
+    make, error = DEFLATION_CASES[name]
+    problem = make()
+    bundle = tc.svd_bundle(problem)
+    sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
+    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * bundle.sigma[0])
+    assert bundle.sigma_hat_n == bundle.sigma_hat[-1]
+    # the gap decision of an SVD of A
+    assert tc.check_uniqueness(bundle).gap_ok == (bundle.sigma[-1] < sigma_hat[-1])
+    if error is None:
+        tc.solve_tls(problem, bundle)
+    else:
+        with pytest.raises(error):
+            tc.solve_tls(problem, bundle)
+
+
+def test_x_zero_deflates_to_the_leading_singular_values():
+    bundle = tc.svd_bundle(x_zero_problem())
+    np.testing.assert_array_equal(bundle.sigma_hat, bundle.sigma[:-1])
+    sigma_n, sigma_last = bundle.sigma[-2:]
+    assert bundle.delta == pytest.approx((sigma_n - sigma_last) * (sigma_n + sigma_last), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("scale", [1e-2, 1e-4, 1e-8, 1e-84])
+def test_sigma_hat_when_b_outweighs_a(n, scale):
+    # ||b|| >> ||A||: sigma_hat^2 sit far below sigma_1^2, where the unshifted
+    # secular equation Sigma^2 - w w^T loses them against its zero root (at
+    # scale 1e-2 by 600 eps sigma_1); the form centred on sigma_{n+1} keeps
+    # them to the SVD's eps sigma_1, and at 1e-84 stays in dlaed4's range
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        problem = tc.TlsProblem(scale * rng.standard_normal((n + 4, n)), rng.standard_normal(n + 4))
+        bundle = tc.svd_bundle(problem)
+        sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
+        atol = 32 * EPS * bundle.sigma[0]
+        np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=atol)
+
+
+def test_tiny_weight_of_the_last_pole_still_decides_the_gap():
+    # zero-noise deblurring: b = ones is orthogonal to the u_hat_n of A's
+    # symmetric kernel, so the exact gap is 0 and alpha ~ 1e-17. sigma_{n+1}'s
+    # weight is not deflated: delta, of its square's order, is a rounding-level
+    # positive gap, so the generator accepts the problem (as an SVD of A does)
+    # and the solver refuses the vanishing last entry of v_{n+1}
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, gamma=0.0, seed=1))
+    bundle = tc.svd_bundle(problem)
+    assert 0.0 < bundle.delta < 1e-30 * bundle.sigma[0] ** 2
+    assert tc.check_uniqueness(bundle).solvable
+    with pytest.raises(DegenerateVector):
+        tc.solve_tls(problem, bundle)
+
+
+def test_a_run_of_tied_poles_is_walked_without_recursion():
+    # [A b] = 2 I: every sigma ties, so each sigma_{n+1} pole in turn is out of
+    # the centred form's range; n is past Python's recursion limit per pole
+    n = 600
+    problem = tc.TlsProblem(2.0 * np.eye(n + 1)[:, :n], 2.0 * np.eye(n + 1)[:, n])
+    bundle = tc.svd_bundle(problem)
+    assert bundle.delta == 0.0
+    np.testing.assert_allclose(bundle.sigma_hat, 2.0, rtol=1e-15)
+    assert bundle.roots.at(0)[1] == 0.0
+    with pytest.raises(NoUniqueSolution):
+        tc.solve_tls(problem, bundle)

@@ -236,7 +236,7 @@ def test_only_two_callers_compute_a_singular_vectors(monkeypatch, tmp_path, caps
     of_a = [(name, vectors) for name, shape, vectors in calls if shape[1] == problem.n]
     assert {name for name, vectors in of_a if vectors} == {"baboulin_condition",
                                                            "residual_diagnostics"}
-    assert {vectors for name, vectors in of_a if name == "svd_bundle"} == {False}
+    assert "svd_bundle" not in {name for name, _ in of_a}  # A's values are secular roots
 
 
 @pytest.mark.parametrize(

@@ -82,8 +82,8 @@ def test_generate_ab_alpha_tiny_alpha_v11_condition():
     assert np.hypot(1.0, solution.norm_x) == pytest.approx(1e8, rel=1e-6)
     diag = tc.check_uniqueness(bundle)
     assert 1.0 - diag.ratio_sigma_hat_n <= 1e-8  # gap collapses
-    # the true rel_gap is 7.0e-16, so its computed value is rounding: judge it
-    # against the 50-digit value, not against a fixed floor
+    # the true rel_gap is 7.0e-16, below what a difference of two singular
+    # values resolves: judge it against the 50-digit value, not a fixed floor
     pytest.importorskip("mpmath")
     from oracle import oracle_rel_gap
 
