@@ -14,7 +14,7 @@ class ShapeError(TlsCondError):
 
 
 class ConvergenceError(TlsCondError):
-    """The SVD kernel failed to converge."""
+    """An SVD or the secular kernel (LAPACK dlasd4) failed to converge."""
 
 
 class NoUniqueSolution(TlsCondError):

@@ -13,7 +13,7 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
 * svd: sqrt(1+||x||^2) * ||V11^{-T} S|| with V11 the leading n x n block of
   the right singular factor of [A b] and S diagonal with entries
   s_i = sqrt(sigma_i^2 + sigma_{n+1}^2) / (sigma_i^2 - sigma_{n+1}^2).
-* baboulin: sqrt(1+||x|^2) * ||Dhat [Vhat^T 0] V [D 0]^T||, a comparison
+* baboulin: sqrt(1+||x||^2) * ||Dhat [Vhat^T 0] V [D 0]^T||, a comparison
   formula that also needs the SVD of A; it runs that SVD itself, once its
   gate has passed, as the bundle holds A's singular values only.
 
@@ -25,7 +25,8 @@ relative gap 1e-6, a warning below 1e-3.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in the last row and column of V, and
-||V11^{-T} D|| is the top root of a secular equation (LAPACK dlasd4, O(n)).
+||V11^{-T} D|| is the top root of a secular equation (LAPACK dlasd4 through
+core.secular_root, the kernel of the bundle's roots too; O(n)).
 It feeds the svd formula, the bounds and the perturbation lab's map K z.
 """
 
@@ -36,10 +37,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dlasd4
 
-from .core import SvdBundle, TlsSolution, deflate
-from .errors import ConvergenceError, FactorizationError, NotApplicable, TrivialProblem
+from .core import SvdBundle, TlsSolution, deflate, secular_root
+from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
 K_MAX_ENTRIES = 2**24  # cap on g_of_x (m x m(n+1)), build_k_matrix's largest temporary
@@ -62,9 +62,7 @@ def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[floa
     root, q = 0.0, None
     if len(live):
         rho = float(np.linalg.norm(z[live]))
-        delta, root, work, info = dlasd4(len(live) - 1, poles[live], z[live] / rho, rho**2)
-        if info != 0:
-            raise ConvergenceError(f"dlasd4 failed (info={info})")
+        root, delta, work = secular_root(len(live) - 1, poles[live], z[live] / rho, rho**2)
         dist = np.full(len(z), np.inf)  # dropped weights get q_j = 0
         dist[live] = delta * work  # pole^2 - root^2 without cancellation
         q = weights / dist[rep]

@@ -22,8 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import check_uniqueness, svd_bundle
-from .errors import GapFailure, InvalidAlpha, ShapeError
+from .core import solve_tls, svd_bundle
+from .errors import (
+    DegenerateVector,
+    GapFailure,
+    InvalidAlpha,
+    NoUniqueSolution,
+    ShapeError,
+    TrivialProblem,
+)
 from .problem import TlsProblem
 
 RETRY_CAP = 10
@@ -93,8 +100,12 @@ def generate_v(n: int, v_tilde: np.ndarray, alpha: float, seed) -> np.ndarray:
 
 
 def _gap_ok(problem: TlsProblem) -> bool:
-    """The solver's own test: the generators and solve_tls read the same delta."""
-    return check_uniqueness(svd_bundle(problem)).solvable
+    """The solver's own test: a draw is accepted exactly when solve_tls takes it."""
+    try:
+        solve_tls(problem, svd_bundle(problem))
+    except (NoUniqueSolution, TrivialProblem, DegenerateVector):
+        return False
+    return True
 
 
 def generate_ab_alpha(m: int, n: int, alpha: float, seed) -> TlsProblem:
@@ -179,6 +190,6 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
         )
         if _gap_ok(problem):
             return problem
-        if config.gamma == 0.0:
-            break  # deterministic; retrying cannot help
+        if config.gamma == 0.0:  # deterministic; retrying cannot help
+            raise GapFailure("the zero-noise deblurring instance is not solvable")
     raise GapFailure(f"no solvable deblurring instance after {RETRY_CAP} draws")

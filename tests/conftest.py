@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tlscond as tc
 
@@ -34,6 +35,19 @@ def tied_weighted_problem(seed=2):
     u = np.linalg.qr(rng.standard_normal((6, 4)))[0]
     aug = (u * [3.0, 3.0, 1.0, 0.5]) @ tc.haar_orthogonal(4, rng).T
     return tc.TlsProblem(aug[:, :3], aug[:, 3])
+
+
+def zero_noise_deblur(m=40, omega=8, spread=1.25):
+    """The noiseless deblurring data [Tbar ones], which kamm_nagy_problem(gamma=0) refuses."""
+    kernel = tc.gaussian_kernel_column(m, omega, spread)
+    first_row = np.zeros(m - 2 * omega)
+    first_row[0] = kernel[0]
+    return tc.TlsProblem(scipy.linalg.toeplitz(kernel, first_row), np.ones(m))
+
+
+def failed_dlasd4(i, d, z, rho=1.0):
+    """What LAPACK dlasd4 returns when it does not converge: info=1 and a NaN root."""
+    return np.full(len(d), np.nan), np.nan, np.full(len(d), np.nan), 1
 
 
 def k_of(problem):

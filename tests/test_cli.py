@@ -1,6 +1,8 @@
 import json
 
 import tlscond as tc
+from conftest import failed_dlasd4
+from tlscond import core
 from tlscond.cli import main, run_table_example1, run_table_example2
 
 
@@ -115,6 +117,14 @@ def test_exit_code_ill_conditioned_gap(tmp_path, capsys):
     code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
     assert code == 4
     assert "svd" in out and "failed" in out
+
+
+def test_exit_code_secular_kernel_failure(tmp_path, capsys, monkeypatch):
+    path = gen_problem_file(tmp_path, capsys)
+    monkeypatch.setattr(core, "dlasd4", failed_dlasd4)
+    code, _, err = run(["solve", "--input", str(path)], capsys)
+    assert code == 5
+    assert "dlasd4 failed (info=1)" in err
 
 
 def test_table_example2_json(tmp_path, capsys):

@@ -3,9 +3,21 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline, tie_problem, tied_weighted_problem
+from conftest import (
+    failed_dlasd4,
+    pipeline,
+    tie_problem,
+    tied_weighted_problem,
+    zero_noise_deblur,
+)
 from tlscond import core, perturb
-from tlscond.errors import DegenerateVector, NoUniqueSolution, TrivialProblem
+from tlscond.errors import (
+    ConvergenceError,
+    DegenerateVector,
+    GapFailure,
+    NoUniqueSolution,
+    TrivialProblem,
+)
 
 
 def seeded_problems():
@@ -224,15 +236,15 @@ EPS = np.finfo(float).eps
 
 
 def counting_roots(monkeypatch):
-    """Patch core._dlaed4 to log the index of every secular root it solves."""
+    """Patch core's secular kernel, dlasd4, to log the index of every root it solves."""
     roots = []
-    dlaed4 = core._dlaed4
+    dlasd4 = core.dlasd4
 
-    def counting(k, i, *args):
+    def counting(i, *args):
         roots.append(i)
-        return dlaed4(k, i, *args)
+        return dlasd4(i, *args)
 
-    monkeypatch.setattr(core, "_dlaed4", counting)
+    monkeypatch.setattr(core, "dlasd4", counting)
     return roots
 
 
@@ -248,9 +260,16 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
         before = len(roots)
         perturb._perturbed_ratio(problem, solution, direction, t)
         assert len(roots) == before + 1
-    # svd kappa and every bound: sigma_hat_{n-1} (kappa1, dominance) and sigma_hat_1 (BHM)
     roots.clear()
     bundle, solution, work = pipeline(problem)
+    assert roots == [9]
+    # kappa's two secular equations run on the same kernel, one top root each
+    work.top_left
+    assert roots == [9, 9]
+    work.v11_inv_t_lambda_norm
+    assert roots == [9, 9, 9]
+    # svd kappa and every bound: sigma_hat_{n-1} (kappa1, dominance) and sigma_hat_1 (BHM)
+    del roots[1:]
     tc.svd_condition(work, bundle, solution)
     tc.bounds_report(problem, bundle, solution, work)
     assert sorted(roots) == [0, 8, 9]
@@ -258,6 +277,42 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     np.testing.assert_allclose(bundle.sigma_hat, np.linalg.svd(problem.a_matrix, compute_uv=False),
                                rtol=0, atol=1e-14 * bundle.sigma[0])
     assert sorted(roots) == list(range(10))
+
+
+def test_a_failed_secular_root_raises_convergence_error(monkeypatch):
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    bundle, solution, work = pipeline(problem)
+    monkeypatch.setattr(core, "dlasd4", failed_dlasd4)
+    with pytest.raises(ConvergenceError, match="info=1"):
+        tc.svd_bundle(problem)
+    with pytest.raises(ConvergenceError, match="info=1"):
+        tc.svd_condition(work, bundle, solution)
+
+
+GAP_CHAIN_CASES = {
+    # the lower end meets the gap to about 8 digits, within the rounding of eps sigma_1
+    **{f"deblur_{m}_s{seed}": (lambda m=m, seed=seed: tc.kamm_nagy_problem(
+        tc.KammNagyConfig(m=m, seed=seed))) for m in (100, 300, 500) for seed in (0, 1)},
+    # the gap is below eps sigma_1
+    "alpha_15x10_1e-8": lambda: tc.generate_ab_alpha(15, 10, 1e-8, seed=0),
+    "alpha_60x10_1e-8": lambda: tc.generate_ab_alpha(60, 10, 1e-8, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", GAP_CHAIN_CASES)
+def test_gap_chain_holds_within_rounding(name):
+    problem = GAP_CHAIN_CASES[name]()
+    bundle = tc.svd_bundle(problem)
+    report = tc.residual_diagnostics(problem, bundle, tc.solve_tls(problem, bundle))
+    assert report.gap_chain_holds
+
+
+def test_gap_chain_slack_is_negligible_at_a_clear_gap():
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=0)
+    bundle = tc.svd_bundle(problem)
+    report = tc.residual_diagnostics(problem, bundle, tc.solve_tls(problem, bundle))
+    assert 4.0 * EPS * bundle.sigma[0] < 1e-12 * report.gap_chain_mid
+    assert report.gap_chain_holds
 
 
 def x_zero_problem():
@@ -328,14 +383,16 @@ def test_tiny_weight_of_the_last_pole_still_decides_the_gap():
     # zero-noise deblurring: b = ones is orthogonal to the u_hat_n of A's
     # symmetric kernel, so the exact gap is 0 and alpha ~ 1e-17. sigma_{n+1}'s
     # weight is not deflated: delta, of its square's order, is a rounding-level
-    # positive gap, so the generator accepts the problem (as an SVD of A does)
-    # and the solver refuses the vanishing last entry of v_{n+1}
-    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, gamma=0.0, seed=1))
+    # positive gap (as an SVD of A reads it), and the solver refuses the
+    # vanishing last entry of v_{n+1}, so the generator refuses the problem
+    problem = zero_noise_deblur()
     bundle = tc.svd_bundle(problem)
     assert 0.0 < bundle.delta < 1e-30 * bundle.sigma[0] ** 2
     assert tc.check_uniqueness(bundle).solvable
     with pytest.raises(DegenerateVector):
         tc.solve_tls(problem, bundle)
+    with pytest.raises(GapFailure):
+        tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, gamma=0.0, seed=1))
 
 
 def test_a_run_of_tied_poles_is_walked_without_recursion():

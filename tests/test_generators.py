@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import pipeline
-from tlscond.errors import InvalidAlpha, ShapeError
+from conftest import pipeline, zero_noise_deblur
+from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
 
 
 def test_haar_one_by_one():
@@ -135,8 +135,7 @@ def test_kernel_column_shape_and_symmetry():
 
 
 def test_kamm_nagy_zero_noise_is_exact():
-    config = tc.KammNagyConfig(m=40, omega=8, spread=1.25, gamma=0.0, seed=1)
-    problem = tc.kamm_nagy_problem(config)
+    problem = zero_noise_deblur(m=40, omega=8, spread=1.25)
     kernel = tc.gaussian_kernel_column(40, 8, 1.25)
     assert problem.n == 24
     np.testing.assert_array_equal(problem.a_matrix[:, 0], kernel)
@@ -145,6 +144,11 @@ def test_kamm_nagy_zero_noise_is_exact():
     for j in range(1, problem.n):
         np.testing.assert_array_equal(problem.a_matrix[j:, j], kernel[: 40 - j])
         np.testing.assert_array_equal(problem.a_matrix[:j, j], 0.0)
+    # b = ones has no unique TLS fit (solve_tls raises DegenerateVector), so the
+    # generator, which accepts exactly what solve_tls solves, refuses it
+    for m in (40, 100):
+        with pytest.raises(GapFailure):
+            tc.kamm_nagy_problem(tc.KammNagyConfig(m=m, omega=8, spread=1.25, gamma=0.0, seed=1))
 
 
 def test_kamm_nagy_noise_scaling_and_structure():
