@@ -29,7 +29,13 @@ from .errors import (
     TrivialProblem,
     VerdictFailure,
 )
-from .generators import KammNagyConfig, generate_ab_alpha, kamm_nagy_problem
+from .generators import (
+    KammNagyConfig,
+    _alpha_draw,
+    _kamm_nagy_draw,
+    generate_ab_alpha,
+    kamm_nagy_problem,
+)
 from .perturb import monte_carlo_validate
 from .problem import ReportDocument, load_problem, save_problem, save_report
 
@@ -64,10 +70,8 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _bound_row(problem) -> dict:
-    """Shared per-problem pipeline for the table subcommand."""
-    bundle = svd_bundle(problem)
-    solution = solve_tls(problem, bundle)
+def _bound_row(problem, bundle, solution) -> dict:
+    """Shared per-problem pipeline for the table subcommand, on the generator's bundle."""
     work = exact.build_spectral_work(problem, bundle, solution)
     report = bounds_mod.bounds_report(problem, bundle, solution, work)
     failed = [fam for fam, ok in report.sandwich_verdicts.items() if not ok]
@@ -118,7 +122,7 @@ def run_table_example1(
                 m=m, omega=omega, spread=spread, gamma=gamma,
                 seed=_derive_seed(seed, idx, k),
             )
-            draws.append(_bound_row(kamm_nagy_problem(config)))
+            draws.append(_bound_row(*_kamm_nagy_draw(config)))
         rows.append({"label": f"deblur_m{m}", "m": float(m), **_median_rows(draws)})
     metadata = {
         "table": "example1",
@@ -144,8 +148,8 @@ def run_table_example2(
         for aidx, alpha in enumerate(alpha_list):
             draws = []
             for k in range(n_seeds):
-                problem = generate_ab_alpha(m, n, alpha, _derive_seed(seed, sidx, aidx, k))
-                draws.append(_bound_row(problem))
+                draw = _alpha_draw(m, n, alpha, _derive_seed(seed, sidx, aidx, k))
+                draws.append(_bound_row(*draw))
             rows.append(
                 {
                     "label": f"alpha_m{m}_n{n}_a{alpha:g}",

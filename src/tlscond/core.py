@@ -2,8 +2,11 @@
 
 The bundle is one thin SVD of [A b], of one row block: [A b], or once
 m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
-Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). Q is never formed:
-the left factor is in that block's row basis. A is not factored. As
+Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). Both are LAPACK
+calls through scipy.linalg.lapack, dgeqrf and dgesdd on one Fortran-ordered
+[A b]: numpy's qr and svd make the same calls, with the same bits, behind a
+copy in and out of their buffers. Q is never formed: the left factor is in
+that block's row basis. A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
 (v the last row of V), the squared singular values of A are the nonzero
 eigenvalues of Sigma^2 - (Sigma v)(Sigma v)^T: the roots of a downdating
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dlasd4
+from scipy.linalg.lapack import dgeqrf, dgesdd, dgesdd_lwork, dlasd4
 
 from .errors import (
     ConvergenceError,
@@ -323,14 +326,28 @@ class ResidualReport:
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
-    """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta."""
-    rows = problem.augmented()
-    try:
-        if problem.m >= 2 * (problem.n + 1):
-            rows = np.linalg.qr(rows, mode="r")
-        u_aug, sigma, vt_aug = np.linalg.svd(rows, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD failed: {exc}") from exc
+    """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
+
+    LAPACK dgeqrf and dgesdd straight on one Fortran-ordered [A b], each with
+    its queried optimal workspace: the calls numpy's qr(mode="r") and svd
+    make, without their copies, and the same bits. dgeqrf may overwrite that
+    private copy; dgesdd works on its own, as rows is kept.
+    """
+    m, n = problem.m, problem.n
+    rows = np.empty((m, n + 1), order="F")
+    rows[:, :n], rows[:, n] = problem.a_matrix, problem.b_vector
+    if m >= 2 * (n + 1):
+        lwork = int(dgeqrf(rows, lwork=-1, overwrite_a=1)[2][0])
+        qr, _, _, info = dgeqrf(rows, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise ConvergenceError(f"dgeqrf failed (info={info})")
+        rows = np.triu(qr[: n + 1])
+    lwork = int(dgesdd_lwork(*rows.shape, compute_uv=1, full_matrices=0)[0])
+    u_aug, sigma, vt_aug, info = dgesdd(rows, compute_uv=1, full_matrices=0, lwork=lwork)
+    if info != 0:
+        raise ConvergenceError(f"dgesdd failed (info={info})")
+    # C order, as numpy returns them: V11's products round by layout
+    u_aug, vt_aug = np.ascontiguousarray(u_aug), np.ascontiguousarray(vt_aug)
     roots = SigmaHatRoots(sigma, vt_aug[:, -1])  # v: the last row of V
     sigma_hat_n, delta = roots.at(-1)
     return SvdBundle(rows, sigma, u_aug, vt_aug.T, sigma_hat_n, delta, roots)

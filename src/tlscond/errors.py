@@ -14,7 +14,7 @@ class ShapeError(TlsCondError):
 
 
 class ConvergenceError(TlsCondError):
-    """An SVD or the secular kernel (LAPACK dlasd4) failed to converge."""
+    """A LAPACK call failed: the bundle's dgeqrf or dgesdd, or the secular kernel dlasd4."""
 
 
 class NoUniqueSolution(TlsCondError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import solve_tls, svd_bundle
+from .core import SvdBundle, TlsSolution, solve_tls, svd_bundle
 from .errors import (
     DegenerateVector,
     GapFailure,
@@ -34,6 +34,9 @@ from .errors import (
 from .problem import TlsProblem
 
 RETRY_CAP = 10
+
+# an accepted draw with the bundle and solution that accepted it
+Draw = tuple[TlsProblem, SvdBundle, TlsSolution]
 
 
 @dataclass(frozen=True)
@@ -99,17 +102,25 @@ def generate_v(n: int, v_tilde: np.ndarray, alpha: float, seed) -> np.ndarray:
     )
 
 
-def _gap_ok(problem: TlsProblem) -> bool:
-    """The solver's own test: a draw is accepted exactly when solve_tls takes it."""
+def _accepted(problem: TlsProblem) -> Draw | None:
+    """The solver's own test: a draw is accepted exactly when solve_tls takes it.
+
+    Returns the draw with its bundle and solution, which the table reuses, or None.
+    """
+    bundle = svd_bundle(problem)
     try:
-        solve_tls(problem, svd_bundle(problem))
+        return problem, bundle, solve_tls(problem, bundle)
     except (NoUniqueSolution, TrivialProblem, DegenerateVector):
-        return False
-    return True
+        return None
 
 
 def generate_ab_alpha(m: int, n: int, alpha: float, seed) -> TlsProblem:
     """Random problem whose right singular factor has last entry -alpha."""
+    return _alpha_draw(m, n, alpha, seed)[0]
+
+
+def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
+    """generate_ab_alpha's problem, with its bundle and solution."""
     if not m > n >= 1:
         raise ShapeError(f"need m > n >= 1, got m={m}, n={n}")
     if not 0.0 < alpha < 1.0:
@@ -126,8 +137,9 @@ def generate_ab_alpha(m: int, n: int, alpha: float, seed) -> TlsProblem:
             aug[:, -1],
             label=f"alpha_controlled(m={m},n={n},alpha={alpha:g},seed={seed})",
         )
-        if _gap_ok(problem):
-            return problem
+        draw = _accepted(problem)
+        if draw is not None:
+            return draw
     raise GapFailure(f"no solvable instance after {RETRY_CAP} draws (alpha={alpha:g})")
 
 
@@ -155,6 +167,11 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
     vector; both use standard-normal entries rescaled so that the spectral
     norm of E is gamma ||Tbar|| and ||e|| = gamma ||ones||.
     """
+    return _kamm_nagy_draw(config)[0]
+
+
+def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
+    """kamm_nagy_problem's problem, with its bundle and solution."""
     rng = np.random.default_rng(config.seed)
     kernel = gaussian_kernel_column(config.m, config.omega, config.spread)
     first_row = np.zeros(config.n)
@@ -188,8 +205,9 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
                 f"spread={config.spread:g},gamma={config.gamma:g},seed={config.seed})"
             ),
         )
-        if _gap_ok(problem):
-            return problem
+        draw = _accepted(problem)
+        if draw is not None:
+            return draw
         if config.gamma == 0.0:  # deterministic; retrying cannot help
             raise GapFailure("the zero-noise deblurring instance is not solvable")
     raise GapFailure(f"no solvable deblurring instance after {RETRY_CAP} draws")

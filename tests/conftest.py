@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
+from tlscond import core
 
 
 @pytest.fixture
@@ -48,6 +49,32 @@ def zero_noise_deblur(m=40, omega=8, spread=1.25):
 def failed_dlasd4(i, d, z, rho=1.0):
     """What LAPACK dlasd4 returns when it does not converge: info=1 and a NaN root."""
     return np.full(len(d), np.nan), np.nan, np.full(len(d), np.nan), 1
+
+
+def failed_dgesdd(a, compute_uv=1, full_matrices=1, lwork=None, overwrite_a=0):
+    """What LAPACK dgesdd returns when its bidiagonal iteration fails: info=1."""
+    (m, n), k = a.shape, min(a.shape)
+    return np.full((m, k), np.nan), np.full(k, np.nan), np.full((k, n), np.nan), 1
+
+
+def counting_factorizations(monkeypatch):
+    """Log (kernel, shape) of every QR and SVD: core's LAPACK calls and numpy.linalg's.
+
+    The bundle calls dgeqrf and dgesdd; the other readers call numpy. A dgeqrf
+    workspace query (lwork=-1) factors nothing and is not logged.
+    """
+    calls = []
+
+    def counting(name, kernel):
+        def wrapped(a, *args, **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append((name, np.shape(a)))
+            return kernel(a, *args, **kwargs)
+        return wrapped
+
+    for owner, name in [(core, "dgeqrf"), (core, "dgesdd"), (np.linalg, "qr"), (np.linalg, "svd")]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
 
 
 def k_of(problem):

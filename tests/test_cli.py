@@ -1,7 +1,7 @@
 import json
 
 import tlscond as tc
-from conftest import failed_dlasd4
+from conftest import counting_factorizations, failed_dgesdd, failed_dlasd4
 from tlscond import core
 from tlscond.cli import main, run_table_example1, run_table_example2
 
@@ -127,6 +127,14 @@ def test_exit_code_secular_kernel_failure(tmp_path, capsys, monkeypatch):
     assert "dlasd4 failed (info=1)" in err
 
 
+def test_exit_code_svd_failure(tmp_path, capsys, monkeypatch):
+    path = gen_problem_file(tmp_path, capsys)
+    monkeypatch.setattr(core, "dgesdd", failed_dgesdd)
+    code, _, err = run(["solve", "--input", str(path)], capsys)
+    assert code == 5
+    assert "dgesdd failed (info=1)" in err
+
+
 def test_table_example2_json(tmp_path, capsys):
     out_path = tmp_path / "t2.json"
     code, out, _ = run(
@@ -161,6 +169,40 @@ def test_table_rows_deterministic():
     r3 = run_table_example1([40], seed=9, n_seeds=2)
     r4 = run_table_example1([40], seed=9, n_seeds=2)
     assert r3.rows == r4.rows
+
+
+def test_table_factors_each_draw_once(monkeypatch):
+    import tlscond.cli as cli_mod
+    import tlscond.generators as gen_mod
+
+    def tables():
+        return (run_table_example1([40, 60], seed=3, n_seeds=2).rows,
+                run_table_example2([(30, 10), (200, 30)], [1e-2], seed=4, n_seeds=2).rows)
+
+    factored = []
+    bundle = core.svd_bundle
+
+    def counting(problem):
+        factored.append(problem)
+        return bundle(problem)
+
+    for module in (cli_mod, gen_mod):
+        monkeypatch.setattr(module, "svd_bundle", counting)
+    rows = tables()
+    # 4 rows of 2 draws, none rejected: the generator's bundle is the row's
+    assert len(factored) == len({id(problem) for problem in factored}) == 8
+
+    def factored_again(draw):
+        def again(*args):
+            problem = draw(*args)[0]
+            fresh = bundle(problem)
+            return problem, fresh, tc.solve_tls(problem, fresh)
+        return again
+
+    # the rows are those of a second bundle of every accepted draw
+    monkeypatch.setattr(cli_mod, "_alpha_draw", factored_again(gen_mod._alpha_draw))
+    monkeypatch.setattr(cli_mod, "_kamm_nagy_draw", factored_again(gen_mod._kamm_nagy_draw))
+    assert tables() == rows
 
 
 def test_table_empty_m_list_gives_empty_report():
@@ -220,17 +262,9 @@ def test_solve_tall_gap_chain_ok(tmp_path, capsys):
 
 
 def test_cond_kron_runs_only_the_bundle_svds(tmp_path, capsys, monkeypatch):
-    import numpy as np
-
     path = gen_problem_file(tmp_path, capsys, m="60", n="8", seed="5")
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = counting_factorizations(monkeypatch)
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)
     assert code == 0 and "kronecker" in out
-    assert calls == [(9, 9)]  # [A b] through the R of one QR; A is not factored
+    # [A b] through the R of one QR; A is not factored
+    assert calls == [("dgeqrf", (60, 9)), ("dgesdd", (9, 9))]

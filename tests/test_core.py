@@ -4,6 +4,8 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
+    counting_factorizations,
+    failed_dgesdd,
     failed_dlasd4,
     pipeline,
     tie_problem,
@@ -165,13 +167,18 @@ def direct_svds(problem):
             np.linalg.svd(problem.augmented(), full_matrices=False))
 
 
-@pytest.mark.parametrize("shape", [(21, 10), (22, 10), (200, 30), (2000, 100), (3, 1), (60, 1)])
+# 600x150: dgeqrf runs blocked (n + 1 > 128), where its workspace changes R's bits
+@pytest.mark.parametrize(
+    "shape", [(21, 10), (22, 10), (200, 30), (2000, 100), (3, 1), (60, 1), (600, 150)]
+)
 def test_bundle_agrees_with_direct_svds(shape):
     m, n = shape
     problem = tc.generate_ab_alpha(m, n, 0.3, seed=5)
     bundle = tc.svd_bundle(problem)
     (_, sigma_hat, _), (_, sigma, vt_aug) = direct_svds(problem)
     assert bundle.u_aug.shape[0] == (n + 1 if m >= 2 * (n + 1) else m)
+    # numpy's layout: the products with V11 round by it
+    assert bundle.u_aug.flags.c_contiguous and bundle.v_aug.T.flags.c_contiguous
     np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
@@ -205,21 +212,18 @@ def test_gap_chain_lower_in_reduced_basis(shape):
 def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
-    calls = {"svd": 0, "qr": 0}
-    svd, qr = np.linalg.svd, np.linalg.qr
+    calls = counting_factorizations(monkeypatch)
 
-    def counting(name, kernel):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return kernel(*args, **kwargs)
-        return wrapped
+    def qr_calls():
+        return sum(name in ("dgeqrf", "qr") for name, _ in calls)
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
-    monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
-    for problem, qr_calls in [(tall, 1), (blur, 0)]:
-        calls.update(svd=0, qr=0)
+    for problem, bundle_qr, bundle_calls in [
+        (tall, 1, [("dgeqrf", (200, 31)), ("dgesdd", (31, 31))]),
+        (blur, 0, [("dgesdd", (100, 85))]),
+    ]:
+        calls.clear()
         bundle = tc.svd_bundle(problem)
-        assert calls == {"svd": 1, "qr": qr_calls}
+        assert calls == bundle_calls  # one SVD, after one QR when tall
         solution = tc.solve_tls(problem, bundle)
         work = tc.build_spectral_work(problem, bundle, solution)
         tc.svd_condition(work, bundle, solution)
@@ -227,9 +231,9 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
         tc.residual_diagnostics(problem, bundle, solution)
         bundle.orthonormality_defect()
         bundle.interlacing_defect()
-        assert calls["qr"] == qr_calls
+        assert qr_calls() == bundle_qr
         bundle.reconstruction_defect(problem)
-        assert calls["qr"] == 2 * qr_calls
+        assert qr_calls() == 2 * bundle_qr
 
 
 EPS = np.finfo(float).eps
@@ -287,6 +291,15 @@ def test_a_failed_secular_root_raises_convergence_error(monkeypatch):
         tc.svd_bundle(problem)
     with pytest.raises(ConvergenceError, match="info=1"):
         tc.svd_condition(work, bundle, solution)
+
+
+def test_a_failed_svd_raises_convergence_error(monkeypatch):
+    tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
+    blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    monkeypatch.setattr(core, "dgesdd", failed_dgesdd)
+    for problem in (tall, blur):
+        with pytest.raises(ConvergenceError, match=r"dgesdd failed \(info=1\)"):
+            tc.svd_bundle(problem)
 
 
 GAP_CHAIN_CASES = {
