@@ -6,7 +6,8 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
 
 * kronecker: spectral norm of the explicit first-order map K, the plain
   n x m(n+1) array from build_k_matrix acting on [vec(dA); db] with
-  column-stacked vec.
+  column-stacked vec. K is assembled from its Kronecker factors: P is
+  solved against n+m+1 columns, and ||K|| is read from the n x n K K^T.
 * cholesky: sqrt(1+||x||^2) * ||P^{-1} L|| with P = A^T A - sigma_{n+1}^2 I
   and L L^T the Cholesky factorization of
   C = A^T A + sigma_{n+1}^2 I - 2 sigma_{n+1}^2 x x^T / (1+||x||^2).
@@ -42,7 +43,7 @@ from .core import SvdBundle, TlsSolution, deflate, secular_root
 from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
-K_MAX_ENTRIES = 2**24  # cap on g_of_x (m x m(n+1)), build_k_matrix's largest temporary
+K_MAX_ENTRIES = 2**24  # build_k_matrix refuses problems with m * m(n+1) above this (m/n times K's size)
 
 
 def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -159,29 +160,40 @@ def build_k_matrix(
     """The explicit first-order map K, an n x m(n+1) array.
 
     Column layout: the first m*n columns act on vec(dA) with columns stacked
-    first, the trailing m columns act on db. K solves against P explicitly
-    (not through V11), so it stays an independent oracle for the svd route.
-    It is capped at K_MAX_ENTRIES and gap-gated before any dense temporary.
+    first, the trailing m columns act on db. With x~ = [x; -1] and
+    r^ = r / ||r||, K has Kronecker form
+
+        K = 2 (P^{-1} A^T r^)(x~ (x) r^)^T - x~^T (x) (P^{-1} A^T) - [P^{-1} (x) r^T, 0],
+
+    so P^{-1} is applied to the n+m+1 columns [A^T r^, A^T, I_n] only and K is
+    filled block by block, the only n x m(n+1) array built. K solves against
+    P = A^T A - sigma_{n+1}^2 I explicitly (not through V11), so it stays an
+    independent oracle for the svd route. It is gap-gated, and refused with
+    NotApplicable before anything is allocated when m * m(n+1) exceeds
+    K_MAX_ENTRIES.
     """
     m, n = problem.m, problem.n
     if m * m * (n + 1) > K_MAX_ENTRIES:
-        raise NotApplicable(f"K: g_of_x needs {m * m * (n + 1)} > {K_MAX_ENTRIES} entries")
+        raise NotApplicable(
+            f"K: the oracle is limited to m*m(n+1) <= {K_MAX_ENTRIES} (2^24); "
+            f"{m}x{n} gives {m * m * (n + 1)}"
+        )
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
     solution.gap.gate("P")
     a = problem.a_matrix
     r = solution.r
-    x = solution.x
+    x_tilde = np.append(solution.x, -1.0)
 
     p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(n)
-    g_of_x = np.kron(np.concatenate([x, [-1.0]]), np.eye(m))
     r_unit = r / np.linalg.norm(r)
-    rhs = (
-        2.0 * np.outer(a.T @ r_unit, r_unit @ g_of_x)
-        - a.T @ g_of_x
-        - np.hstack([np.kron(np.eye(n), r), np.zeros((n, m))])
-    )
-    return np.linalg.solve(p, rhs)
+    solved = np.linalg.solve(p, np.hstack([(a.T @ r_unit)[:, None], a.T, np.eye(n)]))
+    p_inv_at_r, p_inv_at, p_inv = solved[:, 0], solved[:, 1 : m + 1], solved[:, m + 1 :]
+
+    # block j (columns j*m .. j*m+m-1) is x~_j (2 P^{-1}A^T r^ r^T - P^{-1}A^T) - [j < n] P^{-1}e_j r^T
+    k_blocks = x_tilde[:, None] * (2.0 * np.outer(p_inv_at_r, r_unit) - p_inv_at)[:, None, :]
+    k_blocks[:, :n, :] -= p_inv[:, :, None] * r
+    return k_blocks.reshape(n, (n + 1) * m)
 
 
 def kron_condition(
@@ -189,11 +201,13 @@ def kron_condition(
 ) -> ConditionEstimate:
     """kappa = ||K|| for the K of build_k_matrix.
 
-    K solves against P, so the route is gated like the cholesky route. The
-    relative scale ||[A b]||_F is taken from the data.
+    ||K|| is the square root of the top eigenvalue of the n x n Gram matrix
+    K K^T, clamped at 0, not an SVD of the wide K. K solves against P, so the
+    route is gated like the cholesky route. The relative scale ||[A b]||_F
+    is taken from the data.
     """
     warnings = solution.gap.gate("P")
-    kappa = float(np.linalg.norm(k_matrix, 2))
+    kappa = float(np.sqrt(max(np.linalg.eigvalsh(k_matrix @ k_matrix.T)[-1], 0.0)))
     aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
     return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), "kronecker", warnings)
 

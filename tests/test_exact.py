@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,8 @@ def test_cross_formula_agreement_seeded():
             tc.baboulin_condition(work, bundle, solution).kappa_abs,
         ]
         assert (max(values) - min(values)) <= 1e-8 * min(values)
+        # kron_condition's Gram eigenvalue is ||K||_2 to rounding
+        assert values[0] == pytest.approx(np.linalg.norm(k_matrix, 2), rel=1e-13)
 
 
 def test_svd_condition_vs_explicit_inverse():
@@ -172,7 +175,7 @@ def test_kron_gated_on_deblur_gap():
 
 
 def test_build_k_refuses_oversized_before_allocating():
-    # g_of_x would be 600 x 30600: 18.4M entries, above K_MAX_ENTRIES
+    # m * m(n+1) = 600 * 30600 = 18.4M, above K_MAX_ENTRIES (2^24)
     problem = tc.generate_ab_alpha(600, 50, 0.5, seed=0)
     bundle, solution, _ = pipeline(problem)
     tracemalloc.start()
@@ -183,6 +186,67 @@ def test_build_k_refuses_oversized_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def dense_reference_k(problem, bundle, solution):
+    """K written out literally: with g(x) = kron([x; -1], I_m), the m x m(n+1)
+    array the Kronecker form avoids, K = P^{-1} (2 A^T r^ r^T g(x) - A^T g(x) - [I_n (x) r^T, 0])."""
+    m, n = problem.m, problem.n
+    a, r = problem.a_matrix, solution.r
+    p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(n)
+    g_of_x = np.kron(np.append(solution.x, -1.0), np.eye(m))
+    r_unit = r / np.linalg.norm(r)
+    rhs = (
+        2.0 * np.outer(a.T @ r_unit, r_unit @ g_of_x)
+        - a.T @ g_of_x
+        - np.hstack([np.kron(np.eye(n), r), np.zeros((n, m))])
+    )
+    return np.linalg.solve(p, rhs)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        *[pytest.param((m, n, alpha, seed), id=f"{m}x{n}-a{alpha}-s{seed}")
+          for m, n in [(20, 5), (50, 10), (100, 20)] for alpha in (0.9, 0.3) for seed in range(3)],
+        pytest.param((60, 1, 0.3, 0), id="60x1"),
+        pytest.param((4, 3, 0.3, 0), id="4x3"),
+        "fix_a",
+        "fix_b",
+    ],
+)
+def test_build_k_matches_dense_reference(problem, request):
+    if isinstance(problem, str):
+        problem = request.getfixturevalue(problem)
+    else:
+        m, n, alpha, seed = problem
+        problem = tc.generate_ab_alpha(m, n, alpha, seed=seed)
+    bundle, solution, _ = pipeline(problem)
+    k_matrix = tc.build_k_matrix(problem, bundle, solution)
+    reference = dense_reference_k(problem, bundle, solution)
+    assert k_matrix.shape == reference.shape == (problem.n, problem.m * (problem.n + 1))
+    assert np.abs(k_matrix - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_build_k_peak_memory_is_a_small_multiple_of_k():
+    # a dense g(x), m x m(n+1), is m/n = 6.7x K by itself, so building it breaks this bound
+    problem = tc.generate_ab_alpha(200, 30, 0.3, seed=0)
+    bundle, solution, _ = pipeline(problem)
+    tracemalloc.start()
+    try:
+        k_matrix = tc.build_k_matrix(problem, bundle, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * k_matrix.nbytes
+
+
+def test_kron_condition_of_zero_k_is_zero(fix_b):
+    _, solution, _ = pipeline(fix_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        estimate = tc.kron_condition(np.zeros((1, 4)), fix_b, solution)
+    assert estimate.kappa_abs == 0.0 and estimate.kappa_rel == 0.0
 
 
 def recording_svd(monkeypatch):
