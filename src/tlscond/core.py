@@ -3,10 +3,11 @@
 The bundle is one thin SVD of [A b], of one row block: [A b], or once
 m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
 Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). Both are LAPACK
-calls through scipy.linalg.lapack, dgeqrf and dgesdd on one Fortran-ordered
-[A b]: numpy's qr and svd make the same calls, with the same bits, behind a
-copy in and out of their buffers. Q is never formed: the left factor is in
-that block's row basis. A is not factored. As
+calls through scipy.linalg.lapack on one Fortran-ordered [A b]: dgeqrt, the
+recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), and
+dgesdd. Q is never formed: the left factor is in that block's row basis.
+Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
+problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
 (v the last row of V), the squared singular values of A are the nonzero
 eigenvalues of Sigma^2 - (Sigma v)(Sigma v)^T: the roots of a downdating
@@ -17,9 +18,10 @@ sigma_hat_n and the gap delta = sigma_hat_n^2 - sigma_{n+1}^2 with the bundle,
 sigma_hat_1 and sigma_hat_{n-1} when a bound asks, the whole sigma_hat lazily.
 delta is read off the root in a form centred on the sigma_{n+1} pole, so it is
 accurate even where sigma_hat_n and sigma_{n+1} agree to the last bit, and it
-is never rebuilt as a difference of two singular values. A's singular vectors
-have two readers, the baboulin comparison route and the gap chain of
-residual_diagnostics; each computes them from rows[:, :n] when called.
+is never rebuilt as a difference of two singular values. The gap chain's
+|u_hat_n . b| comes from the same root in O(n) (SigmaHatRoots.b_weight_n), so
+the baboulin comparison route is the one reader of A's singular vectors; it
+computes them from rows[:, :n] when called.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dgesdd_lwork, dlasd4
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dgesdd, dgesdd_lwork, dlasd4
 
 from .errors import (
     ConvergenceError,
@@ -155,9 +157,8 @@ class SigmaHatRoots:
             self._live = np.flatnonzero(z)
             z, root_poles = z[self._live], root_poles[self._live]
         self._rho = float(z @ z)
-        if len(z):  # empty when every weight deflated
-            norm = math.sqrt(self._rho)
-            self._poles, self._z = root_poles / norm, z / norm
+        norm = math.sqrt(self._rho) or 1.0  # z is empty when every weight deflated
+        self._poles, self._z = root_poles / norm, z / norm
 
     def at(self, i: int) -> tuple[float, float]:
         """(sigma_hat_{i+1}, sigma_hat_{i+1}^2 - sigma_{n+1}^2) for a 0-based (or negative) i."""
@@ -172,7 +173,10 @@ class SigmaHatRoots:
         return self._cache[i]
 
     def _root(self, r: int) -> tuple[float, float]:
-        mu = secular_root(r, self._poles, self._z)[0] ** 2 * self._rho
+        return self._entry(secular_root(r, self._poles, self._z)[0])
+
+    def _entry(self, root: float) -> tuple[float, float]:
+        mu = root**2 * self._rho
         gap = self._gap_n / mu
         return math.sqrt(self._last2 + gap) * self._scale, gap * self._scale**2
 
@@ -216,6 +220,34 @@ class SigmaHatRoots:
         hat, gap = node.at(i)
         return hat, gap + below
 
+    def b_weight_n(self) -> float:
+        """|u_hat_n . b|, the weight of b on A's last left singular vector, in O(n).
+
+        b = U Sigma v and, at the root lam = sigma_hat_n^2, u_hat_n = U w / ||w||
+        with w = (Sigma^2 - lam I)^{-1} Sigma v, where w . Sigma v = 1 is the
+        secular equation: so |u_hat_n . b| = 1 / ||w||. No entry of w cancels.
+        Its last is sigma_{n+1} v_{n+1} / (-delta). For j <= n, sigma_j^2 - lam =
+        -Delta_j (d_j^2 - root^2) / root^2 in the scaled form, and dlasd4 returns
+        d_j^2 - root^2 itself. Hence |u_hat_n . b| = delta / (alpha sigma_1
+        sqrt(sum_j (sigma_j d_j z_j / (d_j^2 - root^2))^2 + sigma_{n+1}^2)), with
+        sigma scaled by 1/sigma_1 and the sum over the live poles. A deflated
+        pole carries no weight of b, so where sigma_hat_n is one the weight is
+        0, as it is at delta = 0. Where sigma_hat_n is tied, u_hat_n is not
+        unique, and neither is this weight.
+        """
+        hat, delta = self.at(-1)
+        top = len(self._poles) - 1 if delta > 0.0 else -1
+        if top < 0:
+            return 0.0  # delta = 0, or every weight deflated (sigma_hat_n = sigma_n)
+        root, dist, work = secular_root(top, self._poles, self._z)
+        if self._entry(root) != (hat, delta):
+            return 0.0  # sigma_hat_n is a deflated pole below the top root
+        sigma = self._sigma / self._scale
+        head = sigma[:-1] if self._live is None else sigma[self._live]
+        terms = np.append(head * self._poles * self._z / (dist * work), sigma[-1])
+        alpha = abs(float(self._v_last[-1]))
+        return delta / (alpha * self._scale * float(np.linalg.norm(terms)))
+
     def values(self) -> np.ndarray:
         """Every sigma_hat, descending: one root per value."""
         return np.array([self.at(i)[0] for i in range(len(self._sigma) - 1)])
@@ -249,11 +281,20 @@ class SvdBundle:
         )
 
     def reconstruction_defect(self, problem: TlsProblem) -> float:
-        """Relative Frobenius residual of the SVD of [A b] (rebuilds Q when rows is R)."""
+        """Relative Frobenius residual of the SVD of [A b].
+
+        When rows is R, Q is rebuilt by the bundle's own kernel: dgeqrt of a
+        fresh copy of [A b], applied to [U Sigma V^T; 0] by dgemqrt.
+        """
         aug = problem.augmented()
         aug_fit = self.u_aug * self.sigma @ self.v_aug.T
         if self.rows.shape[0] < aug.shape[0]:
-            aug_fit = np.linalg.qr(aug)[0] @ aug_fit
+            qr, t = _householder_qr(np.array(aug, order="F"))
+            padded = np.zeros(aug.shape, order="F")
+            padded[: self.rows.shape[0]] = aug_fit
+            aug_fit, info = dgemqrt(qr, t, padded, overwrite_c=1)
+            if info != 0:
+                raise ConvergenceError(f"dgemqrt failed (info={info})")
         return float(np.linalg.norm(aug_fit - aug) / max(np.linalg.norm(aug), 1e-300))
 
     def interlacing_defect(self) -> float:
@@ -325,23 +366,32 @@ class ResidualReport:
     gap_chain_holds: bool | None   # None when x = 0 (chain not applicable)
 
 
+def _householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dgeqrt of a Fortran-ordered m x (n+1) array, overwriting it.
+
+    Returns the array (R on and above the diagonal, the reflectors below) and
+    the block reflector factors T. One fixed block size, min(32, n+1).
+    """
+    qr, t, info = dgeqrt(min(32, aug.shape[1]), aug, overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError(f"dgeqrt failed (info={info})")
+    return qr, t
+
+
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
 
-    LAPACK dgeqrf and dgesdd straight on one Fortran-ordered [A b], each with
-    its queried optimal workspace: the calls numpy's qr(mode="r") and svd
-    make, without their copies, and the same bits. dgeqrf may overwrite that
-    private copy; dgesdd works on its own, as rows is kept.
+    LAPACK straight on one Fortran-ordered [A b]: dgeqrt (one call, block size
+    min(32, n+1), no workspace query) overwrites that private copy, and
+    dgesdd, with its queried optimal workspace, works on its own copy of
+    rows, as rows is kept. A tall R agrees with the R of dgeqrf (numpy's qr)
+    to rounding, with the same diagonal signs, not bit for bit.
     """
     m, n = problem.m, problem.n
     rows = np.empty((m, n + 1), order="F")
     rows[:, :n], rows[:, n] = problem.a_matrix, problem.b_vector
     if m >= 2 * (n + 1):
-        lwork = int(dgeqrf(rows, lwork=-1, overwrite_a=1)[2][0])
-        qr, _, _, info = dgeqrf(rows, lwork=lwork, overwrite_a=1)
-        if info != 0:
-            raise ConvergenceError(f"dgeqrf failed (info={info})")
-        rows = np.triu(qr[: n + 1])
+        rows = np.triu(_householder_qr(rows)[0][: n + 1])
     lwork = int(dgesdd_lwork(*rows.shape, compute_uv=1, full_matrices=0)[0])
     u_aug, sigma, vt_aug, info = dgesdd(rows, compute_uv=1, full_matrices=0, lwork=lwork)
     if info != 0:
@@ -402,8 +452,11 @@ def residual_diagnostics(
 
     The cross-check P^{-1} A^T b runs only at relative gap >= HARD_GAP_LIMIT.
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
-    is only defined for x != 0; for x = 0 its entries are None. Its u_hat_n
-    comes from an SVD of A run here, as the bundle holds A's singular values only.
+    is only defined for x != 0; for x = 0 its entries are None. Its
+    |u_hat_n . b| is the bundle's SigmaHatRoots.b_weight_n, O(n) from the root
+    that gives delta: no SVD of A runs here. The cross-check's Gram products
+    read rows: P = R_A^T R_A - sigma_{n+1}^2 I and A^T b = R_A^T (Q^T b) on the
+    QR route, where rows[:, -1] holds Q^T b.
     Each inequality is judged with an absolute slack of 4 eps sigma_1, the
     rounding of both ends: on the deblurring problems the lower end meets the
     gap to about eight digits, and near alpha = 1e-8 the gap is below eps sigma_1.
@@ -420,17 +473,16 @@ def residual_diagnostics(
     )
     normal_eq_rel_diff = None
     if solution.gap.rel_gap >= HARD_GAP_LIMIT:
-        p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
-        x_ne = np.linalg.solve(p, a.T @ problem.b_vector)
+        r_a = bundle.rows[:, : problem.n]
+        p = r_a.T @ r_a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
+        x_ne = np.linalg.solve(p, r_a.T @ bundle.rows[:, -1])
         normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
     if norm_x == 0.0:
         return ResidualReport(identities, normal_eq_rel_diff, None, None, None, None)
-    # rows[:, -1] is b, or Q^T b on the QR route: either way u_hat_n . b
-    u_hat = np.linalg.svd(bundle.rows[:, : problem.n], full_matrices=False)[0]
-    lower = abs(u_hat[:, -1] @ bundle.rows[:, -1]) / (2.0 * norm_x)
+    lower = bundle.roots.b_weight_n() / (2.0 * norm_x)
     mid = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
     upper = float(np.linalg.norm(problem.b_vector)) / norm_x
-    # the backward error of the SVD that gives u_hat_n and of the root that gives delta
+    # the backward error of the SVD of [A b] and of the root that gives delta
     slack = 4.0 * _EPS * float(bundle.sigma[0])
     holds = lower <= mid + slack and mid <= upper + slack
     return ResidualReport(identities, normal_eq_rel_diff, float(lower), mid, upper, bool(holds))

@@ -14,7 +14,7 @@ class ShapeError(TlsCondError):
 
 
 class ConvergenceError(TlsCondError):
-    """A LAPACK call failed: the bundle's dgeqrf or dgesdd, or the secular kernel dlasd4."""
+    """A LAPACK call failed: the bundle's dgeqrt or dgesdd, dgemqrt, or the secular dlasd4."""
 
 
 class NoUniqueSolution(TlsCondError):

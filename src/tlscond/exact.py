@@ -18,6 +18,9 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
   formula that also needs the SVD of A; it runs that SVD itself, once its
   gate has passed, as the bundle holds A's singular values only.
 
+A^T A is formed, where a route needs it, from the bundle's rows[:, :n]: A
+itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not O(mn^2).
+
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
 (kronecker, cholesky and baboulin) and build_k_matrix pass through
@@ -167,7 +170,8 @@ def build_k_matrix(
 
     so P^{-1} is applied to the n+m+1 columns [A^T r^, A^T, I_n] only and K is
     filled block by block, the only n x m(n+1) array built. K solves against
-    P = A^T A - sigma_{n+1}^2 I explicitly (not through V11), so it stays an
+    P = A^T A - sigma_{n+1}^2 I explicitly (not through V11; its A^T A is
+    R_A^T R_A from bundle.rows on the QR route), so it stays an
     independent oracle for the svd route. It is gap-gated, and refused with
     NotApplicable before anything is allocated when m * m(n+1) exceeds
     K_MAX_ENTRIES.
@@ -181,11 +185,11 @@ def build_k_matrix(
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
     solution.gap.gate("P")
-    a = problem.a_matrix
+    a, r_a = problem.a_matrix, bundle.rows[:, :n]
     r = solution.r
     x_tilde = np.append(solution.x, -1.0)
 
-    p = a.T @ a - bundle.sigma[-1] ** 2 * np.eye(n)
+    p = r_a.T @ r_a - bundle.sigma[-1] ** 2 * np.eye(n)
     r_unit = r / np.linalg.norm(r)
     solved = np.linalg.solve(p, np.hstack([(a.T @ r_unit)[:, None], a.T, np.eye(n)]))
     p_inv_at_r, p_inv_at, p_inv = solved[:, 0], solved[:, 1 : m + 1], solved[:, m + 1 :]
@@ -226,10 +230,10 @@ def cholesky_condition(
     """
     warnings = solution.gap.gate("P")
     n = problem.n
-    a = problem.a_matrix
+    r_a = bundle.rows[:, :n]  # A, or its R_A: R_A^T R_A = A^T A in O(n^3)
     x = solution.x
     sig2 = float(bundle.sigma[-1]) ** 2
-    ata = a.T @ a
+    ata = r_a.T @ r_a
     p = ata - sig2 * np.eye(n)
     c = ata + sig2 * np.eye(n) - (2.0 * sig2 / (1.0 + x @ x)) * np.outer(x, x)
     try:

@@ -51,6 +51,11 @@ def failed_dlasd4(i, d, z, rho=1.0):
     return np.full(len(d), np.nan), np.nan, np.full(len(d), np.nan), 1
 
 
+def failed_dgeqrt(nb, a, overwrite_a=0):
+    """What LAPACK dgeqrt returns for an illegal argument: info=-i for argument i."""
+    return a, np.zeros((nb, min(a.shape))), -2
+
+
 def failed_dgesdd(a, compute_uv=1, full_matrices=1, lwork=None, overwrite_a=0):
     """What LAPACK dgesdd returns when its bidiagonal iteration fails: info=1."""
     (m, n), k = a.shape, min(a.shape)
@@ -60,19 +65,18 @@ def failed_dgesdd(a, compute_uv=1, full_matrices=1, lwork=None, overwrite_a=0):
 def counting_factorizations(monkeypatch):
     """Log (kernel, shape) of every QR and SVD: core's LAPACK calls and numpy.linalg's.
 
-    The bundle calls dgeqrf and dgesdd; the other readers call numpy. A dgeqrf
-    workspace query (lwork=-1) factors nothing and is not logged.
+    The bundle calls dgeqrt and dgesdd; the other readers call numpy. For
+    dgeqrt the logged shape is that of the factored array, its second argument.
     """
     calls = []
 
     def counting(name, kernel):
-        def wrapped(a, *args, **kwargs):
-            if kwargs.get("lwork") != -1:
-                calls.append((name, np.shape(a)))
-            return kernel(a, *args, **kwargs)
+        def wrapped(*args, **kwargs):
+            calls.append((name, np.shape(args[1] if name == "dgeqrt" else args[0])))
+            return kernel(*args, **kwargs)
         return wrapped
 
-    for owner, name in [(core, "dgeqrf"), (core, "dgesdd"), (np.linalg, "qr"), (np.linalg, "svd")]:
+    for owner, name in [(core, "dgeqrt"), (core, "dgesdd"), (np.linalg, "qr"), (np.linalg, "svd")]:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
 

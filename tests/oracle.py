@@ -6,7 +6,8 @@ right singular vector, and kappa = sqrt(1+||x||^2) ||V11^{-T} S||. It shares
 no code and no rounding with the double-precision routes, so it can judge
 them where the explicit K is gated (relative gap below 1e-6). The relative
 gap (sigma_hat_n - sigma_{n+1}) / sigma_hat_n is recomputed the same way, from
-mp.svd_r of A and of [A b]. Callers guard both with pytest.importorskip("mpmath").
+mp.svd_r of A and of [A b], and so is |u_hat_n . b|, the weight of b on A's
+last left singular vector. Callers guard them with pytest.importorskip("mpmath").
 """
 
 import mpmath
@@ -46,3 +47,12 @@ def oracle_rel_gap(problem, dps: int = 50) -> float:
         sigma_hat_n = min(mpmath.svd_r(a, compute_uv=False))
         sigma_last = _aug_svd(problem, dps)[1][problem.n]
         return float((sigma_hat_n - sigma_last) / sigma_hat_n)
+
+
+def oracle_b_weight_n(problem, dps: int = 50) -> float:
+    """|u_hat_n . b| of problem, from the 50-digit SVD of A, evaluated at dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(problem.a_matrix.tolist())
+        u, sigma_hat, _ = mpmath.svd_r(a, full_matrices=False)
+        last = min(range(problem.n), key=lambda i: sigma_hat[i])
+        return float(abs(sum(u[i, last] * float(b) for i, b in enumerate(problem.b_vector))))

@@ -267,4 +267,4 @@ def test_cond_kron_runs_only_the_bundle_svds(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)
     assert code == 0 and "kronecker" in out
     # [A b] through the R of one QR; A is not factored
-    assert calls == [("dgeqrf", (60, 9)), ("dgesdd", (9, 9))]
+    assert calls == [("dgeqrt", (60, 9)), ("dgesdd", (9, 9))]

@@ -5,6 +5,7 @@ import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
+    failed_dgeqrt,
     failed_dgesdd,
     failed_dlasd4,
     pipeline,
@@ -20,6 +21,8 @@ from tlscond.errors import (
     NoUniqueSolution,
     TrivialProblem,
 )
+
+EPS = np.finfo(float).eps
 
 
 def seeded_problems():
@@ -167,9 +170,9 @@ def direct_svds(problem):
             np.linalg.svd(problem.augmented(), full_matrices=False))
 
 
-# 600x150: dgeqrf runs blocked (n + 1 > 128), where its workspace changes R's bits
+# tall shapes run dgeqrt, whose R agrees with a direct SVD's factors to rounding only
 @pytest.mark.parametrize(
-    "shape", [(21, 10), (22, 10), (200, 30), (2000, 100), (3, 1), (60, 1), (600, 150)]
+    "shape", [(21, 10), (22, 10), (200, 30), (2000, 100), (3, 1), (60, 1), (600, 150), (4000, 40)]
 )
 def test_bundle_agrees_with_direct_svds(shape):
     m, n = shape
@@ -184,6 +187,8 @@ def test_bundle_agrees_with_direct_svds(shape):
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
     x = tc.solve_tls(problem, bundle).x
     assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
+    # tall: Q rebuilt by the bundle's own dgeqrt and applied by dgemqrt (up to 9.3 eps)
+    assert bundle.reconstruction_defect(problem) < 64 * EPS
 
 
 def test_deblur_bundle_is_the_direct_svds():
@@ -196,6 +201,40 @@ def test_deblur_bundle_is_the_direct_svds():
         np.testing.assert_array_equal(got, want)
     # sigma_hat are secular roots, not an SVD of A: equal to rounding
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
+
+
+@pytest.mark.parametrize("shape", [(60, 1), (200, 30), (2000, 100), (4000, 40), (600, 150)])
+def test_bundle_rows_are_the_householder_r(shape):
+    # dgeqrt's R against dgeqrf's (numpy's qr): rounding apart, same diagonal signs
+    problem = tc.generate_ab_alpha(*shape, 0.3, seed=5)
+    aug = problem.augmented()
+    r_ref = np.linalg.qr(aug, mode="r")
+    rows = tc.svd_bundle(problem).rows
+    assert np.abs(rows - r_ref).max() <= 10 * EPS * np.linalg.norm(aug)
+    np.testing.assert_array_equal(np.sign(np.diag(rows)), np.sign(np.diag(r_ref)))
+
+
+def test_a_failed_qr_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(core, "dgeqrt", failed_dgeqrt)
+    with pytest.raises(ConvergenceError, match=r"dgeqrt failed \(info=-2\)"):
+        tc.svd_bundle(tc.generate_ab_alpha(200, 30, 0.3, seed=4))
+
+
+B_WEIGHT_CASES = {
+    "alpha_200x30": lambda: tc.generate_ab_alpha(200, 30, 0.3, seed=5),
+    "alpha_2000x100_1e-4": lambda: tc.generate_ab_alpha(2000, 100, 1e-4, seed=5),
+    "deblur_100": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0)),
+}
+
+
+@pytest.mark.parametrize("name", B_WEIGHT_CASES)
+def test_b_weight_n_matches_an_svd_of_a(name):
+    # measured 6e-15, 1.4e-12 and 1e-9 apart: the deblurring u_hat_n sits in a cluster
+    problem = B_WEIGHT_CASES[name]()
+    bundle = tc.svd_bundle(problem)
+    u_hat = np.linalg.svd(problem.a_matrix, full_matrices=False)[0]
+    expected = abs(u_hat[:, -1] @ problem.b_vector)
+    assert bundle.roots.b_weight_n() == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("shape", [(50, 10), (200, 30), (2000, 100), (4000, 40)])
@@ -215,10 +254,10 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
     calls = counting_factorizations(monkeypatch)
 
     def qr_calls():
-        return sum(name in ("dgeqrf", "qr") for name, _ in calls)
+        return sum(name in ("dgeqrt", "qr") for name, _ in calls)
 
     for problem, bundle_qr, bundle_calls in [
-        (tall, 1, [("dgeqrf", (200, 31)), ("dgesdd", (31, 31))]),
+        (tall, 1, [("dgeqrt", (200, 31)), ("dgesdd", (31, 31))]),
         (blur, 0, [("dgesdd", (100, 85))]),
     ]:
         calls.clear()
@@ -235,8 +274,6 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
         bundle.reconstruction_defect(problem)
         assert qr_calls() == 2 * bundle_qr
 
-
-EPS = np.finfo(float).eps
 
 
 def counting_roots(monkeypatch):

@@ -12,6 +12,8 @@ from conftest import k_of, pipeline, tie_problem
 from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
+EPS = np.finfo(float).eps
+
 
 def fd_jacobian(problem, step=1e-7):
     """Central-difference Jacobian of the solution map, column by column.
@@ -165,6 +167,33 @@ def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
         tc.cholesky_condition(work, problem, bundle, solution)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1e-2, 1e-4])
+@pytest.mark.parametrize("shape", [(200, 30), (400, 20), (2000, 100), (4000, 40)])
+def test_gram_products_read_the_bundle_rows(shape, alpha):
+    # R_A^T R_A and R_A^T Q^T b against A^T A and A^T b: a bundle whose rows are
+    # [A b] itself gives the A^T A forms. Both round to eps cond(P) (measured up
+    # to 0.28 of it, seeds 0-7), and at alpha 1e-4 both forms are gated
+    problem = tc.generate_ab_alpha(*shape, alpha, seed=3)
+    bundle, solution, work = pipeline(problem)
+    assert bundle.rows.shape[0] == problem.n + 1
+    direct = dataclasses.replace(bundle, rows=problem.augmented())
+    cond_p = (bundle.roots.at(0)[0] ** 2 - bundle.sigma[-1] ** 2) / bundle.delta
+    tol = max(1e-10, EPS * cond_p)
+    reports = [tc.residual_diagnostics(problem, b, solution) for b in (bundle, direct)]
+    if solution.gap.rel_gap < 1e-6:
+        assert reports[0].normal_eq_rel_diff is reports[1].normal_eq_rel_diff is None
+        for b in (bundle, direct):
+            with pytest.raises(IllConditionedGap):
+                tc.cholesky_condition(work, problem, b, solution)
+        return
+    assert abs(reports[0].normal_eq_rel_diff - reports[1].normal_eq_rel_diff) <= tol
+    kappas = [tc.cholesky_condition(work, problem, b, solution).kappa_abs for b in (bundle, direct)]
+    assert kappas[0] == pytest.approx(kappas[1], rel=tol)
+    if problem.m ** 2 * (problem.n + 1) <= 2**24:
+        k_rows, k_ata = (tc.build_k_matrix(problem, b, solution) for b in (bundle, direct))
+        assert np.linalg.norm(k_rows - k_ata) <= tol * np.linalg.norm(k_ata)
+
+
 def test_kron_gated_on_deblur_gap():
     # rel_gap 1.6e-8: P is numerically singular, so K is off by 3.5e-3
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
@@ -284,7 +313,7 @@ def test_no_svd_runs_after_the_bundle(monkeypatch):
     assert report.kappa_reference == kappa.kappa_abs
 
 
-def test_only_two_callers_compute_a_singular_vectors(monkeypatch, tmp_path, capsys):
+def test_only_baboulin_computes_a_singular_vectors(monkeypatch, tmp_path, capsys):
     path = tmp_path / "p.csv"
     tc.save_problem(tc.generate_ab_alpha(20, 5, 0.3, seed=4), path)
     problem = tc.load_problem(path)
@@ -298,8 +327,8 @@ def test_only_two_callers_compute_a_singular_vectors(monkeypatch, tmp_path, caps
         assert main([*command, "--input", str(path)]) == 0
     capsys.readouterr()
     of_a = [(name, vectors) for name, shape, vectors in calls if shape[1] == problem.n]
-    assert {name for name, vectors in of_a if vectors} == {"baboulin_condition",
-                                                           "residual_diagnostics"}
+    # the gap chain's |u_hat_n . b| is a secular quantity of the bundle
+    assert {name for name, vectors in of_a if vectors} == {"baboulin_condition"}
     assert "svd_bundle" not in {name for name, _ in of_a}  # A's values are secular roots
 
 

@@ -8,6 +8,8 @@ the backward-stable SVD's eps sigma_1 error in both singular values over
 sigma_hat_n, and also be within 1e-5 of rel_gap_50 relative: delta, the
 distance of a secular root to the sigma_{n+1} pole, keeps the gap's leading
 digits where a difference of two singular values would be rounding alone.
+The gap chain's |u_hat_n . b|, read off the same root, must meet
+|w - w_50| <= 4 eps sigma_1, the chain's own slack, at alpha down to 1e-8.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ import tlscond as tc
 from conftest import pipeline, tie_problem, tied_weighted_problem
 
 pytest.importorskip("mpmath")
-from oracle import oracle_kappa, oracle_rel_gap  # noqa: E402
+from oracle import oracle_b_weight_n, oracle_kappa, oracle_rel_gap  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -54,3 +56,13 @@ def test_rel_gap_matches_the_50_digit_oracle(name):
     bound = 4.0 * EPS * bundle.sigma[0] / bundle.sigma_hat_n
     assert abs(rel_gap - reference) <= bound
     assert abs(rel_gap - reference) <= 1e-5 * reference
+
+
+@pytest.mark.parametrize("name", [k for k in ORACLE_PROBLEMS if k.startswith("alpha_")])
+def test_b_weight_n_matches_the_50_digit_oracle(name):
+    # measured within 0.05-0.6 eps sigma_1 (2e-8 relative at alpha 1e-8), as an SVD of A is
+    problem = ORACLE_PROBLEMS[name]()
+    bundle = tc.svd_bundle(problem)
+    reference = oracle_b_weight_n(problem)
+    assert abs(bundle.roots.b_weight_n() - reference) <= 4.0 * EPS * bundle.sigma[0]
+    assert abs(bundle.roots.b_weight_n() - reference) <= 1e-7 * reference
