@@ -9,7 +9,9 @@ Two families:
   sigma_{n+1} together, i.e. toward ill conditioning.
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
-  to a prescribed spectral-norm level.
+  to a prescribed spectral-norm level. Both spectral norms come from the
+  n x n banded Gram matrix of the generating column (LAPACK dsbevx, O(n^2
+  omega)), so a draw does no O(m^3) work apart from its acceptance bundle.
 
 All randomness goes through numpy's seedable Generator (PCG64); identical
 seeds reproduce problems bitwise within one build.
@@ -17,6 +19,7 @@ seeds reproduce problems bitwise within one build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,9 @@ class KammNagyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("spread", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ShapeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega < 1:
             raise ShapeError(f"omega must be >= 1, got {self.omega}")
         if self.m - 2 * self.omega < 1:
@@ -154,9 +160,29 @@ def gaussian_kernel_column(m: int, omega: int, spread: float) -> np.ndarray:
         raise ShapeError(f"need m >= 2*omega + 1, got m={m}, omega={omega}")
     i = np.arange(1, m + 1, dtype=float)
     offsets = omega - i + 1
-    column = np.exp(-(offsets**2) / (2.0 * spread**2)) / np.sqrt(2.0 * np.pi * spread**2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked just below
+        column = np.exp(-(offsets**2) / (2.0 * spread**2)) / np.sqrt(2.0 * np.pi * spread**2)
     column[i > 2 * omega + 1] = 0.0
+    if not np.isfinite(column).all():  # spread^2 underflows to 0
+        raise ShapeError(f"spread={spread:g} is too small for a finite kernel")
     return column
+
+
+def _banded_toeplitz_norm(column: np.ndarray, n: int) -> float:
+    """Spectral norm of the m x n lower-banded Toeplitz matrix with first column ``column``.
+
+    The support is the first len(column) - n + 1 entries h, so every column of
+    the matrix holds the whole of h, and its Gram matrix is the n x n symmetric
+    banded Toeplitz matrix of h's autocorrelation. The norm is the square root
+    of that matrix's top eigenvalue, from LAPACK dsbevx in O(n^2 omega).
+    """
+    support = len(column) - n + 1
+    h = column[:support]
+    width = min(support, n)  # lags 0 .. width - 1 lie inside the n x n Gram matrix
+    lags = np.correlate(h, h, "full")[support - 1 : support - 1 + width]
+    band = np.repeat(lags[:, None], n, axis=1)  # lower band storage, one lag per row
+    top = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
@@ -165,7 +191,9 @@ def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
     E is a random Toeplitz matrix with the same sparsity structure as Tbar
     (its generating column is drawn on the kernel support only) and e a random
     vector; both use standard-normal entries rescaled so that the spectral
-    norm of E is gamma ||Tbar|| and ||e|| = gamma ||ones||.
+    norm of E is gamma ||Tbar|| and ||e|| = gamma ||ones||. Both spectral
+    norms are read from the banded Gram matrix of the generating column, not
+    from a dense SVD.
     """
     return _kamm_nagy_draw(config)[0]
 
@@ -178,8 +206,8 @@ def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
     first_row[0] = kernel[0]
     t_bar = scipy.linalg.toeplitz(kernel, first_row)
     g_bar = np.ones(config.m)
-    # gamma ||Tbar||, one dense 2-norm for every draw (none at gamma = 0)
-    e_scale = config.gamma * np.linalg.norm(t_bar, 2) if config.gamma != 0.0 else 0.0
+    # gamma ||Tbar||, one banded Gram norm per config (none at gamma = 0)
+    e_scale = 0.0 if config.gamma == 0.0 else config.gamma * _banded_toeplitz_norm(kernel, config.n)
 
     for _ in range(RETRY_CAP):
         if config.gamma == 0.0:
@@ -192,7 +220,7 @@ def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
             noise_row = np.zeros(config.n)
             noise_row[0] = noise_col[0]
             e_mat = scipy.linalg.toeplitz(noise_col, noise_row)
-            e_mat *= e_scale / np.linalg.norm(e_mat, 2)
+            e_mat *= e_scale / _banded_toeplitz_norm(noise_col, config.n)
             e_vec = rng.standard_normal(config.m)
             e_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(e_vec)
             a = t_bar + e_mat

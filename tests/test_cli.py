@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import tlscond as tc
 from conftest import counting_factorizations, failed_dgesdd, failed_dlasd4
 from tlscond import core
@@ -96,6 +98,16 @@ def test_exit_code_invalid_alpha(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--spread", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exit_code_non_finite_deblur_parameter(tmp_path, capsys, flag, value):
+    code, _, err = run(
+        ["gen", "--kind", "kammnagy", "--m", "40", flag, value, "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert code == 2 and "must be finite" in err
 
 
 def test_exit_code_no_unique_solution(tmp_path, capsys):

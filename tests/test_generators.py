@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tlscond as tc
-from conftest import pipeline, zero_noise_deblur
+from conftest import counting_factorizations, pipeline, zero_noise_deblur
 from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
+from tlscond.generators import _banded_toeplitz_norm
+
+EPS = np.finfo(float).eps
 
 
 def test_haar_one_by_one():
@@ -151,24 +155,81 @@ def test_kamm_nagy_zero_noise_is_exact():
             tc.kamm_nagy_problem(tc.KammNagyConfig(m=m, omega=8, spread=1.25, gamma=0.0, seed=1))
 
 
-def test_kamm_nagy_noise_scaling_and_structure():
-    import scipy.linalg
+def lower_toeplitz(column, n):
+    """The dense m x n lower-banded Toeplitz matrix with first column ``column``."""
+    first_row = np.zeros(n)
+    first_row[0] = column[0]
+    return scipy.linalg.toeplitz(column, first_row)
 
-    config = tc.KammNagyConfig(m=60, omega=8, spread=1.25, gamma=1e-3, seed=5)
-    problem = tc.kamm_nagy_problem(config)
-    # independent reconstruction of the noiseless Toeplitz operator
-    kernel = tc.gaussian_kernel_column(60, 8, 1.25)
-    first_row = np.zeros(config.n)
-    first_row[0] = kernel[0]
-    t_bar = scipy.linalg.toeplitz(kernel, first_row)
-    e_mat = problem.a_matrix - t_bar
-    e_vec = problem.b_vector - np.ones(60)
-    t_norm = np.linalg.norm(t_bar, 2)
-    assert np.linalg.norm(e_mat, 2) / t_norm == pytest.approx(1e-3, rel=1e-12)
-    assert np.linalg.norm(e_vec) == pytest.approx(
-        1e-3 * np.linalg.norm(np.ones(60)), rel=1e-12
-    )
-    assert np.all((e_mat != 0) <= (t_bar != 0))  # support containment
+
+def test_kamm_nagy_noise_scaling_and_structure():
+    for m in (60, 300):
+        config = tc.KammNagyConfig(m=m, omega=8, spread=1.25, gamma=1e-3, seed=5)
+        problem = tc.kamm_nagy_problem(config)
+        # independent reconstruction of the noiseless Toeplitz operator, and dense norms
+        t_bar = lower_toeplitz(tc.gaussian_kernel_column(m, 8, 1.25), config.n)
+        e_mat = problem.a_matrix - t_bar
+        e_vec = problem.b_vector - np.ones(m)
+        t_norm = np.linalg.norm(t_bar, 2)
+        # abs=0, or approx's default abs=1e-12 binds at 1e-9 relative. Rounding
+        # A = Tbar + E at ulp(Tbar) leaves up to 5e-14 in the recovered ||E||
+        # at gamma = 1e-3 (m = 60 and 300, seeds 0-29), so 1e-13 is the floor
+        assert np.linalg.norm(e_mat, 2) / t_norm == pytest.approx(1e-3, rel=1e-13, abs=0)
+        assert np.linalg.norm(e_vec) == pytest.approx(
+            1e-3 * np.linalg.norm(np.ones(m)), rel=1e-13, abs=0
+        )
+        assert np.all((e_mat != 0) <= (t_bar != 0))  # support containment
+
+
+def rayleigh_norm_50_digits(matrix, vector):
+    """||M v|| / ||v|| at 50 digits from the exact binary entries of M and v.
+
+    A Rayleigh quotient is accurate to second order in the error of v, so with
+    v a double-precision top right singular vector it is ||M|| to far below eps.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rows = {}
+        for i, j in zip(*np.nonzero(matrix)):
+            rows[i] = rows.get(i, 0) + mpmath.mpf(matrix[i, j]) * mpmath.mpf(vector[j])
+        top = mpmath.fsum(value**2 for value in rows.values())
+        bottom = mpmath.fsum(mpmath.mpf(value) ** 2 for value in vector)
+        return float(mpmath.sqrt(top / bottom))
+
+
+@pytest.mark.parametrize("m,omega", [(17, 8), (3, 1), (20, 1), (100, 8), (300, 8), (500, 8)])
+def test_banded_norm_matches_the_dense_norm(m, omega):
+    n = m - 2 * omega
+    noise = np.zeros(m)
+    noise[: 2 * omega + 1] = np.random.default_rng(0).standard_normal(2 * omega + 1)
+    for column in (tc.gaussian_kernel_column(m, omega, 1.25), noise):
+        matrix = lower_toeplitz(column, n)
+        norm = _banded_toeplitz_norm(column, n)
+        # the sigma-only dgesdd behind np.linalg.norm(., 2) is itself up to
+        # 12 eps off the sharp value here (m = 20 to 500, 20 noise seeds)
+        dense = np.linalg.norm(matrix, 2)
+        assert abs(norm - dense) <= 16 * EPS * dense
+        top_vector = np.linalg.svd(matrix)[2][0]
+        exact = rayleigh_norm_50_digits(matrix, top_vector)
+        assert abs(norm - exact) <= 4 * EPS * exact
+
+
+def test_kamm_nagy_draw_runs_only_its_bundle(monkeypatch):
+    calls = counting_factorizations(monkeypatch)
+    matrix_norms = []
+    dense_norm = np.linalg.norm
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        if np.ndim(x) == 2 and ord == 2:
+            matrix_norms.append(np.shape(x))
+        return dense_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0))
+    # m = n + 2 omega routes the bundle to a direct SVD: one dgesdd per
+    # attempt, and m=100, seed 0 is accepted at the first attempt
+    assert calls == [("dgesdd", (100, 85))]
+    assert matrix_norms == []
 
 
 def test_kamm_nagy_gap_regime_at_m_100():
@@ -186,3 +247,11 @@ def test_config_validation():
         tc.KammNagyConfig(m=40, omega=8, spread=-1.0)
     with pytest.raises(ShapeError):
         tc.KammNagyConfig(m=40, omega=8, gamma=-0.1)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ShapeError, match="spread must be finite"):
+            tc.KammNagyConfig(m=40, omega=8, spread=bad)
+        with pytest.raises(ShapeError, match="gamma must be finite"):
+            tc.KammNagyConfig(m=40, omega=8, gamma=bad)
+    # a spread whose square underflows would give a NaN kernel peak
+    with pytest.raises(ShapeError, match="too small"):
+        tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, omega=8, spread=1e-200))
