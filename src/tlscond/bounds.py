@@ -4,8 +4,8 @@ Five families, all cheap relative to the exact formulas:
 
 * simple_sandwich: s_n/alpha <= kappa <= s_n/alpha^2. Ratio alpha^{-1} < 2
   whenever alpha > 1/2.
-* sharp_sandwich: refines the sandwich with the last row [beta_1..beta_n,
-  -alpha] of V; the enclosure ratio is below 4 whenever alpha <= 1/2, so
+* sharp_sandwich: refines the sandwich with the first n entries beta of
+  V's last row; the enclosure ratio is below 4 whenever alpha <= 1/2, so
   together the two sandwiches pin kappa within a factor 4 for every x != 0.
 * kappa1: sqrt(1+||x||^2) sqrt(sigma_hat_j^2 + sigma_{n+1}^2) /
   (sigma_hat_j^2 - sigma_{n+1}^2) with j = n-1 (lower, needs n >= 2) and
@@ -18,20 +18,11 @@ The BHM quotient sigma_hat_1/(sigma_hat_n - sigma_{n+1}) is carried along as
 a point estimate of the relative condition number; it certifies nothing and
 is excluded from the sandwich verdicts.
 
-Evaluation detail: sigma_hat_n^2 - sigma_{n+1}^2 equals the smallest
-eigenvalue of P = A^T A - sigma_{n+1}^2 I = V11 Lambda V11^T, so
-1/sqrt(sigma_hat_n^2 - sigma_{n+1}^2) = ||V11^{-T} T|| with T =
-Lambda^{-1/2}. The kappa2 family reads this norm as the top secular root of
-ExactFormulaWork, the same root equation, from the same last row of V, as
-the reference kappa; the sharp sandwich reads that row directly. No bound
-factors anything itself. kappa1, the dominance test and BHM read
-sigma_hat_n^2 - sigma_{n+1}^2 as the bundle's delta, the distance of a root
-of the bundle's downdating secular equation to its sigma_{n+1} pole, and
-sigma_hat_{n-1}^2 - sigma_{n+1}^2 the same way; neither is ever a difference
-of two computed singular values, so both keep their relative accuracy when
-the gap approaches the rounding floor. The two readings of the gap (delta and
-the kappa2 secular root) agree to machine precision for well-separated
-spectra and stay within the data's rounding of each other below.
+The few-value families (kappa1, kappa2, the dominance test and BHM) read
+only sigma_hat_{n-1}, sigma_hat_n, sigma_n, sigma_{n+1}, delta, sigma_hat_1,
+||x|| and alpha; their gaps sigma_hat_j^2 - sigma_{n+1}^2 are the bundle's
+secular-root distances to the sigma_{n+1} pole (delta for j = n), never
+differences of two computed singular values.
 """
 
 from __future__ import annotations
@@ -46,15 +37,6 @@ from .exact import ExactFormulaWork, svd_condition
 from .problem import TlsProblem
 
 VERDICT_SLACK = 1e-9  # floating-point slack; the inequalities are strict
-
-FAMILIES = (
-    "simple_sandwich",
-    "sharp_sandwich",
-    "kappa1",
-    "kappa2_lower",
-    "kappa2_upper",
-    "bhm",
-)
 
 
 @dataclass(frozen=True)
@@ -106,9 +88,7 @@ def simple_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     return BoundPair(s_n / alpha, s_n / alpha**2, "simple_sandwich")
 
 
-def sharp_sandwich(
-    solution: TlsSolution, bundle: SvdBundle, work: ExactFormulaWork
-) -> BoundPair:
+def sharp_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     """Sandwich from the last row of V; enclosure ratio < 4 when alpha <= 1/2.
 
     With beta_i the leading entries of that row,
@@ -169,11 +149,9 @@ def kappa2_dominance(bundle: SvdBundle) -> tuple[bool, bool]:
     return bool(sig_hat_prev >= sig_last + root), bool(sig_hat_prev >= 2.0 * bundle.sigma_hat_n)
 
 
-def lower_kappa2(
-    bundle: SvdBundle, solution: TlsSolution, work: ExactFormulaWork
-) -> BoundPair:
-    """sqrt(1+||x||^2) / sqrt(sigma_hat_n^2 - sigma_{n+1}^2) as a lower bound."""
-    value = float(np.hypot(1.0, solution.norm_x) * work.v11_inv_t_lambda_norm)
+def lower_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
+    """sqrt(1+||x||^2) / sqrt(sigma_hat_n^2 - sigma_{n+1}^2) as a lower bound, from delta."""
+    value = float(np.hypot(1.0, solution.norm_x) / np.sqrt(bundle.delta))
     general, simple = kappa2_dominance(bundle)
     note = "dominates kappa1 lower" if general else ""
     if simple:
@@ -181,9 +159,7 @@ def lower_kappa2(
     return BoundPair(value, None, "kappa2_lower", note)
 
 
-def upper_kappa2(
-    bundle: SvdBundle, solution: TlsSolution, work: ExactFormulaWork
-) -> BoundPair:
+def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     """Amplifies the kappa2 lower bound by sqrt((1+31 rho^2)/(1-rho^2)).
 
     Only certified for alpha <= 1/2; raises NotApplicable otherwise.
@@ -193,7 +169,7 @@ def upper_kappa2(
         raise NotApplicable(f"alpha={alpha:.4f} > 1/2: upper bound not certified")
     rho = float(bundle.sigma[-1] / bundle.sigma[-2])
     amp = float(np.sqrt((1.0 + 31.0 * rho**2) / ((1.0 - rho) * (1.0 + rho))))
-    base = lower_kappa2(bundle, solution, work)
+    base = lower_kappa2(bundle, solution)
     return BoundPair(base.lower, base.lower * amp, "kappa2_upper", f"rho={rho:.4f}")
 
 
@@ -217,12 +193,12 @@ def bounds_report(
     kappa_ref = svd_condition(work, bundle, solution).kappa_abs
     pairs = {
         "simple_sandwich": simple_sandwich(solution, work),
-        "sharp_sandwich": sharp_sandwich(solution, bundle, work),
+        "sharp_sandwich": sharp_sandwich(solution, work),
         "kappa1": sv_bounds_kappa1(bundle, solution),
-        "kappa2_lower": lower_kappa2(bundle, solution, work),
+        "kappa2_lower": lower_kappa2(bundle, solution),
     }
     try:
-        pairs["kappa2_upper"] = upper_kappa2(bundle, solution, work)
+        pairs["kappa2_upper"] = upper_kappa2(bundle, solution)
     except NotApplicable as exc:
         pairs["kappa2_upper"] = BoundPair(None, None, "kappa2_upper", str(exc))
     pairs["bhm"] = bhm_approx(bundle)

@@ -105,32 +105,22 @@ def _median_rows(draws: list[dict]) -> dict:
     return out
 
 
-def run_table_example1(
-    m_list,
-    seed: int = 0,
-    n_seeds: int = 1,
-    omega: int = 8,
-    spread: float = 1.25,
-    gamma: float = 1e-3,
-) -> ReportDocument:
-    """Deblurring sweep: one row per m, medians over n_seeds draws."""
+def run_table_example1(m_list, seed: int = 0, n_seeds: int = 1) -> ReportDocument:
+    """Deblurring sweep at KammNagyConfig's defaults: one row per m, medians over n_seeds draws."""
     rows = []
     for idx, m in enumerate(m_list):
         draws = []
         for k in range(n_seeds):
-            config = KammNagyConfig(
-                m=m, omega=omega, spread=spread, gamma=gamma,
-                seed=_derive_seed(seed, idx, k),
-            )
+            config = KammNagyConfig(m=m, seed=_derive_seed(seed, idx, k))
             draws.append(_bound_row(*_kamm_nagy_draw(config)))
         rows.append({"label": f"deblur_m{m}", "m": float(m), **_median_rows(draws)})
     metadata = {
         "table": "example1",
         "seed": seed,
         "n_seeds": n_seeds,
-        "omega": omega,
-        "spread": spread,
-        "gamma": gamma,
+        "omega": KammNagyConfig.omega,
+        "spread": KammNagyConfig.spread,
+        "gamma": KammNagyConfig.gamma,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     return ReportDocument(columns=TABLE1_COLUMNS, rows=tuple(rows), metadata=metadata)

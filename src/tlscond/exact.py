@@ -28,10 +28,11 @@ solution.gap.gate, the one gap policy of core: IllConditionedGap below
 relative gap 1e-6, a warning below 1e-3.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
-reads V11 through closed forms in the last row and column of V, and
-||V11^{-T} D|| is the top root of a secular equation (LAPACK dlasd4 through
-core.secular_root, the kernel of the bundle's roots too; O(n)).
-It feeds the svd formula, the bounds and the perturbation lab's map K z.
+reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
+solve_tls fixes, and ||V11^{-T} S|| is the top root of a secular equation
+(LAPACK dlasd4 through core.secular_root, the kernel of the bundle's roots
+too; O(n)). It feeds the svd formula, the two sandwiches and the
+perturbation lab's map K z.
 """
 
 from __future__ import annotations
@@ -79,18 +80,18 @@ def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[floa
 class ExactFormulaWork:
     """Shared spectral parts for the condition formulas; no factorization.
 
-    With V's last row flipped so its corner is -alpha, V = [[V11, y],
-    [beta^T, -alpha]] is orthogonal, so V11 beta = alpha y, V11^T V11 =
-    I - beta beta^T and V11^{-1} = V11^T + beta y^T / alpha. Hence
-    ||V11^{-T} D||^2 = lambda_max(D^2 + (D beta)(D beta)^T / alpha^2) for
-    diagonal D: the reference kappa (D = S) and the kappa2 bounds
-    (D = Lambda^{-1/2}) read the same secular equation from the same data.
+    With v_{n+1} the solver's last right vector (solve_tls fixes its sign so
+    its last entry is -alpha), V = [[V11, y], [beta^T, -alpha]] is
+    orthogonal, so V11 beta = alpha y, V11^T V11 = I - beta beta^T and
+    V11^{-1} = V11^T + beta y^T / alpha. Hence ||V11^{-T} S||^2 =
+    lambda_max(S^2 + (S beta)(S beta)^T / alpha^2), the secular equation of
+    the reference kappa.
     """
 
     v11: np.ndarray               # (n, n) view of V's leading block
-    y: np.ndarray                 # (n,) V[:n, n]
-    beta: np.ndarray              # (n,) first n entries of the flipped last row
-    alpha: float                  # -V[n, n] after the flip, > 0
+    y: np.ndarray                 # (n,) leading entries of v_{n+1}
+    beta: np.ndarray              # (n,) V[n, :n], the first n entries of V's last row
+    alpha: float                  # -(last entry of v_{n+1}), > 0
     s_diag: np.ndarray            # (n,) ascending weights s_i
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
     aug_frobenius: float          # ||[A b]||_F
@@ -111,11 +112,6 @@ class ExactFormulaWork:
         u = self._v11_inv_t(self.s_diag * q)
         return norm, u / np.linalg.norm(u)
 
-    @cached_property
-    def v11_inv_t_lambda_norm(self) -> float:
-        """||V11^{-T} Lambda^{-1/2}|| = sqrt(||P^{-1}||), as P = V11 Lambda V11^T."""
-        return _secular_top(1.0 / np.sqrt(self.lambda_diag), self.beta, self.alpha)[0]
-
 
 @dataclass(frozen=True)
 class ConditionEstimate:
@@ -135,10 +131,14 @@ def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float
 def build_spectral_work(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ExactFormulaWork:
-    """Assemble the spectral parts every formula and bound reads (cheap for large m)."""
+    """Assemble the parts the svd formula, the sandwiches and the lab read (cheap for large m).
+
+    y and alpha come from solution.last_right_vector, whose sign solve_tls
+    fixed; beta is V's last row as the SVD returned it.
+    """
     n = problem.n
     v = bundle.v_aug
-    sign = -1.0 if v[n, n] > 0 else 1.0  # flip the last row so its corner is -alpha
+    v_last = solution.last_right_vector
     sig_last = float(bundle.sigma[-1])
     sig2 = sig_last**2
 
@@ -148,9 +148,9 @@ def build_spectral_work(
     lam = (head - sig_last) * (head + sig_last)
     return ExactFormulaWork(
         v11=v[:n, :n],
-        y=v[:n, n],
-        beta=sign * v[n, :n],
-        alpha=float(-sign * v[n, n]),
+        y=v_last[:n],
+        beta=v[n, :n].copy(),  # contiguous: a strided row takes another BLAS dot kernel
+        alpha=float(-v_last[n]),
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
         aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
@@ -257,9 +257,7 @@ def svd_condition(
     """kappa = sqrt(1+||x||^2) ||V11^{-T} S||, the reference formula.
 
     ||V11^{-T} S|| is the top secular root of the work (P is never formed or
-    inverted), so the result stays reliable for arbitrarily small gaps and
-    shares its rounding profile with the kappa2 bounds, which read the same
-    root equation with another diagonal.
+    inverted), so the result stays reliable for arbitrarily small gaps.
     """
     kappa = float(np.hypot(1.0, solution.norm_x) * work.top_left[0])
     return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "svd")
@@ -273,7 +271,8 @@ def baboulin_condition(
     kappa = sqrt(1+||x||^2) ||Dhat [Vhat^T 0] V [D 0]^T||. The Dhat entries
     blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
     the cholesky route. sigma_hat and Vhat come from one SVD of A, run only
-    once the gate has passed.
+    once the gate has passed. The product is formed as Dhat (Vhat^T V11) D,
+    V11 the leading n x n block of V.
     """
     warnings = solution.gap.gate("Dhat")
     n = bundle.n
@@ -281,10 +280,7 @@ def baboulin_condition(
     sig_last = float(bundle.sigma[-1])
     d_hat = 1.0 / ((sigma_hat - sig_last) * (sigma_hat + sig_last))
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig_last**2)
-    zeros = np.zeros((n, 1))
-    left = np.hstack([vt_hat, zeros])
-    right = np.hstack([np.diag(d_b), zeros]).T
-    core = d_hat[:, None] * (left @ bundle.v_aug @ right)
+    core = d_hat[:, None] * (vt_hat @ bundle.v_aug[:n, :n]) * d_b
     kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(core, 2))
     rel = _relative(kappa, work.aug_frobenius, solution)
     return ConditionEstimate(kappa, rel, "baboulin", warnings)

@@ -26,6 +26,8 @@ from .problem import TlsProblem
 GAP_PERSISTENCE = 1e-3
 # Steps below this multiple of ||[A b]||_F measure rounding, not the map.
 CLEAN_STEP_FLOOR = 1e-12
+# Relative tolerance of the sound and attained verdicts against kappa.
+VALIDATION_TOLERANCE = 1e-3
 
 VALIDATION_COLUMNS = (
     "label",
@@ -80,12 +82,11 @@ class ValidationSummary:
     trials: int
     step: float
     convergence_slopes: tuple          # (t, remainder) pairs along the worst direction
-    tolerance: float
 
     @property
     def sound(self) -> bool:
-        """No observed ratio exceeds kappa within tolerance."""
-        bound = self.kappa_reference * (1.0 + self.tolerance)
+        """No observed ratio exceeds kappa within VALIDATION_TOLERANCE."""
+        bound = self.kappa_reference * (1.0 + VALIDATION_TOLERANCE)
         observed = self.worst_direction_ratio
         if self.max_observed_ratio is not None:
             observed = max(observed, self.max_observed_ratio)
@@ -93,8 +94,8 @@ class ValidationSummary:
 
     @property
     def attained(self) -> bool:
-        """The worst direction reaches kappa within tolerance."""
-        return self.worst_direction_ratio >= self.kappa_reference * (1.0 - self.tolerance)
+        """The worst direction reaches kappa within VALIDATION_TOLERANCE."""
+        return self.worst_direction_ratio >= self.kappa_reference * (1.0 - VALIDATION_TOLERANCE)
 
     def report_row(self, label: str) -> dict:
         """Flatten into a row keyed by VALIDATION_COLUMNS for a ReportDocument."""
@@ -218,7 +219,6 @@ def monte_carlo_validate(
     trials: int,
     t: float | None = None,
     seed: int = 0,
-    tolerance: float = 1e-3,
 ) -> ValidationSummary:
     """Random-direction soundness sweep plus the worst-direction probe.
 
@@ -255,5 +255,4 @@ def monte_carlo_validate(
         trials=trials,
         step=float(t),
         convergence_slopes=tuple(slopes),
-        tolerance=tolerance,
     )

@@ -182,7 +182,7 @@ def test_criterion_6_hand_fixtures(fix_a, fix_b):
         rtol=0, atol=1e-14,
     )
     kappa_a = tc.svd_condition(work, bundle, solution).kappa_abs
-    assert kappa_a == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
+    assert kappa_a == pytest.approx(np.sqrt(5) / 3, rel=1e-14, abs=0)
 
     bundle, solution, work = pipeline(fix_b)
     report = tc.bounds_report(fix_b, bundle, solution, work)

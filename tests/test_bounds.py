@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def tailored_problem(sv_of_a, seed, residual=0.01):
 def test_simple_sandwich_fix_a(fix_a):
     _, solution, work = pipeline(fix_a)
     pair = tc.simple_sandwich(solution, work)
-    assert pair.lower == pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
+    assert pair.lower == pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14, abs=0)
 
 
 def test_simple_sandwich_fix_b(fix_b):
@@ -43,22 +45,22 @@ def test_simple_ratio_below_two_for_large_alpha():
 
 
 def test_sharp_sandwich_fix_b(fix_b):
-    bundle, solution, work = pipeline(fix_b)
-    pair = tc.sharp_sandwich(solution, bundle, work)
+    _, solution, work = pipeline(fix_b)
+    pair = tc.sharp_sandwich(solution, work)
     assert pair.lower == pytest.approx(FB.sharp_lower, rel=1e-10)
     assert pair.upper == pytest.approx(FB.sharp_upper, rel=1e-10)
 
 
 def test_sharp_sandwich_degenerate_x_zero(fix_a):
-    bundle, solution, work = pipeline(fix_a)
-    pair = tc.sharp_sandwich(solution, bundle, work)
-    assert pair.lower == pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
+    _, solution, work = pipeline(fix_a)
+    pair = tc.sharp_sandwich(solution, work)
+    assert pair.lower == pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14, abs=0)
 
 
 def test_sharp_sandwich_tiny_alpha_factor_four():
     problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=4)
     bundle, solution, work = pipeline(problem)
-    pair = tc.sharp_sandwich(solution, bundle, work)
+    pair = tc.sharp_sandwich(solution, work)
     kappa = tc.svd_condition(work, bundle, solution).kappa_abs
     assert pair.lower <= kappa <= pair.upper
     assert pair.upper / pair.lower < 4.0
@@ -68,7 +70,7 @@ def test_kappa1_fix_a(fix_a):
     bundle, solution, _ = pipeline(fix_a)
     pair = tc.sv_bounds_kappa1(bundle, solution)
     assert pair.lower is None  # n = 1
-    assert pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14)
+    assert pair.upper == pytest.approx(np.sqrt(5) / 3, rel=1e-14, abs=0)
 
 
 def test_kappa1_fix_b(fix_b):
@@ -87,12 +89,12 @@ def test_kappa1_tight_for_clustered_trailing_values():
 
 
 def test_kappa2_lower_fixtures(fix_a, fix_b):
-    bundle, solution, work = pipeline(fix_a)
-    assert tc.lower_kappa2(bundle, solution, work).lower == pytest.approx(
+    bundle, solution, _ = pipeline(fix_a)
+    assert tc.lower_kappa2(bundle, solution).lower == pytest.approx(
         1 / np.sqrt(3), rel=1e-12
     )
-    bundle, solution, work = pipeline(fix_b)
-    assert tc.lower_kappa2(bundle, solution, work).lower == pytest.approx(
+    bundle, solution, _ = pipeline(fix_b)
+    assert tc.lower_kappa2(bundle, solution).lower == pytest.approx(
         FB.kappa2_lower, rel=1e-10
     )
 
@@ -100,11 +102,11 @@ def test_kappa2_lower_fixtures(fix_a, fix_b):
 def test_kappa2_dominance_condition():
     # sigma_hat_{n-1} >= 2 sigma_hat_n forces kappa1's lower below kappa2's
     problem = tailored_problem([8.0, 1.0], seed=2)
-    bundle, solution, work = pipeline(problem)
+    bundle, solution, _ = pipeline(problem)
     general, simple = kappa2_dominance(bundle)
     assert general and simple
     k1 = tc.sv_bounds_kappa1(bundle, solution)
-    k2 = tc.lower_kappa2(bundle, solution, work)
+    k2 = tc.lower_kappa2(bundle, solution)
     assert k1.lower <= k2.lower
     assert "dominates" in k2.applicability_note
 
@@ -113,9 +115,9 @@ def test_kappa1_upper_meets_kappa2_lower_as_residual_vanishes():
     # ratio = sqrt((1+q)/(1-q)), q = sigma_{n+1}^2/sigma_hat_n^2 -> 1 as q -> 0
     for residual, tol in [(1e-2, 1e-3), (1e-5, 1e-9)]:
         problem = tailored_problem([4.0, 2.0, 1.0], seed=3, residual=residual)
-        bundle, solution, work = pipeline(problem)
+        bundle, solution, _ = pipeline(problem)
         upper1 = tc.sv_bounds_kappa1(bundle, solution).upper
-        lower2 = tc.lower_kappa2(bundle, solution, work).lower
+        lower2 = tc.lower_kappa2(bundle, solution).lower
         q = (bundle.sigma[-1] / bundle.sigma_hat[-1]) ** 2
         assert upper1 / lower2 == pytest.approx(np.sqrt((1 + q) / (1 - q)), rel=1e-8)
         assert upper1 / lower2 == pytest.approx(1.0, abs=tol)
@@ -123,10 +125,10 @@ def test_kappa1_upper_meets_kappa2_lower_as_residual_vanishes():
 
 
 def test_upper_kappa2_rejects_large_alpha(fix_b):
-    bundle, solution, work = pipeline(fix_b)
+    bundle, solution, _ = pipeline(fix_b)
     assert solution.alpha > 0.5
     with pytest.raises(NotApplicable):
-        tc.upper_kappa2(bundle, solution, work)
+        tc.upper_kappa2(bundle, solution)
 
 
 def test_upper_kappa2_encloses_at_small_alpha():
@@ -135,7 +137,7 @@ def test_upper_kappa2_encloses_at_small_alpha():
         bundle, solution, work = pipeline(problem)
         rho = bundle.sigma[-1] / bundle.sigma[-2]
         assert rho <= 0.99
-        pair = tc.upper_kappa2(bundle, solution, work)
+        pair = tc.upper_kappa2(bundle, solution)
         kappa = tc.svd_condition(work, bundle, solution).kappa_abs
         assert pair.lower <= kappa * (1 + 1e-9)
         assert kappa <= pair.upper * (1 + 1e-9)
@@ -237,3 +239,34 @@ def test_bound_pairs_ordered():
         for pair in report.pairs.values():
             if pair.lower is not None and pair.upper is not None:
                 assert pair.lower <= pair.upper * (1 + 1e-12)
+
+
+def few_value_stand_ins(bundle, solution):
+    """A bundle and a solution holding only what the few-value bounds may read.
+
+    The bundle keeps n, sigma_n, sigma_{n+1} (every other sigma is NaN),
+    sigma_hat_n, delta and roots that answer only sigma_hat_{n-1} (at(-2))
+    and sigma_hat_1 (at(0)); the solution keeps ||x|| and alpha.
+    """
+    sigma = np.full(bundle.n + 1, np.nan)
+    sigma[-2:] = bundle.sigma[-2:]
+    answers = {-2: bundle.roots.at(-2), 0: bundle.roots.at(0)}
+    few_bundle = SimpleNamespace(
+        n=bundle.n, sigma=sigma, sigma_hat_n=bundle.sigma_hat_n, delta=bundle.delta,
+        roots=SimpleNamespace(at=answers.__getitem__),
+    )
+    return few_bundle, SimpleNamespace(norm_x=solution.norm_x, alpha=solution.alpha)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tc.generate_ab_alpha(50, 10, 0.3, seed=0),
+    lambda: tc.generate_ab_alpha(200, 30, 1e-4, seed=0),
+    lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0)),
+], ids=["alpha_50x10_0.3", "alpha_200x30_1e-4", "deblur_m100"])
+def test_few_value_bounds_read_only_the_few_values(make):
+    bundle, solution, _ = pipeline(make())
+    few_bundle, few_solution = few_value_stand_ins(bundle, solution)
+    assert tc.sv_bounds_kappa1(few_bundle, few_solution) == tc.sv_bounds_kappa1(bundle, solution)
+    assert tc.lower_kappa2(few_bundle, few_solution) == tc.lower_kappa2(bundle, solution)
+    assert tc.upper_kappa2(few_bundle, few_solution) == tc.upper_kappa2(bundle, solution)
+    assert tc.bhm_approx(few_bundle) == tc.bhm_approx(bundle)

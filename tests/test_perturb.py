@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,22 @@ def test_worst_direction_on_deblur():
     pred = tc.first_order_prediction(work, problem, solution, direction, 1.0)
     kappa = tc.svd_condition(work, bundle, solution).kappa_abs
     assert np.linalg.norm(pred - solution.x) == pytest.approx(kappa, rel=1e-8)
+
+
+def test_worst_direction_ignores_the_signs_of_v():
+    # solve_tls fixes the sign of v_{n+1}, and u = V11^{-T} S q keeps its sign
+    # when any of v_1..v_n changes sign, so the direction is the same for
+    # every sign choice of the SVD (here v_1, v_3, .., v_{n+1} negated)
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    bundle = tc.svd_bundle(problem)
+    signs = np.where(np.arange(11) % 2 == 0, -1.0, 1.0)
+    flipped = dataclasses.replace(bundle, u_aug=bundle.u_aug * signs, v_aug=bundle.v_aug * signs)
+    directions = []
+    for each in (bundle, flipped):
+        solution = tc.solve_tls(problem, each)
+        work = tc.build_spectral_work(problem, each, solution)
+        directions.append(tc.worst_direction(work, problem, solution).stacked())
+    np.testing.assert_allclose(directions[0], directions[1], rtol=0, atol=1e-15)
 
 
 def test_monte_carlo_never_forms_k():
