@@ -5,12 +5,27 @@ Problem files are headerless CSV or MatrixMarket dense arrays. Report files
 are CSV (header line first) or JSON with schema
 ``{"metadata": {...}, "rows": [{...}]}``. Numbers are written with 17
 significant digits so a reload reproduces the binary doubles exactly.
+
+Problem files go through compiled text kernels in both directions:
+
+- Reads run ``np.loadtxt``, whose C parser converts a number as strictly as
+  ``float``. Where it refuses the text (a bad number, a ragged row, a ``%``
+  line among MatrixMarket entries, an empty file, ``1_0``), the strict
+  line-by-line reader reads the file again and decides: it names the faulty
+  line or entry, or accepts what ``float`` accepts. ``scipy.io.mmread`` is
+  not used because it reads ``0.5e+-3`` as 0.5, ``1 x`` as 1 and ``0x1p3``
+  as 0.
+- CSV is written by ``np.savetxt`` with ``%.17g`` cells, MatrixMarket by
+  ``scipy.io.mmwrite`` in 17-digit e-notation. ``mmwrite`` is given a handle
+  that Python opened, never a path: given a path it cannot open, it returns
+  without writing anything or raising.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +35,7 @@ from .errors import ParseError, ShapeError
 
 _FMT = ".17g"
 
-_MM_HEADER = "%%MatrixMarket matrix array real general"
+_MM_SUFFIXES = (".mtx", ".mm")
 
 
 def _fmt(value: float) -> str:
@@ -81,14 +96,21 @@ class ReportDocument:
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "rows", tuple(dict(r) for r in self.rows))
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError(f"duplicate column in {list(self.columns)}")
         for row in self.rows:
-            if set(row) != set(self.columns):
-                raise ValueError(f"row keys {sorted(row)} != columns {sorted(self.columns)}")
-            for key, value in row.items():
-                if value is None or isinstance(value, str):
-                    continue
-                if not np.isfinite(value):
-                    raise ValueError(f"non-finite value for {key!r}; use None instead")
+            _check_row(self.columns, row)
+
+
+def _check_row(columns: tuple[str, ...], row: dict) -> None:
+    """Raise ValueError unless ``row`` is a valid :class:`ReportDocument` row."""
+    if set(row) != set(columns):
+        raise ValueError(f"row keys {sorted(row)} != columns {sorted(columns)}")
+    for key, value in row.items():
+        if value is None or isinstance(value, str):
+            continue
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value for {key!r}; use None instead")
 
 
 def _problem_from_array(data: np.ndarray, label: str) -> TlsProblem:
@@ -100,7 +122,7 @@ def _problem_from_array(data: np.ndarray, label: str) -> TlsProblem:
 
 def _problem_format(path: Path, format: str | None) -> str:
     """Resolve a format name or alias, or the suffix when omitted, to "mm" or "csv"."""
-    fmt = format or ("mm" if path.suffix.lower() in (".mtx", ".mm") else "csv")
+    fmt = format or ("mm" if path.suffix.lower() in _MM_SUFFIXES else "csv")
     if fmt in ("mm", "matrixmarket", "matrixmarket-dense"):
         return "mm"
     if fmt != "csv":
@@ -108,7 +130,36 @@ def _problem_format(path: Path, format: str | None) -> str:
     return fmt
 
 
-def _read_csv_array(path: Path) -> np.ndarray:
+def _loadtxt(source, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` of ``source``, or None where it refuses the text.
+
+    ``comments`` stays None: with "%" loadtxt would cut ``6 % note`` to 6,
+    which the line-by-line readers refuse.
+    """
+    with warnings.catch_warnings():
+        # an empty input only warns "input contained no data"
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(source, comments=None, **kwargs)
+        except (ValueError, UserWarning):
+            return None
+
+
+def _plain_lines(fh):
+    """The lines of ``fh``, refusing one that str.splitlines would split again.
+
+    Besides "\n", str.splitlines (the CSV line reader's row split) breaks at
+    these ASCII characters and at three non-ASCII ones; loadtxt instead strips
+    them from a cell as blanks, and so would accept ``1\f,2``.
+    """
+    for line in fh:
+        if not line.isascii() or any(c in line for c in "\v\f\x1c\x1d\x1e"):
+            raise ValueError("not a plain ASCII line")
+        yield line
+
+
+def _read_csv_lines(path: Path) -> np.ndarray:
+    """The line-by-line CSV reader: it names the line of a bad cell."""
     rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -125,18 +176,25 @@ def _read_csv_array(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _read_mm_array(path: Path) -> np.ndarray:
+def _read_csv_array(path: Path) -> np.ndarray:
     with path.open() as fh:
-        banner = fh.readline().rstrip("\n")
-        if not banner.lower().startswith("%%matrixmarket"):
-            raise ParseError(f"{path}: missing MatrixMarket banner")
-        if not {"matrix", "array", "real", "general"} <= set(banner.lower().split()):
-            raise ParseError(f"{path}: unsupported MatrixMarket flavor {banner!r}")
-        size = next((ln for ln in fh if ln.strip() and not ln.lstrip().startswith("%")), None)
-        body = fh.read()
-    if size is None:
+        data = _loadtxt(_plain_lines(fh), delimiter=",", ndmin=2)
+    return _read_csv_lines(path) if data is None else data
+
+
+def _read_mm_header(path: Path, fh) -> tuple[int, int, int]:
+    """Check the banner and read the size line: (m, k, lines read)."""
+    banner = fh.readline().rstrip("\n")
+    if not banner.lower().startswith("%%matrixmarket"):
+        raise ParseError(f"{path}: missing MatrixMarket banner")
+    if not {"matrix", "array", "real", "general"} <= set(banner.lower().split()):
+        raise ParseError(f"{path}: unsupported MatrixMarket flavor {banner!r}")
+    for lines_read, line in enumerate(fh, start=2):
+        if line.strip() and not line.lstrip().startswith("%"):
+            break
+    else:
         raise ParseError(f"{path}: missing size line")
-    size = size.rstrip("\n")
+    size = line.rstrip("\n")
     dims = size.split()
     if len(dims) != 2:
         raise ParseError(f"{path}: bad size line {size!r}")
@@ -146,6 +204,21 @@ def _read_mm_array(path: Path) -> np.ndarray:
         raise ParseError(f"{path}: bad size line {size!r}") from exc
     if m < 0 or k < 0:
         raise ParseError(f"{path}: negative size in {size!r}")
+    return m, k, lines_read
+
+
+def _mm_block(path: Path, values: np.ndarray, m: int, k: int) -> np.ndarray:
+    if values.size != m * k:
+        raise ParseError(f"{path}: expected {m * k} entries, found {values.size}")
+    # MatrixMarket array data is stored column-major.
+    return values.reshape((k, m)).T
+
+
+def _read_mm_lines(path: Path) -> np.ndarray:
+    """The line-by-line MatrixMarket reader: it names a bad entry."""
+    with path.open() as fh:
+        m, k, _ = _read_mm_header(path, fh)
+        body = fh.read()
     try:
         values = np.array(body.split(), dtype=float)
     except ValueError:
@@ -160,10 +233,20 @@ def _read_mm_array(path: Path) -> np.ndarray:
                 except ValueError as exc:
                     raise ParseError(f"{path}: bad entry {token!r}") from exc
         values = np.array(values, dtype=float)
-    if values.size != m * k:
-        raise ParseError(f"{path}: expected {m * k} entries, found {values.size}")
-    # MatrixMarket array data is stored column-major.
-    return values.reshape((k, m)).T
+    return _mm_block(path, values, m, k)
+
+
+def _read_mm_array(path: Path) -> np.ndarray:
+    with path.open() as fh:
+        m, k, header_lines = _read_mm_header(path, fh)
+    # loadtxt opens a file it is given by name through numpy's DataSource,
+    # which decompresses .gz, .bz2, .xz and .lzma files; only the MatrixMarket
+    # suffixes are named to it. A handle would be read line by line, 1.6x slower.
+    if path.suffix.lower() in _MM_SUFFIXES:
+        values = _loadtxt(str(path), skiprows=header_lines, ndmin=1)
+        if values is not None:
+            return _mm_block(path, values.ravel(), m, k)
+    return _read_mm_lines(path)
 
 
 def load_problem(path, format: str | None = None) -> TlsProblem:
@@ -181,14 +264,20 @@ def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
     """Write the [A b] array of ``problem`` in CSV or MatrixMarket dense form."""
     path = Path(path)
     aug = problem.augmented()
-    m, k = aug.shape
-    cell = f"%{_FMT}"  # one %-format for the whole file; prints as format(v, _FMT)
     if _problem_format(path, format) == "mm":
-        values = aug.T.ravel().tolist()  # column-major per the format
-        text = f"{_MM_HEADER}\n{m} {k}\n" + "\n".join([cell] * (m * k)) % tuple(values)
+        # imported here: scipy.io costs every importer of tlscond about 3 MiB
+        from scipy.io import mmwrite
+
+        # a handle, not the path: given a path that cannot be opened, mmwrite
+        # returns without writing or raising (and scipy 1.10 appends ".mtx").
+        # "general" keeps a symmetric square [A b] from being written as
+        # "symmetric", which the reader refuses.
+        with path.open("wb") as fh:
+            mmwrite(fh, aug, precision=17, symmetry="general")
     else:
-        text = "\n".join([",".join([cell] * k)] * m) % tuple(aug.ravel().tolist())
-    path.write_text(text + "\n")
+        # a handle, not the path: np.savetxt would gzip a path ending in .gz
+        with path.open("w") as fh:
+            np.savetxt(fh, aug, fmt=f"%{_FMT}", delimiter=",")
 
 
 def _infer_report_format(path: Path) -> str:
@@ -231,7 +320,12 @@ def _parse_cell(text: str):
 
 
 def load_report(path, format: str | None = None) -> ReportDocument:
-    """Reload a report written by :func:`save_report`."""
+    """Reload a report written by :func:`save_report`.
+
+    Raises ParseError for a file that holds no valid report; for CSV it names
+    the line of a duplicate column, of a row whose cell count differs from
+    the header's, or of a row :class:`ReportDocument` refuses.
+    """
     path = Path(path)
     fmt = format or _infer_report_format(path)
     if fmt == "json":
@@ -242,24 +336,35 @@ def load_report(path, format: str | None = None) -> ReportDocument:
                 rows=tuple(payload["rows"]),
                 metadata=payload.get("metadata", {}),
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ParseError(f"{path}: {exc}") from exc
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     metadata = {}
-    lines = path.read_text().splitlines()
-    data_lines = []
-    for line in lines:
+    numbered = []  # (line number, text) of the header and the data lines
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.startswith("# metadata: "):
             try:
                 metadata = json.loads(line[len("# metadata: "):])
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: bad metadata line") from exc
         elif line.strip():
-            data_lines.append(line)
-    reader = list(csv.reader(data_lines))
-    if not reader:
+            numbered.append((lineno, line))
+    reader = csv.reader(line for _, line in numbered)
+    columns = tuple(next(reader, ()))
+    if not columns:
         raise ParseError(f"{path}: empty report")
-    columns = tuple(reader[0])
-    rows = tuple({c: _parse_cell(cell) for c, cell in zip(columns, row)} for row in reader[1:])
-    return ReportDocument(columns=columns, rows=rows, metadata=metadata)
+    if len(set(columns)) != len(columns):
+        raise ParseError(f"{path}:{numbered[0][0]}: duplicate column in {list(columns)}")
+    rows = []
+    for cells in reader:
+        where = f"{path}:{numbered[reader.line_num - 1][0]}"
+        if len(cells) != len(columns):
+            raise ParseError(f"{where}: {len(cells)} cells for {len(columns)} columns")
+        row = dict(zip(columns, map(_parse_cell, cells)))
+        try:
+            _check_row(columns, row)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        rows.append(row)
+    return ReportDocument(columns=columns, rows=tuple(rows), metadata=metadata)

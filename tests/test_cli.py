@@ -55,6 +55,15 @@ def test_gen_matrixmarket_output(tmp_path, capsys):
     assert problem.m == 40 and problem.n == 24
 
 
+def test_gen_to_a_missing_directory_exits_2(tmp_path, capsys):
+    code, _, err = run(
+        ["gen", "--kind", "alpha", "--m", "10", "--n", "3", "--alpha", "0.3",
+         "--seed", "1", "--out", str(tmp_path / "missing" / "p.mtx")],
+        capsys,
+    )
+    assert code == 2 and "error" in err
+
+
 def test_validate_command(tmp_path, capsys):
     path = gen_problem_file(tmp_path, capsys)
     code, out, _ = run(
