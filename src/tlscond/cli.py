@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -306,6 +307,20 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tlscond",
@@ -349,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="perturbation validation")
     add_input(p_val)
-    p_val.add_argument("--trials", type=int, default=100)
-    p_val.add_argument("--step", type=float, default=None,
+    p_val.add_argument("--trials", type=_nonnegative_int, default=100)
+    p_val.add_argument("--step", type=_positive_finite, default=None,
                        help="absolute step (default 1e-8 * ||[A b]||_F)")
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)

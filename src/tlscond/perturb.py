@@ -13,6 +13,7 @@ that the work's secular equation gives in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +161,15 @@ def _perturbed_ratio(problem, base_solution, direction, t):
     return float(np.linalg.norm(pert_solution.x - base_solution.x) / t)
 
 
+def _check_step(t: float) -> None:
+    """Raise ValueError unless the step t is positive and finite."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"step t must be positive and finite, got {t}")
+
+
 def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t: float) -> float:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
-    if t <= 0:
-        raise ValueError("step t must be positive")
+    _check_step(t)
     return _perturbed_ratio(problem, solve_tls(problem, svd_bundle(problem)), direction, t)
 
 
@@ -186,8 +192,12 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
 
     remainder(t) = |ratio(t) - ||K z|||, which decays linearly in t until
     rounding dominates; points with t below the floor are flagged not-clean
-    and left out of slope fits.
+    and left out of slope fits. Raises ValueError for a step that is not
+    positive and finite.
     """
+    t_list = tuple(t_list)
+    for t in t_list:
+        _check_step(t)
     _, base_solution, work = _solve(problem)
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
     floor = CLEAN_STEP_FLOOR * work.aug_frobenius
@@ -225,7 +235,12 @@ def monte_carlo_validate(
     Each trial derives its own generator from (seed, trial index), so the
     summary does not depend on execution order. The default step is
     1e-8 ||[A b]||_F, balancing the Taylor remainder against rounding.
+    Raises ValueError for trials < 0 or a step that is not positive and finite.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if t is not None:
+        _check_step(t)
     bundle, base_solution, work = _solve(problem)
     if t is None:
         t = 1e-8 * work.aug_frobenius

@@ -310,9 +310,11 @@ def save_report(report: ReportDocument, path, format: str | None = None) -> None
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _parse_cell(text: str):
+def _parse_cell(text: str, label: bool):
     if text == "":
         return None
+    if label:
+        return text
     try:
         return float(text)
     except ValueError:
@@ -322,9 +324,11 @@ def _parse_cell(text: str):
 def load_report(path, format: str | None = None) -> ReportDocument:
     """Reload a report written by :func:`save_report`.
 
-    Raises ParseError for a file that holds no valid report; for CSV it names
-    the line of a duplicate column, of a row whose cell count differs from
-    the header's, or of a row :class:`ReportDocument` refuses.
+    A CSV cell of the label column stays a string, so a label such as "1e3"
+    or "nan" round-trips; an empty cell is None. Raises ParseError for a
+    file that holds no valid report; for CSV it names the line of a
+    duplicate column, of a row whose cell count differs from the header's,
+    or of a row :class:`ReportDocument` refuses.
     """
     path = Path(path)
     fmt = format or _infer_report_format(path)
@@ -361,7 +365,7 @@ def load_report(path, format: str | None = None) -> ReportDocument:
         where = f"{path}:{numbered[reader.line_num - 1][0]}"
         if len(cells) != len(columns):
             raise ParseError(f"{where}: {len(cells)} cells for {len(columns)} columns")
-        row = dict(zip(columns, map(_parse_cell, cells)))
+        row = {c: _parse_cell(text, c == "label") for c, text in zip(columns, cells)}
         try:
             _check_row(columns, row)
         except ValueError as exc:

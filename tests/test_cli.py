@@ -73,6 +73,23 @@ def test_validate_command(tmp_path, capsys):
     assert "sound=True" in out and "attained=True" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--step", "-1", "positive and finite"),
+        ("--step", "0", "positive and finite"),
+        ("--step", "nan", "positive and finite"),
+        ("--trials", "-1", ">= 0"),
+    ],
+)
+def test_validate_refuses_a_bad_step_or_trial_count(tmp_path, capsys, flag, value, message):
+    path = gen_problem_file(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--input", str(path), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be {message}" in capsys.readouterr().err
+
+
 def test_cond_single_method(tmp_path, capsys):
     path = gen_problem_file(tmp_path, capsys)
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)

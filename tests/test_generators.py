@@ -71,11 +71,34 @@ def test_generate_v_rejects_bad_alpha():
             tc.generate_v(3, v_tilde, alpha, seed=1)
 
 
+# m >= 2(n+1) factors B through its R; m < 2(n+1) takes dgesdd of B itself
+KERNEL_ROUTE_SHAPES = [(20, 6), (60, 10), (15, 10)]
+
+
 def test_generate_ab_alpha_recovers_alpha():
-    problem = tc.generate_ab_alpha(20, 6, 0.9, seed=8)
-    bundle, solution, _ = pipeline(problem)
-    assert abs(bundle.v_aug[-1, -1]) == pytest.approx(0.9, abs=1e-10)
-    assert solution.alpha == pytest.approx(0.9, rel=1e-10)
+    for m, n in KERNEL_ROUTE_SHAPES:
+        problem = tc.generate_ab_alpha(m, n, 0.9, seed=8)
+        bundle, solution, _ = pipeline(problem)
+        assert abs(bundle.v_aug[-1, -1]) == pytest.approx(0.9, abs=1e-10)
+        assert solution.alpha == pytest.approx(0.9, rel=1e-10)
+
+
+@pytest.mark.parametrize("m,n", KERNEL_ROUTE_SHAPES)
+def test_generate_ab_alpha_needs_no_numpy_svd(monkeypatch, m, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    problem = tc.generate_ab_alpha(m, n, 0.3, seed=2)
+    assert problem.a_matrix.shape == (m, n)
+
+
+def test_generate_ab_alpha_never_forms_u(monkeypatch):
+    calls = counting_factorizations(monkeypatch)
+    tc.generate_ab_alpha(60, 10, 0.3, seed=2)
+    # two Haar QRs, then B and the accepted [A b] each through the bundle's
+    # kernel: dgesdd sees only the 11 x 11 R, so no 60-row factor is built
+    assert calls == [("qr", (10, 10))] * 2 + [("dgeqrt", (60, 11)), ("dgesdd", (11, 11))] * 2
 
 
 def test_generate_ab_alpha_tiny_alpha_v11_condition():

@@ -205,6 +205,23 @@ def test_monte_carlo_trials_zero(fix_b):
     assert summary.sound
 
 
+@pytest.mark.parametrize("t", [0.0, -1e-6, np.nan, np.inf])
+def test_validator_refuses_a_bad_step(fix_b, t):
+    direction = unit_direction(2, 1, entry=(0, 0))
+    for call in (
+        lambda: tc.monte_carlo_validate(fix_b, trials=3, t=t),
+        lambda: tc.convergence_study(fix_b, direction, [1e-6, t]),
+        lambda: tc.perturbation_ratio(fix_b, direction, t),
+    ):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+
+
+def test_monte_carlo_refuses_negative_trials(fix_b):
+    with pytest.raises(ValueError, match="trials"):
+        tc.monte_carlo_validate(fix_b, trials=-1)
+
+
 def test_monte_carlo_deterministic(fix_b):
     s1 = tc.monte_carlo_validate(fix_b, trials=12, seed=5)
     s2 = tc.monte_carlo_validate(fix_b, trials=12, seed=5)

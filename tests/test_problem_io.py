@@ -315,6 +315,17 @@ def test_report_round_trip_identical(tmp_path, fmt):
         assert got == expected  # binary-exact floats, None preserved
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_labels_stay_strings(tmp_path, fmt):
+    """Labels that read as numbers ("1e3", "nan") come back as the same strings."""
+    report = tc.ReportDocument(
+        ("label", "v"), ({"label": "1e3", "v": 2.0}, {"label": "nan", "v": 3.0})
+    )
+    path = tmp_path / f"r.{fmt}"
+    tc.save_report(report, path)
+    assert tc.load_report(path).rows == report.rows
+
+
 def test_report_rejects_bad_rows():
     with pytest.raises(ValueError):
         tc.ReportDocument(("a",), ({"a": np.inf},))
