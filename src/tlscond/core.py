@@ -2,11 +2,13 @@
 
 The bundle is one thin SVD of [A b], of one row block: [A b], or once
 m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
-Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). Both are LAPACK
-calls through scipy.linalg.lapack on one Fortran-ordered [A b]: dgeqrt, the
-recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), and
-dgesdd, in one helper, row_block_svd, which the alpha generator shares. Q is
-never formed: the left factor is in that block's row basis.
+Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). The QR is
+LAPACK dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b], the
+recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in
+row_block; the SVD of that block is block_svd, numpy's dgesdd, which takes one
+block or a stack of them. The alpha generator and the perturbation lab's
+stacked re-solves run the same two kernels. Q is never formed: the left factor
+is in that block's row basis.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -26,9 +28,10 @@ computes them from rows[:, :n] when called.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
-solution off it; its checks are residual_diagnostics' work. The gap is
-classified once from delta, kept as TlsSolution.gap, and judged by the one
-policy here: below a relative gap of HARD_GAP_LIMIT, P = A^T A -
+solution off it. Its acceptance rules are accept_trailing_vector, which the
+lab's stacked re-solves call too; its checks are residual_diagnostics' work.
+The gap is classified once from delta, kept as TlsSolution.gap, and judged by
+the one policy here: below a relative gap of HARD_GAP_LIMIT, P = A^T A -
 sigma_{n+1}^2 I is numerically singular, so the normal-equations cross-check
 P^{-1} A^T b is skipped and GapDiagnostics.gate refuses the P-based routes;
 below WARN_GAP_LIMIT the gate warns.
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgemqrt, dgeqrt, dgesdd, dgesdd_lwork, dlasd4
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dlasd4
 
 from .errors import (
     ConvergenceError,
@@ -379,47 +382,50 @@ def _householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, t
 
 
-def row_block_svd(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The thin SVD of a Fortran-ordered m x k array through its row block.
+def row_block(aug: np.ndarray) -> np.ndarray:
+    """The row block of a Fortran-ordered m x k array: aug = Q rows.
 
-    Returns (rows, u, sigma, vt) with rows = u diag(sigma) vt and aug = Q rows:
     rows is aug itself, or once m >= 2k the k x k R of one dgeqrt (block size
-    min(32, k), no workspace query), which overwrites aug. dgesdd, with its
-    queried optimal workspace, works on its own copy of rows, so rows stays
-    intact; u is in the row basis of rows and is never applied back to m rows.
-    A tall R agrees with the R of dgeqrf (numpy's qr) to rounding, with the
-    same diagonal signs, not bit for bit.
+    min(32, k), no workspace query), which overwrites aug. A tall R agrees
+    with the R of dgeqrf (numpy's qr) to rounding, with the same diagonal
+    signs, not bit for bit.
     """
     m, k = aug.shape
-    rows = np.triu(_householder_qr(aug)[0][:k]) if m >= 2 * k else aug
-    lwork = int(dgesdd_lwork(*rows.shape, compute_uv=1, full_matrices=0)[0])
-    u, sigma, vt, info = dgesdd(rows, compute_uv=1, full_matrices=0, lwork=lwork)
-    if info != 0:
-        raise ConvergenceError(f"dgesdd failed (info={info})")
-    return rows, u, sigma, vt
+    return np.triu(_householder_qr(aug)[0][:k]) if m >= 2 * k else aug
+
+
+def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, sigma, vt), the thin SVD of one block or of a stack of blocks.
+
+    numpy's dgesdd, one call for the whole stack; it works on its own copy of
+    each block, so rows stays intact, and returns C-contiguous factors. Each
+    block's factors are bitwise those of its own call. u is in the row basis
+    of rows and is never applied back to m rows.
+    """
+    try:
+        return np.linalg.svd(rows, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dgesdd failed ({exc})") from exc
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
 
-    row_block_svd of one private Fortran-ordered copy of [A b].
+    block_svd of the row_block of one private Fortran-ordered copy of [A b].
     """
     m, n = problem.m, problem.n
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
-    rows, u_aug, sigma, vt_aug = row_block_svd(aug)
-    # C order, as numpy returns them: V11's products round by layout
-    u_aug, vt_aug = np.ascontiguousarray(u_aug), np.ascontiguousarray(vt_aug)
+    rows = row_block(aug)
+    u_aug, sigma, vt_aug = block_svd(rows)
     roots = SigmaHatRoots(sigma, vt_aug[:, -1])  # v: the last row of V
     sigma_hat_n, delta = roots.at(-1)
     return SvdBundle(rows, sigma, u_aug, vt_aug.T, sigma_hat_n, delta, roots)
 
 
-def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
-    """Classify the gap condition 0 < sigma_{n+1} < sigma_hat_n from delta."""
-    sig_hat_n, delta = bundle.sigma_hat_n, bundle.delta
-    sig_last = float(bundle.sigma[-1])
-    sig_n = float(bundle.sigma[-2])
+def _classify_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:
+    sig_last = float(sigma[-1])
+    sig_n = float(sigma[-2])
     rel_gap = delta / (sig_hat_n * (sig_hat_n + sig_last)) if sig_hat_n > 0 else 0.0
     return GapDiagnostics(
         gap_ok=delta > 0.0,
@@ -430,27 +436,41 @@ def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
     )
 
 
-def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
-    """Solve the TLS problem from its trailing right singular vector.
+def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
+    """Classify the gap condition 0 < sigma_{n+1} < sigma_hat_n from delta."""
+    return _classify_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
+
+
+def accept_trailing_vector(
+    sigma: np.ndarray, v_last: np.ndarray, sig_hat_n: float, delta: float
+) -> tuple[GapDiagnostics, np.ndarray]:
+    """The solver's rules on one SVD of [A b]: its gap, and v_{n+1} with its sign fixed.
 
     Raises NoUniqueSolution when the gap fails, TrivialProblem when
     sigma_{n+1} = 0, and DegenerateVector when the vector's last entry is
-    numerically zero despite a valid gap (an upstream SVD failure).
+    numerically zero despite a valid gap (an upstream SVD failure). Returns
+    a copy of v_last (V's last column) negated where needed so that its last
+    entry is -alpha.
     """
-    diag = check_uniqueness(bundle)
+    diag = _classify_gap(sigma, sig_hat_n, delta)
     if not diag.gap_ok:
-        raise NoUniqueSolution(
-            f"sigma_{{n+1}}={bundle.sigma[-1]:.6e} >= sigma_hat_n={bundle.sigma_hat_n:.6e}"
-        )
+        raise NoUniqueSolution(f"sigma_{{n+1}}={sigma[-1]:.6e} >= sigma_hat_n={sig_hat_n:.6e}")
     if not diag.nontrivial:
         raise TrivialProblem("sigma_{n+1} = 0: b in range(A), take [E r] = 0")
-
-    v_last = bundle.v_aug[:, -1].copy()
     if abs(v_last[-1]) <= 1e-14:
         raise DegenerateVector("v_{n+1}(n+1) ~ 0 contradicts the gap condition")
-    if v_last[-1] > 0:
-        v_last = -v_last
+    return diag, -v_last if v_last[-1] > 0 else v_last.copy()
 
+
+def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
+    """Solve the TLS problem from its trailing right singular vector.
+
+    The checks and the sign are accept_trailing_vector's: NoUniqueSolution,
+    TrivialProblem or DegenerateVector.
+    """
+    diag, v_last = accept_trailing_vector(
+        bundle.sigma, bundle.v_aug[:, -1], bundle.sigma_hat_n, bundle.delta
+    )
     x = -v_last[:-1] / v_last[-1]
     alpha = 1.0 / np.hypot(1.0, np.linalg.norm(x))
     r = problem.a_matrix @ x - problem.b_vector

@@ -14,7 +14,12 @@ class ShapeError(TlsCondError):
 
 
 class ConvergenceError(TlsCondError):
-    """A LAPACK call failed: the bundle's dgeqrt or dgesdd, dgemqrt, or the secular dlasd4."""
+    """A LAPACK call failed: dgeqrt, numpy's dgesdd (its LinAlgError), dgemqrt, or dlasd4.
+
+    dgeqrt and dgesdd are the bundle's row-block kernels, which the alpha
+    generator and the perturbation lab's stacked re-solves share; dgemqrt
+    rebuilds Q for the reconstruction check; dlasd4 solves the secular roots.
+    """
 
 
 class NoUniqueSolution(TlsCondError):

@@ -275,7 +275,8 @@ def baboulin_condition(
     blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
     the cholesky route. sigma_hat and Vhat come from one SVD of A, run only
     once the gate has passed. The product is formed as Dhat (Vhat^T V11) D,
-    V11 the leading n x n block of V.
+    V11 the leading n x n block of V, and its norm is read from the top
+    eigenvalue of its n x n Gram matrix, as in the cholesky route.
     """
     warnings = solution.gap.gate("Dhat")
     n = bundle.n
@@ -284,7 +285,8 @@ def baboulin_condition(
     d_hat = 1.0 / ((sigma_hat - sig_last) * (sigma_hat + sig_last))
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig_last**2)
     core = d_hat[:, None] * (vt_hat @ bundle.v_aug[:n, :n]) * d_b
-    kappa = float(np.hypot(1.0, solution.norm_x) * np.linalg.norm(core, 2))
+    core_norm = np.sqrt(max(np.linalg.eigvalsh(core.T @ core)[-1], 0.0))
+    kappa = float(np.hypot(1.0, solution.norm_x) * core_norm)
     rel = _relative(kappa, work.aug_frobenius, solution)
     return ConditionEstimate(kappa, rel, "baboulin", warnings)
 

@@ -8,11 +8,11 @@ Two families:
   solution then satisfies sqrt(1 + ||x||^2) = 1/alpha, and shrinking alpha
   drives sigma_hat_n and sigma_{n+1} together, i.e. toward ill conditioning.
   U is never formed: U Sigma = B W, so [A b] = B (W V^T), with W from
-  core.row_block_svd, the kernel the bundle runs (dgeqrt to R once
-  m >= 2(n+1), then dgesdd of that small block). A draw, its acceptance
-  bundle included, takes 7.5 ms at 4000x40 and 15.2 ms at 2000x100, against
-  11.9 and 24.1 ms from a thin SVD that forms U (medians of 25 interleaved
-  draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM).
+  the bundle's own kernels (core.row_block, dgeqrt to R once m >= 2(n+1),
+  then core.block_svd, numpy's dgesdd, of that small block). A draw, its
+  acceptance bundle included, takes 7.5 ms at 4000x40 and 15.2 ms at
+  2000x100, against 11.9 and 24.1 ms from a thin SVD that forms U (medians
+  of 25 interleaved draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM).
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, row_block_svd, solve_tls, svd_bundle
+from .core import SvdBundle, TlsSolution, block_svd, row_block, solve_tls, svd_bundle
 from .errors import (
     DegenerateVector,
     GapFailure,
@@ -143,7 +143,7 @@ def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
         v = generate_v(n, v_tilde, alpha, rng)
         b = rng.random((m, n + 1))
         # U Sigma = B W for B = U Sigma W^T, so U is never formed
-        vt_b = row_block_svd(np.array(b, order="F"))[3]
+        vt_b = block_svd(row_block(np.array(b, order="F")))[2]
         aug = b @ (vt_b.T @ v.T)
         problem = TlsProblem(
             aug[:, :-1],

@@ -3,7 +3,13 @@
 A perturbation direction is a unit-Frobenius pair (dA, db). For a step t the
 observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
-measurement is independent of the formulas under test. As t -> 0 the ratio
+measurement is independent of the formulas under test. Every re-solve goes
+through one path, _resolves: each [A + t dA, b + t db] is written into one
+reused Fortran buffer and reduced to its row block by the bundle's kernel
+(core.row_block), the blocks of a stack of at most STACK_BYTES are factored
+by one core.block_svd call, and each step then passes solve_tls's own checks
+(core.accept_trailing_vector) in step order. Only x and the relative gap are
+read; no residual is formed. As t -> 0 the ratio
 approaches ||K z|| for the stacked direction z, is maximized over unit z by
 the condition number, and attains it along K^T u for K's top left singular
 vector u. K is never formed: K z and K^T u cost O(mn) through the closed-form
@@ -13,13 +19,28 @@ that the work's secular equation gives in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import solve_tls, svd_bundle
-from .errors import NoUniqueSolution, PerturbationTooLarge, TrivialProblem
+from .core import (
+    SigmaHatRoots,
+    accept_trailing_vector,
+    block_svd,
+    row_block,
+    solve_tls,
+    svd_bundle,
+)
+from .errors import (
+    ConvergenceError,
+    NoUniqueSolution,
+    PerturbationTooLarge,
+    ShapeError,
+    TlsCondError,
+    TrivialProblem,
+)
 from .exact import ExactFormulaWork, build_spectral_work, svd_condition
 from .problem import TlsProblem
 
@@ -29,6 +50,9 @@ GAP_PERSISTENCE = 1e-3
 CLEAN_STEP_FLOOR = 1e-12
 # Relative tolerance of the sound and attained verdicts against kappa.
 VALIDATION_TOLERANCE = 1e-3
+# Bytes of one stack of re-solves (row blocks and their SVD factors): the
+# lab's memory does not grow with its number of trials.
+STACK_BYTES = 2**22
 
 VALIDATION_COLUMNS = (
     "label",
@@ -145,20 +169,93 @@ def _solve(problem: TlsProblem):
     return bundle, solution, build_spectral_work(problem, bundle, solution)
 
 
-def _perturbed_ratio(problem, base_solution, direction, t):
-    perturbed = TlsProblem(
-        problem.a_matrix + t * direction.delta_a,
-        problem.b_vector + t * direction.delta_b,
-        label=problem.label + "+perturbation",
-    )
-    try:
-        pert_solution = solve_tls(perturbed, svd_bundle(perturbed))
-    except (NoUniqueSolution, TrivialProblem) as exc:
-        raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from exc
-    base_gap, pert_gap = base_solution.gap.rel_gap, pert_solution.gap.rel_gap
+def _ratios(problem: TlsProblem, base_solution, directions, steps) -> list:
+    """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
+
+    directions yields one direction per step. A lost or collapsed gap raises
+    PerturbationTooLarge, or gives None for an optional step.
+    """
+    ratios = []
+    resolves = _resolves(problem, directions, [t for t, _ in steps])
+    for (t, optional), resolved in zip(steps, resolves):
+        try:
+            ratios.append(_ratio(base_solution, resolved, t))
+        except PerturbationTooLarge:
+            if not optional:
+                raise
+            ratios.append(None)
+    return ratios
+
+
+def _ratio(base_solution, resolved, t: float) -> float:
+    if isinstance(resolved, TlsCondError):
+        raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from resolved
+    x, gap = resolved
+    base_gap, pert_gap = base_solution.gap.rel_gap, gap.rel_gap
     if pert_gap < GAP_PERSISTENCE * base_gap:
         raise PerturbationTooLarge(f"rel_gap collapsed from {base_gap:.3e} to {pert_gap:.3e}")
-    return float(np.linalg.norm(pert_solution.x - base_solution.x) / t)
+    return float(np.linalg.norm(x - base_solution.x) / t)
+
+
+def _resolves(problem: TlsProblem, directions, ts):
+    """Per step t, solve_tls's (x, gap) on [A + t dA, b + t db], or what it raises.
+
+    The NoUniqueSolution or TrivialProblem of a lost gap is yielded, not
+    raised; DegenerateVector is raised. directions yields one direction per
+    step and is drawn one stack at a time, and each step is yielded before
+    the next stack is built. The re-solves are bitwise those of solve_tls
+    on svd_bundle of the perturbed problem: the same sums, the same kernels
+    and the same checks (core.accept_trailing_vector).
+    """
+    if not ts:
+        return
+    m, n = problem.m, problem.n
+    k = n + 1 if m >= 2 * (n + 1) else m  # the rows of a row block
+    per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u and vt
+    # each block Fortran-ordered; below the QR crossover the data goes straight in
+    blocks = np.empty((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
+    aug = np.empty((m, n + 1), order="F") if k < m else None
+    directions = iter(directions)
+    for start in range(0, len(ts), len(blocks)):
+        stack = blocks[: len(ts) - start]
+        for block, t in zip(stack, ts[start : start + len(stack)]):
+            direction = next(directions)
+            target = block if aug is None else aug
+            np.multiply(direction.delta_a, t, out=target[:, :n])
+            np.multiply(direction.delta_b, t, out=target[:, n])
+            target[:, :n] += problem.a_matrix
+            target[:, n] += problem.b_vector
+            if aug is not None:
+                block[...] = row_block(aug)
+        for sigma, vt in _factored(stack):
+            sig_hat_n, delta = SigmaHatRoots(sigma, vt[:, -1]).at(-1)
+            try:
+                gap, v_last = accept_trailing_vector(sigma, vt[-1], sig_hat_n, delta)
+            except (NoUniqueSolution, TrivialProblem) as exc:
+                yield exc
+                continue
+            yield -v_last[:-1] / v_last[-1], gap
+
+
+def _factored(blocks):
+    """(sigma, vt) per block: one block_svd of the stack, or block by block.
+
+    A stack whose SVD fails or meets data that is not finite is re-run one
+    block at a time, lazily, so the failing step raises in its turn: data
+    that is not finite raises ShapeError, as TlsProblem does.
+    """
+    try:
+        _, sigmas, vts = block_svd(blocks)
+        if np.isfinite(sigmas).all():
+            yield from zip(sigmas, vts)
+            return
+    except ConvergenceError:
+        pass
+    for block in blocks:
+        if not np.isfinite(block).all():
+            raise ShapeError("entries must be finite")
+        _, sigma, vt = block_svd(block)
+        yield sigma, vt
 
 
 def _check_step(t: float) -> None:
@@ -170,7 +267,8 @@ def _check_step(t: float) -> None:
 def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t: float) -> float:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
     _check_step(t)
-    return _perturbed_ratio(problem, solve_tls(problem, svd_bundle(problem)), direction, t)
+    base_solution = solve_tls(problem, svd_bundle(problem))
+    return _ratios(problem, base_solution, [direction], [(t, False)])[0]
 
 
 def worst_direction(
@@ -201,18 +299,14 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
     _, base_solution, work = _solve(problem)
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
     floor = CLEAN_STEP_FLOOR * work.aug_frobenius
-    points = []
-    for t in t_list:
-        ratio = _perturbed_ratio(problem, base_solution, direction, t)
-        points.append(
-            ConvergencePoint(
-                t=float(t),
-                ratio=ratio,
-                remainder=abs(ratio - predicted),
-                clean=t >= floor,
-            )
+    ratios = _ratios(problem, base_solution, itertools.repeat(direction),
+                     [(t, False) for t in t_list])
+    return [
+        ConvergencePoint(
+            t=float(t), ratio=ratio, remainder=abs(ratio - predicted), clean=t >= floor
         )
-    return points
+        for t, ratio in zip(t_list, ratios)
+    ]
 
 
 def remainder_slope(points) -> float:
@@ -245,23 +339,23 @@ def monte_carlo_validate(
     if t is None:
         t = 1e-8 * work.aug_frobenius
 
-    ratios = []
-    for index in range(trials):
-        rng = np.random.default_rng([seed, index])
-        direction = random_direction(problem.m, problem.n, rng)
-        ratios.append(_perturbed_ratio(problem, base_solution, direction, t))
+    directions = (
+        random_direction(problem.m, problem.n, np.random.default_rng([seed, index]))
+        for index in range(trials)
+    )
+    ratios = _ratios(problem, base_solution, directions, [(t, False)] * trials)
 
+    # the worst direction at t, then three larger steps that may each lose the gap
     worst = worst_direction(work, problem, base_solution)
-    worst_ratio = _perturbed_ratio(problem, base_solution, worst, t)
+    steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
+    worst_ratio, *step_ratios = _ratios(problem, base_solution, itertools.repeat(worst), steps)
 
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, worst)))
-    slopes = []
-    for factor in (1e3, 1e2, 1e1):
-        try:
-            ratio = _perturbed_ratio(problem, base_solution, worst, factor * t)
-        except PerturbationTooLarge:
-            continue
-        slopes.append((factor * t, abs(ratio - predicted)))
+    slopes = [
+        (step, abs(ratio - predicted))
+        for (step, _), ratio in zip(steps[1:], step_ratios)
+        if ratio is not None
+    ]
 
     return ValidationSummary(
         kappa_reference=svd_condition(work, bundle, base_solution).kappa_abs,

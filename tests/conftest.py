@@ -56,17 +56,17 @@ def failed_dgeqrt(nb, a, overwrite_a=0):
     return a, np.zeros((nb, min(a.shape))), -2
 
 
-def failed_dgesdd(a, compute_uv=1, full_matrices=1, lwork=None, overwrite_a=0):
-    """What LAPACK dgesdd returns when its bidiagonal iteration fails: info=1."""
-    (m, n), k = a.shape, min(a.shape)
-    return np.full((m, k), np.nan), np.full(k, np.nan), np.full((k, n), np.nan), 1
+def failed_svd(a, *args, **kwargs):
+    """What np.linalg.svd raises when dgesdd's bidiagonal iteration fails."""
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 def counting_factorizations(monkeypatch):
-    """Log (kernel, shape) of every QR and SVD: core's LAPACK calls and numpy.linalg's.
+    """Log (kernel, shape) of every QR and SVD: core's dgeqrt and numpy.linalg's.
 
-    The bundle calls dgeqrt and dgesdd; the other readers call numpy. For
-    dgeqrt the logged shape is that of the factored array, its second argument.
+    The bundle calls dgeqrt and np.linalg.svd; the other readers call numpy.
+    For dgeqrt the logged shape is that of the factored array, its second
+    argument; a stacked SVD logs the shape of its stack.
     """
     calls = []
 
@@ -76,7 +76,7 @@ def counting_factorizations(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapped
 
-    for owner, name in [(core, "dgeqrt"), (core, "dgesdd"), (np.linalg, "qr"), (np.linalg, "svd")]:
+    for owner, name in [(core, "dgeqrt"), (np.linalg, "qr"), (np.linalg, "svd")]:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
 

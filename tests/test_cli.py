@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import counting_factorizations, failed_dgesdd, failed_dlasd4
+from conftest import counting_factorizations, failed_dlasd4, failed_svd
 from tlscond import core
 from tlscond.cli import main, run_table_example1, run_table_example2
 
@@ -167,10 +168,10 @@ def test_exit_code_secular_kernel_failure(tmp_path, capsys, monkeypatch):
 
 def test_exit_code_svd_failure(tmp_path, capsys, monkeypatch):
     path = gen_problem_file(tmp_path, capsys)
-    monkeypatch.setattr(core, "dgesdd", failed_dgesdd)
+    monkeypatch.setattr(np.linalg, "svd", failed_svd)
     code, _, err = run(["solve", "--input", str(path)], capsys)
     assert code == 5
-    assert "dgesdd failed (info=1)" in err
+    assert "dgesdd failed (SVD did not converge)" in err
 
 
 def test_table_example2_json(tmp_path, capsys):
@@ -305,4 +306,4 @@ def test_cond_kron_runs_only_the_bundle_svds(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)
     assert code == 0 and "kronecker" in out
     # [A b] through the R of one QR; A is not factored
-    assert calls == [("dgeqrt", (60, 9)), ("dgesdd", (9, 9))]
+    assert calls == [("dgeqrt", (60, 9)), ("svd", (9, 9))]

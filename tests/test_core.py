@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
     failed_dgeqrt,
-    failed_dgesdd,
     failed_dlasd4,
+    failed_svd,
     pipeline,
     tie_problem,
     tied_weighted_problem,
@@ -257,8 +259,8 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
         return sum(name in ("dgeqrt", "qr") for name, _ in calls)
 
     for problem, bundle_qr, bundle_calls in [
-        (tall, 1, [("dgeqrt", (200, 31)), ("dgesdd", (31, 31))]),
-        (blur, 0, [("dgesdd", (100, 85))]),
+        (tall, 1, [("dgeqrt", (200, 31)), ("svd", (31, 31))]),
+        (blur, 0, [("svd", (100, 85))]),
     ]:
         calls.clear()
         bundle = tc.svd_bundle(problem)
@@ -295,12 +297,12 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     bundle = tc.svd_bundle(problem)
     solution = tc.solve_tls(problem, bundle)
     assert roots == [9]  # sigma_hat_n and delta, nothing else
-    # each perturbed re-solve of the lab takes one root as well
+    # each perturbed re-solve of the lab's stacked path takes one root as well
     direction = tc.random_direction(50, 10, np.random.default_rng(3))
-    for t in (1e-3, 1e-5, 1e-7):
-        before = len(roots)
-        perturb._perturbed_ratio(problem, solution, direction, t)
-        assert len(roots) == before + 1
+    steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
+    before = len(roots)
+    perturb._ratios(problem, solution, itertools.repeat(direction), steps)
+    assert roots[before:] == [9, 9, 9]
     roots.clear()
     bundle, solution, work = pipeline(problem)
     assert roots == [9]
@@ -331,9 +333,9 @@ def test_a_failed_secular_root_raises_convergence_error(monkeypatch):
 def test_a_failed_svd_raises_convergence_error(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
-    monkeypatch.setattr(core, "dgesdd", failed_dgesdd)
+    monkeypatch.setattr(np.linalg, "svd", failed_svd)
     for problem in (tall, blur):
-        with pytest.raises(ConvergenceError, match=r"dgesdd failed \(info=1\)"):
+        with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
             tc.svd_bundle(problem)
 
 

@@ -71,7 +71,7 @@ def test_generate_v_rejects_bad_alpha():
             tc.generate_v(3, v_tilde, alpha, seed=1)
 
 
-# m >= 2(n+1) factors B through its R; m < 2(n+1) takes dgesdd of B itself
+# m >= 2(n+1) factors B through its R; m < 2(n+1) takes the SVD of B itself
 KERNEL_ROUTE_SHAPES = [(20, 6), (60, 10), (15, 10)]
 
 
@@ -84,21 +84,21 @@ def test_generate_ab_alpha_recovers_alpha():
 
 
 @pytest.mark.parametrize("m,n", KERNEL_ROUTE_SHAPES)
-def test_generate_ab_alpha_needs_no_numpy_svd(monkeypatch, m, n):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
-
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+def test_generate_ab_alpha_factors_only_row_blocks(monkeypatch, m, n):
+    calls = counting_factorizations(monkeypatch)
     problem = tc.generate_ab_alpha(m, n, 0.3, seed=2)
     assert problem.a_matrix.shape == (m, n)
+    # B and the accepted [A b], each as the bundle's row block: its R once m >= 2(n+1)
+    k = n + 1 if m >= 2 * (n + 1) else m
+    assert [shape for name, shape in calls if name == "svd"] == [(k, n + 1)] * 2
 
 
 def test_generate_ab_alpha_never_forms_u(monkeypatch):
     calls = counting_factorizations(monkeypatch)
     tc.generate_ab_alpha(60, 10, 0.3, seed=2)
     # two Haar QRs, then B and the accepted [A b] each through the bundle's
-    # kernel: dgesdd sees only the 11 x 11 R, so no 60-row factor is built
-    assert calls == [("qr", (10, 10))] * 2 + [("dgeqrt", (60, 11)), ("dgesdd", (11, 11))] * 2
+    # kernels: the SVD sees only the 11 x 11 R, so no 60-row factor is built
+    assert calls == [("qr", (10, 10))] * 2 + [("dgeqrt", (60, 11)), ("svd", (11, 11))] * 2
 
 
 def test_generate_ab_alpha_tiny_alpha_v11_condition():
@@ -249,9 +249,9 @@ def test_kamm_nagy_draw_runs_only_its_bundle(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", recording_norm)
     tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0))
-    # m = n + 2 omega routes the bundle to a direct SVD: one dgesdd per
-    # attempt, and m=100, seed 0 is accepted at the first attempt
-    assert calls == [("dgesdd", (100, 85))]
+    # m = n + 2 omega routes the bundle to a direct SVD: one per attempt,
+    # and m=100, seed 0 is accepted at the first attempt
+    assert calls == [("svd", (100, 85))]
     assert matrix_norms == []
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import k_of, pipeline
-from tlscond.errors import PerturbationTooLarge
+from conftest import counting_factorizations, k_of, pipeline
+from tlscond import perturb
+from tlscond.errors import NoUniqueSolution, PerturbationTooLarge, ShapeError, TrivialProblem
 
 
 def unit_direction(m, n, entry=None, b_entry=None):
@@ -240,3 +241,119 @@ def test_summary_exports_to_report(tmp_path, fix_a, fix_b):
     tc.save_report(report, path)
     back = tc.load_report(path)
     assert back.rows == report.rows
+
+
+def per_trial_ratio(problem, base_solution, direction, t):
+    """The lab's re-solve one problem at a time, as solve_tls takes it: the reference."""
+    perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
+                              problem.b_vector + t * direction.delta_b)
+    try:
+        solution = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
+    except (NoUniqueSolution, TrivialProblem) as exc:
+        raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from exc
+    base_gap, pert_gap = base_solution.gap.rel_gap, solution.gap.rel_gap
+    if pert_gap < perturb.GAP_PERSISTENCE * base_gap:
+        raise PerturbationTooLarge(f"rel_gap collapsed from {base_gap:.3e} to {pert_gap:.3e}")
+    return float(np.linalg.norm(solution.x - base_solution.x) / t)
+
+
+RESOLVE_CASES = {
+    # both sides of the QR crossover m >= 2(n+1), and the edge shapes
+    "alpha_50x10": lambda: tc.generate_ab_alpha(50, 10, 0.3, seed=1),
+    "alpha_200x30": lambda: tc.generate_ab_alpha(200, 30, 0.3, seed=4),
+    "deblur_60": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=60, seed=1)),
+    "alpha_6x5": lambda: tc.generate_ab_alpha(6, 5, 0.4, seed=3),
+    "alpha_40x1": lambda: tc.generate_ab_alpha(40, 1, 0.3, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", RESOLVE_CASES)
+def test_stacked_resolves_are_the_solver_bitwise(name):
+    problem = RESOLVE_CASES[name]()
+    rng = np.random.default_rng(8)
+    directions = [tc.random_direction(problem.m, problem.n, rng) for _ in range(12)]
+    scale = np.linalg.norm(problem.augmented())
+    ts = [scale * 10.0 ** -(4 + i % 5) for i in range(12)]
+    resolved = list(perturb._resolves(problem, directions, ts))
+    assert len(resolved) == 12
+    for (x, gap), direction, t in zip(resolved, directions, ts):
+        perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
+                                  problem.b_vector + t * direction.delta_b)
+        reference = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
+        np.testing.assert_array_equal(x, reference.x)
+        assert gap.rel_gap == reference.gap.rel_gap
+
+
+def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    whole = tc.monte_carlo_validate(problem, trials=10, seed=3)
+    # a block, its u and its vt take 8 * 11 * 33 bytes: three to a stack
+    monkeypatch.setattr(perturb, "STACK_BYTES", 3 * 8 * 11 * 33)
+    calls = counting_factorizations(monkeypatch)
+    split = tc.monte_carlo_validate(problem, trials=10, seed=3)
+    stacks = [shape[0] for name, shape in calls if name == "svd" and len(shape) == 3]
+    assert stacks == [3, 3, 3, 1] + [3, 1]  # the trials, then the worst direction's four steps
+    assert split == whole
+
+
+def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    whole = tc.monte_carlo_validate(problem, trials=10, seed=3)
+    svd = np.linalg.svd
+
+    def failing_stacks(a, *args, **kwargs):
+        if np.ndim(a) == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_stacks)
+    assert tc.monte_carlo_validate(problem, trials=10, seed=3) == whole
+    # data that is not finite is refused as TlsProblem refuses it, in its turn
+    blocks = np.stack([problem.augmented(), np.full((50, 11), np.inf)])
+    factored = perturb._factored(blocks)
+    sigma = svd(problem.augmented(), full_matrices=False)[1]
+    np.testing.assert_array_equal(next(factored)[0], sigma)
+    with pytest.raises(ShapeError, match="entries must be finite"):
+        next(factored)
+
+
+def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
+    # trial 14 of 20 collapses the gap: the same error as one problem at a time
+    problem = tc.generate_ab_alpha(10, 3, 0.05, seed=1)
+    t = 0.1 * np.linalg.norm(problem.augmented())
+    base = tc.solve_tls(problem, tc.svd_bundle(problem))
+    with pytest.raises(PerturbationTooLarge) as expected:
+        for index in range(20):
+            direction = tc.random_direction(10, 3, np.random.default_rng([1, index]))
+            per_trial_ratio(problem, base, direction, t)
+    assert index == 14
+    with pytest.raises(PerturbationTooLarge) as got:
+        tc.monte_carlo_validate(problem, trials=20, t=t, seed=1)
+    assert str(got.value) == str(expected.value)
+    # a step that loses the gap outright between two that keep it
+    fix_a = tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0])
+    base = tc.solve_tls(fix_a, tc.svd_bundle(fix_a))
+    direction = tc.PerturbationDirection.normalized([[-1.0], [0.0]], [0.0, 0.0])
+    steps = [1e-3, 1.0, 1e-4]
+    per_trial_ratio(fix_a, base, direction, steps[0])  # keeps the gap
+    with pytest.raises(PerturbationTooLarge) as expected:
+        per_trial_ratio(fix_a, base, direction, steps[1])
+    with pytest.raises(PerturbationTooLarge) as got:
+        tc.convergence_study(fix_a, direction, steps)
+    assert str(got.value) == str(expected.value) == "gap lost at t=1.000e+00"
+    assert type(got.value.__cause__) is type(expected.value.__cause__) is NoUniqueSolution
+    assert str(got.value.__cause__) == str(expected.value.__cause__)
+
+
+def test_the_lab_memory_does_not_grow_with_trials():
+    # deblur m=300 stays below the QR crossover: each block is all of [A~ b~]
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=300, seed=1))
+    peaks = []
+    for trials in (10, 100):
+        tracemalloc.start()
+        try:
+            tc.monte_carlo_validate(problem, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
