@@ -7,8 +7,9 @@ LAPACK dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b], the
 recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in
 row_block; the SVD of that block is block_svd, numpy's dgesdd, which takes one
 block or a stack of them. The alpha generator and the perturbation lab's
-stacked re-solves run the same two kernels. Q is never formed: the left factor
-is in that block's row basis.
+stacked re-solves run the same two kernels (the lab calls row_block's
+householder_qr itself and copies R into its stack). Q is never formed: the
+left factor is in that block's row basis.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -51,6 +52,7 @@ from .errors import (
     DegenerateVector,
     IllConditionedGap,
     NoUniqueSolution,
+    ShapeError,
     TrivialProblem,
 )
 from .problem import TlsProblem
@@ -62,6 +64,9 @@ WARN_GAP_LIMIT = 1e-3
 _EPS = float(np.finfo(float).eps)
 # the range kept clear of overflow and underflow in SigmaHatRoots' secular form
 _NEGLIGIBLE = math.sqrt(float(np.finfo(float).tiny) / _EPS)
+# the largest sigma_1 for which 4 sigma_1^2 is finite: every squared gap, and
+# the rel_gap denominator sigma_hat_n (sigma_hat_n + sigma_{n+1}), is at most 2 sigma_1^2
+_SCALE_LIMIT = math.sqrt(float(np.finfo(float).max) / 4)
 
 
 def secular_root(
@@ -134,12 +139,19 @@ class SigmaHatRoots:
     Delta_n zero, or ||w||^2 past 1/_NEGLIGIBLE, so that delta would be below
     _NEGLIGIBLE Delta_n), sigma_hat_n = sigma_{n+1}, delta = 0, and the others
     are the roots of the same equation without the sigma_{n+1} pole, its
-    weight merged into sigma_n's.
+    weight merged into sigma_n's. The squared gaps are returned unscaled, so a
+    sigma_1 past _SCALE_LIMIT (about 6.7e153), whose square would overflow,
+    raises ShapeError.
     """
 
     def __init__(self, sigma: np.ndarray, v_last: np.ndarray):
         self._sigma, self._v_last = sigma, v_last
         self._scale = float(sigma[0]) if sigma[0] > 0 else 1.0
+        if self._scale > _SCALE_LIMIT:
+            raise ShapeError(
+                f"sigma_1={self._scale:.3e}: its square overflows float64 (limit "
+                f"{_SCALE_LIMIT:.3e}); rescale the data"
+            )
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
@@ -293,7 +305,7 @@ class SvdBundle:
         aug = problem.augmented()
         aug_fit = self.u_aug * self.sigma @ self.v_aug.T
         if self.rows.shape[0] < aug.shape[0]:
-            qr, t = _householder_qr(np.array(aug, order="F"))
+            qr, t = householder_qr(np.array(aug, order="F"))
             padded = np.zeros(aug.shape, order="F")
             padded[: self.rows.shape[0]] = aug_fit
             aug_fit, info = dgemqrt(qr, t, padded, overwrite_c=1)
@@ -370,7 +382,7 @@ class ResidualReport:
     gap_chain_holds: bool | None   # None when x = 0 (chain not applicable)
 
 
-def _householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK dgeqrt of a Fortran-ordered m x (n+1) array, overwriting it.
 
     Returns the array (R on and above the diagonal, the reflectors below) and
@@ -391,7 +403,7 @@ def row_block(aug: np.ndarray) -> np.ndarray:
     signs, not bit for bit.
     """
     m, k = aug.shape
-    return np.triu(_householder_qr(aug)[0][:k]) if m >= 2 * k else aug
+    return np.triu(householder_qr(aug)[0][:k]) if m >= 2 * k else aug
 
 
 def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ class ParseError(TlsCondError):
 
 
 class ShapeError(TlsCondError):
-    """Dimensions violate m > n >= 1, or the data is empty/non-finite."""
+    """Dimensions violate m > n >= 1, or the data is empty/non-finite or too large to square."""
 
 
 class ConvergenceError(TlsCondError):

@@ -4,11 +4,15 @@ A perturbation direction is a unit-Frobenius pair (dA, db). For a step t the
 observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. Every re-solve goes
-through one path, _resolves: each [A + t dA, b + t db] is written into one
-reused Fortran buffer and reduced to its row block by the bundle's kernel
-(core.row_block), the blocks of a stack of at most STACK_BYTES are factored
+through one path, _resolves: each step's unit direction is written in stacked
+order [vec(dA); db] straight into one reused Fortran buffer, where it is scaled
+by t and [A b] is added; once m >= 2(n+1) the buffer is reduced to its R by
+the bundle's kernel (core.householder_qr), whose triangle is copied into its
+slot of the stack. The blocks of a stack of at most STACK_BYTES are factored
 by one core.block_svd call, and each step then passes solve_tls's own checks
-(core.accept_trailing_vector) in step order. Only x and the relative gap are
+(core.accept_trailing_vector) in step order. A random direction is the next
+m(n+1) standard normals of one generator, drawn into that buffer and divided
+by their norm; a fixed one is copied in. Only x and the relative gap are
 read; no residual is formed. As t -> 0 the ratio
 approaches ||K z|| for the stacked direction z, is maximized over unit z by
 the condition number, and attains it along K^T u for K's top left singular
@@ -19,6 +23,7 @@ that the work's secular equation gives in closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +34,7 @@ from .core import (
     SigmaHatRoots,
     accept_trailing_vector,
     block_svd,
-    row_block,
+    householder_qr,
     solve_tls,
     svd_bundle,
 )
@@ -137,11 +142,27 @@ class ValidationSummary:
 
 
 def random_direction(m: int, n: int, rng) -> PerturbationDirection:
-    """Uniform direction on the unit Frobenius sphere of stacked pairs."""
-    rng = np.random.default_rng(rng)
-    return PerturbationDirection.normalized(
-        rng.standard_normal((m, n)), rng.standard_normal(m)
-    )
+    """Uniform direction on the unit Frobenius sphere of stacked pairs.
+
+    The next m(n+1) standard normals of rng in stacked order [vec(dA); db]
+    (vec column-major), divided by their norm: exactly one trial's draw in
+    monte_carlo_validate.
+    """
+    z = np.empty(m * (n + 1))
+    _unit_normals(np.random.default_rng(rng), z)
+    return PerturbationDirection(z[: m * n].reshape((m, n), order="F"), z[m * n :])
+
+
+def _unit_normals(rng, z: np.ndarray) -> None:
+    """Overwrite z with the next len(z) standard normals of rng, divided by their norm."""
+    rng.standard_normal(out=z)
+    z /= np.linalg.norm(z)
+
+
+def _copying(vectors):
+    """A fill for _resolves that writes the next of vectors (stacked unit directions)."""
+    vectors = iter(vectors)
+    return lambda z: np.copyto(z, next(vectors))
 
 
 def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, direction) -> np.ndarray:
@@ -169,14 +190,14 @@ def _solve(problem: TlsProblem):
     return bundle, solution, build_spectral_work(problem, bundle, solution)
 
 
-def _ratios(problem: TlsProblem, base_solution, directions, steps) -> list:
+def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
-    directions yields one direction per step. A lost or collapsed gap raises
-    PerturbationTooLarge, or gives None for an optional step.
+    fill writes one step's unit direction, as _resolves takes it. A lost or
+    collapsed gap raises PerturbationTooLarge, or gives None for an optional step.
     """
     ratios = []
-    resolves = _resolves(problem, directions, [t for t, _ in steps])
+    resolves = _resolves(problem, fill, [t for t, _ in steps])
     for (t, optional), resolved in zip(steps, resolves):
         try:
             ratios.append(_ratio(base_solution, resolved, t))
@@ -197,36 +218,42 @@ def _ratio(base_solution, resolved, t: float) -> float:
     return float(np.linalg.norm(x - base_solution.x) / t)
 
 
-def _resolves(problem: TlsProblem, directions, ts):
+def _resolves(problem: TlsProblem, fill, ts):
     """Per step t, solve_tls's (x, gap) on [A + t dA, b + t db], or what it raises.
 
     The NoUniqueSolution or TrivialProblem of a lost gap is yielded, not
-    raised; DegenerateVector is raised. directions yields one direction per
-    step and is drawn one stack at a time, and each step is yielded before
-    the next stack is built. The re-solves are bitwise those of solve_tls
-    on svd_bundle of the perturbed problem: the same sums, the same kernels
-    and the same checks (core.accept_trailing_vector).
+    raised; DegenerateVector is raised. fill(z) writes one step's unit
+    direction into the contiguous z of length m(n+1), in stacked order
+    [vec(dA); db]; it is called once per step, in step order, one stack at a
+    time, and each step is yielded before the next stack is filled. z is the
+    Fortran-ordered [dA db] itself, so t z + [vec(A); b] is formed in place.
+    The re-solves are bitwise those of solve_tls on svd_bundle of
+    the perturbed problem: the same sums, the same kernels (the R of
+    core.row_block, with its +0.0 below the diagonal) and the same checks
+    (core.accept_trailing_vector).
     """
     if not ts:
         return
     m, n = problem.m, problem.n
     k = n + 1 if m >= 2 * (n + 1) else m  # the rows of a row block
     per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u and vt
-    # each block Fortran-ordered; below the QR crossover the data goes straight in
-    blocks = np.empty((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
-    aug = np.empty((m, n + 1), order="F") if k < m else None
-    directions = iter(directions)
+    # each block Fortran-ordered; zeros stay below an R's diagonal, and below
+    # the QR crossover the data goes straight in
+    blocks = np.zeros((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
+    ab = problem.augmented().ravel(order="F")  # [vec(A); b], in z's order
+    aug = upper = None
+    if k < m:  # the QR's scratch and R's triangle
+        aug, upper = np.empty((m, n + 1), order="F"), ~np.tri(k, k, -1, dtype=bool)
     for start in range(0, len(ts), len(blocks)):
         stack = blocks[: len(ts) - start]
         for block, t in zip(stack, ts[start : start + len(stack)]):
-            direction = next(directions)
             target = block if aug is None else aug
-            np.multiply(direction.delta_a, t, out=target[:, :n])
-            np.multiply(direction.delta_b, t, out=target[:, n])
-            target[:, :n] += problem.a_matrix
-            target[:, n] += problem.b_vector
+            z = target.T.reshape(-1)  # a view: target is Fortran-ordered
+            fill(z)
+            z *= t
+            z += ab
             if aug is not None:
-                block[...] = row_block(aug)
+                np.copyto(block, householder_qr(aug)[0][:k], where=upper)
         for sigma, vt in _factored(stack):
             sig_hat_n, delta = SigmaHatRoots(sigma, vt[:, -1]).at(-1)
             try:
@@ -268,7 +295,7 @@ def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
     _check_step(t)
     base_solution = solve_tls(problem, svd_bundle(problem))
-    return _ratios(problem, base_solution, [direction], [(t, False)])[0]
+    return _ratios(problem, base_solution, _copying([direction.stacked()]), [(t, False)])[0]
 
 
 def worst_direction(
@@ -299,7 +326,7 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
     _, base_solution, work = _solve(problem)
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
     floor = CLEAN_STEP_FLOOR * work.aug_frobenius
-    ratios = _ratios(problem, base_solution, itertools.repeat(direction),
+    ratios = _ratios(problem, base_solution, _copying(itertools.repeat(direction.stacked())),
                      [(t, False) for t in t_list])
     return [
         ConvergencePoint(
@@ -326,10 +353,13 @@ def monte_carlo_validate(
 ) -> ValidationSummary:
     """Random-direction soundness sweep plus the worst-direction probe.
 
-    Each trial derives its own generator from (seed, trial index), so the
-    summary does not depend on execution order. The default step is
-    1e-8 ||[A b]||_F, balancing the Taylor remainder against rounding.
-    Raises ValueError for trials < 0 or a step that is not positive and finite.
+    One generator, np.random.default_rng(seed), feeds the trials in order:
+    trial i's direction is the (i+1)-th random_direction(m, n, rng) of it,
+    drawn straight into the re-solve's buffer. So the first k trials are the
+    same for any trials >= k, and the summary does not depend on the stack
+    size. The default step is 1e-8 ||[A b]||_F, balancing the Taylor
+    remainder against rounding. Raises ValueError for trials < 0 or a step
+    that is not positive and finite.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -339,16 +369,15 @@ def monte_carlo_validate(
     if t is None:
         t = 1e-8 * work.aug_frobenius
 
-    directions = (
-        random_direction(problem.m, problem.n, np.random.default_rng([seed, index]))
-        for index in range(trials)
-    )
-    ratios = _ratios(problem, base_solution, directions, [(t, False)] * trials)
+    draw = functools.partial(_unit_normals, np.random.default_rng(seed))
+    ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials)
 
     # the worst direction at t, then three larger steps that may each lose the gap
     worst = worst_direction(work, problem, base_solution)
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    worst_ratio, *step_ratios = _ratios(problem, base_solution, itertools.repeat(worst), steps)
+    worst_ratio, *step_ratios = _ratios(
+        problem, base_solution, _copying(itertools.repeat(worst.stacked())), steps
+    )
 
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, worst)))
     slopes = [

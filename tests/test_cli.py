@@ -174,6 +174,13 @@ def test_exit_code_svd_failure(tmp_path, capsys, monkeypatch):
     assert "dgesdd failed (SVD did not converge)" in err
 
 
+def test_exit_code_overflowing_scale(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    tc.save_problem(tc.TlsProblem([[1e160], [0.0]], [1e160, 1e160]), path)
+    code, _, err = run(["solve", "--input", str(path)], capsys)
+    assert code == 2 and "overflows float64" in err
+
+
 def test_table_example2_json(tmp_path, capsys):
     out_path = tmp_path / "t2.json"
     code, out, _ = run(

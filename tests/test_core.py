@@ -21,6 +21,7 @@ from tlscond.errors import (
     DegenerateVector,
     GapFailure,
     NoUniqueSolution,
+    ShapeError,
     TrivialProblem,
 )
 
@@ -301,7 +302,8 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     direction = tc.random_direction(50, 10, np.random.default_rng(3))
     steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
     before = len(roots)
-    perturb._ratios(problem, solution, itertools.repeat(direction), steps)
+    perturb._ratios(problem, solution, perturb._copying(itertools.repeat(direction.stacked())),
+                    steps)
     assert roots[before:] == [9, 9, 9]
     roots.clear()
     bundle, solution, work = pipeline(problem)
@@ -427,6 +429,27 @@ def test_sigma_hat_when_b_outweighs_a(n, scale):
         sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
         atol = 32 * EPS * bundle.sigma[0]
         np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_a_scale_whose_square_overflows_is_refused(scale):
+    # fix_b scaled: sigma_1^2, and so delta, is past float64's range
+    problem = tc.TlsProblem([[scale], [0.0]], [scale, scale])
+    with pytest.raises(ShapeError, match="overflows float64"):
+        tc.svd_bundle(problem)
+    with pytest.raises(ShapeError, match="overflows float64"):
+        tc.perturbation_ratio(tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]),
+                              tc.PerturbationDirection.normalized([[1.0], [0.0]], [0.0, 0.0]),
+                              scale)
+
+
+def test_a_scale_below_the_overflow_limit_still_solves():
+    scale = 1e150
+    problem = tc.TlsProblem([[scale], [0.0]], [scale, scale])
+    bundle = tc.svd_bundle(problem)
+    solution = tc.solve_tls(problem, bundle)
+    np.testing.assert_allclose(solution.x, [FB.x], rtol=1e-15)
+    assert bundle.delta == pytest.approx((FB.sigma_hat - FB.sig2_sq) * scale**2, rel=1e-14)
 
 
 def test_tiny_weight_of_the_last_pole_still_decides_the_gap():

@@ -274,7 +274,8 @@ def test_stacked_resolves_are_the_solver_bitwise(name):
     directions = [tc.random_direction(problem.m, problem.n, rng) for _ in range(12)]
     scale = np.linalg.norm(problem.augmented())
     ts = [scale * 10.0 ** -(4 + i % 5) for i in range(12)]
-    resolved = list(perturb._resolves(problem, directions, ts))
+    fill = perturb._copying(direction.stacked() for direction in directions)
+    resolved = list(perturb._resolves(problem, fill, ts))
     assert len(resolved) == 12
     for (x, gap), direction, t in zip(resolved, directions, ts):
         perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
@@ -282,6 +283,23 @@ def test_stacked_resolves_are_the_solver_bitwise(name):
         reference = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
         np.testing.assert_array_equal(x, reference.x)
         assert gap.rel_gap == reference.gap.rel_gap
+
+
+@pytest.mark.parametrize("name", ["alpha_50x10", "deblur_60"])  # the QR and the direct route
+def test_the_trials_are_random_directions_drawn_in_turn(name):
+    # trial i is the (i+1)-th random_direction of default_rng(seed), re-solved
+    # as perturbation_ratio re-solves it: the same maximum, bit for bit
+    problem = RESOLVE_CASES[name]()
+    t = 1e-8 * np.linalg.norm(problem.augmented())
+    summary = tc.monte_carlo_validate(problem, trials=12, t=t, seed=3)
+    rng = np.random.default_rng(3)
+    ratios = [tc.perturbation_ratio(problem, tc.random_direction(problem.m, problem.n, rng), t)
+              for _ in range(12)]
+    assert summary.max_observed_ratio == max(ratios)
+    # and one trial's draw is the next m(n+1) normals in stacked order, unit length
+    normals = np.random.default_rng(3).standard_normal(problem.m * (problem.n + 1))
+    direction = tc.random_direction(problem.m, problem.n, 3)
+    np.testing.assert_array_equal(direction.stacked(), normals / np.linalg.norm(normals))
 
 
 def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
@@ -318,15 +336,16 @@ def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
 
 
 def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
-    # trial 14 of 20 collapses the gap: the same error as one problem at a time
+    # trial 9 of 20, all in one stack, collapses the gap: the same error as
+    # one problem at a time, drawn in turn from the validate's one generator
     problem = tc.generate_ab_alpha(10, 3, 0.05, seed=1)
-    t = 0.1 * np.linalg.norm(problem.augmented())
+    t = 0.07 * np.linalg.norm(problem.augmented())
     base = tc.solve_tls(problem, tc.svd_bundle(problem))
+    rng = np.random.default_rng(1)
     with pytest.raises(PerturbationTooLarge) as expected:
         for index in range(20):
-            direction = tc.random_direction(10, 3, np.random.default_rng([1, index]))
-            per_trial_ratio(problem, base, direction, t)
-    assert index == 14
+            per_trial_ratio(problem, base, tc.random_direction(10, 3, rng), t)
+    assert index == 9
     with pytest.raises(PerturbationTooLarge) as got:
         tc.monte_carlo_validate(problem, trials=20, t=t, seed=1)
     assert str(got.value) == str(expected.value)
