@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -393,8 +394,12 @@ _EXIT_CODES = (
 )
 
 
+# main's one parser per process: a build takes about 2 ms, a parse far less
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TlsCondError, OSError, np.linalg.LinAlgError) as exc:

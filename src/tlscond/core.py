@@ -22,10 +22,12 @@ sigma_hat_n and the gap delta = sigma_hat_n^2 - sigma_{n+1}^2 with the bundle,
 sigma_hat_1 and sigma_hat_{n-1} when a bound asks, the whole sigma_hat lazily.
 delta is read off the root in a form centred on the sigma_{n+1} pole, so it is
 accurate even where sigma_hat_n and sigma_{n+1} agree to the last bit, and it
-is never rebuilt as a difference of two singular values. The gap chain's
-|u_hat_n . b| comes from the same root in O(n) (SigmaHatRoots.b_weight_n), so
-the baboulin comparison route is the one reader of A's singular vectors; it
-computes them from rows[:, :n] when called.
+is never rebuilt as a difference of two singular values. The distances of a
+root to every pole, and |u_hat_i . b|, come from that root in O(n)
+(SigmaHatRoots.pole_distances): the gap chain reads them at the top root
+(b_weight_n), and the baboulin comparison route at every root, with the rows
+of the deflated poles (deflated_rows), for A's right singular vectors in
+closed form. So block_svd is the package's one SVD, and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -168,7 +170,7 @@ class SigmaHatRoots:
         self._usable = self._rho < 1.0 / _NEGLIGIBLE
         if not self._usable:
             return
-        z, _ = deflate(root_poles, weights, relative=True)
+        z, self._rep = deflate(root_poles, weights, relative=True)
         if z is not weights and not z.all():
             self._live = np.flatnonzero(z)
             z, root_poles = z[self._live], root_poles[self._live]
@@ -192,7 +194,7 @@ class SigmaHatRoots:
         return self._entry(secular_root(r, self._poles, self._z)[0])
 
     def _entry(self, root: float) -> tuple[float, float]:
-        mu = root**2 * self._rho
+        mu = root * root * self._rho  # as pole_distances forms it, bit for bit
         gap = self._gap_n / mu
         return math.sqrt(self._last2 + gap) * self._scale, gap * self._scale**2
 
@@ -236,33 +238,65 @@ class SigmaHatRoots:
         hat, gap = node.at(i)
         return hat, gap + below
 
+    def pole_distances(self, roots=None) -> tuple[np.ndarray, np.ndarray]:
+        """(dist, weight) at the given live roots (the r-th largest sigma_hat
+        that is not a deflated pole), all by default, in O(n) each.
+
+        dist[k, j] = sigma_j^2 - sigma_hat^2, j <= n+1, without cancellation:
+        -Delta_j (d_j^2 - root^2) / root^2 from dlasd4's delta * work (a merged
+        pole takes its partner's, a dropped weight's is inf), -gap at sigma_{n+1}.
+        weight[k] = |u_hat . b| = 1 / ||y||, y = (Sigma^2 - sigma_hat^2 I)^{-1}
+        Sigma v: b = U Sigma v, u_hat = U y / ||y||, and y . Sigma v = 1.
+        """
+        roots = range(len(self._poles)) if roots is None else roots
+        root, delta, work = np.empty(len(roots)), *np.empty((2, len(roots), len(self._poles)))
+        for k, r in enumerate(roots):
+            root[k], delta[k], work[k] = secular_root(r, self._poles, self._z)
+        live, squares = slice(None) if self._live is None else self._live, root * root
+        dist = np.full((len(roots), len(self._gaps)), np.inf)
+        dist[:, live] = -self._gaps[live] * (delta * work) / squares[:, None]
+        dist = np.append(dist[:, self._rep], -self._gap_n / (squares * self._rho)[:, None], axis=1)
+        weight = 1.0 / np.linalg.norm(self._sigma / self._scale * self._v_last / dist, axis=1)
+        return dist * self._scale**2, weight * self._scale
+
+    def deflated_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gap, rows) at each sigma_hat that is a deflated pole sigma_j.
+
+        rows[k] = vhat^T V11 for A's right singular vector vhat = V1 Sigma c /
+        ||V1 Sigma c||, c an eigenvector of Sigma^2 - (Sigma v)(Sigma v)^T at
+        sigma_j^2. A dropped weight has c = e_j, so its row is (I - v v^T)[j, :n]
+        / sqrt(1 - v_j^2). A tie group G merged into one pole has each unit c in
+        R^G orthogonal to v as a row: here every row but the last of the
+        Householder reflector that maps v_G to -+e_last.
+        """
+        n, v, own = len(self._sigma) - 1, self._v_last, np.arange(len(self._rep))
+        if self._live is None:
+            return np.empty(0), np.empty((0, n))
+        poles = [np.setdiff1d(own[self._rep == own], self._live)]  # the dropped weights
+        rows = [(np.eye(n)[poles[0]] - np.outer(v[poles[0]], v[:n]))
+                / np.sqrt(1.0 - v[poles[0]] ** 2)[:, None]]
+        for k in np.unique(self._rep[self._rep != own]):
+            group = np.flatnonzero(self._rep == k)
+            w = v[group] / np.linalg.norm(v[group])
+            w[-1] += math.copysign(1.0, w[-1])
+            poles.append(group[:-1])
+            rows.append(np.zeros((len(group) - 1, n)))
+            rows[-1][:, group] = np.eye(len(group))[:-1] - np.outer(w[:-1], w) * (2.0 / (w @ w))
+        return self._gaps[np.concatenate(poles)] * self._scale**2, np.vstack(rows)
+
     def b_weight_n(self) -> float:
         """|u_hat_n . b|, the weight of b on A's last left singular vector, in O(n).
 
-        b = U Sigma v and, at the root lam = sigma_hat_n^2, u_hat_n = U w / ||w||
-        with w = (Sigma^2 - lam I)^{-1} Sigma v, where w . Sigma v = 1 is the
-        secular equation: so |u_hat_n . b| = 1 / ||w||. No entry of w cancels.
-        Its last is sigma_{n+1} v_{n+1} / (-delta). For j <= n, sigma_j^2 - lam =
-        -Delta_j (d_j^2 - root^2) / root^2 in the scaled form, and dlasd4 returns
-        d_j^2 - root^2 itself. Hence |u_hat_n . b| = delta / (alpha sigma_1
-        sqrt(sum_j (sigma_j d_j z_j / (d_j^2 - root^2))^2 + sigma_{n+1}^2)), with
-        sigma scaled by 1/sigma_1 and the sum over the live poles. A deflated
-        pole carries no weight of b, so where sigma_hat_n is one the weight is
-        0, as it is at delta = 0. Where sigma_hat_n is tied, u_hat_n is not
-        unique, and neither is this weight.
+        pole_distances at the top root. A deflated pole carries no weight of
+        b, so where sigma_hat_n is one the weight is 0, as it is at delta = 0.
+        Where sigma_hat_n is tied, u_hat_n is not unique, and neither is this
+        weight.
         """
-        hat, delta = self.at(-1)
-        top = len(self._poles) - 1 if delta > 0.0 else -1
-        if top < 0:
+        delta = self.at(-1)[1]
+        if delta == 0.0 or not len(self._poles):
             return 0.0  # delta = 0, or every weight deflated (sigma_hat_n = sigma_n)
-        root, dist, work = secular_root(top, self._poles, self._z)
-        if self._entry(root) != (hat, delta):
-            return 0.0  # sigma_hat_n is a deflated pole below the top root
-        sigma = self._sigma / self._scale
-        head = sigma[:-1] if self._live is None else sigma[self._live]
-        terms = np.append(head * self._poles * self._z / (dist * work), sigma[-1])
-        alpha = abs(float(self._v_last[-1]))
-        return delta / (alpha * self._scale * float(np.linalg.norm(terms)))
+        dist, weight = self.pole_distances([len(self._poles) - 1])
+        return float(weight[0]) if -dist[0, -1] == delta else 0.0
 
     def values(self) -> np.ndarray:
         """Every sigma_hat, descending: one root per value."""
@@ -501,31 +535,36 @@ def residual_diagnostics(
     that gives delta: no SVD of A runs here. The cross-check's Gram products
     read rows: P = R_A^T R_A - sigma_{n+1}^2 I and A^T b = R_A^T (Q^T b) on the
     QR route, where rows[:, -1] holds Q^T b.
+    The identities and the cross-check run on the data scaled by 1/sigma_1,
+    as their quotients do not depend on scale, so no product overflows below
+    the bundle's sigma_1 limit.
     Each inequality is judged with an absolute slack of 4 eps sigma_1, the
     rounding of both ends: on the deblurring problems the lower end meets the
     gap to about eight digits, and near alpha = 1e-8 the gap is below eps sigma_1.
     """
-    a, x, r, alpha = problem.a_matrix, solution.x, solution.r, solution.alpha
-    sig2 = float(bundle.sigma[-1]) ** 2
-    norm_x = solution.norm_x
+    x, alpha, norm_x = solution.x, solution.alpha, solution.norm_x
+    scale = float(bundle.sigma[0])  # > 0: sigma_{n+1} > 0 for a solution
+    r, sig2 = solution.r / scale, (float(bundle.sigma[-1]) / scale) ** 2
     identities = IdentityResiduals(
         optimal_value=float(abs(r @ r / (1.0 + norm_x**2) - sig2) / sig2),
-        gradient=float(np.linalg.norm(a.T @ r - sig2 * x) / (sig2 * max(1.0, norm_x))),
+        gradient=float(np.linalg.norm(problem.a_matrix.T @ r / scale - sig2 * x)
+                       / (sig2 * max(1.0, norm_x))),
         singular_vector=float(np.linalg.norm(
             solution.last_right_vector - alpha * np.concatenate([x, [-1.0]])
         )),
     )
     normal_eq_rel_diff = None
     if solution.gap.rel_gap >= HARD_GAP_LIMIT:
-        r_a = bundle.rows[:, : problem.n]
-        p = r_a.T @ r_a - bundle.sigma[-1] ** 2 * np.eye(problem.n)
-        x_ne = np.linalg.solve(p, r_a.T @ bundle.rows[:, -1])
+        rows = bundle.rows / scale
+        r_a = rows[:, : problem.n]
+        p = r_a.T @ r_a - sig2 * np.eye(problem.n)
+        x_ne = np.linalg.solve(p, r_a.T @ rows[:, -1])
         normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
     if norm_x == 0.0:
         return ResidualReport(identities, normal_eq_rel_diff, None, None, None, None)
     lower = bundle.roots.b_weight_n() / (2.0 * norm_x)
     mid = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
-    upper = float(np.linalg.norm(problem.b_vector)) / norm_x
+    upper = scale * float(np.linalg.norm(problem.b_vector / scale)) / norm_x
     # the backward error of the SVD of [A b] and of the root that gives delta
     slack = 4.0 * _EPS * float(bundle.sigma[0])
     holds = lower <= mid + slack and mid <= upper + slack

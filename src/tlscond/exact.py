@@ -15,17 +15,19 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
   the right singular factor of [A b] and S diagonal with entries
   s_i = sqrt(sigma_i^2 + sigma_{n+1}^2) / (sigma_i^2 - sigma_{n+1}^2).
 * baboulin: sqrt(1+||x||^2) * ||Dhat [Vhat^T 0] V [D 0]^T||, a comparison
-  formula that also needs the SVD of A; it runs that SVD itself, once its
-  gate has passed, as the bundle holds A's singular values only.
+  formula in A's singular values and right singular vectors, both read in
+  closed form off the bundle's secular roots (core.SigmaHatRoots): no SVD of
+  A runs.
 
 A^T A is formed, where a route needs it, from the bundle's rows[:, :n]: A
 itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not O(mn^2).
 
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
-(kronecker, cholesky and baboulin) and build_k_matrix pass through
-solution.gap.gate, the one gap policy of core: IllConditionedGap below
-relative gap 1e-6, a warning below 1e-3.
+(kronecker and cholesky) and build_k_matrix pass through solution.gap.gate,
+the one gap policy of core: IllConditionedGap below relative gap 1e-6, a
+warning below 1e-3. baboulin takes every difference from a secular root, not
+from P, so it needs no gate.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
@@ -121,6 +123,11 @@ class ConditionEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _gram_norm(gram: np.ndarray) -> float:
+    """||M|| from a Gram matrix of M: sqrt of its top eigenvalue, clamped at 0."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float | None:
     norm_x = solution.norm_x
     if norm_x == 0.0:
@@ -211,7 +218,7 @@ def kron_condition(
     is taken from the data.
     """
     warnings = solution.gap.gate("P")
-    kappa = float(np.sqrt(max(np.linalg.eigvalsh(k_matrix @ k_matrix.T)[-1], 0.0)))
+    kappa = _gram_norm(k_matrix @ k_matrix.T)
     aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
     return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), "kronecker", warnings)
 
@@ -248,8 +255,7 @@ def cholesky_condition(
         raise FactorizationError(f"P lost positive definiteness: {exc}") from exc
     y = scipy.linalg.solve_triangular(p_factor, l_factor, lower=True)
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
-    y_norm = np.sqrt(max(np.linalg.eigvalsh(y.T @ y)[-1], 0.0))
-    kappa = float(np.hypot(1.0, solution.norm_x) * y_norm)
+    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(y.T @ y))
     rel = _relative(kappa, work.aug_frobenius, solution)
     return ConditionEstimate(kappa, rel, "cholesky", warnings)
 
@@ -269,24 +275,25 @@ def svd_condition(
 def baboulin_condition(
     work: ExactFormulaWork, bundle: SvdBundle, solution: TlsSolution
 ) -> ConditionEstimate:
-    """Comparison formula using both SVDs.
+    """Comparison formula of Baboulin & Gratton (SIMAX 32, 2011), from the bundle's roots.
 
-    kappa = sqrt(1+||x||^2) ||Dhat [Vhat^T 0] V [D 0]^T||. The Dhat entries
-    blow up as sigma_hat_n -> sigma_{n+1}, so the same gap gates apply as for
-    the cholesky route. sigma_hat and Vhat come from one SVD of A, run only
-    once the gate has passed. The product is formed as Dhat (Vhat^T V11) D,
-    V11 the leading n x n block of V, and its norm is read from the top
-    eigenvalue of its n x n Gram matrix, as in the cholesky route.
+    kappa = sqrt(1+||x||^2) ||Dhat (Vhat^T V11) D||, Dhat_i = 1/(sigma_hat_i^2 -
+    sigma_{n+1}^2), D_j = sqrt(sigma_j^2 + sigma_{n+1}^2). With v the last row
+    of V, A's right singular vectors are vhat_i = V1 Sigma y_i / (sigma_hat_i
+    ||y_i||), y_i = (Sigma^2 - sigma_hat_i^2 I)^{-1} Sigma v; as V1^T V1 = I -
+    v v^T and y_i . Sigma v = 1, (Vhat^T V11)_ij = sigma_hat_i v_j |u_hat_i . b|
+    / (sigma_j^2 - sigma_hat_i^2), all read off SigmaHatRoots.pole_distances;
+    a sigma_hat that is a deflated pole takes its row from deflated_rows. No
+    SVD of A and no gate: every difference comes from a secular root, so the
+    route is as accurate as the svd route at any gap. The norm is read from
+    the n x n Gram matrix, as in the cholesky route.
     """
-    warnings = solution.gap.gate("Dhat")
-    n = bundle.n
-    _, sigma_hat, vt_hat = np.linalg.svd(bundle.rows[:, :n], full_matrices=False)
-    sig_last = float(bundle.sigma[-1])
-    d_hat = 1.0 / ((sigma_hat - sig_last) * (sigma_hat + sig_last))
-    d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig_last**2)
-    core = d_hat[:, None] * (vt_hat @ bundle.v_aug[:n, :n]) * d_b
-    core_norm = np.sqrt(max(np.linalg.eigvalsh(core.T @ core)[-1], 0.0))
-    kappa = float(np.hypot(1.0, solution.norm_x) * core_norm)
-    rel = _relative(kappa, work.aug_frobenius, solution)
-    return ConditionEstimate(kappa, rel, "baboulin", warnings)
-
+    n, sig2 = bundle.n, float(bundle.sigma[-1]) ** 2
+    dist, weight = bundle.roots.pole_distances()
+    gap = -dist[:, -1]
+    rows = (np.sqrt(sig2 + gap) * weight)[:, None] * bundle.v_aug[n, :n] / dist[:, :n]
+    tied_gap, tied_rows = bundle.roots.deflated_rows()
+    d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig2)
+    core = np.vstack([rows, tied_rows]) / np.append(gap, tied_gap)[:, None] * d_b
+    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core))
+    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "baboulin")

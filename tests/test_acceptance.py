@@ -110,26 +110,32 @@ def test_criterion_3_sandwich_soundness_and_sharpness():
 
 
 def test_criterion_4_degenerate_gap():
-    outcomes = []
+    pytest.importorskip("mpmath")
+    from oracle import oracle_kappa
+
+    outcomes, worst = [], 0.0
     for seed in range(5):
         problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=seed)
         bundle, solution, work = pipeline(problem)
-        for runner in (
-            lambda: tc.cholesky_condition(work, problem, bundle, solution),
-            lambda: tc.baboulin_condition(work, bundle, solution),
-        ):
-            try:
-                estimate = runner()
-                assert estimate.warnings  # allowed only with a numerical flag
-                outcomes.append("warned")
-            except IllConditionedGap:
-                outcomes.append("raised")
+        try:
+            estimate = tc.cholesky_condition(work, problem, bundle, solution)
+            assert estimate.warnings  # allowed only with a numerical flag
+            outcomes.append("warned")
+        except IllConditionedGap:
+            outcomes.append("raised")
         estimate = tc.svd_condition(work, bundle, solution)
         assert np.isfinite(estimate.kappa_abs) and estimate.kappa_abs > 0
+        # baboulin answers ungated, within the svd route's oracle bound
+        reference = oracle_kappa(problem)
+        error = abs(tc.baboulin_condition(work, bundle, solution).kappa_abs - reference)
+        bound = 4.0 * np.finfo(float).eps / min(solution.gap.rel_gap, 1.0)
+        assert error / reference <= bound
+        worst = max(worst, error / reference / bound)
         report = tc.bounds_report(problem, bundle, solution, work)
         assert all(report.sandwich_verdicts[f] for f in CERTIFIED)
-    print(f"\ncriterion 4 PASS: gated routes {outcomes.count('raised')} raised / "
-          f"{outcomes.count('warned')} warned; svd route finite and enclosed")
+    print(f"\ncriterion 4 PASS: cholesky {outcomes.count('raised')} raised / "
+          f"{outcomes.count('warned')} warned; baboulin at most {worst:.1e} of the oracle "
+          f"bound; svd route finite and enclosed")
 
 
 def test_criterion_5_perturbation_validation():

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import counting_factorizations, failed_dlasd4, failed_svd
+from conftest import counting_factorizations, failed_dlasd4, failed_svd, pipeline
 from tlscond import core
 from tlscond.cli import main, run_table_example1, run_table_example2
 
@@ -286,6 +287,39 @@ def test_cond_all_reports_gated_kron(tmp_path, capsys):
     lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
     assert lines["kronecker"] == "failed:"
     assert lines["svd"].startswith("kappa_abs=")
+
+
+def test_cond_baboulin_answers_below_the_gate(tmp_path, capsys):
+    # deblur m=100, seed 1 (rel_gap 1.6e-8): baboulin reads no P, so it needs no gate
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    path = tmp_path / "blur.csv"
+    tc.save_problem(problem, path)
+    code, out, err = run(["cond", "--input", str(path), "--method", "baboulin"], capsys)
+    assert code == 0 and err == ""
+    printed = out.split("kappa_abs=")[1].split()[0]
+    code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
+    assert code == 4  # the P-based routes stay gated
+    lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    assert lines["baboulin"] == f"kappa_abs={printed}"
+    bundle, solution, work = pipeline(tc.load_problem(path))
+    reference = tc.svd_condition(work, bundle, solution).kappa_abs
+    kappa = tc.baboulin_condition(work, bundle, solution).kappa_abs
+    assert kappa == pytest.approx(reference, rel=1e-12, abs=0)
+    assert float(printed) == pytest.approx(reference, rel=1e-6, abs=0)
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    path = gen_problem_file(tmp_path, capsys)
+    assert run(["solve", "--input", str(path)], capsys)[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_cond_all_reports_oversized_kron(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,13 @@ def test_a_scale_whose_square_overflows_is_refused(scale):
                               scale)
 
 
+def scaled_alpha_problem():
+    """A 30x8 alpha problem scaled to sigma_1 = 0.5 _SCALE_LIMIT, and the problem itself."""
+    problem = tc.generate_ab_alpha(30, 8, 0.3, seed=1)
+    c = 0.5 * core._SCALE_LIMIT / tc.svd_bundle(problem).sigma[0]
+    return tc.TlsProblem(c * problem.a_matrix, c * problem.b_vector), problem
+
+
 def test_a_scale_below_the_overflow_limit_still_solves():
     scale = 1e150
     problem = tc.TlsProblem([[scale], [0.0]], [scale, scale])
@@ -450,6 +458,24 @@ def test_a_scale_below_the_overflow_limit_still_solves():
     solution = tc.solve_tls(problem, bundle)
     np.testing.assert_allclose(solution.x, [FB.x], rtol=1e-15)
     assert bundle.delta == pytest.approx((FB.sigma_hat - FB.sig2_sq) * scale**2, rel=1e-14)
+    # the identity residuals are formed on the data scaled by 1/sigma_1
+    for problem, unscaled in [(problem, tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0])),
+                              scaled_alpha_problem()]:
+        bundle = tc.svd_bundle(problem)
+        assert bundle.sigma[0] <= 0.5 * core._SCALE_LIMIT * (1 + 1e-14)
+        solution = tc.solve_tls(problem, bundle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = tc.residual_diagnostics(problem, bundle, solution)
+        ids = report.identities
+        values = [ids.optimal_value, ids.gradient, ids.singular_vector, report.normal_eq_rel_diff]
+        assert np.isfinite(values).all() and max(values) <= 1e-13
+        assert report.gap_chain_holds
+        # the quotients do not depend on scale
+        small = tc.svd_bundle(unscaled)
+        reference = tc.residual_diagnostics(unscaled, small, tc.solve_tls(unscaled, small))
+        assert report.gap_chain_lower / report.gap_chain_upper == pytest.approx(
+            reference.gap_chain_lower / reference.gap_chain_upper, rel=1e-12, abs=0)
 
 
 def test_tiny_weight_of_the_last_pole_still_decides_the_gap():

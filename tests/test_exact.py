@@ -8,7 +8,7 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import k_of, pipeline, tie_problem
+from conftest import counting_factorizations, k_of, pipeline, tie_problem, tied_weighted_problem
 from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
@@ -125,16 +125,25 @@ def test_svd_condition_vs_explicit_inverse():
         assert kappa == pytest.approx(explicit, rel=1e-10)
 
 
+def ungated_baboulin(work, bundle, solution):
+    """baboulin_condition with every Python warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return tc.baboulin_condition(work, bundle, solution)
+
+
 def test_degenerate_gap_behavior():
     problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=1)
     bundle, solution, work = pipeline(problem)
     with pytest.raises(IllConditionedGap):
         tc.cholesky_condition(work, problem, bundle, solution)
-    with pytest.raises(IllConditionedGap):
-        tc.baboulin_condition(work, bundle, solution)
     estimate = tc.svd_condition(work, bundle, solution)
     assert np.isfinite(estimate.kappa_abs) and estimate.kappa_abs > 0
     assert estimate.warnings == ()
+    # baboulin reads every difference off a secular root: no gate (measured 6.3e-16 apart)
+    baboulin = ungated_baboulin(work, bundle, solution)
+    assert baboulin.warnings == ()
+    assert baboulin.kappa_abs == pytest.approx(estimate.kappa_abs, rel=1e-14, abs=0)
 
 
 def test_gap_warning_band():
@@ -144,7 +153,58 @@ def test_gap_warning_band():
     bundle, solution, work = pipeline(problem)
     assert 1e-6 <= solution.gap.rel_gap < 1e-3
     assert tc.cholesky_condition(work, problem, bundle, solution).warnings
-    assert tc.baboulin_condition(work, bundle, solution).warnings
+    baboulin = ungated_baboulin(work, bundle, solution)
+    assert baboulin.warnings == ()
+    reference = tc.svd_condition(work, bundle, solution).kappa_abs
+    assert baboulin.kappa_abs == pytest.approx(reference, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "make, kappa",
+    [
+        (lambda: tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0]), np.sqrt(5) / 3),
+        (lambda: tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]), FB.kappa),
+        (lambda: tc.TlsProblem([[1e150], [0.0]], [1e150, 1e150]), FB.kappa / 1e150),
+    ],
+    ids=["fix_a", "fix_b", "fix_b_1e150"],
+)
+def test_baboulin_on_the_closed_forms(make, kappa):
+    # at x = 0 every weight is dropped, so each row is a deflated pole's; the
+    # absolute kappa scales as 1/c with the data
+    problem = make()
+    bundle, solution, work = pipeline(problem)
+    svd_error = abs(tc.svd_condition(work, bundle, solution).kappa_abs - kappa) / kappa
+    estimate = ungated_baboulin(work, bundle, solution)
+    assert abs(estimate.kappa_abs - kappa) / kappa <= svd_error + 1e-14
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        tc.generate_ab_alpha(15, 10, 1e-8, seed=1),
+        tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)),
+        tie_problem(),
+        tied_weighted_problem(0, (3.0, 3.0, 3.0, 1.0, 0.5)),
+    ],
+    ids=["alpha_1e-8", "deblur_m100", "tie_dropped", "tie_triple_merged"],
+)
+def test_baboulin_factors_nothing(problem, monkeypatch):
+    bundle, solution, work = pipeline(problem)
+    calls = counting_factorizations(monkeypatch)
+    estimate = ungated_baboulin(work, bundle, solution)
+    assert calls == []
+    reference = tc.svd_condition(work, bundle, solution).kappa_abs
+    assert estimate.kappa_abs == pytest.approx(reference, rel=1e-14, abs=0)
+
+
+def test_deflated_rows_are_orthonormal_and_orthogonal_to_v():
+    # a triple tie with live weights merges into one pole: two deflated rows
+    problem = tied_weighted_problem(0, (3.0, 3.0, 3.0, 1.0, 0.5))
+    bundle = tc.svd_bundle(problem)
+    gap, rows = bundle.roots.deflated_rows()
+    assert gap == pytest.approx([9.0 - 0.25] * 2, rel=1e-14, abs=0)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(2), rtol=0, atol=4 * EPS)
+    np.testing.assert_allclose(rows @ bundle.v_aug[-1, :-1], 0.0, rtol=0, atol=4 * EPS)
 
 
 @pytest.mark.parametrize(
@@ -306,14 +366,13 @@ def test_no_svd_runs_after_the_bundle(monkeypatch):
     tc.cholesky_condition(work, problem, bundle, solution)
     direction = tc.worst_direction(work, problem, solution)
     tc.first_order_prediction(work, problem, solution, direction, 1e-6)
-    assert calls == []
+    # the comparison route reads A's vectors off the bundle's secular roots too
     tc.baboulin_condition(work, bundle, solution)
-    # the comparison route alone takes A's vectors: one SVD of R[:, :n] (QR route, k = 9)
-    assert calls == [("baboulin_condition", (9, 8), True)]
+    assert calls == []
     assert report.kappa_reference == kappa.kappa_abs
 
 
-def test_only_baboulin_computes_a_singular_vectors(monkeypatch, tmp_path, capsys):
+def test_nothing_computes_a_singular_vectors(monkeypatch, tmp_path, capsys):
     path = tmp_path / "p.csv"
     tc.save_problem(tc.generate_ab_alpha(20, 5, 0.3, seed=4), path)
     problem = tc.load_problem(path)
@@ -326,11 +385,9 @@ def test_only_baboulin_computes_a_singular_vectors(monkeypatch, tmp_path, capsys
                     ["validate", "--trials", "5", "--seed", "1"]):
         assert main([*command, "--input", str(path)]) == 0
     capsys.readouterr()
-    of_a = [(name, vectors) for name, shape, vectors in calls if shape[1] == problem.n]
-    # the gap chain's |u_hat_n . b| is a secular quantity of the bundle
-    assert {name for name, vectors in of_a if vectors} == {"baboulin_condition"}
-    # A's values are secular roots: the bundle's kernel never factors A
-    assert not {"svd_bundle", "block_svd"} & {name for name, _ in of_a}
+    # the gap chain's |u_hat_n . b| and baboulin's rows are secular quantities
+    # of the bundle, and A's values are its roots: no SVD of A (or of a stack of them)
+    assert calls and [shape for _, shape, _ in calls if shape[-1] == problem.n] == []
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,12 @@ distance of a secular root to the sigma_{n+1} pole, keeps the gap's leading
 digits where a difference of two singular values would be rounding alone.
 The gap chain's |u_hat_n . b|, read off the same root, must meet
 |w - w_50| <= 4 eps sigma_1, the chain's own slack, at alpha down to 1e-8.
+The baboulin route, which reads A's singular vectors off the same roots, must
+be no farther from kappa_50 than the svd route, plus 1e-14 relative, on every
+case: the gap alone gates nothing.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -32,9 +37,15 @@ ORACLE_PROBLEMS = {
     "alpha_60x10_1e-8": lambda: tc.generate_ab_alpha(60, 10, 1e-8, seed=2),
     "tie_5x3": tie_problem,
     "tie_weighted_6x3": tied_weighted_problem,
+    "tie_triple_7x4": lambda: tied_weighted_problem(0, (3.0, 3.0, 3.0, 1.0, 0.5)),
     "deblur_m40_seed0": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0)),
     "deblur_m40_seed1": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=1)),
 }
+
+
+@functools.cache
+def kappa_50(name):
+    return oracle_kappa(ORACLE_PROBLEMS[name]())
 
 
 @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
@@ -42,9 +53,21 @@ def test_svd_kappa_matches_the_50_digit_oracle(name):
     problem = ORACLE_PROBLEMS[name]()
     bundle, solution, work = pipeline(problem)
     kappa = tc.svd_condition(work, bundle, solution).kappa_abs
-    reference = oracle_kappa(problem)
+    reference = kappa_50(name)
     bound = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
     assert abs(kappa - reference) / reference <= bound
+
+
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_baboulin_kappa_matches_the_50_digit_oracle(name):
+    # measured at most 3.2e-16 farther than the svd route (tie_weighted_6x3, a merged tie)
+    problem = ORACLE_PROBLEMS[name]()
+    bundle, solution, work = pipeline(problem)
+    reference = kappa_50(name)
+    svd_error = abs(tc.svd_condition(work, bundle, solution).kappa_abs - reference) / reference
+    estimate = tc.baboulin_condition(work, bundle, solution)
+    assert abs(estimate.kappa_abs - reference) / reference <= svd_error + 1e-14
+    assert estimate.warnings == ()
 
 
 @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
