@@ -41,9 +41,7 @@ from .generators import (
 from .perturb import monte_carlo_validate
 from .problem import ReportDocument, load_problem, save_problem, save_report
 
-TABLE1_COLUMNS = (
-    "label",
-    "m",
+BOUND_COLUMNS = (
     "ratio_sigma_n",
     "ratio_sigma_hat_n",
     "kappa_rel",
@@ -52,28 +50,16 @@ TABLE1_COLUMNS = (
     "kappa1_upper_rel",
     "bhm",
 )
-
-TABLE2_COLUMNS = (
-    "label",
-    "m",
-    "n",
-    "alpha",
-    "ratio_sigma_n",
-    "ratio_sigma_hat_n",
-    "kappa_rel",
-    "kappa2_lower_rel",
-    "kappa2_upper_rel",
-    "kappa1_upper_rel",
-    "bhm",
-)
+TABLE1_COLUMNS = ("label", "m", *BOUND_COLUMNS)
+TABLE2_COLUMNS = ("label", "m", "n", "alpha", *BOUND_COLUMNS)
 
 
 def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _bound_row(problem, bundle, solution) -> dict:
-    """Shared per-problem pipeline for the table subcommand, on the generator's bundle."""
+def _bound_row(problem, bundle, solution) -> tuple:
+    """One draw's BOUND_COLUMNS values, in order, on the generator's bundle."""
     work = exact.build_spectral_work(problem, bundle, solution)
     report = bounds_mod.bounds_report(problem, bundle, solution, work)
     failed = [fam for fam, ok in report.sandwich_verdicts.items() if not ok]
@@ -82,50 +68,51 @@ def _bound_row(problem, bundle, solution) -> dict:
             f"{problem.label}: families {failed} fail to enclose kappa="
             f"{report.kappa_reference:.6e}"
         )
-    diag = solution.gap
     rel = report.relative_pairs()
     kappa_rel = (
         None if report.rel_scale is None else report.kappa_reference * report.rel_scale
     )
-    return {
-        "ratio_sigma_n": diag.ratio_sigma_n,
-        "ratio_sigma_hat_n": diag.ratio_sigma_hat_n,
-        "kappa_rel": kappa_rel,
-        "kappa2_lower_rel": rel["kappa2_lower"].lower,
-        "kappa2_upper_rel": rel["kappa2_upper"].upper,
-        "kappa1_upper_rel": rel["kappa1"].upper,
-        "bhm": rel["bhm"].upper,
-    }
+    return (
+        solution.gap.ratio_sigma_n,
+        solution.gap.ratio_sigma_hat_n,
+        kappa_rel,
+        rel["kappa2_lower"].lower,
+        rel["kappa2_upper"].upper,
+        rel["kappa1"].upper,
+        rel["bhm"].upper,
+    )
 
 
-def _median_rows(draws: list[dict]) -> dict:
-    keys = draws[0].keys()
-    out = {}
-    for key in keys:
-        values = [d[key] for d in draws]
-        out[key] = None if any(v is None for v in values) else float(np.median(values))
-    return out
+def _sweep(table: str, columns, cases, draw, seed: int, n_seeds: int, **metadata) -> ReportDocument:
+    """The table subcommand's one sweep: a row per case, medians over n_seeds draws.
+
+    A case is (its key values, in columns' order; draw's arguments; its seed
+    parts). Its k-th draw is draw(*arguments, seed) at the seed derived from
+    (seed, *parts, k), and each of BOUND_COLUMNS is the median of _bound_row
+    over the draws, or None where any draw's value is None.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    rows = []
+    for keys, args, parts in cases:
+        draws = [_bound_row(*draw(*args, _derive_seed(seed, *parts, k))) for k in range(n_seeds)]
+        medians = (None if None in values else float(np.median(values)) for values in zip(*draws))
+        rows.append(dict(zip(columns, (*keys, *medians))))
+    metadata = {"table": table, "seed": seed, "n_seeds": n_seeds, **metadata,
+                "created_at": datetime.now(timezone.utc).isoformat()}
+    return ReportDocument(columns=columns, rows=tuple(rows), metadata=metadata)
+
+
+def _kamm_nagy_seeded(m: int, seed: int):
+    return _kamm_nagy_draw(KammNagyConfig(m=m, seed=seed))
 
 
 def run_table_example1(m_list, seed: int = 0, n_seeds: int = 1) -> ReportDocument:
     """Deblurring sweep at KammNagyConfig's defaults: one row per m, medians over n_seeds draws."""
-    rows = []
-    for idx, m in enumerate(m_list):
-        draws = []
-        for k in range(n_seeds):
-            config = KammNagyConfig(m=m, seed=_derive_seed(seed, idx, k))
-            draws.append(_bound_row(*_kamm_nagy_draw(config)))
-        rows.append({"label": f"deblur_m{m}", "m": float(m), **_median_rows(draws)})
-    metadata = {
-        "table": "example1",
-        "seed": seed,
-        "n_seeds": n_seeds,
-        "omega": KammNagyConfig.omega,
-        "spread": KammNagyConfig.spread,
-        "gamma": KammNagyConfig.gamma,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return ReportDocument(columns=TABLE1_COLUMNS, rows=tuple(rows), metadata=metadata)
+    cases = [((f"deblur_m{m}", float(m)), (m,), (idx,)) for idx, m in enumerate(m_list)]
+    return _sweep("example1", TABLE1_COLUMNS, cases, _kamm_nagy_seeded, seed, n_seeds,
+                  omega=KammNagyConfig.omega, spread=KammNagyConfig.spread,
+                  gamma=KammNagyConfig.gamma)
 
 
 def run_table_example2(
@@ -135,31 +122,14 @@ def run_table_example2(
     n_seeds: int = 1,
 ) -> ReportDocument:
     """Alpha-controlled sweep: one row per (shape, alpha)."""
-    rows = []
-    for sidx, (m, n) in enumerate(shape_list):
-        for aidx, alpha in enumerate(alpha_list):
-            draws = []
-            for k in range(n_seeds):
-                draw = _alpha_draw(m, n, alpha, _derive_seed(seed, sidx, aidx, k))
-                draws.append(_bound_row(*draw))
-            rows.append(
-                {
-                    "label": f"alpha_m{m}_n{n}_a{alpha:g}",
-                    "m": float(m),
-                    "n": float(n),
-                    "alpha": float(alpha),
-                    **_median_rows(draws),
-                }
-            )
-    metadata = {
-        "table": "example2",
-        "seed": seed,
-        "n_seeds": n_seeds,
-        "shapes": [list(s) for s in shape_list],
-        "alphas": list(alpha_list),
-        "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return ReportDocument(columns=TABLE2_COLUMNS, rows=tuple(rows), metadata=metadata)
+    cases = [
+        ((f"alpha_m{m}_n{n}_a{alpha:g}", float(m), float(n), float(alpha)), (m, n, alpha),
+         (sidx, aidx))
+        for sidx, (m, n) in enumerate(shape_list)
+        for aidx, alpha in enumerate(alpha_list)
+    ]
+    return _sweep("example2", TABLE2_COLUMNS, cases, _alpha_draw, seed, n_seeds,
+                  shapes=[list(s) for s in shape_list], alphas=list(alpha_list))
 
 
 def _fmt3(value) -> str:
@@ -299,8 +269,7 @@ def _cmd_table(args) -> int:
     if args.example == 1:
         report = run_table_example1(args.m_list, seed=args.seed, n_seeds=args.seeds)
     else:
-        shapes = [tuple(int(v) for v in s.split("x")) for s in args.shapes]
-        report = run_table_example2(shapes, args.alphas, seed=args.seed, n_seeds=args.seeds)
+        report = run_table_example2(args.shapes, args.alphas, seed=args.seed, n_seeds=args.seeds)
     _print_report(report)
     if args.out:
         save_report(report, args.out, "json" if args.json else None)
@@ -308,11 +277,23 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _shape(text: str) -> tuple[int, int]:
+    """An argparse type: MxN, two unsigned integers."""
+    m, sep, n = text.partition("x")
+    if not (sep and m.isdecimal() and n.isdecimal()):
+        raise argparse.ArgumentTypeError(f"must be MxN, got {text!r}")
+    return int(m), int(n)
 
 
 def _positive_finite(text: str) -> float:
@@ -365,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="perturbation validation")
     add_input(p_val)
-    p_val.add_argument("--trials", type=_nonnegative_int, default=100)
+    p_val.add_argument("--trials", type=_int_at_least(0), default=100)
     p_val.add_argument("--step", type=_positive_finite, default=None,
                        help="absolute step (default 1e-8 * ||[A b]||_F)")
     p_val.add_argument("--seed", type=int, default=0)
@@ -373,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce the experiment table layouts")
     p_table.add_argument("--example", type=int, choices=[1, 2], required=True)
-    p_table.add_argument("--seeds", type=int, default=1, help="median over this many draws")
+    p_table.add_argument("--seeds", type=_int_at_least(1), default=1,
+                         help="median over this many draws (>= 1)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--m-list", type=int, nargs="+", default=[100, 300, 500],
                          dest="m_list", help="example 1 sizes")
-    p_table.add_argument("--shapes", nargs="+", default=["200x150"],
+    p_table.add_argument("--shapes", type=_shape, nargs="+", default=[(200, 150)],
                          help="example 2 shapes as MxN")
     p_table.add_argument("--alphas", type=float, nargs="+", default=[1e-2, 1e-3, 1e-5],
                          help="example 2 alpha targets")

@@ -17,9 +17,10 @@ A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
 eigenvalues of Sigma^2 - (Sigma v)(Sigma v)^T: the roots of a downdating
 secular equation (Gu & Eisenstat, SIMAX 1995), which LAPACK dlasd4 solves one
 root at a time in O(n) (SigmaHatRoots, through secular_root, the one secular
-kernel, which exact's kappa equation shares). Roots are solved only where read:
-sigma_hat_n and the gap delta = sigma_hat_n^2 - sigma_{n+1}^2 with the bundle,
-sigma_hat_1 and sigma_hat_{n-1} when a bound asks, the whole sigma_hat lazily.
+kernel, which exact's kappa equation shares). Each root is solved once per
+bundle, where it is first read, and every later reader takes dlasd4's cached
+output: sigma_hat_n and the gap delta = sigma_hat_n^2 - sigma_{n+1}^2 with the
+bundle, sigma_hat_1 and sigma_hat_{n-1} when a bound asks, the whole sigma_hat lazily.
 delta is read off the root in a form centred on the sigma_{n+1} pole, so it is
 accurate even where sigma_hat_n and sigma_{n+1} agree to the last bit, and it
 is never rebuilt as a difference of two singular values. The distances of a
@@ -157,7 +158,7 @@ class SigmaHatRoots:
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
-        self._cache: dict[int, tuple[float, float]] = {}
+        self._solved: dict[int, tuple] = {}  # live root r: dlasd4's (root, delta, work)
         self._live = None  # None: every pole is live
         self._rest: SigmaHatRoots | None = None  # the equation without sigma_{n+1}
         alpha, self._gap_n = abs(float(v_last[-1])), float(self._gaps[-1])
@@ -181,21 +182,22 @@ class SigmaHatRoots:
     def at(self, i: int) -> tuple[float, float]:
         """(sigma_hat_{i+1}, sigma_hat_{i+1}^2 - sigma_{n+1}^2) for a 0-based (or negative) i."""
         i %= len(self._sigma) - 1
-        if i not in self._cache:
-            if not self._usable:
-                self._cache[i] = self._without_last_pole(i)
-            elif self._live is None:
-                self._cache[i] = self._root(i)
-            else:
-                self._cache[i] = self._deflated_at(i)
-        return self._cache[i]
+        if not self._usable:
+            return self._without_last_pole(i)
+        return self._root(i) if self._live is None else self._deflated_at(i)
+
+    def _solve(self, r: int) -> tuple:
+        """dlasd4's (root, delta, work) at live root r, solved once per bundle."""
+        if r not in self._solved:
+            self._solved[r] = secular_root(r, self._poles, self._z)
+        return self._solved[r]
+
+    def _gap(self, root):
+        """Delta_n / mu, mu = ||w||^2 root^2: sigma_hat^2 - sigma_{n+1}^2 over sigma_1^2."""
+        return self._gap_n / (root * root * self._rho)
 
     def _root(self, r: int) -> tuple[float, float]:
-        return self._entry(secular_root(r, self._poles, self._z)[0])
-
-    def _entry(self, root: float) -> tuple[float, float]:
-        mu = root * root * self._rho  # as pole_distances forms it, bit for bit
-        gap = self._gap_n / mu
+        gap = self._gap(self._solve(r)[0])
         return math.sqrt(self._last2 + gap) * self._scale, gap * self._scale**2
 
     def _pole(self, j: int) -> tuple[float, float]:
@@ -251,11 +253,11 @@ class SigmaHatRoots:
         roots = range(len(self._poles)) if roots is None else roots
         root, delta, work = np.empty(len(roots)), *np.empty((2, len(roots), len(self._poles)))
         for k, r in enumerate(roots):
-            root[k], delta[k], work[k] = secular_root(r, self._poles, self._z)
-        live, squares = slice(None) if self._live is None else self._live, root * root
+            root[k], delta[k], work[k] = self._solve(r)
+        live = slice(None) if self._live is None else self._live
         dist = np.full((len(roots), len(self._gaps)), np.inf)
-        dist[:, live] = -self._gaps[live] * (delta * work) / squares[:, None]
-        dist = np.append(dist[:, self._rep], -self._gap_n / (squares * self._rho)[:, None], axis=1)
+        dist[:, live] = -self._gaps[live] * (delta * work) / (root * root)[:, None]
+        dist = np.append(dist[:, self._rep], -self._gap(root)[:, None], axis=1)
         weight = 1.0 / np.linalg.norm(self._sigma / self._scale * self._v_last / dist, axis=1)
         return dist * self._scale**2, weight * self._scale
 
@@ -287,8 +289,9 @@ class SigmaHatRoots:
     def b_weight_n(self) -> float:
         """|u_hat_n . b|, the weight of b on A's last left singular vector, in O(n).
 
-        pole_distances at the top root. A deflated pole carries no weight of
-        b, so where sigma_hat_n is one the weight is 0, as it is at delta = 0.
+        pole_distances at the top root, whose gap is delta itself, read from the
+        same cached root, unless sigma_hat_n is a deflated pole. A deflated pole
+        carries no weight of b, so there the weight is 0, as it is at delta = 0.
         Where sigma_hat_n is tied, u_hat_n is not unique, and neither is this
         weight.
         """

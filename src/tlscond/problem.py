@@ -280,8 +280,12 @@ def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
             np.savetxt(fh, aug, fmt=f"%{_FMT}", delimiter=",")
 
 
-def _infer_report_format(path: Path) -> str:
-    return "json" if path.suffix.lower() == ".json" else "csv"
+def _report_format(path: Path, format: str | None) -> str:
+    """Resolve a format name, or the suffix when omitted, to "json" or "csv"."""
+    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    return fmt
 
 
 def save_report(report: ReportDocument, path, format: str | None = None) -> None:
@@ -289,11 +293,10 @@ def save_report(report: ReportDocument, path, format: str | None = None) -> None
     if not report.rows:
         raise ValueError("report has no rows")
     path = Path(path)
-    fmt = format or _infer_report_format(path)
-    if fmt == "json":
+    if _report_format(path, format) == "json":
         payload = {"metadata": report.metadata, "rows": [dict(r) for r in report.rows]}
         path.write_text(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
+    else:
         with open(path, "w", newline="") as fh:
             if report.metadata:
                 fh.write("# metadata: " + json.dumps(report.metadata) + "\n")
@@ -306,8 +309,6 @@ def save_report(report: ReportDocument, path, format: str | None = None) -> None
                     else (row[c] if isinstance(row[c], str) else _fmt(row[c]))
                     for c in report.columns
                 )
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def _parse_cell(text: str, label: bool):
@@ -331,8 +332,7 @@ def load_report(path, format: str | None = None) -> ReportDocument:
     or of a row :class:`ReportDocument` refuses.
     """
     path = Path(path)
-    fmt = format or _infer_report_format(path)
-    if fmt == "json":
+    if _report_format(path, format) == "json":
         try:
             payload = json.loads(path.read_text())
             return ReportDocument(
@@ -342,8 +342,6 @@ def load_report(path, format: str | None = None) -> ReportDocument:
             )
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ParseError(f"{path}: {exc}") from exc
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
     metadata = {}
     numbered = []  # (line number, text) of the header and the data lines
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):

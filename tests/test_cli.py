@@ -252,6 +252,38 @@ def test_table_factors_each_draw_once(monkeypatch):
     assert tables() == rows
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "0", "must be >= 1"),
+        ("--seeds", "-1", "must be >= 1"),
+        ("--shapes", "20x", "must be MxN"),
+        ("--shapes", "20x5x3", "must be MxN"),
+    ],
+)
+def test_table_refuses_a_bad_seed_count_or_shape(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--example", "2", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_table_sweeps_refuse_no_draws(n_seeds):
+    with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+        run_table_example1([40], n_seeds=n_seeds)
+    with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+        run_table_example2([(30, 10)], [1e-2], n_seeds=n_seeds)
+
+
+def test_solve_x_zero_has_no_gap_chain(tmp_path, capsys, fix_a):
+    path = tmp_path / "x0.csv"
+    tc.save_problem(fix_a, path)
+    code, out, _ = run(["solve", "--input", str(path)], capsys)
+    assert code == 0
+    assert "gap enclosure chain: n/a (x = 0)" in out
+
+
 def test_table_empty_m_list_gives_empty_report():
     report = run_table_example1([], seed=0)
     assert report.rows == ()

@@ -241,6 +241,17 @@ def test_b_weight_n_matches_an_svd_of_a(name):
     assert bundle.roots.b_weight_n() == pytest.approx(expected, rel=1e-8)
 
 
+def test_b_weight_n_is_zero_where_b_has_no_weight(fix_a):
+    # x = 0: every weight deflates, and sigma_hat_n = sigma_n carries none of b
+    bundle = tc.svd_bundle(fix_a)
+    assert bundle.delta > 0.0
+    assert bundle.roots.b_weight_n() == 0.0
+    # delta = 0: [A b] = I, so sigma_hat_n = sigma_{n+1}
+    bundle = tc.svd_bundle(tc.TlsProblem([[1.0], [0.0]], [0.0, 1.0]))
+    assert bundle.delta == 0.0
+    assert bundle.roots.b_weight_n() == 0.0
+
+
 @pytest.mark.parametrize("shape", [(50, 10), (200, 30), (2000, 100), (4000, 40)])
 def test_gap_chain_lower_in_reduced_basis(shape):
     problem = tc.generate_ab_alpha(*shape, 0.3, seed=2)
@@ -321,6 +332,17 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     np.testing.assert_allclose(bundle.sigma_hat, np.linalg.svd(problem.a_matrix, compute_uv=False),
                                rtol=0, atol=1e-14 * bundle.sigma[0])
     assert sorted(roots) == list(range(10))
+    # every reader of a bundle shares one dlasd4 call per root: the gap chain's
+    # b_weight_n, baboulin's pole_distances, the bounds and sigma_hat re-solve none
+    roots.clear()
+    bundle, solution, work = pipeline(problem)
+    tc.residual_diagnostics(problem, bundle, solution)
+    tc.svd_condition(work, bundle, solution)
+    tc.baboulin_condition(work, bundle, solution)
+    tc.bounds_report(problem, bundle, solution, work)
+    bundle.sigma_hat
+    # each sigma_hat root once, and kappa's equation once, at its top root n - 1
+    assert sorted(roots) == [*range(10), 9]
 
 
 def test_a_failed_secular_root_raises_convergence_error(monkeypatch):

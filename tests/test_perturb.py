@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -376,3 +377,20 @@ def test_the_lab_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
+    # dA = -A at t = 1 zeroes A, so the gap is lost; the next step still resolves
+    bundle, solution, work = pipeline(fix_b)
+    direction = tc.PerturbationDirection.normalized(-fix_b.a_matrix, np.zeros(2))
+
+    def ratios(steps):
+        fill = perturb._copying(itertools.repeat(direction.stacked()))
+        return perturb._ratios(fix_b, solution, fill, steps)
+
+    lost, ratio = ratios([(1.0, True), (1e-8, False)])
+    assert lost is None
+    first_order = tc.first_order_prediction(work, fix_b, solution, direction, 1.0) - solution.x
+    assert ratio == pytest.approx(np.linalg.norm(first_order), rel=1e-6)  # 2.1708...
+    with pytest.raises(PerturbationTooLarge, match="gap lost at t=1.000e"):
+        ratios([(1.0, False), (1e-8, False)])

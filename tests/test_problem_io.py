@@ -356,6 +356,32 @@ def test_load_report_refuses_malformed_csv(tmp_path, text, line):
         tc.load_report(path)
 
 
+def test_report_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        tc.save_report(_sample_report(), path, "xml")
+    assert not path.exists()
+    tc.save_report(_sample_report(), path)
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        tc.load_report(path, "xml")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# metadata: {seed: 1}\nlabel,v\nr1,1.0\n", "bad metadata line"),
+        ('# metadata: {"seed": 1}\n', "empty report"),
+        ("", "empty report"),
+    ],
+    ids=["metadata not json", "metadata only", "empty file"],
+)
+def test_load_report_refuses_a_csv_without_a_report(tmp_path, text, message):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        tc.load_report(path)
+
+
 def test_load_report_refuses_a_non_finite_json_value(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"metadata": {}, "rows": [{"label": "r1", "v": Infinity}]}')
