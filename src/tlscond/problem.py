@@ -8,13 +8,20 @@ significant digits so a reload reproduces the binary doubles exactly.
 
 Problem files go through compiled text kernels in both directions:
 
-- Reads run ``np.loadtxt``, whose C parser converts a number as strictly as
-  ``float``. Where it refuses the text (a bad number, a ragged row, a ``%``
-  line among MatrixMarket entries, an empty file, ``1_0``), the strict
-  line-by-line reader reads the file again and decides: it names the faulty
-  line or entry, or accepts what ``float`` accepts. ``scipy.io.mmread`` is
-  not used because it reads ``0.5e+-3`` as 0.5, ``1 x`` as 1 and ``0x1p3``
-  as 0.
+- Reads take one of two paths, with the same outcome. The plain-decimal path
+  reads the file as bytes, in whole lines about 512 KiB at a time, and parses
+  each piece with ``scipy.io.mmread`` (fast_matrix_market's compiled reader)
+  as a one-column MatrixMarket array, a CSV comma read as a line end.
+  ``mmread`` reads a plain decimal, ``[+-]?(D+(.D+)?|.D+)([eE][+-]?D+)?``,
+  as ``float`` does, bit for bit, but drops the sign of a zero, which is put
+  back. On anything else it is lax: it reads ``0.5e+-3`` as 0.5, ``1 x`` as
+  1, ``0x1p3`` as 0 and ``1_0`` as 1, and keeps the first of two values on a
+  line. So a byte check first proves each value plain and, for a CSV, each
+  line as long as the first. What it refuses (any byte but digits, signs,
+  points, ``e``, ``E``, line ends and a CSV's commas; a blank line, a ragged
+  row, ``1.``) and what ``mmread`` refuses (a leading ``+``) go to the
+  line-by-line reader, which reads the file as UTF-8 text and decides: it
+  names the faulty line or entry, or accepts what ``float`` accepts.
 - CSV is written by ``np.savetxt`` with ``%.17g`` cells, MatrixMarket by
   ``scipy.io.mmwrite`` in 17-digit e-notation. ``mmwrite`` is given a handle
   that Python opened, never a path: given a path it cannot open, it returns
@@ -24,8 +31,8 @@ Problem files go through compiled text kernels in both directions:
 from __future__ import annotations
 
 import csv
+import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,38 +137,18 @@ def _problem_format(path: Path, format: str | None) -> str:
     return fmt
 
 
-def _loadtxt(source, **kwargs) -> np.ndarray | None:
-    """``np.loadtxt`` of ``source``, or None where it refuses the text.
-
-    ``comments`` stays None: with "%" loadtxt would cut ``6 % note`` to 6,
-    which the line-by-line readers refuse.
-    """
-    with warnings.catch_warnings():
-        # an empty input only warns "input contained no data"
-        warnings.simplefilter("error", UserWarning)
-        try:
-            return np.loadtxt(source, comments=None, **kwargs)
-        except (ValueError, UserWarning):
-            return None
-
-
-def _plain_lines(fh):
-    """The lines of ``fh``, refusing one that str.splitlines would split again.
-
-    Besides "\n", str.splitlines (the CSV line reader's row split) breaks at
-    these ASCII characters and at three non-ASCII ones; loadtxt instead strips
-    them from a cell as blanks, and so would accept ``1\f,2``.
-    """
-    for line in fh:
-        if not line.isascii() or any(c in line for c in "\v\f\x1c\x1d\x1e"):
-            raise ValueError("not a plain ASCII line")
-        yield line
+def _not_text(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _read_csv_lines(path: Path) -> np.ndarray:
     """The line-by-line CSV reader: it names the line of a bad cell."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_text(path, exc) from exc
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -176,25 +163,139 @@ def _read_csv_lines(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+_CHUNK = 1 << 19  # bytes the plain-decimal path reads at a time
+# The byte check gives each byte a class: one bit in the low nibble names it,
+# and the high nibble holds the bits of the classes that may follow it. An
+# exponent and a separator share a bit: each may follow a digit and nothing
+# else.
+_DIGIT, _POINT, _SIGN, _AFTER_DIGIT = 1, 2, 4, 8
+_FIRST = _DIGIT | _POINT | _SIGN  # what a value may start with
+
+
+def _byte_classes(separators: bytes) -> bytes:
+    """A translate table from each byte to its class; 0 for a byte that may not
+    appear. ``separators`` end a value as a newline does."""
+    table = bytearray(256)
+    for chars, name, followers in (
+        (b"0123456789", _DIGIT, _DIGIT | _POINT | _AFTER_DIGIT),
+        (b".", _POINT, _DIGIT),
+        (b"+-", _SIGN, _DIGIT | _POINT),
+        (b"eE", _AFTER_DIGIT, _DIGIT | _SIGN),
+        (b"\n" + separators, _AFTER_DIGIT, _FIRST),
+    ):
+        for char in chars:
+            table[char] = followers << 4 | name
+    return bytes(table)
+
+
+_MM_CLASSES = _byte_classes(b"")
+_CSV_CLASSES = _byte_classes(b",")
+# a value's marks: the bytes that are not digits or signs, with "E" read as "e"
+_MARKS = bytes.maketrans(b"E", b"e")
+_NOT_MARKS = b"0123456789+-"
+
+
+def _plain_separators(piece: bytes, classes: bytes) -> bytes | None:
+    """The separators of ``piece`` in order, if each of its values is a plain
+    decimal and values are parted by separators (``classes`` says which bytes);
+    else None.
+
+    ``piece`` holds whole lines. Where each byte may follow the one before it,
+    a value is a sign, digits, a point, digits, an exponent, a sign and
+    digits, some of them missing or repeated: it starts with a sign, a digit
+    or a point, ends with a digit, has a digit after each point and before
+    each exponent, and a sign only first or after the exponent. Its marks then
+    rule out a repeat: they must read "." then "e", each at most once, which
+    holds where each mark at or above "." exceeds the one before it
+    ("\\n" < "," < "." < "e").
+    """
+    c = np.frombuffer(piece.translate(classes), np.uint8)
+    follows = c[:-1] >> 4
+    follows &= c[1:]
+    if not (c[0] & _FIRST and follows.all()):
+        return None
+    del c, follows  # at most three piece-sized buffers at once
+    marks = piece.translate(_MARKS, _NOT_MARKS)
+    m = np.frombuffer(marks, np.uint8)
+    if ((m[1:] >= ord(".")) & (m[1:] <= m[:-1])).any():
+        return None
+    return marks.translate(None, b".e")
+
+
+def _next_piece(fh) -> bytes:
+    """The next whole lines of binary handle ``fh``, about _CHUNK bytes and
+    ending with a newline (a CRLF read as one); b"" at the end."""
+    piece = fh.read(_CHUNK)
+    if piece and piece[-1:] != b"\n":
+        piece += fh.readline()
+        if piece[-1:] != b"\n":  # the last line has no newline
+            piece += b"\n"
+    return piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
+
+
+def _read_plain(path: Path, classes: bytes, offset: int = 0):
+    """(values, values per line) of ``path`` from byte ``offset`` on, each
+    piece checked and then parsed by scipy's mmread as a one-column array;
+    None where the check refuses a value, where a line holds another number of
+    values than the first, where mmread refuses, or where there is no line.
+    """
+    from scipy.io import mmread  # imported here: scipy.io costs every importer ~3 MiB
+
+    parts, width = [], None
+    with path.open("rb") as fh:
+        fh.seek(offset)
+        while piece := _next_piece(fh):
+            seps = _plain_separators(piece, classes)
+            if seps is None:
+                return None
+            width = width or seps.index(b"\n") + 1
+            if seps != (b"," * (width - 1) + b"\n") * (len(seps) // width):
+                return None
+            # one value a line: a CSV's commas become line ends
+            text = b"%%%%MatrixMarket matrix array real general\n%d 1\n" % len(seps) + piece
+            del piece  # two piece-sized buffers at most while mmread runs
+            text = text.replace(b",", b"\n")
+            try:
+                values = mmread(io.BytesIO(text))[:, 0]
+            except ValueError:  # mmread refuses a leading "+"
+                return None
+            zeros = np.flatnonzero(values == 0)
+            if zeros.size:  # mmread reads "-0" and "-1e-400" as +0.0, float as -0.0
+                raw = np.frombuffer(text, np.uint8)
+                # the header holds two newlines: value i starts after newline i + 1
+                starts = np.flatnonzero(raw == ord("\n"))[zeros + 1] + 1
+                values[zeros[raw[starts] == ord("-")]] = -0.0
+            parts.append(values)
+    if not parts:
+        return None
+    return np.concatenate(parts), width
+
+
 def _read_csv_array(path: Path) -> np.ndarray:
-    with path.open() as fh:
-        data = _loadtxt(_plain_lines(fh), delimiter=",", ndmin=2)
-    return _read_csv_lines(path) if data is None else data
+    read = _read_plain(path, _CSV_CLASSES)
+    return _read_csv_lines(path) if read is None else read[0].reshape(-1, read[1])
 
 
 def _read_mm_header(path: Path, fh) -> tuple[int, int, int]:
-    """Check the banner and read the size line: (m, k, lines read)."""
-    banner = fh.readline().rstrip("\n")
-    if not banner.lower().startswith("%%matrixmarket"):
-        raise ParseError(f"{path}: missing MatrixMarket banner")
-    if not {"matrix", "array", "real", "general"} <= set(banner.lower().split()):
-        raise ParseError(f"{path}: unsupported MatrixMarket flavor {banner!r}")
-    for lines_read, line in enumerate(fh, start=2):
-        if line.strip() and not line.lstrip().startswith("%"):
-            break
-    else:
-        raise ParseError(f"{path}: missing size line")
-    size = line.rstrip("\n")
+    """Check the banner and read the size line of text handle ``fh`` (opened
+    with newline=""): (m, k, bytes read)."""
+    try:
+        line = fh.readline()
+        banner = line.rstrip("\r\n")
+        if not banner.lower().startswith("%%matrixmarket"):
+            raise ParseError(f"{path}: missing MatrixMarket banner")
+        if not {"matrix", "array", "real", "general"} <= set(banner.lower().split()):
+            raise ParseError(f"{path}: unsupported MatrixMarket flavor {banner!r}")
+        offset = len(line.encode())
+        while line := fh.readline():
+            offset += len(line.encode())
+            if line.strip() and not line.lstrip().startswith("%"):
+                break
+        else:
+            raise ParseError(f"{path}: missing size line")
+    except UnicodeDecodeError as exc:
+        raise _not_text(path, exc) from exc
+    size = line.rstrip("\r\n")
     dims = size.split()
     if len(dims) != 2:
         raise ParseError(f"{path}: bad size line {size!r}")
@@ -204,7 +305,7 @@ def _read_mm_header(path: Path, fh) -> tuple[int, int, int]:
         raise ParseError(f"{path}: bad size line {size!r}") from exc
     if m < 0 or k < 0:
         raise ParseError(f"{path}: negative size in {size!r}")
-    return m, k, lines_read
+    return m, k, offset
 
 
 def _mm_block(path: Path, values: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -216,9 +317,12 @@ def _mm_block(path: Path, values: np.ndarray, m: int, k: int) -> np.ndarray:
 
 def _read_mm_lines(path: Path) -> np.ndarray:
     """The line-by-line MatrixMarket reader: it names a bad entry."""
-    with path.open() as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         m, k, _ = _read_mm_header(path, fh)
-        body = fh.read()
+        try:
+            body = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_text(path, exc) from exc
     try:
         values = np.array(body.split(), dtype=float)
     except ValueError:
@@ -237,16 +341,10 @@ def _read_mm_lines(path: Path) -> np.ndarray:
 
 
 def _read_mm_array(path: Path) -> np.ndarray:
-    with path.open() as fh:
-        m, k, header_lines = _read_mm_header(path, fh)
-    # loadtxt opens a file it is given by name through numpy's DataSource,
-    # which decompresses .gz, .bz2, .xz and .lzma files; only the MatrixMarket
-    # suffixes are named to it. A handle would be read line by line, 1.6x slower.
-    if path.suffix.lower() in _MM_SUFFIXES:
-        values = _loadtxt(str(path), skiprows=header_lines, ndmin=1)
-        if values is not None:
-            return _mm_block(path, values.ravel(), m, k)
-    return _read_mm_lines(path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        m, k, offset = _read_mm_header(path, fh)
+    read = _read_plain(path, _MM_CLASSES, offset)
+    return _read_mm_lines(path) if read is None else _mm_block(path, read[0], m, k)
 
 
 def load_problem(path, format: str | None = None) -> TlsProblem:
@@ -269,7 +367,7 @@ def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
         from scipy.io import mmwrite
 
         # a handle, not the path: given a path that cannot be opened, mmwrite
-        # returns without writing or raising (and scipy 1.10 appends ".mtx").
+        # returns without writing or raising.
         # "general" keeps a symmetric square [A b] from being written as
         # "symmetric", which the reader refuses.
         with path.open("wb") as fh:

@@ -63,6 +63,17 @@ def failed_svd(a, *args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
+def refuse_line_by_line(monkeypatch):
+    """Make the line-by-line problem readers fail, so a load that succeeds took
+    the plain-decimal path."""
+
+    def refuse(path):
+        raise AssertionError(f"the line-by-line reader ran on {path}")
+
+    monkeypatch.setattr("tlscond.problem._read_csv_lines", refuse)
+    monkeypatch.setattr("tlscond.problem._read_mm_lines", refuse)
+
+
 def counting_factorizations(monkeypatch):
     """Log (kernel, shape) of every QR and SVD: core's dgeqrt and numpy.linalg's.
 

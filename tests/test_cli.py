@@ -119,6 +119,17 @@ def test_exit_code_parse_and_shape(tmp_path, capsys):
     assert code == 2 and "negative size" in err
 
 
+@pytest.mark.parametrize("name, data", [
+    ("bad.csv", b"1,2\n3,\xff\n5,6\n"),
+    ("bad.mtx", b"%%MatrixMarket matrix array real general\n3 2\n1\n2\n\xff\n4\n5\n6\n"),
+], ids=["csv", "mtx"])
+def test_exit_code_file_not_utf8(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, _, err = run(["solve", "--input", str(path)], capsys)
+    assert code == 2 and err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_exit_code_invalid_alpha(tmp_path, capsys):
     code, _, _ = run(
         ["gen", "--kind", "alpha", "--m", "10", "--n", "3", "--alpha", "1.5",

@@ -1,11 +1,15 @@
+import itertools
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tlscond as tc
+from conftest import refuse_line_by_line
 from tlscond import problem as problem_io
 from tlscond.errors import ParseError, ShapeError
 
@@ -171,7 +175,40 @@ READER_CORPUS = {
     "mm leading bom": ("p.mtx", "\ufeff" + BANNER + MM_BODY),
     "mm symmetric banner": ("p.mtx", BANNER.replace("general", "symmetric") + MM_BODY),
     "mm named .gz": ("p.mtx.gz", BANNER + MM_BODY),
+    "csv byte 0xff": ("p.csv", b"1,2\n3,\xff\n5,6\n"),
+    "mm byte 0xff": ("p.mtx", BANNER.encode() + b"3 2\n1\n2\n\xff\n4\n5\n6\n"),
+    "mm byte 0xff in a comment": ("p.mtx", BANNER.encode() + b"%\xff\n" + MM_BODY.encode()),
 }
+# one value among plain ones: values the byte check refuses (float reads "1."
+# and "1.e5", the check does not), values it passes, and "-0", which mmread
+# reads as +0.0
+for token in ["1.2.3", "1e5e3", "1e5.3", "-.e5", ".", "-", "1e+", "+1", "-0", "1-2",
+              "1.", "1.e5", ".5", "-.5e-3"]:
+    READER_CORPUS[f"csv token {token}"] = ("p.csv", f"{token},2\n3,4\n5,6\n")
+    READER_CORPUS[f"mm token {token}"] = ("p.mtx", f"{BANNER}3 2\n{token}\n2\n3\n4\n5\n6\n")
+
+
+def _straddling(line: str, token: str) -> str:
+    """Copies of ``line``, then ``token`` across byte _CHUNK, then an even number of lines."""
+    copies = (problem_io._CHUNK - 3) // len(line)
+    pad = "0" * (problem_io._CHUNK - 3 - copies * len(line))
+    text = pad + line * copies + token + "\n" + line * 2
+    return text + line * (text.count("\n") % 2)
+
+
+def _mm_text(body: str, k: int) -> str:
+    """A MatrixMarket file of ``k`` columns whose entries, one a line, are ``body``;
+    its pieces start after the size line."""
+    return f"{BANNER}{len(body.splitlines()) // k} {k}\n{body}"
+
+
+READER_CORPUS.update({
+    "csv token across a piece": ("p.csv", _straddling("1.5,2.25\n", "-123.5e-7,8")),
+    "mm token across a piece": ("p.mtx", _mm_text(_straddling("1.25\n", "-123.5e-7"), 2)),
+    "csv negative zeros in pieces": ("p.csv", "-0,-0.0e+00,-1e-400\n" * (problem_io._CHUNK // 6)),
+    "mm negative zeros in pieces": (
+        "p.mtx", _mm_text("-0.0000000000000000e+00\n-1e-400\n" * (problem_io._CHUNK // 8), 2)),
+})
 
 
 @pytest.mark.parametrize("case", sorted(READER_CORPUS))
@@ -179,24 +216,9 @@ def test_reader_matches_line_by_line_reference(tmp_path, case):
     name, text = READER_CORPUS[case]
     fmt = "mm" if case.startswith("mm") else "csv"
     path = tmp_path / name
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     expected = _outcome(_reference_load(fmt), path)
     assert _outcome(lambda p: tc.load_problem(p, fmt), path) == expected
-
-
-@pytest.mark.parametrize("name", ["p.csv", "p.mtx"])
-def test_well_formed_files_skip_the_line_by_line_readers(tmp_path, monkeypatch, name):
-    rng = np.random.default_rng(5)
-    problem = tc.TlsProblem(rng.standard_normal((30, 4)), rng.standard_normal(30))
-    path = tmp_path / name
-    tc.save_problem(problem, path)
-
-    def refuse(path):
-        raise AssertionError("the line-by-line reader ran on a well-formed file")
-
-    monkeypatch.setattr(problem_io, "_read_csv_lines", refuse)
-    monkeypatch.setattr(problem_io, "_read_mm_lines", refuse)
-    np.testing.assert_array_equal(tc.load_problem(path).augmented(), problem.augmented())
 
 
 def _special_values_problem():
@@ -206,6 +228,49 @@ def _special_values_problem():
     scaled = rng.standard_normal(62) * 10.0 ** rng.integers(-300, 301, 62)
     aug = np.concatenate([specials, scaled, rng.permutation(specials)]).reshape(-1, 4)
     return tc.TlsProblem(aug[:, :-1], aug[:, -1])
+
+
+@pytest.mark.parametrize("name", ["p.csv", "p.mtx"])
+def test_well_formed_files_skip_the_line_by_line_readers(tmp_path, monkeypatch, name):
+    refuse_line_by_line(monkeypatch)
+    rng = np.random.default_rng(5)
+    drawn = tc.TlsProblem(rng.standard_normal((30, 4)), rng.standard_normal(30))
+    for problem in (drawn, _special_values_problem()):  # -0.0 among the specials
+        path = tmp_path / name
+        tc.save_problem(problem, path)
+        assert tc.load_problem(path).augmented().tobytes() == problem.augmented().tobytes()
+
+
+@pytest.mark.parametrize("case", ["csv token across a piece", "mm token across a piece",
+                                  "csv negative zeros in pieces", "mm negative zeros in pieces",
+                                  "csv crlf", "mm crlf", "csv no final newline"])
+def test_plain_files_skip_the_line_by_line_readers(tmp_path, monkeypatch, case):
+    name, text = READER_CORPUS[case]
+    path = tmp_path / name
+    path.write_text(text, newline="")
+    expected = _reference_load(case.split()[0])(path).augmented()
+    refuse_line_by_line(monkeypatch)
+    assert tc.load_problem(path).augmented().tobytes() == expected.tobytes()
+
+
+PLAIN_DECIMAL = re.compile(rb"[+-]?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mm"])
+def test_byte_check_accepts_exactly_the_plain_decimals(fmt):
+    # every line of up to five bytes over digits, signs, points, exponents,
+    # commas, a blank and a letter: the check passes it iff each of its values
+    # (parted by commas in a CSV) is a plain decimal; "1." and "1.e5" are not
+    # plain, and go to the line-by-line reader
+    classes = problem_io._CSV_CLASSES if fmt == "csv" else problem_io._MM_CLASSES
+    for size in range(1, 6):
+        for line in map(bytes, itertools.product(b"1-+.eE, x", repeat=size)):
+            plain = all(PLAIN_DECIMAL.fullmatch(value)
+                        for value in (line.split(b",") if fmt == "csv" else [line]))
+            seps = problem_io._plain_separators(line + b"\n", classes)
+            assert (seps is not None) == plain, line
+            if plain:
+                assert seps == b"," * line.count(b",") + b"\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "mm"])
@@ -255,6 +320,42 @@ def test_save_problem_raises_when_it_cannot_write(tmp_path, name):
     directory.mkdir()
     with pytest.raises(OSError):
         tc.save_problem(problem, directory)
+
+
+NOT_UTF8 = {
+    "csv": ("p.csv", b"1,2\n3,\xff\n5,6\n"),
+    "mm entry": ("p.mtx", BANNER.encode() + b"3 2\n1\n2\n\xff\n4\n5\n6\n"),
+    "mm banner": ("p.mtx", BANNER.encode().replace(b"general", b"general \xff") + MM_BODY.encode()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, case):
+    name, data = NOT_UTF8[case]
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+        tc.load_problem(path)
+
+
+@pytest.mark.parametrize("name", ["p.csv", "p.mtx"])
+def test_load_problem_reads_in_bounded_memory(tmp_path, name):
+    # a 2000x101 file (4.1 MB of CSV, 4.7 MB of MatrixMarket) peaked 2.0 MB
+    # above its 1.6 MB array: a copy of the array and a few 512 KiB pieces.
+    # Read whole, one piece per file, it peaked 11-13 MB above.
+    rng = np.random.default_rng(11)
+    problem = tc.TlsProblem(rng.standard_normal((2000, 100)), rng.standard_normal(2000))
+    path = tmp_path / name
+    tc.save_problem(problem, path)
+    tc.load_problem(path)  # scipy.io is imported outside the measurement
+    tracemalloc.start()
+    try:
+        back = tc.load_problem(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.augmented().tobytes() == problem.augmented().tobytes()
+    assert peak - problem.augmented().nbytes < 3 * 2**20
 
 
 def test_import_leaves_scipy_io_unloaded():
