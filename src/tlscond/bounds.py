@@ -58,28 +58,6 @@ class BoundsReport:
     sandwich_verdicts: dict          # family -> bool, certified families only
     sharpness_ratios: dict           # family -> upper/lower or None
 
-    def relative_pairs(self) -> dict:
-        """Bounds rescaled to the relative condition number.
-
-        The BHM entry is kept as-is: the quotient already estimates the
-        relative number directly.
-        """
-        out = {}
-        for family, pair in self.pairs.items():
-            if family == "bhm":
-                out[family] = pair
-                continue
-            if self.rel_scale is None:
-                out[family] = BoundPair(None, None, family, "x = 0: relative form undefined")
-                continue
-            out[family] = BoundPair(
-                None if pair.lower is None else pair.lower * self.rel_scale,
-                None if pair.upper is None else pair.upper * self.rel_scale,
-                family,
-                pair.applicability_note,
-            )
-        return out
-
 
 def simple_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     """s_n/alpha <= kappa <= s_n/alpha^2; collapses to equality at alpha = 1."""

@@ -68,19 +68,14 @@ def _bound_row(problem, bundle, solution) -> tuple:
             f"{problem.label}: families {failed} fail to enclose kappa="
             f"{report.kappa_reference:.6e}"
         )
-    rel = report.relative_pairs()
-    kappa_rel = (
-        None if report.rel_scale is None else report.kappa_reference * report.rel_scale
-    )
-    return (
-        solution.gap.ratio_sigma_n,
-        solution.gap.ratio_sigma_hat_n,
-        kappa_rel,
-        rel["kappa2_lower"].lower,
-        rel["kappa2_upper"].upper,
-        rel["kappa1"].upper,
-        rel["bhm"].upper,
-    )
+    pairs, scale = report.pairs, report.rel_scale
+    absolute = (report.kappa_reference, pairs["kappa2_lower"].lower,
+                pairs["kappa2_upper"].upper, pairs["kappa1"].upper)
+    # rescaled to the relative number; bhm already estimates it, and no
+    # relative value exists at x = 0 (scale None)
+    relative = (None if scale is None or v is None else v * scale for v in absolute)
+    return (solution.gap.ratio_sigma_n, solution.gap.ratio_sigma_hat_n, *relative,
+            pairs["bhm"].upper)
 
 
 def _sweep(table: str, columns, cases, draw, seed: int, n_seeds: int, **metadata) -> ReportDocument:
@@ -336,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--alpha", type=float, default=None)
-    p_gen.add_argument("--omega", type=int, default=8)
-    p_gen.add_argument("--spread", type=float, default=1.25)
-    p_gen.add_argument("--gamma", type=float, default=1e-3)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--omega", type=int, default=KammNagyConfig.omega)
+    p_gen.add_argument("--spread", type=float, default=KammNagyConfig.spread)
+    p_gen.add_argument("--gamma", type=float, default=KammNagyConfig.gamma)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--format", choices=["mm", "csv"], default=None)
     p_gen.set_defaults(func=_cmd_gen)
@@ -349,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--trials", type=_int_at_least(0), default=100)
     p_val.add_argument("--step", type=_positive_finite, default=None,
                        help="absolute step (default 1e-8 * ||[A b]||_F)")
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_int_at_least(0), default=0)
     p_val.set_defaults(func=_cmd_validate)
 
     p_table = sub.add_parser("table", help="reproduce the experiment table layouts")
     p_table.add_argument("--example", type=int, choices=[1, 2], required=True)
     p_table.add_argument("--seeds", type=_int_at_least(1), default=1,
                          help="median over this many draws (>= 1)")
-    p_table.add_argument("--seed", type=int, default=0)
+    p_table.add_argument("--seed", type=_int_at_least(0), default=0)
     p_table.add_argument("--m-list", type=int, nargs="+", default=[100, 300, 500],
                          dest="m_list", help="example 1 sizes")
     p_table.add_argument("--shapes", type=_shape, nargs="+", default=[(200, 150)],
@@ -376,7 +371,7 @@ _EXIT_CODES = (
 )
 
 
-# main's one parser per process: a build takes about 2 ms, a parse far less
+# main's one parser per process: a build costs far more than a parse
 _shared_parser = functools.cache(build_parser)
 
 

@@ -25,9 +25,9 @@ itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not O(mn^2).
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
 (kronecker and cholesky) and build_k_matrix pass through solution.gap.gate,
-the one gap policy of core: IllConditionedGap below relative gap 1e-6, a
-warning below 1e-3. baboulin takes every difference from a secular root, not
-from P, so it needs no gate.
+the one gap policy of core: IllConditionedGap below relative gap
+core.HARD_GAP_LIMIT, a warning below core.WARN_GAP_LIMIT. baboulin takes
+every difference from a secular root, not from P, so it needs no gate.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
@@ -233,9 +233,10 @@ def cholesky_condition(
 
     ||P^{-1} L|| is the square root of the top eigenvalue of its n x n Gram
     matrix, clamped at 0, as in kron_condition: no SVD. Raises
-    IllConditionedGap below relative gap 1e-6, where P is numerically
-    singular and the result would be meaningless. P, C and their Cholesky
-    factors are formed only once the gate has passed.
+    IllConditionedGap below relative gap core.HARD_GAP_LIMIT, where P is
+    numerically singular and the result would be meaningless, and warns below
+    core.WARN_GAP_LIMIT. P, C and their Cholesky factors are formed only once
+    the gate has passed.
     """
     warnings = solution.gap.gate("P")
     n = problem.n

@@ -12,7 +12,9 @@ Two families:
   then core.block_svd, numpy's dgesdd, of that small block). A draw, its
   acceptance bundle included, takes 7.5 ms at 4000x40 and 15.2 ms at
   2000x100, against 11.9 and 24.1 ms from a thin SVD that forms U (medians
-  of 25 interleaved draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM).
+  of 25 interleaved draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM;
+  CHANGES.md, "The alpha generator factors its random draw through the
+  bundle's kernel").
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the

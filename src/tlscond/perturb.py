@@ -197,10 +197,17 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
     collapsed gap raises PerturbationTooLarge, or gives None for an optional step.
     """
     ratios = []
+    base_gap = base_solution.gap.rel_gap
     resolves = _resolves(problem, fill, [t for t, _ in steps])
     for (t, optional), resolved in zip(steps, resolves):
         try:
-            ratios.append(_ratio(base_solution, resolved, t))
+            if isinstance(resolved, TlsCondError):
+                raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from resolved
+            x, gap = resolved
+            if gap.rel_gap < GAP_PERSISTENCE * base_gap:
+                raise PerturbationTooLarge(
+                    f"rel_gap collapsed from {base_gap:.3e} to {gap.rel_gap:.3e}")
+            ratios.append(float(np.linalg.norm(x - base_solution.x) / t))
         except PerturbationTooLarge:
             if not optional:
                 raise
@@ -208,14 +215,18 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
     return ratios
 
 
-def _ratio(base_solution, resolved, t: float) -> float:
-    if isinstance(resolved, TlsCondError):
-        raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from resolved
-    x, gap = resolved
-    base_gap, pert_gap = base_solution.gap.rel_gap, gap.rel_gap
-    if pert_gap < GAP_PERSISTENCE * base_gap:
-        raise PerturbationTooLarge(f"rel_gap collapsed from {base_gap:.3e} to {pert_gap:.3e}")
-    return float(np.linalg.norm(x - base_solution.x) / t)
+def _along(work: ExactFormulaWork, problem: TlsProblem, base_solution, direction, steps) -> list:
+    """(ratio, remainder) for each step (t, optional) along one fixed direction z.
+
+    remainder = |ratio - ||K z|||. As in _ratios, an optional step that loses
+    the gap gives None.
+    """
+    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
+    fill = _copying(itertools.repeat(direction.stacked()))
+    return [
+        None if ratio is None else (ratio, abs(ratio - predicted))
+        for ratio in _ratios(problem, base_solution, fill, steps)
+    ]
 
 
 def _resolves(problem: TlsProblem, fill, ts):
@@ -324,15 +335,11 @@ def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_l
     for t in t_list:
         _check_step(t)
     _, base_solution, work = _solve(problem)
-    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
     floor = CLEAN_STEP_FLOOR * work.aug_frobenius
-    ratios = _ratios(problem, base_solution, _copying(itertools.repeat(direction.stacked())),
-                     [(t, False) for t in t_list])
+    probes = _along(work, problem, base_solution, direction, [(t, False) for t in t_list])
     return [
-        ConvergencePoint(
-            t=float(t), ratio=ratio, remainder=abs(ratio - predicted), clean=t >= floor
-        )
-        for t, ratio in zip(t_list, ratios)
+        ConvergencePoint(t=float(t), ratio=ratio, remainder=remainder, clean=t >= floor)
+        for t, (ratio, remainder) in zip(t_list, probes)
     ]
 
 
@@ -375,15 +382,9 @@ def monte_carlo_validate(
     # the worst direction at t, then three larger steps that may each lose the gap
     worst = worst_direction(work, problem, base_solution)
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    worst_ratio, *step_ratios = _ratios(
-        problem, base_solution, _copying(itertools.repeat(worst.stacked())), steps
-    )
-
-    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, worst)))
+    (worst_ratio, _), *probes = _along(work, problem, base_solution, worst, steps)
     slopes = [
-        (step, abs(ratio - predicted))
-        for (step, _), ratio in zip(steps[1:], step_ratios)
-        if ratio is not None
+        (step, probe[1]) for (step, _), probe in zip(steps[1:], probes) if probe is not None
     ]
 
     return ValidationSummary(

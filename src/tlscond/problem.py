@@ -323,21 +323,16 @@ def _read_mm_lines(path: Path) -> np.ndarray:
             body = fh.read()
         except UnicodeDecodeError as exc:
             raise _not_text(path, exc) from exc
-    try:
-        values = np.array(body.split(), dtype=float)
-    except ValueError:
-        # comment lines among the entries, or a bad entry to name
-        values = []
-        for line in body.splitlines():
-            if line.lstrip().startswith("%"):
-                continue
-            for token in line.split():
-                try:
-                    values.append(float(token))
-                except ValueError as exc:
-                    raise ParseError(f"{path}: bad entry {token!r}") from exc
-        values = np.array(values, dtype=float)
-    return _mm_block(path, values, m, k)
+    values = []
+    for line in body.splitlines():
+        if line.lstrip().startswith("%"):
+            continue
+        for token in line.split():
+            try:
+                values.append(float(token))
+            except ValueError as exc:
+                raise ParseError(f"{path}: bad entry {token!r}") from exc
+    return _mm_block(path, np.array(values, dtype=float), m, k)
 
 
 def _read_mm_array(path: Path) -> np.ndarray:

@@ -7,6 +7,7 @@ import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import pipeline
 from tlscond.bounds import kappa2_dominance
+from tlscond.cli import BOUND_COLUMNS, _bound_row
 from tlscond.errors import NotApplicable
 
 
@@ -162,8 +163,9 @@ def test_bhm_blows_up_past_kappa2_upper_at_close_gap():
     problem = tc.generate_ab_alpha(50, 20, 1e-5, seed=6)
     bundle, solution, work = pipeline(problem)
     report = tc.bounds_report(problem, bundle, solution, work)
-    rel = report.relative_pairs()
-    assert rel["bhm"].upper / rel["kappa2_upper"].upper >= 1e2
+    # bhm already estimates the relative number; kappa2_upper is rescaled to it
+    kappa2_upper_rel = report.pairs["kappa2_upper"].upper * report.rel_scale
+    assert report.pairs["bhm"].upper / kappa2_upper_rel >= 1e2
 
 
 def test_orthogonal_split_inequality():
@@ -223,12 +225,12 @@ def test_bounds_report_x_zero_relative_not_applicable(fix_a):
     bundle, solution, work = pipeline(fix_a)
     report = tc.bounds_report(fix_a, bundle, solution, work)
     assert report.rel_scale is None
-    rel = report.relative_pairs()
-    for family, pair in rel.items():
-        if family == "bhm":
-            assert pair.upper is not None  # direct estimate, no x scaling
-        else:
-            assert pair.lower is None and pair.upper is None
+    assert report.pairs["bhm"].upper is not None  # direct estimate, no x scaling
+    # the table's relative columns read None where pair x rel_scale is undefined
+    row = dict(zip(BOUND_COLUMNS, _bound_row(fix_a, bundle, solution)))
+    for column in ("kappa_rel", "kappa2_lower_rel", "kappa2_upper_rel", "kappa1_upper_rel"):
+        assert row[column] is None
+    assert row["bhm"] == report.pairs["bhm"].upper
 
 
 def test_bound_pairs_ordered():

@@ -82,6 +82,7 @@ def test_validate_command(tmp_path, capsys):
         ("--step", "0", "positive and finite"),
         ("--step", "nan", "positive and finite"),
         ("--trials", "-1", ">= 0"),
+        ("--seed", "-1", ">= 0"),
     ],
 )
 def test_validate_refuses_a_bad_step_or_trial_count(tmp_path, capsys, flag, value, message):
@@ -264,17 +265,21 @@ def test_table_factors_each_draw_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "command, flag, value, message",
     [
-        ("--seeds", "0", "must be >= 1"),
-        ("--seeds", "-1", "must be >= 1"),
-        ("--shapes", "20x", "must be MxN"),
-        ("--shapes", "20x5x3", "must be MxN"),
+        pytest.param("table", "--seeds", "0", "must be >= 1", id="--seeds-0-must be >= 1"),
+        pytest.param("table", "--seeds", "-1", "must be >= 1", id="--seeds--1-must be >= 1"),
+        pytest.param("table", "--shapes", "20x", "must be MxN", id="--shapes-20x-must be MxN"),
+        pytest.param("table", "--shapes", "20x5x3", "must be MxN",
+                     id="--shapes-20x5x3-must be MxN"),
+        pytest.param("table", "--seed", "-1", "must be >= 0", id="--seed--1-must be >= 0"),
+        pytest.param("gen", "--seed", "-1", "must be >= 0", id="gen---seed--1-must be >= 0"),
     ],
 )
-def test_table_refuses_a_bad_seed_count_or_shape(capsys, flag, value, message):
+def test_table_refuses_a_bad_seed_count_or_shape(capsys, command, flag, value, message):
+    # argparse checks a flag's value before it looks for a missing required flag
     with pytest.raises(SystemExit) as exc:
-        main(["table", "--example", "2", flag, value])
+        main([command, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
 

@@ -200,6 +200,21 @@ def test_monte_carlo_fix_b(fix_b):
     assert len(summary.convergence_slopes) == 3
 
 
+@pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30"])
+def test_the_worst_direction_probe_is_the_convergence_study(name):
+    # the summary's worst-direction ratio and slopes are convergence_study's
+    # ratio and remainders at the same steps along worst_direction, bit for bit
+    problem = RESOLVE_CASES[name]()
+    summary = tc.monte_carlo_validate(problem, trials=5, seed=2)
+    steps = [t for t, _ in summary.convergence_slopes]
+    assert len(steps) == 3
+    _, solution, work = pipeline(problem)
+    worst = tc.worst_direction(work, problem, solution)
+    first, *points = tc.convergence_study(problem, worst, [summary.step, *steps])
+    assert first.ratio == summary.worst_direction_ratio
+    assert [(p.t, p.remainder) for p in points] == list(summary.convergence_slopes)
+
+
 def test_monte_carlo_trials_zero(fix_b):
     summary = tc.monte_carlo_validate(fix_b, trials=0, seed=1)
     assert summary.max_observed_ratio is None

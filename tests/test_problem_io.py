@@ -202,7 +202,12 @@ def _mm_text(body: str, k: int) -> str:
     return f"{BANNER}{len(body.splitlines()) // k} {k}\n{body}"
 
 
+# entries only the line-by-line reader takes, read by float's rules
+FLOAT_TOKENS = ("1_0", "Infinity", "+1", "1.", "-0", "\u0661\u0662")
 READER_CORPUS.update({
+    "mm float tokens": ("p.mtx", f"{BANNER}3 2\n" + "\n".join(FLOAT_TOKENS) + "\n"),
+    "mm float tokens and a comment": (
+        "p.mtx", BANNER + "3 2\n1_0 Infinity +1\n% note\n1. -0 \u0661\u0662\n"),
     "csv token across a piece": ("p.csv", _straddling("1.5,2.25\n", "-123.5e-7,8")),
     "mm token across a piece": ("p.mtx", _mm_text(_straddling("1.25\n", "-123.5e-7"), 2)),
     "csv negative zeros in pieces": ("p.csv", "-0,-0.0e+00,-1e-400\n" * (problem_io._CHUNK // 6)),
@@ -219,6 +224,19 @@ def test_reader_matches_line_by_line_reference(tmp_path, case):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     expected = _outcome(_reference_load(fmt), path)
     assert _outcome(lambda p: tc.load_problem(p, fmt), path) == expected
+
+
+@pytest.mark.parametrize("case", ["mm float tokens", "mm float tokens and a comment"])
+def test_matrixmarket_entries_are_read_as_float_reads_them(tmp_path, case):
+    name, text = READER_CORPUS[case]
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    expected = np.array([float(token) for token in FLOAT_TOKENS]).reshape(2, 3).T
+    assert problem_io._read_mm_lines(path).tobytes() == expected.tobytes()
+    for token in ("0x10", "1__0", "_1"):  # float refuses these, so the reader does
+        path.write_bytes(text.replace(FLOAT_TOKENS[0], token).encode())
+        with pytest.raises(ParseError, match=f"bad entry '{token}'"):
+            problem_io._read_mm_lines(path)
 
 
 def _special_values_problem():
