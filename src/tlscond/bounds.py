@@ -43,7 +43,6 @@ VERDICT_SLACK = 1e-9  # floating-point slack; the inequalities are strict
 class BoundPair:
     lower: float | None
     upper: float | None
-    family: str
     applicability_note: str = ""
 
 
@@ -51,11 +50,10 @@ class BoundPair:
 class BoundsReport:
     kappa_reference: float           # svd-formula kappa, the canonical value
     pairs: dict                      # family -> BoundPair (absolute scale)
-    beta: np.ndarray                 # first n entries of the last row of V
     alpha: float
     rho: float                       # sigma_{n+1} / sigma_n
     rel_scale: float | None          # ||[A b]||_F / ||x||, None when x = 0
-    sandwich_verdicts: dict          # family -> bool, certified families only
+    sandwich_verdicts: dict          # family -> bool, certified families with a bound only
     sharpness_ratios: dict           # family -> upper/lower or None
 
 
@@ -63,7 +61,7 @@ def simple_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     """s_n/alpha <= kappa <= s_n/alpha^2; collapses to equality at alpha = 1."""
     s_n = float(work.s_diag[-1])
     alpha = solution.alpha
-    return BoundPair(s_n / alpha, s_n / alpha**2, "simple_sandwich")
+    return BoundPair(s_n / alpha, s_n / alpha**2)
 
 
 def sharp_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
@@ -86,7 +84,7 @@ def sharp_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     s = work.s_diag
     s_n = float(s[-1])
     if solution.norm_x == 0.0:
-        return BoundPair(s_n, s_n, "sharp_sandwich", "x = 0: exact value s_n")
+        return BoundPair(s_n, s_n, "x = 0: exact value s_n")
 
     v_bar_n = work.beta / np.linalg.norm(work.beta)
     a1_norm = float(np.linalg.norm(v_bar_n * s)) / work.alpha
@@ -95,7 +93,7 @@ def sharp_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
     lower = 0.5 * scale * (a1_norm + tail * s_n)
     upper = scale * (a1_norm + s_n)
     note = "ratio < 4 certified (alpha <= 1/2)" if solution.alpha <= 0.5 else ""
-    return BoundPair(float(lower), float(upper), "sharp_sandwich", note)
+    return BoundPair(float(lower), float(upper), note)
 
 
 def sv_bounds_kappa1(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
@@ -108,8 +106,8 @@ def sv_bounds_kappa1(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
 
     upper = bound(bundle.sigma_hat_n, bundle.delta)
     if bundle.n >= 2:
-        return BoundPair(bound(*bundle.roots.at(-2)), upper, "kappa1")
-    return BoundPair(None, upper, "kappa1", "n = 1: no sigma_hat_{n-1} for the lower bound")
+        return BoundPair(bound(*bundle.roots.at(-2)), upper)
+    return BoundPair(None, upper, "n = 1: no sigma_hat_{n-1} for the lower bound")
 
 
 def kappa2_dominance(bundle: SvdBundle) -> tuple[bool, bool]:
@@ -134,7 +132,7 @@ def lower_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     note = "dominates kappa1 lower" if general else ""
     if simple:
         note = "dominates kappa1 lower (sigma_hat_{n-1} >= 2 sigma_hat_n)"
-    return BoundPair(value, None, "kappa2_lower", note)
+    return BoundPair(value, None, note)
 
 
 def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
@@ -148,7 +146,7 @@ def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     rho = float(bundle.sigma[-1] / bundle.sigma[-2])
     amp = float(np.sqrt((1.0 + 31.0 * rho**2) / ((1.0 - rho) * (1.0 + rho))))
     base = lower_kappa2(bundle, solution)
-    return BoundPair(base.lower, base.lower * amp, "kappa2_upper", f"rho={rho:.4f}")
+    return BoundPair(base.lower, base.lower * amp, f"rho={rho:.4f}")
 
 
 def bhm_approx(bundle: SvdBundle) -> BoundPair:
@@ -158,7 +156,7 @@ def bhm_approx(bundle: SvdBundle) -> BoundPair:
     """
     gap = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
     value = float(bundle.roots.at(0)[0] / gap)
-    return BoundPair(None, value, "bhm", "heuristic, no bound guarantee")
+    return BoundPair(None, value, "heuristic, no bound guarantee")
 
 
 def bounds_report(
@@ -178,13 +176,13 @@ def bounds_report(
     try:
         pairs["kappa2_upper"] = upper_kappa2(bundle, solution)
     except NotApplicable as exc:
-        pairs["kappa2_upper"] = BoundPair(None, None, "kappa2_upper", str(exc))
+        pairs["kappa2_upper"] = BoundPair(None, None, str(exc))
     pairs["bhm"] = bhm_approx(bundle)
 
     verdicts = {}
     ratios = {}
     for family, pair in pairs.items():
-        if family != "bhm":
+        if family != "bhm" and (pair.lower is not None or pair.upper is not None):
             ok_lower = pair.lower is None or pair.lower <= kappa_ref * (1.0 + VERDICT_SLACK)
             ok_upper = pair.upper is None or kappa_ref <= pair.upper * (1.0 + VERDICT_SLACK)
             verdicts[family] = bool(ok_lower and ok_upper)
@@ -197,7 +195,6 @@ def bounds_report(
     return BoundsReport(
         kappa_reference=float(kappa_ref),
         pairs=pairs,
-        beta=work.beta,
         alpha=solution.alpha,
         rho=float(bundle.sigma[-1] / bundle.sigma[-2]),
         rel_scale=work.aug_frobenius / norm_x if norm_x > 0 else None,

@@ -2,9 +2,10 @@
 
 Subcommands: solve, cond, bounds, gen, validate, table. Human-readable
 output uses 3 significant digits; files written via --out keep full
-precision. Exit codes: 0 success, 2 parse/shape/flag problems, 3 no unique
-solution, 4 not-applicable or ill-conditioned gap, 5 internal numerical
-failure.
+precision. A file's name decides its format (see tlscond.problem). Exit
+codes: 0 success, 2 parse/shape/flag problems, 3 no unique solution or no
+solvable generated instance, 4 not-applicable or ill-conditioned gap, 5
+internal numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import bounds as bounds_mod
 from . import exact
 from .core import residual_diagnostics, solve_tls, svd_bundle
 from .errors import (
+    GapFailure,
     IllConditionedGap,
     InvalidAlpha,
     NotApplicable,
@@ -143,7 +145,7 @@ def _print_report(report: ReportDocument) -> None:
 
 
 def _cmd_solve(args) -> int:
-    problem = load_problem(args.input, args.format)
+    problem = load_problem(args.input)
     bundle = svd_bundle(problem)
     solution = solve_tls(problem, bundle)
     report = residual_diagnostics(problem, bundle, solution)
@@ -171,7 +173,7 @@ _METHOD_ALIASES = {"kron": "kronecker"}
 
 
 def _cmd_cond(args) -> int:
-    problem = load_problem(args.input, args.format)
+    problem = load_problem(args.input)
     bundle = svd_bundle(problem)
     solution = solve_tls(problem, bundle)
     methods = (
@@ -205,7 +207,7 @@ def _cmd_cond(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    problem = load_problem(args.input, args.format)
+    problem = load_problem(args.input)
     bundle = svd_bundle(problem)
     solution = solve_tls(problem, bundle)
     work = exact.build_spectral_work(problem, bundle, solution)
@@ -235,13 +237,13 @@ def _cmd_gen(args) -> int:
             m=args.m, omega=args.omega, spread=args.spread, gamma=args.gamma, seed=args.seed
         )
         problem = kamm_nagy_problem(config)
-    save_problem(problem, args.out, args.format)
+    save_problem(problem, args.out)
     print(f"wrote {problem.label} (m={problem.m}, n={problem.n}) to {args.out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    problem = load_problem(args.input, args.format)
+    problem = load_problem(args.input)
     summary = monte_carlo_validate(
         problem, trials=args.trials, t=args.step, seed=args.seed
     )
@@ -267,7 +269,7 @@ def _cmd_table(args) -> int:
         report = run_table_example2(args.shapes, args.alphas, seed=args.seed, n_seeds=args.seeds)
     _print_report(report)
     if args.out:
-        save_report(report, args.out, "json" if args.json else None)
+        save_report(report, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -306,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
-        p.add_argument("--input", required=True, help="problem file ([A b] array)")
-        p.add_argument("--format", choices=["mm", "csv"], default=None)
+        p.add_argument("--input", required=True, help="[A b] file: .mtx/.mm MatrixMarket, else CSV")
 
     p_solve = sub.add_parser("solve", help="solve the TLS problem and check identities")
     add_input(p_solve)
@@ -335,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--spread", type=float, default=KammNagyConfig.spread)
     p_gen.add_argument("--gamma", type=float, default=KammNagyConfig.gamma)
     p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--format", choices=["mm", "csv"], default=None)
+    p_gen.add_argument("--out", required=True, help=".mtx/.mm MatrixMarket, else CSV")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_val = sub.add_parser("validate", help="perturbation validation")
@@ -358,15 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="example 2 shapes as MxN")
     p_table.add_argument("--alphas", type=float, nargs="+", default=[1e-2, 1e-3, 1e-5],
                          help="example 2 alpha targets")
-    p_table.add_argument("--out", default=None)
-    p_table.add_argument("--json", action="store_true", help="force JSON output")
+    p_table.add_argument("--out", default=None, help=".json JSON, else CSV")
     p_table.set_defaults(func=_cmd_table)
     return parser
 
 
 _EXIT_CODES = (
     ((ParseError, ShapeError, InvalidAlpha, OSError), 2),
-    ((NoUniqueSolution, TrivialProblem), 3),
+    ((NoUniqueSolution, TrivialProblem, GapFailure), 3),
     ((NotApplicable, IllConditionedGap), 4),
 )
 

@@ -371,14 +371,14 @@ class GapDiagnostics:
     def solvable(self) -> bool:
         return self.gap_ok and self.nontrivial
 
-    def gate(self, what: str) -> tuple[str, ...]:
+    def gate(self) -> tuple[str, ...]:
         """Gate of the P-based routes: raise below HARD_GAP_LIMIT, warn below WARN_GAP_LIMIT."""
         if self.rel_gap < HARD_GAP_LIMIT:
             raise IllConditionedGap(
-                f"rel_gap={self.rel_gap:.3e} < {HARD_GAP_LIMIT}: {what} is numerically singular"
+                f"rel_gap={self.rel_gap:.3e} < {HARD_GAP_LIMIT}: P is numerically singular"
             )
         if self.rel_gap < WARN_GAP_LIMIT:
-            return (f"rel_gap={self.rel_gap:.3e} < {WARN_GAP_LIMIT}: {what} nearly singular",)
+            return (f"rel_gap={self.rel_gap:.3e} < {WARN_GAP_LIMIT}: P nearly singular",)
         return ()
 
 

@@ -191,7 +191,7 @@ def build_k_matrix(
         )
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
-    solution.gap.gate("P")
+    solution.gap.gate()
     a, r_a = problem.a_matrix, bundle.rows[:, :n]
     r = solution.r
     x_tilde = np.append(solution.x, -1.0)
@@ -217,7 +217,7 @@ def kron_condition(
     route is gated like the cholesky route. The relative scale ||[A b]||_F
     is taken from the data.
     """
-    warnings = solution.gap.gate("P")
+    warnings = solution.gap.gate()
     kappa = _gram_norm(k_matrix @ k_matrix.T)
     aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
     return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), "kronecker", warnings)
@@ -238,7 +238,7 @@ def cholesky_condition(
     core.WARN_GAP_LIMIT. P, C and their Cholesky factors are formed only once
     the gate has passed.
     """
-    warnings = solution.gap.gate("P")
+    warnings = solution.gap.gate()
     n = problem.n
     r_a = bundle.rows[:, :n]  # A, or its R_A: R_A^T R_A = A^T A in O(n^3)
     x = solution.x

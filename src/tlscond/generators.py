@@ -215,25 +215,22 @@ def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
     first_row[0] = kernel[0]
     t_bar = scipy.linalg.toeplitz(kernel, first_row)
     g_bar = np.ones(config.m)
-    # gamma ||Tbar||, one banded Gram norm per config (none at gamma = 0)
-    e_scale = 0.0 if config.gamma == 0.0 else config.gamma * _banded_toeplitz_norm(kernel, config.n)
+    # gamma ||Tbar||, one banded Gram norm per config; at gamma = 0 the noise
+    # is scaled by exactly 0, and adding it leaves Tbar and ones unchanged
+    e_scale = config.gamma * _banded_toeplitz_norm(kernel, config.n)
 
     for _ in range(RETRY_CAP):
-        if config.gamma == 0.0:
-            a = t_bar
-            b_vec = g_bar
-        else:
-            noise_col = np.zeros(config.m)
-            support = 2 * config.omega + 1
-            noise_col[:support] = rng.standard_normal(support)
-            noise_row = np.zeros(config.n)
-            noise_row[0] = noise_col[0]
-            e_mat = scipy.linalg.toeplitz(noise_col, noise_row)
-            e_mat *= e_scale / _banded_toeplitz_norm(noise_col, config.n)
-            e_vec = rng.standard_normal(config.m)
-            e_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(e_vec)
-            a = t_bar + e_mat
-            b_vec = g_bar + e_vec
+        noise_col = np.zeros(config.m)
+        support = 2 * config.omega + 1
+        noise_col[:support] = rng.standard_normal(support)
+        noise_row = np.zeros(config.n)
+        noise_row[0] = noise_col[0]
+        e_mat = scipy.linalg.toeplitz(noise_col, noise_row)
+        e_mat *= e_scale / _banded_toeplitz_norm(noise_col, config.n)
+        e_vec = rng.standard_normal(config.m)
+        e_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(e_vec)
+        a = t_bar + e_mat
+        b_vec = g_bar + e_vec
         problem = TlsProblem(
             a,
             b_vec,

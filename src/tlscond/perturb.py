@@ -59,18 +59,6 @@ VALIDATION_TOLERANCE = 1e-3
 # lab's memory does not grow with its number of trials.
 STACK_BYTES = 2**22
 
-VALIDATION_COLUMNS = (
-    "label",
-    "kappa",
-    "max_ratio",
-    "worst_direction_ratio",
-    "trials",
-    "step",
-    "sound",
-    "attained",
-)
-
-
 @dataclass(frozen=True)
 class PerturbationDirection:
     """A pair (dA, db) with unit stacked Frobenius norm."""
@@ -90,10 +78,6 @@ class PerturbationDirection:
     def stacked(self) -> np.ndarray:
         """[vec(dA); db] with column-stacked vec, matching K's column order."""
         return np.concatenate([self.delta_a.ravel(order="F"), self.delta_b])
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.linalg.norm(self.delta_a) ** 2
-                             + np.linalg.norm(self.delta_b) ** 2))
 
 
 @dataclass(frozen=True)
@@ -126,19 +110,6 @@ class ValidationSummary:
     def attained(self) -> bool:
         """The worst direction reaches kappa within VALIDATION_TOLERANCE."""
         return self.worst_direction_ratio >= self.kappa_reference * (1.0 - VALIDATION_TOLERANCE)
-
-    def report_row(self, label: str) -> dict:
-        """Flatten into a row keyed by VALIDATION_COLUMNS for a ReportDocument."""
-        return {
-            "label": label,
-            "kappa": self.kappa_reference,
-            "max_ratio": self.max_observed_ratio,
-            "worst_direction_ratio": self.worst_direction_ratio,
-            "trials": float(self.trials),
-            "step": self.step,
-            "sound": 1.0 if self.sound else 0.0,
-            "attained": 1.0 if self.attained else 0.0,
-        }
 
 
 def random_direction(m: int, n: int, rng) -> PerturbationDirection:

@@ -1,9 +1,10 @@
 """Problem and report containers plus file IO.
 
 Storage convention: one m x (n+1) array holds [A b]; the last column is b.
-Problem files are headerless CSV or MatrixMarket dense arrays. Report files
-are CSV (header line first) or JSON with schema
-``{"metadata": {...}, "rows": [{...}]}``. Numbers are written with 17
+The file name decides the format. A problem file ending in .mtx or .mm is a
+MatrixMarket dense array, and any other is headerless CSV. A report file
+ending in .json is JSON with schema ``{"metadata": {...}, "rows": [{...}]}``,
+and any other is CSV (header line first). Numbers are written with 17
 significant digits so a reload reproduces the binary doubles exactly.
 
 Problem files go through compiled text kernels in both directions:
@@ -127,14 +128,8 @@ def _problem_from_array(data: np.ndarray, label: str) -> TlsProblem:
     return TlsProblem(data[:, :-1], data[:, -1], label=label)
 
 
-def _problem_format(path: Path, format: str | None) -> str:
-    """Resolve a format name or alias, or the suffix when omitted, to "mm" or "csv"."""
-    fmt = format or ("mm" if path.suffix.lower() in _MM_SUFFIXES else "csv")
-    if fmt in ("mm", "matrixmarket", "matrixmarket-dense"):
-        return "mm"
-    if fmt != "csv":
-        raise ValueError(f"unknown problem format {fmt!r}")
-    return fmt
+def _is_mm(path: Path) -> bool:
+    return path.suffix.lower() in _MM_SUFFIXES
 
 
 def _not_text(path: Path, exc: UnicodeDecodeError) -> ParseError:
@@ -342,22 +337,23 @@ def _read_mm_array(path: Path) -> np.ndarray:
     return _read_mm_lines(path) if read is None else _mm_block(path, read[0], m, k)
 
 
-def load_problem(path, format: str | None = None) -> TlsProblem:
+def load_problem(path) -> TlsProblem:
     """Read an m x (n+1) [A b] array and split off the last column as b.
 
-    ``format`` is "matrixmarket-dense" (alias "mm") or "csv"; when omitted it
-    is inferred from the suffix (.mtx/.mm vs anything else).
+    A path ending in .mtx or .mm (any case) is read as a MatrixMarket dense
+    array, any other as CSV.
     """
     path = Path(path)
-    read = _read_mm_array if _problem_format(path, format) == "mm" else _read_csv_array
+    read = _read_mm_array if _is_mm(path) else _read_csv_array
     return _problem_from_array(read(path), label=path.stem)
 
 
-def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
-    """Write the [A b] array of ``problem`` in CSV or MatrixMarket dense form."""
+def save_problem(problem: TlsProblem, path) -> None:
+    """Write the [A b] array of ``problem``: MatrixMarket dense form for a path
+    ending in .mtx or .mm, CSV for any other."""
     path = Path(path)
     aug = problem.augmented()
-    if _problem_format(path, format) == "mm":
+    if _is_mm(path):
         # imported here: scipy.io costs every importer of tlscond about 3 MiB
         from scipy.io import mmwrite
 
@@ -373,20 +369,17 @@ def save_problem(problem: TlsProblem, path, format: str | None = None) -> None:
             np.savetxt(fh, aug, fmt=f"%{_FMT}", delimiter=",")
 
 
-def _report_format(path: Path, format: str | None) -> str:
-    """Resolve a format name, or the suffix when omitted, to "json" or "csv"."""
-    fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
-    return fmt
+def _is_json(path: Path) -> bool:
+    return path.suffix.lower() == ".json"
 
 
-def save_report(report: ReportDocument, path, format: str | None = None) -> None:
-    """Write a report as CSV (metadata in a leading ``# metadata:`` line) or JSON."""
+def save_report(report: ReportDocument, path) -> None:
+    """Write a report as JSON for a path ending in .json, else as CSV (metadata
+    in a leading ``# metadata:`` line)."""
     if not report.rows:
         raise ValueError("report has no rows")
     path = Path(path)
-    if _report_format(path, format) == "json":
+    if _is_json(path):
         payload = {"metadata": report.metadata, "rows": [dict(r) for r in report.rows]}
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
@@ -415,8 +408,8 @@ def _parse_cell(text: str, label: bool):
         return text
 
 
-def load_report(path, format: str | None = None) -> ReportDocument:
-    """Reload a report written by :func:`save_report`.
+def load_report(path) -> ReportDocument:
+    """Reload a report written by :func:`save_report`, JSON or CSV by the suffix.
 
     A CSV cell of the label column stays a string, so a label such as "1e3"
     or "nan" round-trips; an empty cell is None. Raises ParseError for a
@@ -425,7 +418,7 @@ def load_report(path, format: str | None = None) -> ReportDocument:
     or of a row :class:`ReportDocument` refuses.
     """
     path = Path(path)
-    if _report_format(path, format) == "json":
+    if _is_json(path):
         try:
             payload = json.loads(path.read_text())
             return ReportDocument(

@@ -41,7 +41,7 @@ def tied_weighted_problem(seed=2, sigma=(3.0, 3.0, 1.0, 0.5)):
 
 
 def zero_noise_deblur(m=40, omega=8, spread=1.25):
-    """The noiseless deblurring data [Tbar ones], which kamm_nagy_problem(gamma=0) refuses."""
+    """The noiseless deblurring data [Tbar ones]: kamm_nagy_problem at gamma = 0, or its refusal."""
     kernel = tc.gaussian_kernel_column(m, omega, spread)
     first_row = np.zeros(m - 2 * omega)
     first_row[0] = kernel[0]

@@ -66,6 +66,30 @@ def test_gen_to_a_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_bounds_prints_no_verdict_for_a_family_without_a_bound(tmp_path, capsys):
+    path = gen_problem_file(tmp_path, capsys, name="hi.csv", alpha="0.8", m="30", n="8",
+                            seed="3")
+    code, out, _ = run(["bounds", "--input", str(path)], capsys)
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.splitlines() if "lower=" in line}
+    assert lines["kappa2_upper"].split()[1:5] == ["lower=", "n/a", "upper=", "n/a"]
+    assert "encloses" not in lines["kappa2_upper"] and "VIOLATED" not in out
+    assert "encloses" in lines["kappa2_lower"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "p.csv", "--format", "csv"],
+    ["gen", "--kind", "alpha", "--m", "10", "--n", "3", "--alpha", "0.3", "--out", "p.txt",
+     "--format", "mm"],
+    ["table", "--example", "2", "--out", "t.txt", "--json"],
+], ids=["solve --format", "gen --format", "table --json"])
+def test_the_file_name_is_the_only_format_rule(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_command(tmp_path, capsys):
     path = gen_problem_file(tmp_path, capsys)
     code, out, _ = run(
@@ -187,6 +211,16 @@ def test_exit_code_svd_failure(tmp_path, capsys, monkeypatch):
     assert "dgesdd failed (SVD did not converge)" in err
 
 
+def test_exit_code_generator_gives_up(tmp_path, capsys):
+    path = tmp_path / "z.csv"
+    code, _, err = run(
+        ["gen", "--kind", "kammnagy", "--m", "100", "--gamma", "0", "--out", str(path)], capsys
+    )
+    assert code == 3
+    assert err == "error: the zero-noise deblurring instance is not solvable\n"
+    assert not path.exists()
+
+
 def test_exit_code_overflowing_scale(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     tc.save_problem(tc.TlsProblem([[1e160], [0.0]], [1e160, 1e160]), path)
@@ -198,7 +232,7 @@ def test_table_example2_json(tmp_path, capsys):
     out_path = tmp_path / "t2.json"
     code, out, _ = run(
         ["table", "--example", "2", "--shapes", "30x10", "--alphas", "1e-2", "1e-3",
-         "--seed", "5", "--out", str(out_path), "--json"],
+         "--seed", "5", "--out", str(out_path)],
         capsys,
     )
     assert code == 0

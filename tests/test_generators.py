@@ -176,6 +176,11 @@ def test_kamm_nagy_zero_noise_is_exact():
     for m in (40, 100):
         with pytest.raises(GapFailure):
             tc.kamm_nagy_problem(tc.KammNagyConfig(m=m, omega=8, spread=1.25, gamma=0.0, seed=1))
+    # at omega = 2 the fit is unique: the general draw, its noise scaled by 0,
+    # gives the noiseless data bit for bit
+    solvable = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, omega=2, gamma=0.0, seed=3))
+    noiseless = zero_noise_deblur(m=40, omega=2)
+    assert solvable.augmented().tobytes() == noiseless.augmented().tobytes()
 
 
 def lower_toeplitz(column, n):

@@ -19,7 +19,7 @@ BANNER = "%%MatrixMarket matrix array real general\n"
 def test_csv_load_splits_last_column(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("2,0\n0,1\n")
-    problem = tc.load_problem(path, "csv")
+    problem = tc.load_problem(path)
     assert problem.m == 2 and problem.n == 1
     np.testing.assert_array_equal(problem.a_matrix, [[2.0], [0.0]])
     np.testing.assert_array_equal(problem.b_vector, [0.0, 1.0])
@@ -29,27 +29,27 @@ def test_csv_rejects_wide_short_block(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("\n".join(",".join("1" for _ in range(5)) for _ in range(3)))
     with pytest.raises(ShapeError):
-        tc.load_problem(path, "csv")
+        tc.load_problem(path)
 
 
 def test_csv_parse_errors(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(ParseError):
-        tc.load_problem(path, "csv")
+        tc.load_problem(path)
     path.write_text("1,2\n3\n")
     with pytest.raises(ParseError):
-        tc.load_problem(path, "csv")
+        tc.load_problem(path)
     path.write_text("")
     with pytest.raises(ParseError):
-        tc.load_problem(path, "csv")
+        tc.load_problem(path)
 
 
 def test_matrixmarket_wrong_entry_count(tmp_path):
     path = tmp_path / "p.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n4\n5\n")
     with pytest.raises(ParseError):
-        tc.load_problem(path, "matrixmarket-dense")
+        tc.load_problem(path)
 
 
 def test_matrixmarket_negative_size(tmp_path):
@@ -104,8 +104,8 @@ def test_problem_round_trip_exact(tmp_path, fmt):
     rng = np.random.default_rng(3)
     problem = tc.TlsProblem(rng.standard_normal((7, 3)), rng.standard_normal(7))
     path = tmp_path / ("p.mtx" if fmt != "csv" else "p.csv")
-    tc.save_problem(problem, path, fmt)
-    back = tc.load_problem(path, fmt)
+    tc.save_problem(problem, path)
+    back = tc.load_problem(path)
     np.testing.assert_array_equal(back.a_matrix, problem.a_matrix)
     np.testing.assert_array_equal(back.b_vector, problem.b_vector)
 
@@ -219,11 +219,12 @@ READER_CORPUS.update({
 @pytest.mark.parametrize("case", sorted(READER_CORPUS))
 def test_reader_matches_line_by_line_reference(tmp_path, case):
     name, text = READER_CORPUS[case]
-    fmt = "mm" if case.startswith("mm") else "csv"
+    # load_problem's rule: the suffix names the format, so "p.mtx.gz" is CSV
+    fmt = "mm" if Path(name).suffix in (".mtx", ".mm") else "csv"
     path = tmp_path / name
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     expected = _outcome(_reference_load(fmt), path)
-    assert _outcome(lambda p: tc.load_problem(p, fmt), path) == expected
+    assert _outcome(tc.load_problem, path) == expected
 
 
 @pytest.mark.parametrize("case", ["mm float tokens", "mm float tokens and a comment"])
@@ -473,16 +474,6 @@ def test_load_report_refuses_malformed_csv(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ParseError, match=rf"r\.csv:{line}: "):
         tc.load_report(path)
-
-
-def test_report_refuses_an_unknown_format(tmp_path):
-    path = tmp_path / "r.csv"
-    with pytest.raises(ValueError, match="unknown report format 'xml'"):
-        tc.save_report(_sample_report(), path, "xml")
-    assert not path.exists()
-    tc.save_report(_sample_report(), path)
-    with pytest.raises(ValueError, match="unknown report format 'xml'"):
-        tc.load_report(path, "xml")
 
 
 @pytest.mark.parametrize(
