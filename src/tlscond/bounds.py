@@ -19,10 +19,11 @@ a point estimate of the relative condition number; it certifies nothing and
 is excluded from the sandwich verdicts.
 
 The few-value families (kappa1, kappa2, the dominance test and BHM) read
-only sigma_hat_{n-1}, sigma_hat_n, sigma_n, sigma_{n+1}, delta, sigma_hat_1,
-||x|| and alpha; their gaps sigma_hat_j^2 - sigma_{n+1}^2 are the bundle's
-secular-root distances to the sigma_{n+1} pole (delta for j = n), never
-differences of two computed singular values.
+only sigma_hat_{n-1}, sigma_hat_n, sigma_{n+1}, delta, sigma_hat_1, ||x||,
+alpha and rho = sigma_{n+1}/sigma_n, the last from the solution's gap record;
+their gaps sigma_hat_j^2 - sigma_{n+1}^2 are the bundle's secular-root
+distances to the sigma_{n+1} pole (delta for j = n), never differences of
+two computed singular values.
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ class BoundPair:
 class BoundsReport:
     kappa_reference: float           # svd-formula kappa, the canonical value
     pairs: dict                      # family -> BoundPair (absolute scale)
-    alpha: float
-    rho: float                       # sigma_{n+1} / sigma_n
     rel_scale: float | None          # ||[A b]||_F / ||x||, None when x = 0
     sandwich_verdicts: dict          # family -> bool, certified families with a bound only
-    sharpness_ratios: dict           # family -> upper/lower or None
 
 
 def simple_sandwich(solution: TlsSolution, work: ExactFormulaWork) -> BoundPair:
@@ -138,12 +136,13 @@ def lower_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
 def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
     """Amplifies the kappa2 lower bound by sqrt((1+31 rho^2)/(1-rho^2)).
 
-    Only certified for alpha <= 1/2; raises NotApplicable otherwise.
+    rho = sigma_{n+1} / sigma_n is solution.gap.ratio_sigma_n. Only certified
+    for alpha <= 1/2; raises NotApplicable otherwise.
     """
     alpha = solution.alpha
     if alpha > 0.5:
         raise NotApplicable(f"alpha={alpha:.4f} > 1/2: upper bound not certified")
-    rho = float(bundle.sigma[-1] / bundle.sigma[-2])
+    rho = solution.gap.ratio_sigma_n
     amp = float(np.sqrt((1.0 + 31.0 * rho**2) / ((1.0 - rho) * (1.0 + rho))))
     base = lower_kappa2(bundle, solution)
     return BoundPair(base.lower, base.lower * amp, f"rho={rho:.4f}")
@@ -180,24 +179,16 @@ def bounds_report(
     pairs["bhm"] = bhm_approx(bundle)
 
     verdicts = {}
-    ratios = {}
     for family, pair in pairs.items():
         if family != "bhm" and (pair.lower is not None or pair.upper is not None):
             ok_lower = pair.lower is None or pair.lower <= kappa_ref * (1.0 + VERDICT_SLACK)
             ok_upper = pair.upper is None or kappa_ref <= pair.upper * (1.0 + VERDICT_SLACK)
             verdicts[family] = bool(ok_lower and ok_upper)
-        if pair.lower is not None and pair.upper is not None and pair.lower > 0:
-            ratios[family] = float(pair.upper / pair.lower)
-        else:
-            ratios[family] = None
 
     norm_x = solution.norm_x
     return BoundsReport(
         kappa_reference=float(kappa_ref),
         pairs=pairs,
-        alpha=solution.alpha,
-        rho=float(bundle.sigma[-1] / bundle.sigma[-2]),
         rel_scale=work.aug_frobenius / norm_x if norm_x > 0 else None,
         sandwich_verdicts=verdicts,
-        sharpness_ratios=ratios,
     )

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, cond, bounds, gen, validate, table. Human-readable
-output uses 3 significant digits; files written via --out keep full
-precision. A file's name decides its format (see tlscond.problem). Exit
-codes: 0 success, 2 parse/shape/flag problems, 3 no unique solution or no
-solvable generated instance, 4 not-applicable or ill-conditioned gap, 5
-internal numerical failure.
+Subcommands: solve, cond, bounds, gen, validate, table. solve prints x, the
+identity residuals, the normal-equations cross-check (n/a, with the reason,
+below core.HARD_GAP_LIMIT) and the gap chain. Human-readable output uses 3
+significant digits; files written via --out keep full precision. A file's
+name decides its format (see tlscond.problem). Exit codes: 0 success, 2
+parse/shape/flag problems, 3 no unique solution or no solvable generated
+instance, 4 not-applicable or ill-conditioned gap, 5 internal numerical
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact
-from .core import residual_diagnostics, solve_tls, svd_bundle
+from .core import HARD_GAP_LIMIT, residual_diagnostics, solve_tls, svd_bundle
 from .errors import (
     GapFailure,
     IllConditionedGap,
@@ -154,11 +156,15 @@ def _cmd_solve(args) -> int:
     print(f"alpha={solution.alpha:.6e}  ||x||={solution.norm_x:.6e}  rel_gap={diag.rel_gap:.3e}")
     if problem.n <= 10:
         print("x =", " ".join(f"{v:.12e}" for v in solution.x))
-    ids = report.identities
     print(
-        f"identity residuals: optimal={ids.optimal_value:.2e} "
-        f"gradient={ids.gradient:.2e} singular_vector={ids.singular_vector:.2e}"
+        f"identity residuals: optimal={report.optimal_value:.2e} "
+        f"gradient={report.gradient:.2e} singular_vector={report.singular_vector:.2e}"
     )
+    if report.normal_eq_rel_diff is None:
+        print(f"normal-equations cross-check: n/a (rel_gap={diag.rel_gap:.3e} < "
+              f"{HARD_GAP_LIMIT}: P is numerically singular)")
+    else:
+        print(f"normal-equations cross-check: rel_diff={report.normal_eq_rel_diff:.2e}")
     if report.gap_chain_holds is None:
         print("gap enclosure chain: n/a (x = 0)")
     else:
@@ -213,7 +219,7 @@ def _cmd_bounds(args) -> int:
     work = exact.build_spectral_work(problem, bundle, solution)
     report = bounds_mod.bounds_report(problem, bundle, solution, work)
     print(f"kappa_reference (svd formula) = {report.kappa_reference:.6e}")
-    print(f"alpha={report.alpha:.6e}  rho={report.rho:.4f}")
+    print(f"alpha={solution.alpha:.6e}  rho={solution.gap.ratio_sigma_n:.4f}")
     for family, pair in report.pairs.items():
         verdict = report.sandwich_verdicts.get(family)
         status = "" if verdict is None else ("  encloses" if verdict else "  VIOLATED")

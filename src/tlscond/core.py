@@ -2,14 +2,15 @@
 
 The bundle is one thin SVD of [A b], of one row block: [A b], or once
 m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
-Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). The QR is
-LAPACK dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b], the
-recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in
-row_block; the SVD of that block is block_svd, numpy's dgesdd, which takes one
-block or a stack of them. The alpha generator and the perturbation lab's
-stacked re-solves run the same two kernels (the lab calls row_block's
-householder_qr itself and copies R into its stack). Q is never formed: the
-left factor is in that block's row basis.
+Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). block_rows is the
+one owner of that crossover rule: row_block and the perturbation lab's
+stacked re-solves both ask it. The QR is LAPACK dgeqrt through
+scipy.linalg.lapack on one Fortran-ordered [A b], the recursive level-3 QR of
+Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in row_block; the SVD of
+that block is block_svd, numpy's dgesdd, which takes one block or a stack of
+them. The alpha generator and the lab run the same two kernels (the lab
+calls row_block's householder_qr itself and copies R into its stack). Q is
+never formed: the left factor is in that block's row basis.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -301,10 +302,6 @@ class SigmaHatRoots:
         dist, weight = self.pole_distances([len(self._poles) - 1])
         return float(weight[0]) if -dist[0, -1] == delta else 0.0
 
-    def values(self) -> np.ndarray:
-        """Every sigma_hat, descending: one root per value."""
-        return np.array([self.at(i)[0] for i in range(len(self._sigma) - 1)])
-
 
 @dataclass(frozen=True)
 class SvdBundle:
@@ -325,7 +322,7 @@ class SvdBundle:
     @cached_property
     def sigma_hat(self) -> np.ndarray:
         """(n,) every singular value of A, descending (n roots: for checks and tests)."""
-        return self.roots.values()
+        return np.array([self.roots.at(i)[0] for i in range(self.n)])
 
     def orthonormality_defect(self) -> float:
         """Max Frobenius deviation of the two factors of [A b] from orthonormal columns."""
@@ -383,20 +380,6 @@ class GapDiagnostics:
 
 
 @dataclass(frozen=True)
-class IdentityResiduals:
-    """Scaled residuals of the three solution identities.
-
-    optimal_value:   | ||r||^2/(1+||x||^2) - sigma_{n+1}^2 | / sigma_{n+1}^2
-    gradient:        || A^T r - sigma_{n+1}^2 x || / (sigma_{n+1}^2 max(1, ||x||))
-    singular_vector: || v_{n+1} - alpha [x; -1] ||  (after sign normalization)
-    """
-
-    optimal_value: float
-    gradient: float
-    singular_vector: float
-
-
-@dataclass(frozen=True)
 class TlsSolution:
     x: np.ndarray                 # (n,)
     r: np.ndarray                 # (m,), r = A x - b
@@ -411,7 +394,16 @@ class TlsSolution:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    identities: IdentityResiduals
+    """Scaled residuals of the three solution identities, the cross-check and the gap chain.
+
+    optimal_value:   | ||r||^2/(1+||x||^2) - sigma_{n+1}^2 | / sigma_{n+1}^2
+    gradient:        || A^T r - sigma_{n+1}^2 x || / (sigma_{n+1}^2 max(1, ||x||))
+    singular_vector: || v_{n+1} - alpha [x; -1] ||  (after sign normalization)
+    """
+
+    optimal_value: float
+    gradient: float
+    singular_vector: float
     normal_eq_rel_diff: float | None  # None below HARD_GAP_LIMIT, where P is singular
     gap_chain_lower: float | None  # |u_hat_n . b| / (2 ||x||)
     gap_chain_mid: float | None    # sigma_hat_n - sigma_{n+1}, from delta
@@ -431,16 +423,22 @@ def householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, t
 
 
+def block_rows(m: int, k: int) -> int:
+    """The rows of the row block of an m x k array: k once m >= 2k (LAPACK's
+    QR-first crossover, where the block is R), else m (the array itself)."""
+    return k if m >= 2 * k else m
+
+
 def row_block(aug: np.ndarray) -> np.ndarray:
     """The row block of a Fortran-ordered m x k array: aug = Q rows.
 
-    rows is aug itself, or once m >= 2k the k x k R of one dgeqrt (block size
-    min(32, k), no workspace query), which overwrites aug. A tall R agrees
-    with the R of dgeqrf (numpy's qr) to rounding, with the same diagonal
-    signs, not bit for bit.
+    rows is aug itself, or past block_rows' crossover the k x k R of one
+    dgeqrt (block size min(32, k), no workspace query), which overwrites aug.
+    A tall R agrees with the R of dgeqrf (numpy's qr) to rounding, with the
+    same diagonal signs, not bit for bit.
     """
     m, k = aug.shape
-    return np.triu(householder_qr(aug)[0][:k]) if m >= 2 * k else aug
+    return aug if block_rows(m, k) == m else np.triu(householder_qr(aug)[0][:k])
 
 
 def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -548,13 +546,11 @@ def residual_diagnostics(
     x, alpha, norm_x = solution.x, solution.alpha, solution.norm_x
     scale = float(bundle.sigma[0])  # > 0: sigma_{n+1} > 0 for a solution
     r, sig2 = solution.r / scale, (float(bundle.sigma[-1]) / scale) ** 2
-    identities = IdentityResiduals(
-        optimal_value=float(abs(r @ r / (1.0 + norm_x**2) - sig2) / sig2),
-        gradient=float(np.linalg.norm(problem.a_matrix.T @ r / scale - sig2 * x)
-                       / (sig2 * max(1.0, norm_x))),
-        singular_vector=float(np.linalg.norm(
-            solution.last_right_vector - alpha * np.concatenate([x, [-1.0]])
-        )),
+    identities = (
+        float(abs(r @ r / (1.0 + norm_x**2) - sig2) / sig2),
+        float(np.linalg.norm(problem.a_matrix.T @ r / scale - sig2 * x)
+              / (sig2 * max(1.0, norm_x))),
+        float(np.linalg.norm(solution.last_right_vector - alpha * np.concatenate([x, [-1.0]]))),
     )
     normal_eq_rel_diff = None
     if solution.gap.rel_gap >= HARD_GAP_LIMIT:
@@ -564,11 +560,11 @@ def residual_diagnostics(
         x_ne = np.linalg.solve(p, r_a.T @ rows[:, -1])
         normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
     if norm_x == 0.0:
-        return ResidualReport(identities, normal_eq_rel_diff, None, None, None, None)
+        return ResidualReport(*identities, normal_eq_rel_diff, None, None, None, None)
     lower = bundle.roots.b_weight_n() / (2.0 * norm_x)
     mid = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
     upper = scale * float(np.linalg.norm(problem.b_vector / scale)) / norm_x
     # the backward error of the SVD of [A b] and of the root that gives delta
     slack = 4.0 * _EPS * float(bundle.sigma[0])
     holds = lower <= mid + slack and mid <= upper + slack
-    return ResidualReport(identities, normal_eq_rel_diff, float(lower), mid, upper, bool(holds))
+    return ResidualReport(*identities, normal_eq_rel_diff, float(lower), mid, upper, bool(holds))

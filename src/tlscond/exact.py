@@ -49,7 +49,7 @@ from .core import SvdBundle, TlsSolution, deflate, secular_root
 from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
-K_MAX_ENTRIES = 2**24  # build_k_matrix refuses problems with m * m(n+1) above this (m/n times K's size)
+K_MAX_ENTRIES = 2**24  # build_k_matrix refuses a K of more than this many entries, n * m(n+1)
 
 
 def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -119,7 +119,6 @@ class ExactFormulaWork:
 class ConditionEstimate:
     kappa_abs: float
     kappa_rel: float | None       # None when x = 0
-    method: str                   # kronecker | cholesky | svd | baboulin
     warnings: tuple[str, ...] = ()
 
 
@@ -180,14 +179,14 @@ def build_k_matrix(
     P = A^T A - sigma_{n+1}^2 I explicitly (not through V11; its A^T A is
     R_A^T R_A from bundle.rows on the QR route), so it stays an
     independent oracle for the svd route. It is gap-gated, and refused with
-    NotApplicable before anything is allocated when m * m(n+1) exceeds
-    K_MAX_ENTRIES.
+    NotApplicable before anything is allocated when K's own n * m(n+1)
+    entries exceed K_MAX_ENTRIES.
     """
     m, n = problem.m, problem.n
-    if m * m * (n + 1) > K_MAX_ENTRIES:
+    if n * m * (n + 1) > K_MAX_ENTRIES:
         raise NotApplicable(
-            f"K: the oracle is limited to m*m(n+1) <= {K_MAX_ENTRIES} (2^24); "
-            f"{m}x{n} gives {m * m * (n + 1)}"
+            f"K: the oracle is limited to n*m(n+1) <= {K_MAX_ENTRIES} (2^24) entries; "
+            f"{m}x{n} gives {n * m * (n + 1)}"
         )
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
@@ -220,7 +219,7 @@ def kron_condition(
     warnings = solution.gap.gate()
     kappa = _gram_norm(k_matrix @ k_matrix.T)
     aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
-    return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), "kronecker", warnings)
+    return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), warnings)
 
 
 def cholesky_condition(
@@ -258,7 +257,7 @@ def cholesky_condition(
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
     kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(y.T @ y))
     rel = _relative(kappa, work.aug_frobenius, solution)
-    return ConditionEstimate(kappa, rel, "cholesky", warnings)
+    return ConditionEstimate(kappa, rel, warnings)
 
 
 def svd_condition(
@@ -270,7 +269,7 @@ def svd_condition(
     inverted), so the result stays reliable for arbitrarily small gaps.
     """
     kappa = float(np.hypot(1.0, solution.norm_x) * work.top_left[0])
-    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "svd")
+    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))
 
 
 def baboulin_condition(
@@ -283,18 +282,19 @@ def baboulin_condition(
     of V, A's right singular vectors are vhat_i = V1 Sigma y_i / (sigma_hat_i
     ||y_i||), y_i = (Sigma^2 - sigma_hat_i^2 I)^{-1} Sigma v; as V1^T V1 = I -
     v v^T and y_i . Sigma v = 1, (Vhat^T V11)_ij = sigma_hat_i v_j |u_hat_i . b|
-    / (sigma_j^2 - sigma_hat_i^2), all read off SigmaHatRoots.pole_distances;
-    a sigma_hat that is a deflated pole takes its row from deflated_rows. No
-    SVD of A and no gate: every difference comes from a secular root, so the
-    route is as accurate as the svd route at any gap. The norm is read from
-    the n x n Gram matrix, as in the cholesky route.
+    / (sigma_j^2 - sigma_hat_i^2), all read off SigmaHatRoots.pole_distances
+    and work.beta (v's first n entries); a sigma_hat that is a deflated pole
+    takes its row from deflated_rows. No SVD of A and no gate: every
+    difference comes from a secular root, so the route is as accurate as the
+    svd route at any gap. The norm is read from the n x n Gram matrix, as in
+    the cholesky route.
     """
     n, sig2 = bundle.n, float(bundle.sigma[-1]) ** 2
     dist, weight = bundle.roots.pole_distances()
     gap = -dist[:, -1]
-    rows = (np.sqrt(sig2 + gap) * weight)[:, None] * bundle.v_aug[n, :n] / dist[:, :n]
+    rows = (np.sqrt(sig2 + gap) * weight)[:, None] * work.beta / dist[:, :n]
     tied_gap, tied_rows = bundle.roots.deflated_rows()
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig2)
     core = np.vstack([rows, tied_rows]) / np.append(gap, tied_gap)[:, None] * d_b
     kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core))
-    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution), "baboulin")
+    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))

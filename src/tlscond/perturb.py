@@ -6,10 +6,11 @@ perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. Every re-solve goes
 through one path, _resolves: each step's unit direction is written in stacked
 order [vec(dA); db] straight into one reused Fortran buffer, where it is scaled
-by t and [A b] is added; once m >= 2(n+1) the buffer is reduced to its R by
-the bundle's kernel (core.householder_qr), whose triangle is copied into its
-slot of the stack. The blocks of a stack of at most STACK_BYTES are factored
-by one core.block_svd call, and each step then passes solve_tls's own checks
+by t and [A b] is added; past the bundle's crossover (core.block_rows, m >=
+2(n+1)) the buffer is reduced to its R by the bundle's kernel
+(core.householder_qr), whose triangle is copied into its slot of the stack.
+The blocks of a stack of at most STACK_BYTES are factored by one
+core.block_svd call, and each step then passes solve_tls's own checks
 (core.accept_trailing_vector) in step order. A random direction is the next
 m(n+1) standard normals of one generator, drawn into that buffer and divided
 by their norm; a fixed one is copied in. Only x and the relative gap are
@@ -24,7 +25,6 @@ that the work's secular equation gives in closed form.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     SigmaHatRoots,
     accept_trailing_vector,
+    block_rows,
     block_svd,
     householder_qr,
     solve_tls,
@@ -130,10 +131,9 @@ def _unit_normals(rng, z: np.ndarray) -> None:
     z /= np.linalg.norm(z)
 
 
-def _copying(vectors):
-    """A fill for _resolves that writes the next of vectors (stacked unit directions)."""
-    vectors = iter(vectors)
-    return lambda z: np.copyto(z, next(vectors))
+def _copying(vector):
+    """A fill for _resolves that writes vector, one stacked unit direction, at every step."""
+    return lambda z: np.copyto(z, vector)
 
 
 def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, direction) -> np.ndarray:
@@ -193,7 +193,7 @@ def _along(work: ExactFormulaWork, problem: TlsProblem, base_solution, direction
     the gap gives None.
     """
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
-    fill = _copying(itertools.repeat(direction.stacked()))
+    fill = _copying(direction.stacked())
     return [
         None if ratio is None else (ratio, abs(ratio - predicted))
         for ratio in _ratios(problem, base_solution, fill, steps)
@@ -210,14 +210,14 @@ def _resolves(problem: TlsProblem, fill, ts):
     time, and each step is yielded before the next stack is filled. z is the
     Fortran-ordered [dA db] itself, so t z + [vec(A); b] is formed in place.
     The re-solves are bitwise those of solve_tls on svd_bundle of
-    the perturbed problem: the same sums, the same kernels (the R of
-    core.row_block, with its +0.0 below the diagonal) and the same checks
-    (core.accept_trailing_vector).
+    the perturbed problem: the same sums, the same crossover
+    (core.block_rows), the same kernels (the R of core.row_block, with its
+    +0.0 below the diagonal) and the same checks (core.accept_trailing_vector).
     """
     if not ts:
         return
     m, n = problem.m, problem.n
-    k = n + 1 if m >= 2 * (n + 1) else m  # the rows of a row block
+    k = block_rows(m, n + 1)
     per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u and vt
     # each block Fortran-ordered; zeros stay below an R's diagonal, and below
     # the QR crossover the data goes straight in
@@ -277,7 +277,7 @@ def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t:
     """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
     _check_step(t)
     base_solution = solve_tls(problem, svd_bundle(problem))
-    return _ratios(problem, base_solution, _copying([direction.stacked()]), [(t, False)])[0]
+    return _ratios(problem, base_solution, _copying(direction.stacked()), [(t, False)])[0]
 
 
 def worst_direction(

@@ -93,11 +93,13 @@ def test_criterion_3_sandwich_soundness_and_sharpness():
                 assert kappa <= pair.upper * (1 + 1e-9)
                 worst_violation = max(worst_violation, kappa / pair.upper - 1.0)
         if solution.alpha <= 0.5:
-            ratio = report.sharpness_ratios["sharp_sandwich"]
+            pair = report.pairs["sharp_sandwich"]
+            ratio = pair.upper / pair.lower
             worst_sharp = max(worst_sharp, ratio)
             assert ratio < 4.0
         else:
-            ratio = report.sharpness_ratios["simple_sandwich"]
+            pair = report.pairs["simple_sandwich"]
+            ratio = pair.upper / pair.lower
             worst_simple = max(worst_simple, ratio)
             assert ratio < 2.0
     simple_note = (

@@ -191,7 +191,7 @@ def test_beta_vector_consistency():
         problem = tc.generate_ab_alpha(25, 7, [0.9, 0.3, 0.05][seed % 3], seed=seed)
         bundle, solution, work = pipeline(problem)
         report = tc.bounds_report(problem, bundle, solution, work)
-        assert abs(work.beta @ work.beta + report.alpha**2 - 1.0) <= 1e-12
+        assert abs(work.beta @ work.beta + solution.alpha**2 - 1.0) <= 1e-12
         assert work.alpha == pytest.approx(solution.alpha, abs=1e-13)
 
 
@@ -217,7 +217,7 @@ def test_bounds_report_fix_b(fix_b):
     assert "bhm" not in report.sandwich_verdicts  # heuristic, not certified
     assert report.pairs["kappa2_upper"].lower is None  # alpha > 1/2
     assert "kappa2_upper" not in report.sandwich_verdicts  # no bound, so nothing enclosed
-    assert report.rho == pytest.approx(FB.sig2 / np.sqrt(FB.sig1_sq), rel=1e-12)
+    assert solution.gap.ratio_sigma_n == pytest.approx(FB.sig2 / np.sqrt(FB.sig1_sq), rel=1e-12)
     assert report.rel_scale == pytest.approx(np.sqrt(3) / FB.x, rel=1e-12)
 
 
@@ -246,18 +246,20 @@ def test_bound_pairs_ordered():
 def few_value_stand_ins(bundle, solution):
     """A bundle and a solution holding only what the few-value bounds may read.
 
-    The bundle keeps n, sigma_n, sigma_{n+1} (every other sigma is NaN),
-    sigma_hat_n, delta and roots that answer only sigma_hat_{n-1} (at(-2))
-    and sigma_hat_1 (at(0)); the solution keeps ||x|| and alpha.
+    The bundle keeps n, sigma_{n+1} (every other sigma is NaN), sigma_hat_n,
+    delta and roots that answer only sigma_hat_{n-1} (at(-2)) and sigma_hat_1
+    (at(0)); the solution keeps ||x||, alpha and its gap record's rho =
+    sigma_{n+1} / sigma_n.
     """
     sigma = np.full(bundle.n + 1, np.nan)
-    sigma[-2:] = bundle.sigma[-2:]
+    sigma[-1] = bundle.sigma[-1]
     answers = {-2: bundle.roots.at(-2), 0: bundle.roots.at(0)}
     few_bundle = SimpleNamespace(
         n=bundle.n, sigma=sigma, sigma_hat_n=bundle.sigma_hat_n, delta=bundle.delta,
         roots=SimpleNamespace(at=answers.__getitem__),
     )
-    return few_bundle, SimpleNamespace(norm_x=solution.norm_x, alpha=solution.alpha)
+    gap = SimpleNamespace(ratio_sigma_n=solution.gap.ratio_sigma_n)
+    return few_bundle, SimpleNamespace(norm_x=solution.norm_x, alpha=solution.alpha, gap=gap)
 
 
 @pytest.mark.parametrize("make", [

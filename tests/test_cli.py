@@ -405,15 +405,47 @@ def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_cond_all_reports_oversized_kron(tmp_path, capsys):
-    # 600x50: the explicit K is over its size cap; the other routes still run
+    # 2000x100: the explicit K (20.2M entries) is over its size cap; the other routes still run
     path = tmp_path / "big.csv"
-    tc.save_problem(tc.generate_ab_alpha(600, 50, 0.5, seed=0), path)
+    tc.save_problem(tc.generate_ab_alpha(2000, 100, 0.5, seed=0), path)
     code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
     assert code == 4
     lines = {line.split()[0]: line.split()[1] for line in out.splitlines()}
     assert lines["kronecker"] == "failed:"
     for method in ("cholesky", "svd", "baboulin"):
         assert lines[method].startswith("kappa_abs=")
+
+
+def cross_check_line(out):
+    """solve's cross-check line, checked to sit between the identities and the gap chain."""
+    lines = out.splitlines()
+    at = [k for k, line in enumerate(lines) if line.startswith("normal-equations cross-check: ")]
+    assert len(at) == 1
+    assert lines[at[0] - 1].startswith("identity residuals: ")
+    assert lines[at[0] + 1].startswith("gap enclosure chain: ")
+    return lines[at[0]]
+
+
+def test_solve_prints_the_normal_equations_cross_check(tmp_path, capsys):
+    path = gen_problem_file(tmp_path, capsys)
+    code, out, _ = run(["solve", "--input", str(path)], capsys)
+    assert code == 0
+    problem = tc.load_problem(path)
+    bundle, solution, _ = pipeline(problem)
+    diff = tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff
+    assert diff is not None
+    assert cross_check_line(out) == f"normal-equations cross-check: rel_diff={diff:.2e}"
+
+
+def test_solve_gives_the_reason_for_no_cross_check(tmp_path, capsys):
+    # deblur m=100, seed 1: rel_gap 1.6e-8, below core.HARD_GAP_LIMIT, where P is singular
+    path = tmp_path / "blur.mtx"
+    tc.save_problem(tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), path)
+    code, out, _ = run(["solve", "--input", str(path)], capsys)
+    assert code == 0
+    assert cross_check_line(out) == (
+        "normal-equations cross-check: n/a (rel_gap=1.596e-08 < 1e-06: P is numerically singular)"
+    )
 
 
 def test_solve_tall_gap_chain_ok(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -109,10 +108,10 @@ def test_solve_error_paths():
 def test_identities_hold_on_seeded_problems():
     for problem in seeded_problems():
         bundle, solution, _ = pipeline(problem)
-        ids = tc.residual_diagnostics(problem, bundle, solution).identities
-        assert ids.optimal_value <= 1e-10
-        assert ids.gradient <= 1e-10
-        assert ids.singular_vector <= 1e-10
+        report = tc.residual_diagnostics(problem, bundle, solution)
+        assert report.optimal_value <= 1e-10
+        assert report.gradient <= 1e-10
+        assert report.singular_vector <= 1e-10
 
 
 def test_solution_formulas_agree():
@@ -314,8 +313,7 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     direction = tc.random_direction(50, 10, np.random.default_rng(3))
     steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
     before = len(roots)
-    perturb._ratios(problem, solution, perturb._copying(itertools.repeat(direction.stacked())),
-                    steps)
+    perturb._ratios(problem, solution, perturb._copying(direction.stacked()), steps)
     assert roots[before:] == [9, 9, 9]
     roots.clear()
     bundle, solution, work = pipeline(problem)
@@ -489,8 +487,8 @@ def test_a_scale_below_the_overflow_limit_still_solves():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = tc.residual_diagnostics(problem, bundle, solution)
-        ids = report.identities
-        values = [ids.optimal_value, ids.gradient, ids.singular_vector, report.normal_eq_rel_diff]
+        values = [report.optimal_value, report.gradient, report.singular_vector,
+                  report.normal_eq_rel_diff]
         assert np.isfinite(values).all() and max(values) <= 1e-13
         assert report.gap_chain_holds
         # the quotients do not depend on scale

@@ -81,8 +81,7 @@ def test_fix_b_formulas_closed_form(fix_b):
         "svd": tc.svd_condition(work, bundle, solution),
         "baboulin": tc.baboulin_condition(work, bundle, solution),
     }
-    for name, estimate in estimates.items():
-        assert estimate.method == name
+    for estimate in estimates.values():
         assert estimate.kappa_abs == pytest.approx(FB.kappa, rel=1e-10)
         assert estimate.kappa_rel == pytest.approx(FB.kappa_rel, rel=1e-10)
 
@@ -264,8 +263,8 @@ def test_kron_gated_on_deblur_gap():
 
 
 def test_build_k_refuses_oversized_before_allocating():
-    # m * m(n+1) = 600 * 30600 = 18.4M, above K_MAX_ENTRIES (2^24)
-    problem = tc.generate_ab_alpha(600, 50, 0.5, seed=0)
+    # K's n * m(n+1) = 100 * 202000 = 20.2M entries, above K_MAX_ENTRIES (2^24)
+    problem = tc.generate_ab_alpha(2000, 100, 0.5, seed=0)
     bundle, solution, _ = pipeline(problem)
     tracemalloc.start()
     try:
@@ -275,6 +274,18 @@ def test_build_k_refuses_oversized_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_build_k_admits_a_k_within_the_cap():
+    # K's n * m(n+1) = 50 * 30600 = 1.53M entries, below K_MAX_ENTRIES (2^24)
+    problem = tc.generate_ab_alpha(600, 50, 0.5, seed=0)
+    bundle, solution, work = pipeline(problem)
+    k_matrix = tc.build_k_matrix(problem, bundle, solution)
+    assert k_matrix.shape == (50, 600 * 51)
+    kron = tc.kron_condition(k_matrix, problem, solution)
+    svd = tc.svd_condition(work, bundle, solution)
+    assert kron.kappa_abs == pytest.approx(svd.kappa_abs, rel=1e-12, abs=0)
+    assert kron.kappa_rel == pytest.approx(svd.kappa_rel, rel=1e-12, abs=0)
 
 
 def dense_reference_k(problem, bundle, solution):

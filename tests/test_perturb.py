@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -276,7 +275,11 @@ def test_stacked_resolves_are_the_solver_bitwise(name):
     directions = [tc.random_direction(problem.m, problem.n, rng) for _ in range(12)]
     scale = np.linalg.norm(problem.augmented())
     ts = [scale * 10.0 ** -(4 + i % 5) for i in range(12)]
-    fill = perturb._copying(direction.stacked() for direction in directions)
+    stacked = iter([direction.stacked() for direction in directions])
+
+    def fill(z):
+        np.copyto(z, next(stacked))
+
     resolved = list(perturb._resolves(problem, fill, ts))
     assert len(resolved) == 12
     for (x, gap), direction, t in zip(resolved, directions, ts):
@@ -386,7 +389,7 @@ def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
     direction = tc.PerturbationDirection.normalized(-fix_b.a_matrix, np.zeros(2))
 
     def ratios(steps):
-        fill = perturb._copying(itertools.repeat(direction.stacked()))
+        fill = perturb._copying(direction.stacked())
         return perturb._ratios(fix_b, solution, fill, steps)
 
     lost, ratio = ratios([(1.0, True), (1e-8, False)])
