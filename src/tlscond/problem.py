@@ -4,8 +4,10 @@ Storage convention: one m x (n+1) array holds [A b]; the last column is b.
 The file name decides the format. A problem file ending in .mtx or .mm is a
 MatrixMarket dense array, and any other is headerless CSV. A report file
 ending in .json is JSON with schema ``{"metadata": {...}, "rows": [{...}]}``,
-and any other is CSV (header line first). Numbers are written with 17
-significant digits so a reload reproduces the binary doubles exactly.
+and any other is CSV (header line first). A problem's numbers are written
+with the fewest significant digits that read back as the same double (0.1 as
+``1E-1``, -0.0 as ``-0``), a report's with 17 (``%.17g``); either reloads the
+binary doubles exactly.
 
 Problem files go through compiled text kernels in both directions:
 
@@ -23,10 +25,14 @@ Problem files go through compiled text kernels in both directions:
   row, ``1.``) and what ``mmread`` refuses (a leading ``+``) go to the
   line-by-line reader, which reads the file as UTF-8 text and decides: it
   names the faulty line or entry, or accepts what ``float`` accepts.
-- CSV is written by ``np.savetxt`` with ``%.17g`` cells, MatrixMarket by
-  ``scipy.io.mmwrite`` in 17-digit e-notation. ``mmwrite`` is given a handle
-  that Python opened, never a path: given a path it cannot open, it returns
-  without writing anything or raising.
+- Both formats are written by ``scipy.io.mmwrite`` (fast_matrix_market's
+  compiled writer) with its default round-trip formatting. A CSV is written
+  in whole rows, about 512 KiB at a time: ``mmwrite`` writes a piece's
+  transpose into memory, one value a line, the header is cut at the size
+  line, and every line end but each (n+1)-th becomes a comma. So each CSV
+  cell is the text of the matching MatrixMarket entry. ``mmwrite`` is given
+  a handle that Python opened, never a path: given a path it cannot open, it
+  returns without writing anything or raising.
 """
 
 from __future__ import annotations
@@ -41,13 +47,11 @@ import numpy as np
 
 from .errors import ParseError, ShapeError
 
-_FMT = ".17g"
-
 _MM_SUFFIXES = (".mtx", ".mm")
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), _FMT)
+    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True)
@@ -348,25 +352,50 @@ def load_problem(path) -> TlsProblem:
     return _problem_from_array(read(path), label=path.stem)
 
 
+# the longest line mmwrite writes for a double: "-2.2250738585072014E-308\n"
+_CELL_BYTES = 25
+
+
+def _write_csv(aug: np.ndarray, fh) -> None:
+    """Write ``aug`` as CSV to binary handle ``fh`` in pieces of whole rows,
+    each at most _CHUNK bytes unless it is a single row.
+
+    ``mmwrite`` writes each piece transposed, so its column-major entries, one
+    a line, are the piece's cells row by row; past the header, every line end
+    but each (n+1)-th becomes a comma.
+    """
+    from scipy.io import mmwrite  # imported here: scipy.io costs every importer ~3 MiB
+
+    k = aug.shape[1]
+    rows = max(1, _CHUNK // (_CELL_BYTES * k))
+    for start in range(0, aug.shape[0], rows):
+        buf = io.BytesIO()
+        mmwrite(buf, aug[start:start + rows].T, symmetry="general")
+        raw = np.frombuffer(buf.getbuffer(), np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        # the header ends with the size line, the first that does not start with "%"
+        size = 1 + np.argmax(raw[ends[:-1] + 1] != ord("%"))
+        raw[ends[size + 1:].reshape(-1, k)[:, :-1]] = ord(",")
+        fh.write(raw[ends[size] + 1:])
+
+
 def save_problem(problem: TlsProblem, path) -> None:
     """Write the [A b] array of ``problem``: MatrixMarket dense form for a path
     ending in .mtx or .mm, CSV for any other."""
     path = Path(path)
     aug = problem.augmented()
-    if _is_mm(path):
-        # imported here: scipy.io costs every importer of tlscond about 3 MiB
-        from scipy.io import mmwrite
+    # a handle, not the path: given a path that cannot be opened, mmwrite
+    # returns without writing or raising
+    with path.open("wb") as fh:
+        if _is_mm(path):
+            # imported here: scipy.io costs every importer of tlscond about 3 MiB
+            from scipy.io import mmwrite
 
-        # a handle, not the path: given a path that cannot be opened, mmwrite
-        # returns without writing or raising.
-        # "general" keeps a symmetric square [A b] from being written as
-        # "symmetric", which the reader refuses.
-        with path.open("wb") as fh:
-            mmwrite(fh, aug, precision=17, symmetry="general")
-    else:
-        # a handle, not the path: np.savetxt would gzip a path ending in .gz
-        with path.open("w") as fh:
-            np.savetxt(fh, aug, fmt=f"%{_FMT}", delimiter=",")
+            # "general" keeps a symmetric square [A b] from being written as
+            # "symmetric", which the reader refuses.
+            mmwrite(fh, aug, symmetry="general")
+        else:
+            _write_csv(aug, fh)
 
 
 def _is_json(path: Path) -> bool:

@@ -302,12 +302,32 @@ def test_special_values_round_trip_bit_exactly(tmp_path, fmt):
         assert back.tobytes() == problem.augmented().tobytes()  # signbit of -0.0 too
 
 
-def test_csv_cells_are_percent_17g(tmp_path):
-    problem = _special_values_problem()
-    path = tmp_path / "p.csv"
-    tc.save_problem(problem, path)
-    rows = (",".join(format(v, ".17g") for v in row) for row in problem.augmented())
-    assert path.read_text() == "\n".join(rows) + "\n"
+def test_csv_cells_are_the_matrixmarket_entries(tmp_path):
+    # both writers give a double the same text: the CSV, read row by row, holds
+    # exactly the .mtx value lines, which are column-major
+    rng = np.random.default_rng(5)
+    drawn = tc.TlsProblem(rng.standard_normal((30, 4)), rng.standard_normal(30))
+    for problem in (_special_values_problem(), drawn):
+        m, k = problem.augmented().shape
+        tc.save_problem(problem, tmp_path / "p.csv")
+        tc.save_problem(problem, tmp_path / "p.mtx")
+        lines = (tmp_path / "p.mtx").read_text().splitlines()
+        size = next(i for i, line in enumerate(lines) if not line.startswith("%"))
+        assert lines[size] == f"{m} {k}"
+        entries = lines[size + 1:]
+        assert len(entries) == m * k
+        rows = (",".join(entries[j * m + i] for j in range(k)) for i in range(m))
+        assert (tmp_path / "p.csv").read_text() == "\n".join(rows) + "\n"
+
+
+def test_csv_pieces_meet_without_a_seam(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    problem = tc.TlsProblem(rng.standard_normal((2000, 100)), rng.standard_normal(2000))
+    tc.save_problem(problem, tmp_path / "pieces.csv")
+    # room for all 2000 rows in one piece
+    monkeypatch.setattr(problem_io, "_CHUNK", 2000 * 101 * problem_io._CELL_BYTES)
+    tc.save_problem(problem, tmp_path / "whole.csv")
+    assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_matrixmarket_with_one_value_per_line_at_17g_loads_bit_exactly(tmp_path):
@@ -374,6 +394,36 @@ def test_load_problem_reads_in_bounded_memory(tmp_path, name):
     finally:
         tracemalloc.stop()
     assert back.augmented().tobytes() == problem.augmented().tobytes()
+    assert peak - problem.augmented().nbytes < 3 * 2**20
+
+
+def test_csv_header_is_cut_at_the_size_line(tmp_path, monkeypatch):
+    # another scipy may write another header; the CSV starts after the size line
+    import scipy.io
+
+    problem = _special_values_problem()
+    tc.save_problem(problem, tmp_path / "plain.csv")
+    mmwrite = scipy.io.mmwrite
+    monkeypatch.setattr(scipy.io, "mmwrite", lambda *args, **kwargs: mmwrite(
+        *args, comment="a note\nover\n\nfour lines", **kwargs))
+    tc.save_problem(problem, tmp_path / "commented.csv")
+    assert (tmp_path / "commented.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_save_problem_writes_csv_in_bounded_memory(tmp_path):
+    # a 2000x101 CSV written in pieces of at most 512 KiB peaked 1.2 MB above
+    # its 1.6 MB array; written whole by one mmwrite into memory, 10.2 MB
+    rng = np.random.default_rng(11)
+    problem = tc.TlsProblem(rng.standard_normal((2000, 100)), rng.standard_normal(2000))
+    path = tmp_path / "p.csv"
+    tc.save_problem(problem, path)  # scipy.io is imported outside the measurement
+    tracemalloc.start()
+    try:
+        tc.save_problem(problem, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tc.load_problem(path).augmented().tobytes() == problem.augmented().tobytes()
     assert peak - problem.augmented().nbytes < 3 * 2**20
 
 

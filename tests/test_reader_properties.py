@@ -5,6 +5,7 @@ import pytest
 
 import tlscond as tc
 from conftest import refuse_line_by_line
+from tlscond import problem as problem_io
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -42,3 +43,30 @@ def test_the_plain_decimal_path_reads_what_float_reads(tmp_path_factory, values,
     with pytest.MonkeyPatch.context() as monkeypatch:
         refuse_line_by_line(monkeypatch)
         assert tc.load_problem(path).augmented().tobytes() == aug.tobytes()
+
+
+@st.composite
+def augmented_arrays(draw):
+    """An m x (n+1) [A b] of finite doubles, m > n >= 1."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n + 1, 12))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(floats, min_size=m * (n + 1), max_size=m * (n + 1)))).reshape(m, n + 1)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(aug=augmented_arrays())
+def test_written_problems_read_back_bit_for_bit(tmp_path_factory, aug):
+    # a small _CHUNK writes a CSV in pieces of one or two rows
+    problem = tc.TlsProblem(aug[:, :-1], aug[:, -1])
+    directory = tmp_path_factory.mktemp("written")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(problem_io, "_CHUNK", 100)
+        for name, read_lines in (("p.csv", problem_io._read_csv_lines),
+                                 ("p.mtx", problem_io._read_mm_lines)):
+            path = directory / name
+            tc.save_problem(problem, path)
+            assert read_lines(path).tobytes() == aug.tobytes()
+        refuse_line_by_line(monkeypatch)
+        for name in ("p.csv", "p.mtx"):
+            assert tc.load_problem(directory / name).augmented().tobytes() == aug.tobytes()
