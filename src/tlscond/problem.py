@@ -13,8 +13,10 @@ Problem files go through compiled text kernels in both directions:
 
 - Reads take one of two paths, with the same outcome. The plain-decimal path
   reads the file as bytes, in whole lines about 512 KiB at a time, and parses
-  each piece with ``scipy.io.mmread`` (fast_matrix_market's compiled reader)
-  as a one-column MatrixMarket array, a CSV comma read as a line end.
+  each piece with ``scipy.io.mmread``'s compiled reader (fast_matrix_market)
+  as a one-column MatrixMarket array, a CSV comma read as a line end. Each
+  piece is parsed on one thread: ``mmread`` itself starts a thread per CPU on
+  every call, which costs a piece this size more than it saves.
   ``mmread`` reads a plain decimal, ``[+-]?(D+(.D+)?|.D+)([eE][+-]?D+)?``,
   as ``float`` does, bit for bit, but drops the sign of a zero, which is put
   back. On anything else it is lax: it reads ``0.5e+-3`` as 0.5, ``1 x`` as
@@ -63,7 +65,8 @@ class TlsProblem:
     label: str = ""
 
     def __post_init__(self):
-        a = np.array(self.a_matrix, dtype=float)
+        # one memory order, so the same doubles from any source round alike
+        a = np.array(self.a_matrix, dtype=float, order="C")
         b = np.array(self.b_vector, dtype=float)
         if a.ndim != 2 or b.ndim != 1:
             raise ShapeError("A must be a matrix and b a vector")
@@ -234,11 +237,17 @@ def _next_piece(fh) -> bytes:
 
 def _read_plain(path: Path, classes: bytes, offset: int = 0):
     """(values, values per line) of ``path`` from byte ``offset`` on, each
-    piece checked and then parsed by scipy's mmread as a one-column array;
-    None where the check refuses a value, where a line holds another number of
-    values than the first, where mmread refuses, or where there is no line.
+    piece checked and then parsed by mmread's compiled reader as a one-column
+    array; None where the check refuses a value, where a line holds another
+    number of values than the first, where the reader refuses, or where there
+    is no line.
+
+    A piece is parsed on one thread, through the two calls behind ``mmread``:
+    ``mmread`` takes no thread count and starts a thread per CPU, and a piece
+    is too small for a second thread to pay for its start-up.
     """
-    from scipy.io import mmread  # imported here: scipy.io costs every importer ~3 MiB
+    # imported here: scipy.io costs every importer ~3 MiB
+    from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
 
     parts, width = [], None
     with path.open("rb") as fh:
@@ -252,14 +261,15 @@ def _read_plain(path: Path, classes: bytes, offset: int = 0):
                 return None
             # one value a line: a CSV's commas become line ends
             text = b"%%%%MatrixMarket matrix array real general\n%d 1\n" % len(seps) + piece
-            del piece  # two piece-sized buffers at most while mmread runs
+            del piece  # two piece-sized buffers at most while the reader runs
             text = text.replace(b",", b"\n")
             try:
-                values = mmread(io.BytesIO(text))[:, 0]
-            except ValueError:  # mmread refuses a leading "+"
+                cursor, _ = _get_read_cursor(io.BytesIO(text), parallelism=1)
+                values = _read_body_array(cursor)[:, 0]
+            except ValueError:  # the reader refuses a leading "+"
                 return None
             zeros = np.flatnonzero(values == 0)
-            if zeros.size:  # mmread reads "-0" and "-1e-400" as +0.0, float as -0.0
+            if zeros.size:  # the reader reads "-0" and "-1e-400" as +0.0, float as -0.0
                 raw = np.frombuffer(text, np.uint8)
                 # the header holds two newlines: value i starts after newline i + 1
                 starts = np.flatnonzero(raw == ord("\n"))[zeros + 1] + 1

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import subprocess
@@ -395,6 +396,32 @@ def test_load_problem_reads_in_bounded_memory(tmp_path, name):
         tracemalloc.stop()
     assert back.augmented().tobytes() == problem.augmented().tobytes()
     assert peak - problem.augmented().nbytes < 3 * 2**20
+
+
+def test_pieces_are_parsed_on_one_thread(tmp_path, monkeypatch):
+    # mmread starts a thread per CPU on each call; a 512 KiB piece is parsed on one
+    import scipy.io
+    from scipy.io import _fast_matrix_market as fmm
+
+    rng = np.random.default_rng(17)
+    problem = tc.TlsProblem(rng.standard_normal((2000, 100)), rng.standard_normal(2000))
+    for name in ("p.csv", "p.mtx"):
+        tc.save_problem(problem, tmp_path / name)
+    whole = scipy.io.mmread(tmp_path / "p.mtx")
+    cursor, parallelisms = fmm._get_read_cursor, []
+
+    def counted(*args, **kwargs):
+        bound = inspect.signature(cursor).bind(*args, **kwargs)
+        parallelisms.append(bound.arguments.get("parallelism"))
+        return cursor(*args, **kwargs)
+
+    monkeypatch.setattr(fmm, "_get_read_cursor", counted)
+    loads = [tc.load_problem(tmp_path / name) for name in ("p.csv", "p.mtx")]
+    assert len(parallelisms) > 2 and set(parallelisms) == {1}  # several pieces per file
+    for load in loads:
+        assert load.a_matrix.flags.c_contiguous
+        assert load.augmented().tobytes() == whole.tobytes()
+    assert np.array_equal(loads[0].augmented(), loads[1].augmented())
 
 
 def test_csv_header_is_cut_at_the_size_line(tmp_path, monkeypatch):
