@@ -30,25 +30,8 @@ from .exact import (
     kron_condition,
     svd_condition,
 )
-from .generators import (
-    KammNagyConfig,
-    gaussian_kernel_column,
-    generate_ab_alpha,
-    generate_v,
-    haar_orthogonal,
-    kamm_nagy_problem,
-)
-from .perturb import (
-    PerturbationDirection,
-    ValidationSummary,
-    convergence_study,
-    first_order_prediction,
-    monte_carlo_validate,
-    perturbation_ratio,
-    random_direction,
-    remainder_slope,
-    worst_direction,
-)
+from .generators import KammNagyConfig, generate_ab_alpha, kamm_nagy_problem
+from .perturb import ValidationSummary, monte_carlo_validate, worst_direction
 from .problem import (
     ReportDocument,
     TlsProblem,

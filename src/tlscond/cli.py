@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p_val)
     p_val.add_argument("--trials", type=_int_at_least(0), default=100)
     p_val.add_argument("--step", type=_positive_finite, default=None,
-                       help="absolute step (default 1e-8 * ||[A b]||_F)")
+                       help="absolute step (default 1e-8 * ||[A b]||_F); one below "
+                            "1e-12 * ||[A b]||_F measures rounding and is refused (exit 4)")
     p_val.add_argument("--seed", type=_int_at_least(0), default=0)
     p_val.set_defaults(func=_cmd_validate)
 

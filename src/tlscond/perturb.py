@@ -1,25 +1,26 @@
 """Empirical validation of the first-order perturbation theory.
 
-A perturbation direction is a unit-Frobenius pair (dA, db). For a step t the
+A perturbation direction is one unit vector z = [vec(dA); db] (vec
+column-major), in the column order of the first-order map K. For a step t the
 observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. Every re-solve goes
-through one path, _resolves: each step's unit direction is written in stacked
-order [vec(dA); db] straight into one reused Fortran buffer, where it is scaled
-by t and [A b] is added; past the bundle's crossover (core.block_rows, m >=
-2(n+1)) the buffer is reduced to its R by the bundle's kernel
-(core.householder_qr), whose triangle is copied into its slot of the stack.
-The blocks of a stack of at most STACK_BYTES are factored by one
-core.block_svd call, and each step then passes solve_tls's own checks
-(core.accept_trailing_vector) in step order. A random direction is the next
-m(n+1) standard normals of one generator, drawn into that buffer and divided
-by their norm; a fixed one is copied in. Only x and the relative gap are
-read; no residual is formed. As t -> 0 the ratio
-approaches ||K z|| for the stacked direction z, is maximized over unit z by
-the condition number, and attains it along K^T u for K's top left singular
-vector u. K is never formed: K z and K^T u cost O(mn) through the closed-form
-V11^{-1} of ExactFormulaWork, and u is V11^{-T} S q for the eigenvector q
-that the work's secular equation gives in closed form.
+through one path, _resolves: each step's z is written straight into one
+reused Fortran buffer, where it is scaled by t and [A b] is added; past the
+bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
+its R by the bundle's kernel (core.householder_qr), whose triangle is copied
+into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
+factored by one core.block_svd call, and each step then passes solve_tls's
+own checks (core.accept_trailing_vector) in step order. A random trial's z
+is the next m(n+1) standard normals of one generator, drawn into that buffer
+and divided by their norm; the worst direction's z is copied in. Only x and
+the relative gap are read; no residual is formed. As t -> 0 the ratio
+approaches ||K z||, is maximized over unit z by the condition number, and
+attains it along K^T u for K's top left singular vector u. K is never
+formed: K z and K^T u cost O(mn) through the closed-form V11^{-1} of
+ExactFormulaWork, and u is V11^{-T} S q for the eigenvector q that the
+work's secular equation gives in closed form. A step below CLEAN_STEP_FLOOR
+||[A b]||_F is refused: there the ratio measures rounding, not K.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
 from .errors import (
     ConvergenceError,
     NoUniqueSolution,
+    NotApplicable,
     PerturbationTooLarge,
     ShapeError,
     TlsCondError,
@@ -59,35 +61,6 @@ VALIDATION_TOLERANCE = 1e-3
 # Bytes of one stack of re-solves (row blocks and their SVD factors): the
 # lab's memory does not grow with its number of trials.
 STACK_BYTES = 2**22
-
-@dataclass(frozen=True)
-class PerturbationDirection:
-    """A pair (dA, db) with unit stacked Frobenius norm."""
-
-    delta_a: np.ndarray
-    delta_b: np.ndarray
-
-    @classmethod
-    def normalized(cls, delta_a, delta_b) -> "PerturbationDirection":
-        delta_a = np.asarray(delta_a, dtype=float)
-        delta_b = np.asarray(delta_b, dtype=float)
-        scale = np.sqrt(np.linalg.norm(delta_a) ** 2 + np.linalg.norm(delta_b) ** 2)
-        if scale == 0.0:
-            raise ValueError("zero direction")
-        return cls(delta_a / scale, delta_b / scale)
-
-    def stacked(self) -> np.ndarray:
-        """[vec(dA); db] with column-stacked vec, matching K's column order."""
-        return np.concatenate([self.delta_a.ravel(order="F"), self.delta_b])
-
-
-@dataclass(frozen=True)
-class ConvergencePoint:
-    t: float
-    ratio: float
-    remainder: float   # |ratio - ||K z|||
-    clean: bool        # above the rounding floor, usable for the slope fit
-
 
 @dataclass(frozen=True)
 class ValidationSummary:
@@ -113,52 +86,27 @@ class ValidationSummary:
         return self.worst_direction_ratio >= self.kappa_reference * (1.0 - VALIDATION_TOLERANCE)
 
 
-def random_direction(m: int, n: int, rng) -> PerturbationDirection:
-    """Uniform direction on the unit Frobenius sphere of stacked pairs.
-
-    The next m(n+1) standard normals of rng in stacked order [vec(dA); db]
-    (vec column-major), divided by their norm: exactly one trial's draw in
-    monte_carlo_validate.
-    """
-    z = np.empty(m * (n + 1))
-    _unit_normals(np.random.default_rng(rng), z)
-    return PerturbationDirection(z[: m * n].reshape((m, n), order="F"), z[m * n :])
-
-
 def _unit_normals(rng, z: np.ndarray) -> None:
     """Overwrite z with the next len(z) standard normals of rng, divided by their norm."""
     rng.standard_normal(out=z)
     z /= np.linalg.norm(z)
 
 
-def _copying(vector):
-    """A fill for _resolves that writes vector, one stacked unit direction, at every step."""
-    return lambda z: np.copyto(z, vector)
+def _copying(direction):
+    """A fill for _resolves that copies one fixed unit direction in at every step."""
+    return lambda z: np.copyto(z, direction)
 
 
-def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, direction) -> np.ndarray:
-    """K [vec(dA); db] = P^{-1}(2 (A^T r^)(r^ . g) - A^T g - dA^T r) with g = dA x - db."""
-    a, r, da = problem.a_matrix, solution.r, direction.delta_a
+def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, z) -> np.ndarray:
+    """K z = P^{-1}(2 (A^T r^)(r^ . g) - A^T g - dA^T r) with g = dA x - db."""
+    m, n = problem.m, problem.n
+    a, r = problem.a_matrix, solution.r
+    # C order, as worst_direction forms dA: the BLAS products below sum in
+    # memory order, and an F-ordered view changes the remainders' last bits
+    da = np.ascontiguousarray(z[: m * n].reshape((m, n), order="F"))
     r_unit = r / np.linalg.norm(r)
-    g = da @ solution.x - direction.delta_b
+    g = da @ solution.x - z[m * n :]
     return work.apply_p_inv(2.0 * (a.T @ r_unit) * (r_unit @ g) - a.T @ g - da.T @ r)
-
-
-def first_order_prediction(
-    work: ExactFormulaWork,
-    problem: TlsProblem,
-    solution,
-    direction: PerturbationDirection,
-    t: float,
-) -> np.ndarray:
-    """x + t K [vec(dA); db], the linearized solution at step t."""
-    return solution.x + t * _k_apply(work, problem, solution, direction)
-
-
-def _solve(problem: TlsProblem):
-    bundle = svd_bundle(problem)
-    solution = solve_tls(problem, bundle)
-    return bundle, solution, build_spectral_work(problem, bundle, solution)
 
 
 def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
@@ -186,17 +134,16 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
     return ratios
 
 
-def _along(work: ExactFormulaWork, problem: TlsProblem, base_solution, direction, steps) -> list:
-    """(ratio, remainder) for each step (t, optional) along one fixed direction z.
+def _along(work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps) -> list:
+    """(ratio, remainder) for each step (t, optional) along one fixed unit direction z.
 
-    remainder = |ratio - ||K z|||. As in _ratios, an optional step that loses
-    the gap gives None.
+    remainder = |ratio - ||K z|||, which decays linearly in t until rounding
+    dominates. As in _ratios, an optional step that loses the gap gives None.
     """
-    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, direction)))
-    fill = _copying(direction.stacked())
+    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, z)))
     return [
         None if ratio is None else (ratio, abs(ratio - predicted))
-        for ratio in _ratios(problem, base_solution, fill, steps)
+        for ratio in _ratios(problem, base_solution, _copying(z), steps)
     ]
 
 
@@ -267,23 +214,8 @@ def _factored(blocks):
         yield sigma, vt
 
 
-def _check_step(t: float) -> None:
-    """Raise ValueError unless the step t is positive and finite."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"step t must be positive and finite, got {t}")
-
-
-def perturbation_ratio(problem: TlsProblem, direction: PerturbationDirection, t: float) -> float:
-    """||x_perturbed - x|| / t with the perturbed problem solved exactly."""
-    _check_step(t)
-    base_solution = solve_tls(problem, svd_bundle(problem))
-    return _ratios(problem, base_solution, _copying(direction.stacked()), [(t, False)])[0]
-
-
-def worst_direction(
-    work: ExactFormulaWork, problem: TlsProblem, solution
-) -> PerturbationDirection:
-    """Unit direction attaining ||K||: K^T u / kappa for K's top left singular vector u.
+def worst_direction(work: ExactFormulaWork, problem: TlsProblem, solution) -> np.ndarray:
+    """Unit z = [vec(dA); db] attaining ||K||: K^T u / kappa for K's top left singular vector u.
 
     With w = P^{-1} u and y = 2 (r^ . A w) r^ - A w, K^T u = (y x^T - r w^T, -y).
     """
@@ -291,36 +223,9 @@ def worst_direction(
     a_w, r = problem.a_matrix @ w, solution.r
     r_unit = r / np.linalg.norm(r)
     y = 2.0 * (r_unit @ a_w) * r_unit - a_w
-    return PerturbationDirection.normalized(np.outer(y, solution.x) - np.outer(r, w), -y)
-
-
-def convergence_study(problem: TlsProblem, direction: PerturbationDirection, t_list):
-    """Observed ratio and first-order remainder across decreasing steps.
-
-    remainder(t) = |ratio(t) - ||K z|||, which decays linearly in t until
-    rounding dominates; points with t below the floor are flagged not-clean
-    and left out of slope fits. Raises ValueError for a step that is not
-    positive and finite.
-    """
-    t_list = tuple(t_list)
-    for t in t_list:
-        _check_step(t)
-    _, base_solution, work = _solve(problem)
-    floor = CLEAN_STEP_FLOOR * work.aug_frobenius
-    probes = _along(work, problem, base_solution, direction, [(t, False) for t in t_list])
-    return [
-        ConvergencePoint(t=float(t), ratio=ratio, remainder=remainder, clean=t >= floor)
-        for t, (ratio, remainder) in zip(t_list, probes)
-    ]
-
-
-def remainder_slope(points) -> float:
-    """Least-squares log-log slope of remainder vs t over the clean points."""
-    ts = [p.t for p in points if p.clean and p.remainder > 0.0]
-    rs = [p.remainder for p in points if p.clean and p.remainder > 0.0]
-    if len(ts) < 2:
-        return float("nan")
-    return float(np.polyfit(np.log(ts), np.log(rs), 1)[0])
+    delta_a = np.outer(y, solution.x) - np.outer(r, w)
+    scale = np.sqrt(np.linalg.norm(delta_a) ** 2 + np.linalg.norm(y) ** 2)
+    return np.concatenate([delta_a.ravel(order="F"), -y]) / scale
 
 
 def monte_carlo_validate(
@@ -332,20 +237,28 @@ def monte_carlo_validate(
     """Random-direction soundness sweep plus the worst-direction probe.
 
     One generator, np.random.default_rng(seed), feeds the trials in order:
-    trial i's direction is the (i+1)-th random_direction(m, n, rng) of it,
-    drawn straight into the re-solve's buffer. So the first k trials are the
-    same for any trials >= k, and the summary does not depend on the stack
-    size. The default step is 1e-8 ||[A b]||_F, balancing the Taylor
-    remainder against rounding. Raises ValueError for trials < 0 or a step
-    that is not positive and finite.
+    trial i's direction is its i-th run of m(n+1) standard normals, drawn
+    straight into the re-solve's buffer and divided by their norm. So the
+    first k trials are the same for any trials >= k, and the summary does
+    not depend on the stack size. The default step is 1e-8 ||[A b]||_F,
+    balancing the Taylor remainder against rounding. Raises ValueError for
+    trials < 0 or a step that is not positive and finite, and NotApplicable
+    for a step below CLEAN_STEP_FLOOR ||[A b]||_F.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if t is not None:
-        _check_step(t)
-    bundle, base_solution, work = _solve(problem)
+    if t is not None and not (math.isfinite(t) and t > 0):
+        raise ValueError(f"step t must be positive and finite, got {t}")
+    bundle = svd_bundle(problem)
+    base_solution = solve_tls(problem, bundle)
+    work = build_spectral_work(problem, bundle, base_solution)
+    floor = CLEAN_STEP_FLOOR * work.aug_frobenius
     if t is None:
         t = 1e-8 * work.aug_frobenius
+    elif t < floor:
+        raise NotApplicable(
+            f"step t={t:.3e} is below the clean-step floor {floor:.3e} "
+            f"(CLEAN_STEP_FLOOR * ||[A b]||_F), where the ratios measure rounding")
 
     draw = functools.partial(_unit_normals, np.random.default_rng(seed))
     ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
-from tlscond import core
+from tlscond import core, generators
 
 
 @pytest.fixture
@@ -36,13 +36,13 @@ def tied_weighted_problem(seed=2, sigma=(3.0, 3.0, 1.0, 0.5)):
     k = len(sigma)
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((k + 2, k)))[0]
-    aug = (u * np.asarray(sigma)) @ tc.haar_orthogonal(k, rng).T
+    aug = (u * np.asarray(sigma)) @ generators.haar_orthogonal(k, rng).T
     return tc.TlsProblem(aug[:, :-1], aug[:, -1])
 
 
 def zero_noise_deblur(m=40, omega=8, spread=1.25):
     """The noiseless deblurring data [Tbar ones]: kamm_nagy_problem at gamma = 0, or its refusal."""
-    kernel = tc.gaussian_kernel_column(m, omega, spread)
+    kernel = generators.gaussian_kernel_column(m, omega, spread)
     first_row = np.zeros(m - 2 * omega)
     first_row[0] = kernel[0]
     return tc.TlsProblem(scipy.linalg.toeplitz(kernel, first_row), np.ones(m))
@@ -92,6 +92,19 @@ def counting_factorizations(monkeypatch):
     for owner, name in [(core, "dgeqrt"), (np.linalg, "qr"), (np.linalg, "svd")]:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
+
+
+def unit_normals(m, n, rng):
+    """A uniform unit direction z = [vec(dA); db]: m(n+1) normals of rng over their norm."""
+    z = rng.standard_normal(m * (n + 1))
+    return z / np.linalg.norm(z)
+
+
+def perturbed(problem, z, t):
+    """The problem [A + t dA, b + t db] for the direction z = [vec(dA); db]."""
+    m, n = problem.m, problem.n
+    return tc.TlsProblem(problem.a_matrix + t * z[: m * n].reshape((m, n), order="F"),
+                         problem.b_vector + t * z[m * n :])
 
 
 def k_of(problem):

@@ -12,7 +12,8 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline
+from conftest import pipeline, unit_normals
+from tlscond import generators, perturb
 from tlscond.cli import run_table_example1, run_table_example2
 from tlscond.errors import IllConditionedGap
 
@@ -166,14 +167,12 @@ def test_criterion_5_perturbation_validation():
         worst_shortfall = max(
             worst_shortfall, 1.0 - summary.worst_direction_ratio / kappa
         )
-        aug_f = float(np.linalg.norm(tc.svd_bundle(problem).sigma))
-        direction = tc.random_direction(
-            problem.m, problem.n, np.random.default_rng([17, problem.m, problem.n])
-        )
-        points = tc.convergence_study(
-            problem, direction, [1e-4 * aug_f, 1e-5 * aug_f, 1e-6 * aug_f]
-        )
-        slope = tc.remainder_slope(points)
+        # the first-order remainder along a random direction decays like t
+        _, solution, work = pipeline(problem)
+        z = unit_normals(problem.m, problem.n, np.random.default_rng([17, problem.m, problem.n]))
+        steps = [1e-4 * work.aug_frobenius, 1e-5 * work.aug_frobenius, 1e-6 * work.aug_frobenius]
+        probes = perturb._along(work, problem, solution, z, [(t, False) for t in steps])
+        slope = np.polyfit(np.log(steps), np.log([remainder for _, remainder in probes]), 1)[0]
         slopes.append(slope)
         assert 0.8 <= slope <= 1.2
     elapsed = time.time() - start
@@ -240,7 +239,7 @@ def test_criterion_8_supporting_inequalities(fix_b):
     for _ in range(100):
         n = int(rng.integers(2, 10))
         k = int(rng.integers(1, n))
-        q = tc.haar_orthogonal(n, rng)
+        q = generators.haar_orthogonal(n, rng)
         a1 = q[:, :k] @ (q[:, :k].T @ rng.standard_normal((n, n)))
         a2 = q[:, k:] @ (q[:, k:].T @ rng.standard_normal((n, n)))
         n1, n2 = np.linalg.norm(a1, 2), np.linalg.norm(a2, 2)
@@ -250,7 +249,7 @@ def test_criterion_8_supporting_inequalities(fix_b):
 
     # generated V reproduces the bordered block structure entrywise
     for n, alpha, seed in [(3, 0.7, 1), (6, 0.2, 2), (10, 1e-4, 3)]:
-        v = tc.generate_v(n, tc.haar_orthogonal(n, seed), alpha, seed=seed + 50)
+        v = generators.generate_v(n, generators.haar_orthogonal(n, seed), alpha, seed=seed + 50)
         u, sv, vh = np.linalg.svd(v[:n, :n])
         border = np.sqrt(1.0 - alpha**2)
         u_n, v_n = u[:, -1], vh[-1, :]

@@ -6,6 +6,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import pipeline
+from tlscond import generators
 from tlscond.bounds import kappa2_dominance
 from tlscond.cli import BOUND_COLUMNS, _bound_row
 from tlscond.errors import NotApplicable
@@ -16,7 +17,7 @@ def tailored_problem(sv_of_a, seed, residual=0.01):
     rng = np.random.default_rng(seed)
     m, n = 6 * len(sv_of_a), len(sv_of_a)
     u = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    v = tc.haar_orthogonal(n, rng)
+    v = generators.haar_orthogonal(n, rng)
     a = (u * np.asarray(sv_of_a, dtype=float)) @ v.T
     b = a @ rng.standard_normal(n) + residual * rng.standard_normal(m)
     return tc.TlsProblem(a, b)
@@ -174,7 +175,7 @@ def test_orthogonal_split_inequality():
     for trial in range(100):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n))
-        q = tc.haar_orthogonal(n, rng)
+        q = generators.haar_orthogonal(n, rng)
         a1 = q[:, :k] @ q[:, :k].T @ rng.standard_normal((n, n))
         a2 = q[:, k:] @ q[:, k:].T @ rng.standard_normal((n, n))
         assert np.linalg.norm(a1.T @ a2) <= 1e-12 * max(

@@ -117,6 +117,15 @@ def test_validate_refuses_a_bad_step_or_trial_count(tmp_path, capsys, flag, valu
     assert f"argument {flag}: must be {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-13"])
+def test_validate_refuses_a_step_below_the_clean_floor(tmp_path, capsys, step):
+    # 1e-13 is below 1e-12 ||[A b]||_F of this problem (||[A b]||_F is about 6.2)
+    path = gen_problem_file(tmp_path, capsys, alpha="0.5", seed="3")
+    code, out, err = run(["validate", "--input", str(path), "--step", step], capsys)
+    assert code == 4 and out == ""
+    assert f"error: step t={float(step):.3e} is below the clean-step floor" in err
+
+
 def test_cond_single_method(tmp_path, capsys):
     path = gen_problem_file(tmp_path, capsys)
     code, out, _ = run(["cond", "--input", str(path), "--method", "kron"], capsys)

@@ -13,6 +13,7 @@ from conftest import (
     pipeline,
     tie_problem,
     tied_weighted_problem,
+    unit_normals,
     zero_noise_deblur,
 )
 from tlscond import core, perturb
@@ -310,10 +311,10 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     solution = tc.solve_tls(problem, bundle)
     assert roots == [9]  # sigma_hat_n and delta, nothing else
     # each perturbed re-solve of the lab's stacked path takes one root as well
-    direction = tc.random_direction(50, 10, np.random.default_rng(3))
+    direction = unit_normals(50, 10, np.random.default_rng(3))
     steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
     before = len(roots)
-    perturb._ratios(problem, solution, perturb._copying(direction.stacked()), steps)
+    perturb._ratios(problem, solution, perturb._copying(direction), steps)
     assert roots[before:] == [9, 9, 9]
     roots.clear()
     bundle, solution, work = pipeline(problem)
@@ -458,10 +459,9 @@ def test_a_scale_whose_square_overflows_is_refused(scale):
     problem = tc.TlsProblem([[scale], [0.0]], [scale, scale])
     with pytest.raises(ShapeError, match="overflows float64"):
         tc.svd_bundle(problem)
+    # and so is a perturbed re-solve of fix_b that takes it there
     with pytest.raises(ShapeError, match="overflows float64"):
-        tc.perturbation_ratio(tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]),
-                              tc.PerturbationDirection.normalized([[1.0], [0.0]], [0.0, 0.0]),
-                              scale)
+        tc.monte_carlo_validate(tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]), trials=1, t=scale)
 
 
 def scaled_alpha_problem():

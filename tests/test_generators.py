@@ -4,6 +4,7 @@ import scipy.linalg
 
 import tlscond as tc
 from conftest import counting_factorizations, pipeline, zero_noise_deblur
+from tlscond import generators
 from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
 from tlscond.generators import _banded_toeplitz_norm
 
@@ -11,26 +12,26 @@ EPS = np.finfo(float).eps
 
 
 def test_haar_one_by_one():
-    values = {float(tc.haar_orthogonal(1, seed)[0, 0]) for seed in range(20)}
+    values = {float(generators.haar_orthogonal(1, seed)[0, 0]) for seed in range(20)}
     assert values <= {1.0, -1.0}
     assert len(values) == 2  # both signs occur
 
 
 def test_haar_deterministic():
-    q1 = tc.haar_orthogonal(5, 42)
-    q2 = tc.haar_orthogonal(5, 42)
+    q1 = generators.haar_orthogonal(5, 42)
+    q2 = generators.haar_orthogonal(5, 42)
     np.testing.assert_array_equal(q1, q2)
-    assert not np.array_equal(q1, tc.haar_orthogonal(5, 43))
+    assert not np.array_equal(q1, generators.haar_orthogonal(5, 43))
 
 
 def test_haar_orthogonality():
-    q = tc.haar_orthogonal(50, 7)
+    q = generators.haar_orthogonal(50, 7)
     assert np.linalg.norm(q.T @ q - np.eye(50)) <= 1e-12
 
 
 def test_generate_v_two_by_two():
     v_tilde = np.array([[1.0]])
-    v = tc.generate_v(1, v_tilde, 0.5, seed=0)
+    v = generators.generate_v(1, v_tilde, 0.5, seed=0)
     assert v[1, 1] == -0.5
     assert abs(v[0, 0]) == pytest.approx(0.5, rel=1e-15)
     assert abs(v[0, 1]) == pytest.approx(np.sqrt(0.75), rel=1e-15)
@@ -40,7 +41,7 @@ def test_generate_v_two_by_two():
 
 @pytest.mark.parametrize("n,alpha", [(1, 0.5), (4, 0.3), (9, 1e-6)])
 def test_generate_v_orthogonal_with_exact_corner(n, alpha):
-    v = tc.generate_v(n, tc.haar_orthogonal(n, 3), alpha, seed=4)
+    v = generators.generate_v(n, generators.haar_orthogonal(n, 3), alpha, seed=4)
     assert v.shape == (n + 1, n + 1)
     assert v[-1, -1] == -alpha  # exact by construction
     assert np.linalg.norm(v.T @ v - np.eye(n + 1)) <= 1e-13 * (n + 1)
@@ -53,7 +54,7 @@ def test_generate_v_matches_block_structure():
     # border blocks must be sqrt(1-a^2) times the singular pair of V11 for its
     # smallest singular value
     n, alpha = 6, 0.37
-    v = tc.generate_v(n, tc.haar_orthogonal(n, 11), alpha, seed=12)
+    v = generators.generate_v(n, generators.haar_orthogonal(n, 11), alpha, seed=12)
     u, sv, vh = np.linalg.svd(v[:n, :n])
     border = np.sqrt(1.0 - alpha**2)
     u_n, v_n = u[:, -1], vh[-1, :]
@@ -65,10 +66,10 @@ def test_generate_v_matches_block_structure():
 
 
 def test_generate_v_rejects_bad_alpha():
-    v_tilde = tc.haar_orthogonal(3, 0)
+    v_tilde = generators.haar_orthogonal(3, 0)
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(InvalidAlpha):
-            tc.generate_v(3, v_tilde, alpha, seed=1)
+            generators.generate_v(3, v_tilde, alpha, seed=1)
 
 
 # m >= 2(n+1) factors B through its R; m < 2(n+1) takes the SVD of B itself
@@ -150,7 +151,7 @@ def test_gap_shrinks_with_alpha():
 
 def test_kernel_column_shape_and_symmetry():
     m, omega, spread = 20, 8, 1.25
-    col = tc.gaussian_kernel_column(m, omega, spread)
+    col = generators.gaussian_kernel_column(m, omega, spread)
     peak = 1.0 / np.sqrt(2 * np.pi * spread**2)
     assert col[omega] == pytest.approx(peak, rel=1e-15)  # i = omega + 1
     assert col.argmax() == omega
@@ -158,12 +159,12 @@ def test_kernel_column_shape_and_symmetry():
         assert col[i - 1] == pytest.approx(col[2 * omega + 1 - i], rel=1e-15)
     np.testing.assert_array_equal(col[2 * omega + 1:], 0.0)
     with pytest.raises(ShapeError):
-        tc.gaussian_kernel_column(16, 8, spread)
+        generators.gaussian_kernel_column(16, 8, spread)
 
 
 def test_kamm_nagy_zero_noise_is_exact():
     problem = zero_noise_deblur(m=40, omega=8, spread=1.25)
-    kernel = tc.gaussian_kernel_column(40, 8, 1.25)
+    kernel = generators.gaussian_kernel_column(40, 8, 1.25)
     assert problem.n == 24
     np.testing.assert_array_equal(problem.a_matrix[:, 0], kernel)
     np.testing.assert_array_equal(problem.b_vector, np.ones(40))
@@ -195,7 +196,7 @@ def test_kamm_nagy_noise_scaling_and_structure():
         config = tc.KammNagyConfig(m=m, omega=8, spread=1.25, gamma=1e-3, seed=5)
         problem = tc.kamm_nagy_problem(config)
         # independent reconstruction of the noiseless Toeplitz operator, and dense norms
-        t_bar = lower_toeplitz(tc.gaussian_kernel_column(m, 8, 1.25), config.n)
+        t_bar = lower_toeplitz(generators.gaussian_kernel_column(m, 8, 1.25), config.n)
         e_mat = problem.a_matrix - t_bar
         e_vec = problem.b_vector - np.ones(m)
         t_norm = np.linalg.norm(t_bar, 2)
@@ -230,7 +231,7 @@ def test_banded_norm_matches_the_dense_norm(m, omega):
     n = m - 2 * omega
     noise = np.zeros(m)
     noise[: 2 * omega + 1] = np.random.default_rng(0).standard_normal(2 * omega + 1)
-    for column in (tc.gaussian_kernel_column(m, omega, 1.25), noise):
+    for column in (generators.gaussian_kernel_column(m, omega, 1.25), noise):
         matrix = lower_toeplitz(column, n)
         norm = _banded_toeplitz_norm(column, n)
         # the sigma-only dgesdd behind np.linalg.norm(., 2) is itself up to

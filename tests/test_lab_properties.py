@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tlscond as tc
+from conftest import perturbed, unit_normals
 from tlscond import core, perturb
 from tlscond.errors import TlsCondError
 
@@ -13,12 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
-def _reference(problem, direction, t):
+def _reference(problem, z, t):
     """(x, rel_gap) of solve_tls on [A + t dA, b + t db], or the typed error it raises."""
-    perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
-                              problem.b_vector + t * direction.delta_b)
+    rebuilt = perturbed(problem, z, t)
     try:
-        solution = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
+        solution = tc.solve_tls(rebuilt, tc.svd_bundle(rebuilt))
     except TlsCondError as exc:
         return exc
     return solution.x, solution.gap.rel_gap
@@ -66,7 +66,7 @@ def test_each_trial_re_solve_is_the_solver_on_the_rebuilt_problem(
     assert len(got) == len(ts) or isinstance(got[-1], TlsCondError)
     directions = np.random.default_rng(stream_seed)
     for t, resolved in zip(ts, got):
-        expected = _reference(problem, tc.random_direction(m, n, directions), t)
+        expected = _reference(problem, unit_normals(m, n, directions), t)
         if isinstance(expected, TlsCondError):
             assert type(resolved) is type(expected) and str(resolved) == str(expected)
             continue

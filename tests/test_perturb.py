@@ -5,35 +5,38 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import counting_factorizations, k_of, pipeline
+from conftest import counting_factorizations, k_of, perturbed, pipeline, unit_normals
 from tlscond import perturb
-from tlscond.errors import NoUniqueSolution, PerturbationTooLarge, ShapeError, TrivialProblem
+from tlscond.errors import (
+    NoUniqueSolution,
+    NotApplicable,
+    PerturbationTooLarge,
+    ShapeError,
+    TrivialProblem,
+)
+
+
+def stacked(delta_a, delta_b):
+    """The unit direction z = [vec(dA); db] along (dA, db), vec column-major (K's column order)."""
+    z = np.concatenate([np.ravel(delta_a, order="F"), delta_b])
+    return z / np.linalg.norm(z)
 
 
 def unit_direction(m, n, entry=None, b_entry=None):
+    """The stacked unit direction that bumps one entry of A or of b."""
     da = np.zeros((m, n))
     db = np.zeros(m)
     if entry is not None:
         da[entry] = 1.0
     if b_entry is not None:
         db[b_entry] = 1.0
-    return tc.PerturbationDirection.normalized(da, db)
+    return stacked(da, db)
 
 
-def test_direction_normalization():
-    direction = tc.PerturbationDirection.normalized([[3.0], [0.0]], [0.0, 4.0])
-    assert np.linalg.norm(direction.stacked()) == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(direction.delta_a, [[0.6], [0.0]])
-    np.testing.assert_allclose(direction.delta_b, [0.0, 0.8])
-    with pytest.raises(ValueError):
-        tc.PerturbationDirection.normalized([[0.0], [0.0]], [0.0, 0.0])
-
-
-def test_stacked_uses_column_order():
-    direction = tc.PerturbationDirection.normalized([[1.0, 3.0], [2.0, 4.0]], [5.0, 6.0])
-    np.testing.assert_allclose(
-        direction.stacked() * np.sqrt(91.0), [1, 2, 3, 4, 5, 6], rtol=1e-15
-    )
+def ratios(problem, z, steps):
+    """The lab's observed ratios along one fixed direction z, each step required."""
+    solution = tc.solve_tls(problem, tc.svd_bundle(problem))
+    return perturb._ratios(problem, solution, perturb._copying(z), [(t, False) for t in steps])
 
 
 @pytest.fixture(
@@ -49,66 +52,51 @@ def problem(request):
 
 
 def test_prediction_fix_a(problem):
+    # the first-order change of x along z is K z, applied without forming K
     bundle, solution, work = pipeline(problem)
     k = tc.build_k_matrix(problem, bundle, solution)
-    direction = tc.random_direction(problem.m, problem.n, np.random.default_rng(4))
-    for t in (1e-4, 1.0):
-        pred = tc.first_order_prediction(work, problem, solution, direction, t)
-        expected = solution.x + t * (k @ direction.stacked())
-        assert np.linalg.norm(pred - expected) <= 1e-12 * np.linalg.norm(expected)
-    # zero step returns x exactly
-    pred = tc.first_order_prediction(work, problem, solution, direction, 0.0)
-    np.testing.assert_array_equal(pred, solution.x)
+    z = unit_normals(problem.m, problem.n, np.random.default_rng(4))
+    k_z = perturb._k_apply(work, problem, solution, z)
+    assert np.linalg.norm(k_z - k @ z) <= 1e-12 * np.linalg.norm(k @ z)
     if problem.label != "fix_a":
         return
     # pure b-perturbation along e2: the matching K column is zero
-    pred = tc.first_order_prediction(
-        work, problem, solution, unit_direction(2, 1, b_entry=1), 1e-6
-    )
-    np.testing.assert_allclose(pred, [0.0], atol=1e-20)
+    k_z = perturb._k_apply(work, problem, solution, unit_direction(2, 1, b_entry=1))
+    np.testing.assert_allclose(k_z, [0.0], atol=1e-14)
     # unit bump of A's (2,1) entry moves x by t/3
-    pred = tc.first_order_prediction(
-        work, problem, solution, unit_direction(2, 1, entry=(1, 0)), 1e-4
-    )
-    np.testing.assert_allclose(pred, [1e-4 / 3.0], rtol=1e-12)
+    k_z = perturb._k_apply(work, problem, solution, unit_direction(2, 1, entry=(1, 0)))
+    np.testing.assert_allclose(k_z, [1.0 / 3.0], rtol=1e-12)
 
 
 def test_perturbation_ratio_fix_a(fix_a):
-    ratio = tc.perturbation_ratio(fix_a, unit_direction(2, 1, entry=(1, 0)), 1e-8)
+    [ratio] = ratios(fix_a, unit_direction(2, 1, entry=(1, 0)), [1e-8])
     assert ratio == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_ratio_tends_to_directional_derivative():
     problem = tc.generate_ab_alpha(20, 5, 0.5, seed=21)
-    rng = np.random.default_rng(2)
-    direction = tc.random_direction(20, 5, rng)
-    predicted = np.linalg.norm(k_of(problem) @ direction.stacked())
+    z = unit_normals(20, 5, np.random.default_rng(2))
+    predicted = np.linalg.norm(k_of(problem) @ z)
     # t balances the Taylor remainder O(t) against rounding O(eps/t)
-    ratio = tc.perturbation_ratio(problem, direction, 1e-7)
+    ratio, closer, far = ratios(problem, z, [1e-7, 1e-8, 1e-4])
     assert ratio == pytest.approx(predicted, rel=1e-4)
-    closer = tc.perturbation_ratio(problem, direction, 1e-8)
-    assert abs(closer - predicted) < abs(
-        tc.perturbation_ratio(problem, direction, 1e-4) - predicted
-    )
+    assert abs(closer - predicted) < abs(far - predicted)
 
 
 def test_worst_direction_fix_a(problem):
     bundle, solution, work = pipeline(problem)
     k = tc.build_k_matrix(problem, bundle, solution)
-    direction = tc.worst_direction(work, problem, solution)
-    assert np.linalg.norm(direction.stacked()) == pytest.approx(1.0, abs=1e-14)
-    attained = np.linalg.norm(k @ direction.stacked())
+    z = tc.worst_direction(work, problem, solution)
+    assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-14)
+    attained = np.linalg.norm(k @ z)
     assert attained == pytest.approx(np.linalg.norm(k, 2), rel=1e-10)
     if problem.label != "fix_a":
         return
-    # top right singular vector of (1/3)[0 1 2 0], sign-insensitive
+    # top right singular vector of (1/3)[0 1 2 0], sign-insensitive: [vec(dA); db]
     np.testing.assert_allclose(
-        np.abs(direction.delta_a), [[0.0], [1 / np.sqrt(5)]], atol=1e-14
+        np.abs(z), [0.0, 1 / np.sqrt(5), 2 / np.sqrt(5), 0.0], atol=1e-14
     )
-    np.testing.assert_allclose(
-        np.abs(direction.delta_b), [2 / np.sqrt(5), 0.0], atol=1e-14
-    )
-    ratio = tc.perturbation_ratio(problem, direction, 1e-8)
+    [ratio] = ratios(problem, z, [1e-8])
     assert ratio == pytest.approx(np.sqrt(5) / 3, rel=1e-3)
 
 
@@ -117,10 +105,10 @@ def test_worst_direction_on_deblur():
     # map through V11 attains the svd reference along the worst direction
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=300, seed=1))
     bundle, solution, work = pipeline(problem)
-    direction = tc.worst_direction(work, problem, solution)
-    pred = tc.first_order_prediction(work, problem, solution, direction, 1.0)
+    z = tc.worst_direction(work, problem, solution)
     kappa = tc.svd_condition(work, bundle, solution).kappa_abs
-    assert np.linalg.norm(pred - solution.x) == pytest.approx(kappa, rel=1e-8)
+    k_z = perturb._k_apply(work, problem, solution, z)
+    assert np.linalg.norm(k_z) == pytest.approx(kappa, rel=1e-8)
 
 
 def test_worst_direction_ignores_the_signs_of_v():
@@ -135,7 +123,7 @@ def test_worst_direction_ignores_the_signs_of_v():
     for each in (bundle, flipped):
         solution = tc.solve_tls(problem, each)
         work = tc.build_spectral_work(problem, each, solution)
-        directions.append(tc.worst_direction(work, problem, solution).stacked())
+        directions.append(tc.worst_direction(work, problem, solution))
     np.testing.assert_allclose(directions[0], directions[1], rtol=0, atol=1e-15)
 
 
@@ -155,39 +143,46 @@ def test_monte_carlo_never_forms_k():
 
 def test_perturbation_too_large(fix_a, fix_b):
     # driving A's first column toward zero erases the gap
-    direction = tc.PerturbationDirection.normalized([[-1.0], [0.0]], [0.0, 0.0])
     with pytest.raises(PerturbationTooLarge):
-        tc.perturbation_ratio(fix_a, direction, 1.0)
+        ratios(fix_a, stacked([[-1.0], [0.0]], [0.0, 0.0]), [1.0])
     # b + t db = (1, 0) lies in range(A): sigma_{n+1} = 0 exactly
-    direction = tc.PerturbationDirection.normalized([[0.0], [0.0]], [0.0, -1.0])
     with pytest.raises(PerturbationTooLarge):
-        tc.perturbation_ratio(fix_b, direction, 1.0)
+        ratios(fix_b, stacked([[0.0], [0.0]], [0.0, -1.0]), [1.0])
+
+
+def remainders(problem, z, steps):
+    """|ratio - ||K z||| at each step along z."""
+    _, solution, work = pipeline(problem)
+    return [remainder for _, remainder in
+            perturb._along(work, problem, solution, z, [(t, False) for t in steps])]
 
 
 def test_convergence_first_order():
     problem = tc.generate_ab_alpha(20, 5, 0.5, seed=3)
-    rng = np.random.default_rng(11)
-    direction = tc.random_direction(20, 5, rng)
-    points = tc.convergence_study(problem, direction, [1e-4, 1e-5, 1e-6])
-    assert all(p.clean for p in points)
+    z = unit_normals(20, 5, np.random.default_rng(11))
+    steps = [1e-4, 1e-5, 1e-6]
+    points = remainders(problem, z, steps)
     # remainder decays ~10x per decade
-    assert points[1].remainder == pytest.approx(points[0].remainder / 10, rel=0.3)
-    assert points[2].remainder == pytest.approx(points[1].remainder / 10, rel=0.3)
-    slope = tc.remainder_slope(points)
+    assert points[1] == pytest.approx(points[0] / 10, rel=0.3)
+    assert points[2] == pytest.approx(points[1] / 10, rel=0.3)
+    slope = np.polyfit(np.log(steps), np.log(points), 1)[0]
     assert 0.8 <= slope <= 1.2
 
-    halved = tc.convergence_study(problem, direction, [2e-5, 1e-5])
-    assert halved[1].remainder == pytest.approx(halved[0].remainder / 2, rel=0.2)
+    halved = remainders(problem, z, [2e-5, 1e-5])
+    assert halved[1] == pytest.approx(halved[0] / 2, rel=0.2)
 
 
-def test_convergence_floor_flagged():
+def test_a_step_below_the_clean_floor_is_not_applicable():
+    # at 1e-13 ||[A b]||_F the worst direction reads 1.016 kappa, and at 1e-16
+    # 9.3 kappa: rounding, not the map, so a correct kappa would read unsound
     problem = tc.generate_ab_alpha(20, 5, 0.5, seed=3)
-    rng = np.random.default_rng(11)
-    direction = tc.random_direction(20, 5, rng)
-    points = tc.convergence_study(problem, direction, [1e-5, 1e-16])
-    assert points[0].clean and not points[1].clean
-    # the floor point is excluded from the fit, leaving too few clean points
-    assert np.isnan(tc.remainder_slope(points))
+    floor = perturb.CLEAN_STEP_FLOOR * pipeline(problem)[2].aug_frobenius
+    for t in (0.1 * floor, 1e-4 * floor):
+        with pytest.raises(NotApplicable, match=f"t={t:.3e} is below the clean-step floor "
+                                                f"{floor:.3e}"):
+            tc.monte_carlo_validate(problem, trials=5, t=t)
+    summary = tc.monte_carlo_validate(problem, trials=5, t=floor)
+    assert summary.sound and summary.attained
 
 
 def test_monte_carlo_fix_b(fix_b):
@@ -201,17 +196,19 @@ def test_monte_carlo_fix_b(fix_b):
 
 @pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30"])
 def test_the_worst_direction_probe_is_the_convergence_study(name):
-    # the summary's worst-direction ratio and slopes are convergence_study's
-    # ratio and remainders at the same steps along worst_direction, bit for bit
+    # the summary's worst-direction ratio and slopes are the ratio and the
+    # remainders along worst_direction at the same steps, bit for bit
     problem = RESOLVE_CASES[name]()
     summary = tc.monte_carlo_validate(problem, trials=5, seed=2)
     steps = [t for t, _ in summary.convergence_slopes]
     assert len(steps) == 3
     _, solution, work = pipeline(problem)
     worst = tc.worst_direction(work, problem, solution)
-    first, *points = tc.convergence_study(problem, worst, [summary.step, *steps])
-    assert first.ratio == summary.worst_direction_ratio
-    assert [(p.t, p.remainder) for p in points] == list(summary.convergence_slopes)
+    (first, _), *points = perturb._along(
+        work, problem, solution, worst, [(t, False) for t in [summary.step, *steps]])
+    assert first == summary.worst_direction_ratio
+    assert [(t, remainder) for t, (_, remainder) in zip(steps, points)] == list(
+        summary.convergence_slopes)
 
 
 def test_monte_carlo_trials_zero(fix_b):
@@ -223,14 +220,8 @@ def test_monte_carlo_trials_zero(fix_b):
 
 @pytest.mark.parametrize("t", [0.0, -1e-6, np.nan, np.inf])
 def test_validator_refuses_a_bad_step(fix_b, t):
-    direction = unit_direction(2, 1, entry=(0, 0))
-    for call in (
-        lambda: tc.monte_carlo_validate(fix_b, trials=3, t=t),
-        lambda: tc.convergence_study(fix_b, direction, [1e-6, t]),
-        lambda: tc.perturbation_ratio(fix_b, direction, t),
-    ):
-        with pytest.raises(ValueError, match="positive and finite"):
-            call()
+    with pytest.raises(ValueError, match="positive and finite"):
+        tc.monte_carlo_validate(fix_b, trials=3, t=t)
 
 
 def test_monte_carlo_refuses_negative_trials(fix_b):
@@ -244,12 +235,11 @@ def test_monte_carlo_deterministic(fix_b):
     assert s1 == s2
 
 
-def per_trial_ratio(problem, base_solution, direction, t):
+def per_trial_ratio(problem, base_solution, z, t):
     """The lab's re-solve one problem at a time, as solve_tls takes it: the reference."""
-    perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
-                              problem.b_vector + t * direction.delta_b)
+    rebuilt = perturbed(problem, z, t)
     try:
-        solution = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
+        solution = tc.solve_tls(rebuilt, tc.svd_bundle(rebuilt))
     except (NoUniqueSolution, TrivialProblem) as exc:
         raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from exc
     base_gap, pert_gap = base_solution.gap.rel_gap, solution.gap.rel_gap
@@ -272,39 +262,36 @@ RESOLVE_CASES = {
 def test_stacked_resolves_are_the_solver_bitwise(name):
     problem = RESOLVE_CASES[name]()
     rng = np.random.default_rng(8)
-    directions = [tc.random_direction(problem.m, problem.n, rng) for _ in range(12)]
+    directions = [unit_normals(problem.m, problem.n, rng) for _ in range(12)]
     scale = np.linalg.norm(problem.augmented())
     ts = [scale * 10.0 ** -(4 + i % 5) for i in range(12)]
-    stacked = iter([direction.stacked() for direction in directions])
+    fills = iter(directions)
 
     def fill(z):
-        np.copyto(z, next(stacked))
+        np.copyto(z, next(fills))
 
     resolved = list(perturb._resolves(problem, fill, ts))
     assert len(resolved) == 12
-    for (x, gap), direction, t in zip(resolved, directions, ts):
-        perturbed = tc.TlsProblem(problem.a_matrix + t * direction.delta_a,
-                                  problem.b_vector + t * direction.delta_b)
-        reference = tc.solve_tls(perturbed, tc.svd_bundle(perturbed))
+    for (x, gap), z, t in zip(resolved, directions, ts):
+        rebuilt = perturbed(problem, z, t)
+        reference = tc.solve_tls(rebuilt, tc.svd_bundle(rebuilt))
         np.testing.assert_array_equal(x, reference.x)
         assert gap.rel_gap == reference.gap.rel_gap
 
 
 @pytest.mark.parametrize("name", ["alpha_50x10", "deblur_60"])  # the QR and the direct route
 def test_the_trials_are_random_directions_drawn_in_turn(name):
-    # trial i is the (i+1)-th random_direction of default_rng(seed), re-solved
-    # as perturbation_ratio re-solves it: the same maximum, bit for bit
+    # trial i is the i-th run of m(n+1) normals of default_rng(seed) in
+    # stacked order, unit length, re-solved one problem at a time: the same
+    # maximum, bit for bit
     problem = RESOLVE_CASES[name]()
     t = 1e-8 * np.linalg.norm(problem.augmented())
     summary = tc.monte_carlo_validate(problem, trials=12, t=t, seed=3)
+    base = tc.solve_tls(problem, tc.svd_bundle(problem))
     rng = np.random.default_rng(3)
-    ratios = [tc.perturbation_ratio(problem, tc.random_direction(problem.m, problem.n, rng), t)
-              for _ in range(12)]
-    assert summary.max_observed_ratio == max(ratios)
-    # and one trial's draw is the next m(n+1) normals in stacked order, unit length
-    normals = np.random.default_rng(3).standard_normal(problem.m * (problem.n + 1))
-    direction = tc.random_direction(problem.m, problem.n, 3)
-    np.testing.assert_array_equal(direction.stacked(), normals / np.linalg.norm(normals))
+    observed = [per_trial_ratio(problem, base, unit_normals(problem.m, problem.n, rng), t)
+                for _ in range(12)]
+    assert summary.max_observed_ratio == max(observed)
 
 
 def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
@@ -349,7 +336,7 @@ def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
     rng = np.random.default_rng(1)
     with pytest.raises(PerturbationTooLarge) as expected:
         for index in range(20):
-            per_trial_ratio(problem, base, tc.random_direction(10, 3, rng), t)
+            per_trial_ratio(problem, base, unit_normals(10, 3, rng), t)
     assert index == 9
     with pytest.raises(PerturbationTooLarge) as got:
         tc.monte_carlo_validate(problem, trials=20, t=t, seed=1)
@@ -357,13 +344,13 @@ def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
     # a step that loses the gap outright between two that keep it
     fix_a = tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0])
     base = tc.solve_tls(fix_a, tc.svd_bundle(fix_a))
-    direction = tc.PerturbationDirection.normalized([[-1.0], [0.0]], [0.0, 0.0])
+    direction = stacked([[-1.0], [0.0]], [0.0, 0.0])
     steps = [1e-3, 1.0, 1e-4]
     per_trial_ratio(fix_a, base, direction, steps[0])  # keeps the gap
     with pytest.raises(PerturbationTooLarge) as expected:
         per_trial_ratio(fix_a, base, direction, steps[1])
     with pytest.raises(PerturbationTooLarge) as got:
-        tc.convergence_study(fix_a, direction, steps)
+        ratios(fix_a, direction, steps)
     assert str(got.value) == str(expected.value) == "gap lost at t=1.000e+00"
     assert type(got.value.__cause__) is type(expected.value.__cause__) is NoUniqueSolution
     assert str(got.value.__cause__) == str(expected.value.__cause__)
@@ -386,15 +373,14 @@ def test_the_lab_memory_does_not_grow_with_trials():
 def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
     # dA = -A at t = 1 zeroes A, so the gap is lost; the next step still resolves
     bundle, solution, work = pipeline(fix_b)
-    direction = tc.PerturbationDirection.normalized(-fix_b.a_matrix, np.zeros(2))
+    direction = stacked(-fix_b.a_matrix, np.zeros(2))
 
-    def ratios(steps):
-        fill = perturb._copying(direction.stacked())
-        return perturb._ratios(fix_b, solution, fill, steps)
+    def probe(steps):
+        return perturb._ratios(fix_b, solution, perturb._copying(direction), steps)
 
-    lost, ratio = ratios([(1.0, True), (1e-8, False)])
+    lost, ratio = probe([(1.0, True), (1e-8, False)])
     assert lost is None
-    first_order = tc.first_order_prediction(work, fix_b, solution, direction, 1.0) - solution.x
+    first_order = perturb._k_apply(work, fix_b, solution, direction)
     assert ratio == pytest.approx(np.linalg.norm(first_order), rel=1e-6)  # 2.1708...
     with pytest.raises(PerturbationTooLarge, match="gap lost at t=1.000e"):
-        ratios([(1.0, False), (1e-8, False)])
+        probe([(1.0, False), (1e-8, False)])
