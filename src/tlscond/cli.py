@@ -2,7 +2,8 @@
 
 Subcommands: solve, cond, bounds, gen, validate, table. solve prints x, the
 identity residuals, the normal-equations cross-check (n/a, with the reason,
-below core.HARD_GAP_LIMIT) and the gap chain. Human-readable output uses 3
+where core.check_p refuses P) and the gap chain. cond runs the svd route
+unless --method names another, or all four. Human-readable output uses 3
 significant digits; files written via --out keep full precision. A file's
 name decides its format (see tlscond.problem). Exit codes: 0 success, 2
 parse/shape/flag problems, 3 no unique solution or no solvable generated
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact
-from .core import HARD_GAP_LIMIT, residual_diagnostics, solve_tls, svd_bundle
+from .core import check_p, residual_diagnostics, solve_tls, svd_bundle
 from .errors import (
     GapFailure,
     IllConditionedGap,
@@ -160,11 +161,11 @@ def _cmd_solve(args) -> int:
         f"identity residuals: optimal={report.optimal_value:.2e} "
         f"gradient={report.gradient:.2e} singular_vector={report.singular_vector:.2e}"
     )
-    if report.normal_eq_rel_diff is None:
-        print(f"normal-equations cross-check: n/a (rel_gap={diag.rel_gap:.3e} < "
-              f"{HARD_GAP_LIMIT}: P is numerically singular)")
-    else:
+    try:
+        check_p(bundle)
         print(f"normal-equations cross-check: rel_diff={report.normal_eq_rel_diff:.2e}")
+    except IllConditionedGap as exc:
+        print(f"normal-equations cross-check: n/a ({exc})")
     if report.gap_chain_holds is None:
         print("gap enclosure chain: n/a (x = 0)")
     else:
@@ -205,8 +206,7 @@ def _cmd_cond(args) -> int:
             failure = failure or exc
             continue
         rel = "n/a" if est.kappa_rel is None else f"{est.kappa_rel:.6e}"
-        flags = f"  [{'; '.join(est.warnings)}]" if est.warnings else ""
-        print(f"{method:10s} kappa_abs={est.kappa_abs:.6e}  kappa_rel={rel}{flags}")
+        print(f"{method:10s} kappa_abs={est.kappa_abs:.6e}  kappa_rel={rel}")
     if failure is not None:
         raise failure
     return 0
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument(
         "--method",
         choices=["kron", "cholesky", "svd", "baboulin", "all"],
-        default="all",
+        default="svd",
+        help="route (default svd, the reference); all runs the four, the Kronecker oracle too",
     )
     p_cond.set_defaults(func=_cmd_cond)
 

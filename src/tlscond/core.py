@@ -35,11 +35,11 @@ The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
 solution off it. Its acceptance rules are accept_trailing_vector, which the
 lab's stacked re-solves call too; its checks are residual_diagnostics' work.
-The gap is classified once from delta, kept as TlsSolution.gap, and judged by
-the one policy here: below a relative gap of HARD_GAP_LIMIT, P = A^T A -
-sigma_{n+1}^2 I is numerically singular, so the normal-equations cross-check
-P^{-1} A^T b is skipped and GapDiagnostics.gate refuses the P-based routes;
-below WARN_GAP_LIMIT the gate warns.
+The gap is classified once from delta and kept as TlsSolution.gap. Every
+computation that forms P = A^T A - sigma_{n+1}^2 I (the normal-equations
+cross-check here, exact's cholesky route and explicit K) passes one gate,
+check_p: it refuses P once eps sigma_hat_1^2 / delta, the rounding of forming
+P relative to its smallest eigenvalue, exceeds P_ROUNDING_LIMIT.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ from .errors import (
 )
 from .problem import TlsProblem
 
-HARD_GAP_LIMIT = 1e-6
-WARN_GAP_LIMIT = 1e-3
-
-
 _EPS = float(np.finfo(float).eps)
 # the range kept clear of overflow and underflow in SigmaHatRoots' secular form
 _NEGLIGIBLE = math.sqrt(float(np.finfo(float).tiny) / _EPS)
 # the largest sigma_1 for which 4 sigma_1^2 is finite: every squared gap, and
 # the rel_gap denominator sigma_hat_n (sigma_hat_n + sigma_{n+1}), is at most 2 sigma_1^2
 _SCALE_LIMIT = math.sqrt(float(np.finfo(float).max) / 4)
+# check_p refuses P where eps sigma_hat_1^2 / delta exceeds this
+P_ROUNDING_LIMIT = 1e-8
 
 
 def secular_root(
@@ -364,20 +362,6 @@ class GapDiagnostics:
     ratio_sigma_n: float    # sigma_{n+1} / sigma_n
     ratio_sigma_hat_n: float  # sigma_{n+1} / sigma_hat_n = 1 - rel_gap
 
-    @property
-    def solvable(self) -> bool:
-        return self.gap_ok and self.nontrivial
-
-    def gate(self) -> tuple[str, ...]:
-        """Gate of the P-based routes: raise below HARD_GAP_LIMIT, warn below WARN_GAP_LIMIT."""
-        if self.rel_gap < HARD_GAP_LIMIT:
-            raise IllConditionedGap(
-                f"rel_gap={self.rel_gap:.3e} < {HARD_GAP_LIMIT}: P is numerically singular"
-            )
-        if self.rel_gap < WARN_GAP_LIMIT:
-            return (f"rel_gap={self.rel_gap:.3e} < {WARN_GAP_LIMIT}: P nearly singular",)
-        return ()
-
 
 @dataclass(frozen=True)
 class TlsSolution:
@@ -385,7 +369,7 @@ class TlsSolution:
     r: np.ndarray                 # (m,), r = A x - b
     alpha: float                  # 1/sqrt(1 + ||x||^2), in (0, 1]
     last_right_vector: np.ndarray  # v_{n+1}, sign-normalized so last entry = -alpha
-    gap: GapDiagnostics           # check_uniqueness of the bundle, decided once
+    gap: GapDiagnostics           # the bundle's gap, classified once by the solver
 
     @property
     def norm_x(self) -> float:
@@ -404,7 +388,7 @@ class ResidualReport:
     optimal_value: float
     gradient: float
     singular_vector: float
-    normal_eq_rel_diff: float | None  # None below HARD_GAP_LIMIT, where P is singular
+    normal_eq_rel_diff: float | None  # None where check_p refuses P
     gap_chain_lower: float | None  # |u_hat_n . b| / (2 ||x||)
     gap_chain_mid: float | None    # sigma_hat_n - sigma_{n+1}, from delta
     gap_chain_upper: float | None  # ||b|| / ||x||
@@ -483,11 +467,6 @@ def _classify_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagn
     )
 
 
-def check_uniqueness(bundle: SvdBundle) -> GapDiagnostics:
-    """Classify the gap condition 0 < sigma_{n+1} < sigma_hat_n from delta."""
-    return _classify_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
-
-
 def accept_trailing_vector(
     sigma: np.ndarray, v_last: np.ndarray, sig_hat_n: float, delta: float
 ) -> tuple[GapDiagnostics, np.ndarray]:
@@ -524,12 +503,31 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     return TlsSolution(x=x, r=r, alpha=float(alpha), last_right_vector=v_last, gap=diag)
 
 
+def check_p(bundle: SvdBundle) -> float:
+    """eps sigma_hat_1^2 / delta, the one gate of every computation that forms P.
+
+    Forming P = A^T A - sigma_{n+1}^2 I rounds it by about eps ||A^T A|| =
+    eps sigma_hat_1^2, and its smallest eigenvalue is delta: the quotient is
+    P's relative rounding, eps cond(P) where sigma_{n+1} << sigma_hat_1.
+    Raises IllConditionedGap above P_ROUNDING_LIMIT, where a solve against P
+    has lost the digits that an agreement to 1e-8 needs; on alpha and
+    deblurring problems the cholesky route and the explicit K were off the
+    svd route by at most 0.6 times the quotient. sigma_hat_1 is the bundle's
+    top secular root, solved here once per bundle if no bound has read it.
+    """
+    rounding = _EPS * bundle.roots.at(0)[0] ** 2 / bundle.delta
+    if rounding > P_ROUNDING_LIMIT:
+        raise IllConditionedGap(f"eps sigma_hat_1^2/delta={rounding:.3e} > "
+                                f"{P_ROUNDING_LIMIT:g}: P is numerically singular")
+    return rounding
+
+
 def residual_diagnostics(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ResidualReport:
     """Identity residuals, the normal-equations cross-check and the gap chain.
 
-    The cross-check P^{-1} A^T b runs only at relative gap >= HARD_GAP_LIMIT.
+    The cross-check P^{-1} A^T b runs only where check_p accepts P.
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
     is only defined for x != 0; for x = 0 its entries are None. Its
     |u_hat_n . b| is the bundle's SigmaHatRoots.b_weight_n, O(n) from the root
@@ -552,13 +550,15 @@ def residual_diagnostics(
               / (sig2 * max(1.0, norm_x))),
         float(np.linalg.norm(solution.last_right_vector - alpha * np.concatenate([x, [-1.0]]))),
     )
-    normal_eq_rel_diff = None
-    if solution.gap.rel_gap >= HARD_GAP_LIMIT:
+    try:
+        check_p(bundle)
         rows = bundle.rows / scale
         r_a = rows[:, : problem.n]
         p = r_a.T @ r_a - sig2 * np.eye(problem.n)
         x_ne = np.linalg.solve(p, r_a.T @ rows[:, -1])
         normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
+    except IllConditionedGap:
+        normal_eq_rel_diff = None
     if norm_x == 0.0:
         return ResidualReport(*identities, normal_eq_rel_diff, None, None, None, None)
     lower = bundle.roots.b_weight_n() / (2.0 * norm_x)

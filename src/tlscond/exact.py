@@ -24,10 +24,10 @@ itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not O(mn^2).
 
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
-(kronecker and cholesky) and build_k_matrix pass through solution.gap.gate,
-the one gap policy of core: IllConditionedGap below relative gap
-core.HARD_GAP_LIMIT, a warning below core.WARN_GAP_LIMIT. baboulin takes
-every difference from a secular root, not from P, so it needs no gate.
+(cholesky, and kronecker through build_k_matrix) pass core.check_p, the one
+gate on P: IllConditionedGap once eps sigma_hat_1^2 / delta exceeds
+core.P_ROUNDING_LIMIT. baboulin takes every difference from a secular root,
+not from P, so it needs no gate.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, deflate, secular_root
+from .core import SvdBundle, TlsSolution, check_p, deflate, secular_root
 from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
@@ -119,7 +119,7 @@ class ExactFormulaWork:
 class ConditionEstimate:
     kappa_abs: float
     kappa_rel: float | None       # None when x = 0
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()  # always (): a route answers or raises; bench/ reads it
 
 
 def _gram_norm(gram: np.ndarray) -> float:
@@ -178,19 +178,19 @@ def build_k_matrix(
     filled block by block, the only n x m(n+1) array built. K solves against
     P = A^T A - sigma_{n+1}^2 I explicitly (not through V11; its A^T A is
     R_A^T R_A from bundle.rows on the QR route), so it stays an
-    independent oracle for the svd route. It is gap-gated, and refused with
-    NotApplicable before anything is allocated when K's own n * m(n+1)
-    entries exceed K_MAX_ENTRIES.
+    independent oracle for the svd route. It passes core.check_p first, and
+    is then refused with NotApplicable before anything is allocated when K's
+    own n * m(n+1) entries exceed K_MAX_ENTRIES.
     """
     m, n = problem.m, problem.n
+    if bundle.sigma[-1] == 0.0:
+        raise TrivialProblem("r = 0: the first-order map is not defined")
+    check_p(bundle)
     if n * m * (n + 1) > K_MAX_ENTRIES:
         raise NotApplicable(
             f"K: the oracle is limited to n*m(n+1) <= {K_MAX_ENTRIES} (2^24) entries; "
             f"{m}x{n} gives {n * m * (n + 1)}"
         )
-    if bundle.sigma[-1] == 0.0:
-        raise TrivialProblem("r = 0: the first-order map is not defined")
-    solution.gap.gate()
     a, r_a = problem.a_matrix, bundle.rows[:, :n]
     r = solution.r
     x_tilde = np.append(solution.x, -1.0)
@@ -212,14 +212,13 @@ def kron_condition(
     """kappa = ||K|| for the K of build_k_matrix.
 
     ||K|| is the square root of the top eigenvalue of the n x n Gram matrix
-    K K^T, clamped at 0, not an SVD of the wide K. K solves against P, so the
-    route is gated like the cholesky route. The relative scale ||[A b]||_F
-    is taken from the data.
+    K K^T, clamped at 0, not an SVD of the wide K. K solves against P, and
+    build_k_matrix has already gated it. The relative scale ||[A b]||_F is
+    taken from the data.
     """
-    warnings = solution.gap.gate()
     kappa = _gram_norm(k_matrix @ k_matrix.T)
     aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
-    return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution), warnings)
+    return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution))
 
 
 def cholesky_condition(
@@ -232,12 +231,11 @@ def cholesky_condition(
 
     ||P^{-1} L|| is the square root of the top eigenvalue of its n x n Gram
     matrix, clamped at 0, as in kron_condition: no SVD. Raises
-    IllConditionedGap below relative gap core.HARD_GAP_LIMIT, where P is
-    numerically singular and the result would be meaningless, and warns below
-    core.WARN_GAP_LIMIT. P, C and their Cholesky factors are formed only once
-    the gate has passed.
+    IllConditionedGap where core.check_p refuses P: there P's rounding
+    could leave the result more than 1e-8 off. P, C and their Cholesky
+    factors are formed only once the gate has passed.
     """
-    warnings = solution.gap.gate()
+    check_p(bundle)
     n = problem.n
     r_a = bundle.rows[:, :n]  # A, or its R_A: R_A^T R_A = A^T A in O(n^3)
     x = solution.x
@@ -256,8 +254,7 @@ def cholesky_condition(
     y = scipy.linalg.solve_triangular(p_factor, l_factor, lower=True)
     y = scipy.linalg.solve_triangular(p_factor.T, y, lower=False)
     kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(y.T @ y))
-    rel = _relative(kappa, work.aug_frobenius, solution)
-    return ConditionEstimate(kappa, rel, warnings)
+    return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))
 
 
 def svd_condition(

@@ -6,7 +6,7 @@ import pytest
 
 import tlscond as tc
 from conftest import counting_factorizations, failed_dlasd4, failed_svd, pipeline
-from tlscond import core
+from tlscond import core, exact
 from tlscond.cli import main, run_table_example1, run_table_example2
 
 
@@ -369,8 +369,33 @@ def test_failed_verdict_aborts_table(monkeypatch, capsys):
     assert "kappa1" in err
 
 
+def test_cond_defaults_to_the_svd_route(tmp_path, capsys, monkeypatch):
+    path = gen_problem_file(tmp_path, capsys)
+    code, reference, _ = run(["cond", "--input", str(path), "--method", "svd"], capsys)
+    assert code == 0
+
+    def no_oracle(*args):
+        raise AssertionError("the Kronecker oracle ran")
+
+    monkeypatch.setattr(exact, "build_k_matrix", no_oracle)
+    code, out, _ = run(["cond", "--input", str(path)], capsys)
+    assert code == 0 and out == reference
+    assert len(out.splitlines()) == 1 and out.startswith("svd ")
+
+
+def test_cond_cholesky_refuses_the_deblur_m300_draw(tmp_path, capsys):
+    # rel_gap 1.6e-6 passed the old hard limit, and cholesky answered 8.0e-8 off
+    path = tmp_path / "g.csv"
+    code, _, _ = run(["gen", "--kind", "kammnagy", "--m", "300", "--seed", "916631015",
+                      "--out", str(path)], capsys)
+    assert code == 0
+    code, out, err = run(["cond", "--method", "cholesky", "--input", str(path)], capsys)
+    assert code == 4
+    assert "cholesky   failed: eps sigma_hat_1^2/delta=" in out and "> 1e-08" in err
+
+
 def test_cond_all_reports_gated_kron(tmp_path, capsys):
-    # deblur m=100, seed 1: rel_gap 1.6e-8, below the gate of every P-based route
+    # deblur m=100, seed 1: eps sigma_hat_1^2 / delta 2.2e-2, above the gate of every P-based route
     path = tmp_path / "blur.csv"
     tc.save_problem(tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), path)
     code, out, _ = run(["cond", "--input", str(path), "--method", "all"], capsys)
@@ -381,7 +406,8 @@ def test_cond_all_reports_gated_kron(tmp_path, capsys):
 
 
 def test_cond_baboulin_answers_below_the_gate(tmp_path, capsys):
-    # deblur m=100, seed 1 (rel_gap 1.6e-8): baboulin reads no P, so it needs no gate
+    # deblur m=100, seed 1 (eps sigma_hat_1^2 / delta 2.2e-2): baboulin reads no P,
+    # so it needs no gate
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     path = tmp_path / "blur.csv"
     tc.save_problem(problem, path)
@@ -447,13 +473,17 @@ def test_solve_prints_the_normal_equations_cross_check(tmp_path, capsys):
 
 
 def test_solve_gives_the_reason_for_no_cross_check(tmp_path, capsys):
-    # deblur m=100, seed 1: rel_gap 1.6e-8, below core.HARD_GAP_LIMIT, where P is singular
+    # deblur m=100, seed 1: eps sigma_hat_1^2 / delta is above core.P_ROUNDING_LIMIT
     path = tmp_path / "blur.mtx"
-    tc.save_problem(tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), path)
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    tc.save_problem(problem, path)
     code, out, _ = run(["solve", "--input", str(path)], capsys)
     assert code == 0
+    bundle = tc.svd_bundle(tc.load_problem(path))
+    rounding = np.finfo(float).eps * bundle.roots.at(0)[0] ** 2 / bundle.delta
     assert cross_check_line(out) == (
-        "normal-equations cross-check: n/a (rel_gap=1.596e-08 < 1e-06: P is numerically singular)"
+        f"normal-equations cross-check: n/a (eps sigma_hat_1^2/delta={rounding:.3e} > 1e-08: "
+        "P is numerically singular)"
     )
 
 

@@ -21,6 +21,7 @@ from tlscond.errors import (
     ConvergenceError,
     DegenerateVector,
     GapFailure,
+    IllConditionedGap,
     NoUniqueSolution,
     ShapeError,
     TrivialProblem,
@@ -63,20 +64,26 @@ def test_interlacing_every_bundle():
         assert bundle.interlacing_defect() < 1e-12
 
 
-def test_check_uniqueness_classification():
-    diag = tc.check_uniqueness(tc.svd_bundle(tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0])))
+def classify(bundle):
+    """The solver's gap classification of a bundle, also where solve_tls raises."""
+    return core._classify_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
+
+
+def test_gap_classification():
+    _, solution, _ = pipeline(tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0]))
+    diag = solution.gap
     assert diag.gap_ok and diag.nontrivial
     assert diag.rel_gap == pytest.approx(0.5)
     assert diag.ratio_sigma_n <= 1.0 and diag.ratio_sigma_hat_n <= 1.0 + 1e-14
 
     # b in range(A): sigma_{n+1} = 0 (zero row keeps the zero exact)
     trivial = tc.TlsProblem([[1.0], [0.0]], [2.0, 0.0])
-    diag = tc.check_uniqueness(tc.svd_bundle(trivial))
+    diag = classify(tc.svd_bundle(trivial))
     assert not diag.nontrivial
 
     # sigma_hat_n = sigma_{n+1}: [A b] orthogonal columns of equal norm
     tied = tc.TlsProblem([[1.0], [0.0]], [0.0, 1.0])
-    diag = tc.check_uniqueness(tc.svd_bundle(tied))
+    diag = classify(tc.svd_bundle(tied))
     assert not diag.gap_ok and diag.rel_gap == 0.0
 
 
@@ -126,10 +133,9 @@ def test_solution_formulas_agree():
         alpha, m, n = configs[i % len(configs)]
         problem = tc.generate_ab_alpha(m, n, alpha, seed=700 + i)
         bundle = tc.svd_bundle(problem)
-        if tc.check_uniqueness(bundle).rel_gap < 1e-3:
-            continue
         solution = tc.solve_tls(problem, bundle)
-        assert solution.gap == tc.check_uniqueness(bundle)
+        if solution.gap.rel_gap < 1e-3:
+            continue
         diff = tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff
         assert diff is not None and diff <= 1e-8
         checked += 1
@@ -138,10 +144,22 @@ def test_solution_formulas_agree():
 
 def test_cross_check_skipped_below_gap_floor():
     problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=0)
-    bundle = tc.svd_bundle(problem)
-    assert tc.check_uniqueness(bundle).rel_gap < 1e-6
-    solution = tc.solve_tls(problem, bundle)
+    bundle, solution, _ = pipeline(problem)
+    with pytest.raises(IllConditionedGap):
+        core.check_p(bundle)
     assert tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff is None
+
+
+def test_check_p_reads_the_top_root_over_the_gap():
+    # eps sigma_hat_1^2 / delta, returned where it is at most P_ROUNDING_LIMIT
+    bundle, _, _ = pipeline(tc.generate_ab_alpha(50, 10, 0.3, seed=7))
+    rounding = core.check_p(bundle)
+    assert rounding == EPS * bundle.sigma_hat[0] ** 2 / bundle.delta
+    assert 0.0 < rounding <= core.P_ROUNDING_LIMIT
+    # the refusal names the quotient and the limit
+    blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    with pytest.raises(IllConditionedGap, match=r"eps sigma_hat_1\^2/delta=.* > 1e-08"):
+        core.check_p(pipeline(blur)[0])
 
 
 def test_gap_chain_fix_b(fix_b):
@@ -422,7 +440,7 @@ def test_deflated_secular_spectrum(name):
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * bundle.sigma[0])
     assert bundle.sigma_hat_n == bundle.sigma_hat[-1]
     # the gap decision of an SVD of A
-    assert tc.check_uniqueness(bundle).gap_ok == (bundle.sigma[-1] < sigma_hat[-1])
+    assert classify(bundle).gap_ok == (bundle.sigma[-1] < sigma_hat[-1])
     if error is None:
         tc.solve_tls(problem, bundle)
     else:
@@ -507,7 +525,7 @@ def test_tiny_weight_of_the_last_pole_still_decides_the_gap():
     problem = zero_noise_deblur()
     bundle = tc.svd_bundle(problem)
     assert 0.0 < bundle.delta < 1e-30 * bundle.sigma[0] ** 2
-    assert tc.check_uniqueness(bundle).solvable
+    assert classify(bundle).gap_ok and classify(bundle).nontrivial
     with pytest.raises(DegenerateVector):
         tc.solve_tls(problem, bundle)
     with pytest.raises(GapFailure):

@@ -9,7 +9,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import counting_factorizations, k_of, pipeline, tie_problem, tied_weighted_problem
-from tlscond import perturb
+from tlscond import core, perturb
 from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
 
@@ -146,17 +146,42 @@ def test_degenerate_gap_behavior():
     assert baboulin.kappa_abs == pytest.approx(estimate.kappa_abs, rel=1e-14, abs=0)
 
 
-def test_gap_warning_band():
-    # alpha = 1e-2 lands the relative gap between the hard 1e-6 gate and the
-    # 1e-3 warning threshold
+def test_p_routes_answer_within_the_rounding_limit():
+    # alpha = 1e-2: rel_gap 4.0e-5 once drew a warning, but eps sigma_hat_1^2 /
+    # delta is 1.9e-10, inside the limit: cholesky and K answer, with no
+    # warning, within 1e-8 of the svd route
     problem = tc.generate_ab_alpha(50, 10, 1e-2, seed=3)
     bundle, solution, work = pipeline(problem)
     assert 1e-6 <= solution.gap.rel_gap < 1e-3
-    assert tc.cholesky_condition(work, problem, bundle, solution).warnings
+    assert core.check_p(bundle) <= core.P_ROUNDING_LIMIT
+    reference = tc.svd_condition(work, bundle, solution).kappa_abs
+    cholesky = tc.cholesky_condition(work, problem, bundle, solution)
+    kron = tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
+    for estimate in (cholesky, kron):
+        assert estimate.warnings == ()
+        assert estimate.kappa_abs == pytest.approx(reference, rel=1e-8, abs=0)
     baboulin = ungated_baboulin(work, bundle, solution)
     assert baboulin.warnings == ()
-    reference = tc.svd_condition(work, bundle, solution).kappa_abs
     assert baboulin.kappa_abs == pytest.approx(reference, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [tc.KammNagyConfig(m=300, seed=916631015), tc.KammNagyConfig(m=60, seed=2)],
+    ids=["deblur_m300_seed916631015", "deblur_m60_seed2"],
+)
+def test_p_routes_refuse_what_rel_gap_let_through(config):
+    # rel_gap 1.6e-6 and 1.0e-5, above the old hard limit of 1e-6: cholesky
+    # answered 8.0e-8 and 2.1e-7 off the svd route (K 3.0e-7 at m=60), with
+    # only a warning. eps sigma_hat_1^2 / delta is 4.4e-5 and 3.2e-6
+    problem = tc.kamm_nagy_problem(config)
+    bundle, solution, work = pipeline(problem)
+    assert solution.gap.rel_gap >= 1e-6
+    with pytest.raises(IllConditionedGap):
+        tc.cholesky_condition(work, problem, bundle, solution)
+    with pytest.raises(IllConditionedGap):
+        tc.build_k_matrix(problem, bundle, solution)
+    assert tc.residual_diagnostics(problem, bundle, solution).normal_eq_rel_diff is None
 
 
 @pytest.mark.parametrize(
@@ -216,7 +241,7 @@ def test_deflated_rows_are_orthonormal_and_orthogonal_to_v():
     ids=["deblur_m100", "alpha_1e-2"],
 )
 def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
-    # one HARD_GAP_LIMIT decides both the solver's normal-equations check and the P gate
+    # one core.check_p decides both the solver's normal-equations check and the P gate
     bundle, solution, work = pipeline(problem)
     report = tc.residual_diagnostics(problem, bundle, solution)
     assert (report.normal_eq_rel_diff is None) == gated
@@ -232,7 +257,8 @@ def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
 def test_gram_products_read_the_bundle_rows(shape, alpha):
     # R_A^T R_A and R_A^T Q^T b against A^T A and A^T b: a bundle whose rows are
     # [A b] itself gives the A^T A forms. Both round to eps cond(P) (measured up
-    # to 0.28 of it, seeds 0-7), and at alpha 1e-4 both forms are gated
+    # to 0.28 of it, seeds 0-7), and at alpha 1e-4 both forms are gated, where
+    # eps sigma_hat_1^2 / delta exceeds core.P_ROUNDING_LIMIT
     problem = tc.generate_ab_alpha(*shape, alpha, seed=3)
     bundle, solution, work = pipeline(problem)
     assert bundle.rows.shape[0] == problem.n + 1
@@ -240,7 +266,7 @@ def test_gram_products_read_the_bundle_rows(shape, alpha):
     cond_p = (bundle.roots.at(0)[0] ** 2 - bundle.sigma[-1] ** 2) / bundle.delta
     tol = max(1e-10, EPS * cond_p)
     reports = [tc.residual_diagnostics(problem, b, solution) for b in (bundle, direct)]
-    if solution.gap.rel_gap < 1e-6:
+    if EPS * bundle.roots.at(0)[0] ** 2 / bundle.delta > core.P_ROUNDING_LIMIT:
         assert reports[0].normal_eq_rel_diff is reports[1].normal_eq_rel_diff is None
         for b in (bundle, direct):
             with pytest.raises(IllConditionedGap):
@@ -255,10 +281,10 @@ def test_gram_products_read_the_bundle_rows(shape, alpha):
 
 
 def test_kron_gated_on_deblur_gap():
-    # rel_gap 1.6e-8: P is numerically singular, so K is off by 3.5e-3
+    # eps sigma_hat_1^2 / delta 2.2e-2: P is numerically singular, so K is off by 3.6e-3
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     bundle, solution, _ = pipeline(problem)
-    assert solution.gap.rel_gap < 1e-6
+    assert EPS * bundle.roots.at(0)[0] ** 2 / bundle.delta > core.P_ROUNDING_LIMIT
     with pytest.raises(IllConditionedGap):
         tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
 

@@ -108,7 +108,7 @@ def test_generate_ab_alpha_tiny_alpha_v11_condition():
     sv = np.linalg.svd(bundle.v_aug[:-1, :-1], compute_uv=False)
     assert sv[0] / sv[-1] == pytest.approx(1e8, rel=1e-6)
     assert np.hypot(1.0, solution.norm_x) == pytest.approx(1e8, rel=1e-6)
-    diag = tc.check_uniqueness(bundle)
+    diag = solution.gap
     assert 1.0 - diag.ratio_sigma_hat_n <= 1e-8  # gap collapses
     # the true rel_gap is 7.0e-16, below what a difference of two singular
     # values resolves: judge it against the 50-digit value, not a fixed floor
@@ -263,7 +263,7 @@ def test_kamm_nagy_draw_runs_only_its_bundle(monkeypatch):
 
 def test_kamm_nagy_gap_regime_at_m_100():
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=3))
-    diag = tc.check_uniqueness(tc.svd_bundle(problem))
+    diag = pipeline(problem)[1].gap
     assert 0.9 <= diag.ratio_sigma_n < 1.0
     assert diag.ratio_sigma_hat_n > 1.0 - 1e-5
 

@@ -2,7 +2,8 @@
 
 Each problem must meet |kappa - kappa_50| / kappa_50 <= 4 eps / min(rel_gap, 1):
 the rounding of the data alone moves kappa by about eps / rel_gap, and the
-explicit K, the only other independent check, is gated below rel_gap 1e-6.
+explicit K, the only other independent check, is gated where eps sigma_hat_1^2
+/ delta exceeds 1e-8.
 The relative gap must meet |rel_gap - rel_gap_50| <= 4 eps sigma_1 / sigma_hat_n,
 the backward-stable SVD's eps sigma_1 error in both singular values over
 sigma_hat_n, and also be within 1e-5 of rel_gap_50 relative: delta, the
@@ -74,7 +75,7 @@ def test_baboulin_kappa_matches_the_50_digit_oracle(name):
 def test_rel_gap_matches_the_50_digit_oracle(name):
     problem = ORACLE_PROBLEMS[name]()
     bundle = tc.svd_bundle(problem)
-    rel_gap = tc.check_uniqueness(bundle).rel_gap
+    rel_gap = tc.solve_tls(problem, bundle).gap.rel_gap
     reference = oracle_rel_gap(problem)
     bound = 4.0 * EPS * bundle.sigma[0] / bundle.sigma_hat_n
     assert abs(rel_gap - reference) <= bound
