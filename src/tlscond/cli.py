@@ -2,8 +2,9 @@
 
 Subcommands: solve, cond, bounds, gen, validate, table. solve prints x, the
 identity residuals, the normal-equations cross-check (n/a, with the reason,
-where core.check_p refuses P) and the gap chain. cond runs the svd route
-unless --method names another, or all four. Human-readable output uses 3
+where core.check_p refuses P) and the gap chain; validate prints how many
+random trials Weyl's inequality certified to keep the gap. cond runs the svd
+route unless --method names another, or all four. Human-readable output uses 3
 significant digits; files written via --out keep full precision. A file's
 name decides its format (see tlscond.problem). Exit codes: 0 success, 2
 parse/shape/flag problems, 3 no unique solution or no solvable generated
@@ -259,6 +260,8 @@ def _cmd_validate(args) -> int:
     )
     max_obs = "n/a" if summary.max_observed_ratio is None else f"{summary.max_observed_ratio:.6e}"
     print(f"max random ratio = {max_obs}")
+    print(f"gap: {summary.certified_trials} of {summary.trials} trials certified "
+          f"(g={summary.gap:.3e}, 2t+s={summary.gap_shift:.3e})")
     print(f"worst-direction ratio = {summary.worst_direction_ratio:.6e}")
     for t, remainder in summary.convergence_slopes:
         print(f"  t={t:.3e}  first-order remainder={remainder:.3e}")

@@ -33,8 +33,10 @@ closed form. So block_svd is the package's one SVD, and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
-solution off it. Its acceptance rules are accept_trailing_vector, which the
-lab's stacked re-solves call too; its checks are residual_diagnostics' work.
+solution off it. Its acceptance rules are accept_trailing_vector: the gap,
+then trailing_vector's rules, which do not read the gap. The lab's stacked
+re-solves call the first, or the second alone on a step whose gap Weyl's
+inequality has certified; its checks are residual_diagnostics' work.
 The gap is classified once from delta and kept as TlsSolution.gap. Every
 computation that forms P = A^T A - sigma_{n+1}^2 I (the normal-equations
 cross-check here, exact's cholesky route and explicit K) passes one gate,
@@ -117,6 +119,18 @@ def deflate(
     return z, rep
 
 
+def check_scale(sigma: np.ndarray) -> float:
+    """sigma_1 (1 where it is 0), the scale of the secular form; ShapeError past
+    _SCALE_LIMIT, where the squared gaps would overflow."""
+    scale = float(sigma[0]) if sigma[0] > 0 else 1.0
+    if scale > _SCALE_LIMIT:
+        raise ShapeError(
+            f"sigma_1={scale:.3e}: its square overflows float64 (limit "
+            f"{_SCALE_LIMIT:.3e}); rescale the data"
+        )
+    return scale
+
+
 class SigmaHatRoots:
     """A's singular values from the singular values and last row v of V of [A b].
 
@@ -148,12 +162,7 @@ class SigmaHatRoots:
 
     def __init__(self, sigma: np.ndarray, v_last: np.ndarray):
         self._sigma, self._v_last = sigma, v_last
-        self._scale = float(sigma[0]) if sigma[0] > 0 else 1.0
-        if self._scale > _SCALE_LIMIT:
-            raise ShapeError(
-                f"sigma_1={self._scale:.3e}: its square overflows float64 (limit "
-                f"{_SCALE_LIMIT:.3e}); rescale the data"
-            )
+        self._scale = check_scale(sigma)
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
@@ -317,6 +326,11 @@ class SvdBundle:
     def n(self) -> int:
         return self.sigma.shape[0] - 1
 
+    @property
+    def abs_gap(self) -> float:
+        """sigma_hat_n - sigma_{n+1}, read from delta, never as a difference."""
+        return self.delta / (self.sigma_hat_n + float(self.sigma[-1]))
+
     @cached_property
     def sigma_hat(self) -> np.ndarray:
         """(n,) every singular value of A, descending (n roots: for checks and tests)."""
@@ -472,20 +486,30 @@ def accept_trailing_vector(
 ) -> tuple[GapDiagnostics, np.ndarray]:
     """The solver's rules on one SVD of [A b]: its gap, and v_{n+1} with its sign fixed.
 
-    Raises NoUniqueSolution when the gap fails, TrivialProblem when
-    sigma_{n+1} = 0, and DegenerateVector when the vector's last entry is
-    numerically zero despite a valid gap (an upstream SVD failure). Returns
-    a copy of v_last (V's last column) negated where needed so that its last
-    entry is -alpha.
+    Raises NoUniqueSolution when the gap fails, then trailing_vector's
+    errors. Returns the gap and trailing_vector's v_{n+1}.
     """
     diag = _classify_gap(sigma, sig_hat_n, delta)
     if not diag.gap_ok:
         raise NoUniqueSolution(f"sigma_{{n+1}}={sigma[-1]:.6e} >= sigma_hat_n={sig_hat_n:.6e}")
-    if not diag.nontrivial:
+    return diag, trailing_vector(sigma, v_last)
+
+
+def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
+    """The solver's rules that do not read the gap: v_{n+1} with its sign fixed.
+
+    Raises TrivialProblem when sigma_{n+1} = 0, and DegenerateVector when the
+    vector's last entry is numerically zero despite a valid gap (an upstream
+    SVD failure). Returns a copy of v_last (V's last column) negated where
+    needed so that its last entry is -alpha. accept_trailing_vector calls it
+    once the gap holds; the lab calls it alone where Weyl's inequality has
+    certified the gap.
+    """
+    if not float(sigma[-1]) > 0.0:
         raise TrivialProblem("sigma_{n+1} = 0: b in range(A), take [E r] = 0")
     if abs(v_last[-1]) <= 1e-14:
         raise DegenerateVector("v_{n+1}(n+1) ~ 0 contradicts the gap condition")
-    return diag, -v_last if v_last[-1] > 0 else v_last.copy()
+    return -v_last if v_last[-1] > 0 else v_last.copy()
 
 
 def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
@@ -562,7 +586,7 @@ def residual_diagnostics(
     if norm_x == 0.0:
         return ResidualReport(*identities, normal_eq_rel_diff, None, None, None, None)
     lower = bundle.roots.b_weight_n() / (2.0 * norm_x)
-    mid = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
+    mid = bundle.abs_gap
     upper = scale * float(np.linalg.norm(problem.b_vector / scale)) / norm_x
     # the backward error of the SVD of [A b] and of the root that gives delta
     slack = 4.0 * _EPS * float(bundle.sigma[0])

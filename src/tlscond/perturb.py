@@ -11,10 +11,16 @@ bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
 its R by the bundle's kernel (core.householder_qr), whose triangle is copied
 into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
 factored by one core.block_svd call, and each step then passes solve_tls's
-own checks (core.accept_trailing_vector) in step order. A random trial's z
-is the next m(n+1) standard normals of one generator, drawn into that buffer
-and divided by their norm; the worst direction's z is copied in. Only x and
-the relative gap are read; no residual is formed. As t -> 0 the ratio
+own checks (core.accept_trailing_vector) in step order. Most steps' gap is
+known before the re-solve: by Weyl's inequality a unit z moves every
+singular value of [A b] and of A by at most t, so where (g - 2t - s) /
+(sigma_hat_n + t), with g = sigma_hat_n - sigma_{n+1} and s a rounding
+slack, keeps GAP_PERSISTENCE of the base rel_gap (_GapCertificate), the step
+builds no SigmaHatRoots, solves no secular root and passes only the rules
+that do not read the gap (core.trailing_vector). A random trial's z is the
+next m(n+1) standard normals of one generator, drawn into that buffer and
+divided by their norm; the worst direction's z is copied in. Only x and the
+relative gap are read; no residual is formed. As t -> 0 the ratio
 approaches ||K z||, is maximized over unit z by the condition number, and
 attains it along K^T u for K's top left singular vector u. K is never
 formed: K z and K^T u cost O(mn) through the closed-form V11^{-1} of
@@ -36,9 +42,11 @@ from .core import (
     accept_trailing_vector,
     block_rows,
     block_svd,
+    check_scale,
     householder_qr,
     solve_tls,
     svd_bundle,
+    trailing_vector,
 )
 from .errors import (
     ConvergenceError,
@@ -61,6 +69,11 @@ VALIDATION_TOLERANCE = 1e-3
 # Bytes of one stack of re-solves (row blocks and their SVD factors): the
 # lab's memory does not grow with its number of trials.
 STACK_BYTES = 2**22
+# Weyl's certificate allows rounding of this many eps ||[A b]||_F: at most 2
+# for forming t z + [A b] (t < ||[A b]||_F there), and a few each for the
+# backward errors of the base bundle's and the re-solve's QR and SVD.
+_WEYL_SLACK = 16.0
+_EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class ValidationSummary:
@@ -70,6 +83,9 @@ class ValidationSummary:
     trials: int
     step: float
     convergence_slopes: tuple          # (t, remainder) pairs along the worst direction
+    certified_trials: int              # random trials whose gap Weyl's inequality certified
+    gap: float                         # g = sigma_hat_n - sigma_{n+1} of [A b], from delta
+    gap_shift: float                   # 2t + s: the most a step, with rounding, moves g
 
     @property
     def sound(self) -> bool:
@@ -84,6 +100,36 @@ class ValidationSummary:
     def attained(self) -> bool:
         """The worst direction reaches kappa within VALIDATION_TOLERANCE."""
         return self.worst_direction_ratio >= self.kappa_reference * (1.0 - VALIDATION_TOLERANCE)
+
+
+@dataclass(frozen=True)
+class _GapCertificate:
+    """Weyl's inequality on the base gap: the steps that cannot lose it.
+
+    A unit z gives ||t [dA db]||_2 <= t, so a step moves every singular value
+    of [A b] and of A by at most t (Stewart & Sun, Matrix Perturbation Theory,
+    1990, IV.4): sigma_hat_n falls and sigma_{n+1} rises by at most t each, and
+    the perturbed rel_gap is at least (g - 2t - s) / (sigma_hat_n + t).
+    """
+
+    gap: float          # g = sigma_hat_n - sigma_{n+1}, from delta
+    slack: float        # s = _WEYL_SLACK eps ||[A b]||_F
+    sigma_hat_n: float
+    required: float     # GAP_PERSISTENCE times the base rel_gap
+
+    @classmethod
+    def of(cls, bundle, base_solution, work: ExactFormulaWork) -> _GapCertificate:
+        """The certificate of one base problem, from its bundle, solution and work."""
+        return cls(
+            gap=bundle.abs_gap,
+            slack=_WEYL_SLACK * _EPS * work.aug_frobenius,
+            sigma_hat_n=bundle.sigma_hat_n,
+            required=GAP_PERSISTENCE * base_solution.gap.rel_gap,
+        )
+
+    def covers(self, t: float) -> bool:
+        """Whether every unit direction keeps rel_gap >= required at step t."""
+        return (self.gap - 2.0 * t - self.slack) / (self.sigma_hat_n + t) >= self.required
 
 
 def _unit_normals(rng, z: np.ndarray) -> None:
@@ -109,21 +155,22 @@ def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, z) -> np.nda
     return work.apply_p_inv(2.0 * (a.T @ r_unit) * (r_unit @ g) - a.T @ g - da.T @ r)
 
 
-def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
+def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate=None) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
     fill writes one step's unit direction, as _resolves takes it. A lost or
-    collapsed gap raises PerturbationTooLarge, or gives None for an optional step.
+    collapsed gap raises PerturbationTooLarge, or gives None for an optional
+    step. A step that the _GapCertificate covers is not checked for it.
     """
     ratios = []
     base_gap = base_solution.gap.rel_gap
-    resolves = _resolves(problem, fill, [t for t, _ in steps])
+    resolves = _resolves(problem, fill, [t for t, _ in steps], certificate)
     for (t, optional), resolved in zip(steps, resolves):
         try:
             if isinstance(resolved, TlsCondError):
                 raise PerturbationTooLarge(f"gap lost at t={t:.3e}") from resolved
             x, gap = resolved
-            if gap.rel_gap < GAP_PERSISTENCE * base_gap:
+            if gap is not None and gap.rel_gap < GAP_PERSISTENCE * base_gap:
                 raise PerturbationTooLarge(
                     f"rel_gap collapsed from {base_gap:.3e} to {gap.rel_gap:.3e}")
             ratios.append(float(np.linalg.norm(x - base_solution.x) / t))
@@ -134,20 +181,23 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps) -> list:
     return ratios
 
 
-def _along(work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps) -> list:
+def _along(
+    work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps, certificate=None
+) -> list:
     """(ratio, remainder) for each step (t, optional) along one fixed unit direction z.
 
     remainder = |ratio - ||K z|||, which decays linearly in t until rounding
-    dominates. As in _ratios, an optional step that loses the gap gives None.
+    dominates. As in _ratios, an optional step that loses the gap gives None,
+    and each step the certificate covers skips the gap check.
     """
     predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, z)))
     return [
         None if ratio is None else (ratio, abs(ratio - predicted))
-        for ratio in _ratios(problem, base_solution, _copying(z), steps)
+        for ratio in _ratios(problem, base_solution, _copying(z), steps, certificate)
     ]
 
 
-def _resolves(problem: TlsProblem, fill, ts):
+def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     """Per step t, solve_tls's (x, gap) on [A + t dA, b + t db], or what it raises.
 
     The NoUniqueSolution or TrivialProblem of a lost gap is yielded, not
@@ -160,9 +210,14 @@ def _resolves(problem: TlsProblem, fill, ts):
     the perturbed problem: the same sums, the same crossover
     (core.block_rows), the same kernels (the R of core.row_block, with its
     +0.0 below the diagonal) and the same checks (core.accept_trailing_vector).
+    A step that the certificate (a _GapCertificate) covers builds no
+    SigmaHatRoots and classifies no gap: it passes only the rules that do not
+    read the gap, core.check_scale (as SigmaHatRoots applies it) and
+    core.trailing_vector, and yields the same x with gap None.
     """
     if not ts:
         return
+    covered = certificate.covers if certificate is not None else lambda t: False
     m, n = problem.m, problem.n
     k = block_rows(m, n + 1)
     per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u and vt
@@ -183,10 +238,14 @@ def _resolves(problem: TlsProblem, fill, ts):
             z += ab
             if aug is not None:
                 np.copyto(block, householder_qr(aug)[0][:k], where=upper)
-        for sigma, vt in _factored(stack):
-            sig_hat_n, delta = SigmaHatRoots(sigma, vt[:, -1]).at(-1)
+        for (sigma, vt), t in zip(_factored(stack), ts[start : start + len(stack)]):
             try:
-                gap, v_last = accept_trailing_vector(sigma, vt[-1], sig_hat_n, delta)
+                if covered(t):
+                    check_scale(sigma)
+                    gap, v_last = None, trailing_vector(sigma, vt[-1])
+                else:
+                    sig_hat_n, delta = SigmaHatRoots(sigma, vt[:, -1]).at(-1)
+                    gap, v_last = accept_trailing_vector(sigma, vt[-1], sig_hat_n, delta)
             except (NoUniqueSolution, TrivialProblem) as exc:
                 yield exc
                 continue
@@ -241,9 +300,12 @@ def monte_carlo_validate(
     straight into the re-solve's buffer and divided by their norm. So the
     first k trials are the same for any trials >= k, and the summary does
     not depend on the stack size. The default step is 1e-8 ||[A b]||_F,
-    balancing the Taylor remainder against rounding. Raises ValueError for
-    trials < 0 or a step that is not positive and finite, and NotApplicable
-    for a step below CLEAN_STEP_FLOOR ||[A b]||_F.
+    balancing the Taylor remainder against rounding. All trials share one
+    step, so Weyl's certificate covers all of them or none (certified_trials),
+    and each of the worst direction's four steps is judged on its own; a
+    covered step solves no secular root and gives the same ratio. Raises
+    ValueError for trials < 0 or a step that is not positive and finite, and
+    NotApplicable for a step below CLEAN_STEP_FLOOR ||[A b]||_F.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -260,13 +322,14 @@ def monte_carlo_validate(
             f"step t={t:.3e} is below the clean-step floor {floor:.3e} "
             f"(CLEAN_STEP_FLOOR * ||[A b]||_F), where the ratios measure rounding")
 
+    certificate = _GapCertificate.of(bundle, base_solution, work)
     draw = functools.partial(_unit_normals, np.random.default_rng(seed))
-    ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials)
+    ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials, certificate)
 
     # the worst direction at t, then three larger steps that may each lose the gap
     worst = worst_direction(work, problem, base_solution)
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    (worst_ratio, _), *probes = _along(work, problem, base_solution, worst, steps)
+    (worst_ratio, _), *probes = _along(work, problem, base_solution, worst, steps, certificate)
     slopes = [
         (step, probe[1]) for (step, _), probe in zip(steps[1:], probes) if probe is not None
     ]
@@ -278,4 +341,7 @@ def monte_carlo_validate(
         trials=trials,
         step=float(t),
         convergence_slopes=tuple(slopes),
+        certified_trials=trials if certificate.covers(t) else 0,
+        gap=certificate.gap,
+        gap_shift=2.0 * t + certificate.slack,
     )

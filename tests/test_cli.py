@@ -97,6 +97,8 @@ def test_validate_command(tmp_path, capsys):
     )
     assert code == 0
     assert "sound=True" in out and "attained=True" in out
+    # alpha 0.3 at the default step: Weyl's inequality certifies every trial's gap
+    assert "gap: 25 of 25 trials certified (g=" in out
 
 
 @pytest.mark.parametrize(

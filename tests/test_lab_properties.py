@@ -1,4 +1,5 @@
-"""Property: every trial re-solve of the lab is solve_tls on the rebuilt problem, bit for bit."""
+"""Properties: every trial re-solve of the lab is solve_tls on the rebuilt problem, bit for
+bit, and a step that Weyl's certificate covers keeps the gap."""
 
 import functools
 
@@ -24,19 +25,53 @@ def _reference(problem, z, t):
     return solution.x, solution.gap.rel_gap
 
 
-def _lab(problem, seed, ts):
-    """Each step's (x, rel_gap) from _resolves on one generator, or the typed error."""
+def _lab(problem, seed, ts, certificate=None):
+    """Each step's (x, rel_gap) from _resolves on one generator, or the typed error.
+
+    A step that the certificate covers reads rel_gap None.
+    """
     resolves = perturb._resolves(
-        problem, functools.partial(perturb._unit_normals, np.random.default_rng(seed)), ts
+        problem, functools.partial(perturb._unit_normals, np.random.default_rng(seed)), ts,
+        certificate,
     )
     out = []
     try:
         for resolved in resolves:
             out.append(resolved if isinstance(resolved, TlsCondError)
-                       else (resolved[0], resolved[1].rel_gap))
+                       else (resolved[0], None if resolved[1] is None else resolved[1].rel_gap))
     except TlsCondError as exc:
         out.append(exc)
     return out
+
+
+def _problem(n, rows, at_limit, data_seed):
+    """A random [A b] with m = n+1, 2(n+1)-1 or 2(n+1) rows, and ||[A b]||_F."""
+    m = {"n+1": n + 1, "below QR": 2 * (n + 1) - 1, "QR": 2 * (n + 1)}[rows]
+    aug = np.random.default_rng(data_seed).standard_normal((m, n + 1))
+    scale = np.linalg.norm(aug)
+    if at_limit:
+        # sigma_1 just below the square's overflow limit: a large enough step
+        # crosses it, and both sides must refuse that re-solve alike
+        factor = (1.0 - 1e-4) * core._SCALE_LIMIT / np.linalg.svd(aug, compute_uv=False)[0]
+        aug, scale = aug * factor, scale * factor
+    return tc.TlsProblem(aug[:, :n], aug[:, n]), scale
+
+
+def _assert_each_step_is_the_reference(problem, stream_seed, ts, got):
+    """Every re-solve in got is _reference's, drawn in turn from the same stream."""
+    # every step is re-solved, unless one raises (and so ends the run)
+    assert len(got) == len(ts) or isinstance(got[-1], TlsCondError)
+    directions = np.random.default_rng(stream_seed)
+    references = []
+    for t, resolved in zip(ts, got):
+        expected = _reference(problem, unit_normals(problem.m, problem.n, directions), t)
+        references.append(expected)
+        if isinstance(expected, TlsCondError):
+            assert type(resolved) is type(expected) and str(resolved) == str(expected)
+            continue
+        assert not isinstance(resolved, TlsCondError), resolved
+        np.testing.assert_array_equal(resolved[0], expected[0])
+    return references
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -51,25 +86,42 @@ def _lab(problem, seed, ts):
 def test_each_trial_re_solve_is_the_solver_on_the_rebuilt_problem(
     n, rows, at_limit, data_seed, stream_seed, exponents
 ):
-    m = {"n+1": n + 1, "below QR": 2 * (n + 1) - 1, "QR": 2 * (n + 1)}[rows]
-    aug = np.random.default_rng(data_seed).standard_normal((m, n + 1))
-    scale = np.linalg.norm(aug)
-    if at_limit:
-        # sigma_1 just below the square's overflow limit: a large enough step
-        # crosses it, and both sides must refuse that re-solve alike
-        factor = (1.0 - 1e-4) * core._SCALE_LIMIT / np.linalg.svd(aug, compute_uv=False)[0]
-        aug, scale = aug * factor, scale * factor
-    problem = tc.TlsProblem(aug[:, :n], aug[:, n])
+    problem, scale = _problem(n, rows, at_limit, data_seed)
     ts = [10.0**e * scale for e in exponents]
     got = _lab(problem, stream_seed, ts)
-    # every step is re-solved, unless one raises (and so ends the run)
-    assert len(got) == len(ts) or isinstance(got[-1], TlsCondError)
-    directions = np.random.default_rng(stream_seed)
-    for t, resolved in zip(ts, got):
-        expected = _reference(problem, unit_normals(m, n, directions), t)
-        if isinstance(expected, TlsCondError):
-            assert type(resolved) is type(expected) and str(resolved) == str(expected)
-            continue
-        assert not isinstance(resolved, TlsCondError), resolved
-        np.testing.assert_array_equal(resolved[0], expected[0])
-        assert resolved[1] == expected[1]
+    references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
+    for resolved, expected in zip(got, references):
+        if not isinstance(expected, TlsCondError):
+            assert resolved[1] == expected[1]
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    n=st.integers(1, 6),
+    rows=st.sampled_from(["n+1", "below QR", "QR"]),
+    at_limit=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(1e-6, 0.999999), min_size=1, max_size=6),
+)
+def test_a_certified_re_solve_keeps_the_gap(n, rows, at_limit, data_seed, stream_seed, fractions):
+    # steps inside the range Weyl's inequality certifies: the lab skips the
+    # gap's root and check, yet gives the solver's x, and the solver's own
+    # rel_gap keeps GAP_PERSISTENCE of the base's; past the scale limit both
+    # sides refuse alike
+    problem, _ = _problem(n, rows, at_limit, data_seed)
+    bundle = tc.svd_bundle(problem)
+    base = tc.solve_tls(problem, bundle)
+    certificate = perturb._GapCertificate.of(
+        bundle, base, tc.build_spectral_work(problem, bundle, base))
+    c = certificate
+    edge = (c.gap - c.slack - c.required * c.sigma_hat_n) / (2.0 + c.required)
+    hypothesis.assume(edge > 0.0)
+    ts = [f * edge for f in fractions]
+    assert all(certificate.covers(t) for t in ts)
+    got = _lab(problem, stream_seed, ts, certificate)
+    references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
+    for resolved, expected in zip(got, references):
+        if not isinstance(expected, TlsCondError):
+            assert resolved[1] is None
+            assert expected[1] >= certificate.required

@@ -6,7 +6,7 @@ import pytest
 
 import tlscond as tc
 from conftest import counting_factorizations, k_of, perturbed, pipeline, unit_normals
-from tlscond import perturb
+from tlscond import core, perturb
 from tlscond.errors import (
     NoUniqueSolution,
     NotApplicable,
@@ -384,3 +384,84 @@ def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
     assert ratio == pytest.approx(np.linalg.norm(first_order), rel=1e-6)  # 2.1708...
     with pytest.raises(PerturbationTooLarge, match="gap lost at t=1.000e"):
         probe([(1.0, False), (1e-8, False)])
+
+
+def certificate_of(problem):
+    """(the lab's Weyl certificate, the base solution) of a solvable problem."""
+    bundle, solution, work = pipeline(problem)
+    return perturb._GapCertificate.of(bundle, solution, work), solution
+
+
+def certified_edge(certificate):
+    """The largest step the certificate covers: (g - 2t - s) / (sigma_hat_n + t) = required."""
+    c = certificate
+    return (c.gap - c.slack - c.required * c.sigma_hat_n) / (2.0 + c.required)
+
+
+def gap_moving_directions(problem):
+    """Two unit directions that move one end of the gap by the whole step t:
+    u v^T of [A b]'s smallest triple raises sigma_{n+1}, and -[u_hat v_hat^T 0]
+    of A's lowers sigma_hat_n."""
+    m, n = problem.m, problem.n
+    u, _, vt = np.linalg.svd(problem.augmented())
+    u_hat, _, vt_hat = np.linalg.svd(problem.a_matrix)
+    down = np.zeros((m, n + 1))
+    down[:, :n] = -np.outer(u_hat[:, n - 1], vt_hat[n - 1])
+    return [np.outer(u[:, n], vt[n]).ravel(order="F"), down.ravel(order="F")]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1e-2, 1e-4])
+@pytest.mark.parametrize("m, n", [(6, 5), (10, 3), (20, 5), (40, 1), (50, 10), (100, 20)])
+def test_a_certified_step_keeps_the_gap(m, n, alpha):
+    # at 0.999999 of the largest step that Weyl's inequality certifies, every
+    # trial re-solved one problem at a time keeps rel_gap >= GAP_PERSISTENCE
+    # times the base's (per_trial_ratio raises otherwise): random directions,
+    # and the two that move one end of the gap by the whole step. The lab's
+    # certified re-solves, which skip that check, give the same ratios.
+    for seed in (1, 2):
+        problem = tc.generate_ab_alpha(m, n, alpha, seed=seed)
+        certificate, base = certificate_of(problem)
+        edge = certified_edge(certificate)
+        t = 0.999999 * edge
+        assert certificate.covers(t) and not certificate.covers(1.000001 * edge)
+        rng = np.random.default_rng(seed)
+        directions = [unit_normals(m, n, rng) for _ in range(8)] + gap_moving_directions(problem)
+        expected = [per_trial_ratio(problem, base, z, t) for z in directions]
+        fills = iter(directions)
+        got = perturb._ratios(problem, base, lambda z: np.copyto(z, next(fills)),
+                              [(t, False)] * len(directions), certificate)
+        assert got == expected
+
+
+def counting_roots(monkeypatch):
+    """Log the size of every SigmaHatRoots the lab builds (the bundle's are core's own)."""
+    built = []
+
+    class Counted(core.SigmaHatRoots):
+        def __init__(self, sigma, v_last):
+            built.append(len(sigma))
+            super().__init__(sigma, v_last)
+
+    monkeypatch.setattr(perturb, "SigmaHatRoots", Counted)
+    return built
+
+
+def test_certified_steps_solve_no_secular_root(monkeypatch):
+    built = counting_roots(monkeypatch)
+    # alpha 50x10 at the default step: Weyl's inequality certifies every trial
+    # and all four of the worst direction's steps, so none builds a root
+    problem = RESOLVE_CASES["alpha_50x10"]()
+    summary = tc.monte_carlo_validate(problem, trials=100, seed=1)
+    assert (summary.certified_trials, built) == (100, [])
+    # deblur m=60: g / 2t is about 1.7e-4, so each trial and step builds one
+    summary = tc.monte_carlo_validate(RESOLVE_CASES["deblur_60"](), trials=20, seed=1)
+    assert summary.certified_trials == 0 and len(built) == 20 + 4
+    assert summary.gap_shift > summary.gap
+    # each of the worst direction's steps decides for itself: at 0.3 of the
+    # edge, t is certified and its 1e3, 1e2 and 10 multiples are not
+    built.clear()
+    certificate, _ = certificate_of(problem)
+    summary = tc.monte_carlo_validate(problem, trials=5, t=0.3 * certified_edge(certificate))
+    assert summary.certified_trials == 5 and len(built) == 3
+    assert (summary.gap, summary.gap_shift) == (
+        certificate.gap, 2.0 * summary.step + certificate.slack)
