@@ -1,16 +1,21 @@
 """One SVD per problem, A's singular values from it, gap diagnostics, the TLS solver.
 
-The bundle is one thin SVD of [A b], of one row block: [A b], or once
-m >= 2(n+1) (LAPACK's QR-first crossover) the (n+1) x (n+1) R of one
-Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's R-SVD). block_rows is the
-one owner of that crossover rule: row_block and the perturbation lab's
-stacked re-solves both ask it. The QR is LAPACK dgeqrt through
-scipy.linalg.lapack on one Fortran-ordered [A b], the recursive level-3 QR of
-Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in row_block; the SVD of
-that block is block_svd, numpy's dgesdd, which takes one block or a stack of
-them. The alpha generator and the lab run the same two kernels (the lab
-calls row_block's householder_qr itself and copies R into its stack). Q is
-never formed: the left factor is in that block's row basis.
+The bundle is the singular values and right factor V of [A b], from one row
+block: [A b], or once m >= 2(n+1) (LAPACK's QR-first crossover) the
+(n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's
+R-SVD). block_rows is the one owner of that crossover rule: row_block and
+the perturbation lab's stacked re-solves both ask it. The QR is LAPACK
+dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b], the
+recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in
+row_block; the SVD of that block is block_svd, which takes one block or a
+stack of them and returns (sigma, vt): a block at least V_ONLY_WIDTH wide
+goes through v_only_svd, dgesdd's own LAPACK steps (dgebrd, dbdsdc, dormbr
+through scipy.linalg.cython_lapack and ctypes) without the back-transform
+that forms U, and a narrower one through numpy's dgesdd, whose U is dropped.
+The rule reads the width alone, so a block factored in a stack gets the bits
+of its own call. The alpha generator and the lab run the same two kernels
+(the lab calls row_block's householder_qr itself and copies R into its
+stack). Neither Q nor any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -46,12 +51,14 @@ P relative to its smallest eigenvalue, exceeds P_ROUNDING_LIMIT.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgemqrt, dgeqrt, dlasd4
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgeqrt, dlasd4
 
 from .errors import (
     ConvergenceError,
@@ -73,6 +80,12 @@ _SCALE_LIMIT = math.sqrt(float(np.finfo(float).max) / 4)
 P_ROUNDING_LIMIT = 1e-8
 
 
+def _check_info(name: str, info) -> None:
+    """ConvergenceError naming the LAPACK routine whose info is not 0."""
+    if info != 0:
+        raise ConvergenceError(f"{name} failed (info={info})")
+
+
 def secular_root(
     i: int, poles: np.ndarray, z: np.ndarray, rho: float = 1.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -84,8 +97,7 @@ def secular_root(
     cancellation.
     """
     delta, root, work, info = dlasd4(i, poles, z, rho)
-    if info != 0:
-        raise ConvergenceError(f"dlasd4 failed (info={info})")
+    _check_info("dlasd4", info)
     return root, delta, work
 
 
@@ -312,12 +324,12 @@ class SigmaHatRoots:
 
 @dataclass(frozen=True)
 class SvdBundle:
-    """The thin SVD of [A b] (plain quantities) and A's smallest singular value (hatted)."""
+    """The singular values and right factor of [A b] (plain quantities) and A's
+    smallest singular value (hatted)."""
 
     rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1)
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
-    u_aug: np.ndarray      # (k, n+1), left factor of [A b] in the row basis of rows
-    v_aug: np.ndarray      # (n+1, n+1)
+    v_aug: np.ndarray      # (n+1, n+1) right factor of [A b]; no left factor is kept
     sigma_hat_n: float     # smallest singular value of A
     delta: float           # sigma_hat_n^2 - sigma_{n+1}^2, from a secular root, not a difference
     roots: SigmaHatRoots = field(repr=False, compare=False)  # every other sigma_hat, on request
@@ -337,27 +349,18 @@ class SvdBundle:
         return np.array([self.roots.at(i)[0] for i in range(self.n)])
 
     def orthonormality_defect(self) -> float:
-        """Max Frobenius deviation of the two factors of [A b] from orthonormal columns."""
-        return max(
-            np.linalg.norm(f.T @ f - np.eye(f.shape[1])) for f in (self.u_aug, self.v_aug)
-        )
+        """Frobenius deviation of the right factor V of [A b] from orthonormal."""
+        return float(np.linalg.norm(self.v_aug.T @ self.v_aug - np.eye(self.n + 1)))
 
-    def reconstruction_defect(self, problem: TlsProblem) -> float:
-        """Relative Frobenius residual of the SVD of [A b].
+    def gram_defect(self, problem: TlsProblem) -> float:
+        """||W^T W - Sigma^2||_F / sigma_1^2 for W = [A b] V: the SVD checked without U.
 
-        When rows is R, Q is rebuilt by the bundle's own kernel: dgeqrt of a
-        fresh copy of [A b], applied to [U Sigma V^T; 0] by dgemqrt.
+        With V orthonormal this is 0 exactly when [A b]^T [A b] = V Sigma^2
+        V^T, so W's columns are the sigma_i u_i.
         """
-        aug = problem.augmented()
-        aug_fit = self.u_aug * self.sigma @ self.v_aug.T
-        if self.rows.shape[0] < aug.shape[0]:
-            qr, t = householder_qr(np.array(aug, order="F"))
-            padded = np.zeros(aug.shape, order="F")
-            padded[: self.rows.shape[0]] = aug_fit
-            aug_fit, info = dgemqrt(qr, t, padded, overwrite_c=1)
-            if info != 0:
-                raise ConvergenceError(f"dgemqrt failed (info={info})")
-        return float(np.linalg.norm(aug_fit - aug) / max(np.linalg.norm(aug), 1e-300))
+        w = problem.augmented() @ self.v_aug
+        defect = np.linalg.norm(w.T @ w - np.diag(self.sigma**2))
+        return float(defect / max(float(self.sigma[0]) ** 2, 1e-300))
 
     def interlacing_defect(self) -> float:
         """Worst violation of sigma_i >= sigma_hat_i >= sigma_{i+1}, scaled by sigma_1."""
@@ -416,8 +419,7 @@ def householder_qr(aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the block reflector factors T. One fixed block size, min(32, n+1).
     """
     qr, t, info = dgeqrt(min(32, aug.shape[1]), aug, overwrite_a=1)
-    if info != 0:
-        raise ConvergenceError(f"dgeqrt failed (info={info})")
+    _check_info("dgeqrt", info)
     return qr, t
 
 
@@ -425,6 +427,19 @@ def block_rows(m: int, k: int) -> int:
     """The rows of the row block of an m x k array: k once m >= 2k (LAPACK's
     QR-first crossover, where the block is R), else m (the array itself)."""
     return k if m >= 2 * k else m
+
+
+# The narrowest block that block_svd factors for sigma and V alone
+# (v_only_svd, one block at a time); narrower blocks, one or a stack, go
+# through numpy's dgesdd in one call. Set from the per-block cost of each
+# route on a stack of 32 random k x k and 1.4k x k blocks (medians of 5 x 21
+# runs, one BLAS thread, a 2-vCPU VM), v_only_svd against numpy's stacked
+# call: k = 11, 69 and 72 against 39 and 42 us; k = 21, 105 and 122 against
+# 85 and 120 us; k = 31, 165 and 231 against 160 and 255 us; k = 41, 327 and
+# 312 against 360 and 349 us; k = 61, 855 and 897 against 977 and 1060 us.
+# Each v_only_svd call costs about 12 us of ctypes and numpy set-up, which the
+# dormbr('Q') it saves outweighs from about k = 40 on.
+V_ONLY_WIDTH = 40
 
 
 def row_block(aug: np.ndarray) -> np.ndarray:
@@ -439,22 +454,119 @@ def row_block(aug: np.ndarray) -> np.ndarray:
     return aug if block_rows(m, k) == m else np.triu(householder_qr(aug)[0][:k])
 
 
-def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, sigma, vt), the thin SVD of one block or of a stack of blocks.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
-    numpy's dgesdd, one call for the whole stack; it works on its own copy of
-    each block, so rows stays intact, and returns C-contiguous factors. Each
-    block's factors are bitwise those of its own call. u is in the row basis
-    of rows and is never applied back to m rows.
+
+def _cython_lapack(name: str, nargs: int):
+    """The C entry point of one LAPACK routine that scipy.linalg.cython_lapack
+    exports, callable through ctypes with no compiler. Every argument is a
+    pointer, as Fortran takes it: an address, bytes for a character, or None
+    for an array the call does not reference; the last is info's."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+dgebrd = _cython_lapack("dgebrd", 11)
+dbdsdc = _cython_lapack("dbdsdc", 14)
+dormbr = _cython_lapack("dormbr", 14)
+# dgesdd factors a block scaled when its largest entry lies outside [_SVD_SMALL, 1/_SVD_SMALL]
+_SVD_SMALL = math.sqrt(float(np.finfo(float).tiny)) / _EPS
+
+
+@lru_cache(maxsize=64)
+def _v_only_lwork(m: int, k: int) -> int:
+    """The work length of v_only_svd on an m x k block: dbdsdc's 3k^2 + 4k, or
+    the optimal lwork of dgebrd or of dormbr (their workspace queries) if larger."""
+    ints, optimal = np.array([m, k, -1, 0], dtype=np.intc), np.zeros(2)
+    m_, k_, query, info = _addresses(ints, range(4))  # the addresses of m, k, lwork = -1, info
+    out = optimal.ctypes.data  # no array is referenced; each query writes its lwork here
+    dgebrd(m_, k_, out, m_, out, out, out, out, out, query, info)
+    _check_info("dgebrd", ints[3])
+    dormbr(b"P", b"R", b"T", k_, k_, k_, out, m_, out, out, k_, out + optimal.itemsize, query, info)
+    _check_info("dormbr", ints[3])
+    return max(3 * k * k + 4 * k, *map(int, optimal))
+
+
+def v_only_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, vt) of one m x k block, m >= k: dgesdd's own steps, U left out.
+
+    LAPACK dgebrd reduces a Fortran-ordered copy to upper bidiagonal form B =
+    Q^T block P, dbdsdc('U', 'I') factors B = U_B Sigma VT_B, and dormbr('P',
+    'R', 'T') forms VT = VT_B P^T: the dormbr('Q') that builds dgesdd's U = Q
+    U_B is not run. vt is C-contiguous, as numpy returns it. Where dgesdd
+    scales the block, this scales it by a power of two, which is exact.
+    Raises ShapeError for entries that are not finite, and ConvergenceError
+    naming the routine whose info is not 0.
     """
+    m, k = block.shape
+    if m < k:
+        raise ShapeError(f"need m >= k, got a {m} x {k} block")
+    top = float(np.max(np.abs(block)))
+    if not math.isfinite(top):
+        raise ShapeError("entries must be finite")
+    a = np.array(block, dtype=float, order="F")  # dgebrd overwrites it with its reflectors
+    shift = 0
+    if top > 0.0 and not _SVD_SMALL <= top <= 1.0 / _SVD_SMALL:
+        shift = -math.frexp(top)[1]
+        np.ldexp(a, shift, out=a)
+    lwork = _v_only_lwork(m, k)
+    ints = np.empty(4 + 8 * k, dtype=np.intc)  # m, k, lwork, info, then dbdsdc's iwork
+    ints[:4] = m, k, lwork, 0
+    m_, k_, lwork_, info, iwork = _addresses(ints, range(5))  # addresses, as Fortran takes them
+    # d, e, tauq, taup, U_B, VT_B and the work, in one buffer
+    buf = np.empty(4 * k + 2 * k * k + lwork)
+    d, e, tauq, taup, u_b, vt_b, work = _addresses(
+        buf, (0, k, 2 * k, 3 * k, 4 * k, 4 * k + k * k, 4 * k + 2 * k * k))
+    a_ = a.ctypes.data
+    dgebrd(m_, k_, a_, m_, d, e, tauq, taup, work, lwork_, info)
+    _check_info("dgebrd", ints[3])
+    dbdsdc(b"U", b"I", k_, d, e, u_b, k_, vt_b, k_, None, None, work, iwork, info)
+    _check_info("dbdsdc", ints[3])
+    dormbr(b"P", b"R", b"T", k_, k_, k_, a_, m_, taup, vt_b, k_, work, lwork_, info)
+    _check_info("dormbr", ints[3])
+    vt = buf[4 * k + k * k : 4 * k + 2 * k * k].reshape(k, k).T  # VT in Fortran order
+    return np.ldexp(buf[:k], -shift), np.ascontiguousarray(vt)
+
+
+def _addresses(array: np.ndarray, offsets) -> list[int]:
+    """The addresses of the given entries of a contiguous array."""
+    base = array.ctypes.data
+    return [base + array.itemsize * i for i in offsets]
+
+
+def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, vt), the thin SVD of one block or of a stack of blocks, without U.
+
+    Blocks at least V_ONLY_WIDTH wide go through v_only_svd one at a time;
+    narrower ones through numpy's dgesdd, one call for the whole stack, whose
+    U is dropped. Either works on its own copy of each block, so rows stays
+    intact, returns a C-contiguous vt, and gives each block of a stack
+    bitwise the factors of its own call: the route depends on the width
+    alone. Raises ShapeError for entries that are not finite, and
+    ConvergenceError when LAPACK fails.
+    """
+    k = rows.shape[-1]
+    if k >= V_ONLY_WIDTH:
+        if rows.ndim == 2:
+            return v_only_svd(rows)
+        sigma, vt = np.empty(rows.shape[:-2] + (k,)), np.empty(rows.shape[:-2] + (k, k))
+        for i, block in enumerate(rows):
+            sigma[i], vt[i] = v_only_svd(block)
+        return sigma, vt
+    if not np.isfinite(rows).all():  # numpy's dgesdd may never return on them
+        raise ShapeError("entries must be finite")
     try:
-        return np.linalg.svd(rows, full_matrices=False)
+        return np.linalg.svd(rows, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dgesdd failed ({exc})") from exc
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
-    """The thin SVD of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
+    """sigma and V of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
 
     block_svd of the row_block of one private Fortran-ordered copy of [A b].
     """
@@ -462,10 +574,10 @@ def svd_bundle(problem: TlsProblem) -> SvdBundle:
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
-    u_aug, sigma, vt_aug = block_svd(rows)
+    sigma, vt_aug = block_svd(rows)
     roots = SigmaHatRoots(sigma, vt_aug[:, -1])  # v: the last row of V
     sigma_hat_n, delta = roots.at(-1)
-    return SvdBundle(rows, sigma, u_aug, vt_aug.T, sigma_hat_n, delta, roots)
+    return SvdBundle(rows, sigma, vt_aug.T, sigma_hat_n, delta, roots)
 
 
 def _classify_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:

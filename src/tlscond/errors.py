@@ -14,11 +14,13 @@ class ShapeError(TlsCondError):
 
 
 class ConvergenceError(TlsCondError):
-    """A LAPACK call failed: dgeqrt, numpy's dgesdd (its LinAlgError), dgemqrt, or dlasd4.
+    """A LAPACK call failed: dgeqrt, numpy's dgesdd (its LinAlgError), dgebrd,
+    dbdsdc, dormbr, or dlasd4.
 
-    dgeqrt and dgesdd are the bundle's row-block kernels, which the alpha
-    generator and the perturbation lab's stacked re-solves share; dgemqrt
-    rebuilds Q for the reconstruction check; dlasd4 solves the secular roots.
+    These are the bundle's row-block kernels, which the alpha generator and
+    the perturbation lab's stacked re-solves share: dgeqrt for the QR, and
+    for the SVD numpy's dgesdd on narrow blocks or dgebrd, dbdsdc and dormbr
+    (core.v_only_svd) on wide ones. dlasd4 solves the secular roots.
     """
 
 

@@ -9,12 +9,12 @@ Two families:
   drives sigma_hat_n and sigma_{n+1} together, i.e. toward ill conditioning.
   U is never formed: U Sigma = B W, so [A b] = B (W V^T), with W from
   the bundle's own kernels (core.row_block, dgeqrt to R once m >= 2(n+1),
-  then core.block_svd, numpy's dgesdd, of that small block). A draw, its
-  acceptance bundle included, takes 7.5 ms at 4000x40 and 15.2 ms at
-  2000x100, against 11.9 and 24.1 ms from a thin SVD that forms U (medians
-  of 25 interleaved draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM;
-  CHANGES.md, "The alpha generator factors its random draw through the
-  bundle's kernel").
+  then core.block_svd of that small block, which returns sigma and W^T
+  alone). A draw, its acceptance bundle included, takes 7.5 ms at 4000x40
+  and 15.2 ms at 2000x100, against 11.9 and 24.1 ms from a thin SVD that
+  forms U (medians of 25 interleaved draws at alpha = 1e-2, one BLAS
+  thread, a 2-vCPU VM; CHANGES.md, "The alpha generator factors its random
+  draw through the bundle's kernel").
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the
@@ -145,7 +145,7 @@ def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
         v = generate_v(n, v_tilde, alpha, rng)
         b = rng.random((m, n + 1))
         # U Sigma = B W for B = U Sigma W^T, so U is never formed
-        vt_b = block_svd(row_block(np.array(b, order="F")))[2]
+        vt_b = block_svd(row_block(np.array(b, order="F")))[1]
         aug = b @ (vt_b.T @ v.T)
         problem = TlsProblem(
             aug[:, :-1],

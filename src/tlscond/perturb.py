@@ -10,7 +10,9 @@ reused Fortran buffer, where it is scaled by t and [A b] is added; past the
 bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
 its R by the bundle's kernel (core.householder_qr), whose triangle is copied
 into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
-factored by one core.block_svd call, and each step then passes solve_tls's
+factored by one core.block_svd call (numpy's stacked dgesdd below
+core.V_ONLY_WIDTH, core.v_only_svd block by block from there on, as
+svd_bundle factors one block), and each step then passes solve_tls's
 own checks (core.accept_trailing_vector) in step order. Most steps' gap is
 known before the re-solve: by Weyl's inequality a unit z moves every
 singular value of [A b] and of A by at most t, so where (g - 2t - s) /
@@ -66,8 +68,9 @@ GAP_PERSISTENCE = 1e-3
 CLEAN_STEP_FLOOR = 1e-12
 # Relative tolerance of the sound and attained verdicts against kappa.
 VALIDATION_TOLERANCE = 1e-3
-# Bytes of one stack of re-solves (row blocks and their SVD factors): the
-# lab's memory does not grow with its number of trials.
+# Bytes of one stack of re-solves (row blocks and their SVD factors, with
+# the u that numpy forms below core.V_ONLY_WIDTH): the lab's memory does not
+# grow with its number of trials.
 STACK_BYTES = 2**22
 # Weyl's certificate allows rounding of this many eps ||[A b]||_F: at most 2
 # for forming t z + [A b] (t < ||[A b]||_F there), and a few each for the
@@ -220,7 +223,7 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     covered = certificate.covers if certificate is not None else lambda t: False
     m, n = problem.m, problem.n
     k = block_rows(m, n + 1)
-    per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u and vt
+    per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u, vt
     # each block Fortran-ordered; zeros stay below an R's diagonal, and below
     # the QR crossover the data goes straight in
     blocks = np.zeros((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
@@ -255,22 +258,16 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
 def _factored(blocks):
     """(sigma, vt) per block: one block_svd of the stack, or block by block.
 
-    A stack whose SVD fails or meets data that is not finite is re-run one
-    block at a time, lazily, so the failing step raises in its turn: data
-    that is not finite raises ShapeError, as TlsProblem does.
+    A stack whose SVD fails, or that holds data that is not finite, is
+    re-run one block at a time, lazily, so the failing step raises in its
+    turn: data that is not finite raises ShapeError, as TlsProblem does.
     """
     try:
-        _, sigmas, vts = block_svd(blocks)
-        if np.isfinite(sigmas).all():
-            yield from zip(sigmas, vts)
-            return
-    except ConvergenceError:
-        pass
-    for block in blocks:
-        if not np.isfinite(block).all():
-            raise ShapeError("entries must be finite")
-        _, sigma, vt = block_svd(block)
-        yield sigma, vt
+        sigmas, vts = block_svd(blocks)
+    except (ConvergenceError, ShapeError):
+        yield from map(block_svd, blocks)
+        return
+    yield from zip(sigmas, vts)
 
 
 def worst_direction(work: ExactFormulaWork, problem: TlsProblem, solution) -> np.ndarray:

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,6 +65,12 @@ def failed_svd(a, *args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
+def failed_dbdsdc(*args):
+    """What LAPACK dbdsdc reports when a singular value fails to converge:
+    info=1, written through its last argument, an address (core.v_only_svd)."""
+    ctypes.c_int.from_address(args[-1]).value = 1
+
+
 def refuse_line_by_line(monkeypatch):
     """Make the line-by-line problem readers fail, so a load that succeeds took
     the plain-decimal path."""
@@ -75,11 +83,13 @@ def refuse_line_by_line(monkeypatch):
 
 
 def counting_factorizations(monkeypatch):
-    """Log (kernel, shape) of every QR and SVD: core's dgeqrt and numpy.linalg's.
+    """Log (kernel, shape) of every QR and SVD: core's dgeqrt and v_only_svd,
+    and numpy.linalg's.
 
-    The bundle calls dgeqrt and np.linalg.svd; the other readers call numpy.
-    For dgeqrt the logged shape is that of the factored array, its second
-    argument; a stacked SVD logs the shape of its stack.
+    The bundle calls dgeqrt, and for its SVD v_only_svd or np.linalg.svd,
+    each logged as "svd"; the other readers call numpy. For dgeqrt the logged
+    shape is that of the factored array, its second argument; a stacked
+    np.linalg.svd logs the shape of its stack, and v_only_svd each block's.
     """
     calls = []
 
@@ -89,8 +99,9 @@ def counting_factorizations(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapped
 
-    for owner, name in [(core, "dgeqrt"), (np.linalg, "qr"), (np.linalg, "svd")]:
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for owner, attribute, name in [(core, "dgeqrt", "dgeqrt"), (np.linalg, "qr", "qr"),
+                                   (np.linalg, "svd", "svd"), (core, "v_only_svd", "svd")]:
+        monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
     return calls
 
 

@@ -7,6 +7,7 @@ import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
+    failed_dbdsdc,
     failed_dgeqrt,
     failed_dlasd4,
     failed_svd,
@@ -54,7 +55,7 @@ def test_bundle_defects_small():
     for problem in seeded_problems()[:4]:
         bundle = tc.svd_bundle(problem)
         assert bundle.orthonormality_defect() < 1e-12 * max(problem.m, problem.n)
-        assert bundle.reconstruction_defect(problem) < 1e-12
+        assert bundle.gram_defect(problem) < 1e-12
         assert bundle.interlacing_defect() < 1e-12
 
 
@@ -201,26 +202,31 @@ def test_bundle_agrees_with_direct_svds(shape):
     problem = tc.generate_ab_alpha(m, n, 0.3, seed=5)
     bundle = tc.svd_bundle(problem)
     (_, sigma_hat, _), (_, sigma, vt_aug) = direct_svds(problem)
-    assert bundle.u_aug.shape[0] == (n + 1 if m >= 2 * (n + 1) else m)
+    assert bundle.rows.shape[0] == (n + 1 if m >= 2 * (n + 1) else m)
     # numpy's layout: the products with V11 round by it
-    assert bundle.u_aug.flags.c_contiguous and bundle.v_aug.T.flags.c_contiguous
+    assert bundle.v_aug.T.flags.c_contiguous
     np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
     x = tc.solve_tls(problem, bundle).x
     assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
-    # tall: Q rebuilt by the bundle's own dgeqrt and applied by dgemqrt (up to 9.3 eps)
-    assert bundle.reconstruction_defect(problem) < 64 * EPS
+    # V and sigma against [A b] itself, with no U (up to 52 eps)
+    assert bundle.gram_defect(problem) < 256 * EPS
 
 
 def test_deblur_bundle_is_the_direct_svds():
+    # n + 1 = 85 is past V_ONLY_WIDTH: the bundle's SVD forms no U
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    assert problem.n + 1 >= core.V_ONLY_WIDTH
     bundle = tc.svd_bundle(problem)
-    _, (u_aug, sigma, vt_aug) = direct_svds(problem)
+    _, (_, sigma, vt_aug) = direct_svds(problem)
     sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
     assert bundle.rows.shape == (problem.m, problem.n + 1)
-    for got, want in [(bundle.u_aug, u_aug), (bundle.sigma, sigma), (bundle.v_aug, vt_aug.T)]:
-        np.testing.assert_array_equal(got, want)
+    assert bundle.v_aug.T.flags.c_contiguous
+    np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
+    x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
+    x = tc.solve_tls(problem, bundle).x
+    assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
     # sigma_hat are secular roots, not an SVD of A: equal to rounding
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
 
@@ -281,7 +287,7 @@ def test_gap_chain_lower_in_reduced_basis(shape):
     assert report.gap_chain_holds
 
 
-def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
+def test_only_tall_bundles_run_a_qr(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     calls = counting_factorizations(monkeypatch)
@@ -303,9 +309,8 @@ def test_only_tall_bundles_and_reconstruction_run_a_qr(monkeypatch):
         tc.residual_diagnostics(problem, bundle, solution)
         bundle.orthonormality_defect()
         bundle.interlacing_defect()
+        bundle.gram_defect(problem)  # reads [A b] itself: no Q is rebuilt
         assert qr_calls() == bundle_qr
-        bundle.reconstruction_defect(problem)
-        assert qr_calls() == 2 * bundle_qr
 
 
 
@@ -375,10 +380,42 @@ def test_a_failed_secular_root_raises_convergence_error(monkeypatch):
 def test_a_failed_svd_raises_convergence_error(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    # the tall bundle's 31-wide R goes through numpy's dgesdd, the 85-wide
+    # deblurring block through v_only_svd
     monkeypatch.setattr(np.linalg, "svd", failed_svd)
-    for problem in (tall, blur):
-        with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
-            tc.svd_bundle(problem)
+    with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
+        tc.svd_bundle(tall)
+    monkeypatch.setattr(core, "dbdsdc", failed_dbdsdc)
+    with pytest.raises(ConvergenceError, match=r"dbdsdc failed \(info=1\)"):
+        tc.svd_bundle(blur)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (57, 41), (100, 85)])
+def test_v_only_svd_is_the_direct_svd(shape):
+    a = np.random.default_rng(7).standard_normal(shape)
+    sigma, vt = core.v_only_svd(a)
+    _, sigma_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(sigma, sigma_ref, rtol=0, atol=4 * shape[1] * EPS * sigma_ref[0])
+    assert vt.flags.c_contiguous
+    # each row of V^T to rounding (the spectrum is simple), up to its sign
+    np.testing.assert_allclose(np.abs(np.sum(vt * vt_ref, axis=1)), 1.0, rtol=0, atol=1e-10)
+    # a stack of wide blocks: each block's factors are those of its own call
+    sigmas, vts = core.block_svd(np.stack([2.0 * a, a]))
+    np.testing.assert_array_equal(sigmas[1], sigma)
+    np.testing.assert_array_equal(vts[1], vt)
+
+
+def test_v_only_svd_scales_an_extreme_block_exactly():
+    # outside dgesdd's safe range the block is factored scaled by a power of
+    # two: the factors of the unscaled block, bit for bit, sigma rescaled
+    a = np.random.default_rng(3).standard_normal((50, 45))
+    sigma, vt = core.v_only_svd(a)
+    for exponent in (-600, 500):
+        sigma_scaled, vt_scaled = core.v_only_svd(np.ldexp(a, exponent))
+        np.testing.assert_array_equal(sigma_scaled, np.ldexp(sigma, exponent))
+        np.testing.assert_array_equal(vt_scaled, vt)
+    with pytest.raises(ShapeError, match="entries must be finite"):
+        core.v_only_svd(np.where(a > 2.5, np.nan, a))
 
 
 GAP_CHAIN_CASES = {

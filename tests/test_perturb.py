@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import counting_factorizations, k_of, perturbed, pipeline, unit_normals
+from conftest import (
+    counting_factorizations,
+    failed_dbdsdc,
+    k_of,
+    perturbed,
+    pipeline,
+    unit_normals,
+)
 from tlscond import core, perturb
 from tlscond.errors import (
+    ConvergenceError,
     NoUniqueSolution,
     NotApplicable,
     PerturbationTooLarge,
@@ -118,7 +126,7 @@ def test_worst_direction_ignores_the_signs_of_v():
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     bundle = tc.svd_bundle(problem)
     signs = np.where(np.arange(11) % 2 == 0, -1.0, 1.0)
-    flipped = dataclasses.replace(bundle, u_aug=bundle.u_aug * signs, v_aug=bundle.v_aug * signs)
+    flipped = dataclasses.replace(bundle, v_aug=bundle.v_aug * signs)
     directions = []
     for each in (bundle, flipped):
         solution = tc.solve_tls(problem, each)
@@ -325,6 +333,42 @@ def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
     np.testing.assert_array_equal(next(factored)[0], sigma)
     with pytest.raises(ShapeError, match="entries must be finite"):
         next(factored)
+
+
+def test_numpy_never_factors_data_that_is_not_finite(monkeypatch):
+    # numpy's stacked dgesdd did not return within minutes on a 2 x 5 x 3
+    # stack holding one inf: block_svd refuses such data before numpy sees it
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    svd = np.linalg.svd
+
+    def finite_only(a, *args, **kwargs):
+        assert np.isfinite(a).all()
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_only)
+    aug = problem.augmented()
+    factored = perturb._factored(np.stack([aug, np.full(aug.shape, np.inf)]))
+    np.testing.assert_array_equal(next(factored)[0], svd(aug, full_matrices=False)[1])
+    with pytest.raises(ShapeError, match="entries must be finite"):
+        next(factored)
+
+
+def test_a_wide_stack_is_rerun_block_by_block(monkeypatch):
+    # deblur m=60 has 45-wide blocks, past V_ONLY_WIDTH: the stack goes
+    # through v_only_svd block by block, and the fallback raises as it does
+    problem = RESOLVE_CASES["deblur_60"]()
+    assert problem.n + 1 >= core.V_ONLY_WIDTH
+    aug = problem.augmented()
+    sigma = core.v_only_svd(aug)[0]
+    # data that is not finite is refused in its turn
+    factored = perturb._factored(np.stack([aug, np.full(aug.shape, np.nan)]))
+    np.testing.assert_array_equal(next(factored)[0], sigma)
+    with pytest.raises(ShapeError, match="entries must be finite"):
+        next(factored)
+    # a failed dbdsdc fails the stack, then the first block in its turn
+    monkeypatch.setattr(core, "dbdsdc", failed_dbdsdc)
+    with pytest.raises(ConvergenceError, match=r"dbdsdc failed \(info=1\)"):
+        next(perturb._factored(np.stack([aug, aug])))
 
 
 def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
