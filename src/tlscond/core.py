@@ -22,11 +22,13 @@ A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
 (v the last row of V), the squared singular values of A are the nonzero
 eigenvalues of Sigma^2 - (Sigma v)(Sigma v)^T: the roots of a downdating
 secular equation (Gu & Eisenstat, SIMAX 1995), which LAPACK dlasd4 solves one
-root at a time in O(n) (SigmaHatRoots, through secular_root, the one secular
-kernel, which exact's kappa equation shares). Each root is solved once per
-bundle, where it is first read, and every later reader takes dlasd4's cached
-output: sigma_hat_n and the gap delta = sigma_hat_n^2 - sigma_{n+1}^2 with the
-bundle, sigma_hat_1 and sigma_hat_{n-1} when a bound asks, the whole sigma_hat lazily.
+root at a time in O(n) (SigmaHatRoots, through SecularEquation, dlasd4's one
+front end, which deflates, scales and solves exact's kappa equation too;
+scaled to unit weights, no root depends on the scale of [A b]). Each root is
+solved once per bundle, where it is first read, and every later reader takes
+dlasd4's cached output: sigma_hat_n and the gap delta = sigma_hat_n^2 -
+sigma_{n+1}^2 with the bundle, sigma_hat_1 and sigma_hat_{n-1} when a bound
+asks, the whole sigma_hat lazily.
 delta is read off the root in a form centred on the sigma_{n+1} pole, so it is
 accurate even where sigma_hat_n and sigma_{n+1} agree to the last bit, and it
 is never rebuilt as a difference of two singular values. The distances of a
@@ -72,7 +74,8 @@ from .problem import TlsProblem
 
 _EPS = float(np.finfo(float).eps)
 # the range kept clear of overflow and underflow in SigmaHatRoots' secular form
-_NEGLIGIBLE = math.sqrt(float(np.finfo(float).tiny) / _EPS)
+_TINY = float(np.finfo(float).tiny)
+_NEGLIGIBLE = math.sqrt(_TINY / _EPS)
 # the largest sigma_1 for which 4 sigma_1^2 is finite: every squared gap, and
 # the rel_gap denominator sigma_hat_n (sigma_hat_n + sigma_{n+1}), is at most 2 sigma_1^2
 _SCALE_LIMIT = math.sqrt(float(np.finfo(float).max) / 4)
@@ -86,49 +89,56 @@ def _check_info(name: str, info) -> None:
         raise ConvergenceError(f"{name} failed (info={info})")
 
 
-def secular_root(
-    i: int, poles: np.ndarray, z: np.ndarray, rho: float = 1.0
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Root i (0-based, ascending) of the secular equation of diag(d^2) + rho z z^T.
+class SecularEquation:
+    """The secular equation of diag(d^2) + w w^T on ascending poles d >= 0.
 
-    LAPACK dlasd4 on ascending distinct poles d >= 0 and a unit z with no zero
-    entry; the one secular kernel of the package. Returns (root, delta, work):
-    root^2 is the eigenvalue, and delta * work = d^2 - root^2 without
-    cancellation.
+    The package's one front end to LAPACK dlasd4, which needs strictly
+    ascending poles and nonzero weights. Deflation runs pole by pole, with
+    tol_j = 8 eps d_j, which keeps every root's relative accuracy: a weight
+    within tol_j of 0 is dropped, and a pole within tol_k of the next live
+    pole d_k hands its weight to it by a rotation. Each deflated d_j^2 is
+    itself an eigenvalue. live lists the poles that keep a weight (None
+    where every pole does), rep the pole each weight was merged into. The
+    live equation is scaled to unit weights, poles d / norm and z / norm with
+    norm = ||z||, so that dlasd4 sees rho = 1: it fails far above the poles.
+    Each live root is solved once, where it is first read.
     """
-    delta, root, work, info = dlasd4(i, poles, z, rho)
-    _check_info("dlasd4", info)
-    return root, delta, work
 
-
-def deflate(
-    poles: np.ndarray, weights: np.ndarray, relative: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deflate the secular equation of diag(d^2) + w w^T for ascending poles d > 0.
-
-    LAPACK's secular solvers need strictly ascending poles and nonzero
-    weights. Weights below tol are dropped, and a pole within tol of the
-    next live one hands its weight to it by a rotation. tol is 8 eps max(d,
-    ||w||), the backward-stable criterion that suits a top root, or with
-    relative 8 eps d_j for each pole, which keeps every root's relative
-    accuracy. Returns the deflated weights z, zero at every deflated pole
-    (each such d^2 is itself an eigenvalue; z is weights itself when nothing
-    deflates), and rep, the pole each weight was merged into.
-    """
-    if relative:
+    def __init__(self, poles: np.ndarray, weights: np.ndarray):
         tol = 8.0 * _EPS * poles
-    else:
-        tol = np.full(len(poles), 8.0 * _EPS * max(poles[-1], math.sqrt(weights @ weights)))
-    rep = np.arange(len(weights))
-    if (np.abs(weights) > tol).all() and (poles[1:] - poles[:-1] > tol[1:]).all():
-        return weights, rep
-    z = np.where(np.abs(weights) > tol, weights, 0.0)
-    live = np.flatnonzero(z)
-    for t in np.flatnonzero(np.diff(poles[live]) <= tol[live[1:]]):
-        prev, k = live[t], live[t + 1]
-        z[k], z[prev] = np.hypot(z[k], z[prev]), 0.0
-        rep[rep == prev] = k
-    return z, rep
+        self.rep, self.live, z = np.arange(len(weights)), None, weights
+        if not ((np.abs(weights) > tol).all() and (poles[1:] - poles[:-1] > tol[1:]).all()):
+            z = np.where(np.abs(weights) > tol, weights, 0.0)
+            live = np.flatnonzero(z)
+            for t in np.flatnonzero(np.diff(poles[live]) <= tol[live[1:]]):
+                prev, k = live[t], live[t + 1]
+                z[k], z[prev] = np.hypot(z[k], z[prev]), 0.0
+                self.rep[self.rep == prev] = k
+            self.live = np.flatnonzero(z)  # some weight is 0: dropped or merged
+            z, poles = z[self.live], poles[self.live]
+        self.rho = float(z @ z)
+        self.norm = math.sqrt(self.rho) or 1.0  # z is empty when every weight deflated
+        self.poles, self._z = poles / self.norm, z / self.norm
+        self._solved: dict[int, tuple] = {}
+
+    def solve(self, r: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(root, delta, work) at live root r (0-based, ascending) of the scaled
+        equation: root^2 is its eigenvalue, and delta * work = poles^2 - root^2
+        without cancellation."""
+        if r not in self._solved:
+            delta, root, work, info = dlasd4(r, self.poles, self._z, 1.0)
+            _check_info("dlasd4", info)
+            self._solved[r] = root, delta, work
+        return self._solved[r]
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """values over the live poles (last axis) at every pole: a merged pole
+        takes its partner's, a dropped weight inf."""
+        if self.live is None:
+            return values
+        out = np.full(values.shape[:-1] + (len(self.rep),), np.inf)
+        out[..., self.live] = values
+        return out[..., self.rep]
 
 
 def check_scale(sigma: np.ndarray) -> float:
@@ -154,22 +164,21 @@ class SigmaHatRoots:
     sigma_{n+1} pole, lam = sigma_{n+1}^2 + Delta_n / mu with Delta_j =
     sigma_j^2 - sigma_{n+1}^2, g = 0 is the secular equation of diag(q) + w w^T,
     q_j = Delta_n / Delta_j in (0, 1] ascending and w_j = (v_j / alpha) sqrt(q_j),
-    alpha = |v_{n+1}|. secular_root solves it as dlasd4's diag(d^2) + z z^T
-    with d = sqrt(q) / ||w|| and z = w / ||w||, scaled once here so that dlasd4
-    sees rho = 1 (it fails far above the poles): its ascending root r gives
-    mu = ||w||^2 root^2 and sigma_hat_{r+1}, and Delta_n / mu is that value's
+    alpha = |v_{n+1}|, a SecularEquation on poles sqrt(q) and weights w, which
+    deflates it and scales it to ||z|| = 1: its ascending root r gives
+    mu = ||z||^2 root^2 and sigma_hat_{r+1}, and Delta_n / mu is that value's
     gap to sigma_{n+1}: so delta = sigma_hat_n^2 - sigma_{n+1}^2 comes from the
     top root, never from a difference, and no root has to pass near the zero
     eigenvalue. Everything is scaled by 1/sigma_1.
 
-    Deflation runs on that form, pole by pole (relative): a deflated pole's
-    sigma_j is itself a sigma_hat. Where the form is out of range (alpha or
-    Delta_n zero, or ||w||^2 past 1/_NEGLIGIBLE, so that delta would be below
-    _NEGLIGIBLE Delta_n), sigma_hat_n = sigma_{n+1}, delta = 0, and the others
-    are the roots of the same equation without the sigma_{n+1} pole, its
-    weight merged into sigma_n's. The squared gaps are returned unscaled, so a
-    sigma_1 past _SCALE_LIMIT (about 6.7e153), whose square would overflow,
-    raises ShapeError.
+    A deflated pole's sigma_j is itself a sigma_hat. Where the form is out of
+    range (alpha or Delta_n zero, or ||w||^2 past 1/_NEGLIGIBLE, so that delta
+    would be below _NEGLIGIBLE Delta_n), sigma_hat_n = sigma_{n+1}, delta = 0,
+    and the others are the roots of the same equation without the
+    sigma_{n+1} pole, its weight merged into sigma_n's. The squared gaps are
+    returned unscaled, so a sigma_1 past _SCALE_LIMIT (about 6.7e153), whose
+    square would overflow, raises ShapeError, as does a positive scaled gap
+    whose unscaled value falls below the smallest normal float, _TINY.
     """
 
     def __init__(self, sigma: np.ndarray, v_last: np.ndarray):
@@ -178,8 +187,6 @@ class SigmaHatRoots:
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
-        self._solved: dict[int, tuple] = {}  # live root r: dlasd4's (root, delta, work)
-        self._live = None  # None: every pole is live
         self._rest: SigmaHatRoots | None = None  # the equation without sigma_{n+1}
         alpha, self._gap_n = abs(float(v_last[-1])), float(self._gaps[-1])
         self._usable = alpha > _NEGLIGIBLE and self._gap_n > 0.0
@@ -187,41 +194,34 @@ class SigmaHatRoots:
             return
         root_poles = np.sqrt(self._gap_n / self._gaps)
         weights = v_last[:-1] * (root_poles / alpha)  # each below 1/_NEGLIGIBLE
-        self._rho = float(weights @ weights)
-        self._usable = self._rho < 1.0 / _NEGLIGIBLE
-        if not self._usable:
-            return
-        z, self._rep = deflate(root_poles, weights, relative=True)
-        if z is not weights and not z.all():
-            self._live = np.flatnonzero(z)
-            z, root_poles = z[self._live], root_poles[self._live]
-        self._rho = float(z @ z)
-        norm = math.sqrt(self._rho) or 1.0  # z is empty when every weight deflated
-        self._poles, self._z = root_poles / norm, z / norm
+        self._usable = float(weights @ weights) < 1.0 / _NEGLIGIBLE
+        if self._usable:
+            self._eq = SecularEquation(root_poles, weights)
 
     def at(self, i: int) -> tuple[float, float]:
         """(sigma_hat_{i+1}, sigma_hat_{i+1}^2 - sigma_{n+1}^2) for a 0-based (or negative) i."""
         i %= len(self._sigma) - 1
         if not self._usable:
             return self._without_last_pole(i)
-        return self._root(i) if self._live is None else self._deflated_at(i)
-
-    def _solve(self, r: int) -> tuple:
-        """dlasd4's (root, delta, work) at live root r, solved once per bundle."""
-        if r not in self._solved:
-            self._solved[r] = secular_root(r, self._poles, self._z)
-        return self._solved[r]
+        hat, gap = self._root(i) if self._eq.live is None else self._deflated_at(i)
+        squared = gap * self._scale**2
+        if squared < _TINY and gap > 0.0:
+            raise ShapeError(f"sigma_hat^2 - sigma_{{n+1}}^2={gap:.3e} sigma_1^2 at sigma_1="
+                             f"{self._scale:.3e} underflows float64 (limit {_TINY:.3e}); "
+                             "rescale the data")
+        return hat, squared
 
     def _gap(self, root):
-        """Delta_n / mu, mu = ||w||^2 root^2: sigma_hat^2 - sigma_{n+1}^2 over sigma_1^2."""
-        return self._gap_n / (root * root * self._rho)
+        """Delta_n / mu, mu = ||z||^2 root^2: sigma_hat^2 - sigma_{n+1}^2 over sigma_1^2."""
+        return self._gap_n / (root * root * self._eq.rho)
 
     def _root(self, r: int) -> tuple[float, float]:
-        gap = self._gap(self._solve(r)[0])
-        return math.sqrt(self._last2 + gap) * self._scale, gap * self._scale**2
+        """(sigma_hat, its scaled gap) at live root r."""
+        gap = self._gap(self._eq.solve(r)[0])
+        return math.sqrt(self._last2 + gap) * self._scale, gap
 
     def _pole(self, j: int) -> tuple[float, float]:
-        return float(self._sigma[j]), float(self._gaps[j]) * self._scale**2
+        return float(self._sigma[j]), float(self._gaps[j])
 
     def _deflated_at(self, i: int) -> tuple[float, float]:
         """Entry i when some pole is deflated, from at most one root.
@@ -231,7 +231,7 @@ class SigmaHatRoots:
         between: together they fill positions L[r] up to L[r+1] (up to n for
         the last). Deflated poles above L[0] fill the positions before it.
         """
-        live = self._live
+        live = self._eq.live
         r = int(np.searchsorted(live, i, side="right")) - 1
         if r < 0:
             return self._pole(i)
@@ -270,14 +270,14 @@ class SigmaHatRoots:
         weight[k] = |u_hat . b| = 1 / ||y||, y = (Sigma^2 - sigma_hat^2 I)^{-1}
         Sigma v: b = U Sigma v, u_hat = U y / ||y||, and y . Sigma v = 1.
         """
-        roots = range(len(self._poles)) if roots is None else roots
-        root, delta, work = np.empty(len(roots)), *np.empty((2, len(roots), len(self._poles)))
+        eq = self._eq
+        roots = range(len(eq.poles)) if roots is None else roots
+        root, delta, work = np.empty(len(roots)), *np.empty((2, len(roots), len(eq.poles)))
         for k, r in enumerate(roots):
-            root[k], delta[k], work[k] = self._solve(r)
-        live = slice(None) if self._live is None else self._live
-        dist = np.full((len(roots), len(self._gaps)), np.inf)
-        dist[:, live] = -self._gaps[live] * (delta * work) / (root * root)[:, None]
-        dist = np.append(dist[:, self._rep], -self._gap(root)[:, None], axis=1)
+            root[k], delta[k], work[k] = eq.solve(r)
+        live = slice(None) if eq.live is None else eq.live
+        dist = eq.spread(-self._gaps[live] * (delta * work) / (root * root)[:, None])
+        dist = np.append(dist, -self._gap(root)[:, None], axis=1)
         weight = 1.0 / np.linalg.norm(self._sigma / self._scale * self._v_last / dist, axis=1)
         return dist * self._scale**2, weight * self._scale
 
@@ -291,14 +291,15 @@ class SigmaHatRoots:
         R^G orthogonal to v as a row: here every row but the last of the
         Householder reflector that maps v_G to -+e_last.
         """
-        n, v, own = len(self._sigma) - 1, self._v_last, np.arange(len(self._rep))
-        if self._live is None:
+        n, v, rep, live = len(self._sigma) - 1, self._v_last, self._eq.rep, self._eq.live
+        own = np.arange(len(rep))
+        if live is None:
             return np.empty(0), np.empty((0, n))
-        poles = [np.setdiff1d(own[self._rep == own], self._live)]  # the dropped weights
+        poles = [np.setdiff1d(own[rep == own], live)]  # the dropped weights
         rows = [(np.eye(n)[poles[0]] - np.outer(v[poles[0]], v[:n]))
                 / np.sqrt(1.0 - v[poles[0]] ** 2)[:, None]]
-        for k in np.unique(self._rep[self._rep != own]):
-            group = np.flatnonzero(self._rep == k)
+        for k in np.unique(rep[rep != own]):
+            group = np.flatnonzero(rep == k)
             w = v[group] / np.linalg.norm(v[group])
             w[-1] += math.copysign(1.0, w[-1])
             poles.append(group[:-1])
@@ -316,9 +317,9 @@ class SigmaHatRoots:
         weight.
         """
         delta = self.at(-1)[1]
-        if delta == 0.0 or not len(self._poles):
+        if delta == 0.0 or not len(self._eq.poles):
             return 0.0  # delta = 0, or every weight deflated (sigma_hat_n = sigma_n)
-        dist, weight = self.pole_distances([len(self._poles) - 1])
+        dist, weight = self.pole_distances([len(self._eq.poles) - 1])
         return float(weight[0]) if -dist[0, -1] == delta else 0.0
 
 

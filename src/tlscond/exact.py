@@ -32,9 +32,11 @@ not from P, so it needs no gate.
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
 solve_tls fixes, and ||V11^{-T} S|| is the top root of a secular equation
-(LAPACK dlasd4 through core.secular_root, the kernel of the bundle's roots
-too; O(n)). It feeds the svd formula, the two sandwiches and the
-perturbation lab's map K z.
+(LAPACK dlasd4 through core.SecularEquation, the front end of the bundle's
+roots too; O(n)), so kappa_rel does not depend on the scale of [A b]. It
+feeds the svd formula, the two sandwiches and the perturbation lab's map K z.
+Every Gram-matrix norm (kron, cholesky, baboulin) is the square root of the
+top eigenvalue alone, from LAPACK dsyevr.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, check_p, deflate, secular_root
+from .core import SecularEquation, SvdBundle, TlsSolution, check_p
 from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
@@ -56,25 +58,23 @@ def _secular_top(diag: np.ndarray, beta: np.ndarray, alpha: float) -> tuple[floa
     """(||V11^{-T} D||, q) for D = diag(diag): the top root of the secular
     equation of D^2 + (D beta)(D beta)^T / alpha^2, and its unit eigenvector.
 
-    dlasd4 runs in alpha-scaled form (poles alpha d, weights D beta), which
-    stays in range for tiny alpha. core.deflate, shared with the bundle's
-    secular roots, drops negligible weights (beta = 0 at x = 0, where the
-    value is max d exactly) and merges tied poles; a weightless pole above
-    the root is then the top eigenvalue itself.
+    The equation runs in alpha-scaled form (poles alpha d, weights D beta),
+    which stays in range for tiny alpha, through core.SecularEquation, the
+    bundle's own front end: it drops negligible weights (beta = 0 at x = 0,
+    where the value is max d exactly), merges tied poles and scales the rest
+    to unit weights, so the result does not depend on the scale of [A b]. A
+    weightless pole above the root is then the top eigenvalue itself.
     """
     order = np.argsort(diag, kind="stable")
     poles, weights = alpha * diag[order], (diag * beta)[order]
-    z, rep = deflate(poles, weights)
-    live = np.flatnonzero(z)
+    equation = SecularEquation(poles, weights)
     root, q = 0.0, None
-    if len(live):
-        rho = float(np.linalg.norm(z[live]))
-        root, delta, work = secular_root(len(live) - 1, poles[live], z[live] / rho, rho**2)
-        dist = np.full(len(z), np.inf)  # dropped weights get q_j = 0
-        dist[live] = delta * work  # pole^2 - root^2 without cancellation
-        q = weights / dist[rep]
+    if len(equation.poles):
+        root, delta, work = equation.solve(len(equation.poles) - 1)
+        root *= equation.norm
+        q = weights / equation.spread(delta * work)  # dropped weights get q_j = 0
     if poles[-1] > root:
-        root, q = poles[-1], np.eye(len(z))[-1]
+        root, q = poles[-1], np.eye(len(poles))[-1]
     return float(root / alpha), (q / np.linalg.norm(q))[np.argsort(order)]
 
 
@@ -122,18 +122,13 @@ class ConditionEstimate:
     warnings: tuple[str, ...] = ()  # always (): a route answers or raises; bench/ reads it
 
 
-def _gram_norm(gram: np.ndarray, top_only: bool = False) -> float:
+def _gram_norm(gram: np.ndarray) -> float:
     """||M|| from a Gram matrix of M: sqrt of its top eigenvalue, clamped at 0.
 
-    All n eigenvalues come from numpy's eigvalsh (LAPACK dsyevd); top_only
-    asks LAPACK dsyevr for the top one alone, about 0.6x the time at n = 100
-    but not bit for bit eigvalsh's value.
+    LAPACK dsyevr finds the top eigenvalue alone.
     """
-    if top_only:
-        n = len(gram)
-        top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
-    else:
-        top = np.linalg.eigvalsh(gram)[-1]
+    n = len(gram)
+    top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0]
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -294,7 +289,7 @@ def baboulin_condition(
     takes its row from deflated_rows. No SVD of A and no gate: every
     difference comes from a secular root, so the route is as accurate as the
     svd route at any gap. The norm is read from the n x n Gram matrix, as in
-    the cholesky route, but from its top eigenvalue alone.
+    the cholesky route.
     """
     n, sig2 = bundle.n, float(bundle.sigma[-1]) ** 2
     dist, weight = bundle.roots.pole_distances()
@@ -303,5 +298,5 @@ def baboulin_condition(
     tied_gap, tied_rows = bundle.roots.deflated_rows()
     d_b = np.sqrt(bundle.sigma[:-1] ** 2 + sig2)
     core = np.vstack([rows, tied_rows]) / np.append(gap, tied_gap)[:, None] * d_b
-    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core, top_only=True))
+    kappa = float(np.hypot(1.0, solution.norm_x) * _gram_norm(core.T @ core))
     return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))

@@ -32,12 +32,12 @@ def tie_problem(b=(0.0, 0.0, 1.0, 1.0, 0.0)):
     return tc.TlsProblem(3.0 * np.vstack([np.eye(3), np.zeros((2, 3))]), np.array(b))
 
 
-def tied_weighted_problem(seed=2, sigma=(3.0, 3.0, 1.0, 0.5)):
-    """[A b] = U diag(sigma) W^T ((k+2) x k): by default 6x4 with s_1 = s_2 tied,
-    both beta_1, beta_2 nonzero."""
+def tied_weighted_problem(seed=2, sigma=(3.0, 3.0, 1.0, 0.5), rows=None):
+    """[A b] = U diag(sigma) W^T (rows x k, rows = k+2 by default): by default
+    6x4 with s_1 = s_2 tied, both beta_1, beta_2 nonzero."""
     k = len(sigma)
     rng = np.random.default_rng(seed)
-    u = np.linalg.qr(rng.standard_normal((k + 2, k)))[0]
+    u = np.linalg.qr(rng.standard_normal((rows or k + 2, k)))[0]
     aug = (u * np.asarray(sigma)) @ generators.haar_orthogonal(k, rng).T
     return tc.TlsProblem(aug[:, :-1], aug[:, -1])
 

@@ -232,11 +232,34 @@ def test_exit_code_generator_gives_up(tmp_path, capsys):
     assert not path.exists()
 
 
+def scaled_deblur_file(path, k):
+    """Deblurring m=40 seed 0 times 2^k, written to path."""
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0))
+    tc.save_problem(tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k)),
+                    path)
+    return path
+
+
 def test_exit_code_overflowing_scale(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     tc.save_problem(tc.TlsProblem([[1e160], [0.0]], [1e160, 1e160]), path)
     code, _, err = run(["solve", "--input", str(path)], capsys)
     assert code == 2 and "overflows float64" in err
+    # at 2^-520 the gap holds, but delta = sigma_hat_n^2 - sigma_{n+1}^2 underflows
+    path = scaled_deblur_file(tmp_path / "tiny.csv", -520)
+    code, _, err = run(["solve", "--input", str(path)], capsys)
+    assert code == 2 and "underflows float64" in err
+
+
+def test_a_large_power_of_two_keeps_kappa_and_its_bounds(tmp_path, capsys):
+    path = scaled_deblur_file(tmp_path / "big.csv", 340)
+    code, out, _ = run(["cond", "--input", str(path)], capsys)
+    assert code == 0 and "kappa_rel=1.857325e+07" in out
+    code, out, _ = run(["bounds", "--input", str(path)], capsys)
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.splitlines() if "lower=" in line}
+    certified = ["simple_sandwich", "sharp_sandwich", "kappa1", "kappa2_lower", "kappa2_upper"]
+    assert all("encloses" in lines[name] for name in certified)
 
 
 def test_table_example2_json(tmp_path, capsys):

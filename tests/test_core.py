@@ -519,6 +519,17 @@ def test_a_scale_whose_square_overflows_is_refused(scale):
         tc.monte_carlo_validate(tc.TlsProblem([[1.0], [0.0]], [1.0, 1.0]), trials=1, t=scale)
 
 
+@pytest.mark.parametrize("m, seed, k", [(60, 1, -490), (40, 0, -520), (40, 0, -530)])
+def test_a_gap_whose_square_underflows_is_refused(m, seed, k):
+    # the scaled gap holds, but delta = sigma_hat_n^2 - sigma_{n+1}^2 is below the
+    # smallest normal float, where kappa's equation overflows, the gap reads 0
+    # or rel_gap's denominator underflows to 0
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=m, seed=seed))
+    scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k))
+    with pytest.raises(ShapeError, match="underflows float64"):
+        tc.svd_bundle(scaled)
+
+
 def scaled_alpha_problem():
     """A 30x8 alpha problem scaled to sigma_1 = 0.5 _SCALE_LIMIT, and the problem itself."""
     problem = tc.generate_ab_alpha(30, 8, 0.3, seed=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
 import warnings
@@ -496,3 +497,18 @@ def test_scale_invariance():
         estimate = tc.svd_condition(s_work, s_bundle, s_solution)
         assert estimate.kappa_abs == pytest.approx(base.kappa_abs / c, rel=1e-10)
         assert estimate.kappa_rel == pytest.approx(base.kappa_rel, rel=1e-10)
+
+    # kappa's secular equation is scaled to unit weights, so a power of two
+    # changes no bit of kappa_rel and scales kappa_abs exactly
+    deblur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0))
+    alpha = tc.generate_ab_alpha(50, 10, 1e-2, 3)
+    for problem, k in [(deblur, -40), (deblur, 340), (alpha, 300), (alpha, -300)]:
+        bundle, solution, work = pipeline(problem)
+        base = tc.svd_condition(work, bundle, solution)
+        scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k))
+        s_bundle, s_solution, s_work = pipeline(scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = tc.svd_condition(s_work, s_bundle, s_solution)
+        assert estimate.kappa_rel == base.kappa_rel
+        assert estimate.kappa_abs == math.ldexp(base.kappa_abs, -k)

@@ -41,6 +41,10 @@ ORACLE_PROBLEMS = {
     "tie_triple_7x4": lambda: tied_weighted_problem(0, (3.0, 3.0, 3.0, 1.0, 0.5)),
     "deblur_m40_seed0": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0)),
     "deblur_m40_seed1": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=1)),
+    # sigma_n - sigma_{n+1} = 1e-10 at unit scale: dlasd4 converges on kappa's
+    # equation only once it is scaled to unit weights
+    "close_30x6_1e-10": lambda: tied_weighted_problem(
+        8, (3.0, 2.5, 2.0, 1.5, 1.2, 1.0, 1.0 - 1e-10), rows=30),
 }
 
 
@@ -61,7 +65,7 @@ def test_svd_kappa_matches_the_50_digit_oracle(name):
 
 @pytest.mark.parametrize("name", ORACLE_PROBLEMS)
 def test_baboulin_kappa_matches_the_50_digit_oracle(name):
-    # measured at most 3.2e-16 farther than the svd route (tie_weighted_6x3, a merged tie)
+    # measured at most 4.8e-16 farther than the svd route (tie_weighted_6x3, a merged tie)
     problem = ORACLE_PROBLEMS[name]()
     bundle, solution, work = pipeline(problem)
     reference = kappa_50(name)
