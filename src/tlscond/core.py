@@ -1,21 +1,31 @@
 """One SVD per problem, A's singular values from it, gap diagnostics, the TLS solver.
 
-The bundle is the singular values and right factor V of [A b], from one row
-block: [A b], or once m >= 2(n+1) (LAPACK's QR-first crossover) the
-(n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q R[:, :n] (Chan's
-R-SVD). block_rows is the one owner of that crossover rule: row_block and
-the perturbation lab's stacked re-solves both ask it. The QR is LAPACK
-dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b], the
-recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000), in
-row_block; the SVD of that block is block_svd, which takes one block or a
-stack of them and returns (sigma, vt): a block at least V_ONLY_WIDTH wide
-goes through v_only_svd, dgesdd's own LAPACK steps (dgebrd, dbdsdc, dormbr
-through scipy.linalg.cython_lapack and ctypes) without the back-transform
-that forms U, and a narrower one through numpy's dgesdd, whose U is dropped.
-The rule reads the width alone, so a block factored in a stack gets the bits
-of its own call. The alpha generator and the lab run the same two kernels
-(the lab calls row_block's householder_qr itself and copies R into its
-stack). Neither Q nor any left singular factor is kept.
+The bundle is what the paper's formulas read of the SVD of [A b]: its
+singular values sigma, b_row, b's row of the right factor V (the last
+entries of the right singular vectors), and v_{n+1}, V's last column. They
+come from one row block: [A b], or once m >= 2(n+1) (LAPACK's QR-first
+crossover) the (n+1) x (n+1) R of one Householder QR [A b] = Q R, A = Q
+R[:, :n] (Chan's R-SVD). block_rows is the one owner of that crossover rule:
+row_block and the perturbation lab's stacked re-solves both ask it. The QR
+is LAPACK dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b],
+the recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000),
+in row_block; the SVD of that block is block_svd, which takes one block or a
+stack of them and returns (sigma, b_row, v_last). A block at least
+V_ONLY_WIDTH wide goes through few_value_svd: dgebrd bidiagonalizes [b, the
+other columns] (Golub-Kahan started from b, so b's row of V is the first row
+of the bidiagonal's own V_B), dbdsqr gives sigma and that row with one VT
+column in O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
++sigma_{n+1} (dstebz, dstein; O(n)) through one dormbr column. A narrower
+block goes through numpy's dgesdd, whose U is dropped and whose V^T gives
+both. The C entry points of dgebrd, dbdsqr, dbdsdc and dormbr are called
+through scipy.linalg.cython_lapack and ctypes. The rule reads the width
+alone, so a block factored in a stack gets the bits of its own call. The
+whole V (SvdBundle.v_aug) is formed only where it is read, from the same
+bidiagonal by dbdsdc and dormbr (Bidiagonal.right_factor), or from numpy's
+V^T. The alpha generator takes the whole V of its random draw (full_svd:
+dgebrd, dbdsdc and dormbr, v_only_svd, or numpy's dgesdd), and the lab calls
+row_block's householder_qr itself and copies R into its stack. Neither Q nor
+any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -36,7 +46,8 @@ root to every pole, and |u_hat_i . b|, come from that root in O(n)
 (SigmaHatRoots.pole_distances): the gap chain reads them at the top root
 (b_weight_n), and the baboulin comparison route at every root, with the rows
 of the deflated poles (deflated_rows), for A's right singular vectors in
-closed form. So block_svd is the package's one SVD, and A is never factored.
+closed form. So block_svd is the package's one SVD (full_svd, the same kernels
+with all of V, the alpha generator's), and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -56,11 +67,12 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrt, dlasd4
+from scipy.linalg.lapack import dgeqrt, dlasd4, dstebz, dstein
 
 from .errors import (
     ConvergenceError,
@@ -154,7 +166,7 @@ def check_scale(sigma: np.ndarray) -> float:
 
 
 class SigmaHatRoots:
-    """A's singular values from the singular values and last row v of V of [A b].
+    """A's singular values from the singular values of [A b] and V's last row v, b's row.
 
     A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V, and V1^T V1 =
     I - v v^T, so the sigma_hat^2 are the nonzero eigenvalues of Sigma^2 -
@@ -181,19 +193,19 @@ class SigmaHatRoots:
     whose unscaled value falls below the smallest normal float, _TINY.
     """
 
-    def __init__(self, sigma: np.ndarray, v_last: np.ndarray):
-        self._sigma, self._v_last = sigma, v_last
+    def __init__(self, sigma: np.ndarray, b_row: np.ndarray):
+        self._sigma, self._b_row = sigma, b_row
         self._scale = check_scale(sigma)
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
         self._rest: SigmaHatRoots | None = None  # the equation without sigma_{n+1}
-        alpha, self._gap_n = abs(float(v_last[-1])), float(self._gaps[-1])
+        alpha, self._gap_n = abs(float(b_row[-1])), float(self._gaps[-1])
         self._usable = alpha > _NEGLIGIBLE and self._gap_n > 0.0
         if not self._usable:
             return
         root_poles = np.sqrt(self._gap_n / self._gaps)
-        weights = v_last[:-1] * (root_poles / alpha)  # each below 1/_NEGLIGIBLE
+        weights = b_row[:-1] * (root_poles / alpha)  # each below 1/_NEGLIGIBLE
         self._usable = float(weights @ weights) < 1.0 / _NEGLIGIBLE
         if self._usable:
             self._eq = SecularEquation(root_poles, weights)
@@ -252,8 +264,8 @@ class SigmaHatRoots:
             if i == len(node._sigma) - 2:
                 return float(node._sigma[-1]), below
             if node._rest is None:
-                v_rest = node._v_last[:-1].copy()
-                v_rest[-1] = np.hypot(v_rest[-1], node._v_last[-1])
+                v_rest = node._b_row[:-1].copy()
+                v_rest[-1] = np.hypot(v_rest[-1], node._b_row[-1])
                 node._rest = SigmaHatRoots(node._sigma[:-1], v_rest)
             below += node._gap_n * node._scale**2
             node = node._rest
@@ -278,7 +290,7 @@ class SigmaHatRoots:
         live = slice(None) if eq.live is None else eq.live
         dist = eq.spread(-self._gaps[live] * (delta * work) / (root * root)[:, None])
         dist = np.append(dist, -self._gap(root)[:, None], axis=1)
-        weight = 1.0 / np.linalg.norm(self._sigma / self._scale * self._v_last / dist, axis=1)
+        weight = 1.0 / np.linalg.norm(self._sigma / self._scale * self._b_row / dist, axis=1)
         return dist * self._scale**2, weight * self._scale
 
     def deflated_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +303,7 @@ class SigmaHatRoots:
         R^G orthogonal to v as a row: here every row but the last of the
         Householder reflector that maps v_G to -+e_last.
         """
-        n, v, rep, live = len(self._sigma) - 1, self._v_last, self._eq.rep, self._eq.live
+        n, v, rep, live = len(self._sigma) - 1, self._b_row, self._eq.rep, self._eq.live
         own = np.arange(len(rep))
         if live is None:
             return np.empty(0), np.empty((0, n))
@@ -325,15 +337,24 @@ class SigmaHatRoots:
 
 @dataclass(frozen=True)
 class SvdBundle:
-    """The singular values and right factor of [A b] (plain quantities) and A's
-    smallest singular value (hatted)."""
+    """The singular values of [A b], b's row of its right factor V and its
+    last right singular vector (plain quantities), and A's smallest singular
+    value (hatted). The whole V is formed only where v_aug is read."""
 
     rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1)
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
-    v_aug: np.ndarray      # (n+1, n+1) right factor of [A b]; no left factor is kept
+    b_row: np.ndarray      # (n+1,) V's last row: b's entry of each right singular vector
+    v_last: np.ndarray     # (n+1,) v_{n+1}, V's last column; its last entry has b_row's sign
     sigma_hat_n: float     # smallest singular value of A
     delta: float           # sigma_hat_n^2 - sigma_{n+1}^2, from a secular root, not a difference
     roots: SigmaHatRoots = field(repr=False, compare=False)  # every other sigma_hat, on request
+    form_vt: Callable[[], np.ndarray] = field(repr=False, compare=False)  # V^T, on request
+
+    @cached_property
+    def v_aug(self) -> np.ndarray:
+        """(n+1, n+1) the right factor V of [A b], formed on first read; no left
+        factor is kept. Its last row and column are b_row and v_last to rounding."""
+        return self.form_vt().T
 
     @property
     def n(self) -> int:
@@ -430,16 +451,20 @@ def block_rows(m: int, k: int) -> int:
     return k if m >= 2 * k else m
 
 
-# The narrowest block that block_svd factors for sigma and V alone
-# (v_only_svd, one block at a time); narrower blocks, one or a stack, go
-# through numpy's dgesdd in one call. Set from the per-block cost of each
-# route on a stack of 32 random k x k and 1.4k x k blocks (medians of 5 x 21
-# runs, one BLAS thread, a 2-vCPU VM), v_only_svd against numpy's stacked
-# call: k = 11, 69 and 72 against 39 and 42 us; k = 21, 105 and 122 against
-# 85 and 120 us; k = 31, 165 and 231 against 160 and 255 us; k = 41, 327 and
-# 312 against 360 and 349 us; k = 61, 855 and 897 against 977 and 1060 us.
-# Each v_only_svd call costs about 12 us of ctypes and numpy set-up, which the
-# dormbr('Q') it saves outweighs from about k = 40 on.
+# The narrowest block that block_svd factors through few_value_svd, one block
+# at a time; narrower blocks, one or a stack, go through numpy's dgesdd in
+# one call. Set from the per-block cost of each route on a stack of 32
+# random k x k and 1.4k x k blocks (medians of 5 x 21 runs, one BLAS thread,
+# a 2-vCPU VM), first for v_only_svd (dgebrd, dbdsdc, dormbr) against
+# numpy's stacked call: k = 11, 69 and 72 against 39 and 42 us; k = 21, 105
+# and 122 against 85 and 120 us; k = 31, 165 and 231 against 160 and 255 us;
+# k = 41, 327 and 312 against 360 and 349 us; k = 61, 855 and 897 against 977
+# and 1060 us. few_value_svd, which took its place at the same width, costs
+# 207 and 309 us at k = 31 against numpy's 159 and 157, 271 and 296 at
+# k = 41 against 285 and 340, and 1290 and 1580 at k = 101 against 1779 and
+# 1962. Of its 245 us at 41 x 41 (best of 2000 calls), dgebrd with its
+# set-up takes 61, dbdsqr's rotations 114 and the tridiagonal's vector 66
+# (dstebz alone 33).
 V_ONLY_WIDTH = 40
 
 
@@ -472,6 +497,7 @@ def _cython_lapack(name: str, nargs: int):
 
 
 dgebrd = _cython_lapack("dgebrd", 11)
+dbdsqr = _cython_lapack("dbdsqr", 15)
 dbdsdc = _cython_lapack("dbdsdc", 14)
 dormbr = _cython_lapack("dormbr", 14)
 # dgesdd factors a block scaled when its largest entry lies outside [_SVD_SMALL, 1/_SVD_SMALL]
@@ -479,9 +505,9 @@ _SVD_SMALL = math.sqrt(float(np.finfo(float).tiny)) / _EPS
 
 
 @lru_cache(maxsize=64)
-def _v_only_lwork(m: int, k: int) -> int:
-    """The work length of v_only_svd on an m x k block: dbdsdc's 3k^2 + 4k, or
-    the optimal lwork of dgebrd or of dormbr (their workspace queries) if larger."""
+def _brd_lwork(m: int, k: int) -> int:
+    """The work length of dgebrd and dormbr('P') on an m x k block: the larger
+    of their optimal lwork (their workspace queries)."""
     ints, optimal = np.array([m, k, -1, 0], dtype=np.intc), np.zeros(2)
     m_, k_, query, info = _addresses(ints, range(4))  # the addresses of m, k, lwork = -1, info
     out = optimal.ctypes.data  # no array is referenced; each query writes its lwork here
@@ -489,48 +515,7 @@ def _v_only_lwork(m: int, k: int) -> int:
     _check_info("dgebrd", ints[3])
     dormbr(b"P", b"R", b"T", k_, k_, k_, out, m_, out, out, k_, out + optimal.itemsize, query, info)
     _check_info("dormbr", ints[3])
-    return max(3 * k * k + 4 * k, *map(int, optimal))
-
-
-def v_only_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, vt) of one m x k block, m >= k: dgesdd's own steps, U left out.
-
-    LAPACK dgebrd reduces a Fortran-ordered copy to upper bidiagonal form B =
-    Q^T block P, dbdsdc('U', 'I') factors B = U_B Sigma VT_B, and dormbr('P',
-    'R', 'T') forms VT = VT_B P^T: the dormbr('Q') that builds dgesdd's U = Q
-    U_B is not run. vt is C-contiguous, as numpy returns it. Where dgesdd
-    scales the block, this scales it by a power of two, which is exact.
-    Raises ShapeError for entries that are not finite, and ConvergenceError
-    naming the routine whose info is not 0.
-    """
-    m, k = block.shape
-    if m < k:
-        raise ShapeError(f"need m >= k, got a {m} x {k} block")
-    top = float(np.max(np.abs(block)))
-    if not math.isfinite(top):
-        raise ShapeError("entries must be finite")
-    a = np.array(block, dtype=float, order="F")  # dgebrd overwrites it with its reflectors
-    shift = 0
-    if top > 0.0 and not _SVD_SMALL <= top <= 1.0 / _SVD_SMALL:
-        shift = -math.frexp(top)[1]
-        np.ldexp(a, shift, out=a)
-    lwork = _v_only_lwork(m, k)
-    ints = np.empty(4 + 8 * k, dtype=np.intc)  # m, k, lwork, info, then dbdsdc's iwork
-    ints[:4] = m, k, lwork, 0
-    m_, k_, lwork_, info, iwork = _addresses(ints, range(5))  # addresses, as Fortran takes them
-    # d, e, tauq, taup, U_B, VT_B and the work, in one buffer
-    buf = np.empty(4 * k + 2 * k * k + lwork)
-    d, e, tauq, taup, u_b, vt_b, work = _addresses(
-        buf, (0, k, 2 * k, 3 * k, 4 * k, 4 * k + k * k, 4 * k + 2 * k * k))
-    a_ = a.ctypes.data
-    dgebrd(m_, k_, a_, m_, d, e, tauq, taup, work, lwork_, info)
-    _check_info("dgebrd", ints[3])
-    dbdsdc(b"U", b"I", k_, d, e, u_b, k_, vt_b, k_, None, None, work, iwork, info)
-    _check_info("dbdsdc", ints[3])
-    dormbr(b"P", b"R", b"T", k_, k_, k_, a_, m_, taup, vt_b, k_, work, lwork_, info)
-    _check_info("dormbr", ints[3])
-    vt = buf[4 * k + k * k : 4 * k + 2 * k * k].reshape(k, k).T  # VT in Fortran order
-    return np.ldexp(buf[:k], -shift), np.ascontiguousarray(vt)
+    return max(map(int, optimal))
 
 
 def _addresses(array: np.ndarray, offsets) -> list[int]:
@@ -539,46 +524,260 @@ def _addresses(array: np.ndarray, offsets) -> list[int]:
     return [base + array.itemsize * i for i in offsets]
 
 
-def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, vt), the thin SVD of one block or of a stack of blocks, without U.
+def _power_of_two_shift(top: np.ndarray) -> np.ndarray:
+    """The exponent that brings a largest entry top into [1/2, 1) where it lies
+    outside dgesdd's range [_SVD_SMALL, 1/_SVD_SMALL], else 0: a block scaled
+    by it is factored as dgesdd would factor it unscaled, as scaling by a
+    power of two is exact."""
+    outside = (top > 0.0) & ((top < _SVD_SMALL) | (top > 1.0 / _SVD_SMALL))
+    return np.where(outside, -np.frexp(top)[1], 0)
 
-    Blocks at least V_ONLY_WIDTH wide go through v_only_svd one at a time;
-    narrower ones through numpy's dgesdd, one call for the whole stack, whose
-    U is dropped. Either works on its own copy of each block, so rows stays
-    intact, returns a C-contiguous vt, and gives each block of a stack
-    bitwise the factors of its own call: the route depends on the width
-    alone. Raises ShapeError for entries that are not finite, and
-    ConvergenceError when LAPACK fails.
+
+class Bidiagonal:
+    """One m x k block, m >= k, reduced by LAPACK dgebrd: block = Q B P^T.
+
+    B is upper bidiagonal, its diagonal d and superdiagonal e; P stays as
+    dgebrd's reflectors (above the superdiagonal of a, factors taup); Q is
+    not kept. The block is factored as a Fortran copy, with its last column
+    moved to the front where b_first: P's reflectors leave column 1 alone,
+    so that column's row of V is the first row of B's own right factor
+    (Golub-Kahan bidiagonalization started from b, the TLS core reduction of
+    Paige & Strakos, SIMAX 27, 2006). Where dgesdd would scale the block,
+    the copy is scaled by a power of two, 2^shift, which is exact. Raises
+    ShapeError for entries that are not finite, and ConvergenceError naming
+    the routine whose info is not 0.
     """
-    k = rows.shape[-1]
-    if k >= V_ONLY_WIDTH:
-        if rows.ndim == 2:
-            return v_only_svd(rows)
-        sigma, vt = np.empty(rows.shape[:-2] + (k,)), np.empty(rows.shape[:-2] + (k, k))
-        for i, block in enumerate(rows):
-            sigma[i], vt[i] = v_only_svd(block)
-        return sigma, vt
-    if not np.isfinite(rows).all():  # numpy's dgesdd may never return on them
+
+    def __init__(self, block: np.ndarray, b_first: bool = False):
+        m, k = block.shape
+        if m < k:
+            raise ShapeError(f"need m >= k, got a {m} x {k} block")
+        top = float(np.max(np.abs(block)))
+        if not math.isfinite(top):
+            raise ShapeError("entries must be finite")
+        self.a = np.empty((m, k), order="F")  # dgebrd overwrites it with its reflectors
+        if b_first:
+            self.a[:, 0], self.a[:, 1:] = block[:, -1], block[:, :-1]
+        else:
+            self.a[:] = block
+        self.shift = int(_power_of_two_shift(np.float64(top)))
+        if self.shift:
+            np.ldexp(self.a, self.shift, out=self.a)
+        self.lwork = _brd_lwork(m, k)
+        self._ints = np.array([m, k, self.lwork, 0], dtype=np.intc)  # m, k, lwork, info
+        self._taus = np.empty(2 * k)  # tauq, then taup
+        self.d, self.e = np.empty(k), np.empty(k - 1)
+        m_, k_, lwork_, info = self._args()
+        tauq, taup = _addresses(self._taus, (0, k))
+        work = np.empty(self.lwork)
+        dgebrd(m_, k_, self.a.ctypes.data, m_, self.d.ctypes.data, self.e.ctypes.data, tauq,
+               taup, work.ctypes.data, lwork_, info)
+        _check_info("dgebrd", self._ints[3])
+
+    def _args(self) -> list[int]:
+        """The addresses of m, k, lwork and info, as Fortran takes them."""
+        return _addresses(self._ints, range(4))
+
+    def first_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, the first row of B's right factor), sigma descending, in O(k^2).
+
+        LAPACK dbdsqr('U') on copies of d and e, with one column of VT, e_1: it
+        applies its rotations to that column alone (Demmel & Kahan, SISC 11,
+        1990), and sorts and signs it with sigma.
+        """
+        k = len(self.d)
+        buf = np.zeros(7 * k)  # d, e, the column of VT, the work
+        buf[:k], buf[k : 2 * k - 1], buf[2 * k] = self.d, self.e, 1.0
+        ints = np.array([1, 0], dtype=np.intc)
+        one, zero = _addresses(ints, range(2))
+        m_, k_, _, info = self._args()
+        d, e, vt, work = _addresses(buf, (0, k, 2 * k, 3 * k))
+        dbdsqr(b"U", k_, one, zero, zero, d, e, vt, k_, None, one, None, one, work, info)
+        _check_info("dbdsqr", self._ints[3])
+        return np.ldexp(buf[:k], -self.shift), buf[2 * k : 3 * k]
+
+    def last_vector(self) -> np.ndarray | None:
+        """The right singular vector at sigma_k, in O(k) and one dormbr column, or None.
+
+        B's vector is the v-half (odd entries) of the eigenvector of the 2k x
+        2k Golub-Kahan tridiagonal (zero diagonal, off-diagonal d_1, e_1, d_2,
+        ..., d_k) at +sigma_k, its eigenvalue k+1 in ascending order: LAPACK
+        dstebz finds that eigenvalue by bisection and dstein its vector by
+        inverse iteration. Mixed with the vector at -sigma_k, the v-half keeps
+        its direction and loses norm; where it holds less than 1/4 of the
+        vector (the tridiagonal splits at sigma_k = 0, say, and the eigenvalue
+        falls on the other zero), None. Otherwise the normalized v-half goes
+        through dormbr('P', 'L', 'N'): v = P v_B.
+        """
+        k = len(self.d)
+        zero, off = np.zeros(2 * k), np.empty(2 * k - 1)
+        off[0::2], off[1::2] = self.d, self.e
+        _, w, iblock, isplit, info = dstebz(zero, off, 3, 0.0, 0.0, k + 1, k + 1, 0.0, b"B")
+        _check_info("dstebz", info)
+        z, info = dstein(zero, off, w[:1], iblock, isplit)
+        _check_info("dstein", info)
+        v = z[0::2, 0]
+        norm2 = float(v @ v)
+        if not norm2 >= 0.25:  # NaN included
+            return None
+        v = v / math.sqrt(norm2)
+        m_, k_, lwork_, info = self._args()
+        one, work = np.array([1], dtype=np.intc), np.empty(self.lwork)
+        dormbr(b"P", b"L", b"N", k_, one.ctypes.data, k_, self.a.ctypes.data, m_,
+               _addresses(self._taus, (k,))[0], v.ctypes.data, k_, work.ctypes.data, lwork_, info)
+        _check_info("dormbr", self._ints[3])
+        return v
+
+    def right_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, vt), the whole right factor, as dgesdd forms it without U.
+
+        dbdsdc('U', 'I') on copies of d and e factors B = U_B Sigma VT_B, and
+        dormbr('P', 'R', 'T') forms VT = VT_B P^T: the dormbr('Q') that builds
+        dgesdd's U = Q U_B is not run. vt is C-contiguous, as numpy returns
+        it, in the block's column order (the copy's, where b_first).
+        """
+        k = len(self.d)
+        lwork = max(3 * k * k + 4 * k, self.lwork)  # dbdsdc's, or dormbr's if larger
+        ints = np.empty(2 + 8 * k, dtype=np.intc)  # lwork, info, then dbdsdc's iwork
+        ints[:2] = lwork, 0
+        lwork_, info, iwork = _addresses(ints, range(3))
+        buf = np.empty(2 * k + 2 * k * k + lwork)  # d, e, U_B, VT_B and the work
+        buf[:k], buf[k : 2 * k - 1] = self.d, self.e
+        d, e, u_b, vt_b, work = _addresses(buf, (0, k, 2 * k, 2 * k + k * k, 2 * k + 2 * k * k))
+        m_, k_ = self._args()[:2]
+        dbdsdc(b"U", b"I", k_, d, e, u_b, k_, vt_b, k_, None, None, work, iwork, info)
+        _check_info("dbdsdc", ints[1])
+        dormbr(b"P", b"R", b"T", k_, k_, k_, self.a.ctypes.data, m_,
+               _addresses(self._taus, (k,))[0], vt_b, k_, work, lwork_, info)
+        _check_info("dormbr", ints[1])
+        vt = buf[2 * k + k * k : 2 * k + 2 * k * k].reshape(k, k).T  # VT in Fortran order
+        return np.ldexp(buf[:k], -self.shift), np.ascontiguousarray(vt)
+
+
+def v_only_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, vt) of one m x k block, m >= k: dgesdd's own steps, U left out.
+
+    The Bidiagonal of the block in its own column order, and its right_factor.
+    """
+    return Bidiagonal(block).right_factor()
+
+
+def few_value_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, Bidiagonal]:
+    """(sigma, b_row, v_last, bidiagonal) of one m x k block, m >= k, b its last column.
+
+    The Bidiagonal of [b, the other columns]: sigma and b_row, b's row of V
+    (one entry per singular vector), from its first_row, and v_last, the
+    right singular vector at sigma_k in the block's own column order, from
+    its last_vector, or where that returns None from its right_factor. The
+    two share V's corner entry, b's entry of v_last (alpha, up to its sign):
+    v_last takes b_row's sign there, and b_row takes v_last's value, which
+    dbdsqr and dstein round differently (by about eps absolute, 1e-8 of
+    alpha at alpha = 1e-8). The bidiagonal is returned for the whole
+    V on demand (_aligned_vt). Where dbdsdc and dormbr form all of V in O(k^3),
+    this costs O(k^2) past dgebrd.
+    """
+    bidiagonal = Bidiagonal(block, b_first=True)
+    sigma, b_row = bidiagonal.first_row()
+    v = bidiagonal.last_vector()
+    if v is None:
+        v = bidiagonal.right_factor()[1][-1]
+    v_last = np.append(v[1:], v[0])  # b's entry back to last
+    if v_last[-1] * b_row[-1] < 0.0:
+        v_last = -v_last
+    b_row[-1] = v_last[-1]  # V's corner, alpha: one value for the roots, x and kappa
+    return sigma, b_row, v_last, bidiagonal
+
+
+def _aligned_vt(bidiagonal: Bidiagonal, b_row: np.ndarray, v_last: np.ndarray) -> np.ndarray:
+    """V^T of few_value_svd's block from its bidiagonal's right_factor, C-contiguous.
+
+    b's column moves back to last, and each singular vector takes the sign
+    that b_row gives it (v_{n+1} the sign of v_last), so V's last row and
+    column agree with the few values, to rounding, where they are not 0.
+    """
+    vt = np.roll(bidiagonal.right_factor()[1], -1, axis=1)
+    signs = np.where(vt[:, -1] * b_row < 0.0, -1.0, 1.0)
+    signs[-1] = math.copysign(1.0, vt[-1] @ v_last)
+    return vt * signs[:, None]
+
+
+def _numpy_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, vt) of one block or a stack through numpy's dgesdd, U dropped.
+
+    Each block whose largest entry lies outside dgesdd's own scaling range
+    is factored scaled by a power of two (dgesdd's factor is not one), so
+    it keeps the bits of its own call and of every power-of-two multiple.
+    Raises ShapeError for entries that are not finite, and ConvergenceError.
+    """
+    top = np.max(np.abs(rows), axis=(-2, -1))
+    if not np.isfinite(top).all():  # numpy's dgesdd may never return on them
         raise ShapeError("entries must be finite")
+    shift = _power_of_two_shift(top)
+    scaled = shift.any()
+    if scaled:
+        rows = np.ldexp(rows, shift[..., None, None])
     try:
-        return np.linalg.svd(rows, full_matrices=False)[1:]
+        sigma, vt = np.linalg.svd(rows, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dgesdd failed ({exc})") from exc
+    return (np.ldexp(sigma, -shift[..., None]) if scaled else sigma), vt
+
+
+def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, vt) of one block, the whole right factor in its own column order.
+
+    v_only_svd from V_ONLY_WIDTH columns on, numpy's dgesdd below: the alpha
+    generator's kernel.
+    """
+    return v_only_svd(rows) if rows.shape[-1] >= V_ONLY_WIDTH else _numpy_svd(rows)
+
+
+def _factors(rows: np.ndarray):
+    """(sigma, b_row, v_last, form_vt) of one block: block_svd's triple and a
+    function that forms the whole V^T, with the same signs, on demand."""
+    if rows.shape[-1] >= V_ONLY_WIDTH:
+        sigma, b_row, v_last, bidiagonal = few_value_svd(rows)
+        return sigma, b_row, v_last, partial(_aligned_vt, bidiagonal, b_row, v_last)
+    sigma, vt = _numpy_svd(rows)
+    return sigma, vt[:, -1], vt[-1], lambda: vt
+
+
+def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, b_row, v_last) of one block or of a stack of blocks, without U.
+
+    sigma descending, b_row V's last row (the entries of the last column, b,
+    in each right singular vector), v_last V's last column (the right
+    singular vector at the smallest sigma). Blocks at least V_ONLY_WIDTH wide
+    go through few_value_svd one at a time; narrower ones through numpy's
+    dgesdd, one call for the whole stack, whose V^T gives both. Either works
+    on its own copy of each block, so rows stays intact, and gives each block
+    of a stack bitwise the values of its own call: the route depends on the
+    width alone. Raises ShapeError for entries that are not finite, and
+    ConvergenceError when LAPACK fails.
+    """
+    if rows.ndim == 2:
+        return _factors(rows)[:3]
+    if rows.shape[-1] >= V_ONLY_WIDTH:
+        each = [few_value_svd(block)[:3] for block in rows]
+        return tuple(np.array(part) for part in zip(*each))
+    sigma, vt = _numpy_svd(rows)
+    return sigma, vt[..., :, -1], vt[..., -1, :]
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
-    """sigma and V of [A b], descending, via its R when m >= 2(n+1); sigma_hat_n and delta.
+    """sigma, b's row of V and v_{n+1} of [A b], via its R when m >= 2(n+1); sigma_hat_n and delta.
 
-    block_svd of the row_block of one private Fortran-ordered copy of [A b].
+    block_svd's values of the row_block of one private Fortran-ordered copy
+    of [A b]; the whole V is formed only where v_aug is read.
     """
     m, n = problem.m, problem.n
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
-    sigma, vt_aug = block_svd(rows)
-    roots = SigmaHatRoots(sigma, vt_aug[:, -1])  # v: the last row of V
+    sigma, b_row, v_last, form_vt = _factors(rows)
+    roots = SigmaHatRoots(sigma, b_row)
     sigma_hat_n, delta = roots.at(-1)
-    return SvdBundle(rows, sigma, vt_aug.T, sigma_hat_n, delta, roots)
+    return SvdBundle(rows, sigma, b_row, v_last, sigma_hat_n, delta, roots, form_vt)
 
 
 def _classify_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:
@@ -632,7 +831,7 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     TrivialProblem or DegenerateVector.
     """
     diag, v_last = accept_trailing_vector(
-        bundle.sigma, bundle.v_aug[:, -1], bundle.sigma_hat_n, bundle.delta
+        bundle.sigma, bundle.v_last, bundle.sigma_hat_n, bundle.delta
     )
     x = -v_last[:-1] / v_last[-1]
     alpha = 1.0 / np.hypot(1.0, np.linalg.norm(x))

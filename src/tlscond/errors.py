@@ -15,12 +15,15 @@ class ShapeError(TlsCondError):
 
 class ConvergenceError(TlsCondError):
     """A LAPACK call failed: dgeqrt, numpy's dgesdd (its LinAlgError), dgebrd,
-    dbdsdc, dormbr, or dlasd4.
+    dbdsqr, dstebz, dstein, dbdsdc, dormbr, or dlasd4.
 
     These are the bundle's row-block kernels, which the alpha generator and
     the perturbation lab's stacked re-solves share: dgeqrt for the QR, and
-    for the SVD numpy's dgesdd on narrow blocks or dgebrd, dbdsdc and dormbr
-    (core.v_only_svd) on wide ones. dlasd4 solves the secular roots.
+    for the SVD numpy's dgesdd on narrow blocks; on wide ones dgebrd, then
+    dbdsqr, dstebz, dstein and dormbr for the few values the bundle keeps
+    (core.few_value_svd), and dbdsdc and dormbr for the whole V where it is
+    read (core.Bidiagonal.right_factor, and the alpha generator's
+    core.v_only_svd). dlasd4 solves the secular roots.
     """
 
 

@@ -30,18 +30,20 @@ core.P_ROUNDING_LIMIT. baboulin takes every difference from a secular root,
 not from P, so it needs no gate.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
-reads V11 through closed forms in V's last row and in v_{n+1}, whose sign
-solve_tls fixes, and ||V11^{-T} S|| is the top root of a secular equation
-(LAPACK dlasd4 through core.SecularEquation, the front end of the bundle's
-roots too; O(n)), so kappa_rel does not depend on the scale of [A b]. It
-feeds the svd formula, the two sandwiches and the perturbation lab's map K z.
+reads V11 through closed forms in V's last row (the bundle's b_row) and in
+v_{n+1}, whose sign solve_tls fixes, and ||V11^{-T} S|| is the top root of a
+secular equation (LAPACK dlasd4 through core.SecularEquation, the front end
+of the bundle's roots too; O(n)), so kappa_rel does not depend on the scale
+of [A b]. It feeds the svd formula, the two sandwiches and the perturbation
+lab's map K z; only the lab reads V11 itself, the bundle's whole V, which is
+formed there on first read.
 Every Gram-matrix norm (kron, cholesky, baboulin) is the square root of the
 top eigenvalue alone, from LAPACK dsyevr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,16 +89,23 @@ class ExactFormulaWork:
     orthogonal, so V11 beta = alpha y, V11^T V11 = I - beta beta^T and
     V11^{-1} = V11^T + beta y^T / alpha. Hence ||V11^{-T} S||^2 =
     lambda_max(S^2 + (S beta)(S beta)^T / alpha^2), the secular equation of
-    the reference kappa.
+    the reference kappa: top_norm reads s, beta and alpha alone. V11 itself,
+    the bundle's whole V, is formed only where the lab reads it (v11).
     """
 
-    v11: np.ndarray               # (n, n) view of V's leading block
     y: np.ndarray                 # (n,) leading entries of v_{n+1}
     beta: np.ndarray              # (n,) V[n, :n], the first n entries of V's last row
     alpha: float                  # -(last entry of v_{n+1}), > 0
     s_diag: np.ndarray            # (n,) ascending weights s_i
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
     aug_frobenius: float          # ||[A b]||_F
+    bundle: SvdBundle = field(repr=False, compare=False)  # whose v_aug gives V11
+
+    @property
+    def v11(self) -> np.ndarray:
+        """(n, n) view of V's leading block; the bundle forms V on first read."""
+        n = len(self.beta)
+        return self.bundle.v_aug[:n, :n]
 
     def _v11_inv_t(self, v: np.ndarray) -> np.ndarray:
         return self.v11 @ v + self.y * (self.beta @ v / self.alpha)
@@ -107,12 +116,19 @@ class ExactFormulaWork:
         return self._v11_inv_t(w / self.lambda_diag)
 
     @cached_property
-    def top_left(self) -> tuple[float, np.ndarray]:
-        """||V11^{-T} S||, the spectral factor of the reference kappa, and the
-        unit top left singular vector V11^{-T} S q of V11^{-T} S."""
-        norm, q = _secular_top(self.s_diag, self.beta, self.alpha)
-        u = self._v11_inv_t(self.s_diag * q)
-        return norm, u / np.linalg.norm(u)
+    def _top(self) -> tuple[float, np.ndarray]:
+        return _secular_top(self.s_diag, self.beta, self.alpha)
+
+    @property
+    def top_norm(self) -> float:
+        """||V11^{-T} S||, the spectral factor of the reference kappa."""
+        return self._top[0]
+
+    @cached_property
+    def top_left(self) -> np.ndarray:
+        """The unit top left singular vector V11^{-T} S q of V11^{-T} S."""
+        u = self._v11_inv_t(self.s_diag * self._top[1])
+        return u / np.linalg.norm(u)
 
 
 @dataclass(frozen=True)
@@ -145,10 +161,10 @@ def build_spectral_work(
     """Assemble the parts the svd formula, the sandwiches and the lab read (cheap for large m).
 
     y and alpha come from solution.last_right_vector, whose sign solve_tls
-    fixed; beta is V's last row as the SVD returned it.
+    fixed; beta is the bundle's b_row, V's last row as the SVD returned it.
+    Neither reads the whole V.
     """
     n = problem.n
-    v = bundle.v_aug
     v_last = solution.last_right_vector
     sig_last = float(bundle.sigma[-1])
     sig2 = sig_last**2
@@ -158,13 +174,13 @@ def build_spectral_work(
     head = bundle.sigma[:-1]
     lam = (head - sig_last) * (head + sig_last)
     return ExactFormulaWork(
-        v11=v[:n, :n],
         y=v_last[:n],
-        beta=v[n, :n].copy(),  # contiguous: a strided row takes another BLAS dot kernel
+        beta=bundle.b_row[:n].copy(),  # contiguous: a strided row takes another BLAS dot kernel
         alpha=float(-v_last[n]),
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
         aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
+        bundle=bundle,
     )
 
 
@@ -270,7 +286,7 @@ def svd_condition(
     ||V11^{-T} S|| is the top secular root of the work (P is never formed or
     inverted), so the result stays reliable for arbitrarily small gaps.
     """
-    kappa = float(np.hypot(1.0, solution.norm_x) * work.top_left[0])
+    kappa = float(np.hypot(1.0, solution.norm_x) * work.top_norm)
     return ConditionEstimate(kappa, _relative(kappa, work.aug_frobenius, solution))
 
 

@@ -9,8 +9,8 @@ Two families:
   drives sigma_hat_n and sigma_{n+1} together, i.e. toward ill conditioning.
   U is never formed: U Sigma = B W, so [A b] = B (W V^T), with W from
   the bundle's own kernels (core.row_block, dgeqrt to R once m >= 2(n+1),
-  then core.block_svd of that small block, which returns sigma and W^T
-  alone). A draw, its acceptance bundle included, takes 7.5 ms at 4000x40
+  then core.full_svd of that small block, which returns sigma and all of
+  W^T, in the block's own column order, and no U). A draw, its acceptance bundle included, takes 7.5 ms at 4000x40
   and 15.2 ms at 2000x100, against 11.9 and 24.1 ms from a thin SVD that
   forms U (medians of 25 interleaved draws at alpha = 1e-2, one BLAS
   thread, a 2-vCPU VM; CHANGES.md, "The alpha generator factors its random
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SvdBundle, TlsSolution, block_svd, row_block, solve_tls, svd_bundle
+from .core import SvdBundle, TlsSolution, full_svd, row_block, solve_tls, svd_bundle
 from .errors import (
     DegenerateVector,
     GapFailure,
@@ -145,7 +145,7 @@ def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
         v = generate_v(n, v_tilde, alpha, rng)
         b = rng.random((m, n + 1))
         # U Sigma = B W for B = U Sigma W^T, so U is never formed
-        vt_b = block_svd(row_block(np.array(b, order="F")))[1]
+        vt_b = full_svd(row_block(np.array(b, order="F")))[1]
         aug = b @ (vt_b.T @ v.T)
         problem = TlsProblem(
             aug[:, :-1],

@@ -11,8 +11,9 @@ bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
 its R by the bundle's kernel (core.householder_qr), whose triangle is copied
 into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
 factored by one core.block_svd call (numpy's stacked dgesdd below
-core.V_ONLY_WIDTH, core.v_only_svd block by block from there on, as
-svd_bundle factors one block), and each step then passes solve_tls's
+core.V_ONLY_WIDTH, core.few_value_svd block by block from there on, as
+svd_bundle factors one block), which gives sigma, b's row of V and v_{n+1}
+alone, and each step then passes solve_tls's
 own checks (core.accept_trailing_vector) in step order. Most steps' gap is
 known before the re-solve: by Weyl's inequality a unit z moves every
 singular value of [A b] and of A by at most t, so where (g - 2t - s) /
@@ -241,14 +242,14 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
             z += ab
             if aug is not None:
                 np.copyto(block, householder_qr(aug)[0][:k], where=upper)
-        for (sigma, vt), t in zip(_factored(stack), ts[start : start + len(stack)]):
+        for (sigma, b_row, v_last), t in zip(_factored(stack), ts[start : start + len(stack)]):
             try:
                 if covered(t):
                     check_scale(sigma)
-                    gap, v_last = None, trailing_vector(sigma, vt[-1])
+                    gap, v_last = None, trailing_vector(sigma, v_last)
                 else:
-                    sig_hat_n, delta = SigmaHatRoots(sigma, vt[:, -1]).at(-1)
-                    gap, v_last = accept_trailing_vector(sigma, vt[-1], sig_hat_n, delta)
+                    sig_hat_n, delta = SigmaHatRoots(sigma, b_row).at(-1)
+                    gap, v_last = accept_trailing_vector(sigma, v_last, sig_hat_n, delta)
             except (NoUniqueSolution, TrivialProblem) as exc:
                 yield exc
                 continue
@@ -256,18 +257,18 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
 
 
 def _factored(blocks):
-    """(sigma, vt) per block: one block_svd of the stack, or block by block.
+    """(sigma, b_row, v_last) per block: one block_svd of the stack, or block by block.
 
     A stack whose SVD fails, or that holds data that is not finite, is
     re-run one block at a time, lazily, so the failing step raises in its
     turn: data that is not finite raises ShapeError, as TlsProblem does.
     """
     try:
-        sigmas, vts = block_svd(blocks)
+        factored = block_svd(blocks)
     except (ConvergenceError, ShapeError):
         yield from map(block_svd, blocks)
         return
-    yield from zip(sigmas, vts)
+    yield from zip(*factored)
 
 
 def worst_direction(work: ExactFormulaWork, problem: TlsProblem, solution) -> np.ndarray:
@@ -275,7 +276,7 @@ def worst_direction(work: ExactFormulaWork, problem: TlsProblem, solution) -> np
 
     With w = P^{-1} u and y = 2 (r^ . A w) r^ - A w, K^T u = (y x^T - r w^T, -y).
     """
-    w = work.apply_p_inv(work.top_left[1])
+    w = work.apply_p_inv(work.top_left)
     a_w, r = problem.a_matrix @ w, solution.r
     r_unit = r / np.linalg.norm(r)
     y = 2.0 * (r_unit @ a_w) * r_unit - a_w

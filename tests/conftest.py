@@ -65,10 +65,17 @@ def failed_svd(a, *args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def failed_dbdsdc(*args):
-    """What LAPACK dbdsdc reports when a singular value fails to converge:
-    info=1, written through its last argument, an address (core.v_only_svd)."""
+def failed_singular_values(*args):
+    """What LAPACK dbdsqr or dbdsdc reports when a singular value fails to
+    converge: info=1, written through its last argument, an address
+    (core.Bidiagonal calls them through ctypes)."""
     ctypes.c_int.from_address(args[-1]).value = 1
+
+
+def failed_dstein(d, e, w, iblock, isplit):
+    """What LAPACK dstein returns when inverse iteration fails for one vector:
+    info=1, the number of vectors that did not converge."""
+    return np.full((len(d), len(w)), np.nan), 1
 
 
 def refuse_line_by_line(monkeypatch):
@@ -83,13 +90,15 @@ def refuse_line_by_line(monkeypatch):
 
 
 def counting_factorizations(monkeypatch):
-    """Log (kernel, shape) of every QR and SVD: core's dgeqrt and v_only_svd,
-    and numpy.linalg's.
+    """Log (kernel, shape) of every QR and SVD: core's dgeqrt, few_value_svd
+    and v_only_svd, and numpy.linalg's.
 
-    The bundle calls dgeqrt, and for its SVD v_only_svd or np.linalg.svd,
-    each logged as "svd"; the other readers call numpy. For dgeqrt the logged
-    shape is that of the factored array, its second argument; a stacked
-    np.linalg.svd logs the shape of its stack, and v_only_svd each block's.
+    The bundle calls dgeqrt, and for its SVD few_value_svd or np.linalg.svd,
+    each logged as "svd"; the alpha generator's wide blocks go through
+    v_only_svd, also "svd"; the other readers call numpy. For dgeqrt the
+    logged shape is that of the factored array, its second argument; a
+    stacked np.linalg.svd logs the shape of its stack, and the two kernels
+    each block's.
     """
     calls = []
 
@@ -100,7 +109,8 @@ def counting_factorizations(monkeypatch):
         return wrapped
 
     for owner, attribute, name in [(core, "dgeqrt", "dgeqrt"), (np.linalg, "qr", "qr"),
-                                   (np.linalg, "svd", "svd"), (core, "v_only_svd", "svd")]:
+                                   (np.linalg, "svd", "svd"), (core, "v_only_svd", "svd"),
+                                   (core, "few_value_svd", "svd")]:
         monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
     return calls
 

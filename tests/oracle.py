@@ -2,7 +2,7 @@
 
 kappa is recomputed at 50 significant digits with mpmath from the exact
 binary data of [A b]: the SVD of [A b] by mp.svd_r, x from the trailing
-right singular vector, and kappa = sqrt(1+||x||^2) ||V11^{-T} S||. It shares
+right singular vector (oracle_x), and kappa = sqrt(1+||x||^2) ||V11^{-T} S||. It shares
 no code and no rounding with the double-precision routes, so it can judge
 them where the explicit K is gated (relative gap below 1e-6). The relative
 gap (sigma_hat_n - sigma_{n+1}) / sigma_hat_n is recomputed the same way, from
@@ -38,6 +38,14 @@ def oracle_kappa(problem, dps: int = 50) -> float:
         scaled = v11_inv_t * mpmath.diag(s)
         norm = max(mpmath.svd_r(scaled, compute_uv=False))
         return float(mpmath.sqrt(1 + sum(xi**2 for xi in x)) * norm)
+
+
+def oracle_x(problem, dps: int = 50) -> list[float]:
+    """The TLS solution x of problem, from the same dps-digit SVD of [A b]."""
+    with mpmath.workdps(dps):
+        n = problem.n
+        vt = _aug_svd(problem, dps)[2]
+        return [float(-vt[n, i] / vt[n, n]) for i in range(n)]
 
 
 def oracle_rel_gap(problem, dps: int = 50) -> float:

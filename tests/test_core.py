@@ -7,9 +7,10 @@ import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
-    failed_dbdsdc,
     failed_dgeqrt,
     failed_dlasd4,
+    failed_dstein,
+    failed_singular_values,
     failed_svd,
     pipeline,
     tie_problem,
@@ -17,7 +18,7 @@ from conftest import (
     unit_normals,
     zero_noise_deblur,
 )
-from tlscond import core, perturb
+from tlscond import core, generators, perturb
 from tlscond.errors import (
     ConvergenceError,
     DegenerateVector,
@@ -25,6 +26,7 @@ from tlscond.errors import (
     IllConditionedGap,
     NoUniqueSolution,
     ShapeError,
+    TlsCondError,
     TrivialProblem,
 )
 
@@ -215,20 +217,28 @@ def test_bundle_agrees_with_direct_svds(shape):
 
 
 def test_deblur_bundle_is_the_direct_svds():
-    # n + 1 = 85 is past V_ONLY_WIDTH: the bundle's SVD forms no U
+    # n + 1 = 85 is past V_ONLY_WIDTH: the bundle factors [b A] for sigma, b's
+    # row of V and v_{n+1} alone, so x agrees with numpy's dgesdd on [A b]
+    # only within the oracle bar 4 eps / rel_gap (5.6e-8 here): both are that
+    # close to the exact x, 8.0e-10 apart, and numpy's x is 8.5e-10 off a
+    # 30-digit x, the bundle's 4.6e-11
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     assert problem.n + 1 >= core.V_ONLY_WIDTH
     bundle = tc.svd_bundle(problem)
     _, (_, sigma, vt_aug) = direct_svds(problem)
     sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
     assert bundle.rows.shape == (problem.m, problem.n + 1)
-    assert bundle.v_aug.T.flags.c_contiguous
     np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
-    x = tc.solve_tls(problem, bundle).x
-    assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
+    solution = tc.solve_tls(problem, bundle)
+    bar = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
+    assert np.linalg.norm(solution.x - x_direct) <= bar * np.linalg.norm(x_direct)
     # sigma_hat are secular roots, not an SVD of A: equal to rounding
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
+    # the whole V, formed on request, in numpy's layout, with the few values' signs
+    assert bundle.v_aug.T.flags.c_contiguous
+    np.testing.assert_allclose(bundle.v_aug[-1], bundle.b_row, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(bundle.v_aug[:, -1], bundle.v_last, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("shape", [(60, 1), (200, 30), (2000, 100), (4000, 40), (600, 150)])
@@ -381,13 +391,20 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     # the tall bundle's 31-wide R goes through numpy's dgesdd, the 85-wide
-    # deblurring block through v_only_svd
+    # deblurring block through few_value_svd: dgebrd, dbdsqr, dstebz, dstein
     monkeypatch.setattr(np.linalg, "svd", failed_svd)
     with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
         tc.svd_bundle(tall)
-    monkeypatch.setattr(core, "dbdsdc", failed_dbdsdc)
+    for name, failed in [("dbdsqr", failed_singular_values), ("dstein", failed_dstein)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, name, failed)
+            with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
+                tc.svd_bundle(blur)
+    # the whole V is formed by dbdsdc only where it is read
+    bundle = tc.svd_bundle(blur)
+    monkeypatch.setattr(core, "dbdsdc", failed_singular_values)
     with pytest.raises(ConvergenceError, match=r"dbdsdc failed \(info=1\)"):
-        tc.svd_bundle(blur)
+        bundle.v_aug
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (57, 41), (100, 85)])
@@ -399,10 +416,15 @@ def test_v_only_svd_is_the_direct_svd(shape):
     assert vt.flags.c_contiguous
     # each row of V^T to rounding (the spectrum is simple), up to its sign
     np.testing.assert_allclose(np.abs(np.sum(vt * vt_ref, axis=1)), 1.0, rtol=0, atol=1e-10)
-    # a stack of wide blocks: each block's factors are those of its own call
-    sigmas, vts = core.block_svd(np.stack([2.0 * a, a]))
-    np.testing.assert_array_equal(sigmas[1], sigma)
-    np.testing.assert_array_equal(vts[1], vt)
+    # the few values of the same block: sigma, V's last row and last column
+    sigmas, b_rows, v_lasts = core.block_svd(np.stack([2.0 * a, a]))
+    np.testing.assert_allclose(sigmas[1], sigma_ref, rtol=0, atol=4 * shape[1] * EPS * sigma_ref[0])
+    np.testing.assert_allclose(np.abs(b_rows[1]), np.abs(vt_ref[:, -1]), rtol=0, atol=1e-12)
+    assert abs(v_lasts[1] @ vt_ref[-1]) == pytest.approx(1.0, abs=1e-12)
+    assert v_lasts[1][-1] * b_rows[1][-1] >= 0.0
+    # a stack of wide blocks: each block's values are those of its own call
+    for stacked, own in zip((sigmas[1], b_rows[1], v_lasts[1]), core.block_svd(a)):
+        np.testing.assert_array_equal(stacked, own)
 
 
 def test_v_only_svd_scales_an_extreme_block_exactly():
@@ -591,3 +613,92 @@ def test_a_run_of_tied_poles_is_walked_without_recursion():
     assert bundle.roots.at(0)[1] == 0.0
     with pytest.raises(NoUniqueSolution):
         tc.solve_tls(problem, bundle)
+
+
+def counting_calls(monkeypatch, owner, name):
+    """Patch owner.name to log each call; returns the log."""
+    calls = []
+    kernel = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_the_pipeline_forms_no_v(monkeypatch):
+    # the bundle, the solver, the svd kappa, the bounds and the checks read
+    # sigma, b's row of V and v_{n+1} alone: dbdsdc never runs
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0))
+    calls = counting_calls(monkeypatch, core, "dbdsdc")
+    bundle, solution, work = pipeline(problem)
+    tc.svd_condition(work, bundle, solution)
+    tc.bounds_report(problem, bundle, solution, work)
+    tc.residual_diagnostics(problem, bundle, solution)
+    assert calls == []
+    assert "v_aug" not in vars(bundle)  # the cached property was never read
+    # the lab reads V11, formed once for the base problem; its re-solves form none
+    tc.monte_carlo_validate(tc.kamm_nagy_problem(tc.KammNagyConfig(m=60, seed=1)), trials=5)
+    assert calls == ["dbdsdc"]
+
+
+def wide_edge_problems():
+    """60 x 44 problems with a degenerate b or A, and one with tied sigma."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((60, 44)), rng.standard_normal(60)
+    q = np.linalg.qr(a)[0]
+    sigma = np.linspace(3.0, 1.0, 45)
+    sigma[5], sigma[-1] = sigma[6], 0.5 * sigma[-2]  # sigma_6 = sigma_7
+    u = np.linalg.qr(rng.standard_normal((60, 45)))[0]
+    tied = (u * sigma) @ generators.haar_orthogonal(45, rng).T
+    return {
+        "b = 0": (a, np.zeros(60)),
+        "A^T b = 0": (a, 0.1 * (b - q @ (q.T @ b))),
+        "b in range(A)": (a, a @ rng.standard_normal(44)),
+        "repeated column": (np.column_stack([a[:, :-1], a[:, 0]]), b),
+        "tied sigma": (tied[:, :-1], tied[:, -1]),
+    }
+
+
+@pytest.mark.parametrize("name", ["b = 0", "A^T b = 0", "b in range(A)", "repeated column",
+                                  "tied sigma"])
+def test_wide_edge_shapes_give_the_narrow_x_or_a_typed_error(name, monkeypatch):
+    problem = tc.TlsProblem(*wide_edge_problems()[name])
+    aug = problem.augmented()
+
+    def solved():
+        bundle = tc.svd_bundle(problem)
+        # v_{n+1} is a unit right singular vector at sigma_{n+1}, solvable or not
+        assert np.linalg.norm(bundle.v_last) == pytest.approx(1.0, abs=1e-14)
+        residual = np.linalg.norm(aug @ bundle.v_last) - bundle.sigma[-1]
+        assert abs(residual) <= 64 * EPS * bundle.sigma[0]
+        try:
+            return tc.solve_tls(problem, bundle).x
+        except TlsCondError as exc:
+            return exc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = solved()
+        monkeypatch.setattr(core, "V_ONLY_WIDTH", problem.n + 2)  # numpy's narrow route
+        narrow = solved()
+    if isinstance(wide, Exception):
+        # typed refusals: TrivialProblem at b = 0 (sigma_{n+1} is 0 exactly here,
+        # not in dgesdd), DegenerateVector on both routes for the repeated column
+        return
+    assert not isinstance(narrow, Exception)
+    assert np.linalg.norm(wide - narrow) <= 1e-12 * max(1.0, np.linalg.norm(narrow))
+
+
+def test_a_split_tridiagonal_takes_v_from_the_whole_factor(monkeypatch):
+    # b = 0: B's first diagonal entry is 0, so the Golub-Kahan tridiagonal
+    # splits and its eigenvalue k+1 is the other zero, whose vector has no
+    # v-half; v_{n+1} comes from dbdsdc on the same bidiagonal: e_{n+1}
+    a = wide_edge_problems()["b = 0"][0]
+    calls = counting_calls(monkeypatch, core, "dbdsdc")
+    sigma, b_row, v_last, _ = core.few_value_svd(np.column_stack([a, np.zeros(60)]))
+    assert calls == ["dbdsdc"]
+    assert sigma[-1] == 0.0
+    np.testing.assert_allclose(np.abs(v_last), np.eye(45)[-1], rtol=0, atol=1e-15)

@@ -12,7 +12,7 @@ from conftest import FixBClosedForms as FB
 from conftest import counting_factorizations, k_of, pipeline, tie_problem, tied_weighted_problem
 from tlscond import core, perturb
 from tlscond.cli import main
-from tlscond.errors import IllConditionedGap, NotApplicable, TrivialProblem
+from tlscond.errors import IllConditionedGap, NotApplicable, ShapeError, TrivialProblem
 
 EPS = np.finfo(float).eps
 
@@ -145,6 +145,20 @@ def test_degenerate_gap_behavior():
     baboulin = ungated_baboulin(work, bundle, solution)
     assert baboulin.warnings == ()
     assert baboulin.kappa_abs == pytest.approx(estimate.kappa_abs, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(4000, 40), (2000, 100), (90, 44)])
+def test_baboulin_meets_the_svd_route_on_wide_blocks(shape):
+    # alpha = 1e-8 past V_ONLY_WIDTH: the roots read b_row and x reads v_last,
+    # from dbdsqr and dstein, which share V's corner entry alpha; the two
+    # routes agree to rounding (measured 6.3e-15) only if it is one value
+    problem = tc.generate_ab_alpha(*shape, 1e-8, seed=0)
+    assert problem.n + 1 >= core.V_ONLY_WIDTH
+    bundle, solution, work = pipeline(problem)
+    assert bundle.b_row[-1] == bundle.v_last[-1]
+    estimate = tc.svd_condition(work, bundle, solution)
+    baboulin = ungated_baboulin(work, bundle, solution)
+    assert baboulin.kappa_abs == pytest.approx(estimate.kappa_abs, rel=1e-13, abs=0)
 
 
 def test_p_routes_answer_within_the_rounding_limit():
@@ -498,17 +512,25 @@ def test_scale_invariance():
         assert estimate.kappa_abs == pytest.approx(base.kappa_abs / c, rel=1e-10)
         assert estimate.kappa_rel == pytest.approx(base.kappa_rel, rel=1e-10)
 
-    # kappa's secular equation is scaled to unit weights, so a power of two
-    # changes no bit of kappa_rel and scales kappa_abs exactly
+    # kappa's secular equation is scaled to unit weights, and a block outside
+    # dgesdd's scaling range is factored shifted by a power of two, so a power
+    # of two changes no bit of kappa_rel and scales kappa_abs exactly; both
+    # are 40x25 and 50x11 blocks, numpy's narrow route
     deblur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0))
     alpha = tc.generate_ab_alpha(50, 10, 1e-2, 3)
-    for problem, k in [(deblur, -40), (deblur, 340), (alpha, 300), (alpha, -300)]:
+    for problem, k in [(deblur, -40), (deblur, 340), (alpha, 300), (alpha, -300),
+                       *[(p, k) for p in (deblur, alpha) for k in (460, -460, 480, -480, 500)],
+                       (alpha, -500)]:
         bundle, solution, work = pipeline(problem)
         base = tc.svd_condition(work, bundle, solution)
         scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k))
-        s_bundle, s_solution, s_work = pipeline(scaled)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            s_bundle, s_solution, s_work = pipeline(scaled)
             estimate = tc.svd_condition(s_work, s_bundle, s_solution)
         assert estimate.kappa_rel == base.kappa_rel
         assert estimate.kappa_abs == math.ldexp(base.kappa_abs, -k)
+    # at 2^-500 deblur's gap delta, 3.3e-15 sigma_1^2, underflows: a typed refusal
+    scaled = tc.TlsProblem(np.ldexp(deblur.a_matrix, -500), np.ldexp(deblur.b_vector, -500))
+    with pytest.raises(ShapeError, match="underflows float64"):
+        tc.svd_bundle(scaled)

@@ -74,6 +74,17 @@ def _assert_each_step_is_the_reference(problem, stream_seed, ts, got):
     return references
 
 
+def _assert_re_solves_are_the_solver(n, rows, at_limit, data_seed, stream_seed, exponents):
+    """Steps of 10^e ||[A b]||_F along one stream re-solve as solve_tls does, rel_gap included."""
+    problem, scale = _problem(n, rows, at_limit, data_seed)
+    ts = [10.0**e * scale for e in exponents]
+    got = _lab(problem, stream_seed, ts)
+    references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
+    for resolved, expected in zip(got, references):
+        if not isinstance(expected, TlsCondError):
+            assert resolved[1] == expected[1]
+
+
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
     n=st.integers(1, 6),
@@ -86,13 +97,23 @@ def _assert_each_step_is_the_reference(problem, stream_seed, ts, got):
 def test_each_trial_re_solve_is_the_solver_on_the_rebuilt_problem(
     n, rows, at_limit, data_seed, stream_seed, exponents
 ):
-    problem, scale = _problem(n, rows, at_limit, data_seed)
-    ts = [10.0**e * scale for e in exponents]
-    got = _lab(problem, stream_seed, ts)
-    references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
-    for resolved, expected in zip(got, references):
-        if not isinstance(expected, TlsCondError):
-            assert resolved[1] == expected[1]
+    _assert_re_solves_are_the_solver(n, rows, at_limit, data_seed, stream_seed, exponents)
+
+
+@hypothesis.settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    n=st.integers(core.V_ONLY_WIDTH - 1, core.V_ONLY_WIDTH + 8),
+    rows=st.sampled_from(["n+1", "below QR", "QR"]),
+    at_limit=st.booleans(),
+    data_seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-10.0, -3.0), min_size=1, max_size=3),
+)
+def test_each_wide_re_solve_is_the_solver_on_the_rebuilt_problem(
+    n, rows, at_limit, data_seed, stream_seed, exponents
+):
+    # blocks from V_ONLY_WIDTH columns on: the few-value kernel, one block at a time
+    _assert_re_solves_are_the_solver(n, rows, at_limit, data_seed, stream_seed, exponents)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -9,6 +9,8 @@ the backward-stable SVD's eps sigma_1 error in both singular values over
 sigma_hat_n, and also be within 1e-5 of rel_gap_50 relative: delta, the
 distance of a secular root to the sigma_{n+1} pole, keeps the gap's leading
 digits where a difference of two singular values would be rounding alone.
+x itself, from the same 50-digit SVD, must meet the bar of kappa, 4 eps /
+min(rel_gap, 1) relative to ||x_50||, on every case.
 The gap chain's |u_hat_n . b|, read off the same root, must meet
 |w - w_50| <= 4 eps sigma_1, the chain's own slack, at alpha down to 1e-8.
 The baboulin route, which reads A's singular vectors off the same roots, must
@@ -25,7 +27,7 @@ import tlscond as tc
 from conftest import pipeline, tie_problem, tied_weighted_problem
 
 pytest.importorskip("mpmath")
-from oracle import oracle_b_weight_n, oracle_kappa, oracle_rel_gap  # noqa: E402
+from oracle import oracle_b_weight_n, oracle_kappa, oracle_rel_gap, oracle_x  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -41,6 +43,8 @@ ORACLE_PROBLEMS = {
     "tie_triple_7x4": lambda: tied_weighted_problem(0, (3.0, 3.0, 3.0, 1.0, 0.5)),
     "deblur_m40_seed0": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0)),
     "deblur_m40_seed1": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=1)),
+    # 56 x 41: past core.V_ONLY_WIDTH, the few-value kernel's case
+    "deblur_m56_seed1": lambda: tc.kamm_nagy_problem(tc.KammNagyConfig(m=56, seed=1)),
     # sigma_n - sigma_{n+1} = 1e-10 at unit scale: dlasd4 converges on kappa's
     # equation only once it is scaled to unit weights
     "close_30x6_1e-10": lambda: tied_weighted_problem(
@@ -61,6 +65,15 @@ def test_svd_kappa_matches_the_50_digit_oracle(name):
     reference = kappa_50(name)
     bound = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
     assert abs(kappa - reference) / reference <= bound
+
+
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_x_matches_the_50_digit_oracle(name):
+    problem = ORACLE_PROBLEMS[name]()
+    solution = tc.solve_tls(problem, tc.svd_bundle(problem))
+    reference = np.array(oracle_x(problem))
+    bound = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
+    assert np.linalg.norm(solution.x - reference) <= bound * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("name", ORACLE_PROBLEMS)

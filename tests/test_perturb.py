@@ -7,7 +7,8 @@ import pytest
 import tlscond as tc
 from conftest import (
     counting_factorizations,
-    failed_dbdsdc,
+    failed_dstein,
+    failed_singular_values,
     k_of,
     perturbed,
     pipeline,
@@ -126,7 +127,9 @@ def test_worst_direction_ignores_the_signs_of_v():
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     bundle = tc.svd_bundle(problem)
     signs = np.where(np.arange(11) % 2 == 0, -1.0, 1.0)
-    flipped = dataclasses.replace(bundle, v_aug=bundle.v_aug * signs)
+    flipped = dataclasses.replace(bundle, b_row=bundle.b_row * signs,
+                                  v_last=bundle.v_last * signs[-1],
+                                  form_vt=lambda: bundle.form_vt() * signs[:, None])
     directions = []
     for each in (bundle, flipped):
         solution = tc.solve_tls(problem, each)
@@ -355,20 +358,22 @@ def test_numpy_never_factors_data_that_is_not_finite(monkeypatch):
 
 def test_a_wide_stack_is_rerun_block_by_block(monkeypatch):
     # deblur m=60 has 45-wide blocks, past V_ONLY_WIDTH: the stack goes
-    # through v_only_svd block by block, and the fallback raises as it does
+    # through few_value_svd block by block, and the fallback raises as it does
     problem = RESOLVE_CASES["deblur_60"]()
     assert problem.n + 1 >= core.V_ONLY_WIDTH
     aug = problem.augmented()
-    sigma = core.v_only_svd(aug)[0]
+    sigma = core.block_svd(aug)[0]
     # data that is not finite is refused in its turn
     factored = perturb._factored(np.stack([aug, np.full(aug.shape, np.nan)]))
     np.testing.assert_array_equal(next(factored)[0], sigma)
     with pytest.raises(ShapeError, match="entries must be finite"):
         next(factored)
-    # a failed dbdsdc fails the stack, then the first block in its turn
-    monkeypatch.setattr(core, "dbdsdc", failed_dbdsdc)
-    with pytest.raises(ConvergenceError, match=r"dbdsdc failed \(info=1\)"):
-        next(perturb._factored(np.stack([aug, aug])))
+    # a failed dbdsqr or dstein fails the stack, then the first block in its turn
+    for name, failed in [("dbdsqr", failed_singular_values), ("dstein", failed_dstein)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, name, failed)
+            with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
+                next(perturb._factored(np.stack([aug, aug])))
 
 
 def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
