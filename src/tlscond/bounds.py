@@ -151,10 +151,9 @@ def upper_kappa2(bundle: SvdBundle, solution: TlsSolution) -> BoundPair:
 def bhm_approx(bundle: SvdBundle) -> BoundPair:
     """sigma_hat_1 / (sigma_hat_n - sigma_{n+1}), a heuristic point estimate.
 
-    The denominator is read from delta as delta / (sigma_hat_n + sigma_{n+1}).
+    The denominator is the bundle's abs_gap, read from delta, not a difference.
     """
-    gap = bundle.delta / (bundle.sigma_hat_n + float(bundle.sigma[-1]))
-    value = float(bundle.roots.at(0)[0] / gap)
+    value = float(bundle.roots.at(0)[0] / bundle.abs_gap)
     return BoundPair(None, value, "heuristic, no bound guarantee")
 
 

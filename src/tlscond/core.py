@@ -9,23 +9,27 @@ R[:, :n] (Chan's R-SVD). block_rows is the one owner of that crossover rule:
 row_block and the perturbation lab's stacked re-solves both ask it. The QR
 is LAPACK dgeqrt through scipy.linalg.lapack on one Fortran-ordered [A b],
 the recursive level-3 QR of Elmroth & Gustavson (IBM J. Res. Dev. 44, 2000),
-in row_block; the SVD of that block is block_svd, which takes one block or a
-stack of them and returns (sigma, b_row, v_last). A block at least
+in row_block; the SVD of that block is block_svd, the one door through which
+the bundle and the lab's stacks are factored. It takes one block or a stack
+of them, refuses entries that are not finite, scales each block by the power
+of two that puts its largest entry in [1/2, 1), which is exact, and scales
+sigma back: every result but sigma is bitwise the same for the block times
+any power of two that neither overflows nor underflows. A block at least
 V_ONLY_WIDTH wide goes through few_value_svd: dgebrd bidiagonalizes [b, the
 other columns] (Golub-Kahan started from b, so b's row of V is the first row
 of the bidiagonal's own V_B), dbdsqr gives sigma and that row with one VT
 column in O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
 +sigma_{n+1} (dstebz, dstein; O(n)) through one dormbr column. A narrower
-block goes through numpy's dgesdd, whose U is dropped and whose V^T gives
-both. The C entry points of dgebrd, dbdsqr, dbdsdc and dormbr are called
-through scipy.linalg.cython_lapack and ctypes. The rule reads the width
-alone, so a block factored in a stack gets the bits of its own call. The
-whole V (SvdBundle.v_aug) is formed only where it is read, from the same
+block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
+V^T gives both. The C entry points of dgebrd, dbdsqr, dbdsdc and dormbr are
+called through scipy.linalg.cython_lapack and ctypes. The rule reads the
+width alone, so a block factored in a stack gets the bits of its own call.
+The whole V (SvdBundle.v_aug) is formed only where it is read, from the same
 bidiagonal by dbdsdc and dormbr (Bidiagonal.right_factor), or from numpy's
-V^T. The alpha generator takes the whole V of its random draw (full_svd:
-dgebrd, dbdsdc and dormbr, v_only_svd, or numpy's dgesdd), and the lab calls
-row_block's householder_qr itself and copies R into its stack. Neither Q nor
-any left singular factor is kept.
+V^T. The alpha generator takes the whole V of its random draw from numpy's
+dgesdd at every width (full_svd), and the lab calls row_block's
+householder_qr itself and copies R into its stack. Neither Q nor any left
+singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -46,8 +50,8 @@ root to every pole, and |u_hat_i . b|, come from that root in O(n)
 (SigmaHatRoots.pole_distances): the gap chain reads them at the top root
 (b_weight_n), and the baboulin comparison route at every root, with the rows
 of the deflated poles (deflated_rows), for A's right singular vectors in
-closed form. So block_svd is the package's one SVD (full_svd, the same kernels
-with all of V, the alpha generator's), and A is never factored.
+closed form. So block_svd is the package's one SVD of a row block (full_svd,
+its narrow kernel, gives the alpha generator all of V), and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -153,18 +157,6 @@ class SecularEquation:
         return out[..., self.rep]
 
 
-def check_scale(sigma: np.ndarray) -> float:
-    """sigma_1 (1 where it is 0), the scale of the secular form; ShapeError past
-    _SCALE_LIMIT, where the squared gaps would overflow."""
-    scale = float(sigma[0]) if sigma[0] > 0 else 1.0
-    if scale > _SCALE_LIMIT:
-        raise ShapeError(
-            f"sigma_1={scale:.3e}: its square overflows float64 (limit "
-            f"{_SCALE_LIMIT:.3e}); rescale the data"
-        )
-    return scale
-
-
 class SigmaHatRoots:
     """A's singular values from the singular values of [A b] and V's last row v, b's row.
 
@@ -188,14 +180,14 @@ class SigmaHatRoots:
     would be below _NEGLIGIBLE Delta_n), sigma_hat_n = sigma_{n+1}, delta = 0,
     and the others are the roots of the same equation without the
     sigma_{n+1} pole, its weight merged into sigma_n's. The squared gaps are
-    returned unscaled, so a sigma_1 past _SCALE_LIMIT (about 6.7e153), whose
-    square would overflow, raises ShapeError, as does a positive scaled gap
-    whose unscaled value falls below the smallest normal float, _TINY.
+    returned unscaled: block_svd has refused a sigma_1 whose square would
+    overflow, and a positive scaled gap whose unscaled value falls below the
+    smallest normal float, _TINY, raises ShapeError.
     """
 
     def __init__(self, sigma: np.ndarray, b_row: np.ndarray):
         self._sigma, self._b_row = sigma, b_row
-        self._scale = check_scale(sigma)
+        self._scale = float(sigma[0]) or 1.0  # the scale of the secular form
         head, last = sigma[:-1] / self._scale, float(sigma[-1]) / self._scale
         self._gaps = (head - last) * (head + last)  # Delta_j / sigma_1^2, descending
         self._last2 = last * last
@@ -455,16 +447,16 @@ def block_rows(m: int, k: int) -> int:
 # at a time; narrower blocks, one or a stack, go through numpy's dgesdd in
 # one call. Set from the per-block cost of each route on a stack of 32
 # random k x k and 1.4k x k blocks (medians of 5 x 21 runs, one BLAS thread,
-# a 2-vCPU VM), first for v_only_svd (dgebrd, dbdsdc, dormbr) against
-# numpy's stacked call: k = 11, 69 and 72 against 39 and 42 us; k = 21, 105
-# and 122 against 85 and 120 us; k = 31, 165 and 231 against 160 and 255 us;
-# k = 41, 327 and 312 against 360 and 349 us; k = 61, 855 and 897 against 977
-# and 1060 us. few_value_svd, which took its place at the same width, costs
-# 207 and 309 us at k = 31 against numpy's 159 and 157, 271 and 296 at
-# k = 41 against 285 and 340, and 1290 and 1580 at k = 101 against 1779 and
-# 1962. Of its 245 us at 41 x 41 (best of 2000 calls), dgebrd with its
-# set-up takes 61, dbdsqr's rotations 114 and the tridiagonal's vector 66
-# (dstebz alone 33).
+# a 2-vCPU VM), first for the whole-V kernel that then served wide blocks
+# (dgebrd, dbdsdc, dormbr; since removed) against numpy's stacked call:
+# k = 11, 69 and 72 against 39 and 42 us; k = 21, 105 and 122 against 85 and
+# 120 us; k = 31, 165 and 231 against 160 and 255 us; k = 41, 327 and 312
+# against 360 and 349 us; k = 61, 855 and 897 against 977 and 1060 us.
+# few_value_svd, which took its place at the same width, costs 207 and 309 us
+# at k = 31 against numpy's 159 and 157, 271 and 296 at k = 41 against 285
+# and 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 245 us
+# at 41 x 41 (best of 2000 calls), dgebrd with its set-up takes 61, dbdsqr's
+# rotations 114 and the tridiagonal's vector 66 (dstebz alone 33).
 V_ONLY_WIDTH = 40
 
 
@@ -500,8 +492,6 @@ dgebrd = _cython_lapack("dgebrd", 11)
 dbdsqr = _cython_lapack("dbdsqr", 15)
 dbdsdc = _cython_lapack("dbdsdc", 14)
 dormbr = _cython_lapack("dormbr", 14)
-# dgesdd factors a block scaled when its largest entry lies outside [_SVD_SMALL, 1/_SVD_SMALL]
-_SVD_SMALL = math.sqrt(float(np.finfo(float).tiny)) / _EPS
 
 
 @lru_cache(maxsize=64)
@@ -524,45 +514,27 @@ def _addresses(array: np.ndarray, offsets) -> list[int]:
     return [base + array.itemsize * i for i in offsets]
 
 
-def _power_of_two_shift(top: np.ndarray) -> np.ndarray:
-    """The exponent that brings a largest entry top into [1/2, 1) where it lies
-    outside dgesdd's range [_SVD_SMALL, 1/_SVD_SMALL], else 0: a block scaled
-    by it is factored as dgesdd would factor it unscaled, as scaling by a
-    power of two is exact."""
-    outside = (top > 0.0) & ((top < _SVD_SMALL) | (top > 1.0 / _SVD_SMALL))
-    return np.where(outside, -np.frexp(top)[1], 0)
-
-
 class Bidiagonal:
-    """One m x k block, m >= k, reduced by LAPACK dgebrd: block = Q B P^T.
+    """One m x k block, m >= k, reduced by LAPACK dgebrd: [b, the other columns] = Q B P^T.
 
     B is upper bidiagonal, its diagonal d and superdiagonal e; P stays as
     dgebrd's reflectors (above the superdiagonal of a, factors taup); Q is
-    not kept. The block is factored as a Fortran copy, with its last column
-    moved to the front where b_first: P's reflectors leave column 1 alone,
-    so that column's row of V is the first row of B's own right factor
-    (Golub-Kahan bidiagonalization started from b, the TLS core reduction of
-    Paige & Strakos, SIMAX 27, 2006). Where dgesdd would scale the block,
-    the copy is scaled by a power of two, 2^shift, which is exact. Raises
-    ShapeError for entries that are not finite, and ConvergenceError naming
+    not kept. The block is factored as a Fortran copy with its last column,
+    b, moved to the front, and scaled by 2^exponent, which is exact: P's
+    reflectors leave column 1 alone, so b's row of V is the first row of B's
+    own right factor (Golub-Kahan bidiagonalization started from b, the TLS
+    core reduction of Paige & Strakos, SIMAX 27, 2006). The singular values
+    it gives are those of the scaled copy. Raises ConvergenceError naming
     the routine whose info is not 0.
     """
 
-    def __init__(self, block: np.ndarray, b_first: bool = False):
+    def __init__(self, block: np.ndarray, exponent: int):
         m, k = block.shape
         if m < k:
             raise ShapeError(f"need m >= k, got a {m} x {k} block")
-        top = float(np.max(np.abs(block)))
-        if not math.isfinite(top):
-            raise ShapeError("entries must be finite")
         self.a = np.empty((m, k), order="F")  # dgebrd overwrites it with its reflectors
-        if b_first:
-            self.a[:, 0], self.a[:, 1:] = block[:, -1], block[:, :-1]
-        else:
-            self.a[:] = block
-        self.shift = int(_power_of_two_shift(np.float64(top)))
-        if self.shift:
-            np.ldexp(self.a, self.shift, out=self.a)
+        self.a[:, 0], self.a[:, 1:] = block[:, -1], block[:, :-1]
+        np.ldexp(self.a, exponent, out=self.a)
         self.lwork = _brd_lwork(m, k)
         self._ints = np.array([m, k, self.lwork, 0], dtype=np.intc)  # m, k, lwork, info
         self._taus = np.empty(2 * k)  # tauq, then taup
@@ -594,7 +566,7 @@ class Bidiagonal:
         d, e, vt, work = _addresses(buf, (0, k, 2 * k, 3 * k))
         dbdsqr(b"U", k_, one, zero, zero, d, e, vt, k_, None, one, None, one, work, info)
         _check_info("dbdsqr", self._ints[3])
-        return np.ldexp(buf[:k], -self.shift), buf[2 * k : 3 * k]
+        return buf[:k], buf[2 * k : 3 * k]
 
     def last_vector(self) -> np.ndarray | None:
         """The right singular vector at sigma_k, in O(k) and one dormbr column, or None.
@@ -628,13 +600,13 @@ class Bidiagonal:
         _check_info("dormbr", self._ints[3])
         return v
 
-    def right_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma, vt), the whole right factor, as dgesdd forms it without U.
+    def right_factor(self) -> np.ndarray:
+        """vt, the whole right factor, as dgesdd forms it without U.
 
         dbdsdc('U', 'I') on copies of d and e factors B = U_B Sigma VT_B, and
         dormbr('P', 'R', 'T') forms VT = VT_B P^T: the dormbr('Q') that builds
         dgesdd's U = Q U_B is not run. vt is C-contiguous, as numpy returns
-        it, in the block's column order (the copy's, where b_first).
+        it, in the copy's column order, b first.
         """
         k = len(self.d)
         lwork = max(3 * k * k + 4 * k, self.lwork)  # dbdsdc's, or dormbr's if larger
@@ -651,41 +623,33 @@ class Bidiagonal:
                _addresses(self._taus, (k,))[0], vt_b, k_, work, lwork_, info)
         _check_info("dormbr", ints[1])
         vt = buf[2 * k + k * k : 2 * k + 2 * k * k].reshape(k, k).T  # VT in Fortran order
-        return np.ldexp(buf[:k], -self.shift), np.ascontiguousarray(vt)
+        return np.ascontiguousarray(vt)
 
 
-def v_only_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, vt) of one m x k block, m >= k: dgesdd's own steps, U left out.
+def few_value_svd(block: np.ndarray, exponent: int):
+    """(sigma, b_row, v_last, form_vt) of one m x k block, m >= k, b its last column.
 
-    The Bidiagonal of the block in its own column order, and its right_factor.
+    The Bidiagonal of [b, the other columns] times 2^exponent: sigma (of the
+    scaled block) and b_row, b's row of V (one entry per singular vector),
+    from its first_row, and v_last, the right singular vector at sigma_k in
+    the block's own column order, from its last_vector, or where that returns
+    None from its right_factor. The two share V's corner entry, b's entry of
+    v_last (alpha, up to its sign): v_last takes b_row's sign there, and
+    b_row takes v_last's value, which dbdsqr and dstein round differently
+    (by about eps absolute, 1e-8 of alpha at alpha = 1e-8). form_vt forms
+    the whole V^T on demand (_aligned_vt). Where dbdsdc and dormbr form all
+    of V in O(k^3), this costs O(k^2) past dgebrd.
     """
-    return Bidiagonal(block).right_factor()
-
-
-def few_value_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, Bidiagonal]:
-    """(sigma, b_row, v_last, bidiagonal) of one m x k block, m >= k, b its last column.
-
-    The Bidiagonal of [b, the other columns]: sigma and b_row, b's row of V
-    (one entry per singular vector), from its first_row, and v_last, the
-    right singular vector at sigma_k in the block's own column order, from
-    its last_vector, or where that returns None from its right_factor. The
-    two share V's corner entry, b's entry of v_last (alpha, up to its sign):
-    v_last takes b_row's sign there, and b_row takes v_last's value, which
-    dbdsqr and dstein round differently (by about eps absolute, 1e-8 of
-    alpha at alpha = 1e-8). The bidiagonal is returned for the whole
-    V on demand (_aligned_vt). Where dbdsdc and dormbr form all of V in O(k^3),
-    this costs O(k^2) past dgebrd.
-    """
-    bidiagonal = Bidiagonal(block, b_first=True)
+    bidiagonal = Bidiagonal(block, exponent)
     sigma, b_row = bidiagonal.first_row()
     v = bidiagonal.last_vector()
     if v is None:
-        v = bidiagonal.right_factor()[1][-1]
+        v = bidiagonal.right_factor()[-1]
     v_last = np.append(v[1:], v[0])  # b's entry back to last
     if v_last[-1] * b_row[-1] < 0.0:
         v_last = -v_last
     b_row[-1] = v_last[-1]  # V's corner, alpha: one value for the roots, x and kappa
-    return sigma, b_row, v_last, bidiagonal
+    return sigma, b_row, v_last, partial(_aligned_vt, bidiagonal, b_row, v_last)
 
 
 def _aligned_vt(bidiagonal: Bidiagonal, b_row: np.ndarray, v_last: np.ndarray) -> np.ndarray:
@@ -695,73 +659,63 @@ def _aligned_vt(bidiagonal: Bidiagonal, b_row: np.ndarray, v_last: np.ndarray) -
     that b_row gives it (v_{n+1} the sign of v_last), so V's last row and
     column agree with the few values, to rounding, where they are not 0.
     """
-    vt = np.roll(bidiagonal.right_factor()[1], -1, axis=1)
+    vt = np.roll(bidiagonal.right_factor(), -1, axis=1)
     signs = np.where(vt[:, -1] * b_row < 0.0, -1.0, 1.0)
     signs[-1] = math.copysign(1.0, vt[-1] @ v_last)
     return vt * signs[:, None]
 
 
-def _numpy_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, vt) of one block or a stack through numpy's dgesdd, U dropped.
 
-    Each block whose largest entry lies outside dgesdd's own scaling range
-    is factored scaled by a power of two (dgesdd's factor is not one), so
-    it keeps the bits of its own call and of every power-of-two multiple.
-    Raises ShapeError for entries that are not finite, and ConvergenceError.
+    The alpha generator's kernel at every width, and block_svd's below
+    V_ONLY_WIDTH. Raises ConvergenceError.
     """
-    top = np.max(np.abs(rows), axis=(-2, -1))
-    if not np.isfinite(top).all():  # numpy's dgesdd may never return on them
-        raise ShapeError("entries must be finite")
-    shift = _power_of_two_shift(top)
-    scaled = shift.any()
-    if scaled:
-        rows = np.ldexp(rows, shift[..., None, None])
     try:
-        sigma, vt = np.linalg.svd(rows, full_matrices=False)[1:]
+        return np.linalg.svd(rows, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dgesdd failed ({exc})") from exc
-    return (np.ldexp(sigma, -shift[..., None]) if scaled else sigma), vt
 
 
-def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, vt) of one block, the whole right factor in its own column order.
-
-    v_only_svd from V_ONLY_WIDTH columns on, numpy's dgesdd below: the alpha
-    generator's kernel.
-    """
-    return v_only_svd(rows) if rows.shape[-1] >= V_ONLY_WIDTH else _numpy_svd(rows)
-
-
-def _factors(rows: np.ndarray):
-    """(sigma, b_row, v_last, form_vt) of one block: block_svd's triple and a
-    function that forms the whole V^T, with the same signs, on demand."""
-    if rows.shape[-1] >= V_ONLY_WIDTH:
-        sigma, b_row, v_last, bidiagonal = few_value_svd(rows)
-        return sigma, b_row, v_last, partial(_aligned_vt, bidiagonal, b_row, v_last)
-    sigma, vt = _numpy_svd(rows)
-    return sigma, vt[:, -1], vt[-1], lambda: vt
-
-
-def block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma, b_row, v_last) of one block or of a stack of blocks, without U.
+def block_svd(rows: np.ndarray):
+    """(sigma, b_row, v_last, form_vt) of one block or of a stack of blocks, without U.
 
     sigma descending, b_row V's last row (the entries of the last column, b,
     in each right singular vector), v_last V's last column (the right
-    singular vector at the smallest sigma). Blocks at least V_ONLY_WIDTH wide
-    go through few_value_svd one at a time; narrower ones through numpy's
-    dgesdd, one call for the whole stack, whose V^T gives both. Either works
-    on its own copy of each block, so rows stays intact, and gives each block
-    of a stack bitwise the values of its own call: the route depends on the
-    width alone. Raises ShapeError for entries that are not finite, and
-    ConvergenceError when LAPACK fails.
+    singular vector at the smallest sigma), and form_vt a function that forms
+    the whole V^T, with the same signs, on demand. Each block is factored
+    scaled by the power of two that puts its largest entry in [1/2, 1), which
+    is exact, and its sigma is scaled back, so every value but sigma is
+    bitwise that of the block times any power of two that neither overflows
+    nor underflows. Blocks at least V_ONLY_WIDTH wide go through
+    few_value_svd one at a time, which scales its own copy; narrower ones
+    through numpy's dgesdd (full_svd), one call for the whole stack, whose
+    V^T gives both. rows stays intact, and each block of a stack gets bitwise
+    the values of its own call: the route depends on the width alone. Raises
+    ShapeError for entries that are not finite (numpy's dgesdd may never
+    return on them) and for a sigma_1 past _SCALE_LIMIT (about 6.7e153), where
+    the squared gaps would overflow, and ConvergenceError when LAPACK fails.
     """
-    if rows.ndim == 2:
-        return _factors(rows)[:3]
-    if rows.shape[-1] >= V_ONLY_WIDTH:
-        each = [few_value_svd(block)[:3] for block in rows]
-        return tuple(np.array(part) for part in zip(*each))
-    sigma, vt = _numpy_svd(rows)
-    return sigma, vt[..., :, -1], vt[..., -1, :]
+    top = np.max(np.abs(rows), axis=(-2, -1))
+    if not np.isfinite(top).all():
+        raise ShapeError("entries must be finite")
+    exponent = -np.frexp(top)[1]
+    if rows.shape[-1] < V_ONLY_WIDTH:
+        sigma, vt = full_svd(np.ldexp(rows, exponent[..., None, None]))
+        b_row, v_last, form_vt = vt[..., :, -1], vt[..., -1, :], lambda: vt
+    elif rows.ndim == 2:
+        sigma, b_row, v_last, form_vt = few_value_svd(rows, exponent)
+    else:
+        each = [few_value_svd(block, e) for block, e in zip(rows, exponent)]
+        sigma, b_row, v_last = (np.array(part) for part in list(zip(*each))[:3])
+        form_vt = lambda: np.array([own[3]() for own in each])
+    with np.errstate(over="ignore"):  # an infinite sigma_1 is refused just below
+        sigma = np.ldexp(sigma, -exponent[..., None])
+    scale = float(np.max(sigma[..., 0], initial=0.0))
+    if scale > _SCALE_LIMIT:
+        raise ShapeError(f"sigma_1={scale:.3e}: its square overflows float64 (limit "
+                         f"{_SCALE_LIMIT:.3e}); rescale the data")
+    return sigma, b_row, v_last, form_vt
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
@@ -774,7 +728,7 @@ def svd_bundle(problem: TlsProblem) -> SvdBundle:
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
-    sigma, b_row, v_last, form_vt = _factors(rows)
+    sigma, b_row, v_last, form_vt = block_svd(rows)
     roots = SigmaHatRoots(sigma, b_row)
     sigma_hat_n, delta = roots.at(-1)
     return SvdBundle(rows, sigma, b_row, v_last, sigma_hat_n, delta, roots, form_vt)

@@ -19,11 +19,11 @@ class ConvergenceError(TlsCondError):
 
     These are the bundle's row-block kernels, which the alpha generator and
     the perturbation lab's stacked re-solves share: dgeqrt for the QR, and
-    for the SVD numpy's dgesdd on narrow blocks; on wide ones dgebrd, then
-    dbdsqr, dstebz, dstein and dormbr for the few values the bundle keeps
+    for the SVD numpy's dgesdd on narrow blocks and on the alpha generator's
+    draw at every width (core.full_svd); on wide ones dgebrd, then dbdsqr,
+    dstebz, dstein and dormbr for the few values the bundle keeps
     (core.few_value_svd), and dbdsdc and dormbr for the whole V where it is
-    read (core.Bidiagonal.right_factor, and the alpha generator's
-    core.v_only_svd). dlasd4 solves the secular roots.
+    read (core.Bidiagonal.right_factor). dlasd4 solves the secular roots.
     """
 
 

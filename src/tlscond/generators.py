@@ -8,13 +8,15 @@ Two families:
   solution then satisfies sqrt(1 + ||x||^2) = 1/alpha, and shrinking alpha
   drives sigma_hat_n and sigma_{n+1} together, i.e. toward ill conditioning.
   U is never formed: U Sigma = B W, so [A b] = B (W V^T), with W from
-  the bundle's own kernels (core.row_block, dgeqrt to R once m >= 2(n+1),
-  then core.full_svd of that small block, which returns sigma and all of
-  W^T, in the block's own column order, and no U). A draw, its acceptance bundle included, takes 7.5 ms at 4000x40
-  and 15.2 ms at 2000x100, against 11.9 and 24.1 ms from a thin SVD that
-  forms U (medians of 25 interleaved draws at alpha = 1e-2, one BLAS
-  thread, a 2-vCPU VM; CHANGES.md, "The alpha generator factors its random
-  draw through the bundle's kernel").
+  the bundle's own row block (core.row_block, dgeqrt to R once m >= 2(n+1))
+  and numpy's dgesdd of that small block at every width (core.full_svd,
+  which returns sigma and all of W^T, and no U). A draw, its acceptance
+  bundle included, took 7.5 ms at 4000x40 and 15.2 ms at 2000x100, against
+  11.9 and 24.1 ms from a thin SVD that forms U (medians of 25 interleaved
+  draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM; CHANGES.md, "The
+  alpha generator factors its random draw through the bundle's kernel").
+  On the square R of a tall draw numpy's dgesdd runs the same LAPACK steps
+  as the whole-V kernel it replaced there, bit for bit.
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the

@@ -10,10 +10,11 @@ reused Fortran buffer, where it is scaled by t and [A b] is added; past the
 bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
 its R by the bundle's kernel (core.householder_qr), whose triangle is copied
 into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
-factored by one core.block_svd call (numpy's stacked dgesdd below
-core.V_ONLY_WIDTH, core.few_value_svd block by block from there on, as
-svd_bundle factors one block), which gives sigma, b's row of V and v_{n+1}
-alone, and each step then passes solve_tls's
+factored by one core.block_svd call (each block scaled by a power of two,
+then numpy's stacked dgesdd below core.V_ONLY_WIDTH, core.few_value_svd
+block by block from there on, as svd_bundle factors one block), which gives
+sigma, b's row of V and v_{n+1} alone and refuses a sigma_1 whose square
+overflows, and each step then passes solve_tls's
 own checks (core.accept_trailing_vector) in step order. Most steps' gap is
 known before the re-solve: by Weyl's inequality a unit z moves every
 singular value of [A b] and of A by at most t, so where (g - 2t - s) /
@@ -45,7 +46,6 @@ from .core import (
     accept_trailing_vector,
     block_rows,
     block_svd,
-    check_scale,
     householder_qr,
     solve_tls,
     svd_bundle,
@@ -216,8 +216,9 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     +0.0 below the diagonal) and the same checks (core.accept_trailing_vector).
     A step that the certificate (a _GapCertificate) covers builds no
     SigmaHatRoots and classifies no gap: it passes only the rules that do not
-    read the gap, core.check_scale (as SigmaHatRoots applies it) and
-    core.trailing_vector, and yields the same x with gap None.
+    read the gap, core.trailing_vector, and yields the same x with gap None;
+    block_svd has refused its sigma_1 where it would overflow, as for
+    svd_bundle.
     """
     if not ts:
         return
@@ -245,7 +246,6 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
         for (sigma, b_row, v_last), t in zip(_factored(stack), ts[start : start + len(stack)]):
             try:
                 if covered(t):
-                    check_scale(sigma)
                     gap, v_last = None, trailing_vector(sigma, v_last)
                 else:
                     sig_hat_n, delta = SigmaHatRoots(sigma, b_row).at(-1)
@@ -259,14 +259,15 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
 def _factored(blocks):
     """(sigma, b_row, v_last) per block: one block_svd of the stack, or block by block.
 
-    A stack whose SVD fails, or that holds data that is not finite, is
-    re-run one block at a time, lazily, so the failing step raises in its
-    turn: data that is not finite raises ShapeError, as TlsProblem does.
+    A stack whose SVD fails, that holds data that is not finite or whose
+    sigma_1 overflows when squared, is re-run one block at a time, lazily, so
+    the failing step raises in its turn: data that is not finite raises
+    ShapeError, as TlsProblem does.
     """
     try:
-        factored = block_svd(blocks)
+        factored = block_svd(blocks)[:3]
     except (ConvergenceError, ShapeError):
-        yield from map(block_svd, blocks)
+        yield from (block_svd(block)[:3] for block in blocks)
         return
     yield from zip(*factored)
 

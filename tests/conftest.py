@@ -90,14 +90,14 @@ def refuse_line_by_line(monkeypatch):
 
 
 def counting_factorizations(monkeypatch):
-    """Log (kernel, shape) of every QR and SVD: core's dgeqrt, few_value_svd
-    and v_only_svd, and numpy.linalg's.
+    """Log (kernel, shape) of every QR and SVD: core's dgeqrt and
+    few_value_svd, and numpy.linalg's.
 
     The bundle calls dgeqrt, and for its SVD few_value_svd or np.linalg.svd,
-    each logged as "svd"; the alpha generator's wide blocks go through
-    v_only_svd, also "svd"; the other readers call numpy. For dgeqrt the
-    logged shape is that of the factored array, its second argument; a
-    stacked np.linalg.svd logs the shape of its stack, and the two kernels
+    each logged as "svd"; the alpha generator's draw goes through
+    np.linalg.svd at every width; the other readers call numpy. For dgeqrt
+    the logged shape is that of the factored array, its second argument; a
+    stacked np.linalg.svd logs the shape of its stack, and few_value_svd
     each block's.
     """
     calls = []
@@ -109,8 +109,7 @@ def counting_factorizations(monkeypatch):
         return wrapped
 
     for owner, attribute, name in [(core, "dgeqrt", "dgeqrt"), (np.linalg, "qr", "qr"),
-                                   (np.linalg, "svd", "svd"), (core, "v_only_svd", "svd"),
-                                   (core, "few_value_svd", "svd")]:
+                                   (np.linalg, "svd", "svd"), (core, "few_value_svd", "svd")]:
         monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
     return calls
 

@@ -248,7 +248,8 @@ def few_value_stand_ins(bundle, solution):
     """A bundle and a solution holding only what the few-value bounds may read.
 
     The bundle keeps n, sigma_{n+1} (every other sigma is NaN), sigma_hat_n,
-    delta and roots that answer only sigma_hat_{n-1} (at(-2)) and sigma_hat_1
+    delta, abs_gap (read from these three) and roots that answer only
+    sigma_hat_{n-1} (at(-2)) and sigma_hat_1
     (at(0)); the solution keeps ||x||, alpha and its gap record's rho =
     sigma_{n+1} / sigma_n.
     """
@@ -257,7 +258,7 @@ def few_value_stand_ins(bundle, solution):
     answers = {-2: bundle.roots.at(-2), 0: bundle.roots.at(0)}
     few_bundle = SimpleNamespace(
         n=bundle.n, sigma=sigma, sigma_hat_n=bundle.sigma_hat_n, delta=bundle.delta,
-        roots=SimpleNamespace(at=answers.__getitem__),
+        abs_gap=bundle.abs_gap, roots=SimpleNamespace(at=answers.__getitem__),
     )
     gap = SimpleNamespace(ratio_sigma_n=solution.gap.ratio_sigma_n)
     return few_bundle, SimpleNamespace(norm_x=solution.norm_x, alpha=solution.alpha, gap=gap)

@@ -408,36 +408,46 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (57, 41), (100, 85)])
-def test_v_only_svd_is_the_direct_svd(shape):
+def test_the_wide_bundle_forms_the_direct_v_on_demand(shape):
     a = np.random.default_rng(7).standard_normal(shape)
-    sigma, vt = core.v_only_svd(a)
+    bundle = tc.svd_bundle(tc.TlsProblem(a[:, :-1], a[:, -1]))
+    assert "v_aug" not in vars(bundle)  # formed only where it is read
     _, sigma_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
-    np.testing.assert_allclose(sigma, sigma_ref, rtol=0, atol=4 * shape[1] * EPS * sigma_ref[0])
-    assert vt.flags.c_contiguous
+    np.testing.assert_allclose(bundle.sigma, sigma_ref, rtol=0,
+                               atol=4 * shape[1] * EPS * sigma_ref[0])
+    vt = bundle.v_aug.T
     # each row of V^T to rounding (the spectrum is simple), up to its sign
     np.testing.assert_allclose(np.abs(np.sum(vt * vt_ref, axis=1)), 1.0, rtol=0, atol=1e-10)
-    # the few values of the same block: sigma, V's last row and last column
-    sigmas, b_rows, v_lasts = core.block_svd(np.stack([2.0 * a, a]))
-    np.testing.assert_allclose(sigmas[1], sigma_ref, rtol=0, atol=4 * shape[1] * EPS * sigma_ref[0])
-    np.testing.assert_allclose(np.abs(b_rows[1]), np.abs(vt_ref[:, -1]), rtol=0, atol=1e-12)
-    assert abs(v_lasts[1] @ vt_ref[-1]) == pytest.approx(1.0, abs=1e-12)
-    assert v_lasts[1][-1] * b_rows[1][-1] >= 0.0
+    # and with the signs of the few values: V's last row and last column
+    np.testing.assert_allclose(bundle.v_aug[-1], bundle.b_row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bundle.v_aug[:, -1], bundle.v_last, rtol=0, atol=1e-12)
     # a stack of wide blocks: each block's values are those of its own call
-    for stacked, own in zip((sigmas[1], b_rows[1], v_lasts[1]), core.block_svd(a)):
-        np.testing.assert_array_equal(stacked, own)
+    own = core.block_svd(a)
+    np.testing.assert_allclose(np.abs(own[1]), np.abs(vt_ref[:, -1]), rtol=0, atol=1e-12)
+    assert abs(own[2] @ vt_ref[-1]) == pytest.approx(1.0, abs=1e-12)
+    assert own[2][-1] * own[1][-1] >= 0.0
+    stacked = core.block_svd(np.stack([2.0 * a, a]))
+    for values, own_values in zip(stacked[:3], own[:3]):
+        np.testing.assert_array_equal(values[1], own_values)
+    np.testing.assert_array_equal(stacked[3]()[1], own[3]())
 
 
-def test_v_only_svd_scales_an_extreme_block_exactly():
-    # outside dgesdd's safe range the block is factored scaled by a power of
-    # two: the factors of the unscaled block, bit for bit, sigma rescaled
-    a = np.random.default_rng(3).standard_normal((50, 45))
-    sigma, vt = core.v_only_svd(a)
+@pytest.mark.parametrize("shape", [(50, 11), (50, 45)])
+def test_block_svd_scales_a_block_by_a_power_of_two_exactly(shape):
+    # every block is factored scaled into [1/2, 1), narrow (numpy's dgesdd)
+    # and wide (few_value_svd) alike: the values of the unscaled block, bit
+    # for bit, sigma scaled, alone and in a stack
+    a = np.random.default_rng(3).standard_normal(shape)
+    sigma, b_row, v_last = core.block_svd(a)[:3]
     for exponent in (-600, 500):
-        sigma_scaled, vt_scaled = core.v_only_svd(np.ldexp(a, exponent))
-        np.testing.assert_array_equal(sigma_scaled, np.ldexp(sigma, exponent))
-        np.testing.assert_array_equal(vt_scaled, vt)
+        scaled = np.ldexp(a, exponent)
+        for values in (core.block_svd(scaled)[:3],
+                       [part[1] for part in core.block_svd(np.stack([a, scaled]))[:3]]):
+            np.testing.assert_array_equal(values[0], np.ldexp(sigma, exponent))
+            np.testing.assert_array_equal(values[1], b_row)
+            np.testing.assert_array_equal(values[2], v_last)
     with pytest.raises(ShapeError, match="entries must be finite"):
-        core.v_only_svd(np.where(a > 2.5, np.nan, a))
+        core.block_svd(np.where(a > 2.5, np.nan, a))
 
 
 GAP_CHAIN_CASES = {
@@ -530,7 +540,7 @@ def test_sigma_hat_when_b_outweighs_a(n, scale):
         np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1.7e308])
 def test_a_scale_whose_square_overflows_is_refused(scale):
     # fix_b scaled: sigma_1^2, and so delta, is past float64's range
     problem = tc.TlsProblem([[scale], [0.0]], [scale, scale])
@@ -698,7 +708,7 @@ def test_a_split_tridiagonal_takes_v_from_the_whole_factor(monkeypatch):
     # v-half; v_{n+1} comes from dbdsdc on the same bidiagonal: e_{n+1}
     a = wide_edge_problems()["b = 0"][0]
     calls = counting_calls(monkeypatch, core, "dbdsdc")
-    sigma, b_row, v_last, _ = core.few_value_svd(np.column_stack([a, np.zeros(60)]))
+    sigma, b_row, v_last, _ = core.block_svd(np.column_stack([a, np.zeros(60)]))
     assert calls == ["dbdsdc"]
     assert sigma[-1] == 0.0
     np.testing.assert_allclose(np.abs(v_last), np.eye(45)[-1], rtol=0, atol=1e-15)

@@ -512,25 +512,36 @@ def test_scale_invariance():
         assert estimate.kappa_abs == pytest.approx(base.kappa_abs / c, rel=1e-10)
         assert estimate.kappa_rel == pytest.approx(base.kappa_rel, rel=1e-10)
 
-    # kappa's secular equation is scaled to unit weights, and a block outside
-    # dgesdd's scaling range is factored shifted by a power of two, so a power
-    # of two changes no bit of kappa_rel and scales kappa_abs exactly; both
-    # are 40x25 and 50x11 blocks, numpy's narrow route
-    deblur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0))
-    alpha = tc.generate_ab_alpha(50, 10, 1e-2, 3)
-    for problem, k in [(deblur, -40), (deblur, 340), (alpha, 300), (alpha, -300),
-                       *[(p, k) for p in (deblur, alpha) for k in (460, -460, 480, -480, 500)],
-                       (alpha, -500)]:
+    # block_svd factors every block scaled into [1/2, 1) and kappa's secular
+    # equation is scaled to unit weights, so a power of two changes no bit of
+    # x or kappa_rel and scales kappa_abs exactly, on narrow blocks (40x25,
+    # and the 11x11 and 13x13 R: numpy's dgesdd) and wide ones (60x45,
+    # 100x51: few_value_svd), or the bundle refuses the data: there delta
+    # underflows
+    problems = {
+        "deblur 40": tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, seed=0)),
+        "deblur 60": tc.kamm_nagy_problem(tc.KammNagyConfig(m=60, seed=1)),
+        "alpha 50x10": tc.generate_ab_alpha(50, 10, 1e-2, 3),
+        "alpha 29x12": tc.generate_ab_alpha(29, 12, 1e-4, 5),
+        "alpha 100x50": tc.generate_ab_alpha(100, 50, 1e-3, 2),
+    }
+    refused = set()
+    for name, problem in problems.items():
         bundle, solution, work = pipeline(problem)
         base = tc.svd_condition(work, bundle, solution)
-        scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s_bundle, s_solution, s_work = pipeline(scaled)
-            estimate = tc.svd_condition(s_work, s_bundle, s_solution)
-        assert estimate.kappa_rel == base.kappa_rel
-        assert estimate.kappa_abs == math.ldexp(base.kappa_abs, -k)
-    # at 2^-500 deblur's gap delta, 3.3e-15 sigma_1^2, underflows: a typed refusal
-    scaled = tc.TlsProblem(np.ldexp(deblur.a_matrix, -500), np.ldexp(deblur.b_vector, -500))
-    with pytest.raises(ShapeError, match="underflows float64"):
-        tc.svd_bundle(scaled)
+        for k in range(-500, 501, 10):
+            scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, k), np.ldexp(problem.b_vector, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    s_bundle, s_solution, s_work = pipeline(scaled)
+                except ShapeError as exc:
+                    assert "underflows float64" in str(exc)
+                    refused.add((name, k))
+                    continue
+                estimate = tc.svd_condition(s_work, s_bundle, s_solution)
+            np.testing.assert_array_equal(s_solution.x, solution.x)
+            assert estimate.kappa_rel == base.kappa_rel
+            assert estimate.kappa_abs == math.ldexp(base.kappa_abs, -k)
+    assert refused == {("deblur 40", -490), ("deblur 40", -500), ("deblur 60", -490),
+                       ("deblur 60", -500), ("alpha 29x12", -500)}

@@ -72,8 +72,9 @@ def test_generate_v_rejects_bad_alpha():
             generators.generate_v(3, v_tilde, alpha, seed=1)
 
 
-# m >= 2(n+1) factors B through its R; m < 2(n+1) takes the SVD of B itself
-KERNEL_ROUTE_SHAPES = [(20, 6), (60, 10), (15, 10)]
+# m >= 2(n+1) factors B through its R; m < 2(n+1) takes the SVD of B itself;
+# 80x45 and 100x45 run numpy's dgesdd past core.V_ONLY_WIDTH on B and on R
+KERNEL_ROUTE_SHAPES = [(20, 6), (60, 10), (15, 10), (80, 45), (100, 45)]
 
 
 def test_generate_ab_alpha_recovers_alpha():
