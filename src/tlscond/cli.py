@@ -148,10 +148,15 @@ def _print_report(report: ReportDocument) -> None:
         print("  ".join(_fmt3(row[c]).ljust(w) for c, w in zip(report.columns, widths)))
 
 
-def _cmd_solve(args) -> int:
-    problem = load_problem(args.input)
+def _solved(path) -> tuple:
+    """(problem, bundle, solution) of the --input file: the pipeline of solve, cond and bounds."""
+    problem = load_problem(path)
     bundle = svd_bundle(problem)
-    solution = solve_tls(problem, bundle)
+    return problem, bundle, solve_tls(problem, bundle)
+
+
+def _cmd_solve(args) -> int:
+    problem, bundle, solution = _solved(args.input)
     report = residual_diagnostics(problem, bundle, solution)
     diag = solution.gap
     print(f"m={problem.m} n={problem.n} label={problem.label}")
@@ -181,9 +186,7 @@ _METHOD_ALIASES = {"kron": "kronecker"}
 
 
 def _cmd_cond(args) -> int:
-    problem = load_problem(args.input)
-    bundle = svd_bundle(problem)
-    solution = solve_tls(problem, bundle)
+    problem, bundle, solution = _solved(args.input)
     methods = (
         ["kronecker", "cholesky", "svd", "baboulin"]
         if args.method == "all"
@@ -214,9 +217,7 @@ def _cmd_cond(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    problem = load_problem(args.input)
-    bundle = svd_bundle(problem)
-    solution = solve_tls(problem, bundle)
+    problem, bundle, solution = _solved(args.input)
     work = exact.build_spectral_work(problem, bundle, solution)
     report = bounds_mod.bounds_report(problem, bundle, solution, work)
     print(f"kappa_reference (svd formula) = {report.kappa_reference:.6e}")

@@ -55,15 +55,15 @@ its narrow kernel, gives the alpha generator all of V), and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
-solution off it. Its acceptance rules are accept_trailing_vector: the gap,
-then trailing_vector's rules, which do not read the gap. The lab's stacked
-re-solves call the first, or the second alone on a step whose gap Weyl's
-inequality has certified; its checks are residual_diagnostics' work.
-The gap is classified once from delta and kept as TlsSolution.gap. Every
-computation that forms P = A^T A - sigma_{n+1}^2 I (the normal-equations
-cross-check here, exact's cholesky route and explicit K) passes one gate,
-check_p: it refuses P once eps sigma_hat_1^2 / delta, the rounding of forming
-P relative to its smallest eigenvalue, exceeds P_ROUNDING_LIMIT.
+solution off it. Each of its rules has one owner: check_gap refuses delta <= 0
+and classifies the gap (kept as TlsSolution.gap), and trailing_vector's rules
+do not read the gap. solve_tls calls both; the lab's stacked re-solves call
+both, or trailing_vector alone on a step whose gap Weyl's inequality has
+certified. P = A^T A - sigma_{n+1}^2 I is formed in one function, gated_p,
+for every computation that reads it (the normal-equations cross-check here,
+exact's cholesky route and explicit K). It passes one gate first, check_p:
+P is refused once eps sigma_hat_1^2 / delta, the rounding of forming P
+relative to its smallest eigenvalue, exceeds P_ROUNDING_LIMIT.
 """
 
 from __future__ import annotations
@@ -385,10 +385,8 @@ class SvdBundle:
 
 @dataclass(frozen=True)
 class GapDiagnostics:
-    """Existence/uniqueness classification of a bundle."""
+    """The gap of a bundle that check_gap accepted: delta > 0."""
 
-    gap_ok: bool            # delta > 0, i.e. sigma_{n+1} < sigma_hat_n
-    nontrivial: bool        # sigma_{n+1} > 0
     rel_gap: float          # (sigma_hat_n - sigma_{n+1}) / sigma_hat_n, from delta
     ratio_sigma_n: float    # sigma_{n+1} / sigma_n
     ratio_sigma_hat_n: float  # sigma_{n+1} / sigma_hat_n = 1 - rel_gap
@@ -734,31 +732,18 @@ def svd_bundle(problem: TlsProblem) -> SvdBundle:
     return SvdBundle(rows, sigma, b_row, v_last, sigma_hat_n, delta, roots, form_vt)
 
 
-def _classify_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:
-    sig_last = float(sigma[-1])
-    sig_n = float(sigma[-2])
-    rel_gap = delta / (sig_hat_n * (sig_hat_n + sig_last)) if sig_hat_n > 0 else 0.0
-    return GapDiagnostics(
-        gap_ok=delta > 0.0,
-        nontrivial=sig_last > 0.0,
-        rel_gap=rel_gap,
-        ratio_sigma_n=sig_last / sig_n if sig_n > 0 else 0.0,
-        ratio_sigma_hat_n=1.0 - rel_gap if sig_hat_n > 0 else 0.0,
-    )
+def check_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:
+    """The solver's gap rule on one SVD of [A b]: its GapDiagnostics where delta > 0.
 
-
-def accept_trailing_vector(
-    sigma: np.ndarray, v_last: np.ndarray, sig_hat_n: float, delta: float
-) -> tuple[GapDiagnostics, np.ndarray]:
-    """The solver's rules on one SVD of [A b]: its gap, and v_{n+1} with its sign fixed.
-
-    Raises NoUniqueSolution when the gap fails, then trailing_vector's
-    errors. Returns the gap and trailing_vector's v_{n+1}.
+    Raises NoUniqueSolution otherwise. delta > 0 puts sigma_hat_n, and so
+    sigma_n, above sigma_{n+1} >= 0, so no quotient here divides by 0.
     """
-    diag = _classify_gap(sigma, sig_hat_n, delta)
-    if not diag.gap_ok:
+    if not delta > 0.0:
         raise NoUniqueSolution(f"sigma_{{n+1}}={sigma[-1]:.6e} >= sigma_hat_n={sig_hat_n:.6e}")
-    return diag, trailing_vector(sigma, v_last)
+    sig_last = float(sigma[-1])
+    rel_gap = delta / (sig_hat_n * (sig_hat_n + sig_last))
+    return GapDiagnostics(rel_gap=rel_gap, ratio_sigma_n=sig_last / float(sigma[-2]),
+                          ratio_sigma_hat_n=1.0 - rel_gap)
 
 
 def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
@@ -767,8 +752,8 @@ def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
     Raises TrivialProblem when sigma_{n+1} = 0, and DegenerateVector when the
     vector's last entry is numerically zero despite a valid gap (an upstream
     SVD failure). Returns a copy of v_last (V's last column) negated where
-    needed so that its last entry is -alpha. accept_trailing_vector calls it
-    once the gap holds; the lab calls it alone where Weyl's inequality has
+    needed so that its last entry is -alpha. solve_tls calls it once
+    check_gap has passed; the lab calls it alone where Weyl's inequality has
     certified the gap.
     """
     if not float(sigma[-1]) > 0.0:
@@ -781,12 +766,11 @@ def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
 def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     """Solve the TLS problem from its trailing right singular vector.
 
-    The checks and the sign are accept_trailing_vector's: NoUniqueSolution,
-    TrivialProblem or DegenerateVector.
+    The checks are check_gap's (NoUniqueSolution), then trailing_vector's
+    (TrivialProblem or DegenerateVector), which also fixes the sign.
     """
-    diag, v_last = accept_trailing_vector(
-        bundle.sigma, bundle.v_last, bundle.sigma_hat_n, bundle.delta
-    )
+    diag = check_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
+    v_last = trailing_vector(bundle.sigma, bundle.v_last)
     x = -v_last[:-1] / v_last[-1]
     alpha = 1.0 / np.hypot(1.0, np.linalg.norm(x))
     r = problem.a_matrix @ x - problem.b_vector
@@ -794,7 +778,7 @@ def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
 
 
 def check_p(bundle: SvdBundle) -> float:
-    """eps sigma_hat_1^2 / delta, the one gate of every computation that forms P.
+    """eps sigma_hat_1^2 / delta, the gate gated_p passes before it forms P.
 
     Forming P = A^T A - sigma_{n+1}^2 I rounds it by about eps ||A^T A|| =
     eps sigma_hat_1^2, and its smallest eigenvalue is delta: the quotient is
@@ -812,21 +796,36 @@ def check_p(bundle: SvdBundle) -> float:
     return rounding
 
 
+def gated_p(bundle: SvdBundle) -> tuple[np.ndarray, np.ndarray]:
+    """(A^T A, P) with P = A^T A - sigma_{n+1}^2 I, once check_p has accepted P.
+
+    The one place that forms them: A^T A is R_A^T R_A from the bundle's
+    rows[:, :n], A itself or its R_A, in O(n^3) on the QR route. Raises
+    check_p's IllConditionedGap before anything is formed. Every entry is at
+    most sigma_1^2, which block_svd keeps below a quarter of the largest float.
+    """
+    check_p(bundle)
+    n = bundle.n
+    r_a = bundle.rows[:, :n]
+    ata = r_a.T @ r_a
+    return ata, ata - float(bundle.sigma[-1]) ** 2 * np.eye(n)
+
+
 def residual_diagnostics(
     problem: TlsProblem, bundle: SvdBundle, solution: TlsSolution
 ) -> ResidualReport:
     """Identity residuals, the normal-equations cross-check and the gap chain.
 
-    The cross-check P^{-1} A^T b runs only where check_p accepts P.
+    The cross-check solves P x = A^T b with gated_p's P, and is None where
+    check_p refuses P. A^T b = R_A^T (Q^T b) on the QR route, where
+    rows[:, -1] holds Q^T b.
     The chain |u_hat_n . b| / (2||x||) <= sigma_hat_n - sigma_{n+1} <= ||b||/||x||
     is only defined for x != 0; for x = 0 its entries are None. Its
     |u_hat_n . b| is the bundle's SigmaHatRoots.b_weight_n, O(n) from the root
-    that gives delta: no SVD of A runs here. The cross-check's Gram products
-    read rows: P = R_A^T R_A - sigma_{n+1}^2 I and A^T b = R_A^T (Q^T b) on the
-    QR route, where rows[:, -1] holds Q^T b.
-    The identities and the cross-check run on the data scaled by 1/sigma_1,
-    as their quotients do not depend on scale, so no product overflows below
-    the bundle's sigma_1 limit.
+    that gives delta: no SVD of A runs here.
+    The identities run on the data scaled by 1/sigma_1, as their quotients do
+    not depend on scale, so no product overflows below the bundle's sigma_1
+    limit; the cross-check's entries are at most sigma_1^2 unscaled.
     Each inequality is judged with an absolute slack of 4 eps sigma_1, the
     rounding of both ends: on the deblurring problems the lower end meets the
     gap to about eight digits, and near alpha = 1e-8 the gap is below eps sigma_1.
@@ -841,14 +840,12 @@ def residual_diagnostics(
         float(np.linalg.norm(solution.last_right_vector - alpha * np.concatenate([x, [-1.0]]))),
     )
     try:
-        check_p(bundle)
-        rows = bundle.rows / scale
-        r_a = rows[:, : problem.n]
-        p = r_a.T @ r_a - sig2 * np.eye(problem.n)
-        x_ne = np.linalg.solve(p, r_a.T @ rows[:, -1])
-        normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
+        _, p = gated_p(bundle)
     except IllConditionedGap:
         normal_eq_rel_diff = None
+    else:
+        x_ne = np.linalg.solve(p, bundle.rows[:, : problem.n].T @ bundle.rows[:, -1])
+        normal_eq_rel_diff = float(np.linalg.norm(x_ne - x) / max(1.0, norm_x))
     if norm_x == 0.0:
         return ResidualReport(*identities, normal_eq_rel_diff, None, None, None, None)
     lower = bundle.roots.b_weight_n() / (2.0 * norm_x)

@@ -19,15 +19,14 @@ stacked data (vec A, b) to the solution x; the relative number rescales by
   closed form off the bundle's secular roots (core.SigmaHatRoots): no SVD of
   A runs.
 
-A^T A is formed, where a route needs it, from the bundle's rows[:, :n]: A
-itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not O(mn^2).
-
 The svd route is the reference: it stays accurate when sigma_hat_n and
 sigma_{n+1} nearly coincide, where the P-based routes break down. Those
-(cholesky, and kronecker through build_k_matrix) pass core.check_p, the one
-gate on P: IllConditionedGap once eps sigma_hat_1^2 / delta exceeds
-core.P_ROUNDING_LIMIT. baboulin takes every difference from a secular root,
-not from P, so it needs no gate.
+(cholesky, and kronecker through build_k_matrix) take A^T A and P from
+core.gated_p, the one place that forms them (from the bundle's rows[:, :n]:
+A itself, or on the QR route its R_A, where R_A^T R_A costs O(n^3), not
+O(mn^2)), behind the one gate on P, core.check_p: IllConditionedGap once
+eps sigma_hat_1^2 / delta exceeds core.P_ROUNDING_LIMIT. baboulin takes
+every difference from a secular root, not from P, so it needs no gate.
 
 Each problem is factored once, by the bundle's SVD of [A b]: ExactFormulaWork
 reads V11 through closed forms in V's last row (the bundle's b_row) and in
@@ -49,7 +48,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .core import SecularEquation, SvdBundle, TlsSolution, check_p
+from .core import SecularEquation, SvdBundle, TlsSolution, gated_p
 from .errors import FactorizationError, NotApplicable, TrivialProblem
 from .problem import TlsProblem
 
@@ -197,26 +196,23 @@ def build_k_matrix(
 
     so P^{-1} is applied to the n+m+1 columns [A^T r^, A^T, I_n] only and K is
     filled block by block, the only n x m(n+1) array built. K solves against
-    P = A^T A - sigma_{n+1}^2 I explicitly (not through V11; its A^T A is
-    R_A^T R_A from bundle.rows on the QR route), so it stays an
-    independent oracle for the svd route. It passes core.check_p first, and
-    is then refused with NotApplicable before anything is allocated when K's
-    own n * m(n+1) entries exceed K_MAX_ENTRIES.
+    P = A^T A - sigma_{n+1}^2 I explicitly (not through V11), core.gated_p's
+    P, so it stays an independent oracle for the svd route. gated_p's gate
+    runs first, and K is then refused with NotApplicable before it is
+    allocated when its own n * m(n+1) entries exceed K_MAX_ENTRIES.
     """
     m, n = problem.m, problem.n
     if bundle.sigma[-1] == 0.0:
         raise TrivialProblem("r = 0: the first-order map is not defined")
-    check_p(bundle)
+    _, p = gated_p(bundle)
     if n * m * (n + 1) > K_MAX_ENTRIES:
         raise NotApplicable(
             f"K: the oracle is limited to n*m(n+1) <= {K_MAX_ENTRIES} (2^24) entries; "
             f"{m}x{n} gives {n * m * (n + 1)}"
         )
-    a, r_a = problem.a_matrix, bundle.rows[:, :n]
-    r = solution.r
+    a, r = problem.a_matrix, solution.r
     x_tilde = np.append(solution.x, -1.0)
 
-    p = r_a.T @ r_a - bundle.sigma[-1] ** 2 * np.eye(n)
     r_unit = r / np.linalg.norm(r)
     solved = np.linalg.solve(p, np.hstack([(a.T @ r_unit)[:, None], a.T, np.eye(n)]))
     p_inv_at_r, p_inv_at, p_inv = solved[:, 0], solved[:, 1 : m + 1], solved[:, m + 1 :]
@@ -251,18 +247,15 @@ def cholesky_condition(
     """kappa = sqrt(1+||x||^2) ||P^{-1} L|| via triangular solves against P.
 
     ||P^{-1} L|| is the square root of the top eigenvalue of its n x n Gram
-    matrix, clamped at 0, as in kron_condition: no SVD. Raises
-    IllConditionedGap where core.check_p refuses P: there P's rounding
-    could leave the result more than 1e-8 off. P, C and their Cholesky
-    factors are formed only once the gate has passed.
+    matrix, clamped at 0, as in kron_condition: no SVD. A^T A and P are
+    core.gated_p's, which raises IllConditionedGap where core.check_p
+    refuses P: there P's rounding could leave the result more than 1e-8 off.
+    C and the Cholesky factors are formed only once the gate has passed.
     """
-    check_p(bundle)
+    ata, p = gated_p(bundle)
     n = problem.n
-    r_a = bundle.rows[:, :n]  # A, or its R_A: R_A^T R_A = A^T A in O(n^3)
     x = solution.x
     sig2 = float(bundle.sigma[-1]) ** 2
-    ata = r_a.T @ r_a
-    p = ata - sig2 * np.eye(n)
     c = ata + sig2 * np.eye(n) - (2.0 * sig2 / (1.0 + x @ x)) * np.outer(x, x)
     try:
         l_factor = scipy.linalg.cholesky(c, lower=True)

@@ -14,23 +14,23 @@ factored by one core.block_svd call (each block scaled by a power of two,
 then numpy's stacked dgesdd below core.V_ONLY_WIDTH, core.few_value_svd
 block by block from there on, as svd_bundle factors one block), which gives
 sigma, b's row of V and v_{n+1} alone and refuses a sigma_1 whose square
-overflows, and each step then passes solve_tls's
-own checks (core.accept_trailing_vector) in step order. Most steps' gap is
-known before the re-solve: by Weyl's inequality a unit z moves every
-singular value of [A b] and of A by at most t, so where (g - 2t - s) /
-(sigma_hat_n + t), with g = sigma_hat_n - sigma_{n+1} and s a rounding
-slack, keeps GAP_PERSISTENCE of the base rel_gap (_GapCertificate), the step
-builds no SigmaHatRoots, solves no secular root and passes only the rules
-that do not read the gap (core.trailing_vector). A random trial's z is the
-next m(n+1) standard normals of one generator, drawn into that buffer and
-divided by their norm; the worst direction's z is copied in. Only x and the
-relative gap are read; no residual is formed. As t -> 0 the ratio
-approaches ||K z||, is maximized over unit z by the condition number, and
-attains it along K^T u for K's top left singular vector u. K is never
-formed: K z and K^T u cost O(mn) through the closed-form V11^{-1} of
-ExactFormulaWork, and u is V11^{-T} S q for the eigenvector q that the
-work's secular equation gives in closed form. A step below CLEAN_STEP_FLOOR
-||[A b]||_F is refused: there the ratio measures rounding, not K.
+overflows, and each step then passes solve_tls's own checks (core.check_gap,
+then core.trailing_vector) in step order. Most steps' gap is known before
+the re-solve: by Weyl's inequality a unit z moves every singular value of
+[A b] and of A by at most t, so where (g - 2t - s) / (sigma_hat_n + t), with
+g = sigma_hat_n - sigma_{n+1} and s a rounding slack, keeps GAP_PERSISTENCE
+of the base rel_gap (_GapCertificate), the step builds no SigmaHatRoots,
+solves no secular root and skips core.check_gap, passing only
+core.trailing_vector. A random trial's z is the next m(n+1) standard normals
+of one generator, drawn into that buffer and divided by their norm; the
+worst direction's z is copied in. Only x and the relative gap are read; no
+residual is formed. As t -> 0 the ratio approaches ||K z||, is maximized
+over unit z by the condition number, and attains it along K^T u for K's top
+left singular vector u. K is never formed: K z and K^T u cost O(mn) through
+the closed-form V11^{-1} of ExactFormulaWork, and u is V11^{-T} S q for the
+eigenvector q that the work's secular equation gives in closed form. A step
+below CLEAN_STEP_FLOOR ||[A b]||_F is refused: there the ratio measures
+rounding, not K.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ import numpy as np
 
 from .core import (
     SigmaHatRoots,
-    accept_trailing_vector,
     block_rows,
     block_svd,
+    check_gap,
     householder_qr,
     solve_tls,
     svd_bundle,
@@ -213,10 +213,10 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     The re-solves are bitwise those of solve_tls on svd_bundle of
     the perturbed problem: the same sums, the same crossover
     (core.block_rows), the same kernels (the R of core.row_block, with its
-    +0.0 below the diagonal) and the same checks (core.accept_trailing_vector).
-    A step that the certificate (a _GapCertificate) covers builds no
-    SigmaHatRoots and classifies no gap: it passes only the rules that do not
-    read the gap, core.trailing_vector, and yields the same x with gap None;
+    +0.0 below the diagonal) and the same checks in the same order
+    (core.check_gap, then core.trailing_vector). A step that the certificate
+    (a _GapCertificate) covers builds no SigmaHatRoots and skips check_gap:
+    it passes trailing_vector alone, and yields the same x with gap None;
     block_svd has refused its sigma_1 where it would overflow, as for
     svd_bundle.
     """
@@ -245,11 +245,8 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
                 np.copyto(block, householder_qr(aug)[0][:k], where=upper)
         for (sigma, b_row, v_last), t in zip(_factored(stack), ts[start : start + len(stack)]):
             try:
-                if covered(t):
-                    gap, v_last = None, trailing_vector(sigma, v_last)
-                else:
-                    sig_hat_n, delta = SigmaHatRoots(sigma, b_row).at(-1)
-                    gap, v_last = accept_trailing_vector(sigma, v_last, sig_hat_n, delta)
+                gap = None if covered(t) else check_gap(sigma, *SigmaHatRoots(sigma, b_row).at(-1))
+                v_last = trailing_vector(sigma, v_last)
             except (NoUniqueSolution, TrivialProblem) as exc:
                 yield exc
                 continue

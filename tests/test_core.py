@@ -67,27 +67,31 @@ def test_interlacing_every_bundle():
         assert bundle.interlacing_defect() < 1e-12
 
 
-def classify(bundle):
-    """The solver's gap classification of a bundle, also where solve_tls raises."""
-    return core._classify_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
+def check_gap(bundle):
+    """The solver's gap rule on a bundle, also where solve_tls raises after it."""
+    return core.check_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
 
 
 def test_gap_classification():
     _, solution, _ = pipeline(tc.TlsProblem([[2.0], [0.0]], [0.0, 1.0]))
     diag = solution.gap
-    assert diag.gap_ok and diag.nontrivial
     assert diag.rel_gap == pytest.approx(0.5)
     assert diag.ratio_sigma_n <= 1.0 and diag.ratio_sigma_hat_n <= 1.0 + 1e-14
 
-    # b in range(A): sigma_{n+1} = 0 (zero row keeps the zero exact)
+    # b in range(A): sigma_{n+1} = 0 (zero row keeps the zero exact); the gap
+    # holds, and the solver refuses the trivial problem after it
     trivial = tc.TlsProblem([[1.0], [0.0]], [2.0, 0.0])
-    diag = classify(tc.svd_bundle(trivial))
-    assert not diag.nontrivial
+    bundle = tc.svd_bundle(trivial)
+    check_gap(bundle)
+    with pytest.raises(TrivialProblem):
+        tc.solve_tls(trivial, bundle)
 
     # sigma_hat_n = sigma_{n+1}: [A b] orthogonal columns of equal norm
     tied = tc.TlsProblem([[1.0], [0.0]], [0.0, 1.0])
-    diag = classify(tc.svd_bundle(tied))
-    assert not diag.gap_ok and diag.rel_gap == 0.0
+    bundle = tc.svd_bundle(tied)
+    assert bundle.delta == 0.0
+    with pytest.raises(NoUniqueSolution, match=r"sigma_\{n\+1\}=1.000000e\+00 >= sigma_hat_n"):
+        check_gap(bundle)
 
 
 def test_solve_fix_a(fix_a):
@@ -509,7 +513,11 @@ def test_deflated_secular_spectrum(name):
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * bundle.sigma[0])
     assert bundle.sigma_hat_n == bundle.sigma_hat[-1]
     # the gap decision of an SVD of A
-    assert classify(bundle).gap_ok == (bundle.sigma[-1] < sigma_hat[-1])
+    if bundle.sigma[-1] < sigma_hat[-1]:
+        check_gap(bundle)
+    else:
+        with pytest.raises(NoUniqueSolution):
+            check_gap(bundle)
     if error is None:
         tc.solve_tls(problem, bundle)
     else:
@@ -605,7 +613,8 @@ def test_tiny_weight_of_the_last_pole_still_decides_the_gap():
     problem = zero_noise_deblur()
     bundle = tc.svd_bundle(problem)
     assert 0.0 < bundle.delta < 1e-30 * bundle.sigma[0] ** 2
-    assert classify(bundle).gap_ok and classify(bundle).nontrivial
+    check_gap(bundle)
+    assert bundle.sigma[-1] > 0.0
     with pytest.raises(DegenerateVector):
         tc.solve_tls(problem, bundle)
     with pytest.raises(GapFailure):

@@ -10,7 +10,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import counting_factorizations, k_of, pipeline, tie_problem, tied_weighted_problem
-from tlscond import core, perturb
+from tlscond import core, exact, perturb
 from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, ShapeError, TrivialProblem
 
@@ -247,24 +247,44 @@ def test_deflated_rows_are_orthonormal_and_orthogonal_to_v():
     np.testing.assert_allclose(rows @ bundle.v_aug[-1, :-1], 0.0, rtol=0, atol=4 * EPS)
 
 
+def counting_gated_p(monkeypatch):
+    """Log the bundle of each core.gated_p call, from core and from exact, which imports it."""
+    calls = []
+    gated_p = core.gated_p
+
+    def counting(bundle):
+        calls.append(bundle)
+        return gated_p(bundle)
+
+    for owner in (core, exact):
+        monkeypatch.setattr(owner, "gated_p", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "problem, gated",
     [
         (tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1)), True),
+        (tc.kamm_nagy_problem(tc.KammNagyConfig(m=300, seed=916631015)), True),
         (tc.generate_ab_alpha(50, 10, 1e-2, seed=3), False),
     ],
-    ids=["deblur_m100", "alpha_1e-2"],
+    ids=["deblur_m100", "deblur_m300_seed916631015", "alpha_1e-2"],
 )
-def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated):
-    # one core.check_p decides both the solver's normal-equations check and the P gate
+def test_cross_check_skipped_exactly_where_p_routes_gate(problem, gated, monkeypatch):
+    # one core.check_p decides both the solver's normal-equations check and the P gate,
+    # and one core.gated_p forms (or refuses) P for each of its three readers
     bundle, solution, work = pipeline(problem)
+    calls = counting_gated_p(monkeypatch)
     report = tc.residual_diagnostics(problem, bundle, solution)
     assert (report.normal_eq_rel_diff is None) == gated
-    if gated:
-        with pytest.raises(IllConditionedGap):
-            tc.cholesky_condition(work, problem, bundle, solution)
-    else:
-        tc.cholesky_condition(work, problem, bundle, solution)
+    for route in (lambda: tc.cholesky_condition(work, problem, bundle, solution),
+                  lambda: tc.build_k_matrix(problem, bundle, solution)):
+        if gated:
+            with pytest.raises(IllConditionedGap):
+                route()
+        else:
+            route()
+    assert len(calls) == 3 and all(called is bundle for called in calls)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1e-2, 1e-4])
@@ -525,7 +545,7 @@ def test_scale_invariance():
         "alpha 29x12": tc.generate_ab_alpha(29, 12, 1e-4, 5),
         "alpha 100x50": tc.generate_ab_alpha(100, 50, 1e-3, 2),
     }
-    refused = set()
+    refused, gated = set(), set()
     for name, problem in problems.items():
         bundle, solution, work = pipeline(problem)
         base = tc.svd_condition(work, bundle, solution)
@@ -540,8 +560,21 @@ def test_scale_invariance():
                     refused.add((name, k))
                     continue
                 estimate = tc.svd_condition(s_work, s_bundle, s_solution)
+                # the normal-equations cross-check forms P unscaled: entries up to
+                # sigma_1^2 at 2^500, down to about 2^-1000 at 2^-500
+                diff = tc.residual_diagnostics(scaled, s_bundle, s_solution).normal_eq_rel_diff
+            try:
+                core.check_p(s_bundle)
+            except IllConditionedGap:
+                gated.add((name, k))
+                assert diff is None
+            else:
+                assert diff <= 1e-10
             np.testing.assert_array_equal(s_solution.x, solution.x)
             assert estimate.kappa_rel == base.kappa_rel
             assert estimate.kappa_abs == math.ldexp(base.kappa_abs, -k)
     assert refused == {("deblur 40", -490), ("deblur 40", -500), ("deblur 60", -490),
                        ("deblur 60", -500), ("alpha 29x12", -500)}
+    # check_p's quotient does not depend on scale: alpha 50x10 passes at every k
+    assert {name for name, _ in gated} == set(problems) - {"alpha 50x10"}
+    assert len(gated) == 399
