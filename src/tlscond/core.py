@@ -24,12 +24,14 @@ block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
 V^T gives both. The C entry points of dgebrd, dbdsqr, dbdsdc and dormbr are
 called through scipy.linalg.cython_lapack and ctypes. The rule reads the
 width alone, so a block factored in a stack gets the bits of its own call.
-The whole V (SvdBundle.v_aug) is formed only where it is read, from the same
-bidiagonal by dbdsdc and dormbr (Bidiagonal.right_factor), or from numpy's
-V^T. The alpha generator takes the whole V of its random draw from numpy's
-dgesdd at every width (full_svd), and the lab calls row_block's
-householder_qr itself and copies R into its stack. Neither Q nor any left
-singular factor is kept.
+The whole V (SvdBundle.v_aug) is formed only where it is read: by dbdsdc and
+dormbr (Bidiagonal.right_factor) on a bidiagonal made again from the bundle's
+rows, which are read-only, so dgebrd gives the same reflectors and the same
+V at one more dgebrd per read and a wide bundle keeps one m x (n+1) array,
+not two; or from numpy's V^T. The alpha generator takes the whole V of its
+random draw from numpy's dgesdd at every width (full_svd), and the lab calls
+row_block's householder_qr itself and copies R into its stack. Neither Q nor
+any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -333,7 +335,7 @@ class SvdBundle:
     last right singular vector (plain quantities), and A's smallest singular
     value (hatted). The whole V is formed only where v_aug is read."""
 
-    rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1)
+    rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1), read-only
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
     b_row: np.ndarray      # (n+1,) V's last row: b's entry of each right singular vector
     v_last: np.ndarray     # (n+1,) v_{n+1}, V's last column; its last entry has b_row's sign
@@ -635,8 +637,9 @@ def few_value_svd(block: np.ndarray, exponent: int):
     v_last (alpha, up to its sign): v_last takes b_row's sign there, and
     b_row takes v_last's value, which dbdsqr and dstein round differently
     (by about eps absolute, 1e-8 of alpha at alpha = 1e-8). form_vt forms
-    the whole V^T on demand (_aligned_vt). Where dbdsdc and dormbr form all
-    of V in O(k^3), this costs O(k^2) past dgebrd.
+    the whole V^T on demand (_aligned_vt) from block, which must not change
+    before it is called; the bidiagonal's m x k copy is not kept. Where
+    dbdsdc and dormbr form all of V in O(k^3), this costs O(k^2) past dgebrd.
     """
     bidiagonal = Bidiagonal(block, exponent)
     sigma, b_row = bidiagonal.first_row()
@@ -647,17 +650,20 @@ def few_value_svd(block: np.ndarray, exponent: int):
     if v_last[-1] * b_row[-1] < 0.0:
         v_last = -v_last
     b_row[-1] = v_last[-1]  # V's corner, alpha: one value for the roots, x and kappa
-    return sigma, b_row, v_last, partial(_aligned_vt, bidiagonal, b_row, v_last)
+    return sigma, b_row, v_last, partial(_aligned_vt, block, exponent, b_row, v_last)
 
 
-def _aligned_vt(bidiagonal: Bidiagonal, b_row: np.ndarray, v_last: np.ndarray) -> np.ndarray:
-    """V^T of few_value_svd's block from its bidiagonal's right_factor, C-contiguous.
+def _aligned_vt(block: np.ndarray, exponent: int, b_row: np.ndarray,
+                v_last: np.ndarray) -> np.ndarray:
+    """V^T of few_value_svd's block, C-contiguous, from the right_factor of a
+    Bidiagonal made again from the unchanged block: dgebrd gives the same
+    reflectors, so the same V, and no m x k copy outlives few_value_svd.
 
     b's column moves back to last, and each singular vector takes the sign
     that b_row gives it (v_{n+1} the sign of v_last), so V's last row and
     column agree with the few values, to rounding, where they are not 0.
     """
-    vt = np.roll(bidiagonal.right_factor(), -1, axis=1)
+    vt = np.roll(Bidiagonal(block, exponent).right_factor(), -1, axis=1)
     signs = np.where(vt[:, -1] * b_row < 0.0, -1.0, 1.0)
     signs[-1] = math.copysign(1.0, vt[-1] @ v_last)
     return vt * signs[:, None]
@@ -688,13 +694,16 @@ def block_svd(rows: np.ndarray):
     nor underflows. Blocks at least V_ONLY_WIDTH wide go through
     few_value_svd one at a time, which scales its own copy; narrower ones
     through numpy's dgesdd (full_svd), one call for the whole stack, whose
-    V^T gives both. rows stays intact, and each block of a stack gets bitwise
-    the values of its own call: the route depends on the width alone. Raises
-    ShapeError for entries that are not finite (numpy's dgesdd may never
-    return on them) and for a sigma_1 past _SCALE_LIMIT (about 6.7e153), where
-    the squared gaps would overflow, and ConvergenceError when LAPACK fails.
+    V^T gives both. rows stays intact, and a wide block's form_vt factors it
+    again, so it must not change before form_vt is called. Each block of a
+    stack gets bitwise the values of its own call: the route depends on the
+    width alone. Raises ShapeError for entries that are not finite (numpy's
+    dgesdd may never return on them) and for a sigma_1 past _SCALE_LIMIT
+    (about 6.7e153), where the squared gaps would overflow, and
+    ConvergenceError when LAPACK fails.
     """
-    top = np.max(np.abs(rows), axis=(-2, -1))
+    # max |rows| per block, with no |rows| temporary: a NaN reaches either end
+    top = np.maximum(np.max(rows, axis=(-2, -1)), -np.min(rows, axis=(-2, -1)))
     if not np.isfinite(top).all():
         raise ShapeError("entries must be finite")
     exponent = -np.frexp(top)[1]
@@ -720,12 +729,14 @@ def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """sigma, b's row of V and v_{n+1} of [A b], via its R when m >= 2(n+1); sigma_hat_n and delta.
 
     block_svd's values of the row_block of one private Fortran-ordered copy
-    of [A b]; the whole V is formed only where v_aug is read.
+    of [A b], kept read-only as rows; the whole V is formed only where v_aug
+    is read.
     """
     m, n = problem.m, problem.n
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
+    rows.setflags(write=False)  # form_vt factors it again where v_aug is read
     sigma, b_row, v_last, form_vt = block_svd(rows)
     roots = SigmaHatRoots(sigma, b_row)
     sigma_hat_n, delta = roots.at(-1)

@@ -16,12 +16,18 @@ Two families:
   draws at alpha = 1e-2, one BLAS thread, a 2-vCPU VM; CHANGES.md, "The
   alpha generator factors its random draw through the bundle's kernel").
   On the square R of a tall draw numpy's dgesdd runs the same LAPACK steps
-  as the whole-V kernel it replaced there, bit for bit.
+  as the whole-V kernel it replaced there, bit for bit. B and the product
+  are dropped once A and b are split off, before the acceptance bundle, so
+  a draw peaks at 2.3 m x (n+1) arrays (tracemalloc, 2000x100).
 * a 1-D deblurring setup: a banded Toeplitz convolution matrix from a
   Gaussian kernel, an all-ones right-hand side, and structured noise scaled
   to a prescribed spectral-norm level. Both spectral norms come from the
   n x n banded Gram matrix of the generating column (LAPACK dsbevx, O(n^2
   omega)), so a draw does no O(m^3) work apart from its acceptance bundle.
+  Tbar is never dense: it is read through a read-only strided Toeplitz view
+  of the kernel, added into the scaled noise Toeplitz in place, and the
+  problem adopts that array. A draw peaks at 3.2 m x (n+1) arrays
+  (tracemalloc, m=500): A, then the bundle's copy of [A b] and dgebrd's.
 
 All randomness goes through numpy's seedable Generator (PCG64); identical
 seeds reproduce problems bitwise within one build.
@@ -149,11 +155,11 @@ def _alpha_draw(m: int, n: int, alpha: float, seed) -> Draw:
         # U Sigma = B W for B = U Sigma W^T, so U is never formed
         vt_b = full_svd(row_block(np.array(b, order="F")))[1]
         aug = b @ (vt_b.T @ v.T)
-        problem = TlsProblem(
-            aug[:, :-1],
-            aug[:, -1],
-            label=f"alpha_controlled(m={m},n={n},alpha={alpha:g},seed={seed})",
-        )
+        del b  # at most two m x (n+1) arrays at once, and none kept past the split
+        a_part, b_part = np.ascontiguousarray(aug[:, :-1]), aug[:, -1].copy()
+        del aug
+        problem = TlsProblem._adopt(
+            a_part, b_part, label=f"alpha_controlled(m={m},n={n},alpha={alpha:g},seed={seed})")
         draw = _accepted(problem)
         if draw is not None:
             return draw
@@ -196,8 +202,20 @@ def _banded_toeplitz_norm(column: np.ndarray, n: int) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
+def _lower_toeplitz_view(column: np.ndarray, n: int) -> np.ndarray:
+    """The m x n Toeplitz matrix with first column ``column`` and first row
+    (column[0], 0, ..., 0), as a read-only strided view of one m + n - 1
+    vector: what scipy.linalg.toeplitz builds before it copies."""
+    m = len(column)
+    vals = np.concatenate((column[::-1], np.zeros(n - 1)))
+    step = vals.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        vals[m - 1 :], shape=(m, n), strides=(-step, step), writeable=False)
+
+
 def kamm_nagy_problem(config: KammNagyConfig) -> TlsProblem:
-    """Deblurring instance: A = Tbar + E, b = ones + e.
+    """Deblurring instance: A = Tbar + E, b = ones + e, summed as E + Tbar and
+    e + ones in place, which are the same doubles.
 
     E is a random Toeplitz matrix with the same sparsity structure as Tbar
     (its generating column is drawn on the kernel support only) and e a random
@@ -213,9 +231,7 @@ def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
     """kamm_nagy_problem's problem, with its bundle and solution."""
     rng = np.random.default_rng(config.seed)
     kernel = gaussian_kernel_column(config.m, config.omega, config.spread)
-    first_row = np.zeros(config.n)
-    first_row[0] = kernel[0]
-    t_bar = scipy.linalg.toeplitz(kernel, first_row)
+    t_bar = _lower_toeplitz_view(kernel, config.n)
     g_bar = np.ones(config.m)
     # gamma ||Tbar||, one banded Gram norm per config; at gamma = 0 the noise
     # is scaled by exactly 0, and adding it leaves Tbar and ones unchanged
@@ -227,13 +243,13 @@ def _kamm_nagy_draw(config: KammNagyConfig) -> Draw:
         noise_col[:support] = rng.standard_normal(support)
         noise_row = np.zeros(config.n)
         noise_row[0] = noise_col[0]
-        e_mat = scipy.linalg.toeplitz(noise_col, noise_row)
-        e_mat *= e_scale / _banded_toeplitz_norm(noise_col, config.n)
-        e_vec = rng.standard_normal(config.m)
-        e_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(e_vec)
-        a = t_bar + e_mat
-        b_vec = g_bar + e_vec
-        problem = TlsProblem(
+        a = scipy.linalg.toeplitz(noise_col, noise_row)  # E, then A = Tbar + E in place
+        a *= e_scale / _banded_toeplitz_norm(noise_col, config.n)
+        a += t_bar
+        b_vec = rng.standard_normal(config.m)  # e, then b = ones + e in place
+        b_vec *= config.gamma * np.linalg.norm(g_bar) / np.linalg.norm(b_vec)
+        b_vec += g_bar
+        problem = TlsProblem._adopt(
             a,
             b_vec,
             label=(

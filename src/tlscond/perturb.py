@@ -229,7 +229,9 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     # each block Fortran-ordered; zeros stay below an R's diagonal, and below
     # the QR crossover the data goes straight in
     blocks = np.zeros((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
-    ab = problem.augmented().ravel(order="F")  # [vec(A); b], in z's order
+    ab = np.empty((n + 1, m))  # [vec(A); b], in z's order, with no copy of [A b] between
+    ab[:n], ab[n] = problem.a_matrix.T, problem.b_vector
+    ab = ab.reshape(-1)
     aug = upper = None
     if k < m:  # the QR's scratch and R's triangle
         aug, upper = np.empty((m, n + 1), order="F"), ~np.tri(k, k, -1, dtype=bool)

@@ -27,6 +27,11 @@ Problem files go through compiled text kernels in both directions:
   row, ``1.``) and what ``mmread`` refuses (a leading ``+``) go to the
   line-by-line reader, which reads the file as UTF-8 text and decides: it
   names the faulty line or entry, or accepts what ``float`` accepts.
+  A MatrixMarket size line gives A's and b's shapes, so each piece, a run of
+  the column-major order, is written into them as it is parsed: the array
+  is held once. A CSV's row count is known only at its end, so its pieces'
+  values are kept until then and copied into A and b, with no joined copy
+  between. Either way the loaded problem adopts A and b (TlsProblem._adopt).
 - Both formats are written by ``scipy.io.mmwrite`` (fast_matrix_market's
   compiled writer) with its default round-trip formatting. A CSV is written
   in whole rows, about 512 KiB at a time: ``mmwrite`` writes a piece's
@@ -58,16 +63,35 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class TlsProblem:
-    """An overdetermined pair (A, b) with A of shape (m, n), m > n >= 1."""
+    """An overdetermined pair (A, b) with A of shape (m, n), m > n >= 1.
+
+    The constructor copies A (C-ordered) and b, and makes the copies
+    read-only; the package's own readers and generators hand over arrays
+    they have just made through _adopt, which does not copy.
+    """
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        # one memory order, so the same doubles from any source round alike
-        a = np.array(self.a_matrix, dtype=float, order="C")
-        b = np.array(self.b_vector, dtype=float)
+        # private copies in one memory order, so the same doubles from any
+        # source round alike and a caller's arrays are never made read-only
+        self._own(np.array(self.a_matrix, dtype=float, order="C"),
+                  np.array(self.b_vector, dtype=float))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, b: np.ndarray, label: str = "") -> TlsProblem:
+        """A problem that takes ownership of a C-contiguous float A and a float
+        b that the package has just made and that nothing else references: no
+        copy is made, and the arrays are made read-only."""
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "label", label)
+        problem._own(a, b)
+        return problem
+
+    def _own(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Check a and b, make them read-only and hold them."""
         if a.ndim != 2 or b.ndim != 1:
             raise ShapeError("A must be a matrix and b a vector")
         m, n = a.shape
@@ -75,7 +99,9 @@ class TlsProblem:
             raise ShapeError(f"b has length {b.shape[0]}, expected {m}")
         if n < 1 or m <= n:
             raise ShapeError(f"need m > n >= 1, got m={m}, n={n}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # a NaN or an infinity reaches the minimum or the maximum, and no
+        # m x n mask is allocated
+        if not np.isfinite([a.min(), a.max(), b.min(), b.max()]).all():
             raise ShapeError("entries must be finite")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -235,12 +261,12 @@ def _next_piece(fh) -> bytes:
     return piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece
 
 
-def _read_plain(path: Path, classes: bytes, offset: int = 0):
-    """(values, values per line) of ``path`` from byte ``offset`` on, each
-    piece checked and then parsed by mmread's compiled reader as a one-column
-    array; None where the check refuses a value, where a line holds another
-    number of values than the first, where the reader refuses, or where there
-    is no line.
+def _read_plain(path: Path, classes: bytes, take, offset: int = 0) -> int | None:
+    """The values per line of ``path`` from byte ``offset`` on, each piece
+    checked, parsed by mmread's compiled reader as a one-column array and
+    handed to ``take`` in file order; None where the check refuses a value,
+    where a line holds another number of values than the first, where the
+    reader refuses, or where there is no line. A piece holds whole lines.
 
     A piece is parsed on one thread, through the two calls behind ``mmread``:
     ``mmread`` takes no thread count and starts a thread per CPU, and a piece
@@ -249,7 +275,7 @@ def _read_plain(path: Path, classes: bytes, offset: int = 0):
     # imported here: scipy.io costs every importer ~3 MiB
     from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
 
-    parts, width = [], None
+    width = None
     with path.open("rb") as fh:
         fh.seek(offset)
         while piece := _next_piece(fh):
@@ -274,15 +300,26 @@ def _read_plain(path: Path, classes: bytes, offset: int = 0):
                 # the header holds two newlines: value i starts after newline i + 1
                 starts = np.flatnonzero(raw == ord("\n"))[zeros + 1] + 1
                 values[zeros[raw[starts] == ord("-")]] = -0.0
-            parts.append(values)
-    if not parts:
-        return None
-    return np.concatenate(parts), width
+                del raw
+            take(values)
+            del cursor, text, values  # no buffer of this piece is alive while the next is checked
+    return width
 
 
-def _read_csv_array(path: Path) -> np.ndarray:
-    read = _read_plain(path, _CSV_CLASSES)
-    return _read_csv_lines(path) if read is None else read[0].reshape(-1, read[1])
+def _read_csv(path: Path) -> TlsProblem:
+    """A CSV problem: each piece's values are whole rows, kept until the row
+    count is known and then copied into A and b."""
+    parts = []
+    width = _read_plain(path, _CSV_CLASSES, parts.append)
+    if width is None:
+        return _problem_from_array(_read_csv_lines(path), label=path.stem)
+    rows = sum(map(len, parts)) // width
+    a, b, start = np.empty((rows, width - 1)), np.empty(rows), 0
+    for part in parts:
+        part = part.reshape(-1, width)
+        a[start : start + len(part)], b[start : start + len(part)] = part[:, :-1], part[:, -1]
+        start += len(part)
+    return TlsProblem._adopt(a, b, label=path.stem)
 
 
 def _read_mm_header(path: Path, fh) -> tuple[int, int, int]:
@@ -344,11 +381,50 @@ def _read_mm_lines(path: Path) -> np.ndarray:
     return _mm_block(path, np.array(values, dtype=float), m, k)
 
 
-def _read_mm_array(path: Path) -> np.ndarray:
+def _fill_column_major(a: np.ndarray, b: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write ``values``, the entries of [A b] in column-major order from entry
+    ``start`` on, into the C-ordered ``a`` and ``b``: a run of whole columns
+    of A in one copy, a part of a column in another."""
+    m, n = a.shape
+    columns = a.T  # row j is column j of A
+    while len(values):
+        j, i = divmod(start, m)
+        if j == n:
+            b[i : i + len(values)] = values
+            return
+        if i == 0 and len(values) >= m:
+            step = min(len(values) // m, n - j) * m
+            columns[j : j + step // m] = values[:step].reshape(-1, m)
+        else:
+            step = min(len(values), m - i)
+            columns[j, i : i + step] = values[:step]
+        start, values = start + step, values[step:]
+
+
+def _read_mm(path: Path) -> TlsProblem:
+    """A MatrixMarket problem: the size line gives A's and b's shapes, and each
+    piece is written into them as it is parsed."""
     with path.open(encoding="utf-8", newline="") as fh:
         m, k, offset = _read_mm_header(path, fh)
-    read = _read_plain(path, _MM_CLASSES, offset)
-    return _read_mm_lines(path) if read is None else _mm_block(path, read[0], m, k)
+    # a value takes two bytes at least, one of them its line end (the last may
+    # have none): a size line that claims more than the file holds allocates
+    # nothing, and its count is refused below
+    fits = m >= 1 and k >= 1 and 2 * m * k <= path.stat().st_size - offset + 1
+    a, b = (np.empty((m, k - 1)), np.empty(m)) if fits else (None, None)
+    count = 0
+
+    def take(values: np.ndarray) -> None:
+        nonlocal count
+        if fits and count + len(values) <= m * k:
+            _fill_column_major(a, b, count, values)
+        count += len(values)
+
+    if _read_plain(path, _MM_CLASSES, take, offset) is None:
+        return _problem_from_array(_read_mm_lines(path), label=path.stem)
+    if count != m * k:
+        raise ParseError(f"{path}: expected {m * k} entries, found {count}")
+    # count = m k >= 1 values were read, so the file holds them and fits holds
+    return TlsProblem._adopt(a, b, label=path.stem)
 
 
 def load_problem(path) -> TlsProblem:
@@ -358,8 +434,7 @@ def load_problem(path) -> TlsProblem:
     array, any other as CSV.
     """
     path = Path(path)
-    read = _read_mm_array if _is_mm(path) else _read_csv_array
-    return _problem_from_array(read(path), label=path.stem)
+    return _read_mm(path) if _is_mm(path) else _read_csv(path)
 
 
 # the longest line mmwrite writes for a double: "-2.2250738585072014E-308\n"

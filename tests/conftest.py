@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def counting_factorizations(monkeypatch):
                                    (np.linalg, "svd", "svd"), (core, "few_value_svd", "svd")]:
         monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
     return calls
+
+
+def dense_copies(call, m, k):
+    """(result, peak, kept) of call() under tracemalloc, in units of one m x k
+    float64 array: the peak while it ran, and what was still allocated when
+    it returned, its result included. call runs once untraced first, so lazy
+    imports and caches are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / (8 * m * k), kept / (8 * m * k)
 
 
 def unit_normals(m, n, rng):

@@ -7,6 +7,7 @@ import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
+    dense_copies,
     failed_dgeqrt,
     failed_dlasd4,
     failed_dstein,
@@ -434,6 +435,38 @@ def test_the_wide_bundle_forms_the_direct_v_on_demand(shape):
     for values, own_values in zip(stacked[:3], own[:3]):
         np.testing.assert_array_equal(values[1], own_values)
     np.testing.assert_array_equal(stacked[3]()[1], own[3]())
+
+
+def test_a_wide_bundle_keeps_one_dense_copy():
+    # rows, the Fortran copy of [A b]; dgebrd's copy lives only inside the
+    # factorization and where v_aug is read (2.04 copies when the bundle kept it)
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=500, seed=0))
+    bundle, _, kept = dense_copies(lambda: tc.svd_bundle(problem), problem.m, problem.n + 1)
+    assert kept <= 1.1
+    assert bundle.rows.shape == (problem.m, problem.n + 1) and not bundle.rows.flags.writeable
+
+
+def test_a_wide_v_aug_is_the_v_of_the_bidiagonal_made_at_factorization(monkeypatch):
+    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
+    made = []
+
+    class Recorded(core.Bidiagonal):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(core, "Bidiagonal", Recorded)
+    bundle = tc.svd_bundle(problem)
+    assert len(made) == 1
+    vt = bundle.v_aug.T
+    first, again = made  # v_aug bidiagonalized the bundle's rows once more
+    for name in ("a", "d", "e", "_taus"):
+        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+    # the first bidiagonal's V, b's column back to last: each row the same bits
+    # up to the sign that b_row gives it
+    first_vt = np.roll(first.right_factor(), -1, axis=1)
+    for row, first_row in zip(vt, first_vt):
+        assert row.tobytes() in (first_row.tobytes(), (-first_row).tobytes())
 
 
 @pytest.mark.parametrize("shape", [(50, 11), (50, 45)])

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
-from conftest import counting_factorizations, pipeline, zero_noise_deblur
+from conftest import counting_factorizations, dense_copies, pipeline, zero_noise_deblur
 from tlscond import generators
 from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
 from tlscond.generators import _banded_toeplitz_norm
@@ -260,6 +260,42 @@ def test_kamm_nagy_draw_runs_only_its_bundle(monkeypatch):
     # and m=100, seed 0 is accepted at the first attempt
     assert calls == [("svd", (100, 85))]
     assert matrix_norms == []
+
+
+@pytest.mark.parametrize("m,seed", [(60, 5), (100, 0), (300, 1)])
+def test_kamm_nagy_problem_is_the_dense_toeplitz_sum(m, seed):
+    # the first attempt rebuilt densely, as Tbar + E and ones + e from the
+    # same stream: the in-place sums over Tbar's strided view give its bits
+    config = tc.KammNagyConfig(m=m, seed=seed)
+    n, support = config.n, 2 * config.omega + 1
+    rng = np.random.default_rng(seed)
+    kernel = generators.gaussian_kernel_column(m, config.omega, config.spread)
+    noise_col = np.zeros(m)
+    noise_col[:support] = rng.standard_normal(support)
+    e_mat = lower_toeplitz(noise_col, n)
+    e_mat *= config.gamma * _banded_toeplitz_norm(kernel, n) / _banded_toeplitz_norm(noise_col, n)
+    e_vec = rng.standard_normal(m)
+    e_vec *= config.gamma * np.linalg.norm(np.ones(m)) / np.linalg.norm(e_vec)
+    problem = tc.kamm_nagy_problem(config)
+    assert problem.a_matrix.tobytes() == (lower_toeplitz(kernel, n) + e_mat).tobytes()
+    assert problem.b_vector.tobytes() == (np.ones(m) + e_vec).tobytes()
+    assert problem.a_matrix.flags.c_contiguous and not problem.a_matrix.flags.writeable
+
+
+def test_kamm_nagy_draw_peaks_at_three_dense_copies():
+    # A (the noise Toeplitz, with Tbar added in place), then the bundle's
+    # Fortran copy and dgebrd's: 6.3 copies when Tbar, E and their sum were
+    # dense and TlsProblem copied the sum
+    config = tc.KammNagyConfig(m=300, seed=0)
+    _, peak, _ = dense_copies(lambda: tc.kamm_nagy_problem(config), 300, config.n + 1)
+    assert peak <= 3.5
+
+
+def test_generate_ab_alpha_peaks_below_two_and_a_half_copies():
+    # B and its product with W V^T, split into A and b; then the bundle's copy
+    # of [A b] beside A: 4.3 copies when B and the product outlived the split
+    _, peak, _ = dense_copies(lambda: tc.generate_ab_alpha(2000, 100, 1e-2, 1), 2000, 101)
+    assert peak <= 2.5
 
 
 def test_kamm_nagy_gap_regime_at_m_100():

@@ -168,6 +168,8 @@ READER_CORPUS = {
     "mm too few": ("p.mtx", BANNER + "3 2\n1\n2\n3\n4\n5\n"),
     "mm too many": ("p.mtx", BANNER + MM_BODY + "7\n"),
     "mm zero size": ("p.mtx", BANNER + "0 0\n"),
+    # more entries than the file can hold: refused by count, with nothing allocated
+    "mm size beyond the file": ("p.mtx", BANNER + "100000 100000\n" + MM_BODY[4:]),
     "mm banner only": ("p.mtx", BANNER),
     "mm underscore": ("p.mtx", BANNER + "3 2\n1_0\n2\n3\n4\n5\n6\n"),
     "mm nan": ("p.mtx", BANNER + "3 2\nnan\n2\n3\n4\n5\n6\n"),
@@ -380,9 +382,13 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, case):
 
 @pytest.mark.parametrize("name", ["p.csv", "p.mtx"])
 def test_load_problem_reads_in_bounded_memory(tmp_path, name):
-    # a 2000x101 file (4.1 MB of CSV, 4.7 MB of MatrixMarket) peaked 2.0 MB
-    # above its 1.6 MB array: a copy of the array and a few 512 KiB pieces.
-    # Read whole, one piece per file, it peaked 11-13 MB above.
+    # MiB above the 1.6 MB array of a 2000x101 file (4.1 MB of CSV, 4.7 MB of
+    # MatrixMarket). A MatrixMarket piece is written into A and b as it is
+    # parsed, so only the piece's byte check adds to the array: its three
+    # 512 KiB buffers, 1.55 MiB. A CSV keeps its pieces' values until its row
+    # count is known, 1.54 MiB. Both peaked 1.81 MiB above when the pieces were
+    # joined and TlsProblem copied A out of the result, and 11-13 MB above when
+    # a file was read whole.
     rng = np.random.default_rng(11)
     problem = tc.TlsProblem(rng.standard_normal((2000, 100)), rng.standard_normal(2000))
     path = tmp_path / name
@@ -395,7 +401,7 @@ def test_load_problem_reads_in_bounded_memory(tmp_path, name):
     finally:
         tracemalloc.stop()
     assert back.augmented().tobytes() == problem.augmented().tobytes()
-    assert peak - problem.augmented().nbytes < 3 * 2**20
+    assert peak - problem.augmented().nbytes < 1.75 * 2**20
 
 
 def test_pieces_are_parsed_on_one_thread(tmp_path, monkeypatch):
@@ -460,6 +466,19 @@ def test_import_leaves_scipy_io_unloaded():
     code = f"import sys; sys.path.insert(0, {src!r}); import tlscond; print('scipy.io' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_public_constructor_copies():
+    # the caller's arrays are neither aliased nor made read-only
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((6, 2)), rng.standard_normal(6)
+    problem = tc.TlsProblem(a, b)
+    before = problem.augmented().tobytes()
+    a[0, 0], b[0] = 7.0, 7.0
+    assert problem.augmented().tobytes() == before
+    assert a.flags.writeable and b.flags.writeable
+    assert not (problem.a_matrix.flags.writeable or problem.b_vector.flags.writeable)
+
 
 def test_problem_invariants():
     with pytest.raises(ShapeError):
