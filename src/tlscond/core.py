@@ -21,17 +21,17 @@ of the bidiagonal's own V_B), dbdsqr gives sigma and that row with one VT
 column in O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
 +sigma_{n+1} (dstebz, dstein; O(n)) through one dormbr column. A narrower
 block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
-V^T gives both. The C entry points of dgebrd, dbdsqr, dbdsdc and dormbr are
-called through scipy.linalg.cython_lapack and ctypes. The rule reads the
-width alone, so a block factored in a stack gets the bits of its own call.
-The whole V (SvdBundle.v_aug) is formed only where it is read: by dbdsdc and
-dormbr (Bidiagonal.right_factor) on a bidiagonal made again from the bundle's
-rows, which are read-only, so dgebrd gives the same reflectors and the same
-V at one more dgebrd per read and a wide bundle keeps one m x (n+1) array,
-not two; or from numpy's V^T. The alpha generator takes the whole V of its
-random draw from numpy's dgesdd at every width (full_svd), and the lab calls
-row_block's householder_qr itself and copies R into its stack. Neither Q nor
-any left singular factor is kept.
+V^T gives both. The C entry points of dgebrd, dbdsqr and dormbr are called
+through scipy.linalg.cython_lapack and ctypes. The rule reads the width
+alone, so a block factored in a stack gets the bits of its own call.
+The whole V (SvdBundle.v_aug), which only the perturbation lab reads, is
+formed on first read by full_svd at every width: numpy's dgesdd of the
+bundle's rows, which are read-only, scaled by block_svd's power of two, each
+singular vector signed as b_row and v_last sign it. Below V_ONLY_WIDTH that
+is block_svd's own call, so V is bitwise the V^T that gave b_row and v_last.
+The alpha generator takes the whole V of its random draw from full_svd too,
+and the lab calls row_block's householder_qr itself and copies R into its
+stack. Neither Q nor any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -53,7 +53,7 @@ root to every pole, and |u_hat_i . b|, come from that root in O(n)
 (b_weight_n), and the baboulin comparison route at every root, with the rows
 of the deflated poles (deflated_rows), for A's right singular vectors in
 closed form. So block_svd is the package's one SVD of a row block (full_svd,
-its narrow kernel, gives the alpha generator all of V), and A is never factored.
+its narrow kernel, gives the whole V where it is read), and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -73,8 +73,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -342,13 +341,18 @@ class SvdBundle:
     sigma_hat_n: float     # smallest singular value of A
     delta: float           # sigma_hat_n^2 - sigma_{n+1}^2, from a secular root, not a difference
     roots: SigmaHatRoots = field(repr=False, compare=False)  # every other sigma_hat, on request
-    form_vt: Callable[[], np.ndarray] = field(repr=False, compare=False)  # V^T, on request
 
     @cached_property
     def v_aug(self) -> np.ndarray:
         """(n+1, n+1) the right factor V of [A b], formed on first read; no left
-        factor is kept. Its last row and column are b_row and v_last to rounding."""
-        return self.form_vt().T
+        factor is kept. full_svd of rows scaled as block_svd scales them, each
+        singular vector signed so that V's last row and column are b_row and
+        v_last to rounding: below V_ONLY_WIDTH, bitwise the V^T that gave
+        them. Raises ConvergenceError."""
+        vt = full_svd(np.ldexp(self.rows, _scale_exponent(self.rows)))[1]
+        signs = np.where(vt[:, -1] * self.b_row < 0.0, -1.0, 1.0)
+        signs[-1] = math.copysign(1.0, vt[-1] @ self.v_last)
+        return (vt * signs[:, None]).T
 
     @property
     def n(self) -> int:
@@ -363,20 +367,6 @@ class SvdBundle:
     def sigma_hat(self) -> np.ndarray:
         """(n,) every singular value of A, descending (n roots: for checks and tests)."""
         return np.array([self.roots.at(i)[0] for i in range(self.n)])
-
-    def orthonormality_defect(self) -> float:
-        """Frobenius deviation of the right factor V of [A b] from orthonormal."""
-        return float(np.linalg.norm(self.v_aug.T @ self.v_aug - np.eye(self.n + 1)))
-
-    def gram_defect(self, problem: TlsProblem) -> float:
-        """||W^T W - Sigma^2||_F / sigma_1^2 for W = [A b] V: the SVD checked without U.
-
-        With V orthonormal this is 0 exactly when [A b]^T [A b] = V Sigma^2
-        V^T, so W's columns are the sigma_i u_i.
-        """
-        w = problem.augmented() @ self.v_aug
-        defect = np.linalg.norm(w.T @ w - np.diag(self.sigma**2))
-        return float(defect / max(float(self.sigma[0]) ** 2, 1e-300))
 
     def interlacing_defect(self) -> float:
         """Worst violation of sigma_i >= sigma_hat_i >= sigma_{i+1}, scaled by sigma_1."""
@@ -447,15 +437,14 @@ def block_rows(m: int, k: int) -> int:
 # at a time; narrower blocks, one or a stack, go through numpy's dgesdd in
 # one call. Set from the per-block cost of each route on a stack of 32
 # random k x k and 1.4k x k blocks (medians of 5 x 21 runs, one BLAS thread,
-# a 2-vCPU VM), first for the whole-V kernel that then served wide blocks
-# (dgebrd, dbdsdc, dormbr; since removed) against numpy's stacked call:
-# k = 11, 69 and 72 against 39 and 42 us; k = 21, 105 and 122 against 85 and
-# 120 us; k = 31, 165 and 231 against 160 and 255 us; k = 41, 327 and 312
-# against 360 and 349 us; k = 61, 855 and 897 against 977 and 1060 us.
-# few_value_svd, which took its place at the same width, costs 207 and 309 us
-# at k = 31 against numpy's 159 and 157, 271 and 296 at k = 41 against 285
-# and 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 245 us
-# at 41 x 41 (best of 2000 calls), dgebrd with its set-up takes 61, dbdsqr's
+# a 2-vCPU VM). All of V from the bidiagonal (dgebrd, its divide-and-conquer
+# SVD, dormbr) against numpy's stacked call: k = 11, 69 and 72 against 39 and
+# 42 us; k = 21, 105 and 122 against 85 and 120 us; k = 31, 165 and 231
+# against 160 and 255 us; k = 41, 327 and 312 against 360 and 349 us; k = 61,
+# 855 and 897 against 977 and 1060 us. few_value_svd costs 207 and 309 us at
+# k = 31 against numpy's 159 and 157, 271 and 296 at k = 41 against 285 and
+# 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 245 us at
+# 41 x 41 (best of 2000 calls), dgebrd with its set-up takes 61, dbdsqr's
 # rotations 114 and the tridiagonal's vector 66 (dstebz alone 33).
 V_ONLY_WIDTH = 40
 
@@ -490,20 +479,21 @@ def _cython_lapack(name: str, nargs: int):
 
 dgebrd = _cython_lapack("dgebrd", 11)
 dbdsqr = _cython_lapack("dbdsqr", 15)
-dbdsdc = _cython_lapack("dbdsdc", 14)
 dormbr = _cython_lapack("dormbr", 14)
 
 
 @lru_cache(maxsize=64)
 def _brd_lwork(m: int, k: int) -> int:
-    """The work length of dgebrd and dormbr('P') on an m x k block: the larger
-    of their optimal lwork (their workspace queries)."""
-    ints, optimal = np.array([m, k, -1, 0], dtype=np.intc), np.zeros(2)
-    m_, k_, query, info = _addresses(ints, range(4))  # the addresses of m, k, lwork = -1, info
+    """The work length of dgebrd on an m x k block and of last_vector's
+    one-column dormbr('P', 'L', 'N'): the larger of their optimal lwork (their
+    workspace queries)."""
+    ints, optimal = np.array([m, k, -1, 0, 1], dtype=np.intc), np.zeros(2)
+    m_, k_, query, info, one = _addresses(ints, range(5))  # m, k, lwork = -1, info, 1
     out = optimal.ctypes.data  # no array is referenced; each query writes its lwork here
     dgebrd(m_, k_, out, m_, out, out, out, out, out, query, info)
     _check_info("dgebrd", ints[3])
-    dormbr(b"P", b"R", b"T", k_, k_, k_, out, m_, out, out, k_, out + optimal.itemsize, query, info)
+    dormbr(b"P", b"L", b"N", k_, one, k_, out, m_, out, out, k_, out + optimal.itemsize,
+           query, info)
     _check_info("dormbr", ints[3])
     return max(map(int, optimal))
 
@@ -600,80 +590,38 @@ class Bidiagonal:
         _check_info("dormbr", self._ints[3])
         return v
 
-    def right_factor(self) -> np.ndarray:
-        """vt, the whole right factor, as dgesdd forms it without U.
-
-        dbdsdc('U', 'I') on copies of d and e factors B = U_B Sigma VT_B, and
-        dormbr('P', 'R', 'T') forms VT = VT_B P^T: the dormbr('Q') that builds
-        dgesdd's U = Q U_B is not run. vt is C-contiguous, as numpy returns
-        it, in the copy's column order, b first.
-        """
-        k = len(self.d)
-        lwork = max(3 * k * k + 4 * k, self.lwork)  # dbdsdc's, or dormbr's if larger
-        ints = np.empty(2 + 8 * k, dtype=np.intc)  # lwork, info, then dbdsdc's iwork
-        ints[:2] = lwork, 0
-        lwork_, info, iwork = _addresses(ints, range(3))
-        buf = np.empty(2 * k + 2 * k * k + lwork)  # d, e, U_B, VT_B and the work
-        buf[:k], buf[k : 2 * k - 1] = self.d, self.e
-        d, e, u_b, vt_b, work = _addresses(buf, (0, k, 2 * k, 2 * k + k * k, 2 * k + 2 * k * k))
-        m_, k_ = self._args()[:2]
-        dbdsdc(b"U", b"I", k_, d, e, u_b, k_, vt_b, k_, None, None, work, iwork, info)
-        _check_info("dbdsdc", ints[1])
-        dormbr(b"P", b"R", b"T", k_, k_, k_, self.a.ctypes.data, m_,
-               _addresses(self._taus, (k,))[0], vt_b, k_, work, lwork_, info)
-        _check_info("dormbr", ints[1])
-        vt = buf[2 * k + k * k : 2 * k + 2 * k * k].reshape(k, k).T  # VT in Fortran order
-        return np.ascontiguousarray(vt)
-
-
 def few_value_svd(block: np.ndarray, exponent: int):
-    """(sigma, b_row, v_last, form_vt) of one m x k block, m >= k, b its last column.
+    """(sigma, b_row, v_last) of one m x k block, m >= k, b its last column.
 
     The Bidiagonal of [b, the other columns] times 2^exponent: sigma (of the
     scaled block) and b_row, b's row of V (one entry per singular vector),
     from its first_row, and v_last, the right singular vector at sigma_k in
     the block's own column order, from its last_vector, or where that returns
-    None from its right_factor. The two share V's corner entry, b's entry of
-    v_last (alpha, up to its sign): v_last takes b_row's sign there, and
-    b_row takes v_last's value, which dbdsqr and dstein round differently
-    (by about eps absolute, 1e-8 of alpha at alpha = 1e-8). form_vt forms
-    the whole V^T on demand (_aligned_vt) from block, which must not change
-    before it is called; the bidiagonal's m x k copy is not kept. Where
-    dbdsdc and dormbr form all of V in O(k^3), this costs O(k^2) past dgebrd.
+    None (b = 0, say) from full_svd of the scaled block. The two share V's
+    corner entry, b's entry of v_last (alpha, up to its sign): v_last takes
+    b_row's sign there, and b_row takes v_last's value, which dbdsqr and
+    dstein round differently (by about eps absolute, 1e-8 of alpha at alpha =
+    1e-8). Where all of V costs O(k^3), this costs O(k^2) past dgebrd.
     """
     bidiagonal = Bidiagonal(block, exponent)
     sigma, b_row = bidiagonal.first_row()
     v = bidiagonal.last_vector()
     if v is None:
-        v = bidiagonal.right_factor()[-1]
-    v_last = np.append(v[1:], v[0])  # b's entry back to last
+        v_last = full_svd(np.ldexp(block, exponent))[1][-1]
+    else:
+        v_last = np.append(v[1:], v[0])  # b's entry back to last
     if v_last[-1] * b_row[-1] < 0.0:
         v_last = -v_last
     b_row[-1] = v_last[-1]  # V's corner, alpha: one value for the roots, x and kappa
-    return sigma, b_row, v_last, partial(_aligned_vt, block, exponent, b_row, v_last)
-
-
-def _aligned_vt(block: np.ndarray, exponent: int, b_row: np.ndarray,
-                v_last: np.ndarray) -> np.ndarray:
-    """V^T of few_value_svd's block, C-contiguous, from the right_factor of a
-    Bidiagonal made again from the unchanged block: dgebrd gives the same
-    reflectors, so the same V, and no m x k copy outlives few_value_svd.
-
-    b's column moves back to last, and each singular vector takes the sign
-    that b_row gives it (v_{n+1} the sign of v_last), so V's last row and
-    column agree with the few values, to rounding, where they are not 0.
-    """
-    vt = np.roll(Bidiagonal(block, exponent).right_factor(), -1, axis=1)
-    signs = np.where(vt[:, -1] * b_row < 0.0, -1.0, 1.0)
-    signs[-1] = math.copysign(1.0, vt[-1] @ v_last)
-    return vt * signs[:, None]
+    return sigma, b_row, v_last
 
 
 def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, vt) of one block or a stack through numpy's dgesdd, U dropped.
 
-    The alpha generator's kernel at every width, and block_svd's below
-    V_ONLY_WIDTH. Raises ConvergenceError.
+    block_svd's kernel below V_ONLY_WIDTH, and the kernel of the whole V at
+    every width: SvdBundle.v_aug and the alpha generator's draw. Raises
+    ConvergenceError.
     """
     try:
         return np.linalg.svd(rows, full_matrices=False)[1:]
@@ -681,66 +629,69 @@ def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"dgesdd failed ({exc})") from exc
 
 
-def block_svd(rows: np.ndarray):
-    """(sigma, b_row, v_last, form_vt) of one block or of a stack of blocks, without U.
-
-    sigma descending, b_row V's last row (the entries of the last column, b,
-    in each right singular vector), v_last V's last column (the right
-    singular vector at the smallest sigma), and form_vt a function that forms
-    the whole V^T, with the same signs, on demand. Each block is factored
-    scaled by the power of two that puts its largest entry in [1/2, 1), which
-    is exact, and its sigma is scaled back, so every value but sigma is
-    bitwise that of the block times any power of two that neither overflows
-    nor underflows. Blocks at least V_ONLY_WIDTH wide go through
-    few_value_svd one at a time, which scales its own copy; narrower ones
-    through numpy's dgesdd (full_svd), one call for the whole stack, whose
-    V^T gives both. rows stays intact, and a wide block's form_vt factors it
-    again, so it must not change before form_vt is called. Each block of a
-    stack gets bitwise the values of its own call: the route depends on the
-    width alone. Raises ShapeError for entries that are not finite (numpy's
-    dgesdd may never return on them) and for a sigma_1 past _SCALE_LIMIT
-    (about 6.7e153), where the squared gaps would overflow, and
-    ConvergenceError when LAPACK fails.
-    """
+def _scale_exponent(rows: np.ndarray) -> np.ndarray:
+    """Per block, the exponent of the power of two that puts its largest entry
+    in [1/2, 1): scaling by it is exact. Raises ShapeError for entries that
+    are not finite, on which numpy's dgesdd may never return."""
     # max |rows| per block, with no |rows| temporary: a NaN reaches either end
     top = np.maximum(np.max(rows, axis=(-2, -1)), -np.min(rows, axis=(-2, -1)))
     if not np.isfinite(top).all():
         raise ShapeError("entries must be finite")
-    exponent = -np.frexp(top)[1]
+    return -np.frexp(top)[1]
+
+
+def block_svd(rows: np.ndarray):
+    """(sigma, b_row, v_last) of one block or of a stack of blocks, without U.
+
+    sigma descending, b_row V's last row (the entries of the last column, b,
+    in each right singular vector) and v_last V's last column (the right
+    singular vector at the smallest sigma). Each block is factored scaled by
+    the power of two that puts its largest entry in [1/2, 1)
+    (_scale_exponent), which is exact, and its sigma is scaled back, so every
+    value but sigma is bitwise that of the block times any power of two that
+    neither overflows nor underflows. Blocks at least V_ONLY_WIDTH wide go
+    through few_value_svd one at a time, which scales its own copy; narrower
+    ones through numpy's dgesdd (full_svd), one call for the whole stack,
+    whose V^T gives both. rows is not changed. Each block of a stack gets
+    bitwise the values of its own call: the route depends on the width alone.
+    Raises ShapeError for entries that are not finite and for a sigma_1 past
+    _SCALE_LIMIT (about 6.7e153), where the squared gaps would overflow, and
+    ConvergenceError when LAPACK fails.
+    """
+    exponent = _scale_exponent(rows)
     if rows.shape[-1] < V_ONLY_WIDTH:
         sigma, vt = full_svd(np.ldexp(rows, exponent[..., None, None]))
-        b_row, v_last, form_vt = vt[..., :, -1], vt[..., -1, :], lambda: vt
+        b_row, v_last = vt[..., :, -1], vt[..., -1, :]
     elif rows.ndim == 2:
-        sigma, b_row, v_last, form_vt = few_value_svd(rows, exponent)
+        sigma, b_row, v_last = few_value_svd(rows, exponent)
     else:
-        each = [few_value_svd(block, e) for block, e in zip(rows, exponent)]
-        sigma, b_row, v_last = (np.array(part) for part in list(zip(*each))[:3])
-        form_vt = lambda: np.array([own[3]() for own in each])
+        each = zip(*map(few_value_svd, rows, exponent))
+        sigma, b_row, v_last = (np.array(part) for part in each)
     with np.errstate(over="ignore"):  # an infinite sigma_1 is refused just below
         sigma = np.ldexp(sigma, -exponent[..., None])
     scale = float(np.max(sigma[..., 0], initial=0.0))
     if scale > _SCALE_LIMIT:
         raise ShapeError(f"sigma_1={scale:.3e}: its square overflows float64 (limit "
                          f"{_SCALE_LIMIT:.3e}); rescale the data")
-    return sigma, b_row, v_last, form_vt
+    return sigma, b_row, v_last
 
 
 def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """sigma, b's row of V and v_{n+1} of [A b], via its R when m >= 2(n+1); sigma_hat_n and delta.
 
     block_svd's values of the row_block of one private Fortran-ordered copy
-    of [A b], kept read-only as rows; the whole V is formed only where v_aug
-    is read.
+    of [A b], kept read-only as rows, from which v_aug forms the whole V
+    where it is read.
     """
     m, n = problem.m, problem.n
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
-    rows.setflags(write=False)  # form_vt factors it again where v_aug is read
-    sigma, b_row, v_last, form_vt = block_svd(rows)
+    rows.setflags(write=False)  # v_aug factors it again where it is read
+    sigma, b_row, v_last = block_svd(rows)
     roots = SigmaHatRoots(sigma, b_row)
     sigma_hat_n, delta = roots.at(-1)
-    return SvdBundle(rows, sigma, b_row, v_last, sigma_hat_n, delta, roots, form_vt)
+    return SvdBundle(rows, sigma, b_row, v_last, sigma_hat_n, delta, roots)
 
 
 def check_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnostics:

@@ -15,15 +15,15 @@ class ShapeError(TlsCondError):
 
 class ConvergenceError(TlsCondError):
     """A LAPACK call failed: dgeqrt, numpy's dgesdd (its LinAlgError), dgebrd,
-    dbdsqr, dstebz, dstein, dbdsdc, dormbr, or dlasd4.
+    dbdsqr, dstebz, dstein, dormbr, or dlasd4.
 
     These are the bundle's row-block kernels, which the alpha generator and
     the perturbation lab's stacked re-solves share: dgeqrt for the QR, and
-    for the SVD numpy's dgesdd on narrow blocks and on the alpha generator's
-    draw at every width (core.full_svd); on wide ones dgebrd, then dbdsqr,
-    dstebz, dstein and dormbr for the few values the bundle keeps
-    (core.few_value_svd), and dbdsdc and dormbr for the whole V where it is
-    read (core.Bidiagonal.right_factor). dlasd4 solves the secular roots.
+    for the SVD numpy's dgesdd (core.full_svd) on narrow blocks and, at every
+    width, for the whole V where it is read and for the alpha generator's
+    draw; on wide blocks dgebrd, then dbdsqr, dstebz, dstein and dormbr for
+    the few values the bundle keeps (core.few_value_svd). dlasd4 solves the
+    secular roots.
     """
 
 

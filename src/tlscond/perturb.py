@@ -159,12 +159,13 @@ def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, z) -> np.nda
     return work.apply_p_inv(2.0 * (a.T @ r_unit) * (r_unit @ g) - a.T @ g - da.T @ r)
 
 
-def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate=None) -> list:
+def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
     fill writes one step's unit direction, as _resolves takes it. A lost or
     collapsed gap raises PerturbationTooLarge, or gives None for an optional
-    step. A step that the _GapCertificate covers is not checked for it.
+    step. A step that certificate, a _GapCertificate, covers is not checked
+    for it.
     """
     ratios = []
     base_gap = base_solution.gap.rel_gap
@@ -186,7 +187,7 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate=None) -
 
 
 def _along(
-    work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps, certificate=None
+    work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps, certificate
 ) -> list:
     """(ratio, remainder) for each step (t, optional) along one fixed unit direction z.
 
@@ -201,7 +202,7 @@ def _along(
     ]
 
 
-def _resolves(problem: TlsProblem, fill, ts, certificate=None):
+def _resolves(problem: TlsProblem, fill, ts, certificate):
     """Per step t, solve_tls's (x, gap) on [A + t dA, b + t db], or what it raises.
 
     The NoUniqueSolution or TrivialProblem of a lost gap is yielded, not
@@ -222,7 +223,6 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
     """
     if not ts:
         return
-    covered = certificate.covers if certificate is not None else lambda t: False
     m, n = problem.m, problem.n
     k = block_rows(m, n + 1)
     per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u, vt
@@ -247,7 +247,8 @@ def _resolves(problem: TlsProblem, fill, ts, certificate=None):
                 np.copyto(block, householder_qr(aug)[0][:k], where=upper)
         for (sigma, b_row, v_last), t in zip(_factored(stack), ts[start : start + len(stack)]):
             try:
-                gap = None if covered(t) else check_gap(sigma, *SigmaHatRoots(sigma, b_row).at(-1))
+                gap = (None if certificate.covers(t)
+                       else check_gap(sigma, *SigmaHatRoots(sigma, b_row).at(-1)))
                 v_last = trailing_vector(sigma, v_last)
             except (NoUniqueSolution, TrivialProblem) as exc:
                 yield exc
@@ -264,9 +265,9 @@ def _factored(blocks):
     ShapeError, as TlsProblem does.
     """
     try:
-        factored = block_svd(blocks)[:3]
+        factored = block_svd(blocks)
     except (ConvergenceError, ShapeError):
-        yield from (block_svd(block)[:3] for block in blocks)
+        yield from (block_svd(block) for block in blocks)
         return
     yield from zip(*factored)
 

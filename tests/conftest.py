@@ -1,4 +1,5 @@
 import ctypes
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
-from tlscond import core, generators
+from tlscond import core, generators, perturb
+
+# A certificate that covers no step: the lab checks every re-solve's gap.
+NO_STEP_COVERED = perturb._GapCertificate(gap=0.0, slack=0.0, sigma_hat_n=1.0, required=math.inf)
 
 
 @pytest.fixture
@@ -67,9 +71,9 @@ def failed_svd(a, *args, **kwargs):
 
 
 def failed_singular_values(*args):
-    """What LAPACK dbdsqr or dbdsdc reports when a singular value fails to
-    converge: info=1, written through its last argument, an address
-    (core.Bidiagonal calls them through ctypes)."""
+    """What LAPACK dbdsqr reports when a singular value fails to converge:
+    info=1, written through its last argument, an address (core.Bidiagonal
+    calls it through ctypes)."""
     ctypes.c_int.from_address(args[-1]).value = 1
 
 

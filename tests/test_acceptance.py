@@ -12,7 +12,7 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline, unit_normals
+from conftest import NO_STEP_COVERED, pipeline, unit_normals
 from tlscond import generators, perturb
 from tlscond.cli import run_table_example1, run_table_example2
 from tlscond.errors import IllConditionedGap
@@ -172,7 +172,8 @@ def test_criterion_5_perturbation_validation():
         _, solution, work = pipeline(problem)
         z = unit_normals(problem.m, problem.n, np.random.default_rng([17, problem.m, problem.n]))
         steps = [1e-4 * work.aug_frobenius, 1e-5 * work.aug_frobenius, 1e-6 * work.aug_frobenius]
-        probes = perturb._along(work, problem, solution, z, [(t, False) for t in steps])
+        probes = perturb._along(work, problem, solution, z, [(t, False) for t in steps],
+                                NO_STEP_COVERED)
         slope = np.polyfit(np.log(steps), np.log([remainder for _, remainder in probes]), 1)[0]
         slopes.append(slope)
         assert 0.8 <= slope <= 1.2

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
+    NO_STEP_COVERED,
     counting_factorizations,
     dense_copies,
     failed_dgeqrt,
@@ -54,11 +56,26 @@ def test_fix_b_singular_values(fix_b):
     np.testing.assert_allclose(bundle.sigma_hat, [1.0], rtol=1e-15)
 
 
+def orthonormality_defect(bundle):
+    """Frobenius deviation of the right factor V of [A b] from orthonormal."""
+    return np.linalg.norm(bundle.v_aug.T @ bundle.v_aug - np.eye(bundle.n + 1))
+
+
+def gram_defect(problem, bundle):
+    """||W^T W - Sigma^2||_F / sigma_1^2 for W = [A b] V: the SVD checked without U.
+
+    With V orthonormal this is 0 exactly when [A b]^T [A b] = V Sigma^2 V^T,
+    so W's columns are the sigma_i u_i.
+    """
+    w = problem.augmented() @ bundle.v_aug
+    return np.linalg.norm(w.T @ w - np.diag(bundle.sigma**2)) / bundle.sigma[0] ** 2
+
+
 def test_bundle_defects_small():
     for problem in seeded_problems()[:4]:
         bundle = tc.svd_bundle(problem)
-        assert bundle.orthonormality_defect() < 1e-12 * max(problem.m, problem.n)
-        assert bundle.gram_defect(problem) < 1e-12
+        assert orthonormality_defect(bundle) < 1e-12 * max(problem.m, problem.n)
+        assert gram_defect(problem, bundle) < 1e-12
         assert bundle.interlacing_defect() < 1e-12
 
 
@@ -218,7 +235,7 @@ def test_bundle_agrees_with_direct_svds(shape):
     x = tc.solve_tls(problem, bundle).x
     assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
     # V and sigma against [A b] itself, with no U (up to 52 eps)
-    assert bundle.gram_defect(problem) < 256 * EPS
+    assert gram_defect(problem, bundle) < 256 * EPS
 
 
 def test_deblur_bundle_is_the_direct_svds():
@@ -322,9 +339,9 @@ def test_only_tall_bundles_run_a_qr(monkeypatch):
         tc.svd_condition(work, bundle, solution)
         tc.bounds_report(problem, bundle, solution, work)
         tc.residual_diagnostics(problem, bundle, solution)
-        bundle.orthonormality_defect()
+        orthonormality_defect(bundle)
         bundle.interlacing_defect()
-        bundle.gram_defect(problem)  # reads [A b] itself: no Q is rebuilt
+        gram_defect(problem, bundle)  # reads [A b] itself: no Q is rebuilt
         assert qr_calls() == bundle_qr
 
 
@@ -352,7 +369,7 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     direction = unit_normals(50, 10, np.random.default_rng(3))
     steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
     before = len(roots)
-    perturb._ratios(problem, solution, perturb._copying(direction), steps)
+    perturb._ratios(problem, solution, perturb._copying(direction), steps, NO_STEP_COVERED)
     assert roots[before:] == [9, 9, 9]
     roots.clear()
     bundle, solution, work = pipeline(problem)
@@ -405,10 +422,9 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
             patch.setattr(core, name, failed)
             with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
                 tc.svd_bundle(blur)
-    # the whole V is formed by dbdsdc only where it is read
+    # the whole V, formed by numpy's dgesdd at every width where it is read
     bundle = tc.svd_bundle(blur)
-    monkeypatch.setattr(core, "dbdsdc", failed_singular_values)
-    with pytest.raises(ConvergenceError, match=r"dbdsdc failed \(info=1\)"):
+    with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
         bundle.v_aug
 
 
@@ -432,41 +448,17 @@ def test_the_wide_bundle_forms_the_direct_v_on_demand(shape):
     assert abs(own[2] @ vt_ref[-1]) == pytest.approx(1.0, abs=1e-12)
     assert own[2][-1] * own[1][-1] >= 0.0
     stacked = core.block_svd(np.stack([2.0 * a, a]))
-    for values, own_values in zip(stacked[:3], own[:3]):
+    for values, own_values in zip(stacked, own):
         np.testing.assert_array_equal(values[1], own_values)
-    np.testing.assert_array_equal(stacked[3]()[1], own[3]())
 
 
 def test_a_wide_bundle_keeps_one_dense_copy():
     # rows, the Fortran copy of [A b]; dgebrd's copy lives only inside the
-    # factorization and where v_aug is read (2.04 copies when the bundle kept it)
+    # factorization (2.04 copies when the bundle kept it)
     problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=500, seed=0))
     bundle, _, kept = dense_copies(lambda: tc.svd_bundle(problem), problem.m, problem.n + 1)
     assert kept <= 1.1
     assert bundle.rows.shape == (problem.m, problem.n + 1) and not bundle.rows.flags.writeable
-
-
-def test_a_wide_v_aug_is_the_v_of_the_bidiagonal_made_at_factorization(monkeypatch):
-    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
-    made = []
-
-    class Recorded(core.Bidiagonal):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(core, "Bidiagonal", Recorded)
-    bundle = tc.svd_bundle(problem)
-    assert len(made) == 1
-    vt = bundle.v_aug.T
-    first, again = made  # v_aug bidiagonalized the bundle's rows once more
-    for name in ("a", "d", "e", "_taus"):
-        assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
-    # the first bidiagonal's V, b's column back to last: each row the same bits
-    # up to the sign that b_row gives it
-    first_vt = np.roll(first.right_factor(), -1, axis=1)
-    for row, first_row in zip(vt, first_vt):
-        assert row.tobytes() in (first_row.tobytes(), (-first_row).tobytes())
 
 
 @pytest.mark.parametrize("shape", [(50, 11), (50, 45)])
@@ -475,11 +467,11 @@ def test_block_svd_scales_a_block_by_a_power_of_two_exactly(shape):
     # and wide (few_value_svd) alike: the values of the unscaled block, bit
     # for bit, sigma scaled, alone and in a stack
     a = np.random.default_rng(3).standard_normal(shape)
-    sigma, b_row, v_last = core.block_svd(a)[:3]
+    sigma, b_row, v_last = core.block_svd(a)
     for exponent in (-600, 500):
         scaled = np.ldexp(a, exponent)
-        for values in (core.block_svd(scaled)[:3],
-                       [part[1] for part in core.block_svd(np.stack([a, scaled]))[:3]]):
+        for values in (core.block_svd(scaled),
+                       [part[1] for part in core.block_svd(np.stack([a, scaled]))]):
             np.testing.assert_array_equal(values[0], np.ldexp(sigma, exponent))
             np.testing.assert_array_equal(values[1], b_row)
             np.testing.assert_array_equal(values[2], v_last)
@@ -667,33 +659,60 @@ def test_a_run_of_tied_poles_is_walked_without_recursion():
         tc.solve_tls(problem, bundle)
 
 
-def counting_calls(monkeypatch, owner, name):
-    """Patch owner.name to log each call; returns the log."""
+def full_svd_calls(monkeypatch):
+    """Patch core.full_svd to log (the name of its caller, the V^T it returns) per call."""
     calls = []
-    kernel = getattr(owner, name)
+    kernel = core.full_svd
 
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return kernel(*args, **kwargs)
+    def logging(rows):
+        sigma, vt = kernel(rows)
+        calls.append((sys._getframe(1).f_code.co_name, vt))
+        return sigma, vt
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(core, "full_svd", logging)
     return calls
 
 
 def test_the_pipeline_forms_no_v(monkeypatch):
-    # the bundle, the solver, the svd kappa, the bounds and the checks read
-    # sigma, b's row of V and v_{n+1} alone: dbdsdc never runs
-    problem = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0))
-    calls = counting_calls(monkeypatch, core, "dbdsdc")
-    bundle, solution, work = pipeline(problem)
-    tc.svd_condition(work, bundle, solution)
-    tc.bounds_report(problem, bundle, solution, work)
-    tc.residual_diagnostics(problem, bundle, solution)
-    assert calls == []
-    assert "v_aug" not in vars(bundle)  # the cached property was never read
-    # the lab reads V11, formed once for the base problem; its re-solves form none
-    tc.monte_carlo_validate(tc.kamm_nagy_problem(tc.KammNagyConfig(m=60, seed=1)), trials=5)
-    assert calls == ["dbdsdc"]
+    # the solver, every kappa route, the bounds and the checks read sigma,
+    # b's row of V and v_{n+1} alone: no full_svd runs after the bundle
+    calls = full_svd_calls(monkeypatch)
+    for shape in [(30, 8), (80, 45)]:  # below and past V_ONLY_WIDTH
+        problem = tc.generate_ab_alpha(*shape, 0.3, seed=2)
+        bundle = tc.svd_bundle(problem)
+        calls.clear()
+        solution = tc.solve_tls(problem, bundle)
+        work = tc.build_spectral_work(problem, bundle, solution)
+        tc.svd_condition(work, bundle, solution)
+        tc.bounds_report(problem, bundle, solution, work)
+        tc.residual_diagnostics(problem, bundle, solution)
+        tc.baboulin_condition(work, bundle, solution)
+        tc.cholesky_condition(work, problem, bundle, solution)
+        tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
+        assert calls == []
+        assert "v_aug" not in vars(bundle)  # the cached property was never read
+        # the lab reads V11, formed once for the base problem; its re-solves
+        # go through block_svd, as svd_bundle does, and form no V
+        tc.monte_carlo_validate(problem, trials=5)
+        callers = [name for name, _ in calls]
+        assert callers.count("v_aug") == 1
+        assert set(callers) <= {"v_aug", "block_svd"}
+
+
+@pytest.mark.parametrize("shape", [(30, 8), (200, 30), (25, 20)])
+def test_a_narrow_v_aug_is_the_vt_of_the_bundles_own_call(monkeypatch, shape):
+    # below V_ONLY_WIDTH, v_aug repeats block_svd's dgesdd call on the same
+    # scaled rows, and every sign it aligns is already b_row's: the same bits
+    problem = tc.generate_ab_alpha(*shape, 0.3, seed=1)
+    assert problem.n + 1 < core.V_ONLY_WIDTH
+    calls = full_svd_calls(monkeypatch)
+    bundle = tc.svd_bundle(problem)
+    vt = bundle.v_aug.T
+    (_, own), (_, again) = calls
+    assert vt.flags.c_contiguous
+    assert vt.tobytes() == own.tobytes() == again.tobytes()
+    assert bundle.b_row.tobytes() == own[:, -1].tobytes()
+    assert bundle.v_last.tobytes() == own[-1].tobytes()
 
 
 def wide_edge_problems():
@@ -747,10 +766,10 @@ def test_wide_edge_shapes_give_the_narrow_x_or_a_typed_error(name, monkeypatch):
 def test_a_split_tridiagonal_takes_v_from_the_whole_factor(monkeypatch):
     # b = 0: B's first diagonal entry is 0, so the Golub-Kahan tridiagonal
     # splits and its eigenvalue k+1 is the other zero, whose vector has no
-    # v-half; v_{n+1} comes from dbdsdc on the same bidiagonal: e_{n+1}
+    # v-half; v_{n+1} comes from full_svd of the same scaled block: e_{n+1}
     a = wide_edge_problems()["b = 0"][0]
-    calls = counting_calls(monkeypatch, core, "dbdsdc")
-    sigma, b_row, v_last, _ = core.block_svd(np.column_stack([a, np.zeros(60)]))
-    assert calls == ["dbdsdc"]
+    calls = full_svd_calls(monkeypatch)
+    sigma, b_row, v_last = core.block_svd(np.column_stack([a, np.zeros(60)]))
+    assert [name for name, _ in calls] == ["few_value_svd"]
     assert sigma[-1] == 0.0
     np.testing.assert_allclose(np.abs(v_last), np.eye(45)[-1], rtol=0, atol=1e-15)

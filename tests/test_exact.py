@@ -437,12 +437,14 @@ def test_no_svd_runs_after_the_bundle(monkeypatch):
     tc.lower_kappa2(bundle, solution)
     tc.upper_kappa2(bundle, solution)
     tc.cholesky_condition(work, problem, bundle, solution)
-    direction = tc.worst_direction(work, problem, solution)
-    perturb._k_apply(work, problem, solution, direction)
     # the comparison route reads A's vectors off the bundle's secular roots too
     tc.baboulin_condition(work, bundle, solution)
     assert calls == []
     assert report.kappa_reference == kappa.kappa_abs
+    # only the lab reads the whole V: one dgesdd of the bundle's 9 x 9 R, for V11
+    direction = tc.worst_direction(work, problem, solution)
+    perturb._k_apply(work, problem, solution, direction)
+    assert calls == [("full_svd", (9, 9), True)]
 
 
 def test_nothing_computes_a_singular_vectors(monkeypatch, tmp_path, capsys):

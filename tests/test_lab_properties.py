@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import perturbed, unit_normals
+from conftest import NO_STEP_COVERED, perturbed, unit_normals
 from tlscond import core, perturb
 from tlscond.errors import TlsCondError
 
@@ -25,7 +25,7 @@ def _reference(problem, z, t):
     return solution.x, solution.gap.rel_gap
 
 
-def _lab(problem, seed, ts, certificate=None):
+def _lab(problem, seed, ts, certificate):
     """Each step's (x, rel_gap) from _resolves on one generator, or the typed error.
 
     A step that the certificate covers reads rel_gap None.
@@ -78,7 +78,7 @@ def _assert_re_solves_are_the_solver(n, rows, at_limit, data_seed, stream_seed, 
     """Steps of 10^e ||[A b]||_F along one stream re-solve as solve_tls does, rel_gap included."""
     problem, scale = _problem(n, rows, at_limit, data_seed)
     ts = [10.0**e * scale for e in exponents]
-    got = _lab(problem, stream_seed, ts)
+    got = _lab(problem, stream_seed, ts, NO_STEP_COVERED)
     references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
     for resolved, expected in zip(got, references):
         if not isinstance(expected, TlsCondError):

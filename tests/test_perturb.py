@@ -6,6 +6,7 @@ import pytest
 
 import tlscond as tc
 from conftest import (
+    NO_STEP_COVERED,
     counting_factorizations,
     failed_dstein,
     failed_singular_values,
@@ -45,7 +46,8 @@ def unit_direction(m, n, entry=None, b_entry=None):
 def ratios(problem, z, steps):
     """The lab's observed ratios along one fixed direction z, each step required."""
     solution = tc.solve_tls(problem, tc.svd_bundle(problem))
-    return perturb._ratios(problem, solution, perturb._copying(z), [(t, False) for t in steps])
+    return perturb._ratios(problem, solution, perturb._copying(z), [(t, False) for t in steps],
+                           NO_STEP_COVERED)
 
 
 @pytest.fixture(
@@ -123,13 +125,14 @@ def test_worst_direction_on_deblur():
 def test_worst_direction_ignores_the_signs_of_v():
     # solve_tls fixes the sign of v_{n+1}, and u = V11^{-T} S q keeps its sign
     # when any of v_1..v_n changes sign, so the direction is the same for
-    # every sign choice of the SVD (here v_1, v_3, .., v_{n+1} negated)
+    # every sign choice of the SVD (here v_1, v_3, .., v_{n+1} negated): V
+    # takes its signs from b_row and v_last
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     bundle = tc.svd_bundle(problem)
     signs = np.where(np.arange(11) % 2 == 0, -1.0, 1.0)
     flipped = dataclasses.replace(bundle, b_row=bundle.b_row * signs,
-                                  v_last=bundle.v_last * signs[-1],
-                                  form_vt=lambda: bundle.form_vt() * signs[:, None])
+                                  v_last=bundle.v_last * signs[-1])
+    np.testing.assert_array_equal(flipped.v_aug, bundle.v_aug * signs)
     directions = []
     for each in (bundle, flipped):
         solution = tc.solve_tls(problem, each)
@@ -165,7 +168,8 @@ def remainders(problem, z, steps):
     """|ratio - ||K z||| at each step along z."""
     _, solution, work = pipeline(problem)
     return [remainder for _, remainder in
-            perturb._along(work, problem, solution, z, [(t, False) for t in steps])]
+            perturb._along(work, problem, solution, z, [(t, False) for t in steps],
+                           NO_STEP_COVERED)]
 
 
 def test_convergence_first_order():
@@ -216,7 +220,8 @@ def test_the_worst_direction_probe_is_the_convergence_study(name):
     _, solution, work = pipeline(problem)
     worst = tc.worst_direction(work, problem, solution)
     (first, _), *points = perturb._along(
-        work, problem, solution, worst, [(t, False) for t in [summary.step, *steps]])
+        work, problem, solution, worst, [(t, False) for t in [summary.step, *steps]],
+        NO_STEP_COVERED)
     assert first == summary.worst_direction_ratio
     assert [(t, remainder) for t, (_, remainder) in zip(steps, points)] == list(
         summary.convergence_slopes)
@@ -281,7 +286,7 @@ def test_stacked_resolves_are_the_solver_bitwise(name):
     def fill(z):
         np.copyto(z, next(fills))
 
-    resolved = list(perturb._resolves(problem, fill, ts))
+    resolved = list(perturb._resolves(problem, fill, ts, NO_STEP_COVERED))
     assert len(resolved) == 12
     for (x, gap), z, t in zip(resolved, directions, ts):
         rebuilt = perturbed(problem, z, t)
@@ -425,7 +430,8 @@ def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
     direction = stacked(-fix_b.a_matrix, np.zeros(2))
 
     def probe(steps):
-        return perturb._ratios(fix_b, solution, perturb._copying(direction), steps)
+        return perturb._ratios(fix_b, solution, perturb._copying(direction), steps,
+                               NO_STEP_COVERED)
 
     lost, ratio = probe([(1.0, True), (1e-8, False)])
     assert lost is None
