@@ -24,14 +24,14 @@ block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
 V^T gives both. The C entry points of dgebrd, dbdsqr and dormbr are called
 through scipy.linalg.cython_lapack and ctypes. The rule reads the width
 alone, so a block factored in a stack gets the bits of its own call.
-The whole V (SvdBundle.v_aug), which only the perturbation lab reads, is
-formed on first read by full_svd at every width: numpy's dgesdd of the
-bundle's rows, which are read-only, scaled by block_svd's power of two, each
-singular vector signed as b_row and v_last sign it. Below V_ONLY_WIDTH that
-is block_svd's own call, so V is bitwise the V^T that gave b_row and v_last.
-The alpha generator takes the whole V of its random draw from full_svd too,
-and the lab calls row_block's householder_qr itself and copies R into its
-stack. Neither Q nor any left singular factor is kept.
+The bundle holds no whole V. right_factor forms V^T of a row block by
+full_svd at every width: numpy's dgesdd of the block, scaled by block_svd's
+power of two, with dgesdd's signs. Its one reader is the perturbation lab's
+worst direction, on the bundle's read-only rows; below V_ONLY_WIDTH it is
+block_svd's own call, bitwise the V^T that gave b_row and v_last. The alpha
+generator takes the whole V of its random draw from full_svd too, and the
+lab calls row_block's householder_qr itself and copies R into its stack.
+Neither Q nor any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -53,7 +53,8 @@ root to every pole, and |u_hat_i . b|, come from that root in O(n)
 (b_weight_n), and the baboulin comparison route at every root, with the rows
 of the deflated poles (deflated_rows), for A's right singular vectors in
 closed form. So block_svd is the package's one SVD of a row block (full_svd,
-its narrow kernel, gives the whole V where it is read), and A is never factored.
+its narrow kernel, gives the whole V through right_factor where the lab reads
+it), and A is never factored.
 
 The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
@@ -332,7 +333,8 @@ class SigmaHatRoots:
 class SvdBundle:
     """The singular values of [A b], b's row of its right factor V and its
     last right singular vector (plain quantities), and A's smallest singular
-    value (hatted). The whole V is formed only where v_aug is read."""
+    value (hatted). No whole V: right_factor forms it from rows where it is
+    read."""
 
     rows: np.ndarray       # (k, n+1): [A b] (k = m) or its R factor (k = n+1), read-only
     sigma: np.ndarray      # (n+1,) singular values of [A b], descending
@@ -341,18 +343,6 @@ class SvdBundle:
     sigma_hat_n: float     # smallest singular value of A
     delta: float           # sigma_hat_n^2 - sigma_{n+1}^2, from a secular root, not a difference
     roots: SigmaHatRoots = field(repr=False, compare=False)  # every other sigma_hat, on request
-
-    @cached_property
-    def v_aug(self) -> np.ndarray:
-        """(n+1, n+1) the right factor V of [A b], formed on first read; no left
-        factor is kept. full_svd of rows scaled as block_svd scales them, each
-        singular vector signed so that V's last row and column are b_row and
-        v_last to rounding: below V_ONLY_WIDTH, bitwise the V^T that gave
-        them. Raises ConvergenceError."""
-        vt = full_svd(np.ldexp(self.rows, _scale_exponent(self.rows)))[1]
-        signs = np.where(vt[:, -1] * self.b_row < 0.0, -1.0, 1.0)
-        signs[-1] = math.copysign(1.0, vt[-1] @ self.v_last)
-        return (vt * signs[:, None]).T
 
     @property
     def n(self) -> int:
@@ -620,13 +610,22 @@ def full_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, vt) of one block or a stack through numpy's dgesdd, U dropped.
 
     block_svd's kernel below V_ONLY_WIDTH, and the kernel of the whole V at
-    every width: SvdBundle.v_aug and the alpha generator's draw. Raises
+    every width: right_factor and the alpha generator's draw. Raises
     ConvergenceError.
     """
     try:
         return np.linalg.svd(rows, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dgesdd failed ({exc})") from exc
+
+
+def right_factor(rows: np.ndarray) -> np.ndarray:
+    """V^T of one row block, through full_svd of rows scaled as block_svd
+    scales them; no left factor is kept. The rows of V^T keep dgesdd's signs.
+    Below V_ONLY_WIDTH this is bitwise the V^T that gave block_svd's b_row and
+    v_last. Raises ShapeError for entries that are not finite and
+    ConvergenceError."""
+    return full_svd(np.ldexp(rows, _scale_exponent(rows)))[1]
 
 
 def _scale_exponent(rows: np.ndarray) -> np.ndarray:
@@ -680,14 +679,14 @@ def svd_bundle(problem: TlsProblem) -> SvdBundle:
     """sigma, b's row of V and v_{n+1} of [A b], via its R when m >= 2(n+1); sigma_hat_n and delta.
 
     block_svd's values of the row_block of one private Fortran-ordered copy
-    of [A b], kept read-only as rows, from which v_aug forms the whole V
-    where it is read.
+    of [A b], kept read-only as rows, from which right_factor forms the whole
+    V where the lab reads it.
     """
     m, n = problem.m, problem.n
     aug = np.empty((m, n + 1), order="F")
     aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
     rows = row_block(aug)
-    rows.setflags(write=False)  # v_aug factors it again where it is read
+    rows.setflags(write=False)  # right_factor factors it again where the lab reads V
     sigma, b_row, v_last = block_svd(rows)
     roots = SigmaHatRoots(sigma, b_row)
     sigma_hat_n, delta = roots.at(-1)

@@ -33,16 +33,16 @@ reads V11 through closed forms in V's last row (the bundle's b_row) and in
 v_{n+1}, whose sign solve_tls fixes, and ||V11^{-T} S|| is the top root of a
 secular equation (LAPACK dlasd4 through core.SecularEquation, the front end
 of the bundle's roots too; O(n)), so kappa_rel does not depend on the scale
-of [A b]. It feeds the svd formula, the two sandwiches and the perturbation
-lab's map K z; only the lab reads V11 itself, the bundle's whole V, which is
-formed there on first read.
+of [A b]. It feeds the svd formula and the two sandwiches. Only the
+perturbation lab's worst direction reads V11 itself: it forms the whole V
+through core.right_factor and reads V11, y, beta and alpha from that one V.
 Every Gram-matrix norm (kron, cholesky, baboulin) is the square root of the
 top eigenvalue alone, from LAPACK dsyevr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,8 +88,8 @@ class ExactFormulaWork:
     orthogonal, so V11 beta = alpha y, V11^T V11 = I - beta beta^T and
     V11^{-1} = V11^T + beta y^T / alpha. Hence ||V11^{-T} S||^2 =
     lambda_max(S^2 + (S beta)(S beta)^T / alpha^2), the secular equation of
-    the reference kappa: top_norm reads s, beta and alpha alone. V11 itself,
-    the bundle's whole V, is formed only where the lab reads it (v11).
+    the reference kappa: top_norm reads s, beta and alpha alone. V11 itself
+    is formed only by the perturbation lab's worst direction.
     """
 
     y: np.ndarray                 # (n,) leading entries of v_{n+1}
@@ -98,36 +98,11 @@ class ExactFormulaWork:
     s_diag: np.ndarray            # (n,) ascending weights s_i
     lambda_diag: np.ndarray       # (n,) sigma_i^2 - sigma_{n+1}^2
     aug_frobenius: float          # ||[A b]||_F
-    bundle: SvdBundle = field(repr=False, compare=False)  # whose v_aug gives V11
-
-    @property
-    def v11(self) -> np.ndarray:
-        """(n, n) view of V's leading block; the bundle forms V on first read."""
-        n = len(self.beta)
-        return self.bundle.v_aug[:n, :n]
-
-    def _v11_inv_t(self, v: np.ndarray) -> np.ndarray:
-        return self.v11 @ v + self.y * (self.beta @ v / self.alpha)
-
-    def apply_p_inv(self, v: np.ndarray) -> np.ndarray:
-        """P^{-1} v = V11^{-T} Lambda^{-1} V11^{-1} v in O(n^2); P is never formed or gated."""
-        w = self.v11.T @ v + self.beta * (self.y @ v / self.alpha)
-        return self._v11_inv_t(w / self.lambda_diag)
 
     @cached_property
-    def _top(self) -> tuple[float, np.ndarray]:
-        return _secular_top(self.s_diag, self.beta, self.alpha)
-
-    @property
     def top_norm(self) -> float:
         """||V11^{-T} S||, the spectral factor of the reference kappa."""
-        return self._top[0]
-
-    @cached_property
-    def top_left(self) -> np.ndarray:
-        """The unit top left singular vector V11^{-T} S q of V11^{-T} S."""
-        u = self._v11_inv_t(self.s_diag * self._top[1])
-        return u / np.linalg.norm(u)
+        return _secular_top(self.s_diag, self.beta, self.alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -179,7 +154,6 @@ def build_spectral_work(
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
         aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
-        bundle=bundle,
     )
 
 

@@ -25,12 +25,14 @@ core.trailing_vector. A random trial's z is the next m(n+1) standard normals
 of one generator, drawn into that buffer and divided by their norm; the
 worst direction's z is copied in. Only x and the relative gap are read; no
 residual is formed. As t -> 0 the ratio approaches ||K z||, is maximized
-over unit z by the condition number, and attains it along K^T u for K's top
-left singular vector u. K is never formed: K z and K^T u cost O(mn) through
-the closed-form V11^{-1} of ExactFormulaWork, and u is V11^{-T} S q for the
-eigenvector q that the work's secular equation gives in closed form. A step
-below CLEAN_STEP_FLOOR ||[A b]||_F is refused: there the ratio measures
-rounding, not K.
+over unit z by the condition number kappa, and attains it along K^T u for K's
+top left singular vector u, where ||K z|| = kappa: the remainders along the
+worst direction are |ratio - kappa|. K is never formed: worst_direction
+forms the whole V once, through core.right_factor, reads V11, y, beta and
+alpha from it, and applies V11^{-1} = V11^T + beta y^T / alpha; u is V11^{-T}
+S q for the eigenvector q that the secular equation of kappa gives in closed
+form, and K^T u costs O(mn). A step below CLEAN_STEP_FLOOR ||[A b]||_F is
+refused: there the ratio measures rounding, not K.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ import numpy as np
 
 from .core import (
     SigmaHatRoots,
+    SvdBundle,
     block_rows,
     block_svd,
     check_gap,
     householder_qr,
+    right_factor,
     solve_tls,
     svd_bundle,
     trailing_vector,
@@ -60,7 +64,7 @@ from .errors import (
     TlsCondError,
     TrivialProblem,
 )
-from .exact import ExactFormulaWork, build_spectral_work, svd_condition
+from .exact import ExactFormulaWork, _secular_top, build_spectral_work, svd_condition
 from .problem import TlsProblem
 
 # Perturbed relative gap must keep this fraction of the base gap.
@@ -86,7 +90,7 @@ class ValidationSummary:
     worst_direction_ratio: float
     trials: int
     step: float
-    convergence_slopes: tuple          # (t, remainder) pairs along the worst direction
+    convergence_slopes: tuple          # (t, |ratio - kappa|) pairs along the worst direction
     certified_trials: int              # random trials whose gap Weyl's inequality certified
     gap: float                         # g = sigma_hat_n - sigma_{n+1} of [A b], from delta
     gap_shift: float                   # 2t + s: the most a step, with rounding, moves g
@@ -147,18 +151,6 @@ def _copying(direction):
     return lambda z: np.copyto(z, direction)
 
 
-def _k_apply(work: ExactFormulaWork, problem: TlsProblem, solution, z) -> np.ndarray:
-    """K z = P^{-1}(2 (A^T r^)(r^ . g) - A^T g - dA^T r) with g = dA x - db."""
-    m, n = problem.m, problem.n
-    a, r = problem.a_matrix, solution.r
-    # C order, as worst_direction forms dA: the BLAS products below sum in
-    # memory order, and an F-ordered view changes the remainders' last bits
-    da = np.ascontiguousarray(z[: m * n].reshape((m, n), order="F"))
-    r_unit = r / np.linalg.norm(r)
-    g = da @ solution.x - z[m * n :]
-    return work.apply_p_inv(2.0 * (a.T @ r_unit) * (r_unit @ g) - a.T @ g - da.T @ r)
-
-
 def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
@@ -184,22 +176,6 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate) -> lis
                 raise
             ratios.append(None)
     return ratios
-
-
-def _along(
-    work: ExactFormulaWork, problem: TlsProblem, base_solution, z, steps, certificate
-) -> list:
-    """(ratio, remainder) for each step (t, optional) along one fixed unit direction z.
-
-    remainder = |ratio - ||K z|||, which decays linearly in t until rounding
-    dominates. As in _ratios, an optional step that loses the gap gives None,
-    and each step the certificate covers skips the gap check.
-    """
-    predicted = float(np.linalg.norm(_k_apply(work, problem, base_solution, z)))
-    return [
-        None if ratio is None else (ratio, abs(ratio - predicted))
-        for ratio in _ratios(problem, base_solution, _copying(z), steps, certificate)
-    ]
 
 
 def _resolves(problem: TlsProblem, fill, ts, certificate):
@@ -272,18 +248,36 @@ def _factored(blocks):
     yield from zip(*factored)
 
 
-def worst_direction(work: ExactFormulaWork, problem: TlsProblem, solution) -> np.ndarray:
+def worst_direction(bundle: SvdBundle, problem: TlsProblem, solution) -> np.ndarray:
     """Unit z = [vec(dA); db] attaining ||K||: K^T u / kappa for K's top left singular vector u.
 
-    With w = P^{-1} u and y = 2 (r^ . A w) r^ - A w, K^T u = (y x^T - r w^T, -y).
+    V11, y, beta and alpha are read from one V, core.right_factor of the
+    bundle's rows, with v_{n+1} signed by core.trailing_vector, so the closed
+    form V11^{-T} = V11 + y beta^T / alpha holds to V's own rounding. u is
+    V11^{-T} S q for the top eigenvector q of the secular equation of s, beta
+    and alpha (exact._secular_top), and w = P^{-1} u = V11^{-T} Lambda^{-1}
+    V11^{-1} u, with s and Lambda from build_spectral_work. With g = 2 (r^ .
+    A w) r^ - A w, K^T u = (g x^T - r w^T, -g). Raises ConvergenceError.
     """
-    w = work.apply_p_inv(work.top_left)
+    n = bundle.n
+    vt = right_factor(bundle.rows)
+    v_last = trailing_vector(bundle.sigma, vt[-1])
+    v11, y, alpha = vt[:n, :n].T, v_last[:n], float(-v_last[n])
+    beta = vt[:n, -1].copy()  # contiguous: a strided row takes another BLAS dot kernel
+    work = build_spectral_work(problem, bundle, solution)
+
+    def v11_inv_t(v):
+        return v11 @ v + y * (beta @ v / alpha)
+
+    u = v11_inv_t(work.s_diag * _secular_top(work.s_diag, beta, alpha)[1])
+    u = u / np.linalg.norm(u)
+    w = v11_inv_t((v11.T @ u + beta * (y @ u / alpha)) / work.lambda_diag)
     a_w, r = problem.a_matrix @ w, solution.r
     r_unit = r / np.linalg.norm(r)
-    y = 2.0 * (r_unit @ a_w) * r_unit - a_w
-    delta_a = np.outer(y, solution.x) - np.outer(r, w)
-    scale = np.sqrt(np.linalg.norm(delta_a) ** 2 + np.linalg.norm(y) ** 2)
-    return np.concatenate([delta_a.ravel(order="F"), -y]) / scale
+    g = 2.0 * (r_unit @ a_w) * r_unit - a_w
+    delta_a = np.outer(g, solution.x) - np.outer(r, w)
+    scale = np.sqrt(np.linalg.norm(delta_a) ** 2 + np.linalg.norm(g) ** 2)
+    return np.concatenate([delta_a.ravel(order="F"), -g]) / scale
 
 
 def monte_carlo_validate(
@@ -325,16 +319,17 @@ def monte_carlo_validate(
     draw = functools.partial(_unit_normals, np.random.default_rng(seed))
     ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials, certificate)
 
-    # the worst direction at t, then three larger steps that may each lose the gap
-    worst = worst_direction(work, problem, base_solution)
+    # the worst direction at t, then three larger steps that may each lose the gap;
+    # along it ||K z|| = ||K|| = kappa, so each remainder is |ratio - kappa|
+    kappa = svd_condition(work, bundle, base_solution).kappa_abs
+    worst = worst_direction(bundle, problem, base_solution)
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    (worst_ratio, _), *probes = _along(work, problem, base_solution, worst, steps, certificate)
-    slopes = [
-        (step, probe[1]) for (step, _), probe in zip(steps[1:], probes) if probe is not None
-    ]
+    worst_ratio, *probes = _ratios(problem, base_solution, _copying(worst), steps, certificate)
+    slopes = [(step, abs(ratio - kappa))
+              for (step, _), ratio in zip(steps[1:], probes) if ratio is not None]
 
     return ValidationSummary(
-        kappa_reference=svd_condition(work, bundle, base_solution).kappa_abs,
+        kappa_reference=kappa,
         max_observed_ratio=max(ratios) if ratios else None,
         worst_direction_ratio=worst_ratio,
         trials=trials,

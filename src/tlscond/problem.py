@@ -148,8 +148,10 @@ def _check_row(columns: tuple[str, ...], row: dict) -> None:
     if set(row) != set(columns):
         raise ValueError(f"row keys {sorted(row)} != columns {sorted(columns)}")
     for key, value in row.items():
-        if value is None or isinstance(value, str):
+        if value is None or (key == "label" and isinstance(value, str)):
             continue
+        if isinstance(value, str):
+            raise ValueError(f"text {value!r} in the numeric column {key!r}")
         if not np.isfinite(value):
             raise ValueError(f"non-finite value for {key!r}; use None instead")
 

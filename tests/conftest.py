@@ -147,10 +147,30 @@ def perturbed(problem, z, t):
                          problem.b_vector + t * z[m * n :])
 
 
+def signed_v(bundle):
+    """The right factor V of [A b], from core.right_factor, with each singular
+    vector signed so that V's last row and last column are the bundle's b_row
+    and v_last to rounding."""
+    vt = core.right_factor(bundle.rows)
+    signs = np.where(vt[:, -1] * bundle.b_row < 0.0, -1.0, 1.0)
+    signs[-1] = math.copysign(1.0, vt[-1] @ bundle.v_last)
+    return (vt * signs[:, None]).T
+
+
 def k_of(problem):
     """The explicit first-order map K of a solvable problem."""
     bundle, solution, _ = pipeline(problem)
     return tc.build_k_matrix(problem, bundle, solution)
+
+
+def remainders(problem, z, steps):
+    """|ratio - ||K z||| at each step t along the unit direction z, each step
+    required, with K the explicit first-order map."""
+    predicted = np.linalg.norm(k_of(problem) @ z)
+    solution = tc.solve_tls(problem, tc.svd_bundle(problem))
+    observed = perturb._ratios(problem, solution, perturb._copying(z),
+                               [(t, False) for t in steps], NO_STEP_COVERED)
+    return [abs(ratio - predicted) for ratio in observed]
 
 
 class FixBClosedForms:

@@ -173,6 +173,11 @@ def test_exit_code_invalid_alpha(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    code, _, err = run(
+        ["gen", "--kind", "alpha", "--m", "10", "--alpha", "0.3", "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert code == 2 and "--kind alpha requires --n and --alpha" in err
 
 
 @pytest.mark.parametrize("flag", ["--spread", "--gamma"])

@@ -16,6 +16,7 @@ from conftest import (
     failed_singular_values,
     failed_svd,
     pipeline,
+    signed_v,
     tie_problem,
     tied_weighted_problem,
     unit_normals,
@@ -58,7 +59,8 @@ def test_fix_b_singular_values(fix_b):
 
 def orthonormality_defect(bundle):
     """Frobenius deviation of the right factor V of [A b] from orthonormal."""
-    return np.linalg.norm(bundle.v_aug.T @ bundle.v_aug - np.eye(bundle.n + 1))
+    v = signed_v(bundle)
+    return np.linalg.norm(v.T @ v - np.eye(bundle.n + 1))
 
 
 def gram_defect(problem, bundle):
@@ -67,7 +69,7 @@ def gram_defect(problem, bundle):
     With V orthonormal this is 0 exactly when [A b]^T [A b] = V Sigma^2 V^T,
     so W's columns are the sigma_i u_i.
     """
-    w = problem.augmented() @ bundle.v_aug
+    w = problem.augmented() @ signed_v(bundle)
     return np.linalg.norm(w.T @ w - np.diag(bundle.sigma**2)) / bundle.sigma[0] ** 2
 
 
@@ -228,7 +230,7 @@ def test_bundle_agrees_with_direct_svds(shape):
     (_, sigma_hat, _), (_, sigma, vt_aug) = direct_svds(problem)
     assert bundle.rows.shape[0] == (n + 1 if m >= 2 * (n + 1) else m)
     # numpy's layout: the products with V11 round by it
-    assert bundle.v_aug.T.flags.c_contiguous
+    assert core.right_factor(bundle.rows).flags.c_contiguous
     np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
@@ -257,10 +259,12 @@ def test_deblur_bundle_is_the_direct_svds():
     assert np.linalg.norm(solution.x - x_direct) <= bar * np.linalg.norm(x_direct)
     # sigma_hat are secular roots, not an SVD of A: equal to rounding
     np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
-    # the whole V, formed on request, in numpy's layout, with the few values' signs
-    assert bundle.v_aug.T.flags.c_contiguous
-    np.testing.assert_allclose(bundle.v_aug[-1], bundle.b_row, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(bundle.v_aug[:, -1], bundle.v_last, rtol=0, atol=1e-11)
+    # the whole V, formed on request, in numpy's layout; signed as the few
+    # values are, it gives them to rounding
+    assert core.right_factor(bundle.rows).flags.c_contiguous
+    v = signed_v(bundle)
+    np.testing.assert_allclose(v[-1], bundle.b_row, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(v[:, -1], bundle.v_last, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("shape", [(60, 1), (200, 30), (2000, 100), (4000, 40), (600, 150)])
@@ -375,7 +379,7 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     bundle, solution, work = pipeline(problem)
     assert roots == [9]
     # kappa's secular equation runs on the same kernel, one top root
-    work.top_left
+    work.top_norm
     assert roots == [9, 9]
     # svd kappa and every bound: sigma_hat_{n-1} (kappa1, dominance) and sigma_hat_1 (BHM)
     del roots[1:]
@@ -422,26 +426,27 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
             patch.setattr(core, name, failed)
             with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
                 tc.svd_bundle(blur)
-    # the whole V, formed by numpy's dgesdd at every width where it is read
+    # the whole V, formed by numpy's dgesdd at every width where the lab reads it
     bundle = tc.svd_bundle(blur)
+    solution = tc.solve_tls(blur, bundle)
     with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
-        bundle.v_aug
+        tc.worst_direction(bundle, blur, solution)
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (57, 41), (100, 85)])
 def test_the_wide_bundle_forms_the_direct_v_on_demand(shape):
     a = np.random.default_rng(7).standard_normal(shape)
     bundle = tc.svd_bundle(tc.TlsProblem(a[:, :-1], a[:, -1]))
-    assert "v_aug" not in vars(bundle)  # formed only where it is read
     _, sigma_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
     np.testing.assert_allclose(bundle.sigma, sigma_ref, rtol=0,
                                atol=4 * shape[1] * EPS * sigma_ref[0])
-    vt = bundle.v_aug.T
+    vt = core.right_factor(bundle.rows)
     # each row of V^T to rounding (the spectrum is simple), up to its sign
     np.testing.assert_allclose(np.abs(np.sum(vt * vt_ref, axis=1)), 1.0, rtol=0, atol=1e-10)
     # and with the signs of the few values: V's last row and last column
-    np.testing.assert_allclose(bundle.v_aug[-1], bundle.b_row, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(bundle.v_aug[:, -1], bundle.v_last, rtol=0, atol=1e-12)
+    v = signed_v(bundle)
+    np.testing.assert_allclose(v[-1], bundle.b_row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v[:, -1], bundle.v_last, rtol=0, atol=1e-12)
     # a stack of wide blocks: each block's values are those of its own call
     own = core.block_svd(a)
     np.testing.assert_allclose(np.abs(own[1]), np.abs(vt_ref[:, -1]), rtol=0, atol=1e-12)
@@ -690,24 +695,24 @@ def test_the_pipeline_forms_no_v(monkeypatch):
         tc.cholesky_condition(work, problem, bundle, solution)
         tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem, solution)
         assert calls == []
-        assert "v_aug" not in vars(bundle)  # the cached property was never read
-        # the lab reads V11, formed once for the base problem; its re-solves
-        # go through block_svd, as svd_bundle does, and form no V
+        # the lab's worst direction forms V once per validate, for the base
+        # problem; its re-solves go through block_svd, as svd_bundle does,
+        # and form no V
         tc.monte_carlo_validate(problem, trials=5)
         callers = [name for name, _ in calls]
-        assert callers.count("v_aug") == 1
-        assert set(callers) <= {"v_aug", "block_svd"}
+        assert callers.count("right_factor") == 1
+        assert set(callers) <= {"right_factor", "block_svd"}
 
 
 @pytest.mark.parametrize("shape", [(30, 8), (200, 30), (25, 20)])
-def test_a_narrow_v_aug_is_the_vt_of_the_bundles_own_call(monkeypatch, shape):
-    # below V_ONLY_WIDTH, v_aug repeats block_svd's dgesdd call on the same
-    # scaled rows, and every sign it aligns is already b_row's: the same bits
+def test_a_narrow_right_factor_is_the_vt_of_the_bundles_own_call(monkeypatch, shape):
+    # below V_ONLY_WIDTH, right_factor repeats block_svd's dgesdd call on the
+    # same scaled rows: the same bits, b_row and v_last included
     problem = tc.generate_ab_alpha(*shape, 0.3, seed=1)
     assert problem.n + 1 < core.V_ONLY_WIDTH
     calls = full_svd_calls(monkeypatch)
     bundle = tc.svd_bundle(problem)
-    vt = bundle.v_aug.T
+    vt = core.right_factor(bundle.rows)
     (_, own), (_, again) = calls
     assert vt.flags.c_contiguous
     assert vt.tobytes() == own.tobytes() == again.tobytes()

@@ -9,8 +9,15 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import counting_factorizations, k_of, pipeline, tie_problem, tied_weighted_problem
-from tlscond import core, exact, perturb
+from conftest import (
+    counting_factorizations,
+    k_of,
+    pipeline,
+    signed_v,
+    tie_problem,
+    tied_weighted_problem,
+)
+from tlscond import core, exact
 from tlscond.cli import main
 from tlscond.errors import IllConditionedGap, NotApplicable, ShapeError, TrivialProblem
 
@@ -121,7 +128,7 @@ def test_svd_condition_vs_explicit_inverse():
         bundle, solution, work = pipeline(problem)
         kappa = tc.svd_condition(work, bundle, solution).kappa_abs
         explicit = np.hypot(1.0, solution.norm_x) * np.linalg.norm(
-            np.linalg.inv(bundle.v_aug[:-1, :-1]).T @ np.diag(work.s_diag), 2
+            np.linalg.inv(signed_v(bundle)[:-1, :-1]).T @ np.diag(work.s_diag), 2
         )
         assert kappa == pytest.approx(explicit, rel=1e-10)
 
@@ -244,7 +251,7 @@ def test_deflated_rows_are_orthonormal_and_orthogonal_to_v():
     gap, rows = bundle.roots.deflated_rows()
     assert gap == pytest.approx([9.0 - 0.25] * 2, rel=1e-14, abs=0)
     np.testing.assert_allclose(rows @ rows.T, np.eye(2), rtol=0, atol=4 * EPS)
-    np.testing.assert_allclose(rows @ bundle.v_aug[-1, :-1], 0.0, rtol=0, atol=4 * EPS)
+    np.testing.assert_allclose(rows @ signed_v(bundle)[-1, :-1], 0.0, rtol=0, atol=4 * EPS)
 
 
 def counting_gated_p(monkeypatch):
@@ -441,9 +448,9 @@ def test_no_svd_runs_after_the_bundle(monkeypatch):
     tc.baboulin_condition(work, bundle, solution)
     assert calls == []
     assert report.kappa_reference == kappa.kappa_abs
-    # only the lab reads the whole V: one dgesdd of the bundle's 9 x 9 R, for V11
-    direction = tc.worst_direction(work, problem, solution)
-    perturb._k_apply(work, problem, solution, direction)
+    # only the lab's worst direction reads the whole V: one dgesdd of the
+    # bundle's 9 x 9 R, through core.right_factor
+    tc.worst_direction(bundle, problem, solution)
     assert calls == [("full_svd", (9, 9), True)]
 
 
@@ -493,7 +500,7 @@ def test_build_k_rejects_trivial(fix_a):
 
 def v11_singular_values(bundle):
     n = bundle.n
-    return np.linalg.svd(bundle.v_aug[:n, :n], compute_uv=False)
+    return np.linalg.svd(signed_v(bundle)[:n, :n], compute_uv=False)
 
 
 def test_v11_spectrum_fix_b(fix_b):
@@ -517,7 +524,7 @@ def test_v11_spectrum_structure_seeded():
         expected = np.hypot(1.0, solution.norm_x)
         assert sv[0] / sv[-1] == pytest.approx(expected, rel=1e-8)
         # beta / ||beta|| is V11's right singular vector for alpha
-        v11 = bundle.v_aug[:-1, :-1]
+        v11 = signed_v(bundle)[:-1, :-1]
         v_bar = work.beta / np.linalg.norm(work.beta)
         assert np.linalg.norm(v11 @ v_bar) == pytest.approx(sv[-1], rel=1e-10)
         np.testing.assert_allclose(v11 @ work.beta, work.alpha * work.y, atol=1e-14)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
-from conftest import counting_factorizations, dense_copies, pipeline, zero_noise_deblur
+from conftest import counting_factorizations, dense_copies, pipeline, signed_v, zero_noise_deblur
 from tlscond import generators
 from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
 from tlscond.generators import _banded_toeplitz_norm
@@ -81,7 +81,7 @@ def test_generate_ab_alpha_recovers_alpha():
     for m, n in KERNEL_ROUTE_SHAPES:
         problem = tc.generate_ab_alpha(m, n, 0.9, seed=8)
         bundle, solution, _ = pipeline(problem)
-        assert abs(bundle.v_aug[-1, -1]) == pytest.approx(0.9, abs=1e-10)
+        assert abs(signed_v(bundle)[-1, -1]) == pytest.approx(0.9, abs=1e-10)
         assert solution.alpha == pytest.approx(0.9, rel=1e-10)
 
 
@@ -106,7 +106,7 @@ def test_generate_ab_alpha_never_forms_u(monkeypatch):
 def test_generate_ab_alpha_tiny_alpha_v11_condition():
     problem = tc.generate_ab_alpha(15, 10, 1e-8, seed=0)
     bundle, solution, _ = pipeline(problem)
-    sv = np.linalg.svd(bundle.v_aug[:-1, :-1], compute_uv=False)
+    sv = np.linalg.svd(signed_v(bundle)[:-1, :-1], compute_uv=False)
     assert sv[0] / sv[-1] == pytest.approx(1e8, rel=1e-6)
     assert np.hypot(1.0, solution.norm_x) == pytest.approx(1e8, rel=1e-6)
     diag = solution.gap
@@ -309,6 +309,8 @@ def test_config_validation():
     assert tc.KammNagyConfig(m=17, omega=8).n == 1  # boundary is allowed
     with pytest.raises(ShapeError):
         tc.KammNagyConfig(m=16, omega=8)  # n = 0 is not
+    with pytest.raises(ShapeError, match="omega must be >= 1, got 0"):
+        tc.KammNagyConfig(m=40, omega=0)
     with pytest.raises(ShapeError):
         tc.KammNagyConfig(m=40, omega=8, spread=-1.0)
     with pytest.raises(ShapeError):

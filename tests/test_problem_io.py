@@ -61,6 +61,14 @@ def test_matrixmarket_negative_size(tmp_path):
         tc.load_problem(path)
 
 
+@pytest.mark.parametrize("size", ["6", "3 two"], ids=["one token", "not an integer"])
+def test_matrixmarket_bad_size_line(tmp_path, size):
+    path = tmp_path / "p.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size}\n1\n2\n3\n4\n5\n6\n")
+    with pytest.raises(ParseError, match=f"bad size line '{size}'"):
+        tc.load_problem(path)
+
+
 def test_matrixmarket_bad_banner(tmp_path):
     path = tmp_path / "p.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 6\n")
@@ -367,6 +375,9 @@ def test_save_problem_raises_when_it_cannot_write(tmp_path, name):
 NOT_UTF8 = {
     "csv": ("p.csv", b"1,2\n3,\xff\n5,6\n"),
     "mm entry": ("p.mtx", BANNER.encode() + b"3 2\n1\n2\n\xff\n4\n5\n6\n"),
+    # past the 8 KiB that the header's text reader decodes: the body's read fails
+    "mm entry past 8 KiB": ("p.mtx", BANNER.encode() + b"3000 2\n"
+                            + b"1\n" * 5000 + b"\xff\n" + b"1\n" * 999),
     "mm banner": ("p.mtx", BANNER.encode().replace(b"general", b"general \xff") + MM_BODY.encode()),
 }
 
@@ -481,6 +492,10 @@ def test_the_public_constructor_copies():
 
 
 def test_problem_invariants():
+    with pytest.raises(ShapeError, match="A must be a matrix and b a vector"):
+        tc.TlsProblem([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ShapeError, match="b has length 3, expected 2"):
+        tc.TlsProblem([[1.0], [2.0]], [1.0, 2.0, 3.0])
     with pytest.raises(ShapeError):
         tc.TlsProblem([[1.0, 2.0]], [1.0])  # m = 1 <= n = 2
     with pytest.raises(ShapeError):
@@ -561,9 +576,11 @@ def test_report_rejects_bad_rows():
         ("label,label\nr1,r2\n", 1),
         ("label,v\nr1\n", 2),
         ("label,v\nr1,inf\n", 2),
+        ("label,kappa\nx,abc\n", 2),
         ('# metadata: {"seed": 1}\nlabel,v\n\nr1,1.0\nr2,nan\n', 5),
     ],
-    ids=["extra cell", "duplicate column", "short row", "inf cell", "nan after metadata"],
+    ids=["extra cell", "duplicate column", "short row", "inf cell", "text cell",
+         "nan after metadata"],
 )
 def test_load_report_refuses_malformed_csv(tmp_path, text, line):
     path = tmp_path / "r.csv"
@@ -585,6 +602,16 @@ def test_load_report_refuses_a_csv_without_a_report(tmp_path, text, message):
     path = tmp_path / "r.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
+        tc.load_report(path)
+
+
+def test_a_report_refuses_text_in_a_numeric_column(tmp_path):
+    # only the label column holds text
+    with pytest.raises(ValueError, match="text 'abc' in the numeric column 'kappa'"):
+        tc.ReportDocument(("label", "kappa"), ({"label": "x", "kappa": "abc"},))
+    path = tmp_path / "r.json"
+    path.write_text('{"metadata": {}, "rows": [{"label": "x", "kappa": "abc"}]}')
+    with pytest.raises(ParseError, match="text 'abc' in the numeric column 'kappa'"):
         tc.load_report(path)
 
 
