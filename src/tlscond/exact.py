@@ -88,11 +88,11 @@ class ExactFormulaWork:
     orthogonal, so V11 beta = alpha y, V11^T V11 = I - beta beta^T and
     V11^{-1} = V11^T + beta y^T / alpha. Hence ||V11^{-T} S||^2 =
     lambda_max(S^2 + (S beta)(S beta)^T / alpha^2), the secular equation of
-    the reference kappa: top_norm reads s, beta and alpha alone. V11 itself
-    is formed only by the perturbation lab's worst direction.
+    the reference kappa: top_norm reads s, beta and alpha alone, so y (the
+    leading n entries of v_{n+1}) is not stored. V11 itself is formed only
+    by the perturbation lab's worst direction.
     """
 
-    y: np.ndarray                 # (n,) leading entries of v_{n+1}
     beta: np.ndarray              # (n,) V[n, :n], the first n entries of V's last row
     alpha: float                  # -(last entry of v_{n+1}), > 0
     s_diag: np.ndarray            # (n,) ascending weights s_i
@@ -134,12 +134,11 @@ def build_spectral_work(
 ) -> ExactFormulaWork:
     """Assemble the parts the svd formula, the sandwiches and the lab read (cheap for large m).
 
-    y and alpha come from solution.last_right_vector, whose sign solve_tls
+    alpha comes from solution.last_right_vector, whose sign solve_tls
     fixed; beta is the bundle's b_row, V's last row as the SVD returned it.
     Neither reads the whole V.
     """
     n = problem.n
-    v_last = solution.last_right_vector
     sig_last = float(bundle.sigma[-1])
     sig2 = sig_last**2
 
@@ -148,9 +147,8 @@ def build_spectral_work(
     head = bundle.sigma[:-1]
     lam = (head - sig_last) * (head + sig_last)
     return ExactFormulaWork(
-        y=v_last[:n],
         beta=bundle.b_row[:n].copy(),  # contiguous: a strided row takes another BLAS dot kernel
-        alpha=float(-v_last[n]),
+        alpha=float(-solution.last_right_vector[n]),
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
         aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F

@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def _check_row(columns: tuple[str, ...], row: dict) -> None:
             continue
         if isinstance(value, str):
             raise ValueError(f"text {value!r} in the numeric column {key!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{value!r} is not a number in the numeric column {key!r}")
         if not np.isfinite(value):
             raise ValueError(f"non-finite value for {key!r}; use None instead")
 

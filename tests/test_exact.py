@@ -527,7 +527,8 @@ def test_v11_spectrum_structure_seeded():
         v11 = signed_v(bundle)[:-1, :-1]
         v_bar = work.beta / np.linalg.norm(work.beta)
         assert np.linalg.norm(v11 @ v_bar) == pytest.approx(sv[-1], rel=1e-10)
-        np.testing.assert_allclose(v11 @ work.beta, work.alpha * work.y, atol=1e-14)
+        y = solution.last_right_vector[: problem.n]
+        np.testing.assert_allclose(v11 @ work.beta, work.alpha * y, atol=1e-14)
 
 
 def test_scale_invariance():

@@ -262,11 +262,16 @@ def test_kamm_nagy_draw_runs_only_its_bundle(monkeypatch):
     assert matrix_norms == []
 
 
-@pytest.mark.parametrize("m,seed", [(60, 5), (100, 0), (300, 1)])
-def test_kamm_nagy_problem_is_the_dense_toeplitz_sum(m, seed):
+@pytest.mark.parametrize(
+    "m,seed,omega,spread",
+    [(60, 5, 8, 1.25), (100, 0, 8, 1.25), (300, 1, 8, 1.25), (100, 0, 4, 1.25), (100, 0, 8, 2.0)],
+    ids=["60-5", "100-0", "300-1", "100-0-omega4", "100-0-spread2"],
+)
+def test_kamm_nagy_problem_is_the_dense_toeplitz_sum(m, seed, omega, spread):
     # the first attempt rebuilt densely, as Tbar + E and ones + e from the
-    # same stream: the in-place sums over Tbar's strided view give its bits
-    config = tc.KammNagyConfig(m=m, seed=seed)
+    # same stream: the in-place sums over Tbar's strided view give its bits.
+    # The last two cases differ from (100, 0) in one key of the ||Tbar|| cache
+    config = tc.KammNagyConfig(m=m, omega=omega, spread=spread, seed=seed)
     n, support = config.n, 2 * config.omega + 1
     rng = np.random.default_rng(seed)
     kernel = generators.gaussian_kernel_column(m, config.omega, config.spread)
@@ -280,6 +285,35 @@ def test_kamm_nagy_problem_is_the_dense_toeplitz_sum(m, seed):
     assert problem.a_matrix.tobytes() == (lower_toeplitz(kernel, n) + e_mat).tobytes()
     assert problem.b_vector.tobytes() == (np.ones(m) + e_vec).tobytes()
     assert problem.a_matrix.flags.c_contiguous and not problem.a_matrix.flags.writeable
+
+
+def test_a_warm_kernel_norm_gives_the_cold_draw():
+    # ||Tbar|| is cached per (m, omega, spread): a seed drawn after other
+    # seeds of its config is the seed drawn with the cache cold, bit for bit
+    generators._kernel_norm.cache_clear()
+    config = tc.KammNagyConfig(m=100, seed=5)
+    cold = tc.kamm_nagy_problem(config).augmented().tobytes()
+    for seed in (1, 2):
+        tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=seed))
+    assert tc.kamm_nagy_problem(config).augmented().tobytes() == cold
+
+
+def test_a_warm_draw_solves_one_banded_eigenproblem(monkeypatch):
+    calls = []
+    eigvals_banded = scipy.linalg.eigvals_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvals_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting)
+    generators._kernel_norm.cache_clear()
+    # m=100, seeds 0 and 3 are accepted at their first attempt: ||Tbar|| and
+    # ||E|| cold, then ||E|| alone, each on the 17-lag band of the 84 x 84 Gram
+    tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=0))
+    assert calls == [(17, 84)] * 2
+    tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=3))
+    assert calls == [(17, 84)] * 3
 
 
 def test_kamm_nagy_draw_peaks_at_three_dense_copies():

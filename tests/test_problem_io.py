@@ -615,6 +615,21 @@ def test_a_report_refuses_text_in_a_numeric_column(tmp_path):
         tc.load_report(path)
 
 
+@pytest.mark.parametrize("value", ["true", "false", "[1, 2]", "{}"])
+def test_a_json_report_refuses_a_non_number_in_a_numeric_column(tmp_path, value):
+    path = tmp_path / "r.json"
+    path.write_text(f'{{"metadata": {{}}, "rows": [{{"label": "x", "kappa": {value}}}]}}')
+    with pytest.raises(ParseError, match="is not a number in the numeric column 'kappa'"):
+        tc.load_report(path)
+
+
+@pytest.mark.parametrize("value, loaded", [("1", 1), ("1.5", 1.5), ("null", None)])
+def test_a_json_report_loads_numbers_and_null(tmp_path, value, loaded):
+    path = tmp_path / "r.json"
+    path.write_text(f'{{"metadata": {{}}, "rows": [{{"label": "x", "kappa": {value}}}]}}')
+    assert tc.load_report(path).rows == ({"label": "x", "kappa": loaded},)
+
+
 def test_load_report_refuses_a_non_finite_json_value(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"metadata": {}, "rows": [{"label": "r1", "v": Infinity}]}')
