@@ -44,7 +44,7 @@ scaled to unit weights, no root depends on the scale of [A b]). Each root is
 solved once per bundle, where it is first read, and every later reader takes
 dlasd4's cached output: sigma_hat_n and the gap delta = sigma_hat_n^2 -
 sigma_{n+1}^2 with the bundle, sigma_hat_1 and sigma_hat_{n-1} when a bound
-asks, the whole sigma_hat lazily.
+asks, any other root through roots.at.
 delta is read off the root in a form centred on the sigma_{n+1} pole, so it is
 accurate even where sigma_hat_n and sigma_{n+1} agree to the last bit, and it
 is never rebuilt as a difference of two singular values. The distances of a
@@ -74,7 +74,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -353,16 +353,6 @@ class SvdBundle:
         """sigma_hat_n - sigma_{n+1}, read from delta, never as a difference."""
         return self.delta / (self.sigma_hat_n + float(self.sigma[-1]))
 
-    @cached_property
-    def sigma_hat(self) -> np.ndarray:
-        """(n,) every singular value of A, descending (n roots: for checks and tests)."""
-        return np.array([self.roots.at(i)[0] for i in range(self.n)])
-
-    def interlacing_defect(self) -> float:
-        """Worst violation of sigma_i >= sigma_hat_i >= sigma_{i+1}, scaled by sigma_1."""
-        upper = np.max(self.sigma_hat - self.sigma[:-1], initial=0.0)
-        lower = np.max(self.sigma[1:] - self.sigma_hat, initial=0.0)
-        return max(upper, lower) / max(self.sigma[0], 1e-300)
 
 
 @dataclass(frozen=True)

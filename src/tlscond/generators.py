@@ -40,6 +40,7 @@ seeds reproduce problems bitwise within one build.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +79,12 @@ class KammNagyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "omega", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
         for name in ("spread", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ShapeError(f"{name} must be finite, got {getattr(self, name)}")

@@ -5,33 +5,45 @@ column-major), in the column order of the first-order map K. For a step t the
 observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. Every re-solve goes
-through one path, _resolves: each step's z is written straight into one
-reused Fortran buffer, where it is scaled by t and [A b] is added; past the
-bundle's crossover (core.block_rows, m >= 2(n+1)) the buffer is reduced to
-its R by the bundle's kernel (core.householder_qr), whose triangle is copied
-into its slot of the stack. The blocks of a stack of at most STACK_BYTES are
-factored by one core.block_svd call (each block scaled by a power of two,
-then numpy's stacked dgesdd below core.V_ONLY_WIDTH, core.few_value_svd
-block by block from there on, as svd_bundle factors one block), which gives
-sigma, b's row of V and v_{n+1} alone and refuses a sigma_1 whose square
-overflows, and each step then passes solve_tls's own checks (core.check_gap,
-then core.trailing_vector) in step order. Most steps' gap is known before
-the re-solve: by Weyl's inequality a unit z moves every singular value of
-[A b] and of A by at most t, so where (g - 2t - s) / (sigma_hat_n + t), with
-g = sigma_hat_n - sigma_{n+1} and s a rounding slack, keeps GAP_PERSISTENCE
-of the base rel_gap (_GapCertificate), the step builds no SigmaHatRoots,
-solves no secular root and skips core.check_gap, passing only
-core.trailing_vector. A random trial's z is the next m(n+1) standard normals
-of one generator, drawn into that buffer and divided by their norm; the
-worst direction's z is copied in. Only x and the relative gap are read; no
-residual is formed. As t -> 0 the ratio approaches ||K z||, is maximized
-over unit z by the condition number kappa, and attains it along K^T u for K's
-top left singular vector u, where ||K z|| = kappa: the remainders along the
-worst direction are |ratio - kappa|. K is never formed: worst_direction
-forms the whole V once, through core.right_factor, reads V11, y, beta and
-alpha from it, and applies V11^{-1} = V11^T + beta y^T / alpha; u is V11^{-T}
-S q for the eigenvector q that the secular equation of kappa gives in closed
-form, and K^T u costs O(mn). A step below CLEAN_STEP_FLOOR ||[A b]||_F is
+through one path, _resolves, in the lab's space (_lab_space). Below the
+bundle's crossover (core.block_rows, m < 2(n+1)) that is [A b] itself, a
+direction is [dA db], and a re-solve is bitwise solve_tls(svd_bundle(p)) of
+the rebuilt problem p. Past it, with [A b] = Q [R_0; 0] and R_0 the bundle's
+rows, a direction is Q^T [dA db] = [Y_1; Y_2] with Y_2 reduced to its R,
+T_2: [R_0 + t Y_1; t T_2] has the rebuilt problem's singular values and
+right singular vectors, so x agrees with the rebuilt problem's to rounding
+(within 4 eps kappa_rel ||x|| on the tested problems), and no m-row array,
+QR or draw is made past the base bundle: a trial costs the same at any m.
+Each step's direction is scaled by t in a reused stack of Fortran buffers
+and the base is added; a 2(n+1)-row sum is reduced to its R by the bundle's
+kernel (core.householder_qr), whose triangle is copied into its slot of the
+stack. The blocks of a stack of at most STACK_BYTES are factored by one
+core.block_svd call (each block scaled by a power of two, then numpy's
+stacked dgesdd below core.V_ONLY_WIDTH, core.few_value_svd block by block
+from there on, as svd_bundle factors one block), which gives sigma, b's row
+of V and v_{n+1} alone and refuses a sigma_1 whose square overflows, and
+each step then passes solve_tls's own checks (core.check_gap, then
+core.trailing_vector) in step order. Most steps' gap is known before the
+re-solve: by Weyl's inequality a unit direction moves every singular value
+of [A b] and of A by at most t, so where (g - 2t - s) / (sigma_hat_n + t),
+with g = sigma_hat_n - sigma_{n+1} and s a rounding slack, keeps
+GAP_PERSISTENCE of the base rel_gap (_GapCertificate), the step builds no
+SigmaHatRoots, solves no secular root and skips core.check_gap, passing only
+core.trailing_vector. A random trial is uniform on the unit sphere of the
+whole space: below the crossover the next m(n+1) standard normals of one
+generator over their norm; past it [Y_1; T_2] over its norm, Y_1 standard
+normal and T_2 by Bartlett's decomposition (_gaussian_blocks), which has
+the law of the reduced Q^T Z for a Gaussian Z. Only x and the relative gap
+are read; no residual is formed. As t -> 0 the ratio approaches ||K z||, is
+maximized over unit z by the condition number kappa, and attains it along
+K^T u for K's top left singular vector u, where ||K z|| = kappa: the
+remainders along the worst direction are |ratio - kappa|. K is never
+formed: worst_direction forms the whole V once, through core.right_factor,
+reads V11, y, beta and alpha from it, and applies V11^{-1} = V11^T + beta
+y^T / alpha; u is V11^{-T} S q for the eigenvector q that the secular
+equation of kappa gives in closed form, and K^T u costs O(mn). Past the
+crossover the lab forms that direction's Q^T [dA db] from R_0 alone
+(_worst_in_rows), in O(n^2). A step below CLEAN_STEP_FLOOR ||[A b]||_F is
 refused: there the ratio measures rounding, not K.
 """
 
@@ -140,28 +152,93 @@ class _GapCertificate:
         return (self.gap - 2.0 * t - self.slack) / (self.sigma_hat_n + t) >= self.required
 
 
-def _unit_normals(rng, z: np.ndarray) -> None:
-    """Overwrite z with the next len(z) standard normals of rng, divided by their norm."""
-    rng.standard_normal(out=z)
-    z /= np.linalg.norm(z)
+def _lab_space(problem: TlsProblem, bundle: SvdBundle) -> np.ndarray:
+    """The Fortran-ordered array that the lab's directions perturb.
+
+    Below the bundle's crossover (core.block_rows) it is [A b] itself, the
+    bundle's read-only rows, and a direction is [dA db]. Past it, with
+    [A b] = Q [R_0; 0] and R_0 the bundle's rows, it is [R_0; 0] with 2(n+1)
+    rows, and a direction is Q^T [dA db] with its bottom m-n-1 rows reduced
+    to their (n+1) x (n+1) R: both give the perturbed problem's singular
+    values and right singular vectors.
+    """
+    rows, k = bundle.rows, problem.n + 1
+    if block_rows(problem.m, k) == problem.m:
+        return rows
+    base = np.zeros((2 * k, k), order="F")
+    base[:k] = rows
+    return base
+
+
+def _unit_normals(rng, directions: np.ndarray) -> None:
+    """Overwrite each direction of the stack with the next p(n+1) standard
+    normals of rng, in stacked order [vec(dA); db], divided by their norm."""
+    for direction in directions:
+        z = direction.T.reshape(-1)  # a view: each direction is Fortran-ordered
+        rng.standard_normal(out=z)
+        z /= np.linalg.norm(z)
+
+
+def _gaussian_blocks(normals, chis, m: int, directions: np.ndarray) -> None:
+    """Overwrite each Fortran-ordered 2(n+1) x (n+1) direction of the stack
+    with [Y_1; T_2]: Q^T Z for a Gaussian m x (n+1) Z, its bottom rows Y_2
+    reduced to their R.
+
+    Each direction takes the next 2(n+1)^2 standard normals of the normals
+    generator, column by column, all in one call; then T_2's entries below
+    the diagonal are zeroed and its diagonal entry i is the root of the next
+    chi-square of chis, with m-n-1-i degrees of freedom (Bartlett's
+    decomposition of Y_2^T Y_2 = T_2^T T_2; Muirhead, Aspects of
+    Multivariate Statistical Theory, 1982, Thm 3.2.14). So Y_1 and T_2's
+    strict upper triangle are standard normal, and direction i is the i-th
+    run of each generator whatever the stack's size. Not normalized.
+    """
+    count, _, k = directions.shape
+    normals.standard_normal(out=directions.transpose(0, 2, 1))  # contiguous: Fortran blocks
+    bottom = directions[:, k:]
+    below, diagonal = np.tril_indices(k, -1), np.arange(k)
+    bottom[:, below[0], below[1]] = 0.0
+    bottom[:, diagonal, diagonal] = np.sqrt(chis.chisquare(m - k - diagonal, (count, k)))
+
+
+def _trials(problem: TlsProblem, seed: int):
+    """The fill of monte_carlo_validate's random trials: uniform unit
+    directions in the lab's space (_lab_space), from one seed.
+
+    Below the crossover each is m(n+1) normals of np.random.default_rng(seed)
+    over their norm (_unit_normals); past it, [Y_1; T_2] over its norm
+    (_gaussian_blocks) from the two generators of SeedSequence(seed).spawn(2),
+    equal in distribution to the reduced Q^T Z / ||Z||_F, as ||Z||_F =
+    ||[Y_1; T_2]||_F.
+    """
+    if block_rows(problem.m, problem.n + 1) == problem.m:
+        return functools.partial(_unit_normals, np.random.default_rng(seed))
+    normals, chis = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+
+    def fill(directions):
+        _gaussian_blocks(normals, chis, problem.m, directions)
+        # each direction's Frobenius norm, with no temporary the size of the stack
+        directions /= np.sqrt(np.einsum("ijk,ijk->i", directions, directions))[:, None, None]
+
+    return fill
 
 
 def _copying(direction):
-    """A fill for _resolves that copies one fixed unit direction in at every step."""
-    return lambda z: np.copyto(z, direction)
+    """A fill for _resolves that copies one fixed unit direction into every step."""
+    return lambda directions: np.copyto(directions, direction)
 
 
-def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate) -> list:
+def _ratios(base: np.ndarray, base_solution, fill, steps, certificate) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
-    fill writes one step's unit direction, as _resolves takes it. A lost or
-    collapsed gap raises PerturbationTooLarge, or gives None for an optional
-    step. A step that certificate, a _GapCertificate, covers is not checked
-    for it.
+    base is _lab_space's array and fill writes the steps' unit directions
+    in its space, as _resolves takes them. A lost or collapsed gap raises
+    PerturbationTooLarge, or gives None for an optional step. A step that
+    certificate, a _GapCertificate, covers is not checked for it.
     """
     ratios = []
     base_gap = base_solution.gap.rel_gap
-    resolves = _resolves(problem, fill, [t for t, _ in steps], certificate)
+    resolves = _resolves(base, fill, [t for t, _ in steps], certificate)
     for (t, optional), resolved in zip(steps, resolves):
         try:
             if isinstance(resolved, TlsCondError):
@@ -178,50 +255,37 @@ def _ratios(problem: TlsProblem, base_solution, fill, steps, certificate) -> lis
     return ratios
 
 
-def _resolves(problem: TlsProblem, fill, ts, certificate):
-    """Per step t, solve_tls's (x, gap) on [A + t dA, b + t db], or what it raises.
+def _resolves(base: np.ndarray, fill, ts, certificate):
+    """Per step t, solve_tls's (x, gap) on base + t d, or what it raises.
 
-    The NoUniqueSolution or TrivialProblem of a lost gap is yielded, not
-    raised; DegenerateVector is raised. fill(z) writes one step's unit
-    direction into the contiguous z of length m(n+1), in stacked order
-    [vec(dA); db]; it is called once per step, in step order, one stack at a
-    time, and each step is yielded before the next stack is filled. z is the
-    Fortran-ordered [dA db] itself, so t z + [vec(A); b] is formed in place.
-    The re-solves are bitwise those of solve_tls on svd_bundle of
-    the perturbed problem: the same sums, the same crossover
-    (core.block_rows), the same kernels (the R of core.row_block, with its
-    +0.0 below the diagonal) and the same checks in the same order
-    (core.check_gap, then core.trailing_vector). A step that the certificate
-    (a _GapCertificate) covers builds no SigmaHatRoots and skips check_gap:
-    it passes trailing_vector alone, and yields the same x with gap None;
+    base is _lab_space's p x (n+1) array. The NoUniqueSolution or
+    TrivialProblem of a lost gap is yielded, not raised; DegenerateVector is
+    raised. fill(directions) overwrites a stack of p x (n+1) Fortran-ordered
+    directions with its steps' unit directions; it is called once per stack,
+    in step order, and each step is yielded before the next stack is filled.
+    Each step's block is base + t d, reduced to its R when p >= 2(n+1)
+    (core.block_rows: the row-block space of a tall problem), by
+    _perturbed_blocks. The checks are solve_tls's, in its order (core.check_gap, then
+    core.trailing_vector). So on [A b] itself the re-solves are bitwise those
+    of solve_tls on svd_bundle of the perturbed problem; in the row-block
+    space they agree with them to rounding. A step that the certificate (a
+    _GapCertificate) covers builds no SigmaHatRoots and skips check_gap: it
+    passes trailing_vector alone, and yields the same x with gap None;
     block_svd has refused its sigma_1 where it would overflow, as for
     svd_bundle.
     """
     if not ts:
         return
-    m, n = problem.m, problem.n
-    k = block_rows(m, n + 1)
-    per_stack = max(1, STACK_BYTES // (8 * (n + 1) * (2 * k + n + 1)))  # block, u, vt
-    # each block Fortran-ordered; zeros stay below an R's diagonal, and below
-    # the QR crossover the data goes straight in
-    blocks = np.zeros((min(per_stack, len(ts)), n + 1, k)).transpose(0, 2, 1)
-    ab = np.empty((n + 1, m))  # [vec(A); b], in z's order, with no copy of [A b] between
-    ab[:n], ab[n] = problem.a_matrix.T, problem.b_vector
-    ab = ab.reshape(-1)
-    aug = upper = None
-    if k < m:  # the QR's scratch and R's triangle
-        aug, upper = np.empty((m, n + 1), order="F"), ~np.tri(k, k, -1, dtype=bool)
+    width = base.shape[1]
+    k = block_rows(*base.shape)
+    per_stack = max(1, STACK_BYTES // (8 * width * (2 * k + width)))  # block, u, vt
+    # each block Fortran-ordered; zeros stay below an R's diagonal
+    blocks = np.zeros((min(per_stack, len(ts)), width, k)).transpose(0, 2, 1)
     for start in range(0, len(ts), len(blocks)):
-        stack = blocks[: len(ts) - start]
-        for block, t in zip(stack, ts[start : start + len(stack)]):
-            target = block if aug is None else aug
-            z = target.T.reshape(-1)  # a view: target is Fortran-ordered
-            fill(z)
-            z *= t
-            z += ab
-            if aug is not None:
-                np.copyto(block, householder_qr(aug)[0][:k], where=upper)
-        for (sigma, b_row, v_last), t in zip(_factored(stack), ts[start : start + len(stack)]):
+        steps = ts[start : start + len(blocks)]
+        stack = blocks[: len(steps)]
+        _perturbed_blocks(stack, base, fill, steps)
+        for (sigma, b_row, v_last), t in zip(_factored(stack), steps):
             try:
                 gap = (None if certificate.covers(t)
                        else check_gap(sigma, *SigmaHatRoots(sigma, b_row).at(-1)))
@@ -230,6 +294,25 @@ def _resolves(problem: TlsProblem, fill, ts, certificate):
                 yield exc
                 continue
             yield -v_last[:-1] / v_last[-1], gap
+
+
+def _perturbed_blocks(stack, base: np.ndarray, fill, steps) -> None:
+    """Write base + t d into each block of the stack, for each step t and its
+    unit direction d from fill, reduced to its R by core.householder_qr when
+    base has more rows than a block (+0.0 below the diagonal, as
+    core.row_block). The directions to reduce, 2(n+1)^2 entries per step,
+    are a scratch stack freed on return, before the stack is factored: no
+    more than the stack's u and vt."""
+    p, width = base.shape
+    reduced = stack.shape[1] < p
+    directions = np.empty((len(steps), width, p)).transpose(0, 2, 1) if reduced else stack
+    fill(directions)
+    directions *= np.array(steps)[:, None, None]
+    directions += base
+    if reduced:
+        upper = ~np.tri(width, width, -1, dtype=bool)
+        for block, direction in zip(stack, directions):
+            np.copyto(block, householder_qr(direction)[0][:width], where=upper)
 
 
 def _factored(blocks):
@@ -248,6 +331,22 @@ def _factored(blocks):
     yield from zip(*factored)
 
 
+def _worst_w(bundle: SvdBundle, work: ExactFormulaWork) -> np.ndarray:
+    """w = P^{-1} u for K's top left singular vector u, as worst_direction forms it."""
+    n = bundle.n
+    vt = right_factor(bundle.rows)
+    v_last = trailing_vector(bundle.sigma, vt[-1])
+    v11, y, alpha = vt[:n, :n].T, v_last[:n], float(-v_last[n])
+    beta = vt[:n, -1].copy()  # contiguous: a strided row takes another BLAS dot kernel
+
+    def v11_inv_t(v):
+        return v11 @ v + y * (beta @ v / alpha)
+
+    u = v11_inv_t(work.s_diag * _secular_top(work.s_diag, beta, alpha)[1])
+    u = u / np.linalg.norm(u)
+    return v11_inv_t((v11.T @ u + beta * (y @ u / alpha)) / work.lambda_diag)
+
+
 def worst_direction(bundle: SvdBundle, problem: TlsProblem, solution) -> np.ndarray:
     """Unit z = [vec(dA); db] attaining ||K||: K^T u / kappa for K's top left singular vector u.
 
@@ -259,25 +358,29 @@ def worst_direction(bundle: SvdBundle, problem: TlsProblem, solution) -> np.ndar
     V11^{-1} u, with s and Lambda from build_spectral_work. With g = 2 (r^ .
     A w) r^ - A w, K^T u = (g x^T - r w^T, -g). Raises ConvergenceError.
     """
-    n = bundle.n
-    vt = right_factor(bundle.rows)
-    v_last = trailing_vector(bundle.sigma, vt[-1])
-    v11, y, alpha = vt[:n, :n].T, v_last[:n], float(-v_last[n])
-    beta = vt[:n, -1].copy()  # contiguous: a strided row takes another BLAS dot kernel
-    work = build_spectral_work(problem, bundle, solution)
-
-    def v11_inv_t(v):
-        return v11 @ v + y * (beta @ v / alpha)
-
-    u = v11_inv_t(work.s_diag * _secular_top(work.s_diag, beta, alpha)[1])
-    u = u / np.linalg.norm(u)
-    w = v11_inv_t((v11.T @ u + beta * (y @ u / alpha)) / work.lambda_diag)
+    w = _worst_w(bundle, build_spectral_work(problem, bundle, solution))
     a_w, r = problem.a_matrix @ w, solution.r
     r_unit = r / np.linalg.norm(r)
     g = 2.0 * (r_unit @ a_w) * r_unit - a_w
     delta_a = np.outer(g, solution.x) - np.outer(r, w)
     scale = np.sqrt(np.linalg.norm(delta_a) ** 2 + np.linalg.norm(g) ** 2)
     return np.concatenate([delta_a.ravel(order="F"), -g]) / scale
+
+
+def _worst_in_rows(rows: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q^T [dA db] of worst_direction's z from R_0 = rows alone, [A b] = Q [R_0; 0].
+
+    r = [A b] x~ (x~ = [x; -1]) and A w lie in range([A b]), so Q_1^T r =
+    R_0 x~, Q_1^T A w = R_0[:, :n] w and the bottom block is zero: the
+    direction g x~^T - r [w; 0]^T is formed in the (n+1) x (n+1) top block,
+    over its Frobenius norm, with no m-row array.
+    """
+    x_tilde = np.append(x, -1.0)
+    r, a_w = rows @ x_tilde, rows[:, :-1] @ w
+    r_unit = r / np.linalg.norm(r)
+    g = 2.0 * (r_unit @ a_w) * r_unit - a_w
+    top = np.outer(g, x_tilde) - np.outer(r, np.append(w, 0.0))
+    return top / np.linalg.norm(top)
 
 
 def monte_carlo_validate(
@@ -288,17 +391,21 @@ def monte_carlo_validate(
 ) -> ValidationSummary:
     """Random-direction soundness sweep plus the worst-direction probe.
 
-    One generator, np.random.default_rng(seed), feeds the trials in order:
-    trial i's direction is its i-th run of m(n+1) standard normals, drawn
-    straight into the re-solve's buffer and divided by their norm. So the
-    first k trials are the same for any trials >= k, and the summary does
-    not depend on the stack size. The default step is 1e-8 ||[A b]||_F,
-    balancing the Taylor remainder against rounding. All trials share one
-    step, so Weyl's certificate covers all of them or none (certified_trials),
-    and each of the worst direction's four steps is judged on its own; a
-    covered step solves no secular root and gives the same ratio. Raises
-    ValueError for trials < 0 or a step that is not positive and finite, and
-    NotApplicable for a step below CLEAN_STEP_FLOOR ||[A b]||_F.
+    The trials are uniform unit directions drawn in order (_trials): below
+    the QR crossover trial i is the i-th run of m(n+1) standard normals of
+    np.random.default_rng(seed), drawn straight into the re-solve's buffer
+    and divided by their norm; past it, the i-th run of 2(n+1)^2 normals
+    and of n+1 chi-squares of the two generators of
+    np.random.SeedSequence(seed).spawn(2), as the row-block direction
+    [Y_1; T_2]. So the first k trials are the same for any trials >= k, and
+    the summary does not depend on the stack size. The default step is 1e-8
+    ||[A b]||_F, balancing the Taylor remainder against rounding. All trials
+    share one step, so Weyl's certificate covers all of them or none
+    (certified_trials), and each of the worst direction's four steps is
+    judged on its own; a covered step solves no secular root and gives the
+    same ratio. Raises ValueError for trials < 0 or a step that is not
+    positive and finite, and NotApplicable for a step below CLEAN_STEP_FLOOR
+    ||[A b]||_F.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -316,15 +423,21 @@ def monte_carlo_validate(
             f"(CLEAN_STEP_FLOOR * ||[A b]||_F), where the ratios measure rounding")
 
     certificate = _GapCertificate.of(bundle, base_solution, work)
-    draw = functools.partial(_unit_normals, np.random.default_rng(seed))
-    ratios = _ratios(problem, base_solution, draw, [(t, False)] * trials, certificate)
+    base = _lab_space(problem, bundle)
+    ratios = _ratios(base, base_solution, _trials(problem, seed), [(t, False)] * trials,
+                     certificate)
 
     # the worst direction at t, then three larger steps that may each lose the gap;
     # along it ||K z|| = ||K|| = kappa, so each remainder is |ratio - kappa|
     kappa = svd_condition(work, bundle, base_solution).kappa_abs
-    worst = worst_direction(bundle, problem, base_solution)
+    if base is bundle.rows:  # [A b] itself, below the crossover
+        worst = worst_direction(bundle, problem, base_solution).reshape(base.shape, order="F")
+    else:
+        worst = np.zeros_like(base)
+        worst[: problem.n + 1] = _worst_in_rows(bundle.rows, base_solution.x,
+                                                _worst_w(bundle, work))
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    worst_ratio, *probes = _ratios(problem, base_solution, _copying(worst), steps, certificate)
+    worst_ratio, *probes = _ratios(base, base_solution, _copying(worst), steps, certificate)
     slopes = [(step, abs(ratio - kappa))
               for (step, _), ratio in zip(steps[1:], probes) if ratio is not None]
 

@@ -157,20 +157,102 @@ def signed_v(bundle):
     return (vt * signs[:, None]).T
 
 
+def sigma_hat_of(bundle):
+    """(n,) every singular value of A, descending: the bundle's n secular
+    roots, each solved where first read and then cached."""
+    return np.array([bundle.roots.at(i)[0] for i in range(bundle.n)])
+
+
+def interlacing_defect(bundle):
+    """Worst violation of sigma_i >= sigma_hat_i >= sigma_{i+1}, scaled by sigma_1."""
+    sigma_hat = sigma_hat_of(bundle)
+    upper = np.max(sigma_hat - bundle.sigma[:-1], initial=0.0)
+    lower = np.max(bundle.sigma[1:] - sigma_hat, initial=0.0)
+    return max(upper, lower) / max(bundle.sigma[0], 1e-300)
+
+
 def k_of(problem):
     """The explicit first-order map K of a solvable problem."""
     bundle, solution, _ = pipeline(problem)
     return tc.build_k_matrix(problem, bundle, solution)
 
 
+def householder_q(problem, trans="T"):
+    """A function applying Q^T (or Q, for trans "N") to an m x k array, for
+    the bundle's own QR [A b] = Q [R_0; 0] (core.householder_qr, LAPACK
+    dgeqrt, then dgemqrt)."""
+    m, n = problem.m, problem.n
+    aug = np.empty((m, n + 1), order="F")
+    aug[:, :n], aug[:, n] = problem.a_matrix, problem.b_vector
+    reflectors, factors = core.householder_qr(aug)
+
+    def apply(c):
+        c, info = scipy.linalg.lapack.dgemqrt(reflectors, factors, np.asfortranarray(c),
+                                              side="L", trans=trans)
+        assert info == 0
+        return c
+
+    return apply
+
+
+def tall(problem):
+    """Whether the lab re-solves the problem in its row-block space (m >= 2(n+1))."""
+    return core.block_rows(problem.m, problem.n + 1) < problem.m
+
+
+def lab_direction(problem, z):
+    """The unit direction z = [vec(dA); db] in the lab's space (perturb._lab_space):
+    [dA db] itself below the crossover; past it, Q^T [dA db] through the
+    bundle's Householder QR, with its bottom m-n-1 rows reduced to their R."""
+    m, k = problem.m, problem.n + 1
+    direction = z.reshape((m, k), order="F")
+    if not tall(problem):
+        return direction
+    reduced = householder_q(problem)(direction)
+    return np.vstack([reduced[:k], np.linalg.qr(reduced[k:], mode="r")])
+
+
+def copying_each(problem, directions):
+    """A fill for perturb._resolves that copies in the unit directions z =
+    [vec(dA); db] in turn, each reduced to the lab's space."""
+    reduced = (lab_direction(problem, z) for z in directions)
+
+    def fill(stack):
+        for slot in stack:
+            np.copyto(slot, next(reduced))
+
+    return fill
+
+
+def lab_ratios(problem, z, steps, certificate=NO_STEP_COVERED):
+    """The lab's observed ratios along one unit direction z = [vec(dA); db],
+    reduced to its space, at each (t, optional) step."""
+    bundle = tc.svd_bundle(problem)
+    solution = tc.solve_tls(problem, bundle)
+    return perturb._ratios(perturb._lab_space(problem, bundle), solution,
+                           copying_each(problem, [z] * len(steps)), steps, certificate)
+
+
 def remainders(problem, z, steps):
     """|ratio - ||K z||| at each step t along the unit direction z, each step
     required, with K the explicit first-order map."""
     predicted = np.linalg.norm(k_of(problem) @ z)
-    solution = tc.solve_tls(problem, tc.svd_bundle(problem))
-    observed = perturb._ratios(problem, solution, perturb._copying(z),
-                               [(t, False) for t in steps], NO_STEP_COVERED)
+    observed = lab_ratios(problem, z, [(t, False) for t in steps])
     return [abs(ratio - predicted) for ratio in observed]
+
+
+def rounding_bar(problem):
+    """4 eps kappa_rel ||x|| = 4 eps kappa ||[A b]||_F of a solvable problem:
+    how far a re-solve in the row-block space may be from solve_tls on the
+    rebuilt problem. kappa ||[A b]||_F does not depend on the scale of [A b],
+    so it is read with the largest entry scaled into [1/2, 1), where
+    ||[A b]||_F^2 cannot overflow."""
+    exponent = np.frexp(np.max(np.abs(problem.augmented())))[1]
+    scaled = tc.TlsProblem(np.ldexp(problem.a_matrix, -exponent),
+                           np.ldexp(problem.b_vector, -exponent))
+    bundle, solution, work = pipeline(scaled)
+    kappa = tc.svd_condition(work, bundle, solution).kappa_abs
+    return 4.0 * np.finfo(float).eps * kappa * work.aug_frobenius
 
 
 class FixBClosedForms:

@@ -5,7 +5,7 @@ import pytest
 
 import tlscond as tc
 from conftest import FixBClosedForms as FB
-from conftest import pipeline
+from conftest import pipeline, sigma_hat_of
 from tlscond import generators
 from tlscond.bounds import kappa2_dominance
 from tlscond.cli import BOUND_COLUMNS, _bound_row
@@ -120,7 +120,7 @@ def test_kappa1_upper_meets_kappa2_lower_as_residual_vanishes():
         bundle, solution, _ = pipeline(problem)
         upper1 = tc.sv_bounds_kappa1(bundle, solution).upper
         lower2 = tc.lower_kappa2(bundle, solution).lower
-        q = (bundle.sigma[-1] / bundle.sigma_hat[-1]) ** 2
+        q = (bundle.sigma[-1] / sigma_hat_of(bundle)[-1]) ** 2
         assert upper1 / lower2 == pytest.approx(np.sqrt((1 + q) / (1 - q)), rel=1e-8)
         assert upper1 / lower2 == pytest.approx(1.0, abs=tol)
         assert upper1 / lower2 > 1.0
@@ -203,9 +203,9 @@ def test_upper_bound_dominance_chain():
         bundle, solution, _ = pipeline(problem)
         scale = np.hypot(1.0, solution.norm_x)
         sig_last = bundle.sigma[-1]
-        gap = (bundle.sigma_hat[-1] - sig_last) * (bundle.sigma_hat[-1] + sig_last)
+        gap = (sigma_hat_of(bundle)[-1] - sig_last) * (sigma_hat_of(bundle)[-1] + sig_last)
         upper1 = tc.sv_bounds_kappa1(bundle, solution).upper
-        mid = scale * np.sqrt(bundle.sigma_hat[0] ** 2 + sig_last**2) / gap
+        mid = scale * np.sqrt(sigma_hat_of(bundle)[0] ** 2 + sig_last**2) / gap
         loose = scale * np.sqrt(bundle.sigma[0] ** 2 + sig_last**2) / gap
         assert upper1 <= mid * (1 + 1e-12) <= loose * (1 + 1e-12)
 

@@ -7,7 +7,6 @@ import pytest
 import tlscond as tc
 from conftest import FixBClosedForms as FB
 from conftest import (
-    NO_STEP_COVERED,
     counting_factorizations,
     dense_copies,
     failed_dgeqrt,
@@ -15,14 +14,17 @@ from conftest import (
     failed_dstein,
     failed_singular_values,
     failed_svd,
+    interlacing_defect,
+    lab_ratios,
     pipeline,
+    sigma_hat_of,
     signed_v,
     tie_problem,
     tied_weighted_problem,
     unit_normals,
     zero_noise_deblur,
 )
-from tlscond import core, generators, perturb
+from tlscond import core, generators
 from tlscond.errors import (
     ConvergenceError,
     DegenerateVector,
@@ -47,14 +49,14 @@ def seeded_problems():
 
 def test_fix_a_singular_values(fix_a):
     bundle = tc.svd_bundle(fix_a)
-    np.testing.assert_allclose(bundle.sigma_hat, [2.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sigma_hat_of(bundle), [2.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(bundle.sigma, [2.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_fix_b_singular_values(fix_b):
     bundle = tc.svd_bundle(fix_b)
     np.testing.assert_allclose(bundle.sigma**2, [FB.sig1_sq, FB.sig2_sq], rtol=1e-14)
-    np.testing.assert_allclose(bundle.sigma_hat, [1.0], rtol=1e-15)
+    np.testing.assert_allclose(sigma_hat_of(bundle), [1.0], rtol=1e-15)
 
 
 def orthonormality_defect(bundle):
@@ -78,13 +80,13 @@ def test_bundle_defects_small():
         bundle = tc.svd_bundle(problem)
         assert orthonormality_defect(bundle) < 1e-12 * max(problem.m, problem.n)
         assert gram_defect(problem, bundle) < 1e-12
-        assert bundle.interlacing_defect() < 1e-12
+        assert interlacing_defect(bundle) < 1e-12
 
 
 def test_interlacing_every_bundle():
     for problem in seeded_problems():
         bundle = tc.svd_bundle(problem)
-        assert bundle.interlacing_defect() < 1e-12
+        assert interlacing_defect(bundle) < 1e-12
 
 
 def check_gap(bundle):
@@ -181,7 +183,7 @@ def test_check_p_reads_the_top_root_over_the_gap():
     # eps sigma_hat_1^2 / delta, returned where it is at most P_ROUNDING_LIMIT
     bundle, _, _ = pipeline(tc.generate_ab_alpha(50, 10, 0.3, seed=7))
     rounding = core.check_p(bundle)
-    assert rounding == EPS * bundle.sigma_hat[0] ** 2 / bundle.delta
+    assert rounding == EPS * sigma_hat_of(bundle)[0] ** 2 / bundle.delta
     assert 0.0 < rounding <= core.P_ROUNDING_LIMIT
     # the refusal names the quotient and the limit
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
@@ -232,7 +234,7 @@ def test_bundle_agrees_with_direct_svds(shape):
     # numpy's layout: the products with V11 round by it
     assert core.right_factor(bundle.rows).flags.c_contiguous
     np.testing.assert_allclose(bundle.sigma, sigma, rtol=0, atol=1e-14 * sigma[0])
-    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
+    np.testing.assert_allclose(sigma_hat_of(bundle), sigma_hat, rtol=0, atol=1e-14 * sigma[0])
     x_direct = -vt_aug[-1, :-1] / vt_aug[-1, -1]
     x = tc.solve_tls(problem, bundle).x
     assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
@@ -258,7 +260,7 @@ def test_deblur_bundle_is_the_direct_svds():
     bar = 4.0 * EPS / min(solution.gap.rel_gap, 1.0)
     assert np.linalg.norm(solution.x - x_direct) <= bar * np.linalg.norm(x_direct)
     # sigma_hat are secular roots, not an SVD of A: equal to rounding
-    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * sigma[0])
+    np.testing.assert_allclose(sigma_hat_of(bundle), sigma_hat, rtol=0, atol=1e-14 * sigma[0])
     # the whole V, formed on request, in numpy's layout; signed as the few
     # values are, it gives them to rounding
     assert core.right_factor(bundle.rows).flags.c_contiguous
@@ -344,7 +346,7 @@ def test_only_tall_bundles_run_a_qr(monkeypatch):
         tc.bounds_report(problem, bundle, solution, work)
         tc.residual_diagnostics(problem, bundle, solution)
         orthonormality_defect(bundle)
-        bundle.interlacing_defect()
+        interlacing_defect(bundle)
         gram_defect(problem, bundle)  # reads [A b] itself: no Q is rebuilt
         assert qr_calls() == bundle_qr
 
@@ -373,8 +375,8 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     direction = unit_normals(50, 10, np.random.default_rng(3))
     steps = [(t, False) for t in (1e-3, 1e-5, 1e-7)]
     before = len(roots)
-    perturb._ratios(problem, solution, perturb._copying(direction), steps, NO_STEP_COVERED)
-    assert roots[before:] == [9, 9, 9]
+    lab_ratios(problem, direction, steps)
+    assert roots[before:] == [9] + [9, 9, 9]  # lab_ratios' own bundle, then the re-solves
     roots.clear()
     bundle, solution, work = pipeline(problem)
     assert roots == [9]
@@ -387,7 +389,8 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     tc.bounds_report(problem, bundle, solution, work)
     assert sorted(roots) == [0, 8, 9]
     # the full sweep only through sigma_hat, reusing the cached roots
-    np.testing.assert_allclose(bundle.sigma_hat, np.linalg.svd(problem.a_matrix, compute_uv=False),
+    np.testing.assert_allclose(sigma_hat_of(bundle),
+                               np.linalg.svd(problem.a_matrix, compute_uv=False),
                                rtol=0, atol=1e-14 * bundle.sigma[0])
     assert sorted(roots) == list(range(10))
     # every reader of a bundle shares one dlasd4 call per root: the gap chain's
@@ -398,7 +401,7 @@ def test_secular_roots_are_solved_only_where_read(monkeypatch):
     tc.svd_condition(work, bundle, solution)
     tc.baboulin_condition(work, bundle, solution)
     tc.bounds_report(problem, bundle, solution, work)
-    bundle.sigma_hat
+    sigma_hat_of(bundle)
     # each sigma_hat root once, and kappa's equation once, at its top root n - 1
     assert sorted(roots) == [*range(10), 9]
 
@@ -540,8 +543,9 @@ def test_deflated_secular_spectrum(name):
     problem = make()
     bundle = tc.svd_bundle(problem)
     sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
-    np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=1e-14 * bundle.sigma[0])
-    assert bundle.sigma_hat_n == bundle.sigma_hat[-1]
+    np.testing.assert_allclose(sigma_hat_of(bundle), sigma_hat, rtol=0,
+                               atol=1e-14 * bundle.sigma[0])
+    assert bundle.sigma_hat_n == sigma_hat_of(bundle)[-1]
     # the gap decision of an SVD of A
     if bundle.sigma[-1] < sigma_hat[-1]:
         check_gap(bundle)
@@ -557,7 +561,7 @@ def test_deflated_secular_spectrum(name):
 
 def test_x_zero_deflates_to_the_leading_singular_values():
     bundle = tc.svd_bundle(x_zero_problem())
-    np.testing.assert_array_equal(bundle.sigma_hat, bundle.sigma[:-1])
+    np.testing.assert_array_equal(sigma_hat_of(bundle), bundle.sigma[:-1])
     sigma_n, sigma_last = bundle.sigma[-2:]
     assert bundle.delta == pytest.approx((sigma_n - sigma_last) * (sigma_n + sigma_last), rel=1e-15, abs=0)
 
@@ -575,7 +579,7 @@ def test_sigma_hat_when_b_outweighs_a(n, scale):
         bundle = tc.svd_bundle(problem)
         sigma_hat = np.linalg.svd(problem.a_matrix, compute_uv=False)
         atol = 32 * EPS * bundle.sigma[0]
-        np.testing.assert_allclose(bundle.sigma_hat, sigma_hat, rtol=0, atol=atol)
+        np.testing.assert_allclose(sigma_hat_of(bundle), sigma_hat, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1.7e308])
@@ -658,7 +662,7 @@ def test_a_run_of_tied_poles_is_walked_without_recursion():
     problem = tc.TlsProblem(2.0 * np.eye(n + 1)[:, :n], 2.0 * np.eye(n + 1)[:, n])
     bundle = tc.svd_bundle(problem)
     assert bundle.delta == 0.0
-    np.testing.assert_allclose(bundle.sigma_hat, 2.0, rtol=1e-15)
+    np.testing.assert_allclose(sigma_hat_of(bundle), 2.0, rtol=1e-15)
     assert bundle.roots.at(0)[1] == 0.0
     with pytest.raises(NoUniqueSolution):
         tc.solve_tls(problem, bundle)

@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 
 import tlscond as tc
-from conftest import counting_factorizations, dense_copies, pipeline, signed_v, zero_noise_deblur
+from conftest import (
+    counting_factorizations,
+    dense_copies,
+    pipeline,
+    sigma_hat_of,
+    signed_v,
+    zero_noise_deblur,
+)
 from tlscond import generators
 from tlscond.errors import GapFailure, InvalidAlpha, ShapeError
 from tlscond.generators import _banded_toeplitz_norm
@@ -116,7 +123,7 @@ def test_generate_ab_alpha_tiny_alpha_v11_condition():
     pytest.importorskip("mpmath")
     from oracle import oracle_rel_gap
 
-    bound = 4.0 * np.finfo(float).eps * bundle.sigma[0] / bundle.sigma_hat[-1]
+    bound = 4.0 * np.finfo(float).eps * bundle.sigma[0] / sigma_hat_of(bundle)[-1]
     assert abs(diag.rel_gap - oracle_rel_gap(problem)) <= bound
 
 
@@ -145,7 +152,7 @@ def test_gap_shrinks_with_alpha():
         for seed in range(10):
             problem = tc.generate_ab_alpha(20, 6, alpha, seed=300 + seed)
             bundle = tc.svd_bundle(problem)
-            gaps.append(float(bundle.sigma_hat[-1] - bundle.sigma[-1]))
+            gaps.append(float(sigma_hat_of(bundle)[-1] - bundle.sigma[-1]))
         medians.append(float(np.median(gaps)))
     assert all(a > b for a, b in zip(medians, medians[1:]))
 
@@ -357,3 +364,20 @@ def test_config_validation():
     # a spread whose square underflows would give a NaN kernel peak
     with pytest.raises(ShapeError, match="too small"):
         tc.kamm_nagy_problem(tc.KammNagyConfig(m=40, omega=8, spread=1e-200))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m", 100.0), ("m", True), ("omega", 8.0), ("omega", True), ("seed", 1.5), ("seed", -1),
+    ("seed", False), ("seed", None),
+])
+def test_a_deblur_config_refuses_a_field_that_is_not_an_integer(field, value):
+    # numpy raised TypeError from inside the draw for a float m, omega or seed
+    with pytest.raises(ShapeError, match=f"^{field} must be "):
+        tc.KammNagyConfig(**{"m": 100, field: value})
+
+
+def test_a_deblur_config_takes_numpy_integers():
+    config = tc.KammNagyConfig(m=np.int64(60), omega=np.int32(8), seed=np.uint32(1))
+    np.testing.assert_array_equal(
+        tc.kamm_nagy_problem(config).augmented(),
+        tc.kamm_nagy_problem(tc.KammNagyConfig(m=60, seed=1)).augmented())

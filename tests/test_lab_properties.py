@@ -1,42 +1,49 @@
 """Properties: every trial re-solve of the lab is solve_tls on the rebuilt problem, bit for
-bit, and a step that Weyl's certificate covers keeps the gap."""
-
-import functools
+bit below the QR crossover and to rounding past it, and a step that Weyl's certificate covers
+keeps the gap."""
 
 import numpy as np
 import pytest
 
 import tlscond as tc
-from conftest import NO_STEP_COVERED, perturbed, unit_normals
+from conftest import NO_STEP_COVERED, copying_each, perturbed, rounding_bar, tall, unit_normals
 from tlscond import core, perturb
 from tlscond.errors import TlsCondError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+EPS = np.finfo(float).eps
 
 
 def _reference(problem, z, t):
-    """(x, rel_gap) of solve_tls on [A + t dA, b + t db], or the typed error it raises."""
+    """(x, rel_gap, sigma_hat_n) of solve_tls on [A + t dA, b + t db], or the typed error it
+    raises."""
     rebuilt = perturbed(problem, z, t)
     try:
-        solution = tc.solve_tls(rebuilt, tc.svd_bundle(rebuilt))
+        bundle = tc.svd_bundle(rebuilt)
+        solution = tc.solve_tls(rebuilt, bundle)
     except TlsCondError as exc:
         return exc
-    return solution.x, solution.gap.rel_gap
+    return solution.x, solution.gap.rel_gap, bundle.sigma_hat_n
 
 
 def _lab(problem, seed, ts, certificate):
-    """Each step's (x, rel_gap) from _resolves on one generator, or the typed error.
+    """Each step's (x, rel_gap) from _resolves, or the typed error.
 
-    A step that the certificate covers reads rel_gap None.
+    Below the crossover the directions are the lab's own random trials from
+    seed; past it the m(n+1) normals of default_rng(seed), run by run,
+    reduced through the QR to the lab's row-block space. A step that the
+    certificate covers reads rel_gap None.
     """
-    resolves = perturb._resolves(
-        problem, functools.partial(perturb._unit_normals, np.random.default_rng(seed)), ts,
-        certificate,
-    )
+    if tall(problem):
+        rng = np.random.default_rng(seed)
+        fill = copying_each(problem, [unit_normals(problem.m, problem.n, rng) for _ in ts])
+    else:
+        fill = perturb._trials(problem, seed)
+    base = perturb._lab_space(problem, tc.svd_bundle(problem))
     out = []
     try:
-        for resolved in resolves:
+        for resolved in perturb._resolves(base, fill, ts, certificate):
             out.append(resolved if isinstance(resolved, TlsCondError)
                        else (resolved[0], None if resolved[1] is None else resolved[1].rel_gap))
     except TlsCondError as exc:
@@ -58,30 +65,39 @@ def _problem(n, rows, at_limit, data_seed):
 
 
 def _assert_each_step_is_the_reference(problem, stream_seed, ts, got):
-    """Every re-solve in got is _reference's, drawn in turn from the same stream."""
+    """Every re-solve in got is _reference's, drawn in turn from the same stream:
+    bitwise below the crossover; past it x within 4 eps kappa_rel ||x||, and
+    the same type of refusal."""
     # every step is re-solved, unless one raises (and so ends the run)
     assert len(got) == len(ts) or isinstance(got[-1], TlsCondError)
+    bar = rounding_bar(problem) if tall(problem) else 0.0
     directions = np.random.default_rng(stream_seed)
     references = []
     for t, resolved in zip(ts, got):
         expected = _reference(problem, unit_normals(problem.m, problem.n, directions), t)
         references.append(expected)
         if isinstance(expected, TlsCondError):
-            assert type(resolved) is type(expected) and str(resolved) == str(expected)
+            assert type(resolved) is type(expected)
+            assert bar or str(resolved) == str(expected)
             continue
         assert not isinstance(resolved, TlsCondError), resolved
-        np.testing.assert_array_equal(resolved[0], expected[0])
+        assert np.linalg.norm(resolved[0] - expected[0]) <= bar
     return references
 
 
 def _assert_re_solves_are_the_solver(n, rows, at_limit, data_seed, stream_seed, exponents):
-    """Steps of 10^e ||[A b]||_F along one stream re-solve as solve_tls does, rel_gap included."""
+    """Steps of 10^e ||[A b]||_F along one stream re-solve as solve_tls does, rel_gap included
+    (past the crossover to a rounding of 16 eps ||[A b]||_F in sigma_hat_n and sigma_{n+1})."""
     problem, scale = _problem(n, rows, at_limit, data_seed)
     ts = [10.0**e * scale for e in exponents]
     got = _lab(problem, stream_seed, ts, NO_STEP_COVERED)
     references = _assert_each_step_is_the_reference(problem, stream_seed, ts, got)
     for resolved, expected in zip(got, references):
-        if not isinstance(expected, TlsCondError):
+        if isinstance(expected, TlsCondError):
+            continue
+        if tall(problem):
+            assert abs(resolved[1] - expected[1]) <= 16 * EPS * scale / expected[2]
+        else:
             assert resolved[1] == expected[1]
 
 

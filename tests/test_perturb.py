@@ -2,17 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import tlscond as tc
 from conftest import (
     NO_STEP_COVERED,
+    copying_each,
     counting_factorizations,
     failed_dstein,
     failed_singular_values,
+    householder_q,
     k_of,
+    lab_ratios,
     perturbed,
     pipeline,
     remainders,
+    rounding_bar,
+    tall,
     unit_normals,
 )
 from tlscond import core, perturb
@@ -45,9 +51,7 @@ def unit_direction(m, n, entry=None, b_entry=None):
 
 def ratios(problem, z, steps):
     """The lab's observed ratios along one fixed direction z, each step required."""
-    solution = tc.solve_tls(problem, tc.svd_bundle(problem))
-    return perturb._ratios(problem, solution, perturb._copying(z), [(t, False) for t in steps],
-                           NO_STEP_COVERED)
+    return lab_ratios(problem, z, [(t, False) for t in steps])
 
 
 @pytest.fixture(
@@ -203,11 +207,14 @@ def test_monte_carlo_fix_b(fix_b):
     assert len(summary.convergence_slopes) == 3
 
 
-@pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30"])
+@pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30", "deblur_60"])
 def test_the_worst_direction_probe_is_the_convergence_study(name):
     # the summary's worst-direction ratio and slopes are the ratio and the
-    # remainders |ratio - kappa| along worst_direction at the same steps, bit
-    # for bit: along it ||K z|| = ||K|| = kappa
+    # remainders |ratio - kappa| along worst_direction at the same steps:
+    # along it ||K z|| = ||K|| = kappa. On [A b] itself bit for bit; in the
+    # row-block space of a tall problem the lab forms the direction from R_0,
+    # and both agree with z reduced through the QR to rounding, 4 eps kappa_rel
+    # ||x|| in x
     problem = RESOLVE_CASES[name]()
     summary = tc.monte_carlo_validate(problem, trials=5, seed=2)
     steps = [t for t, _ in summary.convergence_slopes]
@@ -215,10 +222,11 @@ def test_the_worst_direction_probe_is_the_convergence_study(name):
     bundle, solution, _ = pipeline(problem)
     worst = tc.worst_direction(bundle, problem, solution)
     first, *points = ratios(problem, worst, [summary.step, *steps])
-    assert first == summary.worst_direction_ratio
+    bar = rounding_bar(problem) if tall(problem) else 0.0
+    assert abs(first - summary.worst_direction_ratio) <= bar / summary.step
     kappa = summary.kappa_reference
-    assert [(t, abs(ratio - kappa)) for t, ratio in zip(steps, points)] == list(
-        summary.convergence_slopes)
+    for (t, remainder), ratio in zip(summary.convergence_slopes, points):
+        assert abs(remainder - abs(ratio - kappa)) <= bar / t
 
 
 def test_monte_carlo_trials_zero(fix_b):
@@ -268,19 +276,21 @@ RESOLVE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", RESOLVE_CASES)
+def stacked_resolves(problem, directions, ts):
+    """_resolves' (x, gap) per step, with the unit directions reduced to its space."""
+    base = perturb._lab_space(problem, tc.svd_bundle(problem))
+    return list(perturb._resolves(base, copying_each(problem, directions), ts, NO_STEP_COVERED))
+
+
+@pytest.mark.parametrize("name", ["deblur_60", "alpha_6x5"])  # below the QR crossover
 def test_stacked_resolves_are_the_solver_bitwise(name):
     problem = RESOLVE_CASES[name]()
+    assert not tall(problem)
     rng = np.random.default_rng(8)
     directions = [unit_normals(problem.m, problem.n, rng) for _ in range(12)]
     scale = np.linalg.norm(problem.augmented())
     ts = [scale * 10.0 ** -(4 + i % 5) for i in range(12)]
-    fills = iter(directions)
-
-    def fill(z):
-        np.copyto(z, next(fills))
-
-    resolved = list(perturb._resolves(problem, fill, ts, NO_STEP_COVERED))
+    resolved = stacked_resolves(problem, directions, ts)
     assert len(resolved) == 12
     for (x, gap), z, t in zip(resolved, directions, ts):
         rebuilt = perturbed(problem, z, t)
@@ -289,19 +299,64 @@ def test_stacked_resolves_are_the_solver_bitwise(name):
         assert gap.rel_gap == reference.gap.rel_gap
 
 
+@pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30", "alpha_40x1"])
+def test_tall_stacked_resolves_are_the_solver_to_rounding(name):
+    # past the crossover a step re-solves [R_0 + t Y_1; t T_2], with [Y_1; Y_2]
+    # = Q^T [dA db] and T_2 the R of Y_2: the same singular values and right
+    # vectors as the rebuilt problem, so the same x to rounding, 4 eps
+    # kappa_rel ||x||, at steps of 1e-6 to 1e-10 ||[A b]||_F
+    problem = RESOLVE_CASES[name]()
+    assert tall(problem)
+    rng = np.random.default_rng(8)
+    directions = [unit_normals(problem.m, problem.n, rng) for _ in range(15)]
+    scale = np.linalg.norm(problem.augmented())
+    ts = [scale * 10.0 ** -(6 + i % 5) for i in range(15)]
+    resolved = stacked_resolves(problem, directions, ts)
+    assert len(resolved) == 15
+    bar = rounding_bar(problem)
+    for (x, gap), z, t in zip(resolved, directions, ts):
+        rebuilt = perturbed(problem, z, t)
+        reference = tc.solve_tls(rebuilt, tc.svd_bundle(rebuilt))
+        assert np.linalg.norm(x - reference.x) <= bar
+        assert gap.rel_gap == pytest.approx(reference.gap.rel_gap, rel=1e-8)
+
+
+def block_trials(problem, seed, count):
+    """The lab's first count random trials past the crossover as unit
+    directions z = [vec(dA); db] of the whole problem: Q [Y_1; T_2; 0] over
+    its norm, each drawn alone from the two streams of SeedSequence(seed)."""
+    m, k = problem.m, problem.n + 1
+    normals, chis = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    apply_q = householder_q(problem, trans="N")
+    trials = []
+    for _ in range(count):
+        block = np.empty((1, k, 2 * k)).transpose(0, 2, 1)  # Fortran-ordered, as the lab's
+        perturb._gaussian_blocks(normals, chis, m, block)
+        whole = np.zeros((m, k))
+        whole[: 2 * k] = block[0] / np.linalg.norm(block[0])
+        trials.append(apply_q(whole).ravel(order="F"))
+    return trials
+
+
 @pytest.mark.parametrize("name", ["alpha_50x10", "deblur_60"])  # the QR and the direct route
 def test_the_trials_are_random_directions_drawn_in_turn(name):
-    # trial i is the i-th run of m(n+1) normals of default_rng(seed) in
-    # stacked order, unit length, re-solved one problem at a time: the same
-    # maximum, bit for bit
+    # trial i is the i-th run of each stream, re-solved one problem at a time:
+    # below the crossover m(n+1) normals of default_rng(seed) in stacked
+    # order, over their norm, and the same maximum bit for bit; past it the
+    # row-block draw [Y_1; T_2] taken back to the whole problem through Q,
+    # and the same maximum to rounding
     problem = RESOLVE_CASES[name]()
     t = 1e-8 * np.linalg.norm(problem.augmented())
     summary = tc.monte_carlo_validate(problem, trials=12, t=t, seed=3)
     base = tc.solve_tls(problem, tc.svd_bundle(problem))
-    rng = np.random.default_rng(3)
-    observed = [per_trial_ratio(problem, base, unit_normals(problem.m, problem.n, rng), t)
-                for _ in range(12)]
-    assert summary.max_observed_ratio == max(observed)
+    if tall(problem):
+        directions, bar = block_trials(problem, 3, 12), rounding_bar(problem)
+    else:
+        rng = np.random.default_rng(3)
+        directions = [unit_normals(problem.m, problem.n, rng) for _ in range(12)]
+        bar = 0.0
+    observed = [per_trial_ratio(problem, base, z, t) for z in directions]
+    assert abs(summary.max_observed_ratio - max(observed)) <= bar / t
 
 
 def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
@@ -378,14 +433,15 @@ def test_a_wide_stack_is_rerun_block_by_block(monkeypatch):
 def test_a_gap_lost_mid_stack_raises_as_the_per_trial_solver():
     # trial 9 of 20, all in one stack, collapses the gap: the same error as
     # one problem at a time, drawn in turn from the validate's one generator
-    problem = tc.generate_ab_alpha(10, 3, 0.05, seed=1)
-    t = 0.07 * np.linalg.norm(problem.augmented())
+    # (9 x 4 is below the QR crossover, where the re-solves are the solver's bits)
+    problem = tc.generate_ab_alpha(9, 4, 0.1, seed=3)
+    t = 0.1 * np.linalg.norm(problem.augmented())
     base = tc.solve_tls(problem, tc.svd_bundle(problem))
     rng = np.random.default_rng(1)
     with pytest.raises(PerturbationTooLarge) as expected:
         for index in range(20):
-            per_trial_ratio(problem, base, unit_normals(10, 3, rng), t)
-    assert index == 9
+            per_trial_ratio(problem, base, unit_normals(9, 4, rng), t)
+    assert index == 8
     with pytest.raises(PerturbationTooLarge) as got:
         tc.monte_carlo_validate(problem, trials=20, t=t, seed=1)
     assert str(got.value) == str(expected.value)
@@ -420,12 +476,10 @@ def test_the_lab_memory_does_not_grow_with_trials():
 
 def test_an_optional_step_that_loses_the_gap_gives_none(fix_b):
     # dA = -A at t = 1 zeroes A, so the gap is lost; the next step still resolves
-    solution = pipeline(fix_b)[1]
     direction = stacked(-fix_b.a_matrix, np.zeros(2))
 
     def probe(steps):
-        return perturb._ratios(fix_b, solution, perturb._copying(direction), steps,
-                               NO_STEP_COVERED)
+        return lab_ratios(fix_b, direction, steps)
 
     lost, ratio = probe([(1.0, True), (1e-8, False)])
     assert lost is None
@@ -465,7 +519,9 @@ def test_a_certified_step_keeps_the_gap(m, n, alpha):
     # trial re-solved one problem at a time keeps rel_gap >= GAP_PERSISTENCE
     # times the base's (per_trial_ratio raises otherwise): random directions,
     # and the two that move one end of the gap by the whole step. The lab's
-    # certified re-solves, which skip that check, give the same ratios.
+    # certified re-solves, which skip that check, give the same ratios: bit
+    # for bit on [A b] itself, to rounding (4 eps kappa_rel ||x|| in x) in
+    # the row-block space of a tall problem.
     for seed in (1, 2):
         problem = tc.generate_ab_alpha(m, n, alpha, seed=seed)
         certificate, base = certificate_of(problem)
@@ -475,10 +531,13 @@ def test_a_certified_step_keeps_the_gap(m, n, alpha):
         rng = np.random.default_rng(seed)
         directions = [unit_normals(m, n, rng) for _ in range(8)] + gap_moving_directions(problem)
         expected = [per_trial_ratio(problem, base, z, t) for z in directions]
-        fills = iter(directions)
-        got = perturb._ratios(problem, base, lambda z: np.copyto(z, next(fills)),
+        got = perturb._ratios(perturb._lab_space(problem, tc.svd_bundle(problem)), base,
+                              copying_each(problem, directions),
                               [(t, False)] * len(directions), certificate)
-        assert got == expected
+        if tall(problem):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=rounding_bar(problem) / t)
+        else:
+            assert got == expected
 
 
 def counting_roots(monkeypatch):
@@ -513,3 +572,57 @@ def test_certified_steps_solve_no_secular_root(monkeypatch):
     assert summary.certified_trials == 5 and len(built) == 3
     assert (summary.gap, summary.gap_shift) == (
         certificate.gap, 2.0 * summary.step + certificate.slack)
+
+
+def test_row_block_trials_are_whole_space_trials_in_distribution():
+    # past the crossover the lab draws [Y_1; T_2] in the row block, where the
+    # parent drew m(n+1) normals: the observed ratios of 400 trials of each
+    # (the whole-space ones re-solved one problem at a time) pass a
+    # two-sample Kolmogorov-Smirnov test
+    problem = tc.generate_ab_alpha(12, 3, 0.3, seed=1)
+    assert tall(problem)
+    bundle = tc.svd_bundle(problem)
+    base = tc.solve_tls(problem, bundle)
+    t = 1e-8 * np.linalg.norm(problem.augmented())
+    block = perturb._ratios(perturb._lab_space(problem, bundle), base, perturb._trials(problem, 5),
+                            [(t, False)] * 400, NO_STEP_COVERED)
+    rng = np.random.default_rng(6)
+    whole = [per_trial_ratio(problem, base, unit_normals(12, 3, rng), t) for _ in range(400)]
+    assert scipy.stats.ks_2samp(block, whole).pvalue >= 1e-3
+
+
+def test_the_row_block_draw_is_bartletts():
+    # (T_2)_ii^2 is chi-square with m-n-1-i degrees of freedom: mean m-n-1-i
+    # and variance 2(m-n-1-i); the other entries of [Y_1; T_2] are standard
+    # normal, and T_2 is upper triangular
+    m, k, count = 30, 5, 4000
+    normals, chis = map(np.random.default_rng, np.random.SeedSequence(11).spawn(2))
+    blocks = np.full((count, k, 2 * k), np.nan).transpose(0, 2, 1)
+    perturb._gaussian_blocks(normals, chis, m, blocks)
+    bottom = blocks[:, k:]
+    for i in range(k):
+        freedom = m - k - i
+        mean = np.mean(bottom[:, i, i] ** 2)
+        assert abs(mean - freedom) <= 4.0 * np.sqrt(2.0 * freedom / count)
+    below, upper = np.tril_indices(k, -1), np.triu_indices(k, 1)
+    assert not bottom[:, below[0], below[1]].any()
+    normal = np.concatenate([blocks[:, :k].ravel(), bottom[:, upper[0], upper[1]].ravel()])
+    assert abs(np.mean(normal)) <= 4.0 / np.sqrt(normal.size)
+    assert abs(np.var(normal) - 1.0) <= 4.0 * np.sqrt(2.0 / normal.size)
+
+
+@pytest.mark.parametrize("name", ["alpha_50x10", "alpha_200x30", "alpha_40x1"])
+def test_the_worst_direction_lies_in_the_row_block(name):
+    # Q^T of worst_direction's [dA db] has a bottom block of rounding size,
+    # and the lab's form of it from R_0 alone is its top block to the same
+    # bar, 10 eps kappa_rel
+    problem = RESOLVE_CASES[name]()
+    m, k = problem.m, problem.n + 1
+    bundle, solution, work = pipeline(problem)
+    bar = 10.0 * np.finfo(float).eps * tc.svd_condition(work, bundle, solution).kappa_rel
+    z = tc.worst_direction(bundle, problem, solution)
+    reduced = householder_q(problem)(z.reshape((m, k), order="F"))
+    top = reduced[:k]
+    assert np.linalg.norm(reduced[k:]) <= bar * np.linalg.norm(top)
+    in_rows = perturb._worst_in_rows(bundle.rows, solution.x, perturb._worst_w(bundle, work))
+    assert np.linalg.norm(in_rows - top) <= bar * np.linalg.norm(top)
