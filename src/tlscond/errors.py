@@ -18,12 +18,14 @@ class ConvergenceError(TlsCondError):
     dbdsqr, dstebz, dstein, dormbr, or dlasd4.
 
     These are the bundle's row-block kernels, which the alpha generator and
-    the perturbation lab's stacked re-solves share: dgeqrt for the QR, and
-    for the SVD numpy's dgesdd (core.full_svd) on narrow blocks and, at every
-    width, for the whole V that the lab's worst direction forms through
-    core.right_factor and for the alpha generator's draw; on wide blocks
-    dgebrd, then dbdsqr, dstebz, dstein and dormbr for the few values the
-    bundle keeps (core.few_value_svd). dlasd4 solves the secular roots.
+    the perturbation lab's stacked re-solves share: dgeqrt for the QR (the
+    lab reduces its tall stacks by numpy's stacked dgeqrf instead, whose
+    info reports only illegal arguments), and for the SVD numpy's dgesdd
+    (core.full_svd) on narrow blocks and, at every width, for the whole V
+    that the lab's worst direction forms through core.right_factor and for
+    the alpha generator's draw; on wide blocks dgebrd, then dbdsqr, dstebz,
+    dstein and dormbr for the few values the bundle keeps
+    (core.few_value_svd). dlasd4 solves the secular roots.
     """
 
 

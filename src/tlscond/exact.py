@@ -43,7 +43,7 @@ top eigenvalue alone, from LAPACK dsyevr.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
@@ -122,6 +122,19 @@ def _gram_norm(gram: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _frobenius(*parts: np.ndarray) -> float:
+    """The Frobenius norm of the parts side by side (||[A b]||_F of A and b).
+
+    Every part is divided by the power of two of the largest entry of them
+    all first, which is exact, so no square overflows: np.linalg.norm of
+    [A b] near core's scale limit would. Where it would not, the result is
+    bitwise that plain norm (np.hypot of the parts' norms).
+    """
+    exponent = max(int(np.frexp(np.max(np.abs(part), initial=0.0))[1]) for part in parts)
+    norms = [np.linalg.norm(np.ldexp(part, -exponent)) for part in parts]
+    return float(np.ldexp(reduce(np.hypot, norms), exponent))
+
+
 def _relative(kappa_abs: float, aug_norm: float, solution: TlsSolution) -> float | None:
     norm_x = solution.norm_x
     if norm_x == 0.0:
@@ -151,7 +164,7 @@ def build_spectral_work(
         alpha=float(-solution.last_right_vector[n]),
         s_diag=np.sqrt(head**2 + sig2) / lam,
         lambda_diag=lam,
-        aug_frobenius=float(np.linalg.norm(bundle.sigma)),  # ||[A b]||_F
+        aug_frobenius=_frobenius(bundle.sigma),  # ||[A b]||_F = ||sigma||
     )
 
 
@@ -206,7 +219,7 @@ def kron_condition(
     taken from the data.
     """
     kappa = _gram_norm(k_matrix @ k_matrix.T)
-    aug_norm = float(np.hypot(np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector)))
+    aug_norm = _frobenius(problem.a_matrix, problem.b_vector)
     return ConditionEstimate(kappa, _relative(kappa, aug_norm, solution))
 
 

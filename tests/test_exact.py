@@ -588,3 +588,32 @@ def test_scale_invariance():
     # check_p's quotient does not depend on scale: alpha 50x10 passes at every k
     assert {name for name, _ in gated} == set(problems) - {"alpha 50x10"}
     assert len(gated) == 399
+
+
+def test_every_route_and_the_lab_read_a_problem_at_the_scale_limit():
+    # a Gaussian 80x40 [A b] scaled to sigma_1 = (1 - 1e-4) core._SCALE_LIMIT
+    # passes svd_bundle, but ||sigma||^2 and ||A||_F^2 overflow: ||[A b]||_F is
+    # taken with the largest entry's power of two out first, so every route
+    # reads the unscaled kappa_rel and the lab's default step is finite; below
+    # the limit that norm is bitwise the plain one
+    aug = np.random.default_rng(0).standard_normal((80, 40))
+    factor = (1.0 - 1e-4) * core._SCALE_LIMIT / np.linalg.svd(aug, compute_uv=False)[0]
+    kappas = []
+    for scale in (1.0, factor):
+        problem = tc.TlsProblem(scale * aug[:, :-1], scale * aug[:, -1])
+        bundle, solution, work = pipeline(problem)
+        if scale == 1.0:
+            assert work.aug_frobenius == np.linalg.norm(bundle.sigma)
+            assert exact._frobenius(problem.a_matrix, problem.b_vector) == np.hypot(
+                np.linalg.norm(problem.a_matrix), np.linalg.norm(problem.b_vector))
+        kappas.append([
+            tc.svd_condition(work, bundle, solution).kappa_rel,
+            tc.cholesky_condition(work, problem, bundle, solution).kappa_rel,
+            tc.baboulin_condition(work, bundle, solution).kappa_rel,
+            tc.kron_condition(tc.build_k_matrix(problem, bundle, solution), problem,
+                              solution).kappa_rel,
+        ])
+        summary = tc.monte_carlo_validate(problem, trials=20, seed=1)
+        assert summary.sound and summary.attained
+    np.testing.assert_allclose(kappas[1], kappas[0], rtol=1e-10)
+    np.testing.assert_allclose(kappas[0], kappas[0][0], rtol=1e-8)

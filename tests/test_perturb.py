@@ -24,6 +24,7 @@ from conftest import (
 from tlscond import core, perturb
 from tlscond.errors import (
     ConvergenceError,
+    DegenerateVector,
     NoUniqueSolution,
     NotApplicable,
     PerturbationTooLarge,
@@ -362,13 +363,71 @@ def test_the_trials_are_random_directions_drawn_in_turn(name):
 def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     whole = tc.monte_carlo_validate(problem, trials=10, seed=3)
-    # a block, its u and its vt take 8 * 11 * 33 bytes: three to a stack
-    monkeypatch.setattr(perturb, "STACK_BYTES", 3 * 8 * 11 * 33)
+    # at its QR a trial's 22 x 11 direction and numpy's copy of it take
+    # 8 * 11 * 44 bytes: three to a stack. The worst direction's steps re-solve
+    # the 11 x 11 R_0 + t W with no QR, its block, u and vt taking 8 * 11 * 33
+    # bytes: all four in one stack
+    monkeypatch.setattr(perturb, "STACK_BYTES", 3 * 8 * 11 * 44)
     calls = counting_factorizations(monkeypatch)
     split = tc.monte_carlo_validate(problem, trials=10, seed=3)
-    stacks = [shape[0] for name, shape in calls if name == "svd" and len(shape) == 3]
-    assert stacks == [3, 3, 3, 1] + [3, 1]  # the trials, then the worst direction's four steps
+    stacks = [(name, shape[0]) for name, shape in calls if len(shape) == 3]
+    assert stacks == [("qr", 3), ("svd", 3)] * 3 + [("qr", 1), ("svd", 1), ("svd", 4)]
     assert split == whole
+
+
+def test_one_qr_and_one_svd_per_stack(monkeypatch):
+    # past the crossover the 100 trials are one stack: one stacked QR of the
+    # 22 x 11 sums, one stacked SVD of their R; the worst direction's four
+    # steps are one SVD. No dgeqrt runs but the bundle's
+    problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
+    calls = counting_factorizations(monkeypatch)
+    tc.monte_carlo_validate(problem, trials=100, seed=3)
+    assert calls == [("dgeqrt", (50, 11)), ("svd", (11, 11)),  # the bundle
+                     ("qr", (100, 22, 11)), ("svd", (100, 11, 11)),  # the trials
+                     ("svd", (11, 11)), ("svd", (4, 11, 11))]  # V, the worst direction
+
+
+@pytest.mark.parametrize("m, n, cap_mib", [(50, 10, 0.40), (100, 20, 1.40), (200, 30, 3.01)])
+def test_the_stacked_qr_holds_no_more_than_the_stacked_svd(m, n, cap_mib):
+    # the peak of one validate is its stacked SVD's: the 100 R, their scaled
+    # copy, u and vt. numpy's QR copies the 100 sums, and the sums are freed
+    # before R is taken from that copy, so the QR holds no more (mode "r"
+    # would make R while both are held: 0.56, 1.79 and 3.80 MiB)
+    problem = tc.generate_ab_alpha(m, n, 0.3, seed=2)
+    tc.monte_carlo_validate(problem, trials=100, seed=5)
+    tracemalloc.start()
+    try:
+        tc.monte_carlo_validate(problem, trials=100, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20
+
+
+def test_a_tall_stack_with_data_that_is_not_finite_raises_in_its_turn(monkeypatch):
+    # one stacked QR reduces all four sums, the third of them infinite; the
+    # stack's SVD refuses it, and block by block the first two steps are
+    # yielded, bit for bit as in a stack of finite data, before the third raises
+    problem = RESOLVE_CASES["alpha_50x10"]()
+    assert tall(problem)
+    base = perturb._lab_space(problem, tc.svd_bundle(problem))
+    t = 1e-8 * np.linalg.norm(problem.augmented())
+
+    def fill(directions, bad=None):
+        perturb._trials(problem, 1)(directions)
+        if bad is not None:
+            directions[bad] = np.inf
+
+    finite = list(perturb._resolves(base, fill, [t] * 4, NO_STEP_COVERED))
+    calls = counting_factorizations(monkeypatch)
+    resolved = perturb._resolves(base, lambda d: fill(d, bad=2), [t] * 4, NO_STEP_COVERED)
+    for step in range(2):
+        x, gap = next(resolved)
+        np.testing.assert_array_equal(x, finite[step][0])
+        assert gap.rel_gap == finite[step][1].rel_gap
+    with pytest.raises(ShapeError, match="entries must be finite"):
+        next(resolved)
+    assert calls == [("qr", (4, 22, 11)), ("svd", (11, 11)), ("svd", (11, 11))]
 
 
 def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
@@ -390,6 +449,27 @@ def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
     np.testing.assert_array_equal(next(factored)[0], sigma)
     with pytest.raises(ShapeError, match="entries must be finite"):
         next(factored)
+
+
+def test_a_stack_read_off_yields_and_raises_each_rule_in_its_turn():
+    # trailing_vector's rules are read for the whole stack at once, on steps
+    # the certificate covers (no check_gap): a block with sigma_{n+1} = 0
+    # gives its TrivialProblem in its turn, and one whose v_{n+1} ends in 0
+    # raises DegenerateVector after the steps before it, as solve_tls would
+    problem = tc.generate_ab_alpha(9, 4, 0.3, seed=1)
+    bundle = tc.svd_bundle(problem)
+    sigma, b_row, v_last = (np.tile(part, (4, 1))
+                            for part in (bundle.sigma, bundle.b_row, bundle.v_last))
+    sigma[1, -1] = 0.0
+    v_last[2, -1] = 0.0
+    covering = perturb._GapCertificate(gap=1.0, slack=0.0, sigma_hat_n=1.0, required=0.0)
+    read = perturb._read_off(sigma, b_row, v_last, [1e-3] * 4, covering)
+    x, gap = next(read)
+    np.testing.assert_array_equal(x, tc.solve_tls(problem, bundle).x)
+    assert gap is None
+    assert isinstance(next(read), TrivialProblem)
+    with pytest.raises(DegenerateVector, match="contradicts the gap condition"):
+        next(read)
 
 
 def test_numpy_never_factors_data_that_is_not_finite(monkeypatch):
