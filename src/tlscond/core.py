@@ -30,9 +30,10 @@ power of two, with dgesdd's signs. Its one reader is the perturbation lab's
 worst direction, on the bundle's read-only rows; below V_ONLY_WIDTH it is
 block_svd's own call, bitwise the V^T that gave b_row and v_last. The alpha
 generator takes the whole V of its random draw from full_svd too. The lab's
-tall stacks of 2(n+1)-row sums are reduced to R by one stacked numpy QR
-(dgeqrf block by block), not by householder_qr, which the bundle keeps for
-its one large QR. Neither Q nor any left singular factor is kept.
+tall stacks of 2(n+1)-row sums narrower than perturb.STACKED_QR_WIDTH are
+reduced to R by one stacked numpy QR (dgeqrf block by block); wider ones,
+and its worst direction's, by householder_qr, a block at a time, with R
+copied into its stack. Neither Q nor any left singular factor is kept.
 Every later Gram product reads rows[:, :n], A itself or its R_A, so on tall
 problems A^T A costs O(n^3), not O(mn^2). A is not factored. As
 A^T A = V1 Sigma^2 V1^T with V1 the first n rows of V and V1^T V1 = I - v v^T
@@ -698,17 +699,6 @@ def check_gap(sigma: np.ndarray, sig_hat_n: float, delta: float) -> GapDiagnosti
                           ratio_sigma_hat_n=1.0 - rel_gap)
 
 
-# trailing_vector: a last entry of v_{n+1} at or below this contradicts a valid gap
-_DEGENERATE_LAST = 1e-14
-
-
-def trailing_rules(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
-    """Where trailing_vector raises nothing, for one block or block by block
-    for a stack: the lab's stacked read-off applies its rules to a whole
-    stack at once."""
-    return (sigma[..., -1] > 0.0) & ~(np.abs(v_last[..., -1]) <= _DEGENERATE_LAST)
-
-
 def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
     """The solver's rules that do not read the gap: v_{n+1} with its sign fixed.
 
@@ -716,12 +706,12 @@ def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
     vector's last entry is numerically zero despite a valid gap (an upstream
     SVD failure). Returns a copy of v_last (V's last column) negated where
     needed so that its last entry is -alpha. solve_tls calls it once
-    check_gap has passed; the lab reads its rules for a whole stack through
-    trailing_rules, and calls it where a block fails them, for its error.
+    check_gap has passed; the lab calls it alone where Weyl's inequality has
+    certified the gap.
     """
     if not float(sigma[-1]) > 0.0:
         raise TrivialProblem("sigma_{n+1} = 0: b in range(A), take [E r] = 0")
-    if abs(v_last[-1]) <= _DEGENERATE_LAST:
+    if abs(v_last[-1]) <= 1e-14:
         raise DegenerateVector("v_{n+1}(n+1) ~ 0 contradicts the gap condition")
     return -v_last if v_last[-1] > 0 else v_last.copy()
 

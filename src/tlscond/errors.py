@@ -19,8 +19,8 @@ class ConvergenceError(TlsCondError):
 
     These are the bundle's row-block kernels, which the alpha generator and
     the perturbation lab's stacked re-solves share: dgeqrt for the QR (the
-    lab reduces its tall stacks by numpy's stacked dgeqrf instead, whose
-    info reports only illegal arguments), and for the SVD numpy's dgesdd
+    lab reduces its narrow tall stacks by numpy's stacked dgeqrf instead,
+    whose info reports only illegal arguments), and for the SVD numpy's dgesdd
     (core.full_svd) on narrow blocks and, at every width, for the whole V
     that the lab's worst direction forms through core.right_factor and for
     the alpha generator's draw; on wide blocks dgebrd, then dbdsqr, dstebz,

@@ -5,8 +5,7 @@ column-major), in the column order of the first-order map K. For a step t the
 observed sensitivity is ||x(A + t dA, b + t db) - x(A, b)|| / t, where the
 perturbed problem is re-solved from scratch through the SVD solver so the
 measurement is independent of the formulas under test. Every re-solve goes
-through one path, _resolves, in the lab's space (_lab_space; the worst
-direction's past the crossover is R_0 itself, see below). Below the
+through one path, _resolves, in the lab's space (_lab_space). Below the
 bundle's crossover (core.block_rows, m < 2(n+1)) that is [A b] itself, a
 direction is [dA db], and a re-solve is bitwise solve_tls(svd_bundle(p)) of
 the rebuilt problem p. Past it, with [A b] = Q [R_0; 0] and R_0 the bundle's
@@ -14,20 +13,21 @@ rows, a direction is Q^T [dA db] = [Y_1; Y_2] with Y_2 reduced to its R,
 T_2: [R_0 + t Y_1; t T_2] has the rebuilt problem's singular values and
 right singular vectors, so x agrees with the rebuilt problem's to rounding
 (within 4 eps kappa_rel ||x|| on the tested problems), and no m-row array,
-m-row QR or draw is made past the base bundle: a trial costs the same at
-any m. A stack of steps, at most STACK_BYTES at its peak, is built and
-factored by one call per kernel: each step's direction is scaled by t and
-the base is added; below the crossover in a reused stack of Fortran
-buffers, past it in a scratch stack of 2(n+1)-row sums that one stacked
-Householder QR (numpy's qr, LAPACK dgeqrf block by block) reduces to their
-R. One core.block_svd call factors the stack (each block scaled by a power
-of two, then numpy's stacked dgesdd below core.V_ONLY_WIDTH,
-core.few_value_svd block by block from there on, as svd_bundle factors one
-block), which gives sigma, b's row of V and v_{n+1} alone and refuses a
-sigma_1 whose square overflows. Each x is read off the whole stack at once,
-and each step passes solve_tls's own checks (core.check_gap, then
-core.trailing_vector's rules, read for the whole stack by
-core.trailing_rules) in step order. Most steps' gap is known before the
+QR or draw is made past the base bundle: a trial costs the same at any m.
+Each step's direction is scaled by t and the base is added: below the
+crossover in a reused stack of Fortran buffers, past it in a scratch stack
+of 2(n+1)-row sums, which one stacked Householder QR (numpy's qr, LAPACK
+dgeqrf block by block) reduces to their R while the blocks are narrower
+than STACKED_QR_WIDTH. Wider sums, and the worst direction's at every
+width, are reduced one at a time by the bundle's kernel
+(core.householder_qr), whose triangle is copied into its slot of the
+stack. The blocks of a stack of at most STACK_BYTES are factored by one
+core.block_svd call (each block scaled by a power of two, then numpy's
+stacked dgesdd below core.V_ONLY_WIDTH, core.few_value_svd block by block
+from there on, as svd_bundle factors one block), which gives sigma, b's row
+of V and v_{n+1} alone and refuses a sigma_1 whose square overflows, and
+each step then passes solve_tls's own checks (core.check_gap, then
+core.trailing_vector) in step order. Most steps' gap is known before the
 re-solve: by Weyl's inequality a unit direction moves every singular value
 of [A b] and of A by at most t, so where (g - 2t - s) / (sigma_hat_n + t),
 with g = sigma_hat_n - sigma_{n+1} and s a rounding slack, keeps
@@ -47,10 +47,8 @@ reads V11, y, beta and alpha from it, and applies V11^{-1} = V11^T + beta
 y^T / alpha; u is V11^{-T} S q for the eigenvector q that the secular
 equation of kappa gives in closed form, and K^T u costs O(mn). Past the
 crossover the lab forms that direction's Q^T [dA db] from R_0 alone
-(_worst_in_rows), in O(n^2): its bottom block is zero, so its steps
-re-solve the (n+1) x (n+1) R_0 + t W itself, with no QR. A step below
-CLEAN_STEP_FLOOR ||[A b]||_F is refused: there the ratio measures rounding,
-not K.
+(_worst_in_rows), in O(n^2). A step below CLEAN_STEP_FLOOR ||[A b]||_F is
+refused: there the ratio measures rounding, not K.
 """
 
 from __future__ import annotations
@@ -67,10 +65,10 @@ from .core import (
     block_rows,
     block_svd,
     check_gap,
+    householder_qr,
     right_factor,
     solve_tls,
     svd_bundle,
-    trailing_rules,
     trailing_vector,
 )
 from .errors import (
@@ -87,13 +85,8 @@ from .problem import TlsProblem
 
 # Perturbed relative gap must keep this fraction of the base gap.
 GAP_PERSISTENCE = 1e-3
-# Steps below this multiple of ||[A b]||_F measure rounding, not the map. The
-# worst direction's ratio carries the rounding of the base x and of its
-# re-solve, each a few eps kappa ||[A b]||_F, over t: at 1e-12 ||[A b]||_F it
-# read up to 1.3e-3 kappa off kappa, past VALIDATION_TOLERANCE, on 2 of 750
-# alpha draws (20x5, 12x3, 50x10, 6x5 and 9x4; alpha 0.5); at 1e-11 at most
-# 2.0e-4 off.
-CLEAN_STEP_FLOOR = 1e-11
+# Steps below this multiple of ||[A b]||_F measure rounding, not the map.
+CLEAN_STEP_FLOOR = 1e-12
 # Relative tolerance of the sound and attained verdicts against kappa.
 VALIDATION_TOLERANCE = 1e-3
 # Bytes of one stack of re-solves at its peak (row blocks and their SVD
@@ -101,6 +94,17 @@ VALIDATION_TOLERANCE = 1e-3
 # crossover the sums and numpy's copy of them at the QR): the lab's memory
 # does not grow with its number of trials.
 STACK_BYTES = 2**22
+# The narrowest tall trial block that the lab reduces one block at a time
+# (core.householder_qr, dgeqrt); narrower stacks go through one numpy qr,
+# whose dgeqrf runs unblocked below 128 columns. Per block of a stack of
+# 2k x k sums, the bottom half upper triangular, one call against one dgeqrt
+# and copy each (medians of 6 alternating runs, each the median of 21
+# calls; a 2-vCPU VM, one BLAS thread): k = 11, 2.4 against 10.6 us; 31, 13
+# against 32; 61, 61 against 84; 81, 120 against 132; 86, 153 against 152;
+# 91, 169 against 164; 96, 202 against 181; 101, 236 against 201; 121, 385
+# against 284. On two BLAS threads numpy's call took 149 against 175 us at
+# k = 86, and 430 against 451 at 91, where both run threaded kernels.
+STACKED_QR_WIDTH = 86
 # Weyl's certificate allows rounding of this many eps ||[A b]||_F: at most 2
 # for forming t z + [A b] (t < ||[A b]||_F there), and a few each for the
 # backward errors of the base bundle's and the re-solve's QR and SVD.
@@ -240,18 +244,19 @@ def _copying(direction):
     return lambda directions: np.copyto(directions, direction)
 
 
-def _ratios(base: np.ndarray, base_solution, fill, steps, certificate) -> list:
+def _ratios(base: np.ndarray, base_solution, fill, steps, certificate,
+            stacked_qr: bool = True) -> list:
     """||x(A + t dA, b + t db) - x|| / t for each step (t, optional), in order.
 
-    base is the array the steps perturb, _lab_space's (or R_0 for the worst
-    direction past the crossover), and fill writes the steps' unit
-    directions in its space, as _resolves takes them. A lost or collapsed gap raises
-    PerturbationTooLarge, or gives None for an optional step. A step that
-    certificate, a _GapCertificate, covers is not checked for it.
+    base is _lab_space's array and fill writes the steps' unit directions
+    in its space, as _resolves takes them, with stacked_qr. A lost or
+    collapsed gap raises PerturbationTooLarge, or gives None for an optional
+    step. A step that certificate, a _GapCertificate, covers is not checked
+    for it.
     """
     ratios = []
     base_gap = base_solution.gap.rel_gap
-    resolves = _resolves(base, fill, [t for t, _ in steps], certificate)
+    resolves = _resolves(base, fill, [t for t, _ in steps], certificate, stacked_qr)
     for (t, optional), resolved in zip(steps, resolves):
         try:
             if isinstance(resolved, TlsCondError):
@@ -268,7 +273,7 @@ def _ratios(base: np.ndarray, base_solution, fill, steps, certificate) -> list:
     return ratios
 
 
-def _resolves(base: np.ndarray, fill, ts, certificate):
+def _resolves(base: np.ndarray, fill, ts, certificate, stacked_qr: bool = True):
     """Per step t, solve_tls's (x, gap) on base + t d, or what it raises.
 
     base is _lab_space's p x (n+1) array. The NoUniqueSolution or
@@ -276,18 +281,17 @@ def _resolves(base: np.ndarray, fill, ts, certificate):
     raised. fill(directions) overwrites a stack of p x (n+1) Fortran-ordered
     directions with its steps' unit directions; it is called once per stack,
     in step order, and each step is yielded before the next stack is filled.
-    Each stack's blocks are base + t d, reduced to their R by one stacked
-    QR when p >= 2(n+1) (core.block_rows: the row-block space of a tall
-    problem), by _perturbed_blocks; one block_svd factors them (_factored),
-    and _read_off reads every step's x off the stack at once. The checks are
-    solve_tls's, in its order (core.check_gap, then core.trailing_vector's
-    rules). So on [A b] itself the re-solves are bitwise those of solve_tls
-    on svd_bundle of the perturbed problem; in the row-block space they agree
-    with them to rounding. A step that the certificate (a _GapCertificate)
-    covers builds no SigmaHatRoots and skips check_gap: it passes
-    trailing_vector's rules alone, and yields the same x with gap None;
-    block_svd has refused its sigma_1 where it would overflow, as for
-    svd_bundle.
+    Each stack's blocks are base + t d, reduced to their R when p >= 2(n+1)
+    (core.block_rows: the row-block space of a tall problem) by
+    _perturbed_blocks, in one stacked QR if stacked_qr and they are narrower
+    than STACKED_QR_WIDTH. The checks are solve_tls's, in its order
+    (core.check_gap, then core.trailing_vector). So on [A b] itself the
+    re-solves are bitwise those of solve_tls on svd_bundle of the perturbed
+    problem; in the row-block space they agree with them to rounding. A step
+    that the certificate (a _GapCertificate) covers builds no SigmaHatRoots
+    and skips check_gap: it passes trailing_vector alone, and yields the same
+    x with gap None; block_svd has refused its sigma_1 where it would
+    overflow, as for svd_bundle.
     """
     if not ts:
         return
@@ -300,29 +304,34 @@ def _resolves(base: np.ndarray, fill, ts, certificate):
     blocks = np.empty((min(per_stack, len(ts)), width, p)).transpose(0, 2, 1) if k == p else None
     for start in range(0, len(ts), per_stack):
         steps = ts[start : start + per_stack]
-        stack = _perturbed_blocks(base, fill, steps, blocks)
-        done = 0
-        for factored in _factored(stack):
-            # the whole stack's values, or one block's, read as a stack of one
-            sigma, b_row, v_last = (np.reshape(part, (-1, width)) for part in factored)
-            yield from _read_off(sigma, b_row, v_last, steps[done : done + len(sigma)],
-                                 certificate)
-            done += len(sigma)
+        stack = _perturbed_blocks(base, fill, steps, blocks, stacked_qr)
+        for (sigma, b_row, v_last), t in zip(_factored(stack), steps):
+            try:
+                gap = (None if certificate.covers(t)
+                       else check_gap(sigma, *SigmaHatRoots(sigma, b_row).at(-1)))
+                v_last = trailing_vector(sigma, v_last)
+            except (NoUniqueSolution, TrivialProblem) as exc:
+                yield exc
+                continue
+            yield -v_last[:-1] / v_last[-1], gap
 
 
-def _perturbed_blocks(base: np.ndarray, fill, steps, blocks) -> np.ndarray:
+def _perturbed_blocks(base: np.ndarray, fill, steps, blocks, stacked_qr: bool) -> np.ndarray:
     """The stack of base + t d, for each step t and its unit direction d from fill.
 
     Below the crossover the sums are written into the first len(steps)
     blocks of blocks, a reused stack, and returned; past it blocks is None.
-    There the sums are a scratch stack, reduced to their R by one stacked
-    Householder QR, numpy's qr (LAPACK dgeqrf block by block; each block
-    gets the bits of its own call), and the R stack is new (+0.0 below the
-    diagonal, as core.row_block). mode "raw" returns numpy's factored copy
-    of the sums, R on and above the diagonal, so the sums are freed before R
-    is taken from it: no more is held at once than the sums and that copy.
-    Entries that are not finite stay so through the QR, and block_svd
-    refuses them.
+    There the sums are a scratch stack, and a new stack of their R is
+    returned (+0.0 below the diagonal, as core.row_block). If stacked_qr and
+    the blocks are narrower than STACKED_QR_WIDTH, one stacked Householder
+    QR, numpy's qr (LAPACK dgeqrf block by block; each block gets the bits of
+    its own call), reduces them all: mode "raw" returns numpy's factored copy
+    of the sums, each block transposed (R^T on and below its diagonal), so
+    the sums are freed before R is taken from it, Fortran-ordered, and no
+    more is held at once than the sums and that copy. Otherwise
+    core.householder_qr reduces each sum in place, and its triangle is
+    copied into its slot. Entries that are not finite stay so through either
+    QR, and block_svd refuses them.
     """
     p, width = base.shape
     tall = blocks is None
@@ -332,51 +341,31 @@ def _perturbed_blocks(base: np.ndarray, fill, steps, blocks) -> np.ndarray:
     sums += base
     if not tall:
         return sums
-    factored = np.linalg.qr(sums, mode="raw")[0].transpose(0, 2, 1)  # numpy's copy, factored
-    del sums
-    return np.triu(factored[:, :width])
+    if stacked_qr and width < STACKED_QR_WIDTH:
+        factored = np.linalg.qr(sums, mode="raw")[0]
+        del sums
+        return np.tril(factored[:, :, :width]).transpose(0, 2, 1)
+    reduced = np.zeros((len(steps), width, width)).transpose(0, 2, 1)
+    upper = ~np.tri(width, width, -1, dtype=bool)
+    for block, direction in zip(reduced, sums):
+        np.copyto(block, householder_qr(direction)[0][:width], where=upper)
+    return reduced
 
 
 def _factored(blocks):
-    """block_svd's (sigma, b_row, v_last) of the stack, or of each block.
+    """(sigma, b_row, v_last) per block: one block_svd of the stack, or block by block.
 
-    One block_svd call factors the whole stack. A stack whose SVD fails,
-    that holds data that is not finite or whose sigma_1 overflows when
-    squared, is re-run one block at a time, lazily, so the failing step
-    raises in its turn: data that is not finite raises ShapeError, as
-    TlsProblem does. The blocks are not rebuilt and no trial is drawn again.
+    A stack whose SVD fails, that holds data that is not finite or whose
+    sigma_1 overflows when squared, is re-run one block at a time, lazily, so
+    the failing step raises in its turn: data that is not finite raises
+    ShapeError, as TlsProblem does.
     """
     try:
         factored = block_svd(blocks)
     except (ConvergenceError, ShapeError):
         yield from (block_svd(block) for block in blocks)
         return
-    yield factored
-
-
-def _read_off(sigma, b_row, v_last, steps, certificate):
-    """Per step of one factored stack, in order: solve_tls's (x, gap), or the
-    NoUniqueSolution or TrivialProblem of a lost gap; DegenerateVector is raised.
-
-    x = -v[:-1] / v[-1] is read off every block at once, as is whether
-    trailing_vector's rules pass (core.trailing_rules). The sign that
-    trailing_vector fixes cancels in that quotient, so each x is bitwise
-    solve_tls's. A step that the certificate does not cover first passes
-    core.check_gap, and a block that fails a rule raises trailing_vector's
-    error in its turn.
-    """
-    passes = trailing_rules(sigma, v_last)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a block that fails is never read
-        xs = -v_last[:, :-1] / v_last[:, -1:]
-    for s, b, v, x, t, ok in zip(sigma, b_row, v_last, xs, steps, passes):
-        try:
-            gap = None if certificate.covers(t) else check_gap(s, *SigmaHatRoots(s, b).at(-1))
-            if not ok:
-                trailing_vector(s, v)  # raises the rule's error
-        except (NoUniqueSolution, TrivialProblem) as exc:
-            yield exc
-            continue
-        yield x, gap
+    yield from zip(*factored)
 
 
 def _worst_w(bundle: SvdBundle, work: ExactFormulaWork) -> np.ndarray:
@@ -481,10 +470,16 @@ def monte_carlo_validate(
     if base is bundle.rows:  # [A b] itself, below the crossover
         worst = worst_direction(bundle, problem, base_solution).reshape(base.shape, order="F")
     else:
-        worst = _worst_in_rows(bundle.rows, base_solution.x, _worst_w(bundle, work))
+        worst = np.zeros_like(base)
+        worst[: problem.n + 1] = _worst_in_rows(bundle.rows, base_solution.x,
+                                                _worst_w(bundle, work))
     steps = [(t, False)] + [(factor * t, True) for factor in (1e3, 1e2, 1e1)]
-    worst_ratio, *probes = _ratios(bundle.rows, base_solution, _copying(worst), steps,
-                                   certificate)
+    # its sums go through the bundle's dgeqrt one at a time, at every width:
+    # near the clean-step floor the ratio carries a few 1e-4 kappa of
+    # rounding, and the kernel moves it (alpha 20x5, alpha 0.5, seed 3 at the
+    # floor: 1.0008 kappa through dgeqrt, 1.0015 through numpy's dgeqrf)
+    worst_ratio, *probes = _ratios(base, base_solution, _copying(worst), steps, certificate,
+                                   stacked_qr=False)
     slopes = [(step, abs(ratio - kappa))
               for (step, _), ratio in zip(steps[1:], probes) if ratio is not None]
 

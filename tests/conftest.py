@@ -101,7 +101,8 @@ def counting_factorizations(monkeypatch):
     The bundle calls dgeqrt, and for its SVD few_value_svd or np.linalg.svd,
     each logged as "svd"; the alpha generator's draw goes through
     np.linalg.svd at every width; the perturbation lab reduces each tall
-    stack by one np.linalg.qr; the other readers call numpy. For dgeqrt the
+    stack narrower than perturb.STACKED_QR_WIDTH by one np.linalg.qr, and
+    others by dgeqrt block by block; the other readers call numpy. For dgeqrt the
     logged shape is that of the factored array, its second argument; a
     stacked np.linalg.svd or np.linalg.qr logs the shape of its stack, and
     few_value_svd each block's.

@@ -24,7 +24,6 @@ from conftest import (
 from tlscond import core, perturb
 from tlscond.errors import (
     ConvergenceError,
-    DegenerateVector,
     NoUniqueSolution,
     NotApplicable,
     PerturbationTooLarge,
@@ -363,28 +362,48 @@ def test_the_trials_are_random_directions_drawn_in_turn(name):
 def test_a_run_split_into_stacks_is_one_stack(monkeypatch):
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     whole = tc.monte_carlo_validate(problem, trials=10, seed=3)
-    # at its QR a trial's 22 x 11 direction and numpy's copy of it take
-    # 8 * 11 * 44 bytes: three to a stack. The worst direction's steps re-solve
-    # the 11 x 11 R_0 + t W with no QR, its block, u and vt taking 8 * 11 * 33
-    # bytes: all four in one stack
+    # at its QR a step's 22 x 11 sum and numpy's copy of it take 8 * 11 * 44
+    # bytes: three to a stack. The worst direction's sums are reduced one at a
+    # time by dgeqrt (a 2-D shape, not counted here), then factored in stacks
     monkeypatch.setattr(perturb, "STACK_BYTES", 3 * 8 * 11 * 44)
     calls = counting_factorizations(monkeypatch)
     split = tc.monte_carlo_validate(problem, trials=10, seed=3)
     stacks = [(name, shape[0]) for name, shape in calls if len(shape) == 3]
-    assert stacks == [("qr", 3), ("svd", 3)] * 3 + [("qr", 1), ("svd", 1), ("svd", 4)]
+    assert stacks == ([("qr", 3), ("svd", 3)] * 3 + [("qr", 1), ("svd", 1)]  # the trials
+                      + [("svd", 3), ("svd", 1)])  # the worst direction's four steps
     assert split == whole
 
 
 def test_one_qr_and_one_svd_per_stack(monkeypatch):
     # past the crossover the 100 trials are one stack: one stacked QR of the
-    # 22 x 11 sums, one stacked SVD of their R; the worst direction's four
-    # steps are one SVD. No dgeqrt runs but the bundle's
+    # 22 x 11 sums, one stacked SVD of their R. The worst direction's four
+    # sums are reduced by the bundle's dgeqrt, one at a time, and are one SVD
     problem = tc.generate_ab_alpha(50, 10, 0.3, seed=1)
     calls = counting_factorizations(monkeypatch)
     tc.monte_carlo_validate(problem, trials=100, seed=3)
     assert calls == [("dgeqrt", (50, 11)), ("svd", (11, 11)),  # the bundle
                      ("qr", (100, 22, 11)), ("svd", (100, 11, 11)),  # the trials
-                     ("svd", (11, 11)), ("svd", (4, 11, 11))]  # V, the worst direction
+                     ("svd", (11, 11)),  # V, for the worst direction
+                     *[("dgeqrt", (22, 11))] * 4, ("svd", (4, 11, 11))]
+
+
+def test_wide_trial_blocks_are_reduced_one_at_a_time(monkeypatch):
+    # from STACKED_QR_WIDTH columns on each trial's sum goes through dgeqrt,
+    # whose R agrees with numpy's stacked one to rounding: so does every x
+    problem = RESOLVE_CASES["alpha_50x10"]()
+    base = perturb._lab_space(problem, tc.svd_bundle(problem))
+    t = 1e-8 * np.linalg.norm(problem.augmented())
+    in_one_call = list(perturb._resolves(base, perturb._trials(problem, 1), [t] * 5,
+                                         NO_STEP_COVERED))
+    monkeypatch.setattr(perturb, "STACKED_QR_WIDTH", problem.n + 1)
+    calls = counting_factorizations(monkeypatch)
+    one_at_a_time = list(perturb._resolves(base, perturb._trials(problem, 1), [t] * 5,
+                                           NO_STEP_COVERED))
+    assert calls == [("dgeqrt", (22, 11))] * 5 + [("svd", (5, 11, 11))]
+    bar = rounding_bar(problem)
+    for (x, gap), (y, other) in zip(in_one_call, one_at_a_time):
+        assert np.linalg.norm(x - y) <= bar
+        assert gap.rel_gap == pytest.approx(other.rel_gap, rel=1e-10)
 
 
 @pytest.mark.parametrize("m, n, cap_mib", [(50, 10, 0.40), (100, 20, 1.40), (200, 30, 3.01)])
@@ -449,27 +468,6 @@ def test_a_failed_stack_is_rerun_block_by_block(monkeypatch):
     np.testing.assert_array_equal(next(factored)[0], sigma)
     with pytest.raises(ShapeError, match="entries must be finite"):
         next(factored)
-
-
-def test_a_stack_read_off_yields_and_raises_each_rule_in_its_turn():
-    # trailing_vector's rules are read for the whole stack at once, on steps
-    # the certificate covers (no check_gap): a block with sigma_{n+1} = 0
-    # gives its TrivialProblem in its turn, and one whose v_{n+1} ends in 0
-    # raises DegenerateVector after the steps before it, as solve_tls would
-    problem = tc.generate_ab_alpha(9, 4, 0.3, seed=1)
-    bundle = tc.svd_bundle(problem)
-    sigma, b_row, v_last = (np.tile(part, (4, 1))
-                            for part in (bundle.sigma, bundle.b_row, bundle.v_last))
-    sigma[1, -1] = 0.0
-    v_last[2, -1] = 0.0
-    covering = perturb._GapCertificate(gap=1.0, slack=0.0, sigma_hat_n=1.0, required=0.0)
-    read = perturb._read_off(sigma, b_row, v_last, [1e-3] * 4, covering)
-    x, gap = next(read)
-    np.testing.assert_array_equal(x, tc.solve_tls(problem, bundle).x)
-    assert gap is None
-    assert isinstance(next(read), TrivialProblem)
-    with pytest.raises(DegenerateVector, match="contradicts the gap condition"):
-        next(read)
 
 
 def test_numpy_never_factors_data_that_is_not_finite(monkeypatch):
