@@ -17,11 +17,13 @@ sigma back: every result but sigma is bitwise the same for the block times
 any power of two that neither overflows nor underflows. A block at least
 V_ONLY_WIDTH wide goes through few_value_svd: dgebrd bidiagonalizes [b, the
 other columns] (Golub-Kahan started from b, so b's row of V is the first row
-of the bidiagonal's own V_B), dbdsqr gives sigma and that row with one VT
-column in O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
+of the bidiagonal's own V_B), one values-only dlasda, LAPACK's
+divide-and-conquer bidiagonal SVD, gives sigma and that row (the first
+component of every right singular vector, which its merges carry) in
+O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
 +sigma_{n+1} (dstebz, dstein; O(n)) through one dormbr column. A narrower
 block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
-V^T gives both. The C entry points of dgebrd, dbdsqr and dormbr are called
+V^T gives both. The C entry points of dgebrd, dlasda and dormbr are called
 through scipy.linalg.cython_lapack and ctypes. The rule reads the width
 alone, so a block factored in a stack gets the bits of its own call.
 The bundle holds no whole V. right_factor forms V^T of a row block by
@@ -62,8 +64,9 @@ The solver takes the trailing right singular vector of [A b], sign-normalized
 so its last entry is -alpha with alpha = 1/sqrt(1 + ||x||^2), and reads the
 solution off it. Each of its rules has one owner: check_gap refuses delta <= 0
 and classifies the gap (kept as TlsSolution.gap), and trailing_vector's rules
-do not read the gap. solve_tls calls both; the lab's stacked re-solves call
-both, or trailing_vector alone on a step whose gap Weyl's inequality has
+do not read the gap. solve_tls calls both, and refuses b = 0 itself, which
+only few_value_svd gives sigma_{n+1} = 0 exactly; the lab's stacked re-solves
+call both, or trailing_vector alone on a step whose gap Weyl's inequality has
 certified. P = A^T A - sigma_{n+1}^2 I is formed in one function, gated_p,
 for every computation that reads it (the normal-equations cross-check here,
 exact's cholesky route and explicit K). It passes one gate first, check_p:
@@ -425,9 +428,9 @@ def block_rows(m: int, k: int) -> int:
 # against 160 and 255 us; k = 41, 327 and 312 against 360 and 349 us; k = 61,
 # 855 and 897 against 977 and 1060 us. few_value_svd costs 207 and 309 us at
 # k = 31 against numpy's 159 and 157, 271 and 296 at k = 41 against 285 and
-# 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 245 us at
-# 41 x 41 (best of 2000 calls), dgebrd with its set-up takes 61, dbdsqr's
-# rotations 114 and the tridiagonal's vector 66 (dstebz alone 33).
+# 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 217 us at
+# 41 x 41 (best of 7 x 2000 calls), dgebrd with its set-up takes 48, the
+# first row of V (dlasda) 95 and the tridiagonal's vector 58.
 V_ONLY_WIDTH = 40
 
 
@@ -460,8 +463,15 @@ def _cython_lapack(name: str, nargs: int):
 
 
 dgebrd = _cython_lapack("dgebrd", 11)
-dbdsqr = _cython_lapack("dbdsqr", 15)
+dlasda = _cython_lapack("dlasda", 24)
 dormbr = _cython_lapack("dormbr", 14)
+# dlasda's leaf size: it solves a bidiagonal of at most SMLSIZ rows by QR
+# sweeps alone and leaves VF in its work only past it, so V_ONLY_WIDTH must
+# stay above it. Below dbdsdc's 25, as the leaves' sweeps carry their whole
+# VT: with one BLAS thread (best of 7 runs of 20000/k calls), 25 took 96-109
+# us at k = 41 where 16 took 84-90, and 545-555 us at k = 101 where 16 took
+# 471-492; at k = 285 and 485 the two were within noise.
+SMLSIZ = 16
 
 
 @lru_cache(maxsize=64)
@@ -525,20 +535,41 @@ class Bidiagonal:
     def first_row(self) -> tuple[np.ndarray, np.ndarray]:
         """(sigma, the first row of B's right factor), sigma descending, in O(k^2).
 
-        LAPACK dbdsqr('U') on copies of d and e, with one column of VT, e_1: it
-        applies its rotations to that column alone (Demmel & Kahan, SISC 11,
-        1990), and sorts and signs it with sigma.
+        One values-only LAPACK dlasda (ICOMPQ = 0), the divide-and-conquer
+        SVD of Gu & Eisenstat (SIMAX 16, 1995) that forms no vectors: each
+        merge (dlasd6) carries VF, the first component of every right
+        singular vector, and the last leaves it in the first k entries of the
+        work, in the order of its d, which deflation leaves unsorted; both are
+        sorted with sigma descending. d_1 = 0 exactly where b = 0: B's first
+        column is then zero, so sigma_k = 0 exactly with the row e_k, and the
+        other values are those of B[:, 1:], whose k-1 x k transpose (diagonal
+        e, superdiagonal d_2, ..., d_k) dlasda takes with SQRE = 1.
         """
         k = len(self.d)
-        buf = np.zeros(7 * k)  # d, e, the column of VT, the work
-        buf[:k], buf[k : 2 * k - 1], buf[2 * k] = self.d, self.e, 1.0
-        ints = np.array([1, 0], dtype=np.intc)
-        one, zero = _addresses(ints, range(2))
-        m_, k_, _, info = self._args()
-        d, e, vt, work = _addresses(buf, (0, k, 2 * k, 3 * k))
-        dbdsqr(b"U", k_, one, zero, zero, d, e, vt, k_, None, one, None, one, work, info)
-        _check_info("dbdsqr", self._ints[3])
-        return buf[:k], buf[2 * k : 3 * k]
+        sqre = int(self.d[0] == 0.0)
+        n = k - sqre
+        # d, e, z, difl, difr, c, s, then the work (dlasda's 6n + (SMLSIZ + 1)^2 at n = k)
+        buf = np.empty(11 * k + 2 + (SMLSIZ + 1) ** 2)
+        if sqre:
+            buf[:n], buf[k : 2 * k - 1] = self.e, self.d[1:]
+        else:
+            buf[:k], buf[k : 2 * k - 1] = self.d, self.e
+        # icompq, smlsiz, n, sqre, ldu (and ldgcol), dlasda's K, info, then the iwork
+        ints = np.empty(7 + 7 * k, dtype=np.intc)
+        ints[:5] = 0, SMLSIZ, n, sqre, k
+        icompq, smlsiz, n_, sqre_, ld, k_out, info, iwork = _addresses(ints, range(8))
+        d, e, z, difl, difr, c, s, work = _addresses(
+            buf, (0, k, 2 * k, 3 * k, 4 * k, 5 * k, 5 * k + 1, 5 * k + 2))
+        # U, VT, POLES, GIVPTR, GIVCOL, PERM and GIVNUM are not referenced at ICOMPQ = 0
+        dlasda(icompq, smlsiz, n_, sqre_, d, e, None, ld, None, k_out, difl, difr, z, None,
+               None, None, ld, None, None, c, s, work, iwork, info)
+        _check_info("dlasda", ints[6])
+        if sqre:
+            row = np.zeros(k)
+            row[-1] = 1.0
+            return np.append(np.sort(buf[:n])[::-1], 0.0), row
+        order = buf[:k].argsort()[::-1]
+        return buf[order], buf[5 * k + 2 :][order]
 
     def last_vector(self) -> np.ndarray | None:
         """The right singular vector at sigma_k, in O(k) and one dormbr column, or None.
@@ -581,7 +612,7 @@ def few_value_svd(block: np.ndarray, exponent: int):
     the block's own column order, from its last_vector, or where that returns
     None (b = 0, say) from full_svd of the scaled block. The two share V's
     corner entry, b's entry of v_last (alpha, up to its sign): v_last takes
-    b_row's sign there, and b_row takes v_last's value, which dbdsqr and
+    b_row's sign there, and b_row takes v_last's value, which dlasda and
     dstein round differently (by about eps absolute, 1e-8 of alpha at alpha =
     1e-8). Where all of V costs O(k^3), this costs O(k^2) past dgebrd.
     """
@@ -719,10 +750,14 @@ def trailing_vector(sigma: np.ndarray, v_last: np.ndarray) -> np.ndarray:
 def solve_tls(problem: TlsProblem, bundle: SvdBundle) -> TlsSolution:
     """Solve the TLS problem from its trailing right singular vector.
 
-    The checks are check_gap's (NoUniqueSolution), then trailing_vector's
+    The checks are check_gap's (NoUniqueSolution), then b = 0
+    (TrivialProblem, on every route: sigma_{n+1} is 0 exactly there, but
+    numpy's dgesdd rounds it to about eps sigma_1), then trailing_vector's
     (TrivialProblem or DegenerateVector), which also fixes the sign.
     """
     diag = check_gap(bundle.sigma, bundle.sigma_hat_n, bundle.delta)
+    if not problem.b_vector.any():
+        raise TrivialProblem("b = 0: x = 0, take [E r] = 0")
     v_last = trailing_vector(bundle.sigma, bundle.v_last)
     x = -v_last[:-1] / v_last[-1]
     alpha = 1.0 / np.hypot(1.0, np.linalg.norm(x))

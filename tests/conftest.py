@@ -71,7 +71,7 @@ def failed_svd(a, *args, **kwargs):
 
 
 def failed_singular_values(*args):
-    """What LAPACK dbdsqr reports when a singular value fails to converge:
+    """What LAPACK dlasda reports when a singular value fails to converge:
     info=1, written through its last argument, an address (core.Bidiagonal
     calls it through ctypes)."""
     ctypes.c_int.from_address(args[-1]).value = 1

@@ -1,3 +1,5 @@
+import inspect
+import re
 import sys
 import warnings
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 import tlscond as tc
+from scipy.linalg import cython_lapack
 from conftest import FixBClosedForms as FB
 from conftest import (
     counting_factorizations,
@@ -420,11 +423,11 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     # the tall bundle's 31-wide R goes through numpy's dgesdd, the 85-wide
-    # deblurring block through few_value_svd: dgebrd, dbdsqr, dstebz, dstein
+    # deblurring block through few_value_svd: dgebrd, dlasda, dstebz, dstein
     monkeypatch.setattr(np.linalg, "svd", failed_svd)
     with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
         tc.svd_bundle(tall)
-    for name, failed in [("dbdsqr", failed_singular_values), ("dstein", failed_dstein)]:
+    for name, failed in [("dlasda", failed_singular_values), ("dstein", failed_dstein)]:
         with monkeypatch.context() as patch:
             patch.setattr(core, name, failed)
             with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
@@ -766,7 +769,8 @@ def test_wide_edge_shapes_give_the_narrow_x_or_a_typed_error(name, monkeypatch):
         narrow = solved()
     if isinstance(wide, Exception):
         # typed refusals: TrivialProblem at b = 0 (sigma_{n+1} is 0 exactly here,
-        # not in dgesdd), DegenerateVector on both routes for the repeated column
+        # not in dgesdd; solve_tls refuses b = 0 on both routes), DegenerateVector
+        # on both routes for the repeated column
         return
     assert not isinstance(narrow, Exception)
     assert np.linalg.norm(wide - narrow) <= 1e-12 * max(1.0, np.linalg.norm(narrow))
@@ -782,3 +786,71 @@ def test_a_split_tridiagonal_takes_v_from_the_whole_factor(monkeypatch):
     assert [name for name, _ in calls] == ["few_value_svd"]
     assert sigma[-1] == 0.0
     np.testing.assert_allclose(np.abs(v_last), np.eye(45)[-1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(60, 44), (45, 44), (200, 50)])
+def test_b_zero_is_a_trivial_problem_on_both_width_routes(shape, monkeypatch):
+    # few_value_svd (the wide route; on R past the QR crossover at 200x50)
+    # gives sigma_{n+1} = 0 exactly, numpy's dgesdd about eps sigma_1: the
+    # solver refuses b = 0 on both
+    problem = tc.TlsProblem(np.random.default_rng(0).standard_normal(shape), np.zeros(shape[0]))
+    assert problem.n + 1 >= core.V_ONLY_WIDTH
+    assert tc.svd_bundle(problem).sigma[-1] == 0.0
+    with pytest.raises(TrivialProblem):
+        tc.solve_tls(problem, tc.svd_bundle(problem))
+    monkeypatch.setattr(core, "V_ONLY_WIDTH", problem.n + 2)  # numpy's narrow route
+    with pytest.raises(TrivialProblem):
+        tc.solve_tls(problem, tc.svd_bundle(problem))
+
+
+def deblur_block(m):
+    return tc.kamm_nagy_problem(tc.KammNagyConfig(m=m, seed=1)).augmented()
+
+
+def tall_row_block(m, n, alpha):
+    return core.row_block(np.asfortranarray(tc.generate_ab_alpha(m, n, alpha, seed=1).augmented()))
+
+
+FIRST_ROW_BLOCKS = {
+    "deblur_m100": lambda: deblur_block(100),
+    "deblur_m300": lambda: deblur_block(300),
+    "deblur_m500": lambda: deblur_block(500),
+    "alpha_2000x100_1e-2": lambda: tall_row_block(2000, 100, 1e-2),
+    "alpha_2000x100_1e-8": lambda: tall_row_block(2000, 100, 1e-8),
+    # sigma_44 = sigma_45 exactly, as in the tied-gap FOUND of CHANGES.md
+    "tied_60x45": lambda: tied_weighted_problem(0, np.append(np.linspace(3.0, 1.0, 44), 1.0),
+                                                60).augmented(),
+    "tied_inside_60x45": lambda: np.column_stack(wide_edge_problems()["tied sigma"]),
+    "zero_noise_deblur_m100": lambda: zero_noise_deblur(100).augmented(),
+    "v_only_width": lambda: np.random.default_rng(5).standard_normal((57, core.V_ONLY_WIDTH)),
+    "b = 0": lambda: np.column_stack([wide_edge_problems()["b = 0"][0], np.zeros(60)]),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_ROW_BLOCKS)
+def test_first_row_is_b_row_of_the_whole_v(name):
+    # dlasda's sigma and b's row of V against V from numpy's dgesdd of the
+    # same scaled block (measured: sigma within 12 eps sigma_1, on
+    # tied_inside_60x45; b's weight within 4.1e-13, on alpha_2000x100_1e-2)
+    block = FIRST_ROW_BLOCKS[name]()
+    exponent = int(core._scale_exponent(block))
+    sigma, b_row = core.Bidiagonal(block, exponent).first_row()
+    sigma_ref, vt = core.full_svd(np.ldexp(block, exponent))
+    assert (np.diff(sigma) <= 0.0).all()
+    np.testing.assert_allclose(sigma, sigma_ref, rtol=0, atol=16 * EPS * sigma_ref[0])
+    # tied values share b's weight only as a group: compare it per cluster
+    cluster = np.concatenate([[0], np.cumsum(-np.diff(sigma_ref) > 1e-10 * sigma_ref[0])])
+    weight = lambda row: np.sqrt(np.bincount(cluster, row * row))
+    np.testing.assert_allclose(weight(b_row), weight(vt[:, -1]), rtol=0, atol=1e-12)
+
+
+def test_the_few_value_kernel_is_past_dlasdas_leaf_size():
+    # dlasda leaves VF, b's row of V, in its work only for more than SMLSIZ
+    # rows; at b = 0 it takes k - 1 rows
+    assert core.V_ONLY_WIDTH > core.SMLSIZ + 1
+
+
+def test_every_routine_core_binds_is_exported_by_cython_lapack():
+    bound = set(re.findall(r'_cython_lapack\("(\w+)"', inspect.getsource(core)))
+    assert {"dgebrd", "dlasda", "dormbr"} <= bound
+    assert bound <= set(cython_lapack.__pyx_capi__), bound - set(cython_lapack.__pyx_capi__)

@@ -157,7 +157,7 @@ def test_degenerate_gap_behavior():
 @pytest.mark.parametrize("shape", [(4000, 40), (2000, 100), (90, 44)])
 def test_baboulin_meets_the_svd_route_on_wide_blocks(shape):
     # alpha = 1e-8 past V_ONLY_WIDTH: the roots read b_row and x reads v_last,
-    # from dbdsqr and dstein, which share V's corner entry alpha; the two
+    # from dlasda and dstein, which share V's corner entry alpha; the two
     # routes agree to rounding (measured 6.3e-15) only if it is one value
     problem = tc.generate_ab_alpha(*shape, 1e-8, seed=0)
     assert problem.n + 1 >= core.V_ONLY_WIDTH

@@ -500,8 +500,8 @@ def test_a_wide_stack_is_rerun_block_by_block(monkeypatch):
     np.testing.assert_array_equal(next(factored)[0], sigma)
     with pytest.raises(ShapeError, match="entries must be finite"):
         next(factored)
-    # a failed dbdsqr or dstein fails the stack, then the first block in its turn
-    for name, failed in [("dbdsqr", failed_singular_values), ("dstein", failed_dstein)]:
+    # a failed dlasda or dstein fails the stack, then the first block in its turn
+    for name, failed in [("dlasda", failed_singular_values), ("dstein", failed_dstein)]:
         with monkeypatch.context() as patch:
             patch.setattr(core, name, failed)
             with pytest.raises(ConvergenceError, match=rf"{name} failed \(info=1\)"):
