@@ -21,7 +21,8 @@ of the bidiagonal's own V_B), one values-only dlasda, LAPACK's
 divide-and-conquer bidiagonal SVD, gives sigma and that row (the first
 component of every right singular vector, which its merges carry) in
 O(n^2), and v_{n+1} is the Golub-Kahan tridiagonal's eigenvector at
-+sigma_{n+1} (dstebz, dstein; O(n)) through one dormbr column. A narrower
++sigma_{n+1} (dstein at dlasda's sigma_{n+1}, O(n); dstebz's bisection only
+where the tridiagonal splits) through one unblocked dormbr column. A narrower
 block goes through numpy's dgesdd (full_svd), whose U is dropped and whose
 V^T gives both. The C entry points of dgebrd, dlasda and dormbr are called
 through scipy.linalg.cython_lapack and ctypes. The rule reads the width
@@ -428,9 +429,10 @@ def block_rows(m: int, k: int) -> int:
 # against 160 and 255 us; k = 41, 327 and 312 against 360 and 349 us; k = 61,
 # 855 and 897 against 977 and 1060 us. few_value_svd costs 207 and 309 us at
 # k = 31 against numpy's 159 and 157, 271 and 296 at k = 41 against 285 and
-# 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 217 us at
-# 41 x 41 (best of 7 x 2000 calls), dgebrd with its set-up takes 48, the
-# first row of V (dlasda) 95 and the tridiagonal's vector 58.
+# 340, and 1290 and 1580 at k = 101 against 1779 and 1962. Of its 199 us at
+# 41 x 41 (best of 7 x 2000 calls), dgebrd with its set-up takes 53, the
+# first row of V (dlasda) 98 and the tridiagonal's vector 34 (61 when it
+# bisected for sigma_k and applied P through dormbr's blocked path).
 V_ONLY_WIDTH = 40
 
 
@@ -476,18 +478,14 @@ SMLSIZ = 16
 
 @lru_cache(maxsize=64)
 def _brd_lwork(m: int, k: int) -> int:
-    """The work length of dgebrd on an m x k block and of last_vector's
-    one-column dormbr('P', 'L', 'N'): the larger of their optimal lwork (their
-    workspace queries)."""
-    ints, optimal = np.array([m, k, -1, 0, 1], dtype=np.intc), np.zeros(2)
-    m_, k_, query, info, one = _addresses(ints, range(5))  # m, k, lwork = -1, info, 1
-    out = optimal.ctypes.data  # no array is referenced; each query writes its lwork here
+    """The work length of dgebrd on an m x k block: its optimal lwork (its
+    workspace query). last_vector's one dormbr column needs a work of one."""
+    ints, optimal = np.array([m, k, -1, 0], dtype=np.intc), np.zeros(1)
+    m_, k_, query, info = _addresses(ints, range(4))  # m, k, lwork = -1, info
+    out = optimal.ctypes.data  # no array is referenced; the query writes its lwork here
     dgebrd(m_, k_, out, m_, out, out, out, out, out, query, info)
     _check_info("dgebrd", ints[3])
-    dormbr(b"P", b"L", b"N", k_, one, k_, out, m_, out, out, k_, out + optimal.itemsize,
-           query, info)
-    _check_info("dormbr", ints[3])
-    return max(map(int, optimal))
+    return int(optimal[0])
 
 
 def _addresses(array: np.ndarray, offsets) -> list[int]:
@@ -515,15 +513,15 @@ class Bidiagonal:
         if m < k:
             raise ShapeError(f"need m >= k, got a {m} x {k} block")
         self.a = np.empty((m, k), order="F")  # dgebrd overwrites it with its reflectors
-        self.a[:, 0], self.a[:, 1:] = block[:, -1], block[:, :-1]
-        np.ldexp(self.a, exponent, out=self.a)
-        self.lwork = _brd_lwork(m, k)
-        self._ints = np.array([m, k, self.lwork, 0], dtype=np.intc)  # m, k, lwork, info
+        np.ldexp(block[:, -1], exponent, out=self.a[:, 0])  # copied and scaled in one pass
+        np.ldexp(block[:, :-1], exponent, out=self.a[:, 1:])
+        lwork = _brd_lwork(m, k)
+        self._ints = np.array([m, k, lwork, 0], dtype=np.intc)  # m, k, dgebrd's lwork, info
         self._taus = np.empty(2 * k)  # tauq, then taup
         self.d, self.e = np.empty(k), np.empty(k - 1)
         m_, k_, lwork_, info = self._args()
         tauq, taup = _addresses(self._taus, (0, k))
-        work = np.empty(self.lwork)
+        work = np.empty(lwork)
         dgebrd(m_, k_, self.a.ctypes.data, m_, self.d.ctypes.data, self.e.ctypes.data, tauq,
                taup, work.ctypes.data, lwork_, info)
         _check_info("dgebrd", self._ints[3])
@@ -571,24 +569,35 @@ class Bidiagonal:
         order = buf[:k].argsort()[::-1]
         return buf[order], buf[5 * k + 2 :][order]
 
-    def last_vector(self) -> np.ndarray | None:
-        """The right singular vector at sigma_k, in O(k) and one dormbr column, or None.
+    def last_vector(self, sigma_k: float) -> np.ndarray | None:
+        """The right singular vector at sigma_k, first_row's smallest value, in
+        O(k) and one unblocked dormbr column, or None.
 
         B's vector is the v-half (odd entries) of the eigenvector of the 2k x
         2k Golub-Kahan tridiagonal (zero diagonal, off-diagonal d_1, e_1, d_2,
-        ..., d_k) at +sigma_k, its eigenvalue k+1 in ascending order: LAPACK
-        dstebz finds that eigenvalue by bisection and dstein its vector by
-        inverse iteration. Mixed with the vector at -sigma_k, the v-half keeps
-        its direction and loses norm; where it holds less than 1/4 of the
-        vector (the tridiagonal splits at sigma_k = 0, say, and the eigenvalue
-        falls on the other zero), None. Otherwise the normalized v-half goes
-        through dormbr('P', 'L', 'N'): v = P v_B.
+        ..., d_k) at +sigma_k, its eigenvalue k+1 in ascending order. LAPACK
+        dstein finds it by inverse iteration at sigma_k itself, which dlasda
+        gave to high relative accuracy (bisection is accurate to about eps
+        ||B|| absolute), as the tridiagonal's one block. Only where dstebz
+        would split the tridiagonal, some off-diagonal entry squared below
+        the smallest normal float (d_1 = 0 at b = 0, say), does dstebz find
+        the eigenvalue by bisection, with its blocks. Mixed with the vector at
+        -sigma_k, the v-half keeps its direction and loses norm; where it
+        holds less than 1/4 of the vector (the tridiagonal splits at sigma_k =
+        0, say, and the eigenvalue falls on the other zero), None. Otherwise
+        the normalized v-half goes through dormbr('P', 'L', 'N') with a work
+        of one, so that dormlq applies P's reflectors one at a time, unblocked:
+        v = P v_B.
         """
         k = len(self.d)
         zero, off = np.zeros(2 * k), np.empty(2 * k - 1)
         off[0::2], off[1::2] = self.d, self.e
-        _, w, iblock, isplit, info = dstebz(zero, off, 3, 0.0, 0.0, k + 1, k + 1, 0.0, b"B")
-        _check_info("dstebz", info)
+        if (off * off < _TINY).any():  # dstebz's split test on a zero diagonal
+            _, w, iblock, isplit, info = dstebz(zero, off, 3, 0.0, 0.0, k + 1, k + 1, 0.0, b"B")
+            _check_info("dstebz", info)
+        else:  # one block; f2py takes iblock and isplit only at the tridiagonal's length
+            w, iblock = np.array([sigma_k]), np.ones(2 * k, np.intc)
+            isplit = np.full(2 * k, 2 * k, np.intc)  # dstein reads isplit[0] alone
         z, info = dstein(zero, off, w[:1], iblock, isplit)
         _check_info("dstein", info)
         v = z[0::2, 0]
@@ -596,12 +605,14 @@ class Bidiagonal:
         if not norm2 >= 0.25:  # NaN included
             return None
         v = v / math.sqrt(norm2)
-        m_, k_, lwork_, info = self._args()
-        one, work = np.array([1], dtype=np.intc), np.empty(self.lwork)
+        m_, k_, _, info = self._args()
+        one, work = np.ones(1, dtype=np.intc), np.empty(1)  # n = 1 column, lwork = 1
         dormbr(b"P", b"L", b"N", k_, one.ctypes.data, k_, self.a.ctypes.data, m_,
-               _addresses(self._taus, (k,))[0], v.ctypes.data, k_, work.ctypes.data, lwork_, info)
+               _addresses(self._taus, (k,))[0], v.ctypes.data, k_, work.ctypes.data,
+               one.ctypes.data, info)
         _check_info("dormbr", self._ints[3])
         return v
+
 
 def few_value_svd(block: np.ndarray, exponent: int):
     """(sigma, b_row, v_last) of one m x k block, m >= k, b its last column.
@@ -609,16 +620,17 @@ def few_value_svd(block: np.ndarray, exponent: int):
     The Bidiagonal of [b, the other columns] times 2^exponent: sigma (of the
     scaled block) and b_row, b's row of V (one entry per singular vector),
     from its first_row, and v_last, the right singular vector at sigma_k in
-    the block's own column order, from its last_vector, or where that returns
-    None (b = 0, say) from full_svd of the scaled block. The two share V's
-    corner entry, b's entry of v_last (alpha, up to its sign): v_last takes
-    b_row's sign there, and b_row takes v_last's value, which dlasda and
-    dstein round differently (by about eps absolute, 1e-8 of alpha at alpha =
-    1e-8). Where all of V costs O(k^3), this costs O(k^2) past dgebrd.
+    the block's own column order, from its last_vector, whose dstein takes
+    first_row's sigma_k as its eigenvalue, or where that returns None (b = 0,
+    say) from full_svd of the scaled block. The two share V's corner entry,
+    b's entry of v_last (alpha, up to its sign): v_last takes b_row's sign
+    there, and b_row takes v_last's value, which dlasda and dstein round
+    differently (by about eps absolute, 1e-8 of alpha at alpha = 1e-8). Where
+    all of V costs O(k^3), this costs O(k^2) past dgebrd.
     """
     bidiagonal = Bidiagonal(block, exponent)
     sigma, b_row = bidiagonal.first_row()
-    v = bidiagonal.last_vector()
+    v = bidiagonal.last_vector(float(sigma[-1]))
     if v is None:
         v_last = full_svd(np.ldexp(block, exponent))[1][-1]
     else:

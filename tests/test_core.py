@@ -423,7 +423,8 @@ def test_a_failed_svd_raises_convergence_error(monkeypatch):
     tall = tc.generate_ab_alpha(200, 30, 0.3, seed=4)
     blur = tc.kamm_nagy_problem(tc.KammNagyConfig(m=100, seed=1))
     # the tall bundle's 31-wide R goes through numpy's dgesdd, the 85-wide
-    # deblurring block through few_value_svd: dgebrd, dlasda, dstebz, dstein
+    # deblurring block through few_value_svd: dgebrd, dlasda, dstein (dstebz
+    # runs only on a split tridiagonal), dormbr
     monkeypatch.setattr(np.linalg, "svd", failed_svd)
     with pytest.raises(ConvergenceError, match=r"dgesdd failed \(SVD did not converge\)"):
         tc.svd_bundle(tall)
@@ -842,6 +843,68 @@ def test_first_row_is_b_row_of_the_whole_v(name):
     cluster = np.concatenate([[0], np.cumsum(-np.diff(sigma_ref) > 1e-10 * sigma_ref[0])])
     weight = lambda row: np.sqrt(np.bincount(cluster, row * row))
     np.testing.assert_allclose(weight(b_row), weight(vt[:, -1]), rtol=0, atol=1e-12)
+
+
+def nearly_compatible_block(seed=0):
+    """A 90 x 60 [A b] with b = A x_0 plus noise of 1e-12 ||b||: sigma_k is
+    about 1e-13 sigma_1, so +-sigma_k lie 2 sigma_k apart on the tridiagonal."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((90, 59))
+    b = a @ rng.standard_normal(59)
+    return np.column_stack([a, b + 1e-12 * np.linalg.norm(b) * rng.standard_normal(90) / 90**0.5])
+
+
+LAST_VECTOR_BLOCKS = {**FIRST_ROW_BLOCKS, "nearly_compatible_90x60": nearly_compatible_block}
+
+
+@pytest.mark.parametrize("name", LAST_VECTOR_BLOCKS)
+def test_v_last_is_the_last_column_of_the_whole_v(name):
+    # dstein's vector at dlasda's sigma_k against V from numpy's dgesdd of
+    # the same scaled block, inside the span of V's vectors at sigma_k's tie
+    # cluster (one vector where sigma_k is simple, so this aligns its sign).
+    # The bar is 1e-12, or eps sigma_1 over the gap to the next cluster where
+    # that is wider, as either vector is only that accurate (measured: 7.6e-12
+    # at deblur m=500, whose gap is 1.6e-7 sigma_1, and 1.4e-15 at 60x45;
+    # with dstebz's eigenvalue as the shift these read the same to 1e-15)
+    block = LAST_VECTOR_BLOCKS[name]()
+    exponent = int(core._scale_exponent(block))
+    _, b_row, v_last = core.few_value_svd(block, exponent)
+    sigma_ref, vt = core.full_svd(np.ldexp(block, exponent))
+    cluster = np.concatenate([[0], np.cumsum(-np.diff(sigma_ref) > 1e-10 * sigma_ref[0])])
+    tied = cluster == cluster[-1]
+    gap = sigma_ref[np.flatnonzero(tied)[0] - 1] - sigma_ref[-1]
+    outside = v_last - vt[tied].T @ (vt[tied] @ v_last)
+    assert np.linalg.norm(outside) <= max(1e-12, EPS * sigma_ref[0] / gap)
+    assert np.linalg.norm(v_last) == pytest.approx(1.0, abs=1e-14)
+    assert b_row[-1] == v_last[-1]
+
+
+def diagonal_block():
+    """A 48 x 45 [A b] whose only nonzeros are its diagonal, b's entry 0.7:
+    dgebrd's superdiagonal is exactly 0, so the tridiagonal splits."""
+    block = np.zeros((48, 45))
+    block[range(45), range(45)] = np.append(np.linspace(3.0, 1.0, 44), 0.7)
+    return block
+
+
+@pytest.mark.parametrize("name, make, bisections", [
+    ("deblur_m100", lambda: deblur_block(100), 0),
+    ("alpha_4000x40_r", lambda: tall_row_block(4000, 40, 1e-2), 0),
+    ("diagonal", diagonal_block, 1),
+])
+def test_dstebz_runs_only_on_a_split_tridiagonal(name, make, bisections, monkeypatch):
+    # dstein takes dlasda's sigma_k as the tridiagonal's one block; only where
+    # some off-diagonal entry squared is below the smallest normal float does
+    # dstebz find the eigenvalue and the blocks
+    block = make()
+    calls, bisect = [], core.dstebz
+    monkeypatch.setattr(core, "dstebz", lambda *args: calls.append(args) or bisect(*args))
+    v_last = core.block_svd(block)[2]
+    assert len(calls) == bisections
+    vt = np.linalg.svd(block, full_matrices=False)[2]
+    np.testing.assert_allclose(v_last * np.sign(v_last @ vt[-1]), vt[-1], rtol=0, atol=1e-10)
+    if bisections:  # sigma_k = 0.7 alone: v_{n+1} is e_{n+1}
+        np.testing.assert_array_equal(np.abs(v_last), np.eye(45)[-1])
 
 
 def test_the_few_value_kernel_is_past_dlasdas_leaf_size():
